@@ -1,0 +1,549 @@
+"""Run configuration: nozzle geometry, inlet profiles, tolerances, sizes.
+
+Config files are sectioned key=value text with
+[gas], [background], [geometry], [inlet], [grid], [tolerances] tables
+(plus optional [output] and [blowup]).  Inlet layers are CSV tables with
+header ``y,u,v,p,rho``, either inline between ``<<<`` and ``>>>`` markers or
+in sidecar files referenced by ``layer_a_csv`` / ``layer_b_csv``.  Wall
+curves are closed-form expressions in x (polynomials, sin, cos, exp) or
+sidecar CSV samples with header ``x,y``.  The full grammar is documented in
+the README and round-tripped by write_config.
+"""
+
+from __future__ import annotations
+
+import io
+import os
+from dataclasses import dataclass, field
+
+import numpy as np
+from scipy.interpolate import CubicSpline, PchipInterpolator
+
+from . import gas
+from .expressions import ExpressionError, SmoothExpression
+
+
+class ConfigError(ValueError):
+    """Config invariant violation, with location context."""
+
+
+class ConfigParseError(ConfigError):
+    """Malformed config text: grammar, missing keys, unreadable values/files."""
+
+
+def _fmt(x):
+    return format(float(x), ".17g")
+
+
+# ---------------------------------------------------------------------------
+# Wall curves
+
+
+class WallCurve:
+    """Nozzle wall y = g(x) on [0, L], evaluable with derivatives to third order."""
+
+    def __init__(self, kind, payload):
+        self._kind = kind
+        if kind == "expr":
+            self._expr = SmoothExpression(payload, var="x")
+            self._text = payload
+        elif kind == "samples":
+            x, y = payload
+            x = np.asarray(x, dtype=float)
+            y = np.asarray(y, dtype=float)
+            if x.size < 4 or not np.all(np.diff(x) > 0):
+                raise ConfigError("sampled wall needs >= 4 strictly increasing x samples")
+            self._x = x
+            self._y = y
+            self._spline = CubicSpline(x, y)
+            self._derivs = [self._spline.derivative(k) for k in (1, 2, 3)]
+        elif kind == "scaled":
+            self._base, self._baseline, self._t = payload
+        else:
+            raise ConfigError(f"unknown wall kind {kind!r}")
+
+    @classmethod
+    def from_expression(cls, text):
+        try:
+            return cls("expr", text)
+        except ExpressionError as exc:
+            raise ConfigParseError(str(exc)) from None
+
+    @classmethod
+    def from_samples(cls, x, y):
+        return cls("samples", (x, y))
+
+    def __call__(self, x, order=0):
+        x = np.asarray(x, dtype=float)
+        if self._kind == "expr":
+            out = self._expr(x, order)
+        elif self._kind == "samples":
+            out = self._spline(x) if order == 0 else self._derivs[order - 1](x)
+        else:
+            base = self._base(x, order)
+            if order == 0:
+                out = self._baseline + self._t * (base - self._baseline)
+            else:
+                out = self._t * base
+        return out
+
+    def scale_deviation(self, baseline, t):
+        """Wall with its deviation from ``baseline`` scaled by ``t``."""
+        return WallCurve("scaled", (self, float(baseline), float(t)))
+
+    def serialization(self, L=None):
+        if self._kind == "expr":
+            return ("expr", self._text)
+        if self._kind == "samples":
+            return ("samples", self._x, self._y)
+        if L is None:
+            raise ConfigError("scaled walls serialize as samples and need the nozzle length")
+        xs = np.linspace(0.0, L, 257)
+        return ("samples", xs, self(xs))
+
+
+@dataclass
+class NozzleGeometry:
+    """Wall curves g_minus < g_plus on [0, L] with derivatives to third order."""
+
+    g_minus: WallCurve
+    g_plus: WallCurve
+    L: float
+
+    def __post_init__(self):
+        if not self.L > 0:
+            raise ConfigError("nozzle length must be positive")
+        xs = np.linspace(0.0, self.L, 1025)
+        lo = self.g_minus(xs)
+        hi = self.g_plus(xs)
+        if not np.all(lo < hi):
+            raise ConfigError("walls crossed: g_minus must stay below g_plus on [0, L]")
+        for k in (1, 2, 3):  # C3-evaluable
+            self.g_minus(xs, k)
+            self.g_plus(xs, k)
+
+    def scale_deviation(self, t):
+        return NozzleGeometry(
+            self.g_minus.scale_deviation(-1.0, t),
+            self.g_plus.scale_deviation(1.0, t),
+            self.L,
+        )
+
+
+# ---------------------------------------------------------------------------
+# Inlet profile
+
+
+@dataclass
+class InletLayer:
+    """One layer's inlet table (y, u, v, p, rho) with monotone interpolation."""
+
+    y: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    p: np.ndarray
+    rho: np.ndarray
+    _interp: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.y = np.asarray(self.y, dtype=float)
+        for name in ("u", "v", "p", "rho"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
+        if self.y.size < 4 or not np.all(np.diff(self.y) > 0):
+            raise ConfigError("inlet layer needs >= 4 strictly increasing y samples")
+        for name in ("u", "v", "p", "rho"):
+            if getattr(self, name).shape != self.y.shape:
+                raise ConfigError(f"inlet column {name} length mismatch")
+
+    def interp(self, name):
+        if name not in self._interp:
+            self._interp[name] = PchipInterpolator(self.y, getattr(self, name))
+        return self._interp[name]
+
+    def eval(self, y):
+        return tuple(self.interp(n)(y) for n in ("u", "v", "p", "rho"))
+
+    def component(self, name, y, order=0):
+        f = self.interp(name)
+        return f(y) if order == 0 else f.derivative(order)(y)
+
+
+@dataclass
+class InletProfile:
+    """Incoming flow at x = 0: layer a on [0, g_plus(0)], layer b on [g_minus(0), 0]."""
+
+    layer_a: InletLayer
+    layer_b: InletLayer
+
+    def validate(self, g: gas.GasConstants, compat_tol=1e-8):
+        for tag, layer in (("a", self.layer_a), ("b", self.layer_b)):
+            c = np.sqrt(g.gamma * layer.p / layer.rho)
+            if not np.all(layer.p > 0) or not np.all(layer.rho > 0):
+                raise ConfigError(f"not supersonic: layer {tag} has nonpositive p or rho")
+            if not np.all(layer.u > c):
+                raise ConfigError(f"not supersonic: layer {tag} has a sample with u <= c")
+            if not np.all(layer.rho * layer.u > 0):
+                raise ConfigError(f"layer {tag} has nonpositive mass flux rho*u")
+        if self.layer_a.y[0] != 0.0 or self.layer_b.y[-1] != 0.0:
+            raise ConfigError("inlet layers must meet at y = 0")
+        wa = self.layer_a.v[0] / self.layer_a.u[0]
+        wb = self.layer_b.v[-1] / self.layer_b.u[-1]
+        pa = self.layer_a.p[0]
+        pb = self.layer_b.p[-1]
+        if abs(wa - wb) > compat_tol:
+            raise ConfigError("contact compatibility violated: flow angle mismatch at y=0")
+        if abs(pa - pb) > compat_tol * max(abs(pa), 1.0):
+            raise ConfigError("contact compatibility violated: pressure mismatch at y=0")
+
+    def scale_deviation(self, background, t):
+        ua, rhoa = background.u_a, background.rho_a
+        ub, rhob = background.u_b, background.rho_b
+        pb = background.p
+
+        def scaled(layer, ubar, rbar):
+            return InletLayer(
+                y=layer.y.copy(),
+                u=ubar + t * (layer.u - ubar),
+                v=t * layer.v,
+                p=pb + t * (layer.p - pb),
+                rho=rbar + t * (layer.rho - rbar),
+            )
+
+        return InletProfile(scaled(self.layer_a, ua, rhoa), scaled(self.layer_b, ub, rhob))
+
+
+@dataclass(frozen=True)
+class BackgroundState:
+    """Constant two-layer reference flow: (u_i, 0, p, rho_i), i = a, b."""
+
+    u_a: float
+    rho_a: float
+    u_b: float
+    rho_b: float
+    p: float
+
+    def states(self):
+        a = gas.PrimitiveState(u=self.u_a, v=0.0, p=self.p, rho=self.rho_a)
+        b = gas.PrimitiveState(u=self.u_b, v=0.0, p=self.p, rho=self.rho_b)
+        return a, b
+
+    def validate(self, g: gas.GasConstants, margin):
+        for tag, st in zip(("a", "b"), self.states()):
+            c = gas.sound_speed(st, g)
+            if not st.u - c > margin:
+                raise ConfigError(f"not supersonic: background layer {tag} violates u - c > {margin}")
+
+
+@dataclass
+class RunConfig:
+    """Solver settings; the background block doubles as the Theta reference."""
+
+    gamma: float
+    grid_nxi: int
+    grid_neta_a: int
+    grid_neta_b: int
+    fp_tol: float = 1e-10
+    max_fp_iters: int = 60
+    newton_tol: float = 1e-12
+    max_newton_iters: int = 50
+    min_supersonic_margin: float = 1e-3
+    compat_tol: float = 1e-8
+    recon_top_tol: float = 1e-5
+    out_dir: str = "out"
+    background: BackgroundState = None
+
+    def __post_init__(self):
+        for name in ("fp_tol", "newton_tol", "min_supersonic_margin", "compat_tol", "recon_top_tol"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"tolerance {name} must be positive")
+        for name in ("grid_nxi", "grid_neta_a", "grid_neta_b"):
+            if not getattr(self, name) >= 4:
+                raise ConfigError(f"grid size {name} must be at least 4")
+        if self.max_fp_iters < 1 or self.max_newton_iters < 1:
+            raise ConfigError("iteration caps must be positive")
+
+    @property
+    def gas_constants(self):
+        return gas.GasConstants(self.gamma)
+
+
+# ---------------------------------------------------------------------------
+# Parsing
+
+
+def parse_sections(text, origin="<config>"):
+    """Parse sectioned key=value text into {section: {key: (value, line)}}."""
+    sections = {}
+    current = None
+    lines = text.splitlines()
+    i = 0
+    while i < len(lines):
+        raw = lines[i]
+        line_no = i + 1
+        stripped = raw.strip()
+        i += 1
+        if not stripped or stripped.startswith("#"):
+            continue
+        if stripped.startswith("[") and stripped.endswith("]"):
+            current = stripped[1:-1].strip()
+            sections.setdefault(current, {})
+            continue
+        if "=" not in stripped:
+            raise ConfigParseError(f"{origin}:{line_no}: expected 'key = value', got {stripped!r}")
+        if current is None:
+            raise ConfigParseError(f"{origin}:{line_no}: key outside any [section]")
+        key, _, value = stripped.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if value == "<<<":
+            block = []
+            while i < len(lines) and lines[i].strip() != ">>>":
+                block.append(lines[i])
+                i += 1
+            if i >= len(lines):
+                raise ConfigParseError(f"{origin}:{line_no}: unterminated <<< block for {key!r}")
+            i += 1
+            sections[current][key] = ("\n".join(block), line_no)
+        else:
+            sections[current][key] = (value, line_no)
+    return sections
+
+
+def _get(sections, section, key, origin, cast=float, default=None):
+    table = sections.get(section, {})
+    if key not in table:
+        if default is not None:
+            return default
+        raise ConfigParseError(f"{origin}: missing key {key!r} in section [{section}]")
+    value, line = table[key]
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ConfigParseError(f"{origin}:{line}: cannot parse {key} = {value!r}") from None
+
+
+def _read_inlet_csv(text, origin, where):
+    buf = io.StringIO(text)
+    header = buf.readline().strip()
+    if header.replace(" ", "") != "y,u,v,p,rho":
+        raise ConfigParseError(f"{origin}: {where}: inlet CSV header must be 'y,u,v,p,rho'")
+    try:
+        data = np.loadtxt(buf, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ConfigParseError(f"{origin}: {where}: bad inlet CSV row: {exc}") from None
+    if data.shape[1] != 5:
+        raise ConfigParseError(f"{origin}: {where}: inlet CSV needs 5 columns")
+    return InletLayer(y=data[:, 0], u=data[:, 1], v=data[:, 2], p=data[:, 3], rho=data[:, 4])
+
+
+def _load_layer(sections, name, origin, base_dir):
+    inlet = sections.get("inlet", {})
+    if name in inlet:
+        return _read_inlet_csv(inlet[name][0], origin, name)
+    ref = name + "_csv"
+    if ref in inlet:
+        path = os.path.join(base_dir, inlet[ref][0])
+        if not os.path.exists(path):
+            raise ConfigParseError(f"{origin}: sidecar CSV {path!r} not found")
+        with open(path) as fh:
+            return _read_inlet_csv(fh.read(), origin, path)
+    raise ConfigParseError(f"{origin}: section [inlet] needs {name} (inline) or {ref} (sidecar)")
+
+
+def _load_wall(sections, name, origin, base_dir):
+    geo = sections.get("geometry", {})
+    if name in geo:
+        value = geo[name][0]
+        if "\n" in value:
+            return _load_wall_block(value, origin, name)
+        return WallCurve.from_expression(value)
+    ref = name + "_csv"
+    if ref in geo:
+        path = os.path.join(base_dir, geo[ref][0])
+        if not os.path.exists(path):
+            raise ConfigParseError(f"{origin}: sidecar CSV {path!r} not found")
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        return WallCurve.from_samples(data[:, 0], data[:, 1])
+    raise ConfigParseError(f"{origin}: section [geometry] needs {name} or {ref}")
+
+
+def load_config(path):
+    """Load and validate a solver config; returns (RunConfig, NozzleGeometry, InletProfile)."""
+    origin = str(path)
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigParseError(f"{origin}: {exc}") from None
+    sections = parse_sections(text, origin)
+    base_dir = os.path.dirname(os.path.abspath(path))
+
+    gamma = _get(sections, "gas", "gamma", origin)
+    bg = BackgroundState(
+        u_a=_get(sections, "background", "u_a", origin),
+        rho_a=_get(sections, "background", "rho_a", origin),
+        u_b=_get(sections, "background", "u_b", origin),
+        rho_b=_get(sections, "background", "rho_b", origin),
+        p=_get(sections, "background", "p", origin),
+    )
+    cfg = RunConfig(
+        gamma=gamma,
+        grid_nxi=_get(sections, "grid", "nxi", origin, cast=int),
+        grid_neta_a=_get(sections, "grid", "neta_a", origin, cast=int),
+        grid_neta_b=_get(sections, "grid", "neta_b", origin, cast=int),
+        fp_tol=_get(sections, "tolerances", "fp_tol", origin, default=1e-10),
+        max_fp_iters=_get(sections, "tolerances", "max_fp_iters", origin, cast=int, default=60),
+        newton_tol=_get(sections, "tolerances", "newton_tol", origin, default=1e-12),
+        max_newton_iters=_get(sections, "tolerances", "max_newton_iters", origin, cast=int, default=50),
+        min_supersonic_margin=_get(sections, "tolerances", "min_supersonic_margin", origin, default=1e-3),
+        compat_tol=_get(sections, "tolerances", "compat_tol", origin, default=1e-8),
+        recon_top_tol=_get(sections, "tolerances", "recon_top_tol", origin, default=1e-5),
+        out_dir=_get(sections, "output", "out_dir", origin, cast=str, default="out"),
+        background=bg,
+    )
+    g = cfg.gas_constants
+    bg.validate(g, cfg.min_supersonic_margin)
+
+    L = _get(sections, "geometry", "L", origin)
+    geom = NozzleGeometry(
+        g_minus=_load_wall(sections, "g_minus", origin, base_dir),
+        g_plus=_load_wall(sections, "g_plus", origin, base_dir),
+        L=L,
+    )
+    profile = InletProfile(
+        layer_a=_load_layer(sections, "layer_a", origin, base_dir),
+        layer_b=_load_layer(sections, "layer_b", origin, base_dir),
+    )
+    profile.validate(g, cfg.compat_tol)
+
+    top = geom.g_plus(0.0)
+    bot = geom.g_minus(0.0)
+    if abs(profile.layer_a.y[-1] - top) > 1e-9 * (top - bot):
+        raise ConfigError(f"{origin}: layer_a top {profile.layer_a.y[-1]} != g_plus(0) = {top}")
+    if abs(profile.layer_b.y[0] - bot) > 1e-9 * (top - bot):
+        raise ConfigError(f"{origin}: layer_b bottom {profile.layer_b.y[0]} != g_minus(0) = {bot}")
+    return cfg, geom, profile
+
+
+def write_config(cfg: RunConfig, geom: NozzleGeometry, profile: InletProfile, path):
+    """Serialize back to the text format (inverse of load_config)."""
+    out = []
+    out.append("[gas]")
+    out.append(f"gamma = {_fmt(cfg.gamma)}")
+    out.append("")
+    out.append("[background]")
+    for key in ("u_a", "rho_a", "u_b", "rho_b", "p"):
+        out.append(f"{key} = {_fmt(getattr(cfg.background, key))}")
+    out.append("")
+    out.append("[geometry]")
+    out.append(f"L = {_fmt(geom.L)}")
+    for name, wall in (("g_minus", geom.g_minus), ("g_plus", geom.g_plus)):
+        kind, *payload = wall.serialization(L=geom.L)
+        if kind == "expr":
+            out.append(f"{name} = {payload[0]}")
+        else:
+            x, y = payload
+            out.append(f"{name} = <<<")
+            out.append("x,y")
+            for xi, yi in zip(x, y):
+                out.append(f"{_fmt(xi)},{_fmt(yi)}")
+            out.append(">>>")
+    out.append("")
+    out.append("[inlet]")
+    for name, layer in (("layer_a", profile.layer_a), ("layer_b", profile.layer_b)):
+        out.append(f"{name} = <<<")
+        out.append("y,u,v,p,rho")
+        for row in zip(layer.y, layer.u, layer.v, layer.p, layer.rho):
+            out.append(",".join(_fmt(v) for v in row))
+        out.append(">>>")
+    out.append("")
+    out.append("[grid]")
+    out.append(f"nxi = {cfg.grid_nxi}")
+    out.append(f"neta_a = {cfg.grid_neta_a}")
+    out.append(f"neta_b = {cfg.grid_neta_b}")
+    out.append("")
+    out.append("[tolerances]")
+    out.append(f"fp_tol = {_fmt(cfg.fp_tol)}")
+    out.append(f"max_fp_iters = {cfg.max_fp_iters}")
+    out.append(f"newton_tol = {_fmt(cfg.newton_tol)}")
+    out.append(f"max_newton_iters = {cfg.max_newton_iters}")
+    out.append(f"min_supersonic_margin = {_fmt(cfg.min_supersonic_margin)}")
+    out.append(f"compat_tol = {_fmt(cfg.compat_tol)}")
+    out.append(f"recon_top_tol = {_fmt(cfg.recon_top_tol)}")
+    out.append("")
+    out.append("[output]")
+    out.append(f"out_dir = {cfg.out_dir}")
+    out.append("")
+    with open(path, "w") as fh:
+        fh.write("\n".join(out))
+
+
+# ---------------------------------------------------------------------------
+# Wall-file geometry support for sampled walls written inline
+
+def _load_wall_block(text, origin, where):
+    buf = io.StringIO(text)
+    header = buf.readline().strip()
+    if header.replace(" ", "") != "x,y":
+        raise ConfigParseError(f"{origin}: {where}: wall CSV header must be 'x,y'")
+    data = np.loadtxt(buf, delimiter=",", ndmin=2)
+    return WallCurve.from_samples(data[:, 0], data[:, 1])
+
+
+# ---------------------------------------------------------------------------
+# Compatibility report and perturbation size
+
+
+def validate_compatibility(profile: InletProfile, geom: NozzleGeometry, tol=1e-8):
+    """Check Eq-type inlet corner and contact conditions; returns violation strings."""
+    report = []
+    la, lb = profile.layer_a, profile.layer_b
+    wa0 = la.v[0] / la.u[0]
+    wb0 = lb.v[-1] / lb.u[-1]
+    if abs(wa0 - wb0) > tol:
+        report.append(f"flow-angle mismatch at contact: |{wa0:.3e} - {wb0:.3e}| > {tol:.1e}")
+    if abs(la.p[0] - lb.p[-1]) > tol:
+        report.append(f"pressure mismatch at contact: |{la.p[0]:.17g} - {lb.p[-1]:.17g}| > {tol:.1e}")
+    w_top = la.v[-1] / la.u[-1]
+    slope_top = float(geom.g_plus(0.0, 1))
+    if abs(w_top - slope_top) > tol:
+        report.append(f"corner slip violated at upper wall: v/u = {w_top:.3e} vs g'_+ = {slope_top:.3e}")
+    w_bot = lb.v[0] / lb.u[0]
+    slope_bot = float(geom.g_minus(0.0, 1))
+    if abs(w_bot - slope_bot) > tol:
+        report.append(f"corner slip violated at lower wall: v/u = {w_bot:.3e} vs g'_- = {slope_bot:.3e}")
+    return report
+
+
+def perturbation_size(profile: InletProfile, geom: NozzleGeometry,
+                      background: BackgroundState, n_dense=4096):
+    """Discrete sup-norm size of the data perturbation.
+
+    Sum of per-layer C2 norms of (U0 - background) and C3 norms of
+    (g_plus - 1) and (g_minus + 1), each norm a sum over derivative orders of
+    the sup over a dense evaluation lattice; derivatives come from the stored
+    interpolants.
+    """
+    eps = 0.0
+    for layer, ubar, rbar in (
+        (profile.layer_a, background.u_a, background.rho_a),
+        (profile.layer_b, background.u_b, background.rho_b),
+    ):
+        ys = np.linspace(layer.y[0], layer.y[-1], n_dense)
+        ref = {"u": ubar, "v": 0.0, "p": background.p, "rho": rbar}
+        for order in (0, 1, 2):
+            worst = 0.0
+            for name in ("u", "v", "p", "rho"):
+                vals = layer.component(name, ys, order)
+                if order == 0:
+                    vals = vals - ref[name]
+                worst = max(worst, float(np.max(np.abs(vals))))
+            eps += worst
+    xs = np.linspace(0.0, geom.L, n_dense)
+    for wall, baseline in ((geom.g_plus, 1.0), (geom.g_minus, -1.0)):
+        for order in (0, 1, 2, 3):
+            vals = wall(xs, order)
+            if order == 0:
+                vals = vals - baseline
+            eps += float(np.max(np.abs(vals)))
+    return eps
