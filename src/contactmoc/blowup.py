@@ -6,8 +6,10 @@ theta +- Theta(q) with the Bernoulli normalization
     q^2/2 + c^2/(gamma-1) = qhat^2/2,      c = rho^((gamma-1)/2),
 
 so c(q)^2 = (gamma-1)(qhat^2 - q^2)/2 and the flow is admissible for
-c_hat < q < qhat with c_hat = qhat sqrt((gamma-1)/(gamma+1)).  Z_plus is
-constant along dy/dx = lambda_minus and Z_minus along lambda_plus.  The
+c_hat < q < qhat with c_hat = qhat sqrt((gamma-1)/(gamma+1)).  Theta(q) is
+the Prandtl-Meyer angle nu(M(q)) measured from q_ref, in closed form with
+M^2 = 2 q^2 / ((gamma-1)(qhat^2 - q^2)).  Z_plus is constant along
+dy/dx = lambda_minus and Z_minus along lambda_plus.  The
 wall-bounded problem on y in [0, 1] is extended to one full period
 y in [-1, 1) by even reflection of (u, rho) and odd reflection of v, so the
 march is a pure periodic Cauchy problem.
@@ -27,7 +29,7 @@ from scipy.interpolate import PchipInterpolator
 
 from . import interp
 from .expressions import SmoothExpression
-from .quadrature import QuadratureError, adaptive_gauss_kronrod
+from .gas import prandtl_meyer
 
 
 class BlowupError(ValueError):
@@ -47,26 +49,20 @@ def _c_of_q(q, qhat, g):
     return np.sqrt(0.5 * (g.gamma - 1.0) * (qhat * qhat - q * q))
 
 
-def _theta_q_integrand(tau, qhat, g):
-    c = _c_of_q(tau, qhat, g)
-    return np.sqrt(np.maximum(tau * tau - c * c, 0.0)) / (tau * c)
+def _mach2_of_speed(q, qhat, g):
+    return 2.0 * q * q / ((g.gamma - 1.0) * (qhat * qhat - q * q))
 
 
-def theta_of_speed(q, qhat, g, q_ref, tol=1e-12):
-    """Theta(q) = int_{q_ref}^{q} sqrt(tau^2 - c^2(tau)) / (tau c(tau)) dtau."""
+def theta_of_speed(q, qhat, g, q_ref):
+    """Theta(q) = nu(M(q)) - nu(M(q_ref)), the integral of
+    sqrt(tau^2 - c^2(tau)) / (tau c(tau)) from q_ref to q."""
     q = np.asarray(q, dtype=float)
     c_hat = critical_speed(qhat, g)
     if np.any(q <= c_hat) or np.any(q >= qhat) or not c_hat < q_ref < qhat:
         raise BlowupError("sonic-limit: speed outside the admissible (c_hat, qhat) range")
-
-    def f(x, src):
-        return _theta_q_integrand(x, qhat, g)
-
-    try:
-        out = adaptive_gauss_kronrod(f, np.full_like(q, q_ref), q, tol=tol)
-    except QuadratureError as exc:
-        raise BlowupError(f"sonic-limit: {exc}") from None
-    return float(out) if np.ndim(q) == 0 and out.ndim == 0 else out
+    nu_ref = prandtl_meyer(_mach2_of_speed(q_ref, qhat, g), g)
+    out = prandtl_meyer(_mach2_of_speed(q, qhat, g), g) - nu_ref
+    return float(out) if np.ndim(q) == 0 else out
 
 
 def dtheta_of_speed(q, qhat, g):
@@ -284,7 +280,8 @@ def _cyclic_gradient(z, dy):
 
 class _SpeedInverter:
     """Dense monotone interpolant of q <-> Theta(q), built once per march
-    from adaptive-quadrature samples."""
+    from closed-form samples; one table lookup per step is cheaper than a
+    per-step Newton inversion of the closed form."""
 
     def __init__(self, qhat, g, q_ref, n=2001):
         c_hat = critical_speed(qhat, g)

@@ -52,18 +52,20 @@ def _threads():
 
 
 def _apply_overrides(cfg, geom, profile, args):
-    if getattr(args, "grid", None):
+    """Apply the command-line overrides; RunConfig re-checks the result."""
+    changes = {}
+    if getattr(args, "grid", None) is not None:
         try:
             nxi_s, neta_s = args.grid.lower().split("x")
-            cfg.grid_nxi = int(nxi_s)
-            cfg.grid_neta_a = int(neta_s)
-            cfg.grid_neta_b = int(neta_s)
+            nxi, neta = int(nxi_s), int(neta_s)
         except ValueError:
             raise config.ConfigError(f"cannot parse --grid {args.grid!r}; expected NXIxNETA")
-    if getattr(args, "max_iters", None):
-        cfg.max_fp_iters = args.max_iters
+        changes.update(grid_nxi=nxi, grid_neta_a=neta, grid_neta_b=neta)
+    if getattr(args, "max_iters", None) is not None:
+        changes["max_fp_iters"] = args.max_iters
     if getattr(args, "out", None):
-        cfg.out_dir = args.out
+        changes["out_dir"] = args.out
+    cfg = dataclasses.replace(cfg, **changes)
     t = getattr(args, "eps_scale", None)
     if t is not None and t != 1.0:
         profile = profile.scale_deviation(cfg.background, t)
@@ -169,7 +171,8 @@ def cmd_solve(args):
     return EXIT_OK
 
 
-def _load_blowup(path):
+def _load_blowup(path, x_max=None):
+    """Blow-up inputs from ``path``; ``x_max`` overrides the file's value."""
     with open(path) as fh:
         sections = config.parse_sections(fh.read(), origin=str(path))
     gamma = config._get(sections, "gas", "gamma", path)
@@ -189,15 +192,17 @@ def _load_blowup(path):
                                     floor=get("grad_floor", default=1e-6))
     settings = {
         "ny": get("ny", cast=int, default=800),
-        "x_max": get("x_max", default=200.0),
+        "x_max": get("x_max", default=200.0) if x_max is None else x_max,
         "dx_max": get("dx_max", default=0.05),
     }
+    if not settings["x_max"] > 0:
+        raise config.ConfigError(f"x_max must be positive, got {settings['x_max']:g}")
     return g, profile, policy, settings
 
 
 def cmd_blowup(args):
     try:
-        g, profile, policy, settings = _load_blowup(args.config)
+        g, profile, policy, settings = _load_blowup(args.config, x_max=args.x_max)
     except (config.ConfigError, blowup.BlowupError, gas.GasError) as exc:
         return _error_exit(_config_exit_category(exc), exc)
     report_compat = blowup.check_compatibility(profile)
@@ -207,8 +212,6 @@ def cmd_blowup(args):
         _summary({"status": "error", "error": "validation",
                   "detail": repr("; ".join(report_compat))})
         return EXIT_FAIL
-    if getattr(args, "x_max", None):
-        settings["x_max"] = args.x_max
     try:
         rep = blowup.cauchy_march(profile, g, settings["x_max"], ny=settings["ny"],
                                   dx_max=settings["dx_max"], policy=policy)
@@ -328,6 +331,10 @@ def cmd_validate(args):
         cfg = geom = profile = None
     if profile is not None:
         violations.extend(config.validate_compatibility(profile, geom, tol=cfg.compat_tol))
+        try:
+            build_pipeline(cfg, geom, profile)
+        except (moc.SolverError, lagrangian.TransformError, gas.GasError) as exc:
+            violations.append(str(exc))
     if "blowup" in sections:
         try:
             g, bprofile, _, _ = _load_blowup(args.config)

@@ -13,6 +13,11 @@ global reference pressure shared by every streamline of both layers; all
 boundary and coupling relations used downstream depend only on z_minus+z_plus
 and on Theta differences, so the convention is observable-free.
 
+Theta is closed form: along a streamline dTheta/dp = sqrt(M^2-1)/(rho q^2)
+= -d nu/dp, where nu is the Prandtl-Meyer function and M^2 is algebraic in
+(p; A0, B0), so Theta(p) = nu(M(p_ref)) - nu(M(p)) (Courant & Friedrichs,
+Supersonic Flow and Shock Waves, ch. IV).
+
 All quantities are nondimensional.  Every function accepts scalars or numpy
 arrays and broadcasts.
 """
@@ -23,8 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-
-from .quadrature import QuadratureError, adaptive_gauss_kronrod
 
 # Refuse pressures within this relative margin of the sonic pressure instead
 # of regularizing the vanishing-radicand endpoint.
@@ -229,23 +232,25 @@ def dtheta_dp(p, sd: StreamData, g: GasConstants):
     return _maybe_scalar(_theta_integrand(p, a0, b0, gam), *orig)
 
 
-def _theta_increment(p_from, p_to, a0, b0, g, tol):
-    """Quadrature of the Theta integrand from p_from to p_to (elementwise)."""
-    gam = g.gamma
+def prandtl_meyer(mach2, g: GasConstants):
+    """Prandtl-Meyer function nu(M), taking M^2 >= 1:
 
-    def f(x, src):
-        return _theta_integrand(x, a0[src], b0[src], gam)
-
-    try:
-        return adaptive_gauss_kronrod(f, p_from, p_to, tol=tol)
-    except QuadratureError as exc:
-        raise GasError(f"sonic-limit: {exc}") from None
+    nu = sqrt((g+1)/(g-1)) arctan(sqrt((g-1)/(g+1) (M^2-1))) - arctan(sqrt(M^2-1)).
+    """
+    k = (g.gamma + 1.0) / (g.gamma - 1.0)
+    root = np.sqrt(np.maximum(mach2 - 1.0, 0.0))
+    return np.sqrt(k) * np.arctan(root / np.sqrt(k)) - np.arctan(root)
 
 
-def theta(p, sd: StreamData, g: GasConstants, tol=1e-12):
-    """Theta(p; A0, B0) = integral of dTheta/dp from p_ref to p.
+def _mach2(p, a0, b0, gam):
+    """M^2 = q^2/c^2 = 2 B0 / (gamma A0^(1/gamma) p^((gamma-1)/gamma)) - 2/(gamma-1)."""
+    return 2.0 * b0 / (gam * a0 ** (1.0 / gam) * p ** ((gam - 1.0) / gam)) - 2.0 / (gam - 1.0)
 
-    Adaptive Gauss-Kronrod quadrature with absolute tolerance ``tol``.
+
+def theta(p, sd: StreamData, g: GasConstants):
+    """Theta(p; A0, B0) = nu(M(p_ref)) - nu(M(p)), the integral of dTheta/dp
+    from p_ref to p in closed form.
+
     Theta(p_ref) = 0 by construction and Theta is strictly increasing.
     Pressures within SONIC_MARGIN (relative) of the sonic pressure are
     rejected with a ``sonic-limit`` error.
@@ -257,7 +262,8 @@ def theta(p, sd: StreamData, g: GasConstants, tol=1e-12):
     cap = np.asarray(sonic_pressure(StreamData(a0, b0, sd.p_ref), g))
     if not np.all(p <= cap * (1.0 - SONIC_MARGIN)):
         raise GasError("sonic-limit: pressure within margin of the sonic pressure")
-    out = _theta_increment(np.full_like(p, sd.p_ref), p, np.ravel(a0), np.ravel(b0), g, tol)
+    nu_ref = prandtl_meyer(_mach2(sd.p_ref, a0, b0, g.gamma), g)
+    out = nu_ref - prandtl_meyer(_mach2(p, a0, b0, g.gamma), g)
     return _maybe_scalar(out, *orig)
 
 
@@ -272,9 +278,8 @@ def pressure_from_invariants(z: InvariantPair, sd: StreamData, g: GasConstants,
     """Invert Theta(p) = (z_minus - z_plus)/2 for the unique pressure.
 
     Newton iteration with the closed-form derivative, safeguarded by
-    bisection on a bracket grown geometrically from p_ref.  Theta values are
-    accumulated incrementally so each sweep only integrates the short segment
-    the iterate moved across.
+    bisection on a bracket grown geometrically from p_ref: dTheta/dp vanishes
+    at the sonic pressure, so bare Newton is unsafe near the cap.
     """
     zm, zp = np.broadcast_arrays(*_as_array(z.z_minus, z.z_plus))
     target, a0, b0 = np.broadcast_arrays(0.5 * (zm - zp), *_as_array(sd.a0, sd.b0))
@@ -283,7 +288,10 @@ def pressure_from_invariants(z: InvariantPair, sd: StreamData, g: GasConstants,
     a0 = np.ravel(np.broadcast_to(a0, shape)).astype(float)
     b0 = np.ravel(np.broadcast_to(b0, shape)).astype(float)
     gam = g.gamma
-    quad_tol = min(1e-14, newton_tol / 20.0)
+    nu_ref = prandtl_meyer(_mach2(sd.p_ref, a0, b0, gam), g)
+
+    def theta_at(x, sel=slice(None)):
+        return nu_ref[sel] - prandtl_meyer(_mach2(x, a0[sel], b0[sel], gam), g)
 
     cap = (2.0 * b0 * (gam - 1.0) / (gam * (gam + 1.0) * a0 ** (1.0 / gam))) ** (gam / (gam - 1.0))
     cap = cap * (1.0 - SONIC_MARGIN)
@@ -300,16 +308,14 @@ def pressure_from_invariants(z: InvariantPair, sd: StreamData, g: GasConstants,
         grow = (t > th_hi) & (hi < cap)
         if not np.any(grow):
             break
-        hi_new = np.minimum(hi[grow] * 2.0, cap[grow])
-        th_hi[grow] += _theta_increment(hi[grow], hi_new, a0[grow], b0[grow], g, quad_tol)
-        hi[grow] = hi_new
+        hi[grow] = np.minimum(hi[grow] * 2.0, cap[grow])
+        th_hi[grow] = theta_at(hi[grow], grow)
     for _ in range(70):
         shrink = (t < th_lo) & (lo > floor)
         if not np.any(shrink):
             break
-        lo_new = np.maximum(lo[shrink] * 0.5, floor[shrink])
-        th_lo[shrink] -= _theta_increment(lo_new, lo[shrink], a0[shrink], b0[shrink], g, quad_tol)
-        lo[shrink] = lo_new
+        lo[shrink] = np.maximum(lo[shrink] * 0.5, floor[shrink])
+        th_lo[shrink] = theta_at(lo[shrink], shrink)
 
     if np.any(t > th_hi + newton_tol) or np.any(t < th_lo - newton_tol):
         raise GasError("out-of-range: target exceeds the range of Theta on the admissible interval")
@@ -318,9 +324,7 @@ def pressure_from_invariants(z: InvariantPair, sd: StreamData, g: GasConstants,
         p = np.clip(np.ravel(np.broadcast_to(np.asarray(p_init, dtype=float), shape)).copy(), lo, hi)
     else:
         p = np.clip(np.full_like(t, sd.p_ref), lo, hi)
-    th = _theta_increment(np.full_like(p, sd.p_ref), p, a0, b0, g, quad_tol)
-
-    resid = th - t
+    resid = theta_at(p) - t
     iters = 0
     while np.any(np.abs(resid) > newton_tol):
         if iters >= max_newton_iters:
@@ -335,16 +339,14 @@ def pressure_from_invariants(z: InvariantPair, sd: StreamData, g: GasConstants,
         step = -resid / deriv
         p_new = p + step
         bad = (p_new <= lo) | (p_new >= hi) | ~np.isfinite(p_new)
-        p_new = np.where(bad, 0.5 * (lo + hi), p_new)
-        th = th + _theta_increment(p, p_new, a0, b0, g, quad_tol)
-        p = p_new
-        resid = th - t
+        p = np.where(bad, 0.5 * (lo + hi), p_new)
+        resid = theta_at(p) - t
 
     return _maybe_scalar(p.reshape(shape), z.z_minus, z.z_plus, sd.a0, sd.b0)
 
 
 def invariants_from_state(state: PrimitiveState, sd: StreamData, g: GasConstants,
-                          mismatch_tol=1e-8, theta_tol=1e-12):
+                          mismatch_tol=1e-8):
     """z_minus = arctan(v/u) + Theta(p), z_plus = arctan(v/u) - Theta(p).
 
     The state must be supersonic and its entropy function / Bernoulli
@@ -361,7 +363,7 @@ def invariants_from_state(state: PrimitiveState, sd: StreamData, g: GasConstants
         raise GasError("stream-data-mismatch: state A/B disagree with streamline data")
     u, v = _as_array(state.u, state.v)
     ang = np.arctan2(v, u)
-    th = np.asarray(theta(state.p, sd, g, tol=theta_tol))
+    th = np.asarray(theta(state.p, sd, g))
     zm = _maybe_scalar(ang + th, state.u, state.v, state.p, sd.a0)
     zp = _maybe_scalar(ang - th, state.u, state.v, state.p, sd.a0)
     return InvariantPair(zm, zp)

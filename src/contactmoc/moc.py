@@ -24,6 +24,7 @@ averaged form makes the pressure match exact, not merely first-order.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -129,7 +130,34 @@ def build_problem(cfg: RunConfig, geom: NozzleGeometry, trace_a: InletTrace,
         min_supersonic_margin=cfg.min_supersonic_margin,
     )
     prob.c_offset = contact_pressure_offset(prob, bg_a, bg_b)
+    check_cfl(prob)
     return prob
+
+
+def check_cfl(prob: MocProblem):
+    """Reject a lattice whose xi step breaks max|lambda| dxi <= deta.
+
+    The first outer iteration freezes the speeds on the background
+    invariants, so this is the bound ``_check_feet`` enforces when that
+    iteration marches; checking it here rejects the lattice before any march
+    starts.  Raises a ``cfl`` SolverError naming the smallest valid nxi.
+    """
+    dom = prob.domain
+    frozen = frozen_lambdas(InvariantGrid.background(prob, nxi=1), prob)
+    violated = []
+    nxi_min = 0
+    for tag, eta, lams in (("a", dom.eta_a, (frozen.lam_m_a, frozen.lam_p_a)),
+                           ("b", dom.eta_b, (frozen.lam_m_b, frozen.lam_p_b))):
+        lam = max(float(np.max(np.abs(x))) for x in lams)
+        deta = eta[1] - eta[0]
+        bound = deta + 1e-9 * (eta[-1] - eta[0])  # the fuzz of _check_feet
+        if lam * dom.dxi > bound:
+            ratio = lam * dom.dxi / deta
+            violated.append(f"max|lambda| dxi / deta = {ratio:.4g} > 1 in layer {tag}")
+        nxi_min = max(nxi_min, 1 + math.ceil(dom.L * lam / bound))
+    if violated:
+        raise SolverError(f"cfl: {'; '.join(violated)} at nxi = {dom.xi.size}; "
+                          f"the smallest valid nxi is {nxi_min}")
 
 
 def contact_pressure_offset(prob: MocProblem, bg_a, bg_b):
@@ -189,8 +217,9 @@ class InvariantGrid:
         return (self.zm_a, self.zp_a, self.zm_b, self.zp_b)
 
     @classmethod
-    def background(cls, prob: MocProblem):
-        nxi = prob.domain.xi.size
+    def background(cls, prob: MocProblem, nxi=None):
+        """The background invariants on ``nxi`` xi rows (default: all)."""
+        nxi = prob.domain.xi.size if nxi is None else nxi
         za = np.full((nxi, prob.domain.eta_a.size), 0.0)
         zb = np.full((nxi, prob.domain.eta_b.size), 0.0)
         return cls(

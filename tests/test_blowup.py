@@ -34,6 +34,15 @@ def test_dtheta_of_speed_matches_fd():
           - blowup.theta_of_speed(q0 - h, qhat, G, 2.0)) / (2 * h)
     assert float(blowup.dtheta_of_speed(q0, qhat, G)) == pytest.approx(fd, abs=1e-10)
 
+    from scipy.integrate import quad
+
+    near_sonic = blowup.critical_speed(qhat, G) * (1 + 2e-6)
+    for q1, q2 in ((2.0, 2.1), (near_sonic, 2.0), (near_sonic, qhat * 0.999)):
+        whole = blowup.theta_of_speed(q2, qhat, G, 2.0) - blowup.theta_of_speed(q1, qhat, G, 2.0)
+        seg, _ = quad(lambda q: blowup.dtheta_of_speed(q, qhat, G), q1, q2,
+                      epsabs=1e-13, epsrel=1e-13)
+        assert whole == pytest.approx(seg, abs=1e-12)
+
 
 def test_sonic_limit_errors():
     with pytest.raises(blowup.BlowupError, match="sonic-limit"):

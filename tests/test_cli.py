@@ -30,6 +30,7 @@ def workdir(tmp_path_factory):
     fixtures.write_fixture(d / "bg.cfg", eps=0.0, nxi=101, neta=26)
     fixtures.write_fixture(d / "pert.cfg", eps=1e-3, nxi=101, neta=26)
     fixtures.write_blowup_fixture(d / "blow.cfg", delta=0.1, ny=200, x_max=20.0)
+    fixtures.write_fixture(d / "coarse_xi.cfg", eps=1e-3, nxi=101, neta=40)
     return d
 
 
@@ -212,3 +213,43 @@ def test_validate_names_subsonic_violation(workdir, tmp_path):
     r = run_cli("validate", "--config", str(bad))
     assert r.returncode == 1
     assert "not supersonic" in r.stdout
+
+
+@pytest.mark.parametrize("flags, detail", [
+    (("--max-iters", "0"), "iteration caps must be positive"),
+    (("--max-iters", "-1"), "iteration caps must be positive"),
+    (("--grid", "3x3"), "grid size grid_nxi must be at least 4"),
+], ids=["max-iters-0", "max-iters-negative", "grid-3x3"])
+def test_overrides_are_validated(workdir, tmp_path, flags, detail):
+    r = run_cli("solve", "--config", str(workdir / "pert.cfg"), *flags,
+                "--out", str(tmp_path / "o"), "--quiet")
+    assert r.returncode == 1
+    s = summary_of(r)
+    assert s["error"] == "validation"
+    assert detail in r.stdout
+
+
+@pytest.mark.parametrize("flags, file_x_max", [
+    (("--x-max", "-5"), "20.0"),
+    (("--x-max", "0"), "20.0"),
+    ((), "-1.0"),
+], ids=["flag-negative", "flag-zero", "file-negative"])
+def test_blowup_rejects_nonpositive_x_max(tmp_path, flags, file_x_max):
+    cfgp = tmp_path / "const.cfg"
+    cfgp.write_text("[gas]\ngamma = 1.4\n\n[blowup]\nu0 = 2.0\nv0 = 0.0\n"
+                    f"ny = 100\nx_max = {file_x_max}\n")
+    r = run_cli("blowup", "--config", str(cfgp), *flags, "--out", str(tmp_path / "o"), "--quiet")
+    assert r.returncode == 1
+    assert "x_max must be positive" in r.stdout
+
+
+def test_cfl_violation_rejected_up_front(workdir, tmp_path):
+    # 101 xi nodes against 40 eta nodes breaks max|lambda| dxi <= deta in layer b
+    r = run_cli("solve", "--config", str(workdir / "pert.cfg"), "--grid", "101x40",
+                "--out", str(tmp_path / "o"), "--quiet")
+    assert r.returncode == 1
+    assert summary_of(r)["detail"].startswith("'cfl:")
+    assert "smallest valid nxi is 109" in r.stdout
+    r = run_cli("validate", "--config", str(workdir / "coarse_xi.cfg"))
+    assert r.returncode == 1
+    assert "violation: cfl:" in r.stdout

@@ -89,13 +89,23 @@ def test_theta_positive_above_reference():
     assert gas.theta(1.0 + 1e-3, SD_BG, G) > 0.0
 
 
+# Background streamlines of both fixture layers and one far from them.
+STREAMLINES = (SD_BG,
+               gas.StreamData(a0=1.2**-1.4, b0=0.5 * 1.9**2 + 3.5 / 1.2, p_ref=1.0),
+               gas.StreamData(a0=0.8, b0=4.5, p_ref=1.0))
+
+
 def test_theta_additivity_against_independent_quadrature():
     from scipy.integrate import quad
 
-    p1, p2 = 0.9, 1.25
-    whole = gas.theta(p2, SD_BG, G) - gas.theta(p1, SD_BG, G)
-    seg, err = quad(lambda p: gas.dtheta_dp(p, SD_BG, G), p1, p2, epsabs=1e-13, epsrel=1e-13)
-    assert whole == pytest.approx(seg, abs=1e-11)
+    for sd in STREAMLINES:
+        p_s = gas.sonic_pressure(sd, G)
+        # the admissible cap p_s (1 - SONIC_MARGIN) and a point just below it
+        near = (p_s * (1 - gas.SONIC_MARGIN), p_s * (1 - 1.5 * gas.SONIC_MARGIN))
+        for p1, p2 in ((0.9, 1.25), (0.3, near[0]), (near[1], near[0]), (0.5 * p_s, near[1])):
+            whole = gas.theta(p2, sd, G) - gas.theta(p1, sd, G)
+            seg, _ = quad(lambda p: gas.dtheta_dp(p, sd, G), p1, p2, epsabs=1e-13, epsrel=1e-13)
+            assert whole == pytest.approx(seg, abs=1e-11)
 
 
 def test_theta_sonic_limit_rejected():
@@ -168,6 +178,17 @@ def test_pressure_forward_invert_round_trip():
     t = gas.theta(p_true, SD_BG, G)
     p = gas.pressure_from_invariants(gas.InvariantPair(t, -t), SD_BG, G)
     assert p == pytest.approx(p_true, abs=1e-10)
+    # Near the sonic cap dTheta/dp -> 0: the inversion meets newton_tol in
+    # Theta, so p is as close as newton_tol / min dTheta/dp allows.  The low
+    # pressure sits many bracket doublings below p_ref.
+    for sd in STREAMLINES:
+        cap = gas.sonic_pressure(sd, G) * (1 - gas.SONIC_MARGIN)
+        for p_true in (cap, cap * (1 - 0.5 * gas.SONIC_MARGIN), cap * (1 - 1e-3), 0.21):
+            t = gas.theta(p_true, sd, G)
+            p = gas.pressure_from_invariants(gas.InvariantPair(t, -t), sd, G)
+            assert p <= cap
+            assert abs(gas.theta(p, sd, G) - t) <= 1e-12
+            assert p == pytest.approx(p_true, abs=1e-12 / gas.dtheta_dp(cap, sd, G))
 
 
 def test_pressure_inversion_out_of_range():

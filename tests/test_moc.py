@@ -389,3 +389,16 @@ def test_z_nearly_constant_along_frozen_characteristic():
     ])
     per_step = np.max(np.abs(np.diff(vals)))
     assert per_step < dom.dxi * h * h  # interpolated z varies well below O(dxi deta^2)
+
+
+def test_cfl_bound_checked_at_build_with_smallest_nxi(monkeypatch):
+    # 109 is the smallest nxi the first iteration's march accepts at neta = 40
+    _, _, _, prob = assemble(1e-3, 109, 40)
+    moc.solve_linearized(moc.InvariantGrid.background(prob), prob)
+    with pytest.raises(moc.SolverError, match=r"^cfl: .*smallest valid nxi is 109"):
+        assemble(1e-3, 108, 40)
+    # without the up-front check the same lattice fails inside the march
+    monkeypatch.setattr(moc, "check_cfl", lambda prob: None)
+    _, _, _, prob = assemble(1e-3, 108, 40)
+    with pytest.raises(moc.SolverError, match="characteristic foot outside slab"):
+        moc.solve_linearized(moc.InvariantGrid.background(prob), prob)
