@@ -10,19 +10,12 @@ import argparse
 
 import numpy as np
 
-from contactmoc import fixtures, lagrangian, moc
+from contactmoc import cli, fixtures, moc
 
 
 def run(eps, nxi, neta):
     cfg, geom, profile = fixtures.perturbed_inputs(eps, nxi=nxi, neta=neta)
-    g = cfg.gas_constants
-    flux = lagrangian.mass_fluxes(profile)
-    domain = lagrangian.LagrangianDomain.build(geom.L, flux, cfg.grid_nxi,
-                                               cfg.grid_neta_a, cfg.grid_neta_b)
-    ta, tb = lagrangian.inlet_to_lagrangian(profile, flux, domain)
-    sd_a = lagrangian.stream_data_from_inlet(ta, g, p_ref=cfg.background.p)
-    sd_b = lagrangian.stream_data_from_inlet(tb, g, p_ref=cfg.background.p)
-    prob = moc.build_problem(cfg, geom, ta, tb, sd_a, sd_b, domain)
+    prob, _ = cli.build_pipeline(cfg, geom, profile)
     _, report = moc.fixed_point(prob, fp_tol=cfg.fp_tol, max_fp_iters=cfg.max_fp_iters)
     return report
 

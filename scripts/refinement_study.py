@@ -5,19 +5,7 @@ reconstructed fields."""
 
 import argparse
 
-from contactmoc import fixtures, lagrangian, moc, oracle
-
-
-def assemble(eps, nxi, neta):
-    cfg, geom, profile = fixtures.perturbed_inputs(eps, nxi=nxi, neta=neta)
-    g = cfg.gas_constants
-    flux = lagrangian.mass_fluxes(profile)
-    domain = lagrangian.LagrangianDomain.build(geom.L, flux, cfg.grid_nxi,
-                                               cfg.grid_neta_a, cfg.grid_neta_b)
-    ta, tb = lagrangian.inlet_to_lagrangian(profile, flux, domain)
-    sd_a = lagrangian.stream_data_from_inlet(ta, g, p_ref=cfg.background.p)
-    sd_b = lagrangian.stream_data_from_inlet(tb, g, p_ref=cfg.background.p)
-    return cfg, geom, moc.build_problem(cfg, geom, ta, tb, sd_a, sd_b, domain)
+from contactmoc import cli, fixtures, lagrangian, moc, oracle
 
 
 def main():
@@ -30,7 +18,8 @@ def main():
     lines = ["nxi,neta,oracle_sup_diff,weak_max,weak_mean,stream_dev"]
     for token in args.grids.split(","):
         nxi, neta = (int(t) for t in token.split("x"))
-        cfg, geom, prob = assemble(args.eps, nxi, neta)
+        cfg, geom, profile = fixtures.perturbed_inputs(args.eps, nxi=nxi, neta=neta)
+        prob, _ = cli.build_pipeline(cfg, geom, profile)
         grid, _ = moc.fixed_point(prob, fp_tol=cfg.fp_tol, max_fp_iters=cfg.max_fp_iters)
         diff = oracle.compare_fields(grid, oracle.upwind_march(prob)).overall_sup
         ef = lagrangian.reconstruct(moc.primitive_fields(grid, prob), geom, prob.domain)

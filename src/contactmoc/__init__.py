@@ -7,6 +7,7 @@ Subpackages:
     moc         fixed-point solver for the diagonalized boundary value problem
     oracle      independent first-order upwind cross-check
     blowup      semi-infinite flat-nozzle gradient blow-up demonstrator
+    csvout      the CSV writer shared by every output file
     cli         command-line entry points
 """
 

@@ -28,6 +28,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from . import interp
+from .csvout import write_csv
 from .expressions import SmoothExpression
 from .gas import prandtl_meyer
 
@@ -419,8 +420,5 @@ def cauchy_march(profile: PeriodicProfile, g, x_max, ny=800, dx_max=0.05,
 
 
 def write_gradient_csv(report: BlowupReport, path):
-    lines = ["x,max_grad_Zp,max_grad_Zm"]
-    for xv, gp, gm in zip(report.x_history, report.grad_zp_history, report.grad_zm_history):
-        lines.append(f"{xv:.17g},{gp:.17g},{gm:.17g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, ("x", "max_grad_Zp", "max_grad_Zm"),
+              (report.x_history, report.grad_zp_history, report.grad_zm_history))

@@ -16,6 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import blowup, config, gas, lagrangian, moc
+from .csvout import write_csv
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -74,7 +75,11 @@ def _apply_overrides(cfg, geom, profile, args):
 
 
 def build_pipeline(cfg, geom, profile):
-    """Shared assembly: mass fluxes, lattice, inlet traces, stream tables, problem."""
+    """Assemble the problem: mass fluxes, lattice, inlet traces, stream tables.
+
+    The one assembly path; every caller that needs a ``MocProblem`` uses it.
+    Returns (MocProblem, MassFluxes).
+    """
     g = cfg.gas_constants
     flux = lagrangian.mass_fluxes(profile)
     domain = lagrangian.LagrangianDomain.build(geom.L, flux, cfg.grid_nxi,
@@ -263,10 +268,9 @@ def cmd_sweep(args):
 
     def member(target):
         t = target / eps_base
-        run_cfg = dataclasses.replace(cfg)
         prof_t = profile.scale_deviation(cfg.background, t)
         geom_t = geom.scale_deviation(t)
-        summary, _ = run_solve(run_cfg, geom_t, prof_t, write_outputs=False)
+        summary, _ = run_solve(cfg, geom_t, prof_t, write_outputs=False)
         return summary
 
     rows = []
@@ -288,14 +292,11 @@ def cmd_sweep(args):
                 failure = (target, exc)
                 break
 
-    os.makedirs(args.out or "out", exist_ok=True)
-    csv_path = os.path.join(args.out or "out", "sweep.csv")
-    lines = ["epsilon,sup_dev,iters,ratio"]
-    for target, summary in rows:
-        lines.append(f"{target:.17g},{summary['sup_dev']:.17g},{summary['iters']},"
-                     f"{summary['ratio_last']:.17g}")
-    with open(csv_path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    csv_path = os.path.join(cfg.out_dir, "sweep.csv")
+    columns = [[target for target, _ in rows]]
+    columns += [[summary[key] for _, summary in rows] for key in ("sup_dev", "iters", "ratio_last")]
+    write_csv(csv_path, ("epsilon", "sup_dev", "iters", "ratio"), columns)
 
     if failure is not None:
         target, exc = failure

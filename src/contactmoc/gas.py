@@ -132,15 +132,6 @@ class StreamTable:
         self._a0 = PchipInterpolator(eta, a0)
         self._b0 = PchipInterpolator(eta, b0)
 
-    @classmethod
-    def constant(cls, a0, b0, p_ref, g, eta_span=(0.0, 1.0)):
-        eta = np.array([eta_span[0], eta_span[1]])
-        return cls(eta, np.full(2, a0), np.full(2, b0), p_ref, g)
-
-    @property
-    def span(self):
-        return (self.eta[0], self.eta[-1])
-
     def at(self, eta):
         """Stream data at eta (scalar or array), clamped to the table span."""
         eta = np.asarray(eta, dtype=float)

@@ -16,6 +16,7 @@ from scipy.interpolate import PchipInterpolator
 
 from . import gas
 from .config import InletProfile, NozzleGeometry
+from .csvout import write_csv
 
 
 class TransformError(RuntimeError):
@@ -372,24 +373,15 @@ def streamline_conservation(field: EulerianField, g: gas.GasConstants, lines_per
 # CSV output
 
 
-def _rows(fmt, *cols):
-    return "\n".join(fmt % tup for tup in zip(*cols))
-
-
 def write_field_csv(field: EulerianField, path):
-    lines = ["x,y,u,v,p,rho,layer"]
+    names = ("y", "u", "v", "p", "rho")
+    parts = []
     for tag, layer in (("a", field.layer_a), ("b", field.layer_b)):
-        x = np.broadcast_to(field.x[:, None], layer.y.shape).ravel()
-        cols = [x, layer.y.ravel(), layer.u.ravel(), layer.v.ravel(), layer.p.ravel(), layer.rho.ravel()]
-        for tup in zip(*cols):
-            lines.append(",".join(format(v, ".17g") for v in tup) + f",{tag}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        x = np.broadcast_to(field.x[:, None], layer.y.shape)
+        parts.append([x] + [getattr(layer, n) for n in names] + [np.full(layer.y.shape, tag)])
+    write_csv(path, ("x",) + names + ("layer",),
+              [np.concatenate(pair, axis=None) for pair in zip(*parts)])
 
 
 def write_contact_csv(contact: ContactCurve, path):
-    lines = ["x,g_cd"]
-    for xv, gv in zip(contact.x, contact.g_cd):
-        lines.append(f"{xv:.17g},{gv:.17g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, ("x", "g_cd"), (contact.x, contact.g_cd))

@@ -17,9 +17,11 @@ with averaged-derivative coefficients
 
 (and beta likewise below the contact); the mixing weights
 gamma_1 = (alpha-beta)/(alpha+beta), gamma_2 = 2 alpha/(alpha+beta),
-gamma_3 = 2 beta/(alpha+beta), gamma_4 = 1/(alpha+beta) assign the two
-outgoing invariants from the two incoming ones.  At the fixed point the
-averaged form makes the pressure match exact, not merely first-order.
+gamma_3 = 2 beta/(alpha+beta) assign the two outgoing invariants from the
+two incoming ones.  The closure is homogeneous in the deviations from the
+background: Theta has one global reference pressure, so the background
+invariants invert to p_ref on both sides of the contact.  At the fixed point
+the averaged form makes the pressure match exact, not merely first-order.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import numpy as np
 
 from . import gas, interp
 from .config import NozzleGeometry, RunConfig
+from .csvout import write_csv
 from .lagrangian import InletTrace, LagrangianDomain
 
 # 16-point Gauss-Legendre rule on [0, 1] for the averaged-derivative
@@ -54,7 +57,11 @@ class SolverError(RuntimeError):
 
 @dataclass
 class MocProblem:
-    """Per-run data shared by every iteration."""
+    """Per-run data shared by every iteration.
+
+    ``a0_*`` / ``b0_*`` are the stream tables evaluated once on each layer's
+    eta lattice.
+    """
 
     g: gas.GasConstants
     domain: LagrangianDomain
@@ -67,26 +74,13 @@ class MocProblem:
     zbar_b: tuple
     wall_angle_plus: np.ndarray
     wall_angle_minus: np.ndarray
-    c_offset: float
+    a0_a: np.ndarray
+    b0_a: np.ndarray
+    a0_b: np.ndarray
+    b0_b: np.ndarray
     newton_tol: float = 1e-12
     max_newton_iters: int = 50
     min_supersonic_margin: float = 1e-3
-
-    @property
-    def a0_a(self):
-        return self.sd_a.at(self.domain.eta_a).a0
-
-    @property
-    def b0_a(self):
-        return self.sd_a.at(self.domain.eta_a).b0
-
-    @property
-    def a0_b(self):
-        return self.sd_b.at(self.domain.eta_b).a0
-
-    @property
-    def b0_b(self):
-        return self.sd_b.at(self.domain.eta_b).b0
 
 
 def build_problem(cfg: RunConfig, geom: NozzleGeometry, trace_a: InletTrace,
@@ -112,6 +106,8 @@ def build_problem(cfg: RunConfig, geom: NozzleGeometry, trace_a: InletTrace,
     zbar_b = background_invariants(bg_b)
 
     xi = domain.xi
+    nodes_a = sd_a.at(domain.eta_a)
+    nodes_b = sd_b.at(domain.eta_b)
     prob = MocProblem(
         g=g,
         domain=domain,
@@ -124,12 +120,14 @@ def build_problem(cfg: RunConfig, geom: NozzleGeometry, trace_a: InletTrace,
         zbar_b=zbar_b,
         wall_angle_plus=np.arctan(geom.g_plus(xi, 1)),
         wall_angle_minus=np.arctan(geom.g_minus(xi, 1)),
-        c_offset=0.0,
+        a0_a=nodes_a.a0,
+        b0_a=nodes_a.b0,
+        a0_b=nodes_b.a0,
+        b0_b=nodes_b.b0,
         newton_tol=cfg.newton_tol,
         max_newton_iters=cfg.max_newton_iters,
         min_supersonic_margin=cfg.min_supersonic_margin,
     )
-    prob.c_offset = contact_pressure_offset(prob, bg_a, bg_b)
     check_cfl(prob)
     return prob
 
@@ -160,37 +158,6 @@ def check_cfl(prob: MocProblem):
                           f"the smallest valid nxi is {nxi_min}")
 
 
-def contact_pressure_offset(prob: MocProblem, bg_a, bg_b):
-    """Inhomogeneity of the contact-pressure closure.
-
-    Four pressure inversions of the background invariants, taken against the
-    background stream data and against the (possibly perturbed) inlet-trace
-    stream data at eta = 0 on either side.  Under the single global Theta
-    reference every term returns p_ref, so the offset is zero up to Newton
-    tolerance; it is evaluated once and cached.
-    """
-    g = prob.g
-
-    def invert(zval, a0, b0):
-        z = gas.InvariantPair(zval[0], zval[1])
-        sd = gas.StreamData(a0, b0, prob.sd_a.p_ref)
-        return gas.pressure_from_invariants(z, sd, g, newton_tol=prob.newton_tol,
-                                            max_newton_iters=prob.max_newton_iters)
-
-    sd_a0 = prob.sd_a.at(0.0)
-    sd_b0 = prob.sd_b.at(0.0)
-    abar_a = gas.entropy_function(bg_a, g)
-    bbar_a = gas.bernoulli(bg_a, g)
-    abar_b = gas.entropy_function(bg_b, g)
-    bbar_b = gas.bernoulli(bg_b, g)
-    return float(
-        invert(prob.zbar_a, abar_a, bbar_a)
-        - invert(prob.zbar_a, sd_a0.a0, sd_a0.b0)
-        + invert(prob.zbar_b, sd_b0.a0, sd_b0.b0)
-        - invert(prob.zbar_b, abar_b, bbar_b)
-    )
-
-
 # ---------------------------------------------------------------------------
 # Grid container
 
@@ -209,12 +176,6 @@ class InvariantGrid:
         self.zm_b = zm_b
         self.zp_b = zp_b
         self._states = None
-
-    def copy_shape(self):
-        return (self.zm_a.shape, self.zm_b.shape)
-
-    def arrays(self):
-        return (self.zm_a, self.zp_a, self.zm_b, self.zp_b)
 
     @classmethod
     def background(cls, prob: MocProblem, nxi=None):
@@ -318,15 +279,13 @@ def frozen_lambdas(grid: InvariantGrid, prob: MocProblem, hint=None) -> FrozenFi
 @dataclass(frozen=True)
 class CouplingCoefficients:
     """Per-xi contact closure data: averaged-derivative alpha/beta and the
-    gamma mixing weights; c is the cached pressure offset."""
+    gamma mixing weights."""
 
     alpha: np.ndarray
     beta: np.ndarray
     gamma1: np.ndarray
     gamma2: np.ndarray
     gamma3: np.ndarray
-    gamma4: np.ndarray
-    c: float
 
     def __post_init__(self):
         if not (np.all(self.alpha > 0) and np.all(self.beta > 0)):
@@ -364,8 +323,6 @@ def coupling_coefficients(prev: InvariantGrid, prob: MocProblem) -> CouplingCoef
         gamma1=(alpha - beta) / s,
         gamma2=2.0 * alpha / s,
         gamma3=2.0 * beta / s,
-        gamma4=1.0 / s,
-        c=prob.c_offset,
     )
 
 
@@ -501,17 +458,20 @@ def step_linearized(prob: MocProblem, frozen: FrozenField, cc: CouplingCoefficie
     # Contact coupling: incoming are z+ from above and z- from below.
     d_in_a = zp_a_new[0] - prob.zbar_a[1]
     d_in_b = zm_b_new[-1] - prob.zbar_b[0]
-    g1, g2 = cc.gamma1[k + 1], cc.gamma2[k + 1]
-    g3, g4 = cc.gamma3[k + 1], cc.gamma4[k + 1]
-    zm_a_new[0] = prob.zbar_a[0] + g1 * d_in_a + g3 * d_in_b + g4 * cc.c
-    zp_b_new[-1] = prob.zbar_b[1] + g2 * d_in_a - g1 * d_in_b + g4 * cc.c
+    g1, g2, g3 = cc.gamma1[k + 1], cc.gamma2[k + 1], cc.gamma3[k + 1]
+    zm_a_new[0] = prob.zbar_a[0] + g1 * d_in_a + g3 * d_in_b
+    zp_b_new[-1] = prob.zbar_b[1] + g2 * d_in_a - g1 * d_in_b
 
     return zm_a_new, zp_a_new, zm_b_new, zp_b_new
 
 
-def solve_linearized(prev: InvariantGrid, prob: MocProblem) -> InvariantGrid:
+def solve_linearized(prev: InvariantGrid, prob: MocProblem):
     """One application of the iteration map: freeze speeds on ``prev`` and
-    march the linear transport problem from the inlet to xi = L."""
+    march the linear transport problem from the inlet to xi = L.
+
+    Returns (InvariantGrid, FrozenField, CouplingCoefficients): the new
+    iterate and the coefficients frozen on ``prev`` that produced it.
+    """
     frozen = frozen_lambdas(prev, prob)
     cc = coupling_coefficients(prev, prob)
 
@@ -536,9 +496,7 @@ def solve_linearized(prev: InvariantGrid, prob: MocProblem) -> InvariantGrid:
         zm_a[k + 1], zp_a[k + 1], zm_b[k + 1], zp_b[k + 1] = step_linearized(
             prob, frozen, cc, k, zm_a[k], zp_a[k], zm_b[k], zp_b[k]
         )
-    out = InvariantGrid(dom, zm_a, zp_a, zm_b, zp_b)
-    out._last_coupling = cc
-    return out
+    return InvariantGrid(dom, zm_a, zp_a, zm_b, zp_b), frozen, cc
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +544,7 @@ def _wall_hits(frozen: FrozenField, dom: LagrangianDomain):
     return xa, xb
 
 
-def fixed_point(prob: MocProblem, fp_tol=1e-10, max_fp_iters=60, geom=None):
+def fixed_point(prob: MocProblem, fp_tol=1e-10, max_fp_iters=60):
     """Iterate the linearized solve from the background until the discrete-C1
     gap between successive iterates drops below fp_tol.
 
@@ -598,7 +556,7 @@ def fixed_point(prob: MocProblem, fp_tol=1e-10, max_fp_iters=60, geom=None):
     grid = InvariantGrid.background(prob)
     check_supersonic_margin(grid, prob)
     for n in range(1, max_fp_iters + 1):
-        new = solve_linearized(grid, prob)
+        new, frozen, cc = solve_linearized(grid, prob)
         st_prev = grid_states(grid, prob)
         try:
             # Warm-start the new iterate's pressure inversion from the
@@ -612,12 +570,11 @@ def fixed_point(prob: MocProblem, fp_tol=1e-10, max_fp_iters=60, geom=None):
         report.c1_gaps.append(c1)
         if len(report.c1_gaps) > 1 and report.c1_gaps[-2] > 0:
             report.ratios.append(report.c1_gaps[-1] / report.c1_gaps[-2])
-        frozen = frozen_lambdas(grid, prob)
         xa, xb = _wall_hits(frozen, prob.domain)
         report.xi1_a_plus.append(xa)
         report.xi1_b_minus.append(xb)
         report.iterations = n
-        report.last_coupling = getattr(new, "_last_coupling", None)
+        report.last_coupling = cc
         grid = new
         if c1 <= fp_tol:
             report.converged = True
@@ -694,21 +651,18 @@ def residual_check(grid: InvariantGrid, prob: MocProblem) -> ResidualReport:
 
 
 def write_iteration_csv(report: IterationReport, path):
-    lines = ["iter,c0_gap,c1_gap,ratio"]
-    for i, (c0, c1) in enumerate(zip(report.c0_gaps, report.c1_gaps), start=1):
-        ratio = report.ratios[i - 2] if i >= 2 else float("nan")
-        lines.append(f"{i},{c0:.17g},{c1:.17g},{ratio:.17g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    iters = range(1, report.iterations + 1)
+    write_csv(path, ("iter", "c0_gap", "c1_gap", "ratio"),
+              (iters, report.c0_gaps, report.c1_gaps, [float("nan")] + report.ratios))
 
 
 def write_grid_csv(grid: InvariantGrid, path):
     dom = grid.domain
-    lines = ["xi,eta,layer,z_minus,z_plus"]
+    parts = []
     for tag, zm, zp, eta in (("a", grid.zm_a, grid.zp_a, dom.eta_a),
                              ("b", grid.zm_b, grid.zp_b, dom.eta_b)):
-        for k, xi in enumerate(dom.xi):
-            for j, e in enumerate(eta):
-                lines.append(f"{xi:.17g},{e:.17g},{tag},{zm[k, j]:.17g},{zp[k, j]:.17g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        shape = zm.shape
+        parts.append((np.broadcast_to(dom.xi[:, None], shape), np.broadcast_to(eta, shape),
+                      np.full(shape, tag), zm, zp))
+    write_csv(path, ("xi", "eta", "layer", "z_minus", "z_plus"),
+              [np.concatenate(pair, axis=None) for pair in zip(*parts)])

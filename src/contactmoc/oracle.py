@@ -126,11 +126,10 @@ def upwind_march(prob: MocProblem) -> OracleGrid:
             g1 = (alpha - beta) / s
             g2 = 2.0 * alpha / s
             g3 = 2.0 * beta / s
-            g4 = 1.0 / s
             d_in_a = new_p_a[0] - prob.zbar_a[1]
             d_in_b = new_m_b[-1] - prob.zbar_b[0]
-            new_m_a[0] = prob.zbar_a[0] + g1 * d_in_a + g3 * d_in_b + g4 * prob.c_offset
-            new_p_b[-1] = prob.zbar_b[1] + g2 * d_in_a - g1 * d_in_b + g4 * prob.c_offset
+            new_m_a[0] = prob.zbar_a[0] + g1 * d_in_a + g3 * d_in_b
+            new_p_b[-1] = prob.zbar_b[1] + g2 * d_in_a - g1 * d_in_b
 
             cur_m_a, cur_p_a = new_m_a, new_p_a
             cur_m_b, cur_p_b = new_m_b, new_p_b

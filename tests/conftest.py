@@ -3,20 +3,13 @@
 import numpy as np
 import pytest
 
-from contactmoc import fixtures, lagrangian, moc
+from contactmoc import cli, fixtures, moc
 
 
 def assemble(eps, nxi, neta, fp_tol=1e-10):
     """Build (cfg, geom, profile, prob) for the canonical fixture family."""
     cfg, geom, profile = fixtures.perturbed_inputs(eps, nxi=nxi, neta=neta, fp_tol=fp_tol)
-    g = cfg.gas_constants
-    flux = lagrangian.mass_fluxes(profile)
-    domain = lagrangian.LagrangianDomain.build(geom.L, flux, cfg.grid_nxi,
-                                               cfg.grid_neta_a, cfg.grid_neta_b)
-    trace_a, trace_b = lagrangian.inlet_to_lagrangian(profile, flux, domain)
-    sd_a = lagrangian.stream_data_from_inlet(trace_a, g, p_ref=cfg.background.p)
-    sd_b = lagrangian.stream_data_from_inlet(trace_b, g, p_ref=cfg.background.p)
-    prob = moc.build_problem(cfg, geom, trace_a, trace_b, sd_a, sd_b, domain)
+    prob, _ = cli.build_pipeline(cfg, geom, profile)
     return cfg, geom, profile, prob
 
 

@@ -175,6 +175,18 @@ def test_sweep_writes_csv_and_slope(workdir, tmp_path):
     assert len(lines) == 3
 
 
+def test_sweep_writes_to_config_out_dir(workdir, tmp_path):
+    out_dir = tmp_path / "custom"
+    text = (workdir / "pert.cfg").read_text()
+    assert "out_dir = out\n" in text
+    cfgp = tmp_path / "custom_out.cfg"
+    cfgp.write_text(text.replace("out_dir = out\n", f"out_dir = {out_dir}\n"))
+    r = run_cli("sweep", "--config", str(cfgp), "--eps", "2e-4", "--quiet")
+    assert r.returncode == 0
+    assert summary_of(r)["out"] == str(out_dir / "sweep.csv")
+    assert (out_dir / "sweep.csv").exists()
+
+
 def test_grid_and_eps_scale_overrides(workdir, tmp_path):
     r = run_cli("solve", "--config", str(workdir / "pert.cfg"), "--grid", "81x21",
                 "--eps-scale", "0.5", "--out", str(tmp_path / "ov"), "--quiet")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from contactmoc import gas, lagrangian as lag, moc
+from contactmoc import cli, gas, moc
 from tests.conftest import assemble, solved
 
 G = gas.GasConstants(1.4)
@@ -61,7 +61,6 @@ def test_coupling_background_values():
     expect_b = 1.0 / (2.0 * gas.dtheta_dp(1.0, prob.sd_b.at(0.0), G))
     assert np.max(np.abs(cc.alpha - expect_a)) < 1e-13
     assert np.max(np.abs(cc.beta - expect_b)) < 1e-13
-    assert abs(cc.c) < 1e-12
 
 
 def test_coupling_gamma_algebra_exact():
@@ -80,33 +79,22 @@ def test_coupling_equal_layers_give_symmetric_weights():
 
     bg = BackgroundState(u_a=2.2, rho_a=1.0, u_b=2.2, rho_b=1.0, p=1.0)
     cfg, geom, profile = fixtures.perturbed_inputs(0.0, background=bg, nxi=40, neta=10)
-    flux = lag.mass_fluxes(profile)
-    dom = lag.LagrangianDomain.build(geom.L, flux, cfg.grid_nxi, cfg.grid_neta_a, cfg.grid_neta_b)
-    ta, tb = lag.inlet_to_lagrangian(profile, flux, dom)
-    sa = lag.stream_data_from_inlet(ta, G, p_ref=1.0)
-    sb = lag.stream_data_from_inlet(tb, G, p_ref=1.0)
-    prob = moc.build_problem(cfg, geom, ta, tb, sa, sb, dom)
+    prob, _ = cli.build_pipeline(cfg, geom, profile)
     cc = moc.coupling_coefficients(moc.InvariantGrid.background(prob), prob)
     assert np.max(np.abs(cc.gamma1)) < 1e-14
     assert np.max(np.abs(cc.gamma2 - 1.0)) < 1e-14
     assert np.max(np.abs(cc.gamma3 - 1.0)) < 1e-14
 
 
-def test_contact_offset_matches_independent_inversions():
-    cfg, geom, profile, prob = assemble(1e-3, 60, 12)
-    bg_a, bg_b = cfg.background.states()
-    # independent recomputation of the four pressure inversions
-    def invert(a0, b0):
-        return gas.pressure_from_invariants(gas.InvariantPair(0.0, 0.0),
-                                            gas.StreamData(a0, b0, 1.0), G)
-    sd_a0 = prob.sd_a.at(0.0)
-    sd_b0 = prob.sd_b.at(0.0)
-    val = (invert(gas.entropy_function(bg_a, G), gas.bernoulli(bg_a, G))
-           - invert(sd_a0.a0, sd_a0.b0)
-           + invert(sd_b0.a0, sd_b0.b0)
-           - invert(gas.entropy_function(bg_b, G), gas.bernoulli(bg_b, G)))
-    assert prob.c_offset == pytest.approx(val, abs=1e-10)
-    assert abs(prob.c_offset) < 1e-10  # global reference makes it vanish
+@pytest.mark.parametrize("eps", [1e-3, 1e-2])
+def test_background_invariants_invert_to_p_ref_on_the_contact(eps):
+    # The contact closure is homogeneous in the deviations from the
+    # background: the background invariants invert to the reference pressure
+    # against the perturbed stream data on either side of the contact.
+    cfg, geom, profile, prob = assemble(eps, 60, 12)
+    for zbar, sd in ((prob.zbar_a, prob.sd_a.at(0.0)), (prob.zbar_b, prob.sd_b.at(0.0))):
+        p = gas.pressure_from_invariants(gas.InvariantPair(*zbar), sd, G)
+        assert p == pytest.approx(cfg.background.p, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +146,7 @@ def test_trace_back_and_forth_second_order():
 def test_step_background_is_fixed_point():
     cfg, geom, profile, prob = assemble(0.0, 60, 12)
     grid = moc.InvariantGrid.background(prob)
-    out = moc.solve_linearized(grid, prob)
+    out, _, _ = moc.solve_linearized(grid, prob)
     assert np.array_equal(out.zm_a, grid.zm_a)
     assert np.array_equal(out.zp_a, grid.zp_a)
     assert np.array_equal(out.zm_b, grid.zm_b)
@@ -167,7 +155,7 @@ def test_step_background_is_fixed_point():
 
 def test_one_march_imposes_wall_closure_exactly():
     cfg, geom, profile, prob = assemble(1e-3, 101, 26)
-    out = moc.solve_linearized(moc.InvariantGrid.background(prob), prob)
+    out, _, _ = moc.solve_linearized(moc.InvariantGrid.background(prob), prob)
     wall = out.zm_a[1:, -1] + out.zp_a[1:, -1] - 2.0 * prob.wall_angle_plus[1:]
     assert np.max(np.abs(wall)) < 1e-12
     wall_b = out.zm_b[1:, 0] + out.zp_b[1:, 0] - 2.0 * prob.wall_angle_minus[1:]
@@ -175,16 +163,15 @@ def test_one_march_imposes_wall_closure_exactly():
 
 
 def test_contact_closure_specialization_gamma1_zero():
-    # with gamma1 = 0 and c = 0 the closure reduces to a pure swap of the
-    # incoming deviations scaled by gamma3 / gamma2
+    # with gamma1 = 0 the closure reduces to a pure swap of the incoming
+    # deviations scaled by gamma3 / gamma2
     cc = moc.CouplingCoefficients(
         alpha=np.full(3, 0.8), beta=np.full(3, 0.8),
         gamma1=np.zeros(3), gamma2=np.ones(3), gamma3=np.ones(3),
-        gamma4=np.full(3, 1.0 / 1.6), c=0.0,
     )
     d_in_a, d_in_b = 1.3e-4, -0.7e-4
-    out_a = cc.gamma1[1] * d_in_a + cc.gamma3[1] * d_in_b + cc.gamma4[1] * cc.c
-    out_b = cc.gamma2[1] * d_in_a - cc.gamma1[1] * d_in_b + cc.gamma4[1] * cc.c
+    out_a = cc.gamma1[1] * d_in_a + cc.gamma3[1] * d_in_b
+    out_b = cc.gamma2[1] * d_in_a - cc.gamma1[1] * d_in_b
     assert out_a == pytest.approx(d_in_b, rel=1e-15)
     assert out_b == pytest.approx(d_in_a, rel=1e-15)
 
@@ -244,8 +231,8 @@ def test_solve_outputs_lipschitz_in_prev():
     noise = 1e-4 * np.sin(np.linspace(0, 3, base.zm_a.shape[1]))
     pert = moc.InvariantGrid(prob.domain, base.zm_a + noise, base.zp_a - 0.5 * noise,
                              base.zm_b.copy(), base.zp_b.copy())
-    out0 = moc.solve_linearized(base, prob)
-    out1 = moc.solve_linearized(pert, prob)
+    out0, _, _ = moc.solve_linearized(base, prob)
+    out1, _, _ = moc.solve_linearized(pert, prob)
     d_prev = np.max(np.abs(pert.zm_a - base.zm_a))
     d_out = max(np.max(np.abs(out1.zm_a - out0.zm_a)), np.max(np.abs(out1.zp_a - out0.zp_a)),
                 np.max(np.abs(out1.zm_b - out0.zm_b)), np.max(np.abs(out1.zp_b - out0.zp_b)))
@@ -299,8 +286,8 @@ def test_wall_and_contact_identities_at_convergence():
     d_zp_a = grid.zp_a[1:, 0] - prob.zbar_a[1]
     d_zm_b = grid.zm_b[1:, -1] - prob.zbar_b[0]
     d_zp_b = grid.zp_b[1:, -1] - prob.zbar_b[1]
-    r1 = d_zm_a - (cc.gamma1[1:] * d_zp_a + cc.gamma3[1:] * d_zm_b + cc.gamma4[1:] * cc.c)
-    r2 = d_zp_b - (cc.gamma2[1:] * d_zp_a - cc.gamma1[1:] * d_zm_b + cc.gamma4[1:] * cc.c)
+    r1 = d_zm_a - (cc.gamma1[1:] * d_zp_a + cc.gamma3[1:] * d_zm_b)
+    r2 = d_zp_b - (cc.gamma2[1:] * d_zp_a - cc.gamma1[1:] * d_zm_b)
     assert np.max(np.abs(r1)) < 1e-15
     assert np.max(np.abs(r2)) < 1e-15
     # derived interface conditions
