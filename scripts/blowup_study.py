@@ -9,6 +9,11 @@ should agree to a few percent once the grid resolves the steepening front.
 import argparse
 
 from contactmoc import blowup, gas
+from contactmoc.csvout import write_csv
+
+
+def _or_none(x):
+    return "none" if x is None else format(x, ".17g")
 
 
 def main():
@@ -22,17 +27,20 @@ def main():
 
     g = gas.GasConstants(1.4)
     policy = blowup.ThresholdPolicy(factor=args.grad_factor)
-    lines = ["delta,blowup_x,gradient_x,crossing_x,trigger,steps"]
-    for delta in (float(tok) for tok in args.deltas.split(",")):
+    deltas = [float(tok) for tok in args.deltas.split(",")]
+    rows = []
+    for delta in deltas:
         profile = blowup.PeriodicProfile.from_expressions(
             "2.0", f"{delta!r} * sin(pi * y)", g, rho_wall=1.0)
         rep = blowup.cauchy_march(profile, g, args.x_max, ny=args.ny, policy=policy)
-        lines.append(f"{delta:.17g},{rep.blowup_x},{rep.gradient_x},{rep.crossing_x},"
-                     f"{rep.trigger},{rep.steps}")
-        print(lines[-1])
-    with open(args.out, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        # A detector that did not fire reads "none", as in the CLI summary.
+        rows.append([_or_none(rep.blowup_x), _or_none(rep.gradient_x), _or_none(rep.crossing_x),
+                     rep.trigger or "none", rep.steps])
+        print(f"delta={delta!r}", *rows[-1])
+    write_csv(args.out, ("delta", "blowup_x", "gradient_x", "crossing_x", "trigger", "steps"),
+              [deltas, *zip(*rows)])
     print(f"wrote {args.out}")
+
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ import argparse
 import numpy as np
 
 from contactmoc import cli, fixtures, moc
+from contactmoc.csvout import write_csv
 
 
 def run(eps, nxi, neta):
@@ -28,15 +29,15 @@ def main():
     args = ap.parse_args()
     nxi, neta = (int(tok) for tok in args.grid.split("x"))
 
-    lines = ["eps,iterations,gap1,ratio_max,ratio_median"]
-    for eps in (float(tok) for tok in args.eps.split(",")):
+    eps_list = [float(tok) for tok in args.eps.split(",")]
+    rows = []
+    for eps in eps_list:
         report = run(eps, nxi, neta)
         ratios = report.ratios or [float("nan")]
-        lines.append(f"{eps:.17g},{report.iterations},{report.c1_gaps[0]:.17g},"
-                     f"{max(ratios):.17g},{float(np.median(ratios)):.17g}")
-        print(lines[-1])
-    with open(args.out, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        rows.append([report.iterations, report.c1_gaps[0], max(ratios), float(np.median(ratios))])
+        print(f"eps={eps!r}", *rows[-1])
+    write_csv(args.out, ("eps", "iterations", "gap1", "ratio_max", "ratio_median"),
+              [eps_list, *zip(*rows)])
     print(f"wrote {args.out}")
 
 

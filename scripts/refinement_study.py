@@ -6,6 +6,7 @@ reconstructed fields."""
 import argparse
 
 from contactmoc import cli, fixtures, lagrangian, moc, oracle
+from contactmoc.csvout import write_csv
 
 
 def main():
@@ -15,7 +16,7 @@ def main():
     ap.add_argument("--out", default="refinement.csv")
     args = ap.parse_args()
 
-    lines = ["nxi,neta,oracle_sup_diff,weak_max,weak_mean,stream_dev"]
+    rows = []
     for token in args.grids.split(","):
         nxi, neta = (int(t) for t in token.split("x"))
         cfg, geom, profile = fixtures.perturbed_inputs(args.eps, nxi=nxi, neta=neta)
@@ -25,11 +26,10 @@ def main():
         ef = lagrangian.reconstruct(moc.primitive_fields(grid, prob), geom, prob.domain)
         w = lagrangian.weak_residual(ef, cfg.gas_constants)
         dev = lagrangian.streamline_conservation(ef, cfg.gas_constants)
-        lines.append(f"{nxi},{neta},{diff:.17g},{w.max_residual:.17g},"
-                     f"{w.mean_residual:.17g},{dev:.17g}")
-        print(lines[-1])
-    with open(args.out, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        rows.append([nxi, neta, diff, w.max_residual, w.mean_residual, dev])
+        print(*rows[-1])
+    write_csv(args.out, ("nxi", "neta", "oracle_sup_diff", "weak_max", "weak_mean", "stream_dev"),
+              list(zip(*rows)))
     print(f"wrote {args.out}")
 
 

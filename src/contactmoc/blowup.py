@@ -267,22 +267,16 @@ class BlowupReport:
     slabs: list = None  # optional (x, z_plus, z_minus) snapshots
 
 
-def _periodic_interp(y_nodes, values, y_query):
-    pad = 3
-    v_ext = np.concatenate([values[-pad:], values, values[:pad]])
-    t = np.mod(y_query + 1.0, 2.0) - 1.0
-    h = y_nodes[1] - y_nodes[0]
-    return interp.monotone_interp(y_nodes[0] - pad * h, h, v_ext, t)
-
-
-def _cyclic_gradient(z, dy):
-    return (np.roll(z, -1) - np.roll(z, 1)) / (2.0 * dy)
-
-
 class _SpeedInverter:
     """Dense monotone interpolant of q <-> Theta(q), built once per march
     from closed-form samples; one table lookup per step is cheaper than a
-    per-step Newton inversion of the closed form."""
+    per-step Newton inversion of the closed form.
+
+    ``q_of_theta`` evaluates the PCHIP pieces itself, from the breakpoints
+    ``table.x`` and the coefficients ``table.c`` (c0 s^3 + c1 s^2 + c2 s + c3
+    on each interval): the same interval search and power sum as
+    ``table(th)``, bit for bit, without scipy's per-call overhead.
+    """
 
     def __init__(self, qhat, g, q_ref, n=2001):
         c_hat = critical_speed(qhat, g)
@@ -292,12 +286,18 @@ class _SpeedInverter:
         th = theta_of_speed(qs, qhat, g, q_ref)
         self.q_lo, self.q_hi = lo, hi
         self.th_lo, self.th_hi = float(th[0]), float(th[-1])
-        self._q_of_th = PchipInterpolator(th, qs)
+        self.table = PchipInterpolator(th, qs)
+        self._x, self._c = self.table.x, self.table.c  # scipy converts on every read
 
     def q_of_theta(self, th):
         if np.any(th < self.th_lo) or np.any(th > self.th_hi):
             raise BlowupError("sonic-limit: Theta target outside the admissible speed range")
-        return self._q_of_th(th)
+        # Interval i holds x[i] <= th < x[i + 1]; th = x[-1] takes the last.
+        i = np.searchsorted(self._x[1:-1], th, side="right")
+        s = th - self._x.take(i)
+        s2 = s * s
+        c = self._c.take(i, axis=1)
+        return c[3] + c[2] * s + c[1] * s2 + c[0] * (s2 * s)
 
 
 def cauchy_march(profile: PeriodicProfile, g, x_max, ny=800, dx_max=0.05,
@@ -316,6 +316,9 @@ def cauchy_march(profile: PeriodicProfile, g, x_max, ny=800, dx_max=0.05,
     (at that separation the pair crosses within one step at grid
     resolution -- the raw ordering inversion of the numerically mollified
     field would fire systematically late).
+
+    Both families share every array: row 0 holds Z_plus, lambda_minus and
+    the family-minus fan, row 1 Z_minus, lambda_plus and the family-plus fan.
     """
     if policy is None:
         policy = ThresholdPolicy()
@@ -323,31 +326,50 @@ def cauchy_march(profile: PeriodicProfile, g, x_max, ny=800, dx_max=0.05,
     dy = 2.0 / ny
     u, v, rho = profile.eval(y)
     state = irrot_invariants(u, v, rho, g, q_ref=profile.q_ref, qhat=profile.qhat)
-    zp = np.asarray(state.z_plus, dtype=float).copy()
-    zm = np.asarray(state.z_minus, dtype=float).copy()
+    z = np.array([state.z_plus, state.z_minus], dtype=float)
 
     inverter = _SpeedInverter(profile.qhat, g, profile.q_ref)
 
-    fan_p = y.copy()  # family +: carries z_minus
-    fan_m = y.copy()  # family -: carries z_plus
+    # Periodic padding: column j + pad of z[:, ext] is node j, on the lattice
+    # y0 + k h.  The step cap keeps every foot within half a cell of its node
+    # and so inside the pad; hermite_eval clips anything beyond.
+    pad = 3
+    ext = np.arange(-pad, ny + pad) % ny
+    h = y[1] - y[0]
+    y0 = y[0] - pad * h
 
-    xs = [0.0]
-    gzp = [float(np.max(np.abs(_cyclic_gradient(zp, dy))))]
-    gzm = [float(np.max(np.abs(_cyclic_gradient(zm, dy))))]
-    g0 = max(gzp[0], gzm[0])
-    threshold = max(policy.factor * g0, policy.floor)
+    def abs_gradient(zx):
+        """|d_y Z| by central differences, from the padded rows."""
+        return np.abs((zx[:, pad + 1:pad + ny + 1] - zx[:, pad - 1:pad + ny - 1]) / (2.0 * dy))
+
+    # The static half of np.interp(..., period=2.0) for the fans: the sorted
+    # lattice extended by one node each side, and the order mapping lambda
+    # onto it.
+    wrapped = y % 2.0
+    order = np.argsort(wrapped)
+    fan_order = np.concatenate((order[-1:], order, order[:1]))
+    fan_y = wrapped[fan_order]
+    fan_y[0] -= 2.0
+    fan_y[-1] += 2.0
+    fans = np.array([y, y])
+    minus_plus = np.array([[-1.0], [1.0]])  # lambda_minus, lambda_plus = (uv -+ c disc) / den
+
+    zx = z[:, ext]
+    grad = abs_gradient(zx)
+    g0p, g0m = grad.max(axis=1).tolist()
+    xs, gzp, gzm = [0.0], [g0p], [g0m]
+    threshold = max(policy.factor * max(g0p, g0m), policy.floor)
 
     report = BlowupReport()
     report.y_nodes = y
-    report.slabs = [(0.0, zp.copy(), zm.copy())] if record_slabs else None
+    report.slabs = [(0.0, z[0], z[1])] if record_slabs else None
     x = 0.0
     x_stop = x_max
     for step in range(max_steps):
         if x >= x_stop or (report.gradient_x is not None and report.crossing_x is not None):
             break
-        theta_half = 0.5 * (zp + zm)
-        th_val = 0.5 * (zp - zm)
-        q = inverter.q_of_theta(th_val)
+        theta_half = 0.5 * (z[0] + z[1])
+        q = inverter.q_of_theta(0.5 * (z[0] - z[1]))
         uu = q * np.cos(theta_half)
         vv = q * np.sin(theta_half)
         c = _c_of_q(q, profile.qhat, g)
@@ -355,31 +377,32 @@ def cauchy_march(profile: PeriodicProfile, g, x_max, ny=800, dx_max=0.05,
             raise BlowupError("degenerate: u dropped below c during the march")
         den = uu * uu - c * c
         disc = np.sqrt(np.maximum(q * q - c * c, 0.0))
-        lam_m = (uu * vv - c * disc) / den
-        lam_p = (uu * vv + c * disc) / den
+        lam = (uu * vv + minus_plus * (c * disc)) / den
 
-        max_lam = max(float(np.max(np.abs(lam_m))), float(np.max(np.abs(lam_p))))
+        max_lam = float(np.max(np.abs(lam)))
         max_grad = max(gzp[-1], gzm[-1])
-        dx = min(dx_max, 0.5 * dy / max_lam)
+        dx = min(dx_max, 0.5 * dy / max_lam)  # |dx lambda| <= dy/2: feet stay in the pad
         if max_grad > 0.0:
             dx = min(dx, 0.1 / max_grad)
         dx = min(dx, x_max - x)
         if dx <= 1e-12:
             break
 
-        zp = _periodic_interp(y, zp, y - dx * lam_m)
-        zm = _periodic_interp(y, zm, y - dx * lam_p)
+        z = interp.monotone_interp(y0, h, zx, np.mod(y - dx * lam + 1.0, 2.0) - 1.0)
 
         # Characteristic fans advance with the pre-step slopes (unwrapped).
-        fan_m += dx * np.interp(fan_m, y, lam_m, period=2.0)
-        fan_p += dx * np.interp(fan_p, y, lam_p, period=2.0)
+        lam_fan = lam[:, fan_order]
+        fan_x = fans % 2.0
+        fans[0] += dx * np.interp(fan_x[0], fan_y, lam_fan[0])
+        fans[1] += dx * np.interp(fan_x[1], fan_y, lam_fan[1])
 
         x += dx
         xs.append(x)
         if record_slabs:
-            report.slabs.append((x, zp.copy(), zm.copy()))
-        gp = float(np.max(np.abs(_cyclic_gradient(zp, dy))))
-        gm = float(np.max(np.abs(_cyclic_gradient(zm, dy))))
+            report.slabs.append((x, z[0], z[1]))
+        zx = z[:, ext]
+        grad = abs_gradient(zx)
+        gp, gm = grad.max(axis=1).tolist()
         gzp.append(gp)
         gzm.append(gm)
 
@@ -388,28 +411,25 @@ def cauchy_march(profile: PeriodicProfile, g, x_max, ny=800, dx_max=0.05,
             x_stop = min(x_max, 1.25 * report.blowup_x + 10.0 * dy)
         if report.gradient_x is None and max(gp, gm) > threshold:
             report.gradient_x = x
-            fam = "+" if gm >= gp else "-"  # family transporting the steeper invariant
-            arr = zm if gm >= gp else zp
-            j = int(np.argmax(np.abs(_cyclic_gradient(arr, dy))))
+            row = 1 if gm >= gp else 0  # the steeper invariant
             if report.blowup_x is None:
                 report.blowup_x = x
                 report.trigger = "gradient"
-                report.trigger_family = fam
-                report.trigger_y = float(y[j])
+                report.trigger_family = "-+"[row]  # the family transporting it
+                report.trigger_y = float(y[int(np.argmax(grad[row]))])
         if report.crossing_x is None:
+            gaps = fans[:, 1:] - fans[:, :-1]
+            gap_m, gap_p = gaps.min(axis=1).tolist()
             gap_limit = crossing_gap_frac * dy
-            gap_m = float(np.min(np.diff(fan_m)))
-            gap_p = float(np.min(np.diff(fan_p)))
             if gap_m <= gap_limit or gap_p <= gap_limit:
                 report.crossing_x = x
-                fam = "-" if gap_m <= gap_p else "+"
-                fan = fan_m if gap_m <= gap_p else fan_p
-                j = int(np.argmin(np.diff(fan)))
+                row = 0 if gap_m <= gap_p else 1
                 if report.blowup_x is None:
                     report.blowup_x = x
                     report.trigger = "crossing"
-                    report.trigger_family = fam
-                    report.trigger_y = float(np.mod(fan[j] + 1.0, 2.0) - 1.0)
+                    report.trigger_family = "-+"[row]
+                    j = int(np.argmin(gaps[row]))
+                    report.trigger_y = float(np.mod(fans[row, j] + 1.0, 2.0) - 1.0)
 
     report.x_history = np.asarray(xs)
     report.grad_zp_history = np.asarray(gzp)

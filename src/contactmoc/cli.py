@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -21,6 +22,7 @@ from .csvout import write_csv
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+_CODE_TOKEN = re.compile(r"([a-z]+(?:-[a-z]+)*): ")
 
 def _fmt(x):
     if isinstance(x, float):
@@ -33,7 +35,15 @@ def _summary(entries):
 
 
 def _error_exit(category, exc):
-    _summary({"status": "error", "error": category, "detail": repr(str(exc))})
+    """Summary line of a failed run.  The solver, gas and blow-up errors
+    lead with a code token ("cfl: ...", "sonic-limit: ..."), repeated as
+    ``code=``; config errors carry none (many lead with a file name)."""
+    entries = {"status": "error", "error": category}
+    token = _CODE_TOKEN.match(str(exc))
+    if token and not isinstance(exc, config.ConfigError):
+        entries["code"] = token.group(1)
+    entries["detail"] = repr(str(exc))
+    _summary(entries)
     return EXIT_FAIL if category in ("validation", "convergence") else EXIT_USAGE
 
 

@@ -13,42 +13,46 @@ import numpy as np
 
 
 def monotone_slopes(v, h):
-    """Shape-preserving node slopes for uniformly spaced samples ``v``."""
+    """Shape-preserving node slopes for uniformly spaced samples ``v``, taken
+    along the last axis (each row of a stacked array on its own)."""
     v = np.asarray(v, dtype=float)
-    s = np.diff(v) / h
+    s = (v[..., 1:] - v[..., :-1]) / h
     d = np.zeros_like(v)
-    prod = s[:-1] * s[1:]
-    mask = prod > 0.0
-    denom = s[:-1] + s[1:]
-    d[1:-1] = np.where(mask, np.divide(2.0 * prod, denom, out=np.zeros_like(denom),
-                                       where=denom != 0.0), 0.0)
-
-    def end_slope(s0, s1):
-        d0 = 0.5 * (3.0 * s0 - s1)
-        if d0 * s0 <= 0.0:
-            return 0.0
-        if s0 * s1 < 0.0 and abs(d0) > 3.0 * abs(s0):
-            return 3.0 * s0
-        return d0
-
-    d[0] = end_slope(s[0], s[1] if s.size > 1 else s[0])
-    d[-1] = end_slope(s[-1], s[-2] if s.size > 1 else s[-1])
+    prod = s[..., :-1] * s[..., 1:]
+    denom = s[..., :-1] + s[..., 1:]
+    np.divide(2.0 * prod, denom, out=d[..., 1:-1], where=(prod > 0.0) & (denom != 0.0))
+    # One-sided three-point end slopes, zeroed against the end secant's sign
+    # and capped at three times it (the PCHIP end rule).
+    s0 = s[..., [0, -1]]
+    s1 = s[..., [1, -2]] if s.shape[-1] > 1 else s0
+    d0 = 0.5 * (3.0 * s0 - s1)
+    overshoot = (s0 * s1 < 0.0) & (np.abs(d0) > 3.0 * np.abs(s0))
+    d[..., [0, -1]] = np.where(d0 * s0 <= 0.0, 0.0, np.where(overshoot, 3.0 * s0, d0))
     return d
 
 
 def hermite_eval(y0, h, v, d, yq):
     """Evaluate the Hermite cubic defined by values ``v`` and slopes ``d`` on
-    the uniform lattice y0 + i*h at query points ``yq`` (clipped to range)."""
+    the uniform lattice y0 + i*h at query points ``yq`` (clipped to range).
+
+    Stacked rows interpolate along the last axis: ``yq[..., k]`` is a query
+    into row ``v[...]``, so ``yq`` has the leading shape of ``v``.
+    """
     v = np.asarray(v, dtype=float)
     yq = np.asarray(yq, dtype=float)
-    n = v.size
+    n = v.shape[-1]
     t = (yq - y0) / h
-    idx = np.clip(np.floor(t).astype(int), 0, n - 2)
+    idx = np.floor(t).astype(np.intp)
+    np.minimum(np.maximum(idx, 0, out=idx), n - 2, out=idx)
     s = np.clip(t - idx, 0.0, 1.0)
-    v0 = v[idx]
-    v1 = v[idx + 1]
-    d0 = d[idx] * h
-    d1 = d[idx + 1] * h
+    if v.ndim > 1:
+        # Row-offset indices into the flattened rows: one gather per term.
+        idx += n * np.arange(v.size // n).reshape(v.shape[:-1] + (1,))
+        v, d = v.reshape(-1), np.asarray(d).reshape(-1)
+    v0 = v.take(idx)
+    v1 = v.take(idx + 1)
+    d0 = d.take(idx) * h
+    d1 = d.take(idx + 1) * h
     s2 = s * s
     s3 = s2 * s
     return (
@@ -60,7 +64,8 @@ def hermite_eval(y0, h, v, d, yq):
 
 
 def monotone_interp(y0, h, v, yq):
-    """One-shot shape-preserving interpolation on a uniform lattice."""
+    """One-shot shape-preserving interpolation on a uniform lattice (along
+    the last axis for stacked rows)."""
     return hermite_eval(y0, h, v, monotone_slopes(v, h), yq)
 
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from contactmoc import blowup, gas
+from scipy.interpolate import PchipInterpolator
+
+from contactmoc import blowup, gas, interp
 from contactmoc.expressions import SmoothExpression
 
 G = gas.GasConstants(1.4)
@@ -194,6 +196,104 @@ def test_wall_condition_inherited_from_odd_extension():
         assert abs(zp[j_wall[1]] + zm[j_wall[1]]) < 1e-12
 
 
+def periodic_monotone(y, values, yq, pad=3):
+    """Monotone cubic of the periodic samples ``values`` on the lattice ``y``
+    at ``yq`` wrapped into [-1, 1), through a copy padded by ``pad`` nodes
+    each side: the update the march makes."""
+    ny = y.size
+    h = y[1] - y[0]
+    ext = np.arange(-pad, ny + pad) % ny
+    return interp.monotone_interp(y[0] - pad * h, h, values[..., ext], np.mod(yq + 1.0, 2.0) - 1.0)
+
+
+def test_stacked_periodic_update_is_bit_equal_to_row_by_row(rng):
+    """One stacked update equals one 1-D interpolation per row, bit for bit:
+    random, flat, sign-changing and smooth rows, feet within half a cell."""
+    ny = 160
+    y = -1.0 + 2.0 * np.arange(ny) / ny
+    h = y[1] - y[0]
+    rows = np.array([
+        rng.normal(size=ny),
+        np.full(ny, 0.3),
+        np.where(np.arange(ny) % 2, 1.0, -1.0) * rng.uniform(0.5, 1.5, ny),
+        np.where(np.arange(ny) % 7 < 3, 0.0, rng.normal(size=ny)),
+        0.1 * np.sin(np.pi * y),
+    ])
+    feet = y + h * rng.uniform(-0.5, 0.5, rows.shape)
+    feet[:, :3] = y[:3] - 0.5 * h  # through the periodic seam
+    stacked = periodic_monotone(y, rows, feet)
+    for r in range(rows.shape[0]):
+        assert np.array_equal(stacked[r], periodic_monotone(y, rows[r], feet[r]))
+
+
+def test_monotone_slopes_end_rule_matches_scalar_reference(rng):
+    """The vectorized end slopes follow the scalar PCHIP end rule on every row."""
+
+    def end_slope(s0, s1):
+        d0 = 0.5 * (3.0 * s0 - s1)
+        if d0 * s0 <= 0.0:
+            return 0.0
+        if s0 * s1 < 0.0 and abs(d0) > 3.0 * abs(s0):
+            return 3.0 * s0
+        return d0
+
+    h = 0.25
+    rows = np.vstack([rng.normal(size=(40, 6)), np.full((1, 6), 2.0),
+                      [[0.0, 1.0, -5.0, 0.0, 1.0, 0.0]]])
+    d = interp.monotone_slopes(rows, h)
+    for row, dr in zip(rows, d):
+        s = np.diff(row) / h
+        assert dr[0] == end_slope(s[0], s[1]) and dr[-1] == end_slope(s[-1], s[-2])
+        assert np.array_equal(dr, interp.monotone_slopes(row, h))
+
+
+def test_speed_lookup_is_bit_equal_to_pchip_call(rng):
+    prof = make_profile("0.05 * sin(pi * y)")
+    inv = blowup._SpeedInverter(prof.qhat, G, prof.q_ref)
+    th = np.concatenate([rng.uniform(inv.th_lo, inv.th_hi, 5000),
+                         rng.uniform(-0.05, 0.05, 5000),
+                         inv.table.x, [inv.th_lo, inv.th_hi]])
+    assert np.array_equal(inv.q_of_theta(th), inv.table(th))
+    assert np.array_equal(inv.q_of_theta(th[:400].reshape(2, 200)), inv.table(th[:400]).reshape(2, 200))
+    with pytest.raises(blowup.BlowupError, match="sonic-limit"):
+        inv.q_of_theta(np.array([0.0, inv.th_hi + 1e-9]))
+
+
+def lax_small_data_x(u0, delta, rho_wall=1.0, n=40001):
+    """Lax's small-data blow-up abscissa x* = 1 / max_y(-dlambda/dZ dZ0/dy)
+    for u0 constant and v0 = delta sin(pi y).
+
+    Written from the Mach angle mu (sin mu = c / q), not from the march's
+    formulas: lambda_-+ = tan(theta -+ mu), dTheta/dq = cot(mu) / q, and
+    Z_plus = theta + Theta rides lambda_minus, Z_minus = theta - Theta rides
+    lambda_plus, so d lambda/dZ = sec^2(theta -+ mu) (1 - mu'(q) / Theta'(q)) / 2
+    for both families.
+    """
+    gm1 = G.gamma - 1.0
+    qhat2 = u0 * u0 + 2.0 * rho_wall ** gm1 / gm1
+    y = np.linspace(-1.0, 1.0, n)
+    v0, dv0 = delta * np.sin(np.pi * y), delta * np.pi * np.cos(np.pi * y)
+    q, theta = np.hypot(u0, v0), np.arctan2(v0, u0)
+    c = np.sqrt(0.5 * gm1 * (qhat2 - q * q))
+    mu = np.arcsin(c / q)
+    dtheta_dq = 1.0 / (q * np.tan(mu))
+    dmu_dq = (-0.5 * gm1 * q * q / c - c) / (q * q * np.cos(mu))
+    dtheta0, dq0 = u0 * dv0 / (q * q), v0 * dv0 / q
+    gnl = 0.5 * (1.0 - dmu_dq / dtheta_dq)
+    rate_minus = -gnl / np.cos(theta - mu) ** 2 * (dtheta0 + dtheta_dq * dq0)
+    rate_plus = -gnl / np.cos(theta + mu) ** 2 * (dtheta0 - dtheta_dq * dq0)
+    return 1.0 / float(max(rate_minus.max(), rate_plus.max()))
+
+
+def test_blowup_x_matches_lax_small_data_estimate():
+    lax_x = lax_small_data_x(2.0, 0.06)
+    assert 9.5 < lax_x < 10.5
+    rep = blowup.cauchy_march(make_profile("0.06 * sin(pi * y)"), G, x_max=200.0, ny=400,
+                              policy=blowup.ThresholdPolicy(factor=15.0))
+    assert rep.blowup_x is not None
+    assert abs(rep.blowup_x - lax_x) / lax_x <= 0.10
+
+
 def test_invariant_constant_along_traced_characteristic():
     prof = make_profile("0.05 * sin(pi * y)")
     inverter = blowup._SpeedInverter(prof.qhat, G, prof.q_ref)
@@ -217,7 +317,7 @@ def test_invariant_constant_along_traced_characteristic():
             x1 = rep.slabs[i + 1][0]
             lam0 = lam_minus_field(zp, zm)
             lam1 = lam_minus_field(rep.slabs[i + 1][1], rep.slabs[i + 1][2])
-            vals.append(float(blowup._periodic_interp(y, zp, np.array([pos]))[0]))
+            vals.append(float(periodic_monotone(y, zp, np.array([pos]))[0]))
             dx = x1 - x0
             # midpoint tracer so the measurement error is o(step)
             mid = pos + 0.5 * dx * np.interp(np.mod(pos + 1, 2) - 1, y, lam0)

@@ -260,8 +260,31 @@ def test_cfl_violation_rejected_up_front(workdir, tmp_path):
     r = run_cli("solve", "--config", str(workdir / "pert.cfg"), "--grid", "101x40",
                 "--out", str(tmp_path / "o"), "--quiet")
     assert r.returncode == 1
-    assert summary_of(r)["detail"].startswith("'cfl:")
+    s = summary_of(r)
+    assert (s["error"], s["code"]) == ("convergence", "cfl")
+    assert s["detail"].startswith("'cfl:")
     assert "smallest valid nxi is 109" in r.stdout
     r = run_cli("validate", "--config", str(workdir / "coarse_xi.cfg"))
     assert r.returncode == 1
     assert "violation: cfl:" in r.stdout
+
+
+def test_blowup_sonic_limit_error_carries_code(tmp_path):
+    cfgp = tmp_path / "subsonic.cfg"
+    cfgp.write_text("[gas]\ngamma = 1.4\n\n[blowup]\nu0 = 0.5\nv0 = 0.0\nny = 100\n")
+    r = run_cli("blowup", "--config", str(cfgp), "--out", str(tmp_path / "o"), "--quiet")
+    assert r.returncode == 1
+    s = summary_of(r)
+    assert (s["error"], s["code"]) == ("validation", "sonic-limit")
+    assert s["detail"].startswith("'sonic-limit:")
+
+
+def test_error_code_only_from_program_errors(capsys):
+    from contactmoc import config, moc
+
+    cli._error_exit("convergence", moc.SolverError("degenerate: u <= c"))
+    cli._error_exit("config", config.ConfigError("blow: missing [blowup] section"))
+    cli._error_exit("convergence", moc.SolverError("internal error: foot outside slab"))
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "status=error error=convergence code=degenerate detail='degenerate: u <= c'"
+    assert "code=" not in lines[1] and "code=" not in lines[2]
