@@ -16,7 +16,9 @@ and on Theta differences, so the convention is observable-free.
 Theta is closed form: along a streamline dTheta/dp = sqrt(M^2-1)/(rho q^2)
 = -d nu/dp, where nu is the Prandtl-Meyer function and M^2 is algebraic in
 (p; A0, B0), so Theta(p) = nu(M(p_ref)) - nu(M(p)) (Courant & Friedrichs,
-Supersonic Flow and Shock Waves, ch. IV).
+Supersonic Flow and Shock Waves, ch. IV).  The inverse p(Theta) is found by
+Newton's method on nu in s = sqrt(M^2-1), whose derivative is rational in s,
+and p is recovered from M^2 once.
 
 All quantities are nondimensional.  Every function accepts scalars or numpy
 arrays and broadcasts.
@@ -197,30 +199,31 @@ def sonic_pressure(sd: StreamData, g: GasConstants):
 # Theta and its inverse
 
 
-def _theta_integrand(tau, a0, b0, gam):
-    a_pow = a0 ** (1.0 / gam)
-    rad = 2.0 * b0 - gam * (gam + 1.0) / (gam - 1.0) * a_pow * tau ** ((gam - 1.0) / gam)
-    den = (
-        2.0
-        * np.sqrt(gam)
-        * a0 ** (-0.5 / gam)
-        * (b0 - gam / (gam - 1.0) * a_pow * tau ** (1.0 - 1.0 / gam))
-        * tau ** ((gam + 1.0) / (2.0 * gam))
-    )
-    return np.sqrt(np.maximum(rad, 0.0)) / den
-
-
 def dtheta_dp(p, sd: StreamData, g: GasConstants):
-    """Closed-form dTheta/dp; strictly positive on the supersonic range."""
+    """Closed-form dTheta/dp = sqrt(M^2-1)/(rho q^2); strictly positive on the
+    supersonic range."""
     gam = g.gamma
     orig = (p, sd.a0, sd.b0)
     p, a0, b0 = np.broadcast_arrays(*_as_array(p, sd.a0, sd.b0))
     if not np.all(p > 0.0):
         raise GasError("out-of-range: pressure must be positive")
-    rad = 2.0 * b0 - gam * (gam + 1.0) / (gam - 1.0) * a0 ** (1.0 / gam) * p ** ((gam - 1.0) / gam)
+    a_pow = a0 ** (1.0 / gam)
+    rad = 2.0 * b0 - gam * (gam + 1.0) / (gam - 1.0) * a_pow * p ** ((gam - 1.0) / gam)
     if not np.all(rad > 0.0):
         raise GasError("sonic-limit: dTheta/dp radicand is nonpositive")
-    return _maybe_scalar(_theta_integrand(p, a0, b0, gam), *orig)
+    den = (
+        2.0
+        * np.sqrt(gam)
+        * a0 ** (-0.5 / gam)
+        * (b0 - gam / (gam - 1.0) * a_pow * p ** (1.0 - 1.0 / gam))
+        * p ** ((gam + 1.0) / (2.0 * gam))
+    )
+    return _maybe_scalar(np.sqrt(rad) / den, *orig)
+
+
+def _nu(s, k):
+    """Prandtl-Meyer function in s = sqrt(M^2-1), with k = (gamma+1)/(gamma-1)."""
+    return np.sqrt(k) * np.arctan(s / np.sqrt(k)) - np.arctan(s)
 
 
 def prandtl_meyer(mach2, g: GasConstants):
@@ -229,8 +232,7 @@ def prandtl_meyer(mach2, g: GasConstants):
     nu = sqrt((g+1)/(g-1)) arctan(sqrt((g-1)/(g+1) (M^2-1))) - arctan(sqrt(M^2-1)).
     """
     k = (g.gamma + 1.0) / (g.gamma - 1.0)
-    root = np.sqrt(np.maximum(mach2 - 1.0, 0.0))
-    return np.sqrt(k) * np.arctan(root / np.sqrt(k)) - np.arctan(root)
+    return _nu(np.sqrt(np.maximum(mach2 - 1.0, 0.0)), k)
 
 
 def _mach2(p, a0, b0, gam):
@@ -265,74 +267,63 @@ def flow_angle(z: InvariantPair):
 
 
 def pressure_from_invariants(z: InvariantPair, sd: StreamData, g: GasConstants,
-                             newton_tol=1e-12, max_newton_iters=50, p_init=None):
+                             newton_tol=1e-12, max_newton_iters=50):
     """Invert Theta(p) = (z_minus - z_plus)/2 for the unique pressure.
 
-    Newton iteration with the closed-form derivative, safeguarded by
-    bisection on a bracket grown geometrically from p_ref: dTheta/dp vanishes
-    at the sonic pressure, so bare Newton is unsafe near the cap.
+    Theta(p) = nu_ref - nu(s) with s = sqrt(M^2-1), so Newton's method solves
+    nu(s) = nu_ref - Theta in s, from each streamline's s_ref = s(p_ref), and
+    p is recovered from M^2 = 1 + s^2 once at the end.  With
+    K = (gamma+1)/(gamma-1), nu(s) = sqrt(K) arctan(s/sqrt(K)) - arctan(s)
+    increases with dnu/ds = s^2 (1 - 1/K) / ((1 + s^2/K)(1 + s^2)), which
+    vanishes at the sonic point: a Newton step that leaves the bracket of s
+    falls back to bisection.  The bracket's lower end is the s of the
+    SONIC_MARGIN cap on p; its upper end is open until an iterate overshoots.
+
+    Only nodes whose Theta residual exceeds newton_tol take a step; needing
+    more than max_newton_iters such sweeps raises ``no-convergence``.  A
+    target past the sonic cap, at or beyond vacuum (nu_max =
+    (sqrt(K) - 1) pi/2), or whose pressure underflows raises ``out-of-range``.
     """
-    zm, zp = np.broadcast_arrays(*_as_array(z.z_minus, z.z_plus))
-    target, a0, b0 = np.broadcast_arrays(0.5 * (zm - zp), *_as_array(sd.a0, sd.b0))
-    shape = target.shape
-    t = np.ravel(target).astype(float)
-    a0 = np.ravel(np.broadcast_to(a0, shape)).astype(float)
-    b0 = np.ravel(np.broadcast_to(b0, shape)).astype(float)
     gam = g.gamma
-    nu_ref = prandtl_meyer(_mach2(sd.p_ref, a0, b0, gam), g)
-
-    def theta_at(x, sel=slice(None)):
-        return nu_ref[sel] - prandtl_meyer(_mach2(x, a0[sel], b0[sel], gam), g)
-
-    cap = (2.0 * b0 * (gam - 1.0) / (gam * (gam + 1.0) * a0 ** (1.0 / gam))) ** (gam / (gam - 1.0))
-    cap = cap * (1.0 - SONIC_MARGIN)
-    floor = np.full_like(cap, sd.p_ref * 2.0**-60)
-
-    lo = np.full_like(t, sd.p_ref)
-    hi = np.full_like(t, sd.p_ref)
-    th_lo = np.zeros_like(t)
-    th_hi = np.zeros_like(t)
-
-    # Grow the bracket toward the sonic cap / vacuum floor until it contains
-    # the target.
-    for _ in range(70):
-        grow = (t > th_hi) & (hi < cap)
-        if not np.any(grow):
-            break
-        hi[grow] = np.minimum(hi[grow] * 2.0, cap[grow])
-        th_hi[grow] = theta_at(hi[grow], grow)
-    for _ in range(70):
-        shrink = (t < th_lo) & (lo > floor)
-        if not np.any(shrink):
-            break
-        lo[shrink] = np.maximum(lo[shrink] * 0.5, floor[shrink])
-        th_lo[shrink] = theta_at(lo[shrink], shrink)
-
-    if np.any(t > th_hi + newton_tol) or np.any(t < th_lo - newton_tol):
+    k = (gam + 1.0) / (gam - 1.0)
+    zm, zp = _as_array(z.z_minus, z.z_plus)
+    arrays = np.broadcast_arrays(0.5 * (zm - zp), *_as_array(sd.a0, sd.b0, sonic_pressure(sd, g)))
+    shape = arrays[0].shape
+    t, a0, b0, p_sonic = (np.ravel(v) for v in arrays)
+    cap = p_sonic * (1.0 - SONIC_MARGIN)
+    s_floor = np.sqrt(_mach2(cap, a0, b0, gam) - 1.0)
+    m2_ref = _mach2(sd.p_ref, a0, b0, gam)
+    nu_goal = prandtl_meyer(m2_ref, g) - t
+    nu_max = (np.sqrt(k) - 1.0) * np.pi / 2
+    if np.any(nu_goal < _nu(s_floor, k) - newton_tol) or np.any(nu_goal >= nu_max):
         raise GasError("out-of-range: target exceeds the range of Theta on the admissible interval")
 
-    if p_init is not None:
-        p = np.clip(np.ravel(np.broadcast_to(np.asarray(p_init, dtype=float), shape)).copy(), lo, hi)
-    else:
-        p = np.clip(np.full_like(t, sd.p_ref), lo, hi)
-    resid = theta_at(p) - t
-    iters = 0
-    while np.any(np.abs(resid) > newton_tol):
-        if iters >= max_newton_iters:
-            raise GasError("no-convergence: Newton inversion of Theta did not meet newton_tol")
-        iters += 1
-        # Tighten the bracket with the current iterate (Theta is monotone).
-        above = resid > 0.0
-        hi = np.where(above & (p < hi), p, hi)
-        lo = np.where(~above & (p > lo), p, lo)
+    s = np.maximum(np.sqrt(np.maximum(m2_ref - 1.0, 0.0)), s_floor)
+    lo = s_floor.copy()
+    hi = np.full_like(s, np.inf)
+    resid = _nu(s, k) - nu_goal
+    live = np.flatnonzero(np.abs(resid) > newton_tol)
+    for _ in range(max_newton_iters):
+        if not live.size:
+            break
+        x, r = s[live], resid[live]
+        # nu is increasing, so an iterate above the target bounds s from above.
+        above = r > 0.0
+        lo[live] = x_lo = np.where(above, lo[live], x)
+        hi[live] = x_hi = np.where(above, x, hi[live])
+        x2 = x * x
+        x = x - r * (1.0 + x2 / k) * (1.0 + x2) / (x2 * (1.0 - 1.0 / k))  # r / (dnu/ds)
+        x = np.where((x > x_lo) & (x < x_hi), x, 0.5 * (x_lo + x_hi))
+        s[live] = x
+        resid[live] = r = _nu(x, k) - nu_goal[live]
+        live = live[np.abs(r) > newton_tol]
+    if live.size:
+        raise GasError("no-convergence: Newton inversion of Theta did not meet newton_tol")
 
-        deriv = _theta_integrand(p, a0, b0, gam)
-        step = -resid / deriv
-        p_new = p + step
-        bad = (p_new <= lo) | (p_new >= hi) | ~np.isfinite(p_new)
-        p = np.where(bad, 0.5 * (lo + hi), p_new)
-        resid = theta_at(p) - t
-
+    # _mach2 solved for p at M^2 = 1 + s^2.
+    p = np.minimum(p_sonic * (k / (k + s * s)) ** (gam / (gam - 1.0)), cap)
+    if not np.all(p > 0.0):
+        raise GasError("out-of-range: pressure underflows at this target")
     return _maybe_scalar(p.reshape(shape), z.z_minus, z.z_plus, sd.a0, sd.b0)
 
 
@@ -378,11 +369,11 @@ def velocity_from_bernoulli(w, p, sd: StreamData, g: GasConstants):
 
 
 def state_from_invariants(z: InvariantPair, sd: StreamData, g: GasConstants,
-                          newton_tol=1e-12, max_newton_iters=50, p_init=None):
+                          newton_tol=1e-12, max_newton_iters=50):
     """Full inversion z -> (u, v, p, rho) on a streamline."""
     w = flow_angle(z)
     p = pressure_from_invariants(z, sd, g, newton_tol=newton_tol,
-                                 max_newton_iters=max_newton_iters, p_init=p_init)
+                                 max_newton_iters=max_newton_iters)
     u, v = velocity_from_bernoulli(w, p, sd, g)
     rho = density_from_pressure(p, sd, g)
     return PrimitiveState(u=u, v=v, p=p, rho=rho)

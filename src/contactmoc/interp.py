@@ -2,7 +2,8 @@
 
 Fritsch-Carlson slopes (harmonic mean of adjacent secants, zero at local
 extrema) with cubic Hermite evaluation.  Reproduces constants and straight
-lines exactly and never overshoots the local data range, which is what the
+lines up to rounding (not bit for bit: a flat row of 0.3 can come back an ulp
+off) and never overshoots the local data range, which is what the
 semi-Lagrangian updates rely on at the contact row.  Much cheaper than
 constructing a scipy interpolator per slab.
 """

@@ -27,7 +27,6 @@ the averaged form makes the pressure match exact, not merely first-order.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -192,26 +191,24 @@ class InvariantGrid:
         )
 
 
-def _layer_states(zm, zp, a0, b0, prob, hint=None):
+def _layer_states(zm, zp, a0, b0, prob):
     if not np.all(np.abs(zm + zp) < np.pi):
         raise SolverError("left-supersonic-regime: |z_minus + z_plus| reached pi")
     w = np.tan(0.5 * (zm + zp))
     z = gas.InvariantPair(zm, zp)
     sd = gas.StreamData(np.broadcast_to(a0, zm.shape), np.broadcast_to(b0, zm.shape), prob.sd_a.p_ref)
     p = gas.pressure_from_invariants(z, sd, prob.g, newton_tol=prob.newton_tol,
-                                     max_newton_iters=prob.max_newton_iters, p_init=hint)
+                                     max_newton_iters=prob.max_newton_iters)
     u, v = gas.velocity_from_bernoulli(w, p, sd, prob.g)
     rho = gas.density_from_pressure(p, sd, prob.g)
     return {"w": w, "p": p, "u": u, "v": v, "rho": rho}
 
 
-def grid_states(grid: InvariantGrid, prob: MocProblem, hint=None):
+def grid_states(grid: InvariantGrid, prob: MocProblem):
     """Primitive fields implied by the grid (cached on the grid)."""
     if grid._states is None:
-        ha = hint["a"] if hint else None
-        hb = hint["b"] if hint else None
-        sa = _layer_states(grid.zm_a, grid.zp_a, prob.a0_a[None, :], prob.b0_a[None, :], prob, ha)
-        sb = _layer_states(grid.zm_b, grid.zp_b, prob.a0_b[None, :], prob.b0_b[None, :], prob, hb)
+        sa = _layer_states(grid.zm_a, grid.zp_a, prob.a0_a[None, :], prob.b0_a[None, :], prob)
+        sb = _layer_states(grid.zm_b, grid.zp_b, prob.a0_b[None, :], prob.b0_b[None, :], prob)
         grid._states = {"a": sa, "b": sb}
     return grid._states
 
@@ -260,9 +257,9 @@ class FrozenField:
                 raise SolverError("degenerate: frozen speeds must satisfy lambda_- < lambda_+")
 
 
-def frozen_lambdas(grid: InvariantGrid, prob: MocProblem, hint=None) -> FrozenField:
+def frozen_lambdas(grid: InvariantGrid, prob: MocProblem) -> FrozenField:
     """Invert each node to primitives and evaluate both characteristic speeds."""
-    st = grid_states(grid, prob, hint)
+    st = grid_states(grid, prob)
     lams = {}
     for tag in ("a", "b"):
         s = st[tag]
@@ -476,13 +473,6 @@ def solve_linearized(prev: InvariantGrid, prob: MocProblem):
     cc = coupling_coefficients(prev, prob)
 
     dom = prob.domain
-    max_lam = max(float(np.max(np.abs(f))) for f in
-                  (frozen.lam_m_a, frozen.lam_p_a, frozen.lam_m_b, frozen.lam_p_b))
-    span = min(dom.m_a, dom.m_b)
-    if max_lam * dom.dxi > span:
-        warnings.warn("xi step exceeds the layer mass width at the frozen speeds; "
-                      "feet may leave the slab", RuntimeWarning, stacklevel=2)
-
     nxi = dom.xi.size
     zm_a = np.empty((nxi, dom.eta_a.size))
     zp_a = np.empty_like(zm_a)
@@ -557,11 +547,7 @@ def fixed_point(prob: MocProblem, fp_tol=1e-10, max_fp_iters=60):
     check_supersonic_margin(grid, prob)
     for n in range(1, max_fp_iters + 1):
         new, frozen, cc = solve_linearized(grid, prob)
-        st_prev = grid_states(grid, prob)
         try:
-            # Warm-start the new iterate's pressure inversion from the
-            # previous iterate before the margin check touches it.
-            grid_states(new, prob, hint={"a": st_prev["a"]["p"], "b": st_prev["b"]["p"]})
             check_supersonic_margin(new, prob)
         except SolverError as exc:
             raise SolverError(str(exc), report=report) from None

@@ -34,12 +34,12 @@ class OracleGrid:
     zp_b: np.ndarray
 
 
-def _slab_state(zm, zp, a0, b0, prob, hint=None):
+def _slab_state(zm, zp, a0, b0, prob):
     w = np.tan(0.5 * (zm + zp))
     sd = gas.StreamData(a0, b0, prob.sd_a.p_ref)
     p = gas.pressure_from_invariants(gas.InvariantPair(zm, zp), sd, prob.g,
                                      newton_tol=prob.newton_tol,
-                                     max_newton_iters=prob.max_newton_iters, p_init=hint)
+                                     max_newton_iters=prob.max_newton_iters)
     u, v = gas.velocity_from_bernoulli(w, p, sd, prob.g)
     rho = gas.density_from_pressure(p, sd, prob.g)
     lam_m, lam_p = gas.lambda_pm(gas.PrimitiveState(u=u, v=v, p=p, rho=rho), prob.g)
@@ -84,7 +84,6 @@ def upwind_march(prob: MocProblem) -> OracleGrid:
     sd_a0 = prob.sd_a.at(0.0)
     sd_b0 = prob.sd_b.at(0.0)
     p_bg = prob.sd_a.p_ref
-    hint_a = hint_b = None
 
     for k in range(nxi - 1):
         cur_m_a, cur_p_a = zm_a[k].copy(), zp_a[k].copy()
@@ -92,9 +91,8 @@ def upwind_march(prob: MocProblem) -> OracleGrid:
         xi_left = dom.xi[k]
         remaining = dom.dxi
         while remaining > 1e-14 * dom.dxi:
-            p_a, lam_m_a, lam_p_a = _slab_state(cur_m_a, cur_p_a, a0_a, b0_a, prob, hint_a)
-            p_b, lam_m_b, lam_p_b = _slab_state(cur_m_b, cur_p_b, a0_b, b0_b, prob, hint_b)
-            hint_a, hint_b = p_a, p_b
+            p_a, lam_m_a, lam_p_a = _slab_state(cur_m_a, cur_p_a, a0_a, b0_a, prob)
+            p_b, lam_m_b, lam_p_b = _slab_state(cur_m_b, cur_p_b, a0_b, b0_b, prob)
             max_lam = max(float(np.max(np.abs(lam_m_a))), float(np.max(np.abs(lam_p_a))),
                           float(np.max(np.abs(lam_m_b))), float(np.max(np.abs(lam_p_b))))
             cfl_dx = 0.9 * min(dom.deta_a, dom.deta_b) / max_lam

@@ -180,7 +180,7 @@ def test_pressure_forward_invert_round_trip():
     assert p == pytest.approx(p_true, abs=1e-10)
     # Near the sonic cap dTheta/dp -> 0: the inversion meets newton_tol in
     # Theta, so p is as close as newton_tol / min dTheta/dp allows.  The low
-    # pressure sits many bracket doublings below p_ref.
+    # pressure lies far from the start s_ref = s(p_ref) of the Newton iteration.
     for sd in STREAMLINES:
         cap = gas.sonic_pressure(sd, G) * (1 - gas.SONIC_MARGIN)
         for p_true in (cap, cap * (1 - 0.5 * gas.SONIC_MARGIN), cap * (1 - 1e-3), 0.21):
@@ -191,11 +191,53 @@ def test_pressure_forward_invert_round_trip():
             assert p == pytest.approx(p_true, abs=1e-12 / gas.dtheta_dp(cap, sd, G))
 
 
+def _assert_inverts(p_true, sd):
+    """One batched inversion of Theta(p_true) meets newton_tol in Theta and
+    recovers p_true as closely as newton_tol / dTheta/dp(cap) allows."""
+    cap = gas.sonic_pressure(sd, G) * (1 - gas.SONIC_MARGIN)
+    t = gas.theta(p_true, sd, G)
+    p = gas.pressure_from_invariants(gas.InvariantPair(t, -t), sd, G)
+    assert np.all(p <= cap)
+    assert np.max(np.abs(gas.theta(p, sd, G) - t)) <= 1e-12
+    assert np.all(np.abs(p - p_true) <= 1e-12 / gas.dtheta_dp(cap, sd, G))
+
+
+def test_pressure_inversion_is_batch_independent(rng):
+    # Each node must invert whatever other nodes share its batch: one batch
+    # spans low pressures up to the sonic cap on each streamline.
+    for sd in STREAMLINES:
+        cap = gas.sonic_pressure(sd, G) * (1 - gas.SONIC_MARGIN)
+        _assert_inverts(np.geomspace(0.01, cap, 50), sd)
+    # Random supersonic streamlines through p_ref = 1, each with a pressure
+    # near its cap, one mid-range and one low, all in one batch.
+    n = 2000
+    rho = rng.uniform(0.6, 1.5, n)
+    u = rng.uniform(1.05, 4.0, n) * np.sqrt(1.4 / rho)
+    sd = gas.StreamData(a0=np.tile(rho**-1.4, 3), b0=np.tile(0.5 * u * u + 3.5 / rho, 3), p_ref=1.0)
+    cap = gas.sonic_pressure(sd, G) * (1 - gas.SONIC_MARGIN)
+    frac = np.concatenate([1.0 - 10.0 ** rng.uniform(-9, -3, n), rng.uniform(0.2, 0.95, n),
+                           10.0 ** rng.uniform(-8, -2, n)])
+    _assert_inverts(cap * frac, sd)
+
+
 def test_pressure_inversion_out_of_range():
     p_cap = gas.sonic_pressure(SD_BG, G) * (1 - gas.SONIC_MARGIN)
     t_max = gas.theta(p_cap * 0.9999999, SD_BG, G)
     with pytest.raises(gas.GasError, match="out-of-range"):
         gas.pressure_from_invariants(gas.InvariantPair(2.0 * t_max, -2.0 * t_max), SD_BG, G)
+    # Vacuum side: the target nu(s) = nu_ref - Theta reaches the Prandtl-Meyer
+    # limit nu_max = (sqrt(K) - 1) pi/2 as p -> 0, K = (gamma+1)/(gamma-1) = 6.
+    nu_ref = gas.prandtl_meyer(2.2**2 / 1.4, G)
+    nu_max = (np.sqrt(6.0) - 1.0) * np.pi / 2
+    for beyond in (1e-12, 0.1):
+        t = nu_ref - nu_max - beyond
+        with pytest.raises(gas.GasError, match="out-of-range"):
+            gas.pressure_from_invariants(gas.InvariantPair(t, -t), SD_BG, G)
+    # Just inside vacuum the target is admissible however small its pressure.
+    t = nu_ref - nu_max + 1e-3
+    p = gas.pressure_from_invariants(gas.InvariantPair(t, -t), SD_BG, G)
+    assert 0.0 < p < 1e-20
+    assert abs(gas.theta(p, SD_BG, G) - t) <= 1e-12
 
 
 def test_velocity_from_bernoulli_background():

@@ -261,6 +261,20 @@ def test_fixed_point_gaps_decrease_and_converge():
     assert all(r <= 0.9 for r in report.ratios)
 
 
+def test_converged_grid_inverts_from_cold_in_few_sweeps():
+    # Starting at s(p_ref), Newton in s = sqrt(M^2-1) converges on every node
+    # of an O(eps) grid in two sweeps; converged nodes take no further step.
+    cfg, geom, profile, prob, grid, report = solved(1e-3, 140, 35)
+    states = moc.grid_states(grid, prob)
+    for tag, zm, zp, a0, b0 in (("a", grid.zm_a, grid.zp_a, prob.a0_a, prob.b0_a),
+                                ("b", grid.zm_b, grid.zp_b, prob.a0_b, prob.b0_b)):
+        sd = gas.StreamData(np.broadcast_to(a0, zm.shape), np.broadcast_to(b0, zm.shape),
+                            prob.sd_a.p_ref)
+        p = gas.pressure_from_invariants(gas.InvariantPair(zm, zp), sd, prob.g,
+                                         newton_tol=prob.newton_tol, max_newton_iters=3)
+        assert np.array_equal(p, states[tag]["p"])
+
+
 def test_fixed_point_no_convergence_carries_report():
     cfg, geom, profile, prob = assemble(1e-3, 101, 26)
     with pytest.raises(moc.SolverError, match="no-convergence") as err:
