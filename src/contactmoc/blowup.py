@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from . import interp
 from .csvout import write_csv
@@ -143,9 +142,9 @@ class PeriodicProfile:
         self.u_expr = u_expr
         self.v_expr = v_expr
         self._interp = {
-            "u": PchipInterpolator(y, self.u0),
-            "v": PchipInterpolator(y, self.v0),
-            "rho": PchipInterpolator(y, self.rho0),
+            "u": interp.pchip(y, self.u0),
+            "v": interp.pchip(y, self.v0),
+            "rho": interp.pchip(y, self.rho0),
         }
         c = sound_speed_of_density(self.rho0, g)
         q = np.hypot(self.u0, self.v0)
@@ -270,13 +269,7 @@ class BlowupReport:
 class _SpeedInverter:
     """Dense monotone interpolant of q <-> Theta(q), built once per march
     from closed-form samples; one table lookup per step is cheaper than a
-    per-step Newton inversion of the closed form.
-
-    ``q_of_theta`` evaluates the PCHIP pieces itself, from the breakpoints
-    ``table.x`` and the coefficients ``table.c`` (c0 s^3 + c1 s^2 + c2 s + c3
-    on each interval): the same interval search and power sum as
-    ``table(th)``, bit for bit, without scipy's per-call overhead.
-    """
+    per-step Newton inversion of the closed form."""
 
     def __init__(self, qhat, g, q_ref, n=2001):
         c_hat = critical_speed(qhat, g)
@@ -286,18 +279,12 @@ class _SpeedInverter:
         th = theta_of_speed(qs, qhat, g, q_ref)
         self.q_lo, self.q_hi = lo, hi
         self.th_lo, self.th_hi = float(th[0]), float(th[-1])
-        self.table = PchipInterpolator(th, qs)
-        self._x, self._c = self.table.x, self.table.c  # scipy converts on every read
+        self.table = interp.pchip(th, qs)
 
     def q_of_theta(self, th):
         if np.any(th < self.th_lo) or np.any(th > self.th_hi):
             raise BlowupError("sonic-limit: Theta target outside the admissible speed range")
-        # Interval i holds x[i] <= th < x[i + 1]; th = x[-1] takes the last.
-        i = np.searchsorted(self._x[1:-1], th, side="right")
-        s = th - self._x.take(i)
-        s2 = s * s
-        c = self._c.take(i, axis=1)
-        return c[3] + c[2] * s + c[1] * s2 + c[0] * (s2 * s)
+        return self.table(th)
 
 
 def cauchy_march(profile: PeriodicProfile, g, x_max, ny=800, dx_max=0.05,

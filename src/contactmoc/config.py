@@ -17,10 +17,10 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from . import gas
 from .expressions import ExpressionError, SmoothExpression
+from .interp import pchip
 
 
 class ConfigError(ValueError):
@@ -55,6 +55,10 @@ class WallCurve:
                 raise ConfigError("sampled wall needs >= 4 strictly increasing x samples")
             self._x = x
             self._y = y
+            # The only scipy use at run time: keep it off the import path of
+            # configs whose walls are expressions.
+            from scipy.interpolate import CubicSpline
+
             self._spline = CubicSpline(x, y)
             self._derivs = [self._spline.derivative(k) for k in (1, 2, 3)]
         elif kind == "scaled":
@@ -157,7 +161,7 @@ class InletLayer:
 
     def interp(self, name):
         if name not in self._interp:
-            self._interp[name] = PchipInterpolator(self.y, getattr(self, name))
+            self._interp[name] = pchip(self.y, getattr(self, name))
         return self._interp[name]
 
     def eval(self, y):
@@ -166,6 +170,13 @@ class InletLayer:
     def component(self, name, y, order=0):
         f = self.interp(name)
         return f(y) if order == 0 else f.derivative(order)(y)
+
+    def mass_flux(self):
+        """The rho*u interpolant and its antiderivative, built once."""
+        if "mass_flux" not in self._interp:
+            flux = pchip(self.y, self.rho * self.u)
+            self._interp["mass_flux"] = (flux, flux.antiderivative())
+        return self._interp["mass_flux"]
 
 
 @dataclass

@@ -29,7 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
+
+from .interp import pchip
 
 # Refuse pressures within this relative margin of the sonic pressure instead
 # of regularizing the vanishing-radicand endpoint.
@@ -131,8 +132,8 @@ class StreamTable:
         self.b0_nodes = b0
         self.p_ref = float(p_ref)
         self.g = g
-        self._a0 = PchipInterpolator(eta, a0)
-        self._b0 = PchipInterpolator(eta, b0)
+        self._a0 = pchip(eta, a0)
+        self._b0 = pchip(eta, b0)
 
     def at(self, eta):
         """Stream data at eta (scalar or array), clamped to the table span."""

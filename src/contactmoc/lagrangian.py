@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from . import gas
 from .config import InletProfile, NozzleGeometry
@@ -43,8 +42,8 @@ def mass_fluxes(profile: InletProfile) -> MassFluxes:
     else.
     """
     la, lb = profile.layer_a, profile.layer_b
-    anti_a = PchipInterpolator(la.y, la.rho * la.u).antiderivative()
-    anti_b = PchipInterpolator(lb.y, lb.rho * lb.u).antiderivative()
+    _, anti_a = la.mass_flux()
+    _, anti_b = lb.mass_flux()
     m_a = float(anti_a(la.y[-1]) - anti_a(la.y[0]))
     m_b = float(anti_b(lb.y[-1]) - anti_b(lb.y[0]))
     return MassFluxes(m_a=m_a, m_b=m_b)
@@ -96,8 +95,7 @@ class InletTrace:
 
 def _invert_mass_coordinate(layer, base_y, targets):
     """Solve F(y) = target for each target, F the cumulative mass flux from base_y."""
-    flux = PchipInterpolator(layer.y, layer.rho * layer.u)
-    anti = flux.antiderivative()
+    flux, anti = layer.mass_flux()
     base = anti(base_y)
 
     lo = np.full_like(targets, layer.y[0])

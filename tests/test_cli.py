@@ -1,10 +1,13 @@
+import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from contactmoc import cli, fixtures
+from contactmoc.expressions import SmoothExpression
 
 
 def run_cli(*args, env_extra=None):
@@ -288,3 +291,47 @@ def test_error_code_only_from_program_errors(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "status=error error=convergence code=degenerate detail='degenerate: u <= c'"
     assert "code=" not in lines[1] and "code=" not in lines[2]
+
+
+_SCIPY_PROBE = """\
+import json, sys
+import contactmoc.cli as cli
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("scipy"))]))
+"""
+
+
+def cli_in_fresh_interpreter(*argvs):
+    """Exit codes of the CLI runs and the scipy modules they left loaded."""
+    r = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(argvs)],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    return json.loads(r.stdout.strip().splitlines()[-1])
+
+
+def test_expression_wall_runs_never_import_scipy(workdir, tmp_path):
+    codes, loaded = cli_in_fresh_interpreter(
+        ["solve", "--config", str(workdir / "pert.cfg"), "--out", str(tmp_path / "s"), "--quiet"],
+        ["validate", "--config", str(workdir / "pert.cfg")],
+        ["blowup", "--config", str(workdir / "blow.cfg"), "--out", str(tmp_path / "b"), "--quiet"],
+    )
+    assert codes == [0, 0, 0]
+    assert loaded == []
+
+
+def test_sampled_wall_solves_through_lazy_spline(workdir, tmp_path):
+    xs = np.linspace(0.0, 4.0, 65)
+    lines = []
+    for ln in (workdir / "pert.cfg").read_text().splitlines():
+        if ln.startswith("g_plus = "):
+            wall = SmoothExpression(ln.partition("=")[2].strip(), var="x")
+            np.savetxt(tmp_path / "g_plus.csv", np.column_stack([xs, wall(xs)]),
+                       delimiter=",", header="x,y", comments="", fmt="%.17g")
+            ln = "g_plus_csv = g_plus.csv"
+        lines.append(ln)
+    cfg = tmp_path / "sampled.cfg"
+    cfg.write_text("\n".join(lines))
+    codes, loaded = cli_in_fresh_interpreter(
+        ["solve", "--config", str(cfg), "--out", str(tmp_path / "s"), "--quiet"])
+    assert codes == [0]
+    assert "scipy.interpolate" in loaded

@@ -1,0 +1,95 @@
+"""The non-uniform PCHIP in ``interp`` against scipy's PchipInterpolator, bit
+for bit: values, piece coefficients, derivatives and the antiderivative."""
+
+import numpy as np
+import pytest
+
+from contactmoc import blowup, gas, interp
+
+
+def _cases():
+    rng = np.random.default_rng(20261018)
+    x_rand = np.cumsum(rng.uniform(0.01, 1.0, 40)) - 7.0
+    x_flat = np.cumsum(rng.uniform(0.05, 0.4, 16))
+    lin01 = np.linspace(0.0, 1.0, 41)
+    lin10 = np.linspace(-1.0, 0.0, 33)
+    return {
+        "random-knots": (x_rand, rng.normal(size=x_rand.size)),
+        "random-knots-monotone": (x_rand, np.cumsum(rng.uniform(0.0, 2.0, x_rand.size))),
+        "linspace-0-1": (lin01, np.sin(2.0 * np.pi * lin01) + 0.1 * lin01),
+        "linspace-minus1-0": (lin10, np.exp(lin10) * np.cos(5.0 * lin10)),
+        "flat-runs-and-sign-changes": (
+            x_flat, np.array([0.0, 0.0, 0.0, 1.0, 1.0, 2.5, 2.5, 2.5, 1.0, -1.0, -1.0, 0.3, -0.2, 0.4, 0.4, 0.4])),
+        "alternating-signs": (x_flat, 0.7 * (-1.0) ** np.arange(x_flat.size) + 0.01 * x_flat),
+        "n2": (np.array([0.3, 1.7]), np.array([2.0, -1.0])),
+        "n3": (np.array([0.0, 0.2, 1.0]), np.array([1.0, 3.0, 2.0])),
+        "n3-monotone": (np.array([-1.0, 0.5, 0.75]), np.array([0.0, 0.1, 4.0])),
+    }
+
+
+CASES = _cases()
+
+
+def _queries(x):
+    """Every knot, points across and beyond the span, and both far sides."""
+    span = x[-1] - x[0]
+    inside = np.random.default_rng(x.size).uniform(x[0], x[-1], 300)
+    return np.concatenate([x, inside, np.linspace(x[0] - 0.3 * span, x[-1] + 0.3 * span, 101),
+                           [x[0] - 2.0 * span, x[-1] + 2.0 * span]])
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_pchip_bit_equal_to_scipy(name):
+    from scipy.interpolate import PchipInterpolator
+
+    x, y = CASES[name]
+    ref, ours = PchipInterpolator(x, y), interp.pchip(x, y)
+    q = _queries(x)
+    assert np.array_equal(ours.x, ref.x)
+    assert np.array_equal(ours.c, ref.c)
+    assert np.array_equal(ours(q), ref(q))
+    for nu in (1, 2, 3):
+        d, d_ref = ours.derivative(nu), ref.derivative(nu)
+        assert np.array_equal(d.c, d_ref.c), nu
+        assert np.array_equal(d(q), d_ref(q)), nu
+    a, a_ref = ours.antiderivative(), ref.antiderivative()
+    assert np.array_equal(a.c, a_ref.c)
+    assert np.array_equal(a(q), a_ref(q))
+
+
+def test_pchip_keeps_query_shape():
+    from scipy.interpolate import PchipInterpolator
+
+    x, y = CASES["random-knots"]
+    ref, ours = PchipInterpolator(x, y), interp.pchip(x, y)
+    grid = _queries(x)[:120].reshape(3, 40)
+    assert np.array_equal(ours(grid), ref(grid))
+    for t in (x[5], float(x[0] - 1.0)):
+        assert np.shape(ours(t)) == np.shape(ref(t)) == ()
+        assert np.array_equal(ours(t), ref(t))
+
+
+def test_speed_table_bit_equal_to_scipy(rng):
+    from scipy.interpolate import PchipInterpolator
+
+    g = gas.GasConstants(1.4)
+    prof = blowup.PeriodicProfile.from_expressions("2.0", "0.05 * sin(pi * y)", g)
+    inv = blowup._SpeedInverter(prof.qhat, g, prof.q_ref)
+    qs = np.linspace(inv.q_lo, inv.q_hi, inv.table.x.size)
+    ref = PchipInterpolator(inv.table.x, qs)
+    th = rng.uniform(inv.th_lo, inv.th_hi, 2000)
+    assert np.array_equal(inv.table.c, ref.c)
+    assert np.array_equal(inv.q_of_theta(th), ref(th))
+
+
+@pytest.mark.parametrize("x, y", [
+    ([0.0, 1.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0]),
+    ([0.0, 2.0, 1.0], [0.0, 1.0, 2.0]),
+    ([0.0], [1.0]),
+    ([0.0, 1.0, 2.0], [0.0, 1.0]),
+    ([0.0, 1.0, 2.0], [0.0, np.nan, 1.0]),
+    ([0.0, 1.0, np.inf], [0.0, 1.0, 2.0]),
+])
+def test_pchip_rejects_bad_knots(x, y):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        interp.pchip(x, y)

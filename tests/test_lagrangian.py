@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from contactmoc import config, fixtures, gas, lagrangian as lag
+from contactmoc import config, fixtures, gas, interp, lagrangian as lag
 from tests.conftest import assemble, solved
 
 G = gas.GasConstants(1.4)
@@ -76,6 +76,15 @@ def test_inlet_map_against_dense_inversion_oracle():
     F *= flux.m_a / F[-1]
     y_oracle = np.interp(dom.eta_a, F, fine)
     assert np.max(np.abs(ta.y - y_oracle)) < 1e-9
+
+
+def test_pipeline_builds_each_layer_mass_flux_once(monkeypatch):
+    built = []
+    antiderivative = interp.PiecewisePoly.antiderivative
+    monkeypatch.setattr(interp.PiecewisePoly, "antiderivative",
+                        lambda self: built.append(self) or antiderivative(self))
+    assemble(1e-3, 81, 24)
+    assert len(built) == 2  # mass_fluxes and the inlet map share them
 
 
 def test_stream_data_background_constant():
