@@ -23,7 +23,7 @@ def main():
         prob, _ = cli.build_pipeline(cfg, geom, profile)
         grid, _ = moc.fixed_point(prob, fp_tol=cfg.fp_tol, max_fp_iters=cfg.max_fp_iters)
         diff = oracle.compare_fields(grid, oracle.upwind_march(prob)).overall_sup
-        ef = lagrangian.reconstruct(moc.primitive_fields(grid, prob), geom, prob.domain)
+        ef = lagrangian.reconstruct(moc.grid_states(grid, prob), geom, prob.domain)
         w = lagrangian.weak_residual(ef, cfg.gas_constants)
         dev = lagrangian.streamline_conservation(ef, cfg.gas_constants)
         rows.append([nxi, neta, diff, w.max_residual, w.mean_residual, dev])

@@ -105,16 +105,23 @@ def irrot_invariants(u, v, rho, g, q_ref, qhat=None, bernoulli_tol=1e-8):
     return IrrotationalState(q=q, theta_angle=theta, z_minus=theta - th, z_plus=theta + th)
 
 
+_MINUS_PLUS = np.array([-1.0, 1.0])
+
+
+def _slopes(u, v, c, q2):
+    """(uv -+ c sqrt(q2 - c^2)) / (u^2 - c^2), stacked as [lambda_minus,
+    lambda_plus] along a new leading axis; callers check u > c."""
+    cd = c * np.sqrt(np.maximum(q2 - c * c, 0.0))
+    return (u * v + _MINUS_PLUS.reshape((2,) + (1,) * np.ndim(cd)) * cd) / (u * u - c * c)
+
+
 def irrot_lambdas(u, v, rho, g):
     """Characteristic slopes (uv -+ c sqrt(q^2 - c^2)) / (u^2 - c^2); needs u > c."""
     u, v, rho = (np.asarray(x, dtype=float) for x in (u, v, rho))
     c = sound_speed_of_density(rho, g)
-    den = u * u - c * c
-    if np.any(den <= 0.0):
+    if np.any(u * u - c * c <= 0.0):
         raise BlowupError("degenerate: characteristic slopes need u > c")
-    disc = np.sqrt(np.maximum(u * u + v * v - c * c, 0.0))
-    lam_m = (u * v - c * disc) / den
-    lam_p = (u * v + c * disc) / den
+    lam_m, lam_p = _slopes(u, v, c, u * u + v * v)
     return lam_m, lam_p
 
 
@@ -232,6 +239,10 @@ class ThresholdPolicy:
     factor: float = 1e3
     floor: float = 1e-6
 
+    def threshold(self, g0):
+        """The trigger level for an initial gradient g0."""
+        return max(self.factor * g0, self.floor)
+
 
 def detect_blowup(grad_history, policy: ThresholdPolicy):
     """First index at which the gradient trigger fires, or None.
@@ -241,9 +252,7 @@ def detect_blowup(grad_history, policy: ThresholdPolicy):
     hist = np.asarray(grad_history, dtype=float)
     if hist.size == 0:
         raise BlowupError("gradient history is empty")
-    g0 = float(hist[0].max())
-    threshold = max(policy.factor * g0, policy.floor)
-    above = np.nonzero(hist.max(axis=1) > threshold)[0]
+    above = np.nonzero(hist.max(axis=1) > policy.threshold(float(hist[0].max())))[0]
     return int(above[0]) if above.size else None
 
 
@@ -339,13 +348,12 @@ def cauchy_march(profile: PeriodicProfile, g, x_max, ny=800, dx_max=0.05,
     fan_y[0] -= 2.0
     fan_y[-1] += 2.0
     fans = np.array([y, y])
-    minus_plus = np.array([[-1.0], [1.0]])  # lambda_minus, lambda_plus = (uv -+ c disc) / den
 
     zx = z[:, ext]
     grad = abs_gradient(zx)
     g0p, g0m = grad.max(axis=1).tolist()
     xs, gzp, gzm = [0.0], [g0p], [g0m]
-    threshold = max(policy.factor * max(g0p, g0m), policy.floor)
+    threshold = policy.threshold(max(g0p, g0m))
 
     report = BlowupReport()
     report.y_nodes = y
@@ -362,9 +370,7 @@ def cauchy_march(profile: PeriodicProfile, g, x_max, ny=800, dx_max=0.05,
         c = _c_of_q(q, profile.qhat, g)
         if np.any(uu <= c):
             raise BlowupError("degenerate: u dropped below c during the march")
-        den = uu * uu - c * c
-        disc = np.sqrt(np.maximum(q * q - c * c, 0.0))
-        lam = (uu * vv + minus_plus * (c * disc)) / den
+        lam = _slopes(uu, vv, c, q * q)
 
         max_lam = float(np.max(np.abs(lam)))
         max_grad = max(gzp[-1], gzm[-1])

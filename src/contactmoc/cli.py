@@ -12,7 +12,6 @@ import dataclasses
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -49,17 +48,6 @@ def _error_exit(category, exc):
 
 def _config_exit_category(exc):
     return "config" if isinstance(exc, config.ConfigParseError) else "validation"
-
-
-def _threads():
-    raw = os.environ.get("CONTACTMOC_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise config.ConfigError(f"cannot parse CONTACTMOC_THREADS = {raw!r}")
-    if n < 1:
-        raise config.ConfigError("CONTACTMOC_THREADS must be a positive integer")
-    return n
 
 
 def _apply_overrides(cfg, geom, profile, args):
@@ -114,8 +102,7 @@ def run_solve(cfg, geom, profile, write_outputs=True):
 
     prob, flux = build_pipeline(cfg, geom, profile)
     grid, report = moc.fixed_point(prob, fp_tol=cfg.fp_tol, max_fp_iters=cfg.max_fp_iters)
-    fields = moc.primitive_fields(grid, prob)
-    efield = lagrangian.reconstruct(fields, geom, prob.domain)
+    efield = lagrangian.reconstruct(moc.grid_states(grid, prob), geom, prob.domain)
     if efield.top_gap > cfg.recon_top_tol:
         raise moc.SolverError(
             f"no-convergence: upper-wall image misses g_plus by {efield.top_gap:.3e} "
@@ -198,20 +185,26 @@ def _load_blowup(path, x_max=None):
     def get(key, cast=float, default=None):
         return config._get(sections, "blowup", key, path, cast=cast, default=default)
 
-    g = gas.GasConstants(gamma)
-    profile = blowup.PeriodicProfile.from_expressions(
-        get("u0", cast=str), get("v0", cast=str), g,
-        rho_wall=get("rho_wall", default=1.0),
-    )
-    policy = blowup.ThresholdPolicy(factor=get("grad_factor", default=1e3),
-                                    floor=get("grad_floor", default=1e-6))
     settings = {
         "ny": get("ny", cast=int, default=800),
         "x_max": get("x_max", default=200.0) if x_max is None else x_max,
         "dx_max": get("dx_max", default=0.05),
     }
-    if not settings["x_max"] > 0:
-        raise config.ConfigError(f"x_max must be positive, got {settings['x_max']:g}")
+    rho_wall = get("rho_wall", default=1.0)
+    factor = get("grad_factor", default=1e3)
+    floor = get("grad_floor", default=1e-6)
+    if settings["ny"] < 2:
+        raise config.ConfigError(f"ny must be at least 2, got {settings['ny']}")
+    for key, value in (("rho_wall", rho_wall), ("x_max", settings["x_max"]),
+                       ("dx_max", settings["dx_max"]), ("grad_factor", factor),
+                       ("grad_floor", floor)):
+        if not value > 0:
+            raise config.ConfigError(f"{key} must be positive, got {value:g}")
+
+    g = gas.GasConstants(gamma)
+    profile = blowup.PeriodicProfile.from_expressions(
+        get("u0", cast=str), get("v0", cast=str), g, rho_wall=rho_wall)
+    policy = blowup.ThresholdPolicy(factor=factor, floor=floor)
     return g, profile, policy, settings
 
 
@@ -266,7 +259,6 @@ def cmd_sweep(args):
     try:
         cfg, geom, profile = config.load_config(args.config)
         cfg, geom, profile = _apply_overrides(cfg, geom, profile, args)
-        threads = _threads()
     except config.ConfigError as exc:
         return _error_exit(_config_exit_category(exc), exc)
 
@@ -276,31 +268,17 @@ def cmd_sweep(args):
                   "detail": "'sweep needs a perturbed base config (eps > 0)'"})
         return EXIT_USAGE
 
-    def member(target):
-        t = target / eps_base
-        prof_t = profile.scale_deviation(cfg.background, t)
-        geom_t = geom.scale_deviation(t)
-        summary, _ = run_solve(cfg, geom_t, prof_t, write_outputs=False)
-        return summary
-
     rows = []
     failure = None
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(member, t) for t in targets]
-            for target, fut in zip(targets, futures):
-                try:
-                    rows.append((target, fut.result()))
-                except Exception as exc:  # keep partial results
-                    failure = (target, exc)
-                    break
-    else:
-        for target in targets:
-            try:
-                rows.append((target, member(target)))
-            except Exception as exc:
-                failure = (target, exc)
-                break
+    for target in targets:
+        t = target / eps_base
+        try:
+            prof_t = profile.scale_deviation(cfg.background, t)
+            summary, _ = run_solve(cfg, geom.scale_deviation(t), prof_t, write_outputs=False)
+        except Exception as exc:  # keep partial results
+            failure = (target, exc)
+            break
+        rows.append((target, summary))
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     csv_path = os.path.join(cfg.out_dir, "sweep.csv")
@@ -332,14 +310,15 @@ def cmd_validate(args):
     except (OSError, config.ConfigError) as exc:
         return _error_exit("config", exc)
     violations = []
-    try:
-        cfg, geom, profile = config.load_config(args.config)
-    except config.ConfigError as exc:
-        category = _config_exit_category(exc)
-        if category == "config":
-            return _error_exit("config", exc)
-        violations.append(str(exc))
-        cfg = geom = profile = None
+    profile = None
+    # A file with nothing but [gas] and [blowup] is a blow-up config.
+    if "blowup" not in sections or set(sections) - {"gas", "blowup"}:
+        try:
+            cfg, geom, profile = config.load_config(args.config)
+        except config.ConfigError as exc:
+            if _config_exit_category(exc) == "config":
+                return _error_exit("config", exc)
+            violations.append(str(exc))
     if profile is not None:
         violations.extend(config.validate_compatibility(profile, geom, tol=cfg.compat_tol))
         try:
@@ -350,7 +329,7 @@ def cmd_validate(args):
         try:
             g, bprofile, _, _ = _load_blowup(args.config)
             violations.extend(blowup.check_compatibility(bprofile))
-        except (config.ConfigError, blowup.BlowupError) as exc:
+        except (config.ConfigError, blowup.BlowupError, gas.GasError) as exc:
             violations.append(str(exc))
     for item in violations:
         print(f"violation: {item}")

@@ -205,34 +205,35 @@ class EulerianField:
 def reconstruct(fields, geom: NozzleGeometry, domain: LagrangianDomain) -> EulerianField:
     """Invert the stream-function map column by column.
 
-    ``fields`` maps layer tag -> dict(u=..., v=..., p=..., rho=...) with
-    arrays shaped (nxi, neta).  y(xi, eta) integrates 1/(rho u) from the
-    lower wall with composite Simpson; the contact curve is the image of
-    eta = 0 and the upper-wall mismatch is reported, not enforced.
+    ``fields`` maps layer tag -> gas.PrimitiveState with arrays shaped
+    (nxi, neta), as ``moc.grid_states`` returns.  y(xi, eta) integrates
+    1/(rho u) from the lower wall with composite Simpson; the contact curve
+    is the image of eta = 0 and the upper-wall mismatch is reported, not
+    enforced.
     """
     xi = domain.xi
     fa, fb = fields["a"], fields["b"]
     for tag, f in (("a", fa), ("b", fb)):
-        if not np.all(f["rho"] * f["u"] > 0.0):
+        if not np.all(f.rho * f.u > 0.0):
             raise TransformError(f"jacobian-degenerate: rho*u <= 0 in layer {tag}")
 
-    inv_b = 1.0 / (fb["rho"] * fb["u"])
+    inv_b = 1.0 / (fb.rho * fb.u)
     y_b = geom.g_minus(xi)[:, None] + cumulative_simpson(inv_b, domain.deta_b, axis=1)
     g_cd = y_b[:, -1].copy()
 
-    inv_a = 1.0 / (fa["rho"] * fa["u"])
+    inv_a = 1.0 / (fa.rho * fa.u)
     y_a = g_cd[:, None] + cumulative_simpson(inv_a, domain.deta_a, axis=1)
     top_gap = float(np.max(np.abs(y_a[:, -1] - geom.g_plus(xi))))
 
     if not (np.all(np.diff(y_b, axis=1) > 0) and np.all(np.diff(y_a, axis=1) > 0)):
         raise TransformError("layer ordering violated: reconstructed y is not increasing in eta")
 
-    w_cd = 0.5 * (fa["v"][:, 0] / fa["u"][:, 0] + fb["v"][:, -1] / fb["u"][:, -1])
+    w_cd = 0.5 * (fa.v[:, 0] / fa.u[:, 0] + fb.v[:, -1] / fb.u[:, -1])
     contact = ContactCurve(x=xi.copy(), g_cd=g_cd, d_g_cd=w_cd)
     return EulerianField(
         x=xi.copy(),
-        layer_a=LayerField(y=y_a, u=fa["u"], v=fa["v"], p=fa["p"], rho=fa["rho"]),
-        layer_b=LayerField(y=y_b, u=fb["u"], v=fb["v"], p=fb["p"], rho=fb["rho"]),
+        layer_a=LayerField(y=y_a, u=fa.u, v=fa.v, p=fa.p, rho=fa.rho),
+        layer_b=LayerField(y=y_b, u=fb.u, v=fb.v, p=fb.p, rho=fb.rho),
         contact=contact,
         top_gap=top_gap,
     )

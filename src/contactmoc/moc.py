@@ -6,11 +6,17 @@ closures: inlet data at xi = 0, wall reflection z_minus + z_plus =
 2 arctan g' at the nozzle walls, and a two-sided coupling at the contact row
 eta = 0 that enforces continuity of flow angle and pressure.
 
-Each outer iteration freezes the characteristic speeds on the previous
-iterate and solves the resulting linear transport problem exactly in the
-semi-Lagrangian sense: every invariant is constant along its own frozen
-characteristic, so one backward trace plus clipped cubic interpolation per
-node advances a xi-slab.  The contact closure linearizes the pressure match
+Each outer iteration inverts the previous iterate to primitive states once
+(``grid_states``), freezes the characteristic speeds on them and solves the
+resulting linear transport problem exactly in the semi-Lagrangian sense:
+every invariant is constant along its own frozen characteristic, so one
+backward trace plus clipped cubic interpolation per node advances a
+xi-slab.  The problem is well posed because each layer has one incoming and
+one outgoing family at every wall and at the contact (lambda_- < 0 <
+lambda_+, required by ``FrozenField``), and the march stays inside its
+domain of dependence because ``check_cfl`` enforces max|lambda| dxi <= deta
+on every frozen field before it is marched (Courant, Friedrichs & Lewy,
+Math. Ann. 100, 1928).  The contact closure linearizes the pressure match
 with averaged-derivative coefficients
 
     alpha = 1 / (2 int_0^1 dTheta/dp(p_bg + tau (p_prev - p_bg)) dtau)
@@ -127,33 +133,31 @@ def build_problem(cfg: RunConfig, geom: NozzleGeometry, trace_a: InletTrace,
         max_newton_iters=cfg.max_newton_iters,
         min_supersonic_margin=cfg.min_supersonic_margin,
     )
-    check_cfl(prob)
+    check_cfl(frozen_lambdas(InvariantGrid.background(prob, nxi=1), prob), domain)
     return prob
 
 
-def check_cfl(prob: MocProblem):
-    """Reject a lattice whose xi step breaks max|lambda| dxi <= deta.
+def check_cfl(frozen: FrozenField, domain: LagrangianDomain):
+    """Reject a frozen field whose speeds break max|lambda| dxi <= deta.
 
-    The first outer iteration freezes the speeds on the background
-    invariants, so this is the bound ``_check_feet`` enforces when that
-    iteration marches; checking it here rejects the lattice before any march
-    starts.  Raises a ``cfl`` SolverError naming the smallest valid nxi.
+    Runs on the background row when the problem is built, so a bad lattice
+    is rejected before any march, and on every iteration's frozen field
+    before it is marched.  Raises a ``cfl`` SolverError naming the smallest
+    valid nxi.
     """
-    dom = prob.domain
-    frozen = frozen_lambdas(InvariantGrid.background(prob, nxi=1), prob)
     violated = []
     nxi_min = 0
-    for tag, eta, lams in (("a", dom.eta_a, (frozen.lam_m_a, frozen.lam_p_a)),
-                           ("b", dom.eta_b, (frozen.lam_m_b, frozen.lam_p_b))):
+    for tag, eta, lams in (("a", domain.eta_a, (frozen.lam_m_a, frozen.lam_p_a)),
+                           ("b", domain.eta_b, (frozen.lam_m_b, frozen.lam_p_b))):
         lam = max(float(np.max(np.abs(x))) for x in lams)
         deta = eta[1] - eta[0]
-        bound = deta + 1e-9 * (eta[-1] - eta[0])  # the fuzz of _check_feet
-        if lam * dom.dxi > bound:
-            ratio = lam * dom.dxi / deta
+        bound = deta + 1e-9 * (eta[-1] - eta[0])  # round-off must not reject a lattice at the bound
+        if lam * domain.dxi > bound:
+            ratio = lam * domain.dxi / deta
             violated.append(f"max|lambda| dxi / deta = {ratio:.4g} > 1 in layer {tag}")
-        nxi_min = max(nxi_min, 1 + math.ceil(dom.L * lam / bound))
+        nxi_min = max(nxi_min, 1 + math.ceil(domain.L * lam / bound))
     if violated:
-        raise SolverError(f"cfl: {'; '.join(violated)} at nxi = {dom.xi.size}; "
+        raise SolverError(f"cfl: {'; '.join(violated)} at nxi = {domain.xi.size}; "
                           f"the smallest valid nxi is {nxi_min}")
 
 
@@ -191,49 +195,31 @@ class InvariantGrid:
         )
 
 
-def _layer_states(zm, zp, a0, b0, prob):
-    if not np.all(np.abs(zm + zp) < np.pi):
-        raise SolverError("left-supersonic-regime: |z_minus + z_plus| reached pi")
-    w = np.tan(0.5 * (zm + zp))
-    z = gas.InvariantPair(zm, zp)
-    sd = gas.StreamData(np.broadcast_to(a0, zm.shape), np.broadcast_to(b0, zm.shape), prob.sd_a.p_ref)
-    p = gas.pressure_from_invariants(z, sd, prob.g, newton_tol=prob.newton_tol,
-                                     max_newton_iters=prob.max_newton_iters)
-    u, v = gas.velocity_from_bernoulli(w, p, sd, prob.g)
-    rho = gas.density_from_pressure(p, sd, prob.g)
-    return {"w": w, "p": p, "u": u, "v": v, "rho": rho}
-
-
 def grid_states(grid: InvariantGrid, prob: MocProblem):
-    """Primitive fields implied by the grid (cached on the grid)."""
+    """Primitive state per layer implied by the grid, as a dict of
+    gas.PrimitiveState keyed by layer tag (cached on the grid)."""
     if grid._states is None:
-        sa = _layer_states(grid.zm_a, grid.zp_a, prob.a0_a[None, :], prob.b0_a[None, :], prob)
-        sb = _layer_states(grid.zm_b, grid.zp_b, prob.a0_b[None, :], prob.b0_b[None, :], prob)
-        grid._states = {"a": sa, "b": sb}
+        states = {}
+        for tag, zm, zp, a0, b0 in (("a", grid.zm_a, grid.zp_a, prob.a0_a, prob.b0_a),
+                                    ("b", grid.zm_b, grid.zp_b, prob.a0_b, prob.b0_b)):
+            if not np.all(np.abs(zm + zp) < np.pi):
+                raise SolverError("left-supersonic-regime: |z_minus + z_plus| reached pi")
+            states[tag] = gas.state_from_invariants(
+                gas.InvariantPair(zm, zp), gas.StreamData(a0, b0, prob.sd_a.p_ref), prob.g,
+                newton_tol=prob.newton_tol, max_newton_iters=prob.max_newton_iters)
+        grid._states = states
     return grid._states
 
 
 def check_supersonic_margin(grid: InvariantGrid, prob: MocProblem):
     """Enforce u - c >= min_supersonic_margin at every node."""
-    st = grid_states(grid, prob)
-    for tag in ("a", "b"):
-        s = st[tag]
-        c = np.sqrt(prob.g.gamma * s["p"] / s["rho"])
-        worst = float(np.min(s["u"] - c))
+    for tag, s in grid_states(grid, prob).items():
+        worst = float(np.min(s.u - gas.sound_speed(s, prob.g)))
         if worst < prob.min_supersonic_margin:
             raise SolverError(
                 f"left-supersonic-regime: min(u - c) = {worst:.3e} fell below "
                 f"margin {prob.min_supersonic_margin:.3e} in layer {tag}"
             )
-
-
-def primitive_fields(grid: InvariantGrid, prob: MocProblem):
-    """Fields dict consumed by lagrangian.reconstruct."""
-    st = grid_states(grid, prob)
-    return {
-        tag: {"u": s["u"], "v": s["v"], "p": s["p"], "rho": s["rho"]}
-        for tag, s in st.items()
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +228,18 @@ def primitive_fields(grid: InvariantGrid, prob: MocProblem):
 
 @dataclass(frozen=True)
 class FrozenField:
-    """Characteristic speeds evaluated on a previous iterate."""
+    """Characteristic speeds evaluated on a previous iterate.
+
+    Every node must have lambda_- < 0 < lambda_+: one family enters and one
+    leaves each layer at the walls and at the contact.  Together with the
+    ``check_cfl`` bound max|lambda| dxi <= deta (plus a 1e-9 span fuzz) this
+    puts the foot of every traced node inside its slab: a midpoint speed
+    averages node values of one sign and modulus at most max|lambda|, so
+    each foot lies within one deta of its node, on the upstream side.  The
+    only exceptions are the boundary rows whose upstream side is outside
+    the layer, and those rows are overwritten by the wall and contact
+    closures.
+    """
 
     lam_m_a: np.ndarray
     lam_p_a: np.ndarray
@@ -253,22 +250,18 @@ class FrozenField:
         for lam_m, lam_p in ((self.lam_m_a, self.lam_p_a), (self.lam_m_b, self.lam_p_b)):
             if not np.all(np.isfinite(lam_m)) or not np.all(np.isfinite(lam_p)):
                 raise SolverError("degenerate: frozen characteristic speed not finite")
-            if not np.all(lam_m < lam_p):
-                raise SolverError("degenerate: frozen speeds must satisfy lambda_- < lambda_+")
+            if not (np.all(lam_m < 0.0) and np.all(lam_p > 0.0)):
+                raise SolverError("degenerate: frozen speeds must satisfy lambda_- < 0 < lambda_+")
 
 
 def frozen_lambdas(grid: InvariantGrid, prob: MocProblem) -> FrozenField:
-    """Invert each node to primitives and evaluate both characteristic speeds."""
-    st = grid_states(grid, prob)
+    """Both characteristic speeds at every node of the grid's states."""
     lams = {}
-    for tag in ("a", "b"):
-        s = st[tag]
+    for tag, state in grid_states(grid, prob).items():
         try:
-            state = gas.PrimitiveState(u=s["u"], v=s["v"], p=s["p"], rho=s["rho"])
-            lam_m, lam_p = gas.lambda_pm(state, prob.g)
+            lams[tag] = gas.lambda_pm(state, prob.g)
         except gas.GasError as exc:
             raise SolverError(f"left-supersonic-regime: {exc} (layer {tag})") from None
-        lams[tag] = (lam_m, lam_p)
     return FrozenField(lam_m_a=lams["a"][0], lam_p_a=lams["a"][1],
                        lam_m_b=lams["b"][0], lam_p_b=lams["b"][1])
 
@@ -301,8 +294,8 @@ def _averaged_dtheta(p_prev, p_bg, a0, b0, prob):
 def coupling_coefficients(prev: InvariantGrid, prob: MocProblem) -> CouplingCoefficients:
     """Contact-closure coefficients from the previous iterate's contact row."""
     st = grid_states(prev, prob)
-    p_a = st["a"]["p"][:, 0]
-    p_b = st["b"]["p"][:, -1]
+    p_a = st["a"].p[:, 0]
+    p_b = st["b"].p[:, -1]
     sd_a0 = prob.sd_a.at(0.0)
     sd_b0 = prob.sd_b.at(0.0)
     p_bg = prob.sd_a.p_ref
@@ -407,24 +400,14 @@ def trace_characteristic(frozen: FrozenField, domain: LagrangianDomain, layer, f
 def _advect_slab(eta, z_old, lam_old, lam_new, dxi):
     """Backward-trace one step and interpolate z from the old slab.
 
-    Returns the traced values and the foot points; callers overwrite the one
-    boundary row whose foot leaves the layer with the closure value.
+    Callers overwrite the one boundary row whose foot leaves the layer with
+    the closure value; ``check_cfl`` keeps every other foot inside it.
     """
     mid = np.clip(eta - 0.5 * dxi * lam_new, eta[0], eta[-1])
     lam_mid = 0.5 * (np.interp(mid, eta, lam_old) + np.interp(mid, eta, lam_new))
     feet = eta - dxi * lam_mid
     h = eta[1] - eta[0]
-    vals = interp.cubic_clipped(eta[0], h, z_old, np.clip(feet, eta[0], eta[-1]))
-    return vals, feet
-
-
-def _check_feet(feet, eta, skip_first, skip_last, where):
-    fuzz = 1e-9 * (eta[-1] - eta[0])
-    sl = slice(1 if skip_first else 0, -1 if skip_last else None)
-    inside = (feet[sl] >= eta[0] - fuzz) & (feet[sl] <= eta[-1] + fuzz)
-    if not np.all(inside):
-        raise SolverError(f"internal error: characteristic foot outside slab ({where}); "
-                          "xi step violates the CFL-like bound")
+    return interp.cubic_clipped(eta[0], h, z_old, np.clip(feet, eta[0], eta[-1]))
 
 
 def step_linearized(prob: MocProblem, frozen: FrozenField, cc: CouplingCoefficients,
@@ -439,14 +422,10 @@ def step_linearized(prob: MocProblem, frozen: FrozenField, cc: CouplingCoefficie
     dxi = dom.dxi
     ea, eb = dom.eta_a, dom.eta_b
 
-    zm_a_new, feet = _advect_slab(ea, zm_a, frozen.lam_p_a[k], frozen.lam_p_a[k + 1], dxi)
-    _check_feet(feet, ea, skip_first=True, skip_last=False, where=f"layer a, z-, k={k}")
-    zp_a_new, feet = _advect_slab(ea, zp_a, frozen.lam_m_a[k], frozen.lam_m_a[k + 1], dxi)
-    _check_feet(feet, ea, skip_first=False, skip_last=True, where=f"layer a, z+, k={k}")
-    zm_b_new, feet = _advect_slab(eb, zm_b, frozen.lam_p_b[k], frozen.lam_p_b[k + 1], dxi)
-    _check_feet(feet, eb, skip_first=True, skip_last=False, where=f"layer b, z-, k={k}")
-    zp_b_new, feet = _advect_slab(eb, zp_b, frozen.lam_m_b[k], frozen.lam_m_b[k + 1], dxi)
-    _check_feet(feet, eb, skip_first=False, skip_last=True, where=f"layer b, z+, k={k}")
+    zm_a_new = _advect_slab(ea, zm_a, frozen.lam_p_a[k], frozen.lam_p_a[k + 1], dxi)
+    zp_a_new = _advect_slab(ea, zp_a, frozen.lam_m_a[k], frozen.lam_m_a[k + 1], dxi)
+    zm_b_new = _advect_slab(eb, zm_b, frozen.lam_p_b[k], frozen.lam_p_b[k + 1], dxi)
+    zp_b_new = _advect_slab(eb, zp_b, frozen.lam_m_b[k], frozen.lam_m_b[k + 1], dxi)
 
     # Wall reflections: the outgoing family balances the traced incoming one.
     zp_a_new[-1] = 2.0 * prob.wall_angle_plus[k + 1] - zm_a_new[-1]
@@ -470,6 +449,7 @@ def solve_linearized(prev: InvariantGrid, prob: MocProblem):
     iterate and the coefficients frozen on ``prev`` that produced it.
     """
     frozen = frozen_lambdas(prev, prob)
+    check_cfl(frozen, prob.domain)
     cc = coupling_coefficients(prev, prob)
 
     dom = prob.domain
@@ -500,8 +480,6 @@ class IterationReport:
     c0_gaps: list = field(default_factory=list)
     c1_gaps: list = field(default_factory=list)
     ratios: list = field(default_factory=list)
-    xi1_a_plus: list = field(default_factory=list)
-    xi1_b_minus: list = field(default_factory=list)
     iterations: int = 0
     converged: bool = False
     last_coupling: CouplingCoefficients = None
@@ -526,14 +504,6 @@ def _gaps(new: InvariantGrid, old: InvariantGrid, dom: LagrangianDomain):
     return c0, c0 + grad
 
 
-def _wall_hits(frozen: FrozenField, dom: LagrangianDomain):
-    hit_a = trace_characteristic(frozen, dom, "a", "+", (0.0, 0.0))
-    hit_b = trace_characteristic(frozen, dom, "b", "-", (0.0, 0.0))
-    xa = float(hit_a.xi[-1]) if hit_a.event == "wall" else float("nan")
-    xb = float(hit_b.xi[-1]) if hit_b.event == "wall" else float("nan")
-    return xa, xb
-
-
 def fixed_point(prob: MocProblem, fp_tol=1e-10, max_fp_iters=60):
     """Iterate the linearized solve from the background until the discrete-C1
     gap between successive iterates drops below fp_tol.
@@ -546,7 +516,7 @@ def fixed_point(prob: MocProblem, fp_tol=1e-10, max_fp_iters=60):
     grid = InvariantGrid.background(prob)
     check_supersonic_margin(grid, prob)
     for n in range(1, max_fp_iters + 1):
-        new, frozen, cc = solve_linearized(grid, prob)
+        new, _, cc = solve_linearized(grid, prob)
         try:
             check_supersonic_margin(new, prob)
         except SolverError as exc:
@@ -556,9 +526,6 @@ def fixed_point(prob: MocProblem, fp_tol=1e-10, max_fp_iters=60):
         report.c1_gaps.append(c1)
         if len(report.c1_gaps) > 1 and report.c1_gaps[-2] > 0:
             report.ratios.append(report.c1_gaps[-1] / report.c1_gaps[-2])
-        xa, xb = _wall_hits(frozen, prob.domain)
-        report.xi1_a_plus.append(xa)
-        report.xi1_b_minus.append(xb)
         report.iterations = n
         report.last_coupling = cc
         grid = new
@@ -616,8 +583,8 @@ def residual_check(grid: InvariantGrid, prob: MocProblem) -> ResidualReport:
             sup = max(sup, float(res.max()))
             total += float(res.sum())
             count += res.size
-    w_a = st["a"]["w"]
-    w_b = st["b"]["w"]
+    w_a = gas.flow_angle(gas.InvariantPair(grid.zm_a, grid.zp_a))
+    w_b = gas.flow_angle(gas.InvariantPair(grid.zm_b, grid.zp_b))
     wall_slip = max(
         float(np.max(np.abs(w_a[:, -1] - np.tan(prob.wall_angle_plus)))),
         float(np.max(np.abs(w_b[:, 0] - np.tan(prob.wall_angle_minus)))),
@@ -628,7 +595,7 @@ def residual_check(grid: InvariantGrid, prob: MocProblem) -> ResidualReport:
         interior_abs=interior,
         wall_slip_max=wall_slip,
         contact_w_jump=float(np.max(np.abs(w_a[:, 0] - w_b[:, -1]))),
-        contact_p_jump=float(np.max(np.abs(st["a"]["p"][:, 0] - st["b"]["p"][:, -1]))),
+        contact_p_jump=float(np.max(np.abs(st["a"].p[:, 0] - st["b"].p[:, -1]))),
     )
 
 

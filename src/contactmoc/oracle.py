@@ -35,15 +35,12 @@ class OracleGrid:
 
 
 def _slab_state(zm, zp, a0, b0, prob):
-    w = np.tan(0.5 * (zm + zp))
-    sd = gas.StreamData(a0, b0, prob.sd_a.p_ref)
-    p = gas.pressure_from_invariants(gas.InvariantPair(zm, zp), sd, prob.g,
-                                     newton_tol=prob.newton_tol,
-                                     max_newton_iters=prob.max_newton_iters)
-    u, v = gas.velocity_from_bernoulli(w, p, sd, prob.g)
-    rho = gas.density_from_pressure(p, sd, prob.g)
-    lam_m, lam_p = gas.lambda_pm(gas.PrimitiveState(u=u, v=v, p=p, rho=rho), prob.g)
-    return p, lam_m, lam_p
+    state = gas.state_from_invariants(gas.InvariantPair(zm, zp),
+                                      gas.StreamData(a0, b0, prob.sd_a.p_ref), prob.g,
+                                      newton_tol=prob.newton_tol,
+                                      max_newton_iters=prob.max_newton_iters)
+    lam_m, lam_p = gas.lambda_pm(state, prob.g)
+    return state.p, lam_m, lam_p
 
 
 def _upwind(z, lam, nu_base):

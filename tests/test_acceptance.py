@@ -26,7 +26,7 @@ def _report(criterion, detail):
 
 def _reconstructed(eps, nxi, neta):
     cfg, geom, profile, prob, grid, report = solved(eps, nxi, neta)
-    ef = lag.reconstruct(moc.primitive_fields(grid, prob), geom, prob.domain)
+    ef = lag.reconstruct(moc.grid_states(grid, prob), geom, prob.domain)
     return cfg, geom, profile, prob, grid, report, ef
 
 

@@ -1,5 +1,5 @@
 import json
-import os
+import pathlib
 import subprocess
 import sys
 
@@ -10,12 +10,9 @@ from contactmoc import cli, fixtures
 from contactmoc.expressions import SmoothExpression
 
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "contactmoc.cli", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True)
 
 
 def summary_of(result):
@@ -168,8 +165,7 @@ def test_sweep_single_eps_slope_undefined(workdir, tmp_path):
 
 def test_sweep_writes_csv_and_slope(workdir, tmp_path):
     r = run_cli("sweep", "--config", str(workdir / "pert.cfg"),
-                "--eps", "1e-4,2e-4", "--out", str(tmp_path / "s2"), "--quiet",
-                env_extra={"CONTACTMOC_THREADS": "2"})
+                "--eps", "1e-4,2e-4", "--out", str(tmp_path / "s2"), "--quiet")
     assert r.returncode == 0
     s = summary_of(r)
     assert abs(float(s["slope"]) - 1.0) < 0.1
@@ -258,6 +254,37 @@ def test_blowup_rejects_nonpositive_x_max(tmp_path, flags, file_x_max):
     assert "x_max must be positive" in r.stdout
 
 
+def test_validate_checks_blowup_only_config(workdir):
+    r = run_cli("validate", "--config", str(workdir / "blow.cfg"))
+    assert r.returncode == 0
+    assert summary_of(r) == {"status": "ok", "violations": "0"}
+
+
+@pytest.mark.parametrize("key, value, detail", [
+    ("ny", "-4", "ny must be at least 2"),
+    ("ny", "0", "ny must be at least 2"),
+    ("dx_max", "-1", "dx_max must be positive"),
+    ("rho_wall", "-1", "rho_wall must be positive"),
+    ("grad_factor", "0", "grad_factor must be positive"),
+    ("grad_floor", "-1", "grad_floor must be positive"),
+], ids=["ny-negative", "ny-zero", "dx_max-negative", "rho_wall-negative", "grad_factor-zero",
+        "grad_floor-negative"])
+def test_blowup_settings_rejected_up_front(tmp_path, key, value, detail):
+    cfgp = tmp_path / "blow.cfg"
+    fixtures.write_blowup_fixture(cfgp, delta=0.06, ny=100, x_max=40.0)
+    lines = [ln for ln in cfgp.read_text().splitlines() if not ln.startswith(f"{key} =")]
+    cfgp.write_text("\n".join(lines + [f"{key} = {value}", ""]))
+    r = run_cli("blowup", "--config", str(cfgp), "--out", str(tmp_path / "o"), "--quiet")
+    assert r.returncode == 1
+    assert len(r.stdout.splitlines()) == 1
+    s = summary_of(r)
+    assert (s["status"], s["error"]) == ("error", "validation")
+    assert detail in r.stdout
+    r = run_cli("validate", "--config", str(cfgp))
+    assert r.returncode == 1
+    assert f"violation: {detail}" in r.stdout
+
+
 def test_cfl_violation_rejected_up_front(workdir, tmp_path):
     # 101 xi nodes against 40 eta nodes breaks max|lambda| dxi <= deta in layer b
     r = run_cli("solve", "--config", str(workdir / "pert.cfg"), "--grid", "101x40",
@@ -291,6 +318,14 @@ def test_error_code_only_from_program_errors(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "status=error error=convergence code=degenerate detail='degenerate: u <= c'"
     assert "code=" not in lines[1] and "code=" not in lines[2]
+
+
+def test_package_reads_no_environment():
+    # every setting comes from the config file or the command line
+    pkg = pathlib.Path(cli.__file__).parent
+    for path in sorted(pkg.glob("*.py")):
+        src = path.read_text()
+        assert "environ" not in src and "getenv" not in src, path.name
 
 
 _SCIPY_PROBE = """\

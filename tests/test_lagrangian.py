@@ -14,6 +14,16 @@ def background_setup(nxi=50, neta=12):
     return cfg, geom, profile, flux, dom
 
 
+def background_fields(dom):
+    """The constant background as per-layer primitive states on the lattice."""
+    def layer(eta, u, rho):
+        shape = (dom.xi.size, eta.size)
+        return gas.PrimitiveState(u=np.full(shape, u), v=np.zeros(shape),
+                                  p=np.ones(shape), rho=np.full(shape, rho))
+
+    return {"a": layer(dom.eta_a, 2.2, 1.0), "b": layer(dom.eta_b, 1.9, 1.2)}
+
+
 # ---------------------------------------------------------------------------
 # mass fluxes and the forward transform
 
@@ -136,14 +146,7 @@ def test_cumulative_simpson_order_on_smooth_data():
 
 def test_reconstruct_background_exact():
     cfg, geom, profile, flux, dom = background_setup(nxi=40, neta=15)
-    shape_a = (dom.xi.size, dom.eta_a.size)
-    shape_b = (dom.xi.size, dom.eta_b.size)
-    fields = {
-        "a": dict(u=np.full(shape_a, 2.2), v=np.zeros(shape_a),
-                  p=np.ones(shape_a), rho=np.ones(shape_a)),
-        "b": dict(u=np.full(shape_b, 1.9), v=np.zeros(shape_b),
-                  p=np.ones(shape_b), rho=np.full(shape_b, 1.2)),
-    }
+    fields = background_fields(dom)
     ef = lag.reconstruct(fields, geom, dom)
     assert np.max(np.abs(ef.contact.g_cd)) < 1e-13
     assert np.max(np.abs(ef.layer_b.y[:, 0] - (-1.0))) == 0.0  # exact lower limit
@@ -153,15 +156,8 @@ def test_reconstruct_background_exact():
 
 def test_reconstruct_rejects_degenerate_jacobian():
     cfg, geom, profile, flux, dom = background_setup(nxi=20, neta=8)
-    shape_a = (dom.xi.size, dom.eta_a.size)
-    shape_b = (dom.xi.size, dom.eta_b.size)
-    fields = {
-        "a": dict(u=np.full(shape_a, 2.2), v=np.zeros(shape_a),
-                  p=np.ones(shape_a), rho=np.ones(shape_a)),
-        "b": dict(u=np.full(shape_b, 1.9), v=np.zeros(shape_b),
-                  p=np.ones(shape_b), rho=np.full(shape_b, 1.2)),
-    }
-    fields["a"]["u"][3, 4] = -0.1
+    fields = background_fields(dom)
+    fields["a"].u[3, 4] = -0.1
     with pytest.raises(lag.TransformError, match="jacobian-degenerate"):
         lag.reconstruct(fields, geom, dom)
 
@@ -173,7 +169,7 @@ def test_transform_round_trip_at_inlet():
     )
     from contactmoc import moc
 
-    fields = moc.primitive_fields(grid, prob)
+    fields = moc.grid_states(grid, prob)
     ef = lag.reconstruct(fields, geom, prob.domain)
     flux = lag.mass_fluxes(profile)
     ta, tb = lag.inlet_to_lagrangian(profile, flux, prob.domain)
@@ -185,7 +181,7 @@ def test_contact_slope_consistent_with_finite_differences():
     cfg, geom, profile, prob, grid, report = solved(1e-3, 101, 26)
     from contactmoc import moc
 
-    fields = moc.primitive_fields(grid, prob)
+    fields = moc.grid_states(grid, prob)
     ef = lag.reconstruct(fields, geom, prob.domain)
     fd = np.gradient(ef.contact.g_cd, ef.x)
     err = np.max(np.abs(fd - ef.contact.d_g_cd))
@@ -198,7 +194,7 @@ def test_cross_section_mass_flux_conserved():
     cfg, geom, profile, prob, grid, report = solved(1e-3, 101, 26)
     from contactmoc import moc
 
-    fields = moc.primitive_fields(grid, prob)
+    fields = moc.grid_states(grid, prob)
     ef = lag.reconstruct(fields, geom, prob.domain)
     total = lag.cross_section_mass_flux(ef, prob.domain)
     expect = prob.domain.m_a + prob.domain.m_b
@@ -207,14 +203,7 @@ def test_cross_section_mass_flux_conserved():
 
 def test_weak_residual_background_zero():
     cfg, geom, profile, flux, dom = background_setup(nxi=30, neta=10)
-    shape_a = (dom.xi.size, dom.eta_a.size)
-    shape_b = (dom.xi.size, dom.eta_b.size)
-    fields = {
-        "a": dict(u=np.full(shape_a, 2.2), v=np.zeros(shape_a),
-                  p=np.ones(shape_a), rho=np.ones(shape_a)),
-        "b": dict(u=np.full(shape_b, 1.9), v=np.zeros(shape_b),
-                  p=np.ones(shape_b), rho=np.full(shape_b, 1.2)),
-    }
+    fields = background_fields(dom)
     ef = lag.reconstruct(fields, geom, dom)
     rep = lag.weak_residual(ef, G)
     assert rep.max_residual == 0.0
@@ -224,15 +213,8 @@ def test_weak_residual_background_zero():
 
 def test_weak_residual_flags_broken_contact_pressure():
     cfg, geom, profile, flux, dom = background_setup(nxi=30, neta=10)
-    shape_a = (dom.xi.size, dom.eta_a.size)
-    shape_b = (dom.xi.size, dom.eta_b.size)
-    fields = {
-        "a": dict(u=np.full(shape_a, 2.2), v=np.zeros(shape_a),
-                  p=np.ones(shape_a), rho=np.ones(shape_a)),
-        "b": dict(u=np.full(shape_b, 1.9), v=np.zeros(shape_b),
-                  p=np.ones(shape_b), rho=np.full(shape_b, 1.2)),
-    }
-    fields["a"]["p"][:, 0] += 1e-3
+    fields = background_fields(dom)
+    fields["a"].p[:, 0] += 1e-3
     ef = lag.reconstruct(fields, geom, dom)
     rep = lag.weak_residual(ef, G)
     assert rep.contact_pressure_jump == pytest.approx(1e-3, rel=1e-12)
@@ -240,14 +222,7 @@ def test_weak_residual_flags_broken_contact_pressure():
 
 def test_field_csv_written_with_layers(tmp_path):
     cfg, geom, profile, flux, dom = background_setup(nxi=20, neta=8)
-    shape_a = (dom.xi.size, dom.eta_a.size)
-    shape_b = (dom.xi.size, dom.eta_b.size)
-    fields = {
-        "a": dict(u=np.full(shape_a, 2.2), v=np.zeros(shape_a),
-                  p=np.ones(shape_a), rho=np.ones(shape_a)),
-        "b": dict(u=np.full(shape_b, 1.9), v=np.zeros(shape_b),
-                  p=np.ones(shape_b), rho=np.full(shape_b, 1.2)),
-    }
+    fields = background_fields(dom)
     ef = lag.reconstruct(fields, geom, dom)
     path = tmp_path / "fields.csv"
     lag.write_field_csv(ef, path)
@@ -266,7 +241,7 @@ def test_top_gap_second_order_under_refinement():
     gaps = []
     for nxi, neta in ((101, 26), (201, 51)):
         cfg, geom, profile, prob, grid, report = solved(1e-3, nxi, neta)
-        ef = lag.reconstruct(moc.primitive_fields(grid, prob), geom, prob.domain)
+        ef = lag.reconstruct(moc.grid_states(grid, prob), geom, prob.domain)
         gaps.append(ef.top_gap)
     assert gaps[1] < gaps[0]
     assert gaps[0] / gaps[1] > 3.0  # ~4 for an O(h^2) conservation defect

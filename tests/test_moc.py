@@ -38,12 +38,11 @@ def test_frozen_lambdas_match_direct_recomputation(rng):
     cfg, geom, profile, prob = solved(1e-3, 101, 26)[3], None, None, None
     cfg, geom, profile, prob, grid, report = solved(1e-3, 101, 26)
     frozen = moc.frozen_lambdas(grid, prob)
-    st = moc.grid_states(grid, prob)
+    st = moc.grid_states(grid, prob)["a"]
     ks = rng.integers(0, grid.zm_a.shape[0], 100)
     js = rng.integers(0, grid.zm_a.shape[1], 100)
     for k, j in zip(ks, js):
-        state = gas.PrimitiveState(u=st["a"]["u"][k, j], v=st["a"]["v"][k, j],
-                                   p=st["a"]["p"][k, j], rho=st["a"]["rho"][k, j])
+        state = gas.PrimitiveState(u=st.u[k, j], v=st.v[k, j], p=st.p[k, j], rho=st.rho[k, j])
         lam_m, lam_p = gas.lambda_pm(state, G)
         assert frozen.lam_p_a[k, j] == pytest.approx(lam_p, abs=1e-12)
         assert frozen.lam_m_a[k, j] == pytest.approx(lam_m, abs=1e-12)
@@ -112,13 +111,19 @@ def test_trace_straight_line_for_constant_field():
     assert path.xi[-1] == pytest.approx(prob.domain.m_a / lam, abs=1e-10)
 
 
-def test_trace_wall_hits_recorded_in_report():
+def test_trace_wall_hits_of_converged_field():
+    # the corner characteristics of the converged frozen field reach the
+    # walls close to where the background's straight rays do
     cfg, geom, profile, prob, grid, report = solved(1e-3, 101, 26)
+    frozen = moc.frozen_lambdas(grid, prob)
+    hit_a = moc.trace_characteristic(frozen, prob.domain, "a", "+", (0.0, 0.0))
+    hit_b = moc.trace_characteristic(frozen, prob.domain, "b", "-", (0.0, 0.0))
+    assert (hit_a.event, hit_b.event) == ("wall", "wall")
     lam_a = 1.0 * 2.2 * np.sqrt(1.4) / np.sqrt(2.2**2 - 1.4)
-    assert report.xi1_a_plus[-1] == pytest.approx(2.2 / lam_a, rel=5e-3)
+    assert hit_a.xi[-1] == pytest.approx(2.2 / lam_a, rel=5e-3)
     c_b = np.sqrt(1.4 / 1.2)
     lam_b = 1.2 * 1.9 * c_b / np.sqrt(1.9**2 - c_b**2)
-    assert report.xi1_b_minus[-1] == pytest.approx(2.28 / lam_b, rel=5e-3)
+    assert hit_b.xi[-1] == pytest.approx(2.28 / lam_b, rel=5e-3)
 
 
 def test_trace_back_and_forth_second_order():
@@ -272,7 +277,7 @@ def test_converged_grid_inverts_from_cold_in_few_sweeps():
                             prob.sd_a.p_ref)
         p = gas.pressure_from_invariants(gas.InvariantPair(zm, zp), sd, prob.g,
                                          newton_tol=prob.newton_tol, max_newton_iters=3)
-        assert np.array_equal(p, states[tag]["p"])
+        assert np.array_equal(p, states[tag].p)
 
 
 def test_fixed_point_no_convergence_carries_report():
@@ -398,8 +403,36 @@ def test_cfl_bound_checked_at_build_with_smallest_nxi(monkeypatch):
     moc.solve_linearized(moc.InvariantGrid.background(prob), prob)
     with pytest.raises(moc.SolverError, match=r"^cfl: .*smallest valid nxi is 109"):
         assemble(1e-3, 108, 40)
-    # without the up-front check the same lattice fails inside the march
-    monkeypatch.setattr(moc, "check_cfl", lambda prob: None)
-    _, _, _, prob = assemble(1e-3, 108, 40)
-    with pytest.raises(moc.SolverError, match="characteristic foot outside slab"):
+    # without the build-time check the march rejects the same lattice
+    with monkeypatch.context() as m:
+        m.setattr(moc, "check_cfl", lambda frozen, domain: None)
+        _, _, _, prob = assemble(1e-3, 108, 40)
+    with pytest.raises(moc.SolverError, match=r"^cfl: .*smallest valid nxi is 109"):
         moc.solve_linearized(moc.InvariantGrid.background(prob), prob)
+
+
+def test_cfl_checked_on_every_frozen_field():
+    # The lattice passes the build check, but a previous iterate with a
+    # raised pressure in layer b (closer to sonic, so faster characteristics)
+    # freezes speeds that break max|lambda| dxi <= deta.
+    _, _, _, prob = assemble(1e-3, 109, 40)
+    base = moc.InvariantGrid.background(prob)
+    bump = 0.02
+    prev = moc.InvariantGrid(prob.domain, base.zm_a, base.zp_a,
+                             base.zm_b + bump, base.zp_b - bump)
+    with pytest.raises(moc.SolverError, match=r"^cfl: .* in layer b at nxi = 109") as err:
+        moc.solve_linearized(prev, prob)
+    nxi_min = int(str(err.value).rsplit(" ", 1)[1])
+    assert nxi_min > 109
+
+
+@pytest.mark.parametrize("which", ["lambda_plus", "lambda_minus"])
+def test_frozen_field_requires_one_incoming_family(which):
+    lam = np.full((5, 4), 1.4)
+    lam_m, lam_p = -lam, lam.copy()
+    if which == "lambda_plus":
+        lam_p[2, 3] = -0.1  # still above lambda_minus, but no longer outgoing
+    else:
+        lam_m[2, 3] = 0.0
+    with pytest.raises(moc.SolverError, match="^degenerate: .*lambda_- < 0 < lambda_+"):
+        moc.FrozenField(lam_m_a=lam_m, lam_p_a=lam_p, lam_m_b=-lam, lam_p_b=lam)
