@@ -3,12 +3,18 @@
 Two flavours of piecewise cubic Hermite interpolation:
 
 * On uniform lattices (``monotone_slopes``, ``hermite_eval``,
-  ``monotone_interp``, ``cubic_clipped``): Fritsch-Carlson slopes (harmonic
-  mean of adjacent secants, zero at local extrema) with cubic Hermite
-  evaluation, stacked rows along the last axis.  Reproduces constants and
-  straight lines up to rounding (not bit for bit: a flat row of 0.3 can come
-  back an ulp off) and never overshoots the local data range, which is what
-  the semi-Lagrangian updates rely on at the contact row.
+  ``monotone_interp``): Fritsch-Carlson slopes (harmonic mean of adjacent
+  secants, zero at local extrema) with cubic Hermite evaluation, stacked
+  rows along the last axis.  Reproduces constants and straight lines up to
+  rounding (not bit for bit: a flat row of 0.3 can come back an ulp off) and
+  never overshoots the local data range, which is what the semi-Lagrangian
+  updates rely on at the contact row.
+
+* The clipped four-point Lagrange cubic on a uniform lattice
+  (``cubic_clipped``), in two halves: ``cubic_stencil`` maps queries to
+  their stencil and local coordinate, ``cubic_eval`` gathers the values and
+  evaluates.  The nozzle march plans the stencils of a whole outer
+  iteration at once and evaluates them step by step.
 
 * On non-uniform knots (``pchip``, ``PiecewisePoly``): the PCHIP of Fritsch
   & Butland (SIAM J. Sci. Comput. 5, 1984) with weighted harmonic slopes and
@@ -82,35 +88,50 @@ def monotone_interp(y0, h, v, yq):
     return hermite_eval(y0, h, v, monotone_slopes(v, h), yq)
 
 
-def cubic_clipped(y0, h, v, yq):
-    """Four-point Lagrange cubic clipped to the bracketing-node range.
+_STENCIL = np.arange(4)
 
-    Full fourth-order accuracy wherever the data is locally monotone; the
-    clip caps overshoot at extrema and boundary cells to the local data
-    range, which is what the contact-row update needs.
+
+def cubic_stencil(y0, h, n, yq):
+    """Stencil of the clipped four-point cubic on the lattice y0 + i*h,
+    i < n, for each query in ``yq`` (any shape; queries are expected inside
+    the lattice span).
+
+    Returns ``(base, cell, s)``: the first of the four stencil nodes, the
+    left node of the bracketing cell and the local coordinate in [0, 3]
+    over the stencil.  Raises ValueError for n < 4.
     """
-    v = np.asarray(v, dtype=float)
-    yq = np.asarray(yq, dtype=float)
-    n = v.size
     if n < 4:
-        return monotone_interp(y0, h, v, yq)
-    t = (yq - y0) / h
-    cell = np.clip(np.floor(t).astype(int), 0, n - 2)
+        raise ValueError(f"the four-point cubic needs at least 4 nodes, got {n}")
+    t = (np.asarray(yq, dtype=float) - y0) / h
+    cell = np.clip(np.floor(t).astype(np.intp), 0, n - 2)
     base = np.clip(cell - 1, 0, n - 4)
-    s = t - base  # local coordinate in [0, 3] over the 4-point stencil
-    v0 = v[base]
-    v1 = v[base + 1]
-    v2 = v[base + 2]
-    v3 = v[base + 3]
+    return base, cell, t - base
+
+
+def cubic_eval(v, base, cell, s):
+    """Four-point Lagrange cubic of the 1-D samples ``v`` on a stencil from
+    ``cubic_stencil``, clipped to the range of the bracketing pair."""
+    v0, v1, v2, v3 = v.take(np.add.outer(_STENCIL, base))
+    c0, c1 = v.take(np.add.outer(_STENCIL[:2], cell))
     out = (
         -v0 * (s - 1.0) * (s - 2.0) * (s - 3.0) / 6.0
         + v1 * s * (s - 2.0) * (s - 3.0) / 2.0
         - v2 * s * (s - 1.0) * (s - 3.0) / 2.0
         + v3 * s * (s - 1.0) * (s - 2.0) / 6.0
     )
-    lo = np.minimum(v[cell], v[cell + 1])
-    hi = np.maximum(v[cell], v[cell + 1])
-    return np.clip(out, lo, hi)
+    return np.clip(out, np.minimum(c0, c1), np.maximum(c0, c1))
+
+
+def cubic_clipped(y0, h, v, yq):
+    """Four-point Lagrange cubic clipped to the bracketing-node range.
+
+    Full fourth-order accuracy wherever the data is locally monotone; the
+    clip caps overshoot at extrema and boundary cells to the local data
+    range, which is what the contact-row update needs.  Needs at least four
+    samples.
+    """
+    v = np.asarray(v, dtype=float)
+    return cubic_eval(v, *cubic_stencil(y0, h, v.size, yq))
 
 
 class PiecewisePoly:

@@ -11,7 +11,13 @@ Each outer iteration inverts the previous iterate to primitive states once
 resulting linear transport problem exactly in the semi-Lagrangian sense:
 every invariant is constant along its own frozen characteristic, so one
 backward trace plus clipped cubic interpolation per node advances a
-xi-slab.  The problem is well posed because each layer has one incoming and
+xi-slab.  The speeds are frozen, so the feet do not depend on z: the march
+first plans every step (``plan_march``: midpoint foot, clipped foot and
+cubic stencil of every node of every step, the four slabs stacked into one
+row ``zm_a | zp_a | zm_b | zp_b``), then sweeps in xi (``step_linearized``:
+one gather of the stencil values, one of the bracketing pairs, the Lagrange
+sum and its clip, then the wall and contact closures on the four boundary
+entries).  The problem is well posed because each layer has one incoming and
 one outgoing family at every wall and at the contact (lambda_- < 0 <
 lambda_+, required by ``FrozenField``), and the march stays inside its
 domain of dependence because ``check_cfl`` enforces max|lambda| dxi <= deta
@@ -397,48 +403,89 @@ def trace_characteristic(frozen: FrozenField, domain: LagrangianDomain, layer, f
 # Linearized march
 
 
-def _advect_slab(eta, z_old, lam_old, lam_new, dxi):
-    """Backward-trace one step and interpolate z from the old slab.
+@dataclass(frozen=True)
+class MarchPlan:
+    """Backward-trace data of every step of one frozen field.
 
-    Callers overwrite the one boundary row whose foot leaves the layer with
-    the closure value; ``check_cfl`` keeps every other foot inside it.
+    The four slabs are stacked into one row, ``zm_a | zp_a | zm_b | zp_b``,
+    with ``slices`` marking each slab.  Row k of ``base``, ``cell`` and ``s``
+    serves the step xi_k -> xi_{k+1}: the stacked-row index of each node's
+    first stencil node and of the left node of its bracketing cell, and the
+    local coordinate of its foot (``interp.cubic_stencil``).
     """
-    mid = np.clip(eta - 0.5 * dxi * lam_new, eta[0], eta[-1])
-    lam_mid = 0.5 * (np.interp(mid, eta, lam_old) + np.interp(mid, eta, lam_new))
-    feet = eta - dxi * lam_mid
-    h = eta[1] - eta[0]
-    return interp.cubic_clipped(eta[0], h, z_old, np.clip(feet, eta[0], eta[-1]))
+
+    slices: tuple
+    base: np.ndarray
+    cell: np.ndarray
+    s: np.ndarray
 
 
-def step_linearized(prob: MocProblem, frozen: FrozenField, cc: CouplingCoefficients,
-                    k, zm_a, zp_a, zm_b, zp_b):
-    """Advance all four invariant slabs from xi_k to xi_{k+1}.
+def plan_march(frozen: FrozenField, domain: LagrangianDomain) -> MarchPlan:
+    """Trace every node of every step back along its frozen characteristic.
 
-    Interior and incoming-boundary nodes are traced; the outgoing rows are
-    assigned afterwards: wall reflection at eta = +-m, the two-sided coupling
-    at the contact.
+    The speeds are frozen, so the feet do not depend on z: each foot comes
+    from the midpoint speed, the mean of the rows xi_k and xi_{k+1} at the
+    clipped half-step point.  Feet are clipped to their slab; ``check_cfl``
+    keeps every foot a closure does not overwrite inside it.
     """
-    dom = prob.domain
-    dxi = dom.dxi
-    ea, eb = dom.eta_a, dom.eta_b
+    dxi = domain.dxi
+    etas = (domain.eta_a, domain.eta_a, domain.eta_b, domain.eta_b)
+    ends = np.cumsum([0] + [eta.size for eta in etas]).tolist()
+    slices = tuple(slice(start, stop) for start, stop in zip(ends[:-1], ends[1:]))
+    shape = (domain.xi.size - 1, ends[-1])
+    base, cell, s = np.empty(shape, np.intp), np.empty(shape, np.intp), np.empty(shape)
+    for eta, lam, sl in zip(etas, (frozen.lam_p_a, frozen.lam_m_a, frozen.lam_p_b, frozen.lam_m_b),
+                            slices):
+        mid = np.clip(eta - 0.5 * dxi * lam[1:], eta[0], eta[-1])
+        at_mid = np.empty((2,) + mid.shape)  # rows k and k + 1 at the midpoints
+        for k, m in enumerate(mid):
+            at_mid[0, k] = np.interp(m, eta, lam[k])
+            at_mid[1, k] = np.interp(m, eta, lam[k + 1])
+        feet = np.clip(eta - dxi * (0.5 * (at_mid[0] + at_mid[1])), eta[0], eta[-1])
+        base[:, sl], cell[:, sl], s[:, sl] = interp.cubic_stencil(eta[0], eta[1] - eta[0],
+                                                                   eta.size, feet)
+        base[:, sl] += sl.start
+        cell[:, sl] += sl.start
+    return MarchPlan(slices, base, cell, s)
 
-    zm_a_new = _advect_slab(ea, zm_a, frozen.lam_p_a[k], frozen.lam_p_a[k + 1], dxi)
-    zp_a_new = _advect_slab(ea, zp_a, frozen.lam_m_a[k], frozen.lam_m_a[k + 1], dxi)
-    zm_b_new = _advect_slab(eb, zm_b, frozen.lam_p_b[k], frozen.lam_p_b[k + 1], dxi)
-    zp_b_new = _advect_slab(eb, zp_b, frozen.lam_m_b[k], frozen.lam_m_b[k + 1], dxi)
+
+def step_linearized(prob: MocProblem, plan: MarchPlan, cc: CouplingCoefficients, k, z):
+    """Advance the stacked invariant row ``z`` from xi_k to xi_{k+1}.
+
+    Every node takes the clipped cubic at its planned foot; the outgoing
+    boundary entries are then assigned: wall reflection at eta = +-m, the
+    two-sided coupling at the contact.
+    """
+    new = interp.cubic_eval(z, plan.base[k], plan.cell[k], plan.s[k])
+    # The contact eta = 0 is the first node of layer a and the last of b.
+    zm_a, zp_a, zm_b, zp_b = plan.slices
 
     # Wall reflections: the outgoing family balances the traced incoming one.
-    zp_a_new[-1] = 2.0 * prob.wall_angle_plus[k + 1] - zm_a_new[-1]
-    zm_b_new[0] = 2.0 * prob.wall_angle_minus[k + 1] - zp_b_new[0]
+    new[zp_a.stop - 1] = 2.0 * prob.wall_angle_plus[k + 1] - new[zm_a.stop - 1]
+    new[zm_b.start] = 2.0 * prob.wall_angle_minus[k + 1] - new[zp_b.start]
 
     # Contact coupling: incoming are z+ from above and z- from below.
-    d_in_a = zp_a_new[0] - prob.zbar_a[1]
-    d_in_b = zm_b_new[-1] - prob.zbar_b[0]
+    d_in_a = new[zp_a.start] - prob.zbar_a[1]
+    d_in_b = new[zm_b.stop - 1] - prob.zbar_b[0]
     g1, g2, g3 = cc.gamma1[k + 1], cc.gamma2[k + 1], cc.gamma3[k + 1]
-    zm_a_new[0] = prob.zbar_a[0] + g1 * d_in_a + g3 * d_in_b
-    zp_b_new[-1] = prob.zbar_b[1] + g2 * d_in_a - g1 * d_in_b
+    new[zm_a.start] = prob.zbar_a[0] + g1 * d_in_a + g3 * d_in_b
+    new[zp_b.stop - 1] = prob.zbar_b[1] + g2 * d_in_a - g1 * d_in_b
+    return new
 
-    return zm_a_new, zp_a_new, zm_b_new, zp_b_new
+
+def march_linearized(prob: MocProblem, frozen: FrozenField, cc: CouplingCoefficients):
+    """March the linear transport problem from the inlet to xi = L: plan
+    every step once, then advance the stacked row one step at a time.
+
+    Returns the four invariant arrays (zm_a, zp_a, zm_b, zp_b).
+    """
+    plan = plan_march(frozen, prob.domain)
+    z = np.empty((prob.domain.xi.size, plan.s.shape[1]))
+    z[0] = np.concatenate([prob.inlet_z_a.z_minus, prob.inlet_z_a.z_plus,
+                           prob.inlet_z_b.z_minus, prob.inlet_z_b.z_plus])
+    for k in range(z.shape[0] - 1):
+        z[k + 1] = step_linearized(prob, plan, cc, k, z[k])
+    return tuple(z[:, sl].copy() for sl in plan.slices)
 
 
 def solve_linearized(prev: InvariantGrid, prob: MocProblem):
@@ -451,22 +498,7 @@ def solve_linearized(prev: InvariantGrid, prob: MocProblem):
     frozen = frozen_lambdas(prev, prob)
     check_cfl(frozen, prob.domain)
     cc = coupling_coefficients(prev, prob)
-
-    dom = prob.domain
-    nxi = dom.xi.size
-    zm_a = np.empty((nxi, dom.eta_a.size))
-    zp_a = np.empty_like(zm_a)
-    zm_b = np.empty((nxi, dom.eta_b.size))
-    zp_b = np.empty_like(zm_b)
-    zm_a[0] = np.asarray(prob.inlet_z_a.z_minus)
-    zp_a[0] = np.asarray(prob.inlet_z_a.z_plus)
-    zm_b[0] = np.asarray(prob.inlet_z_b.z_minus)
-    zp_b[0] = np.asarray(prob.inlet_z_b.z_plus)
-    for k in range(nxi - 1):
-        zm_a[k + 1], zp_a[k + 1], zm_b[k + 1], zp_b[k + 1] = step_linearized(
-            prob, frozen, cc, k, zm_a[k], zp_a[k], zm_b[k], zp_b[k]
-        )
-    return InvariantGrid(dom, zm_a, zp_a, zm_b, zp_b), frozen, cc
+    return InvariantGrid(prob.domain, *march_linearized(prob, frozen, cc)), frozen, cc
 
 
 # ---------------------------------------------------------------------------
@@ -509,15 +541,17 @@ def fixed_point(prob: MocProblem, fp_tol=1e-10, max_fp_iters=60):
     gap between successive iterates drops below fp_tol.
 
     Returns (InvariantGrid, IterationReport).  Raises SolverError
-    ("no-convergence", report attached) after max_fp_iters, and
-    ("left-supersonic-regime") if an iterate violates the margin.
+    ("no-convergence") after max_fp_iters, and whatever SolverError an
+    iteration raises ("left-supersonic-regime", "cfl", "sonic-limit",
+    "degenerate"); each failure inside the loop carries the report of the
+    iterations completed before it.
     """
     report = IterationReport()
     grid = InvariantGrid.background(prob)
     check_supersonic_margin(grid, prob)
     for n in range(1, max_fp_iters + 1):
-        new, _, cc = solve_linearized(grid, prob)
         try:
+            new, _, cc = solve_linearized(grid, prob)
             check_supersonic_margin(new, prob)
         except SolverError as exc:
             raise SolverError(str(exc), report=report) from None

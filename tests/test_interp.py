@@ -1,5 +1,6 @@
 """The non-uniform PCHIP in ``interp`` against scipy's PchipInterpolator, bit
-for bit: values, piece coefficients, derivatives and the antiderivative."""
+for bit: values, piece coefficients, derivatives and the antiderivative; and
+the clipped four-point cubic against its one-function form."""
 
 import numpy as np
 import pytest
@@ -93,3 +94,54 @@ def test_speed_table_bit_equal_to_scipy(rng):
 def test_pchip_rejects_bad_knots(x, y):
     with pytest.raises(ValueError, match="strictly increasing"):
         interp.pchip(x, y)
+
+
+def _cubic_clipped_one_function(y0, h, v, yq):
+    """The clipped cubic as one function, before its stencil and evaluator
+    were split apart (its n < 4 fallback left out)."""
+    v = np.asarray(v, dtype=float)
+    yq = np.asarray(yq, dtype=float)
+    n = v.size
+    t = (yq - y0) / h
+    cell = np.clip(np.floor(t).astype(int), 0, n - 2)
+    base = np.clip(cell - 1, 0, n - 4)
+    s = t - base
+    v0 = v[base]
+    v1 = v[base + 1]
+    v2 = v[base + 2]
+    v3 = v[base + 3]
+    out = (
+        -v0 * (s - 1.0) * (s - 2.0) * (s - 3.0) / 6.0
+        + v1 * s * (s - 2.0) * (s - 3.0) / 2.0
+        - v2 * s * (s - 1.0) * (s - 3.0) / 2.0
+        + v3 * s * (s - 1.0) * (s - 2.0) / 6.0
+    )
+    lo = np.minimum(v[cell], v[cell + 1])
+    hi = np.maximum(v[cell], v[cell + 1])
+    return np.clip(out, lo, hi)
+
+
+@pytest.mark.parametrize("n", [4, 5, 9, 35, 101])
+def test_cubic_clipped_bit_equal_to_one_function_form(n):
+    rng = np.random.default_rng(n)
+    y0, h = rng.uniform(-2.0, 2.0), rng.uniform(0.01, 1.0)
+    nodes = np.linspace(y0, y0 + (n - 1) * h, n)
+    for v in (rng.normal(size=n), np.cumsum(rng.uniform(0.0, 1.0, n)), np.zeros(n)):
+        # every node (computed both ways), both ends, and random interior points
+        q = np.concatenate([nodes, y0 + h * np.arange(n), [y0, nodes[-1]],
+                            rng.uniform(y0, nodes[-1], 400)])
+        ours = interp.cubic_clipped(y0, h, v, q)
+        assert np.array_equal(ours, _cubic_clipped_one_function(y0, h, v, q))
+        q2 = q[:400].reshape(20, 20)
+        assert np.array_equal(interp.cubic_clipped(y0, h, v, q2),
+                              _cubic_clipped_one_function(y0, h, v, q2))
+        one = interp.cubic_clipped(y0, h, v, q[n + 1])
+        assert np.shape(one) == ()
+        assert one == _cubic_clipped_one_function(y0, h, v, q[n + 1])
+
+
+def test_cubic_clipped_needs_four_samples():
+    with pytest.raises(ValueError, match="at least 4 nodes"):
+        interp.cubic_clipped(0.0, 0.5, [1.0, 2.0, 0.5], [0.25, 0.75])
+    with pytest.raises(ValueError, match="at least 4 nodes"):
+        interp.cubic_stencil(0.0, 0.5, 3, [0.25])

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from contactmoc import cli, gas, moc
+from contactmoc import cli, fixtures, gas, interp, moc
 from tests.conftest import assemble, solved
 
 G = gas.GasConstants(1.4)
@@ -206,10 +208,11 @@ def test_step_against_dense_characteristic_fan():
             lam_p_b=np.full((nxi, dom.eta_b.size), lam_a),
         )
         cc = moc.coupling_coefficients(moc.InvariantGrid.background(prob), prob)
+        plan = moc.plan_march(frozen, dom)
         k = 40
-        new = moc.step_linearized(prob, frozen, cc, k,
-                                  z_data(eta) + prob.zbar_a[0], np.zeros_like(eta),
-                                  np.zeros(dom.eta_b.size), np.zeros(dom.eta_b.size))[0]
+        z = np.concatenate([z_data(eta) + prob.zbar_a[0], np.zeros_like(eta),
+                            np.zeros(dom.eta_b.size), np.zeros(dom.eta_b.size)])
+        new = moc.step_linearized(prob, plan, cc, k, z)[plan.slices[0]]
         feet = []
         for e in eta[1:]:
             pos = e
@@ -227,6 +230,94 @@ def test_step_against_dense_characteristic_fan():
     e_fine = step_error(51, 201)
     assert e_fine < e_coarse
     assert e_coarse / e_fine > 3.0  # ~4 expected for an O(deta^2) step
+
+
+def _per_slab_march(prob, frozen, cc, hits):
+    """The march one slab at a time, tracing every foot inside the step:
+    the reference the planned, stacked march must reproduce bit for bit.
+    Counts interior midpoints and feet that land exactly on a node, and
+    boundary rows whose midpoint and foot are both clipped, in ``hits``."""
+    dom = prob.domain
+    dxi = dom.dxi
+
+    def advect(eta, z_old, lam_old, lam_new):
+        mid = np.clip(eta - 0.5 * dxi * lam_new, eta[0], eta[-1])
+        lam_mid = 0.5 * (np.interp(mid, eta, lam_old) + np.interp(mid, eta, lam_new))
+        feet = eta - dxi * lam_mid
+        hits["mid"] += int(np.isin(mid[1:-1], eta).sum())
+        hits["feet"] += int(np.isin(feet[1:-1], eta).sum())
+        hits["clipped"] += int(mid[0] == eta[0] and feet[0] < eta[0])
+        hits["clipped"] += int(mid[-1] == eta[-1] and feet[-1] > eta[-1])
+        h = eta[1] - eta[0]
+        return interp.cubic_clipped(eta[0], h, z_old, np.clip(feet, eta[0], eta[-1]))
+
+    rows = [[np.asarray(z)] for z in (prob.inlet_z_a.z_minus, prob.inlet_z_a.z_plus,
+                                      prob.inlet_z_b.z_minus, prob.inlet_z_b.z_plus)]
+    ea, eb = dom.eta_a, dom.eta_b
+    for k in range(dom.xi.size - 1):
+        zm_a = advect(ea, rows[0][-1], frozen.lam_p_a[k], frozen.lam_p_a[k + 1])
+        zp_a = advect(ea, rows[1][-1], frozen.lam_m_a[k], frozen.lam_m_a[k + 1])
+        zm_b = advect(eb, rows[2][-1], frozen.lam_p_b[k], frozen.lam_p_b[k + 1])
+        zp_b = advect(eb, rows[3][-1], frozen.lam_m_b[k], frozen.lam_m_b[k + 1])
+        zp_a[-1] = 2.0 * prob.wall_angle_plus[k + 1] - zm_a[-1]
+        zm_b[0] = 2.0 * prob.wall_angle_minus[k + 1] - zp_b[0]
+        d_in_a = zp_a[0] - prob.zbar_a[1]
+        d_in_b = zm_b[-1] - prob.zbar_b[0]
+        g1, g2, g3 = cc.gamma1[k + 1], cc.gamma2[k + 1], cc.gamma3[k + 1]
+        zm_a[0] = prob.zbar_a[0] + g1 * d_in_a + g3 * d_in_b
+        zp_b[-1] = prob.zbar_b[1] + g2 * d_in_a - g1 * d_in_b
+        for row, z in zip(rows, (zm_a, zp_a, zm_b, zp_b)):
+            row.append(z)
+    return [np.array(row) for row in rows]
+
+
+@pytest.mark.parametrize("speeds", ["random", "tiny", "cfl-one"])
+@pytest.mark.parametrize("neta_a,neta_b", [(12, 17), (19, 6)])
+def test_stacked_march_bit_equal_to_per_slab_march(speeds, neta_a, neta_b):
+    cfg, geom, profile = fixtures.perturbed_inputs(1e-3, nxi=60, neta=neta_a)
+    cfg = dataclasses.replace(cfg, grid_neta_b=neta_b)
+    prob, _ = cli.build_pipeline(cfg, geom, profile)
+    dom = prob.domain
+    nxi = dom.xi.size
+    rng = np.random.default_rng(neta_a * 100 + neta_b)
+
+    def speed(eta, sign):
+        """Frozen speeds of one sign with max|lambda| dxi <= deta."""
+        cap = (eta[1] - eta[0]) / dom.dxi
+        if speeds == "cfl-one":  # feet one deta upstream, up to rounding
+            return np.full((nxi, eta.size), sign * cap)
+        lam = rng.uniform(0.05, 1.0, (nxi, eta.size)) * cap
+        if speeds == "tiny":
+            # midpoints and feet on their own nodes: eta - tiny == eta
+            lam[rng.uniform(size=lam.shape) < 0.4] = 1e-200
+        return sign * lam
+
+    frozen = moc.FrozenField(lam_m_a=speed(dom.eta_a, -1.0), lam_p_a=speed(dom.eta_a, 1.0),
+                             lam_m_b=speed(dom.eta_b, -1.0), lam_p_b=speed(dom.eta_b, 1.0))
+    moc.check_cfl(frozen, dom)
+    alpha, beta = rng.uniform(0.5, 2.0, nxi), rng.uniform(0.5, 2.0, nxi)
+    cc = moc.CouplingCoefficients(alpha=alpha, beta=beta, gamma1=(alpha - beta) / (alpha + beta),
+                                  gamma2=2.0 * alpha / (alpha + beta),
+                                  gamma3=2.0 * beta / (alpha + beta))
+    prob = dataclasses.replace(
+        prob,
+        inlet_z_a=gas.InvariantPair(*(z + 1e-3 * rng.normal(size=neta_a) for z in prob.zbar_a)),
+        inlet_z_b=gas.InvariantPair(*(z + 1e-3 * rng.normal(size=neta_b) for z in prob.zbar_b)))
+
+    hits = {"mid": 0, "feet": 0, "clipped": 0}
+    ref = _per_slab_march(prob, frozen, cc, hits)
+    ours = moc.march_linearized(prob, frozen, cc)
+    for name, r, o in zip(("zm_a", "zp_a", "zm_b", "zp_b"), ref, ours):
+        assert o.shape == r.shape, name
+        assert np.array_equal(o, r), name
+    # each slab's upstream boundary row has its midpoint and foot clipped
+    # to eta[0] (lambda_+ slabs) or eta[-1] (lambda_- slabs) at every step,
+    # save where a tiny speed leaves both on the boundary node
+    if speeds == "tiny":
+        assert 0 < hits["clipped"] < 4 * (nxi - 1)
+        assert hits["mid"] > 100 and hits["feet"] > 100
+    else:
+        assert hits["clipped"] == 4 * (nxi - 1)
 
 
 def test_solve_outputs_lipschitz_in_prev():
@@ -286,6 +377,29 @@ def test_fixed_point_no_convergence_carries_report():
         moc.fixed_point(prob, fp_tol=1e-30, max_fp_iters=2)
     assert err.value.report is not None
     assert err.value.report.iterations == 2
+
+
+@pytest.mark.parametrize("stage,code", [("check_cfl", "cfl"),
+                                        ("coupling_coefficients", "sonic-limit"),
+                                        ("frozen_lambdas", "degenerate")])
+def test_failure_inside_an_iteration_carries_report(monkeypatch, stage, code):
+    # the first iteration completes; the second fails inside solve_linearized
+    cfg, geom, profile, prob = assemble(1e-3, 109, 40)
+    real = getattr(moc, stage)
+    calls = []
+
+    def fail_on_second(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise moc.SolverError(f"{code}: injected on the second frozen field")
+        return real(*args)
+
+    monkeypatch.setattr(moc, stage, fail_on_second)
+    with pytest.raises(moc.SolverError, match=f"^{code}: injected") as err:
+        moc.fixed_point(prob, fp_tol=cfg.fp_tol, max_fp_iters=cfg.max_fp_iters)
+    assert err.value.report is not None
+    assert err.value.report.iterations == 1
+    assert len(err.value.report.c1_gaps) == 1
 
 
 def test_supersonic_margin_guard():
