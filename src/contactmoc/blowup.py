@@ -275,6 +275,20 @@ class BlowupReport:
     slabs: list = None  # optional (x, z_plus, z_minus) snapshots
 
 
+# Step cap of the blow-up march, in cells: |dx lambda| <= _STEP_CAP dy.  A
+# semi-Lagrangian step is stable past one cell; 1.5 rather than a whole
+# number keeps near-constant-lambda rows from shifting by exact cells, which
+# would hide the march's refinement error below the tracer floor.
+_STEP_CAP = 1.5
+
+
+def _periodic_pad():
+    """Nodes copied onto each end of a row: a foot within _STEP_CAP cells of
+    its node, its cell and both of its Hermite slopes stay strictly inside
+    the padded row, clear of the end-rule slopes."""
+    return math.ceil(_STEP_CAP) + 2
+
+
 class _SpeedInverter:
     """Dense monotone interpolant of q <-> Theta(q), built once per march
     from closed-form samples; one table lookup per step is cheaper than a
@@ -303,7 +317,7 @@ def cauchy_march(profile: PeriodicProfile, g, x_max, ny=800, dx_max=0.05,
 
     Semi-Lagrangian update (monotone cubic, periodic): Z_plus is pulled back
     along lambda_minus and Z_minus along lambda_plus.  The step size tracks
-    dx = min(dx_max, 0.5 dy / max|lambda|, 0.1 / max|d_y Z|) and the march
+    dx = min(dx_max, 1.5 dy / max|lambda|, 0.1 / max|d_y Z|) and the march
     stops at x_max or once both detectors have fired.
 
     Crossing detector: same-family characteristic fans seeded at the inlet
@@ -327,9 +341,9 @@ def cauchy_march(profile: PeriodicProfile, g, x_max, ny=800, dx_max=0.05,
     inverter = _SpeedInverter(profile.qhat, g, profile.q_ref)
 
     # Periodic padding: column j + pad of z[:, ext] is node j, on the lattice
-    # y0 + k h.  The step cap keeps every foot within half a cell of its node
-    # and so inside the pad; hermite_eval clips anything beyond.
-    pad = 3
+    # y0 + k h.  The step cap keeps every foot within _STEP_CAP cells of its
+    # node and so inside the pad.
+    pad = _periodic_pad()
     ext = np.arange(-pad, ny + pad) % ny
     h = y[1] - y[0]
     y0 = y[0] - pad * h
@@ -374,7 +388,7 @@ def cauchy_march(profile: PeriodicProfile, g, x_max, ny=800, dx_max=0.05,
 
         max_lam = float(np.max(np.abs(lam)))
         max_grad = max(gzp[-1], gzm[-1])
-        dx = min(dx_max, 0.5 * dy / max_lam)  # |dx lambda| <= dy/2: feet stay in the pad
+        dx = min(dx_max, _STEP_CAP * dy / max_lam)  # feet stay in the pad
         if max_grad > 0.0:
             dx = min(dx, 0.1 / max_grad)
         dx = min(dx, x_max - x)

@@ -178,15 +178,15 @@ def test_criterion_09_blowup_dichotomy():
     drift = abs(rep_fine.blowup_x - rep_base.blowup_x) / rep_base.blowup_x
     assert drift <= 0.15
 
-    for rep in (rep_base, rep_fine):
-        assert rep.gradient_x is not None and rep.crossing_x is not None
-        agree = abs(rep.gradient_x - rep.crossing_x) / rep.blowup_x
-        assert agree <= 0.10
-
     half = blowup.PeriodicProfile.from_expressions("2.0", "0.005 * sin(pi * y)", G, rho_wall=1.0)
     rep_half = blowup.cauchy_march(half, G, x_max=400.0, ny=400, policy=policy)
     assert rep_half.blowup_x is not None
     assert rep_half.blowup_x > rep_base.blowup_x
+
+    for rep in (rep_base, rep_fine, rep_half):
+        assert rep.gradient_x is not None and rep.crossing_x is not None
+        agree = abs(rep.gradient_x - rep.crossing_x) / rep.blowup_x
+        assert agree <= 0.10
     _report(9, f"const: none through x=1000; delta=0.01: x*={rep_base.blowup_x:.2f} "
                f"(halved grid {rep_fine.blowup_x:.2f}, drift {100*drift:.1f}%), "
                f"delta=0.005: x*={rep_half.blowup_x:.2f}")

@@ -196,10 +196,12 @@ def test_wall_condition_inherited_from_odd_extension():
         assert abs(zp[j_wall[1]] + zm[j_wall[1]]) < 1e-12
 
 
-def periodic_monotone(y, values, yq, pad=3):
+def periodic_monotone(y, values, yq, pad=None):
     """Monotone cubic of the periodic samples ``values`` on the lattice ``y``
     at ``yq`` wrapped into [-1, 1), through a copy padded by ``pad`` nodes
-    each side: the update the march makes."""
+    each side (by default the march's own pad): the update the march makes."""
+    if pad is None:
+        pad = blowup._periodic_pad()
     ny = y.size
     h = y[1] - y[0]
     ext = np.arange(-pad, ny + pad) % ny
@@ -208,7 +210,8 @@ def periodic_monotone(y, values, yq, pad=3):
 
 def test_stacked_periodic_update_is_bit_equal_to_row_by_row(rng):
     """One stacked update equals one 1-D interpolation per row, bit for bit:
-    random, flat, sign-changing and smooth rows, feet within half a cell."""
+    random, flat, sign-changing and smooth rows, feet anywhere within the
+    march's step cap of their nodes, through the seam at both ends."""
     ny = 160
     y = -1.0 + 2.0 * np.arange(ny) / ny
     h = y[1] - y[0]
@@ -219,11 +222,59 @@ def test_stacked_periodic_update_is_bit_equal_to_row_by_row(rng):
         np.where(np.arange(ny) % 7 < 3, 0.0, rng.normal(size=ny)),
         0.1 * np.sin(np.pi * y),
     ])
-    feet = y + h * rng.uniform(-0.5, 0.5, rows.shape)
-    feet[:, :3] = y[:3] - 0.5 * h  # through the periodic seam
+    cap = blowup._STEP_CAP
+    feet = y + h * rng.uniform(-cap, cap, rows.shape)
+    feet[:, :3] = y[:3] - cap * h  # through the periodic seam
+    feet[:, -3:] = y[-3:] + cap * h
     stacked = periodic_monotone(y, rows, feet)
     for r in range(rows.shape[0]):
         assert np.array_equal(stacked[r], periodic_monotone(y, rows[r], feet[r]))
+
+
+@pytest.mark.parametrize("v0_text, ny, x_max", [
+    ("0.06 * sin(pi * y)", 400, 200.0),  # the step cap binds
+    ("0.0", 100, 5.0),  # dx_max binds
+], ids=["cap-binds", "dx_max-binds"])
+def test_march_feet_stay_inside_the_pad(monkeypatch, v0_text, ny, x_max):
+    """Every foot the march looks up, wrapped into the period or not, lies
+    in a cell whose two Hermite slopes are interior to the padded row: none
+    is clipped and none reaches an end-rule slope."""
+    calls = []
+    hermite_eval = interp.hermite_eval
+
+    def recording(y0, h, v, d, yq):
+        calls.append(((np.asarray(yq) - y0) / h, v.shape[-1]))
+        return hermite_eval(y0, h, v, d, yq)
+
+    monkeypatch.setattr(interp, "hermite_eval", recording)
+    rep = blowup.cauchy_march(make_profile(v0_text), G, x_max=x_max, ny=ny,
+                              policy=blowup.ThresholdPolicy(factor=15.0))
+    assert len(calls) == rep.steps > 0
+    widest = 0.0
+    for t, n in calls:
+        pad = (n - ny) // 2
+        node = pad + np.arange(ny)
+        # The same foot before wrapping: node plus its signed offset in cells.
+        unwrapped = node + (np.mod(t - node + ny / 2, ny) - ny / 2)
+        for tt in (t, unwrapped):
+            assert tt.min() >= 1.0 and tt.max() < n - 2
+        widest = max(widest, float(np.abs(unwrapped - node).max()))
+    assert 1.0 < widest <= blowup._STEP_CAP * (1 + 1e-12)
+
+
+def test_step_cap_matches_half_cell_march(monkeypatch):
+    """The shipped step cap against the same march held to half a cell per
+    step: blowup_x agrees within 3 % and both detector pairs within 10 %."""
+    prof = make_profile("0.06 * sin(pi * y)")
+    policy = blowup.ThresholdPolicy(factor=15.0)
+    rep = blowup.cauchy_march(prof, G, x_max=200.0, ny=400, policy=policy)
+    monkeypatch.setattr(blowup, "_STEP_CAP", 0.5)
+    rep_half = blowup.cauchy_march(prof, G, x_max=200.0, ny=400, policy=policy)
+    assert rep.steps < 0.5 * rep_half.steps
+    assert abs(rep.blowup_x - rep_half.blowup_x) / rep_half.blowup_x <= 0.03
+    for r in (rep, rep_half):
+        assert r.gradient_x is not None and r.crossing_x is not None
+        assert abs(r.gradient_x - r.crossing_x) / r.blowup_x <= 0.10
 
 
 def test_monotone_slopes_end_rule_matches_scalar_reference(rng):
