@@ -84,11 +84,12 @@ class IrrotationalState:
     z_plus: object
 
 
-def irrot_invariants(u, v, rho, g, q_ref, qhat=None, bernoulli_tol=1e-8):
+def irrot_invariants(u, v, rho, g, q_ref, qhat=None):
     """Z_pm = theta +- Theta(q) for an irrotational state.
 
     ``qhat`` is derived pointwise from the Bernoulli normalization when not
-    given; inconsistent (u, v, rho) data is rejected.
+    given; (u, v, rho) data whose pointwise qhat departs from it by more
+    than 1e-8 (relative) is rejected.
     """
     u, v, rho = (np.asarray(x, dtype=float) for x in (u, v, rho))
     q = np.hypot(u, v)
@@ -98,7 +99,7 @@ def irrot_invariants(u, v, rho, g, q_ref, qhat=None, bernoulli_tol=1e-8):
     qhat_point = np.sqrt(q * q + 2.0 * c * c / (g.gamma - 1.0))
     if qhat is None:
         qhat = float(np.max(qhat_point))
-    if np.any(np.abs(qhat_point - qhat) > bernoulli_tol * qhat):
+    if np.any(np.abs(qhat_point - qhat) > 1e-8 * qhat):
         raise BlowupError("bernoulli-mismatch: (u, v, rho) violate the qhat normalization")
     theta = np.arctan2(v, u)
     th = theta_of_speed(q, qhat, g, q_ref)
@@ -161,12 +162,12 @@ class PeriodicProfile:
         self.q_ref = float(q[0])
 
     @classmethod
-    def from_expressions(cls, u0_text, v0_text, g, rho_wall=1.0, ny_base=2001):
-        """Tabulate u0/v0 expressions and derive rho0 from the Bernoulli law
-        anchored at rho(0) = rho_wall."""
+    def from_expressions(cls, u0_text, v0_text, g, rho_wall=1.0):
+        """Tabulate u0/v0 expressions on 2001 nodes and derive rho0 from the
+        Bernoulli law anchored at rho(0) = rho_wall."""
         u_expr = SmoothExpression(u0_text, var="y")
         v_expr = SmoothExpression(v0_text, var="y")
-        y = np.linspace(0.0, 1.0, ny_base)
+        y = np.linspace(0.0, 1.0, 2001)
         u0 = np.broadcast_to(u_expr(y), y.shape).astype(float)
         v0 = np.broadcast_to(v_expr(y), y.shape).astype(float)
         c0 = rho_wall ** (0.5 * (g.gamma - 1.0))
@@ -244,18 +245,6 @@ class ThresholdPolicy:
         return max(self.factor * g0, self.floor)
 
 
-def detect_blowup(grad_history, policy: ThresholdPolicy):
-    """First index at which the gradient trigger fires, or None.
-
-    ``grad_history`` has one row per step and one column per family.
-    """
-    hist = np.asarray(grad_history, dtype=float)
-    if hist.size == 0:
-        raise BlowupError("gradient history is empty")
-    above = np.nonzero(hist.max(axis=1) > policy.threshold(float(hist[0].max())))[0]
-    return int(above[0]) if above.size else None
-
-
 @dataclass
 class BlowupReport:
     """March outcome: detector abscissas and the gradient history."""
@@ -281,11 +270,16 @@ class BlowupReport:
 # would hide the march's refinement error below the tracer floor.
 _STEP_CAP = 1.5
 
+_CROSSING_GAP_FRAC = 0.05  # see cauchy_march
+
+# Safety bound on the number of march steps.
+_MAX_STEPS = 2_000_000
+
 
 def _periodic_pad():
     """Nodes copied onto each end of a row: a foot within _STEP_CAP cells of
-    its node, its cell and both of its Hermite slopes stay strictly inside
-    the padded row, clear of the end-rule slopes."""
+    its node lies in a cell [1, n - 2) of the padded row, so both of its
+    Hermite slopes are interior, as ``interp.hermite_eval`` requires."""
     return math.ceil(_STEP_CAP) + 2
 
 
@@ -294,11 +288,11 @@ class _SpeedInverter:
     from closed-form samples; one table lookup per step is cheaper than a
     per-step Newton inversion of the closed form."""
 
-    def __init__(self, qhat, g, q_ref, n=2001):
+    def __init__(self, qhat, g, q_ref):
         c_hat = critical_speed(qhat, g)
         lo = c_hat + 1e-3 * (qhat - c_hat)
         hi = qhat - 1e-3 * (qhat - c_hat)
-        qs = np.linspace(lo, hi, n)
+        qs = np.linspace(lo, hi, 2001)
         th = theta_of_speed(qs, qhat, g, q_ref)
         self.q_lo, self.q_hi = lo, hi
         self.th_lo, self.th_hi = float(th[0]), float(th[-1])
@@ -311,8 +305,7 @@ class _SpeedInverter:
 
 
 def cauchy_march(profile: PeriodicProfile, g, x_max, ny=800, dx_max=0.05,
-                 policy: ThresholdPolicy = None, crossing_gap_frac=0.05,
-                 max_steps=2_000_000, record_slabs=False) -> BlowupReport:
+                 policy: ThresholdPolicy = None, record_slabs=False) -> BlowupReport:
     """March the diagonal system on one period with adaptive steps.
 
     Semi-Lagrangian update (monotone cubic, periodic): Z_plus is pulled back
@@ -322,7 +315,7 @@ def cauchy_march(profile: PeriodicProfile, g, x_max, ny=800, dx_max=0.05,
 
     Crossing detector: same-family characteristic fans seeded at the inlet
     nodes are integrated alongside the solution; the trigger fires when an
-    adjacent pair's gap falls below crossing_gap_frac of the initial spacing
+    adjacent pair's gap falls below _CROSSING_GAP_FRAC of the initial spacing
     (at that separation the pair crosses within one step at grid
     resolution -- the raw ordering inversion of the numerically mollified
     field would fire systematically late).
@@ -374,7 +367,7 @@ def cauchy_march(profile: PeriodicProfile, g, x_max, ny=800, dx_max=0.05,
     report.slabs = [(0.0, z[0], z[1])] if record_slabs else None
     x = 0.0
     x_stop = x_max
-    for step in range(max_steps):
+    for _ in range(_MAX_STEPS):
         if x >= x_stop or (report.gradient_x is not None and report.crossing_x is not None):
             break
         theta_half = 0.5 * (z[0] + z[1])
@@ -427,7 +420,7 @@ def cauchy_march(profile: PeriodicProfile, g, x_max, ny=800, dx_max=0.05,
         if report.crossing_x is None:
             gaps = fans[:, 1:] - fans[:, :-1]
             gap_m, gap_p = gaps.min(axis=1).tolist()
-            gap_limit = crossing_gap_frac * dy
+            gap_limit = _CROSSING_GAP_FRAC * dy
             if gap_m <= gap_limit or gap_p <= gap_limit:
                 report.crossing_x = x
                 row = 0 if gap_m <= gap_p else 1

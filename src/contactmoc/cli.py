@@ -364,7 +364,6 @@ def main(argv=None):
     common(p_sweep)
     p_sweep.add_argument("--eps", default="", help="comma-separated target sizes")
     p_sweep.add_argument("--grid", default=None)
-    p_sweep.add_argument("--eps-scale", type=float, default=None)
     p_sweep.add_argument("--max-iters", type=int, default=None)
 
     p_val = sub.add_parser("validate", help="check config and compatibility conditions")

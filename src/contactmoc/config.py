@@ -527,7 +527,7 @@ def validate_compatibility(profile: InletProfile, geom: NozzleGeometry, tol=1e-8
 
 
 def perturbation_size(profile: InletProfile, geom: NozzleGeometry,
-                      background: BackgroundState, n_dense=4096):
+                      background: BackgroundState):
     """Discrete sup-norm size of the data perturbation.
 
     Sum of per-layer C2 norms of (U0 - background) and C3 norms of
@@ -535,6 +535,7 @@ def perturbation_size(profile: InletProfile, geom: NozzleGeometry,
     the sup over a dense evaluation lattice; derivatives come from the stored
     interpolants.
     """
+    n_dense = 4096
     eps = 0.0
     for layer, ubar, rbar in (
         (profile.layer_a, background.u_a, background.rho_a),

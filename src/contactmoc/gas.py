@@ -328,21 +328,18 @@ def pressure_from_invariants(z: InvariantPair, sd: StreamData, g: GasConstants,
     return _maybe_scalar(p.reshape(shape), z.z_minus, z.z_plus, sd.a0, sd.b0)
 
 
-def invariants_from_state(state: PrimitiveState, sd: StreamData, g: GasConstants,
-                          mismatch_tol=1e-8):
+def invariants_from_state(state: PrimitiveState, sd: StreamData, g: GasConstants):
     """z_minus = arctan(v/u) + Theta(p), z_plus = arctan(v/u) - Theta(p).
 
     The state must be supersonic and its entropy function / Bernoulli
-    constant must match the streamline data within mismatch_tol (relative).
+    constant must match the streamline data within 1e-8 (relative).
     """
     if not np.all(np.asarray(is_supersonic(state, g))):
         raise GasError("not-supersonic: invariants are defined only for supersonic states")
     a = np.asarray(entropy_function(state, g))
     b = np.asarray(bernoulli(state, g))
     a0, b0 = _as_array(sd.a0, sd.b0)
-    if np.any(np.abs(a - a0) > mismatch_tol * np.abs(a0)) or np.any(
-        np.abs(b - b0) > mismatch_tol * np.abs(b0)
-    ):
+    if np.any(np.abs(a - a0) > 1e-8 * np.abs(a0)) or np.any(np.abs(b - b0) > 1e-8 * np.abs(b0)):
         raise GasError("stream-data-mismatch: state A/B disagree with streamline data")
     u, v = _as_array(state.u, state.v)
     ang = np.arctan2(v, u)

@@ -1,6 +1,6 @@
 """Shape-preserving cubic interpolation.
 
-Two flavours of piecewise cubic Hermite interpolation:
+Three flavours of piecewise cubic interpolation:
 
 * On uniform lattices (``monotone_slopes``, ``hermite_eval``,
   ``monotone_interp``): Fritsch-Carlson slopes (harmonic mean of adjacent
@@ -8,13 +8,15 @@ Two flavours of piecewise cubic Hermite interpolation:
   rows along the last axis.  Reproduces constants and straight lines up to
   rounding (not bit for bit: a flat row of 0.3 can come back an ulp off) and
   never overshoots the local data range, which is what the semi-Lagrangian
-  updates rely on at the contact row.
+  updates rely on at the contact row.  The rows are padded: every query
+  lies in a cell ``[1, n - 2)``, so both of its slopes are interior and the
+  end slopes are left unset.
 
-* The clipped four-point Lagrange cubic on a uniform lattice
-  (``cubic_clipped``), in two halves: ``cubic_stencil`` maps queries to
-  their stencil and local coordinate, ``cubic_eval`` gathers the values and
-  evaluates.  The nozzle march plans the stencils of a whole outer
-  iteration at once and evaluates them step by step.
+* The clipped four-point Lagrange cubic on a uniform lattice, in two
+  halves: ``cubic_stencil`` maps queries to their stencil and local
+  coordinate, ``cubic_eval`` gathers the values and evaluates.  The nozzle
+  march plans the stencils of a whole outer iteration at once and
+  evaluates them step by step.
 
 * On non-uniform knots (``pchip``, ``PiecewisePoly``): the PCHIP of Fritsch
   & Butland (SIAM J. Sci. Comput. 5, 1984) with weighted harmonic slopes and
@@ -33,37 +35,32 @@ import numpy as np
 
 def monotone_slopes(v, h):
     """Shape-preserving node slopes for uniformly spaced samples ``v``, taken
-    along the last axis (each row of a stacked array on its own)."""
+    along the last axis (each row of a stacked array on its own).  The end
+    slopes are left at zero: no query of a padded row reads them."""
     v = np.asarray(v, dtype=float)
     s = (v[..., 1:] - v[..., :-1]) / h
     d = np.zeros_like(v)
     prod = s[..., :-1] * s[..., 1:]
     denom = s[..., :-1] + s[..., 1:]
     np.divide(2.0 * prod, denom, out=d[..., 1:-1], where=(prod > 0.0) & (denom != 0.0))
-    # One-sided three-point end slopes, zeroed against the end secant's sign
-    # and capped at three times it (the PCHIP end rule).
-    s0 = s[..., [0, -1]]
-    s1 = s[..., [1, -2]] if s.shape[-1] > 1 else s0
-    d0 = 0.5 * (3.0 * s0 - s1)
-    overshoot = (s0 * s1 < 0.0) & (np.abs(d0) > 3.0 * np.abs(s0))
-    d[..., [0, -1]] = np.where(d0 * s0 <= 0.0, 0.0, np.where(overshoot, 3.0 * s0, d0))
     return d
 
 
 def hermite_eval(y0, h, v, d, yq):
     """Evaluate the Hermite cubic defined by values ``v`` and slopes ``d`` on
-    the uniform lattice y0 + i*h at query points ``yq`` (clipped to range).
+    the uniform lattice y0 + i*h at query points ``yq``.
 
-    Stacked rows interpolate along the last axis: ``yq[..., k]`` is a query
-    into row ``v[...]``, so ``yq`` has the leading shape of ``v``.
+    Every query must lie in a cell ``[1, n - 2)`` of its padded row, so that
+    both slopes it reads are interior; nothing is clamped.  Stacked rows
+    interpolate along the last axis: ``yq[..., k]`` is a query into row
+    ``v[...]``, so ``yq`` has the leading shape of ``v``.
     """
     v = np.asarray(v, dtype=float)
     yq = np.asarray(yq, dtype=float)
     n = v.shape[-1]
     t = (yq - y0) / h
     idx = np.floor(t).astype(np.intp)
-    np.minimum(np.maximum(idx, 0, out=idx), n - 2, out=idx)
-    s = np.clip(t - idx, 0.0, 1.0)
+    s = t - idx
     if v.ndim > 1:
         # Row-offset indices into the flattened rows: one gather per term.
         idx += n * np.arange(v.size // n).reshape(v.shape[:-1] + (1,))
@@ -83,8 +80,8 @@ def hermite_eval(y0, h, v, d, yq):
 
 
 def monotone_interp(y0, h, v, yq):
-    """One-shot shape-preserving interpolation on a uniform lattice (along
-    the last axis for stacked rows)."""
+    """One-shot shape-preserving interpolation on a uniform, padded lattice
+    (along the last axis for stacked rows)."""
     return hermite_eval(y0, h, v, monotone_slopes(v, h), yq)
 
 
@@ -120,18 +117,6 @@ def cubic_eval(v, base, cell, s):
         + v3 * s * (s - 1.0) * (s - 2.0) / 6.0
     )
     return np.clip(out, np.minimum(c0, c1), np.maximum(c0, c1))
-
-
-def cubic_clipped(y0, h, v, yq):
-    """Four-point Lagrange cubic clipped to the bracketing-node range.
-
-    Full fourth-order accuracy wherever the data is locally monotone; the
-    clip caps overshoot at extrema and boundary cells to the local data
-    range, which is what the contact-row update needs.  Needs at least four
-    samples.
-    """
-    v = np.asarray(v, dtype=float)
-    return cubic_eval(v, *cubic_stencil(y0, h, v.size, yq))
 
 
 class PiecewisePoly:

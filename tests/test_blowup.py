@@ -1,8 +1,6 @@
 import numpy as np
 import pytest
 
-from scipy.interpolate import PchipInterpolator
-
 from contactmoc import blowup, gas, interp
 from contactmoc.expressions import SmoothExpression
 
@@ -143,25 +141,16 @@ def test_periodic_extension_exact():
 # detection
 
 
-def test_detect_blowup_flat_history_never_fires():
-    hist = np.tile([0.3, 0.25], (50, 1))
-    assert blowup.detect_blowup(hist, blowup.ThresholdPolicy(factor=10.0)) is None
-
-
-def test_detect_blowup_fires_at_first_crossing():
-    hist = np.zeros((30, 2))
-    hist[:, 0] = 0.01
-    hist[:, 1] = 0.01 * np.exp(np.linspace(0, 9, 30))
-    policy = blowup.ThresholdPolicy(factor=100.0)
-    idx = blowup.detect_blowup(hist, policy)
-    assert idx == int(np.argmax(hist[:, 1] > 1.0))
-
-
-def test_detect_blowup_zero_initial_uses_floor():
-    hist = np.zeros((10, 2))
-    assert blowup.detect_blowup(hist, blowup.ThresholdPolicy()) is None
-    hist[7, 0] = 1.0
-    assert blowup.detect_blowup(hist, blowup.ThresholdPolicy()) == 7
+def test_gradient_trigger_fires_at_first_history_crossing():
+    """The march's gradient trigger fires at the first recorded step whose
+    steeper invariant exceeds the policy threshold of the initial gradient."""
+    policy = blowup.ThresholdPolicy(factor=15.0)
+    rep = blowup.cauchy_march(make_profile("0.06 * sin(pi * y)"), G, x_max=200.0, ny=400,
+                              policy=policy)
+    steepest = np.maximum(rep.grad_zp_history, rep.grad_zm_history)
+    above = np.nonzero(steepest > policy.threshold(steepest[0]))[0]
+    assert above.size and rep.gradient_x == rep.x_history[above[0]]
+    assert blowup.ThresholdPolicy().threshold(0.0) == 1e-6
 
 
 def test_constant_profile_never_detects():
@@ -237,8 +226,9 @@ def test_stacked_periodic_update_is_bit_equal_to_row_by_row(rng):
 ], ids=["cap-binds", "dx_max-binds"])
 def test_march_feet_stay_inside_the_pad(monkeypatch, v0_text, ny, x_max):
     """Every foot the march looks up, wrapped into the period or not, lies
-    in a cell whose two Hermite slopes are interior to the padded row: none
-    is clipped and none reaches an end-rule slope."""
+    in a cell [1, n - 2) of the padded row: the precondition of
+    ``interp.hermite_eval``, which neither clamps a foot nor sets the end
+    slopes."""
     calls = []
     hermite_eval = interp.hermite_eval
 
@@ -275,27 +265,6 @@ def test_step_cap_matches_half_cell_march(monkeypatch):
     for r in (rep, rep_half):
         assert r.gradient_x is not None and r.crossing_x is not None
         assert abs(r.gradient_x - r.crossing_x) / r.blowup_x <= 0.10
-
-
-def test_monotone_slopes_end_rule_matches_scalar_reference(rng):
-    """The vectorized end slopes follow the scalar PCHIP end rule on every row."""
-
-    def end_slope(s0, s1):
-        d0 = 0.5 * (3.0 * s0 - s1)
-        if d0 * s0 <= 0.0:
-            return 0.0
-        if s0 * s1 < 0.0 and abs(d0) > 3.0 * abs(s0):
-            return 3.0 * s0
-        return d0
-
-    h = 0.25
-    rows = np.vstack([rng.normal(size=(40, 6)), np.full((1, 6), 2.0),
-                      [[0.0, 1.0, -5.0, 0.0, 1.0, 0.0]]])
-    d = interp.monotone_slopes(rows, h)
-    for row, dr in zip(rows, d):
-        s = np.diff(row) / h
-        assert dr[0] == end_slope(s[0], s[1]) and dr[-1] == end_slope(s[-1], s[-2])
-        assert np.array_equal(dr, interp.monotone_slopes(row, h))
 
 
 def test_speed_lookup_is_bit_equal_to_pchip_call(rng):

@@ -1,6 +1,7 @@
 """The non-uniform PCHIP in ``interp`` against scipy's PchipInterpolator, bit
 for bit: values, piece coefficients, derivatives and the antiderivative; and
-the clipped four-point cubic against its one-function form."""
+the clipped four-point cubic (``cubic_stencil`` then ``cubic_eval``) against
+its one-function form."""
 
 import numpy as np
 import pytest
@@ -121,6 +122,11 @@ def _cubic_clipped_one_function(y0, h, v, yq):
     return np.clip(out, lo, hi)
 
 
+def _cubic_clipped(y0, h, v, yq):
+    """The clipped cubic through the library's two halves."""
+    return interp.cubic_eval(v, *interp.cubic_stencil(y0, h, v.size, yq))
+
+
 @pytest.mark.parametrize("n", [4, 5, 9, 35, 101])
 def test_cubic_clipped_bit_equal_to_one_function_form(n):
     rng = np.random.default_rng(n)
@@ -130,18 +136,18 @@ def test_cubic_clipped_bit_equal_to_one_function_form(n):
         # every node (computed both ways), both ends, and random interior points
         q = np.concatenate([nodes, y0 + h * np.arange(n), [y0, nodes[-1]],
                             rng.uniform(y0, nodes[-1], 400)])
-        ours = interp.cubic_clipped(y0, h, v, q)
+        ours = _cubic_clipped(y0, h, v, q)
         assert np.array_equal(ours, _cubic_clipped_one_function(y0, h, v, q))
         q2 = q[:400].reshape(20, 20)
-        assert np.array_equal(interp.cubic_clipped(y0, h, v, q2),
+        assert np.array_equal(_cubic_clipped(y0, h, v, q2),
                               _cubic_clipped_one_function(y0, h, v, q2))
-        one = interp.cubic_clipped(y0, h, v, q[n + 1])
+        one = _cubic_clipped(y0, h, v, q[n + 1])
         assert np.shape(one) == ()
         assert one == _cubic_clipped_one_function(y0, h, v, q[n + 1])
 
 
 def test_cubic_clipped_needs_four_samples():
     with pytest.raises(ValueError, match="at least 4 nodes"):
-        interp.cubic_clipped(0.0, 0.5, [1.0, 2.0, 0.5], [0.25, 0.75])
+        _cubic_clipped(0.0, 0.5, np.array([1.0, 2.0, 0.5]), [0.25, 0.75])
     with pytest.raises(ValueError, match="at least 4 nodes"):
         interp.cubic_stencil(0.0, 0.5, 3, [0.25])

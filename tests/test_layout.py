@@ -1,0 +1,50 @@
+"""The library keeps only what a run uses: every module-level function and
+class in ``src/contactmoc`` is referenced by code in ``src/`` or ``scripts/``.
+
+A helper that only the tests call belongs in ``tests/``.  The exceptions are
+named reference implementations that tests compare the run path against.
+"""
+
+import ast
+import os
+from collections import Counter
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PACKAGE = os.path.join(ROOT, "src", "contactmoc")
+SCRIPTS = os.path.join(ROOT, "scripts")
+
+# Closed-form references the tests hold the march's own formulas against.
+REFERENCE_ONLY = {"blowup.irrot_lambdas", "blowup.dtheta_of_speed"}
+
+
+def _parse(directory):
+    return {name: ast.parse(open(os.path.join(directory, name), encoding="utf-8").read())
+            for name in sorted(os.listdir(directory)) if name.endswith(".py")}
+
+
+def _names(tree):
+    """Every identifier that code in ``tree`` reads: bare names and
+    attribute names (imports and definitions are not reads)."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def test_every_library_definition_is_used_outside_the_tests():
+    modules = _parse(PACKAGE)
+    trees = list(modules.values()) + list(_parse(SCRIPTS).values())
+    reads = sum((_names(tree) for tree in trees), Counter())
+    defs = {f"{filename[:-3]}.{node.name}": node for filename, tree in modules.items()
+            for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    own = {q: _names(node) for q, node in defs.items()}
+    # A read from inside a definition's own body (recursion) or from an
+    # unused definition (a helper only it calls) is no use: drop those reads
+    # until no further definition falls unused.
+    unused = set()
+    while True:
+        live = reads - sum((own[q] for q in unused), Counter())
+        found = {q for q, node in defs.items()
+                 if live[node.name] - (q not in unused) * own[q][node.name] <= 0} - REFERENCE_ONLY
+        if found == unused:
+            break
+        unused = found
+    assert not unused, f"library definitions no code in src/ or scripts/ uses: {sorted(unused)}"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from contactmoc import cli, fixtures, gas, interp, moc
+from tests.characteristics import trace_characteristic
 from tests.conftest import assemble, solved
 
 G = gas.GasConstants(1.4)
@@ -105,7 +106,7 @@ def test_background_invariants_invert_to_p_ref_on_the_contact(eps):
 def test_trace_straight_line_for_constant_field():
     cfg, geom, profile, prob = assemble(0.0, 60, 12)
     frozen = moc.frozen_lambdas(moc.InvariantGrid.background(prob), prob)
-    path = moc.trace_characteristic(frozen, prob.domain, "a", "+", (0.0, 0.0))
+    path = trace_characteristic(frozen, prob.domain, "a", "+", (0.0, 0.0))
     lam = frozen.lam_p_a[0, 0]
     expect = np.minimum(lam * path.xi, prob.domain.m_a)
     assert np.max(np.abs(path.eta - expect)) < 1e-12
@@ -118,8 +119,8 @@ def test_trace_wall_hits_of_converged_field():
     # walls close to where the background's straight rays do
     cfg, geom, profile, prob, grid, report = solved(1e-3, 101, 26)
     frozen = moc.frozen_lambdas(grid, prob)
-    hit_a = moc.trace_characteristic(frozen, prob.domain, "a", "+", (0.0, 0.0))
-    hit_b = moc.trace_characteristic(frozen, prob.domain, "b", "-", (0.0, 0.0))
+    hit_a = trace_characteristic(frozen, prob.domain, "a", "+", (0.0, 0.0))
+    hit_b = trace_characteristic(frozen, prob.domain, "b", "-", (0.0, 0.0))
     assert (hit_a.event, hit_b.event) == ("wall", "wall")
     lam_a = 1.0 * 2.2 * np.sqrt(1.4) / np.sqrt(2.2**2 - 1.4)
     assert hit_a.xi[-1] == pytest.approx(2.2 / lam_a, rel=5e-3)
@@ -134,11 +135,11 @@ def test_trace_back_and_forth_second_order():
 
     def round_trip_error(steps):
         start = (0.0, 0.25 * prob.domain.m_a)
-        fwd = moc.trace_characteristic(frozen, prob.domain, "a", "+", start, max_steps=steps)
+        fwd = trace_characteristic(frozen, prob.domain, "a", "+", start, max_steps=steps)
         assert fwd.event == "end"
         end = (fwd.xi[-1], fwd.eta[-1])
-        back = moc.trace_characteristic(frozen, prob.domain, "a", "+", end,
-                                        direction=-1, max_steps=steps)
+        back = trace_characteristic(frozen, prob.domain, "a", "+", end,
+                                    direction=-1, max_steps=steps)
         return abs(back.eta[0] - start[1])
 
     # the perturbation is smooth and O(eps); the retrace must come back far
@@ -248,8 +249,9 @@ def _per_slab_march(prob, frozen, cc, hits):
         hits["feet"] += int(np.isin(feet[1:-1], eta).sum())
         hits["clipped"] += int(mid[0] == eta[0] and feet[0] < eta[0])
         hits["clipped"] += int(mid[-1] == eta[-1] and feet[-1] > eta[-1])
-        h = eta[1] - eta[0]
-        return interp.cubic_clipped(eta[0], h, z_old, np.clip(feet, eta[0], eta[-1]))
+        stencil = interp.cubic_stencil(eta[0], eta[1] - eta[0], eta.size,
+                                       np.clip(feet, eta[0], eta[-1]))
+        return interp.cubic_eval(z_old, *stencil)
 
     rows = [[np.asarray(z)] for z in (prob.inlet_z_a.z_minus, prob.inlet_z_a.z_plus,
                                       prob.inlet_z_b.z_minus, prob.inlet_z_b.z_plus)]
@@ -494,17 +496,15 @@ def test_residual_first_order_under_refinement():
 
 
 def test_z_nearly_constant_along_frozen_characteristic():
-    from contactmoc import interp
-
     cfg, geom, profile, prob, grid, report = solved(1e-3, 201, 51)
     frozen = moc.frozen_lambdas(grid, prob)
     dom = prob.domain
-    path = moc.trace_characteristic(frozen, dom, "a", "+", (0.0, 0.3 * dom.m_a), max_steps=40)
+    path = trace_characteristic(frozen, dom, "a", "+", (0.0, 0.3 * dom.m_a), max_steps=40)
     assert path.event == "end"
     h = dom.deta_a
     vals = np.array([
-        float(interp.cubic_clipped(dom.eta_a[0], h,
-                                   grid.zm_a[int(round(x / dom.dxi))], np.array([e]))[0])
+        float(interp.cubic_eval(grid.zm_a[int(round(x / dom.dxi))],
+                                *interp.cubic_stencil(dom.eta_a[0], h, dom.eta_a.size, e)))
         for x, e in zip(path.xi, path.eta)
     ])
     per_step = np.max(np.abs(np.diff(vals)))
