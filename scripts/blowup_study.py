@@ -30,8 +30,7 @@ def main():
     deltas = [float(tok) for tok in args.deltas.split(",")]
     rows = []
     for delta in deltas:
-        profile = blowup.PeriodicProfile.from_expressions(
-            "2.0", f"{delta!r} * sin(pi * y)", g, rho_wall=1.0)
+        profile = blowup.PeriodicProfile("2.0", f"{delta!r} * sin(pi * y)", g, rho_wall=1.0)
         rep = blowup.cauchy_march(profile, g, args.x_max, ny=args.ny, policy=policy)
         # A detector that did not fire reads "none", as in the CLI summary.
         rows.append([_or_none(rep.blowup_x), _or_none(rep.gradient_x), _or_none(rep.crossing_x),

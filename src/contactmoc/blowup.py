@@ -12,7 +12,9 @@ M^2 = 2 q^2 / ((gamma-1)(qhat^2 - q^2)).  Z_plus is constant along
 dy/dx = lambda_minus and Z_minus along lambda_plus.  The
 wall-bounded problem on y in [0, 1] is extended to one full period
 y in [-1, 1) by even reflection of (u, rho) and odd reflection of v, so the
-march is a pure periodic Cauchy problem.
+march is a pure periodic Cauchy problem.  It starts from the configured
+closed forms: u0(y) and v0(y) are evaluated at the nodes and the density
+follows pointwise from the Bernoulli law.
 
 Two independent blow-up detectors run side by side: a gradient-explosion
 trigger on sup|d_y Z| and a same-family characteristic-crossing trigger
@@ -79,7 +81,6 @@ class IrrotationalState:
     """Speed, flow angle and the derived Riemann invariants."""
 
     q: object
-    theta_angle: object
     z_minus: object
     z_plus: object
 
@@ -103,7 +104,7 @@ def irrot_invariants(u, v, rho, g, q_ref, qhat=None):
         raise BlowupError("bernoulli-mismatch: (u, v, rho) violate the qhat normalization")
     theta = np.arctan2(v, u)
     th = theta_of_speed(q, qhat, g, q_ref)
-    return IrrotationalState(q=q, theta_angle=theta, z_minus=theta - th, z_plus=theta + th)
+    return IrrotationalState(q=q, z_minus=theta - th, z_plus=theta + th)
 
 
 _MINUS_PLUS = np.array([-1.0, 1.0])
@@ -131,99 +132,67 @@ def irrot_lambdas(u, v, rho, g):
 
 
 class PeriodicProfile:
-    """Base inlet data on [0, 1] with even/odd periodic extension to the line.
+    """Base inlet data on [0, 1] from the expressions ``u0(y)``, ``v0(y)``,
+    with even/odd periodic extension to the line.
 
-    (u, rho) extend evenly and v oddly about y = 0, then everything repeats
-    with period 2, which keeps the wall conditions v(x, 0) = v(x, 1) = 0
-    built into the symmetry.
+    The density follows pointwise from the Bernoulli normalization anchored
+    at rho(0) = rho_wall; ``qhat`` and ``q_ref`` are the limit speed and the
+    speed at the wall y = 0.  (u, rho) extend evenly and v oddly about
+    y = 0, then everything repeats with period 2, which keeps the wall
+    conditions v(x, 0) = v(x, 1) = 0 built into the symmetry.
     """
 
-    def __init__(self, y, u0, v0, rho0, g, u_expr=None, v_expr=None):
-        y = np.asarray(y, dtype=float)
-        if y[0] != 0.0 or y[-1] != 1.0 or not np.all(np.diff(y) > 0):
-            raise BlowupError("base profile must be tabulated on increasing y in [0, 1]")
-        self.y = y
-        self.u0 = np.asarray(u0, dtype=float)
-        self.v0 = np.asarray(v0, dtype=float)
-        self.rho0 = np.asarray(rho0, dtype=float)
+    def __init__(self, u0_text, v0_text, g, rho_wall=1.0):
         self.g = g
-        self.u_expr = u_expr
-        self.v_expr = v_expr
-        self._interp = {
-            "u": interp.pchip(y, self.u0),
-            "v": interp.pchip(y, self.v0),
-            "rho": interp.pchip(y, self.rho0),
-        }
-        c = sound_speed_of_density(self.rho0, g)
-        q = np.hypot(self.u0, self.v0)
-        if np.any(q <= c):
-            raise BlowupError("sonic-limit: base profile has a non-supersonic sample")
-        self.qhat = float(np.sqrt(q[0] ** 2 + 2.0 * c[0] ** 2 / (g.gamma - 1.0)))
-        self.q_ref = float(q[0])
-
-    @classmethod
-    def from_expressions(cls, u0_text, v0_text, g, rho_wall=1.0):
-        """Tabulate u0/v0 expressions on 2001 nodes and derive rho0 from the
-        Bernoulli law anchored at rho(0) = rho_wall."""
-        u_expr = SmoothExpression(u0_text, var="y")
-        v_expr = SmoothExpression(v0_text, var="y")
-        y = np.linspace(0.0, 1.0, 2001)
-        u0 = np.broadcast_to(u_expr(y), y.shape).astype(float)
-        v0 = np.broadcast_to(v_expr(y), y.shape).astype(float)
+        self.u_expr = SmoothExpression(u0_text, var="y")
+        self.v_expr = SmoothExpression(v0_text, var="y")
         c0 = rho_wall ** (0.5 * (g.gamma - 1.0))
-        q0 = math.hypot(float(u0[0]), float(v0[0]))
-        qhat2 = q0 * q0 + 2.0 * c0 * c0 / (g.gamma - 1.0)
-        q2 = u0 * u0 + v0 * v0
-        radic = 0.5 * (g.gamma - 1.0) * (qhat2 - q2)
+        self.q_ref = math.hypot(float(self.u_expr(0.0)), float(self.v_expr(0.0)))
+        self._qhat2 = self.q_ref * self.q_ref + 2.0 * c0 * c0 / (g.gamma - 1.0)
+        self.qhat = math.sqrt(self._qhat2)
+        # Reject a profile that reaches the limit speed or turns subsonic
+        # anywhere on a 2001-node lattice of [0, 1], before any march.
+        u, v, rho = self._base(np.linspace(0.0, 1.0, 2001))
+        if np.any(np.hypot(u, v) <= sound_speed_of_density(rho, g)):
+            raise BlowupError("sonic-limit: base profile has a non-supersonic sample")
+
+    def _base(self, y):
+        """(u0, v0, rho0) at y in [0, 1], rho0 from the Bernoulli radicand."""
+        u = self.u_expr(y)
+        v = self.v_expr(y)
+        radic = 0.5 * (self.g.gamma - 1.0) * (self._qhat2 - (u * u + v * v))
         if np.any(radic <= 0.0):
             raise BlowupError("sonic-limit: profile speed reaches the limit speed")
-        rho0 = radic ** (1.0 / (g.gamma - 1.0))
-        return cls(y, u0, v0, rho0, g, u_expr=u_expr, v_expr=v_expr)
+        return u, v, radic ** (1.0 / (self.g.gamma - 1.0))
 
     def eval(self, y):
         """Periodic extension: (u, rho) even, v odd about integer lines."""
-        y = np.asarray(y, dtype=float)
-        t = np.mod(y + 1.0, 2.0) - 1.0
-        ref = np.abs(t)
-        sign = np.where(t < 0.0, -1.0, 1.0)
-        u = self._interp["u"](ref)
-        v = sign * self._interp["v"](ref)
-        rho = self._interp["rho"](ref)
-        return u, v, rho
-
-    def _deriv(self, name, y, order):
-        if name == "u" and self.u_expr is not None:
-            return self.u_expr(y, order)
-        if name == "v" and self.v_expr is not None:
-            return self.v_expr(y, order)
-        return self._interp[name].derivative(order)(y)
-
-    def rho_slope_from_bernoulli(self, y):
-        """d rho / dy via the Bernoulli normalization (exact when u, v are
-        expression-backed): proportional to -(u u' + v v')."""
-        u = self._interp["u"](y)
-        v = self._interp["v"](y)
-        rho = self._interp["rho"](y)
-        dq2 = 2.0 * (u * self._deriv("u", y, 1) + v * self._deriv("v", y, 1))
-        return -rho ** (2.0 - self.g.gamma) * dq2 / 2.0
+        t = np.mod(np.asarray(y, dtype=float) + 1.0, 2.0) - 1.0
+        u, v, rho = self._base(np.abs(t))
+        return u, np.where(t < 0.0, -1.0, 1.0) * v, rho
 
 
-def check_compatibility(profile: PeriodicProfile, tol=1e-8):
+_COMPAT_TOL = 1e-8
+
+
+def check_compatibility(profile: PeriodicProfile):
     """Wall compatibility of the base data: v0 = 0, d_y u0 = d_y rho0 = 0 and
-    d2_y v0 = 0 at both walls.  Returns violation strings."""
+    d2_y v0 = 0 at both walls, from the expressions' exact derivatives.
+    Returns violation strings."""
     report = []
     for y_wall, label in ((0.0, "y=0"), (1.0, "y=1")):
-        v = float(profile._deriv("v", y_wall, 0)) if profile.v_expr else float(profile._interp["v"](y_wall))
-        if abs(v) > tol:
+        u, v, rho = (float(x) for x in profile._base(y_wall))
+        if abs(v) > _COMPAT_TOL:
             report.append(f"v at {label}: v0 = {v:.3e} != 0")
-        du = float(profile._deriv("u", y_wall, 1))
-        if abs(du) > tol:
+        du = float(profile.u_expr(y_wall, 1))
+        if abs(du) > _COMPAT_TOL:
             report.append(f"du/dy at {label}: {du:.3e} != 0")
-        drho = float(profile.rho_slope_from_bernoulli(y_wall))
-        if abs(drho) > tol:
+        # Bernoulli: d rho / dy = -rho^(2 - gamma) (u u' + v v').
+        drho = -rho ** (2.0 - profile.g.gamma) * (u * du + v * float(profile.v_expr(y_wall, 1)))
+        if abs(drho) > _COMPAT_TOL:
             report.append(f"drho/dy at {label}: {drho:.3e} != 0")
-        d2v = float(profile._deriv("v", y_wall, 2))
-        if abs(d2v) > tol:
+        d2v = float(profile.v_expr(y_wall, 2))
+        if abs(d2v) > _COMPAT_TOL:
             report.append(f"d2v/dy2 at {label}: {d2v:.3e} != 0")
     return report
 
@@ -251,8 +220,6 @@ class BlowupReport:
 
     blowup_x: float = None
     trigger: str = None  # "gradient" or "crossing"
-    trigger_family: str = None
-    trigger_y: float = None
     gradient_x: float = None
     crossing_x: float = None
     x_history: np.ndarray = None
@@ -277,9 +244,10 @@ _MAX_STEPS = 2_000_000
 
 
 def _periodic_pad():
-    """Nodes copied onto each end of a row: a foot within _STEP_CAP cells of
-    its node lies in a cell [1, n - 2) of the padded row, so both of its
-    Hermite slopes are interior, as ``interp.hermite_eval`` requires."""
+    """Nodes copied onto each end of a row: an unwrapped foot within
+    _STEP_CAP cells of its node lies in a cell [1, n - 2) of the padded row,
+    so both of its Hermite slopes are interior, as ``interp.hermite_eval``
+    requires."""
     return math.ceil(_STEP_CAP) + 2
 
 
@@ -308,10 +276,13 @@ def cauchy_march(profile: PeriodicProfile, g, x_max, ny=800, dx_max=0.05,
                  policy: ThresholdPolicy = None, record_slabs=False) -> BlowupReport:
     """March the diagonal system on one period with adaptive steps.
 
+    The first row is ``irrot_invariants`` of ``profile.eval`` at the nodes.
     Semi-Lagrangian update (monotone cubic, periodic): Z_plus is pulled back
     along lambda_minus and Z_minus along lambda_plus.  The step size tracks
-    dx = min(dx_max, 1.5 dy / max|lambda|, 0.1 / max|d_y Z|) and the march
-    stops at x_max or once both detectors have fired.
+    dx = min(dx_max, 1.5 dy / max|lambda|, 0.1 / max|d_y Z|), so every foot
+    lies within 1.5 cells of its node and is read unwrapped from the
+    periodically padded row.  The march stops at x_max or once both
+    detectors have fired.
 
     Crossing detector: same-family characteristic fans seeded at the inlet
     nodes are integrated alongside the solution; the trigger fires when an
@@ -335,7 +306,7 @@ def cauchy_march(profile: PeriodicProfile, g, x_max, ny=800, dx_max=0.05,
 
     # Periodic padding: column j + pad of z[:, ext] is node j, on the lattice
     # y0 + k h.  The step cap keeps every foot within _STEP_CAP cells of its
-    # node and so inside the pad.
+    # node and so inside the pad: feet are looked up as they are, unwrapped.
     pad = _periodic_pad()
     ext = np.arange(-pad, ny + pad) % ny
     h = y[1] - y[0]
@@ -357,8 +328,7 @@ def cauchy_march(profile: PeriodicProfile, g, x_max, ny=800, dx_max=0.05,
     fans = np.array([y, y])
 
     zx = z[:, ext]
-    grad = abs_gradient(zx)
-    g0p, g0m = grad.max(axis=1).tolist()
+    g0p, g0m = abs_gradient(zx).max(axis=1).tolist()
     xs, gzp, gzm = [0.0], [g0p], [g0m]
     threshold = policy.threshold(max(g0p, g0m))
 
@@ -388,7 +358,7 @@ def cauchy_march(profile: PeriodicProfile, g, x_max, ny=800, dx_max=0.05,
         if dx <= 1e-12:
             break
 
-        z = interp.monotone_interp(y0, h, zx, np.mod(y - dx * lam + 1.0, 2.0) - 1.0)
+        z = interp.monotone_interp(y0, h, zx, y - dx * lam)
 
         # Characteristic fans advance with the pre-step slopes (unwrapped).
         lam_fan = lam[:, fan_order]
@@ -401,8 +371,7 @@ def cauchy_march(profile: PeriodicProfile, g, x_max, ny=800, dx_max=0.05,
         if record_slabs:
             report.slabs.append((x, z[0], z[1]))
         zx = z[:, ext]
-        grad = abs_gradient(zx)
-        gp, gm = grad.max(axis=1).tolist()
+        gp, gm = abs_gradient(zx).max(axis=1).tolist()
         gzp.append(gp)
         gzm.append(gm)
 
@@ -411,25 +380,17 @@ def cauchy_march(profile: PeriodicProfile, g, x_max, ny=800, dx_max=0.05,
             x_stop = min(x_max, 1.25 * report.blowup_x + 10.0 * dy)
         if report.gradient_x is None and max(gp, gm) > threshold:
             report.gradient_x = x
-            row = 1 if gm >= gp else 0  # the steeper invariant
             if report.blowup_x is None:
                 report.blowup_x = x
                 report.trigger = "gradient"
-                report.trigger_family = "-+"[row]  # the family transporting it
-                report.trigger_y = float(y[int(np.argmax(grad[row]))])
         if report.crossing_x is None:
-            gaps = fans[:, 1:] - fans[:, :-1]
-            gap_m, gap_p = gaps.min(axis=1).tolist()
+            gap_m, gap_p = (fans[:, 1:] - fans[:, :-1]).min(axis=1).tolist()
             gap_limit = _CROSSING_GAP_FRAC * dy
             if gap_m <= gap_limit or gap_p <= gap_limit:
                 report.crossing_x = x
-                row = 0 if gap_m <= gap_p else 1
                 if report.blowup_x is None:
                     report.blowup_x = x
                     report.trigger = "crossing"
-                    report.trigger_family = "-+"[row]
-                    j = int(np.argmin(gaps[row]))
-                    report.trigger_y = float(np.mod(fans[row, j] + 1.0, 2.0) - 1.0)
 
     report.x_history = np.asarray(xs)
     report.grad_zp_history = np.asarray(gzp)

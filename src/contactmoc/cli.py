@@ -105,8 +105,9 @@ def run_solve(cfg, geom, profile, write_outputs=True):
     efield = lagrangian.reconstruct(moc.grid_states(grid, prob), geom, prob.domain)
     if efield.top_gap > cfg.recon_top_tol:
         raise moc.SolverError(
-            f"no-convergence: upper-wall image misses g_plus by {efield.top_gap:.3e} "
-            f"(recon_top_tol = {cfg.recon_top_tol:.1e})", report=report)
+            f"recon-gap: upper-wall image misses g_plus by {efield.top_gap:.3e} "
+            f"(recon_top_tol = {cfg.recon_top_tol:.1e}); refine the lattice or raise "
+            "recon_top_tol", report=report)
     wres = lagrangian.weak_residual(efield, g)
 
     bg_a, bg_b = cfg.background.states()
@@ -202,8 +203,7 @@ def _load_blowup(path, x_max=None):
             raise config.ConfigError(f"{key} must be positive, got {value:g}")
 
     g = gas.GasConstants(gamma)
-    profile = blowup.PeriodicProfile.from_expressions(
-        get("u0", cast=str), get("v0", cast=str), g, rho_wall=rho_wall)
+    profile = blowup.PeriodicProfile(get("u0", cast=str), get("v0", cast=str), g, rho_wall=rho_wall)
     policy = blowup.ThresholdPolicy(factor=factor, floor=floor)
     return g, profile, policy, settings
 

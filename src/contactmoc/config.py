@@ -278,6 +278,15 @@ class RunConfig:
         return gas.GasConstants(self.gamma)
 
 
+# The optional RunConfig settings of a config file, by section.  A key the
+# file omits keeps its RunConfig default, whose type also parses the value.
+_OPTIONAL_KEYS = (
+    ("tolerances", ("fp_tol", "max_fp_iters", "newton_tol", "max_newton_iters",
+                    "min_supersonic_margin", "compat_tol", "recon_top_tol")),
+    ("output", ("out_dir",)),
+)
+
+
 # ---------------------------------------------------------------------------
 # Parsing
 
@@ -397,20 +406,16 @@ def load_config(path):
         rho_b=_get(sections, "background", "rho_b", origin),
         p=_get(sections, "background", "p", origin),
     )
+    optional = {key: _get(sections, section, key, origin, cast=type(getattr(RunConfig, key)))
+                for section, keys in _OPTIONAL_KEYS for key in keys
+                if key in sections.get(section, {})}
     cfg = RunConfig(
         gamma=gamma,
         grid_nxi=_get(sections, "grid", "nxi", origin, cast=int),
         grid_neta_a=_get(sections, "grid", "neta_a", origin, cast=int),
         grid_neta_b=_get(sections, "grid", "neta_b", origin, cast=int),
-        fp_tol=_get(sections, "tolerances", "fp_tol", origin, default=1e-10),
-        max_fp_iters=_get(sections, "tolerances", "max_fp_iters", origin, cast=int, default=60),
-        newton_tol=_get(sections, "tolerances", "newton_tol", origin, default=1e-12),
-        max_newton_iters=_get(sections, "tolerances", "max_newton_iters", origin, cast=int, default=50),
-        min_supersonic_margin=_get(sections, "tolerances", "min_supersonic_margin", origin, default=1e-3),
-        compat_tol=_get(sections, "tolerances", "compat_tol", origin, default=1e-8),
-        recon_top_tol=_get(sections, "tolerances", "recon_top_tol", origin, default=1e-5),
-        out_dir=_get(sections, "output", "out_dir", origin, cast=str, default="out"),
         background=bg,
+        **optional,
     )
     g = cfg.gas_constants
     bg.validate(g, cfg.min_supersonic_margin)
@@ -473,18 +478,12 @@ def write_config(cfg: RunConfig, geom: NozzleGeometry, profile: InletProfile, pa
     out.append(f"neta_a = {cfg.grid_neta_a}")
     out.append(f"neta_b = {cfg.grid_neta_b}")
     out.append("")
-    out.append("[tolerances]")
-    out.append(f"fp_tol = {_fmt(cfg.fp_tol)}")
-    out.append(f"max_fp_iters = {cfg.max_fp_iters}")
-    out.append(f"newton_tol = {_fmt(cfg.newton_tol)}")
-    out.append(f"max_newton_iters = {cfg.max_newton_iters}")
-    out.append(f"min_supersonic_margin = {_fmt(cfg.min_supersonic_margin)}")
-    out.append(f"compat_tol = {_fmt(cfg.compat_tol)}")
-    out.append(f"recon_top_tol = {_fmt(cfg.recon_top_tol)}")
-    out.append("")
-    out.append("[output]")
-    out.append(f"out_dir = {cfg.out_dir}")
-    out.append("")
+    for section, keys in _OPTIONAL_KEYS:
+        out.append(f"[{section}]")
+        for key in keys:
+            value = getattr(cfg, key)
+            out.append(f"{key} = {_fmt(value) if isinstance(value, float) else value}")
+        out.append("")
     with open(path, "w") as fh:
         fh.write("\n".join(out))
 

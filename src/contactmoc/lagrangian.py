@@ -256,7 +256,6 @@ def _flux_vectors(layer: LayerField, gamma):
 class WeakResidualReport:
     max_residual: float
     mean_residual: float
-    component_max: np.ndarray  # per conserved component
     contact_pressure_jump: float
     contact_mass_flux: float  # sup |rho u (g'_cd - w)| over both sides
     contact_mass_flux_jump: float
@@ -271,7 +270,6 @@ def weak_residual(field: EulerianField, g: gas.GasConstants) -> WeakResidualRepo
     Across the contact only the jump conditions are checked: pressure
     continuity and the normal mass flux.
     """
-    per_comp = []
     all_res = []
     for layer in (field.layer_a, field.layer_b):
         W, H = _flux_vectors(layer, g.gamma)
@@ -300,10 +298,8 @@ def weak_residual(field: EulerianField, g: gas.GasConstants) -> WeakResidualRepo
             (x1 - x3) * (y2 - y4) - (x2 - x4) * (y1 - y3)
         )
         rel = np.abs(resid) / area
-        per_comp.append(rel.reshape(4, -1).max(axis=1))
         all_res.append(rel.ravel())
 
-    comp_max = np.maximum(per_comp[0], per_comp[1])
     flat = np.concatenate(all_res)
 
     la, lb = field.layer_a, field.layer_b
@@ -314,7 +310,6 @@ def weak_residual(field: EulerianField, g: gas.GasConstants) -> WeakResidualRepo
     return WeakResidualReport(
         max_residual=float(flat.max()),
         mean_residual=float(flat.mean()),
-        component_max=comp_max,
         contact_pressure_jump=p_jump,
         contact_mass_flux=float(max(np.max(np.abs(mdot_a)), np.max(np.abs(mdot_b)))),
         contact_mass_flux_jump=float(np.max(np.abs(mdot_a - mdot_b))),

@@ -89,9 +89,9 @@ class MocProblem:
     b0_a: np.ndarray
     a0_b: np.ndarray
     b0_b: np.ndarray
-    newton_tol: float = 1e-12
-    max_newton_iters: int = 50
-    min_supersonic_margin: float = 1e-3
+    newton_tol: float
+    max_newton_iters: int
+    min_supersonic_margin: float
 
 
 def build_problem(cfg: RunConfig, geom: NozzleGeometry, trace_a: InletTrace,
@@ -459,7 +459,7 @@ def _gaps(new: InvariantGrid, old: InvariantGrid, dom: LagrangianDomain):
     return c0, c0 + grad
 
 
-def fixed_point(prob: MocProblem, fp_tol=1e-10, max_fp_iters=60):
+def fixed_point(prob: MocProblem, fp_tol, max_fp_iters):
     """Iterate the linearized solve from the background until the discrete-C1
     gap between successive iterates drops below fp_tol.
 
@@ -506,7 +506,6 @@ def fixed_point(prob: MocProblem, fp_tol=1e-10, max_fp_iters=60):
 @dataclass(frozen=True)
 class ResidualReport:
     sup_interior: float
-    mean_interior: float
     interior_abs: dict
     wall_slip_max: float
     contact_w_jump: float
@@ -521,8 +520,6 @@ def residual_check(grid: InvariantGrid, prob: MocProblem) -> ResidualReport:
     dom = prob.domain
     frozen = frozen_lambdas(grid, prob)
     sup = 0.0
-    total = 0.0
-    count = 0
     interior = {}
     for tag, zm, zp, lam_p, lam_m, deta in (
         ("a", grid.zm_a, grid.zp_a, frozen.lam_p_a, frozen.lam_m_a, dom.deta_a),
@@ -538,8 +535,6 @@ def residual_check(grid: InvariantGrid, prob: MocProblem) -> ResidualReport:
             res = np.abs(dz_xi + lam_in * dz_eta)
             interior[f"{tag}{fam}"] = res
             sup = max(sup, float(res.max()))
-            total += float(res.sum())
-            count += res.size
     w_a = gas.flow_angle(gas.InvariantPair(grid.zm_a, grid.zp_a))
     w_b = gas.flow_angle(gas.InvariantPair(grid.zm_b, grid.zp_b))
     wall_slip = max(
@@ -548,7 +543,6 @@ def residual_check(grid: InvariantGrid, prob: MocProblem) -> ResidualReport:
     )
     return ResidualReport(
         sup_interior=sup,
-        mean_interior=total / max(count, 1),
         interior_abs=interior,
         wall_slip_max=wall_slip,
         contact_w_jump=float(np.max(np.abs(w_a[:, 0] - w_b[:, -1]))),

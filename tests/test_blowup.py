@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ G = gas.GasConstants(1.4)
 
 
 def make_profile(v0_text, u0_text="2.0", rho_wall=1.0):
-    return blowup.PeriodicProfile.from_expressions(u0_text, v0_text, G, rho_wall=rho_wall)
+    return blowup.PeriodicProfile(u0_text, v0_text, G, rho_wall=rho_wall)
 
 
 def test_invariants_vanish_at_reference():
@@ -107,21 +109,32 @@ def test_compatibility_sine_profile_clean():
     assert blowup.check_compatibility(make_profile("0.01 * sin(pi * y)")) == []
 
 
-def test_compatibility_sine_with_constant_density_clean():
-    # explicit tabulation with constant u0, rho0 (the Bernoulli-consistency
-    # of the tabulated rho is not this check's concern)
-    y = np.linspace(0.0, 1.0, 801)
-    prof = blowup.PeriodicProfile(
-        y, np.full_like(y, 2.0), 0.01 * np.sin(np.pi * y), np.ones_like(y), G,
-        u_expr=SmoothExpression("2.0", var="y"),
-        v_expr=SmoothExpression("0.01 * sin(pi * y)", var="y"),
-    )
-    assert blowup.check_compatibility(prof) == []
-
-
 def test_compatibility_flags_half_sine():
     report = blowup.check_compatibility(make_profile("0.01 * sin(pi * y / 2)"))
     assert any("v at y=1" in item for item in report)
+
+
+def test_march_starts_from_the_expressions():
+    """Row 0 of the march is ``irrot_invariants`` of the closed-form data at
+    the nodes, bit for bit: u0 and v0 at the folded |t| with v odd, the
+    density from the Bernoulli radicand anchored at rho_wall, and qhat and
+    q_ref from the wall values."""
+    u_text, v_text, rho_wall = "2.0 + 0.01 * cos(pi * y)", "0.03 * sin(pi * y)", 0.9
+    rep = blowup.cauchy_march(make_profile(v_text, u_text, rho_wall), G, x_max=0.1, ny=300,
+                              record_slabs=True)
+    t = np.mod(rep.y_nodes + 1.0, 2.0) - 1.0
+    u0, v0 = SmoothExpression(u_text, var="y"), SmoothExpression(v_text, var="y")
+    u = u0(np.abs(t))
+    v = np.where(t < 0.0, -1.0, 1.0) * v0(np.abs(t))
+    gm1 = G.gamma - 1.0
+    q_ref = math.hypot(float(u0(0.0)), float(v0(0.0)))
+    c_wall = rho_wall ** (0.5 * gm1)
+    qhat2 = q_ref * q_ref + 2.0 * c_wall * c_wall / gm1
+    rho = (0.5 * gm1 * (qhat2 - (u * u + v * v))) ** (1.0 / gm1)
+    state = blowup.irrot_invariants(u, v, rho, G, q_ref=q_ref, qhat=math.sqrt(qhat2))
+    x0, zp, zm = rep.slabs[0]
+    assert x0 == 0.0
+    assert np.array_equal(zp, state.z_plus) and np.array_equal(zm, state.z_minus)
 
 
 def test_periodic_extension_exact():
@@ -188,7 +201,8 @@ def test_wall_condition_inherited_from_odd_extension():
 def periodic_monotone(y, values, yq, pad=None):
     """Monotone cubic of the periodic samples ``values`` on the lattice ``y``
     at ``yq`` wrapped into [-1, 1), through a copy padded by ``pad`` nodes
-    each side (by default the march's own pad): the update the march makes."""
+    each side (by default the march's own pad): the march's update, for
+    queries anywhere on the line."""
     if pad is None:
         pad = blowup._periodic_pad()
     ny = y.size
@@ -225,10 +239,9 @@ def test_stacked_periodic_update_is_bit_equal_to_row_by_row(rng):
     ("0.0", 100, 5.0),  # dx_max binds
 ], ids=["cap-binds", "dx_max-binds"])
 def test_march_feet_stay_inside_the_pad(monkeypatch, v0_text, ny, x_max):
-    """Every foot the march looks up, wrapped into the period or not, lies
-    in a cell [1, n - 2) of the padded row: the precondition of
-    ``interp.hermite_eval``, which neither clamps a foot nor sets the end
-    slopes."""
+    """Every foot the march looks up, unwrapped, lies in a cell [1, n - 2)
+    of the padded row: the precondition of ``interp.hermite_eval``, which
+    neither clamps a foot nor sets the end slopes."""
     calls = []
     hermite_eval = interp.hermite_eval
 
@@ -243,12 +256,8 @@ def test_march_feet_stay_inside_the_pad(monkeypatch, v0_text, ny, x_max):
     widest = 0.0
     for t, n in calls:
         pad = (n - ny) // 2
-        node = pad + np.arange(ny)
-        # The same foot before wrapping: node plus its signed offset in cells.
-        unwrapped = node + (np.mod(t - node + ny / 2, ny) - ny / 2)
-        for tt in (t, unwrapped):
-            assert tt.min() >= 1.0 and tt.max() < n - 2
-        widest = max(widest, float(np.abs(unwrapped - node).max()))
+        assert t.min() >= 1.0 and t.max() < n - 2
+        widest = max(widest, float(np.abs(t - (pad + np.arange(ny))).max()))
     assert 1.0 < widest <= blowup._STEP_CAP * (1 + 1e-12)
 
 

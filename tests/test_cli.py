@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from contactmoc import cli, fixtures
+from contactmoc import cli, config, fixtures, moc
 from contactmoc.expressions import SmoothExpression
 
 
@@ -299,6 +300,23 @@ def test_cfl_violation_rejected_up_front(workdir, tmp_path):
     assert "violation: cfl:" in r.stdout
 
 
+def test_reconstruction_gap_has_its_own_code(tmp_path):
+    """The fixed point converges; only the upper-wall image misses g_plus
+    (by about 9e-9 on this lattice) by more than recon_top_tol."""
+    cfg, geom, profile = fixtures.perturbed_inputs(1e-3, nxi=101, neta=26)
+    tight = dataclasses.replace(cfg, recon_top_tol=1e-9)
+    with pytest.raises(moc.SolverError, match="^recon-gap: ") as info:
+        cli.run_solve(tight, geom, profile, write_outputs=False)
+    assert info.value.report.converged and info.value.report.iterations == 3
+    cfgp = tmp_path / "tight.cfg"
+    config.write_config(tight, geom, profile, cfgp)
+    r = run_cli("solve", "--config", str(cfgp), "--out", str(tmp_path / "o"), "--quiet")
+    assert r.returncode == 1
+    s = summary_of(r)
+    assert (s["error"], s["code"]) == ("convergence", "recon-gap")
+    assert "refine the lattice or raise recon_top_tol" in r.stdout
+
+
 def test_blowup_sonic_limit_error_carries_code(tmp_path):
     cfgp = tmp_path / "subsonic.cfg"
     cfgp.write_text("[gas]\ngamma = 1.4\n\n[blowup]\nu0 = 0.5\nv0 = 0.0\nny = 100\n")
@@ -310,8 +328,6 @@ def test_blowup_sonic_limit_error_carries_code(tmp_path):
 
 
 def test_error_code_only_from_program_errors(capsys):
-    from contactmoc import config, moc
-
     cli._error_exit("convergence", moc.SolverError("degenerate: u <= c"))
     cli._error_exit("config", config.ConfigError("blow: missing [blowup] section"))
     cli._error_exit("convergence", moc.SolverError("internal error: foot outside slab"))

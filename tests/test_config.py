@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -48,6 +50,28 @@ def test_roundtrip_write_load_identity(tmp_path):
     xs = np.linspace(0, geom.L, 33)
     for k in range(4):
         assert np.array_equal(geom2.g_plus(xs, k), geom.g_plus(xs, k))
+
+
+def test_omitted_optional_settings_keep_run_config_defaults(tmp_path):
+    cfg, geom, profile = fixtures.perturbed_inputs(2e-3, nxi=48, neta=14)
+    changed = dataclasses.replace(cfg, fp_tol=3e-9, max_fp_iters=7, compat_tol=2e-7,
+                                  out_dir="elsewhere")
+    path = tmp_path / "a.cfg"
+    config.write_config(changed, geom, profile, path)
+    head, _, tail = path.read_text().partition("[tolerances]")
+    assert "max_fp_iters = 7" in tail and "out_dir = elsewhere" in tail
+    defaults = {f.name: f.default for f in dataclasses.fields(config.RunConfig)
+                if f.default is not dataclasses.MISSING and f.name != "background"}
+    assert len(defaults) == 8
+    # Neither [tolerances] nor [output]: every setting keeps its default.
+    path.write_text(head)
+    loaded, _, _ = config.load_config(path)
+    assert {name: getattr(loaded, name) for name in defaults} == defaults
+    # One key given: it is read with its default's type, the rest default.
+    path.write_text(head + "[tolerances]\nmax_fp_iters = 7\n")
+    loaded, _, _ = config.load_config(path)
+    assert type(loaded.max_fp_iters) is int
+    assert {name: getattr(loaded, name) for name in defaults} == {**defaults, "max_fp_iters": 7}
 
 
 def test_parse_error_reports_line(tmp_path):

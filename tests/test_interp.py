@@ -75,7 +75,7 @@ def test_speed_table_bit_equal_to_scipy(rng):
     from scipy.interpolate import PchipInterpolator
 
     g = gas.GasConstants(1.4)
-    prof = blowup.PeriodicProfile.from_expressions("2.0", "0.05 * sin(pi * y)", g)
+    prof = blowup.PeriodicProfile("2.0", "0.05 * sin(pi * y)", g)
     inv = blowup._SpeedInverter(prof.qhat, g, prof.q_ref)
     qs = np.linspace(inv.q_lo, inv.q_hi, inv.table.x.size)
     ref = PchipInterpolator(inv.table.x, qs)

@@ -1,5 +1,7 @@
 """The library keeps only what a run uses: every module-level function and
-class in ``src/contactmoc`` is referenced by code in ``src/`` or ``scripts/``.
+class in ``src/contactmoc`` is referenced by code in ``src/`` or ``scripts/``,
+and every dataclass field is read somewhere in ``src/``, ``scripts/`` or
+``tests/``.
 
 A helper that only the tests call belongs in ``tests/``.  The exceptions are
 named reference implementations that tests compare the run path against.
@@ -12,6 +14,7 @@ from collections import Counter
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "contactmoc")
 SCRIPTS = os.path.join(ROOT, "scripts")
+TESTS = os.path.join(ROOT, "tests")
 
 # Closed-form references the tests hold the march's own formulas against.
 REFERENCE_ONLY = {"blowup.irrot_lambdas", "blowup.dtheta_of_speed"}
@@ -48,3 +51,27 @@ def test_every_library_definition_is_used_outside_the_tests():
             break
         unused = found
     assert not unused, f"library definitions no code in src/ or scripts/ uses: {sorted(unused)}"
+
+
+def _is_dataclass(node):
+    decorators = (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
+    return any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators)
+
+
+def test_every_dataclass_field_is_read():
+    """A result field that no code reads is work for nothing.  A read is an
+    attribute load or a string constant (the name handed to ``getattr``);
+    filling a field through its constructor keyword is not a read."""
+    modules = _parse(PACKAGE)
+    trees = list(modules.values()) + list(_parse(SCRIPTS).values()) + list(_parse(TESTS).values())
+    reads = {node.attr for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    reads |= {node.value for tree in trees for node in ast.walk(tree)
+              if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    unread = sorted(f"{filename[:-3]}.{cls.name}.{stmt.target.id}"
+                    for filename, tree in modules.items() for cls in tree.body
+                    if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+                    for stmt in cls.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                    and stmt.target.id not in reads)
+    assert not unread, f"dataclass fields no code reads: {unread}"
