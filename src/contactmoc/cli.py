@@ -73,7 +73,7 @@ def _apply_overrides(cfg, geom, profile, args):
 
 
 def build_pipeline(cfg, geom, profile):
-    """Assemble the problem: mass fluxes, lattice, inlet traces, stream tables.
+    """Assemble the problem: mass fluxes, lattice, inlet traces, stream data.
 
     The one assembly path; every caller that needs a ``MocProblem`` uses it.
     Returns (MocProblem, MassFluxes).
@@ -83,9 +83,9 @@ def build_pipeline(cfg, geom, profile):
     domain = lagrangian.LagrangianDomain.build(geom.L, flux, cfg.grid_nxi,
                                                cfg.grid_neta_a, cfg.grid_neta_b)
     trace_a, trace_b = lagrangian.inlet_to_lagrangian(profile, flux, domain)
-    sd_a = lagrangian.stream_data_from_inlet(trace_a, g, p_ref=cfg.background.p)
-    sd_b = lagrangian.stream_data_from_inlet(trace_b, g, p_ref=cfg.background.p)
-    prob = moc.build_problem(cfg, geom, trace_a, trace_b, sd_a, sd_b, domain)
+    stream_a = lagrangian.stream_data_from_inlet(trace_a, g, p_ref=cfg.background.p)
+    stream_b = lagrangian.stream_data_from_inlet(trace_b, g, p_ref=cfg.background.p)
+    prob = moc.build_problem(cfg, geom, trace_a, trace_b, stream_a, stream_b, domain)
     return prob, flux
 
 

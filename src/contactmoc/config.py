@@ -5,9 +5,10 @@ Config files are sectioned key=value text with
 (plus optional [output] and [blowup]).  Inlet layers are CSV tables with
 header ``y,u,v,p,rho``, either inline between ``<<<`` and ``>>>`` markers or
 in sidecar files referenced by ``layer_a_csv`` / ``layer_b_csv``.  Wall
-curves are closed-form expressions in x (polynomials, sin, cos, exp) or
-sidecar CSV samples with header ``x,y``.  The full grammar is documented in
-the README and round-tripped by write_config.
+curves are closed-form expressions in x (polynomials, sin, cos, exp) or CSV
+samples with header ``x,y``, inline or in sidecar files referenced by
+``g_minus_csv`` / ``g_plus_csv``.  The full grammar is documented in the
+README and round-tripped by write_config.
 """
 
 from __future__ import annotations
@@ -342,49 +343,52 @@ def _get(sections, section, key, origin, cast=float, default=None):
         raise ConfigParseError(f"{origin}:{line}: cannot parse {key} = {value!r}") from None
 
 
-def _read_inlet_csv(text, origin, where):
+def _read_table(sections, section, name, columns, origin, base_dir):
+    """The CSV table ``name`` of ``section`` as a (rows, columns) array.
+
+    The table is inline (``name = <<<`` ... ``>>>``) or in the sidecar file
+    named by ``name_csv``, relative to the config file.  Its first line must
+    be the header ``columns`` joined by commas, and every row must hold that
+    many numbers; anything else raises ConfigParseError.
+    """
+    table = sections.get(section, {})
+    ref = name + "_csv"
+    header = ",".join(columns)
+    if name in table:
+        text, where = table[name][0], name
+    elif ref in table:
+        where = os.path.join(base_dir, table[ref][0])
+        try:
+            with open(where) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigParseError(f"{origin}: sidecar CSV {where!r} not readable: {exc}") from None
+    else:
+        raise ConfigParseError(f"{origin}: section [{section}] needs {name} (inline) or {ref} (sidecar)")
     buf = io.StringIO(text)
-    header = buf.readline().strip()
-    if header.replace(" ", "") != "y,u,v,p,rho":
-        raise ConfigParseError(f"{origin}: {where}: inlet CSV header must be 'y,u,v,p,rho'")
+    if buf.readline().strip().replace(" ", "") != header:
+        raise ConfigParseError(f"{origin}: {where}: CSV header must be {header!r}")
     try:
         data = np.loadtxt(buf, delimiter=",", ndmin=2)
     except ValueError as exc:
-        raise ConfigParseError(f"{origin}: {where}: bad inlet CSV row: {exc}") from None
-    if data.shape[1] != 5:
-        raise ConfigParseError(f"{origin}: {where}: inlet CSV needs 5 columns")
-    return InletLayer(y=data[:, 0], u=data[:, 1], v=data[:, 2], p=data[:, 3], rho=data[:, 4])
+        raise ConfigParseError(f"{origin}: {where}: bad CSV row: {exc}") from None
+    if data.shape[1] != len(columns):
+        raise ConfigParseError(f"{origin}: {where}: CSV needs {len(columns)} columns")
+    return data
 
 
 def _load_layer(sections, name, origin, base_dir):
-    inlet = sections.get("inlet", {})
-    if name in inlet:
-        return _read_inlet_csv(inlet[name][0], origin, name)
-    ref = name + "_csv"
-    if ref in inlet:
-        path = os.path.join(base_dir, inlet[ref][0])
-        if not os.path.exists(path):
-            raise ConfigParseError(f"{origin}: sidecar CSV {path!r} not found")
-        with open(path) as fh:
-            return _read_inlet_csv(fh.read(), origin, path)
-    raise ConfigParseError(f"{origin}: section [inlet] needs {name} (inline) or {ref} (sidecar)")
+    data = _read_table(sections, "inlet", name, ("y", "u", "v", "p", "rho"), origin, base_dir)
+    return InletLayer(y=data[:, 0], u=data[:, 1], v=data[:, 2], p=data[:, 3], rho=data[:, 4])
 
 
 def _load_wall(sections, name, origin, base_dir):
-    geo = sections.get("geometry", {})
-    if name in geo:
-        value = geo[name][0]
-        if "\n" in value:
-            return _load_wall_block(value, origin, name)
-        return WallCurve.from_expression(value)
-    ref = name + "_csv"
-    if ref in geo:
-        path = os.path.join(base_dir, geo[ref][0])
-        if not os.path.exists(path):
-            raise ConfigParseError(f"{origin}: sidecar CSV {path!r} not found")
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        return WallCurve.from_samples(data[:, 0], data[:, 1])
-    raise ConfigParseError(f"{origin}: section [geometry] needs {name} or {ref}")
+    """A wall from a one-line expression or an ``x,y`` table (inline or sidecar)."""
+    value = sections.get("geometry", {}).get(name)
+    if value is not None and "\n" not in value[0]:
+        return WallCurve.from_expression(value[0])
+    data = _read_table(sections, "geometry", name, ("x", "y"), origin, base_dir)
+    return WallCurve.from_samples(data[:, 0], data[:, 1])
 
 
 def load_config(path):
@@ -486,18 +490,6 @@ def write_config(cfg: RunConfig, geom: NozzleGeometry, profile: InletProfile, pa
         out.append("")
     with open(path, "w") as fh:
         fh.write("\n".join(out))
-
-
-# ---------------------------------------------------------------------------
-# Wall-file geometry support for sampled walls written inline
-
-def _load_wall_block(text, origin, where):
-    buf = io.StringIO(text)
-    header = buf.readline().strip()
-    if header.replace(" ", "") != "x,y":
-        raise ConfigParseError(f"{origin}: {where}: wall CSV header must be 'x,y'")
-    data = np.loadtxt(buf, delimiter=",", ndmin=2)
-    return WallCurve.from_samples(data[:, 0], data[:, 1])
 
 
 # ---------------------------------------------------------------------------

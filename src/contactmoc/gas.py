@@ -30,8 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interp import pchip
-
 # Refuse pressures within this relative margin of the sonic pressure instead
 # of regularizing the vanishing-radicand endpoint.
 SONIC_MARGIN = 1e-6
@@ -111,38 +109,6 @@ class StreamData:
             raise GasError("stream data invariant violated: A0 and B0 must be positive")
         if not self.p_ref > 0.0:
             raise GasError("stream data invariant violated: p_ref must be positive")
-
-
-class StreamTable:
-    """Tabulated per-layer streamline data A0(eta), B0(eta) with monotone
-    cubic interpolation, sharing one global Theta reference pressure."""
-
-    def __init__(self, eta, a0, b0, p_ref, g: GasConstants):
-        eta, a0, b0 = _as_array(eta, a0, b0)
-        if eta.ndim != 1 or eta.size < 2 or not np.all(np.diff(eta) > 0):
-            raise GasError("stream table needs at least two strictly increasing eta samples")
-        StreamData(a0, b0, p_ref)  # positivity
-        # p_ref must stay below the sonic pressure of every streamline,
-        # otherwise Theta's reference point is inadmissible.
-        cap = sonic_pressure(StreamData(a0, b0, p_ref), g)
-        if not np.all(p_ref < cap * (1.0 - SONIC_MARGIN)):
-            raise GasError("sonic-limit: reference pressure reaches the sonic pressure of a streamline")
-        self.eta = eta
-        self.a0_nodes = a0
-        self.b0_nodes = b0
-        self.p_ref = float(p_ref)
-        self.g = g
-        self._a0 = pchip(eta, a0)
-        self._b0 = pchip(eta, b0)
-
-    def at(self, eta):
-        """Stream data at eta (scalar or array), clamped to the table span."""
-        eta = np.asarray(eta, dtype=float)
-        fuzz = 1e-9 * (self.eta[-1] - self.eta[0])
-        if np.any(eta < self.eta[0] - fuzz) or np.any(eta > self.eta[-1] + fuzz):
-            raise GasError("out-of-range: eta outside the tabulated layer span")
-        eta = np.clip(eta, self.eta[0], self.eta[-1])
-        return StreamData(self._a0(eta), self._b0(eta), self.p_ref)
 
 
 # ---------------------------------------------------------------------------

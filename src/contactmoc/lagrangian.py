@@ -140,16 +140,22 @@ def inlet_to_lagrangian(profile: InletProfile, flux: MassFluxes, domain: Lagrang
     return trace_a, trace_b
 
 
-def stream_data_from_inlet(trace: InletTrace, g: gas.GasConstants, p_ref) -> gas.StreamTable:
-    """Entropy function and Bernoulli constant per streamline of one layer."""
+def stream_data_from_inlet(trace: InletTrace, g: gas.GasConstants, p_ref) -> gas.StreamData:
+    """Entropy function A0 and Bernoulli constant B0 at every node of one
+    layer's eta lattice, with the global Theta reference pressure.
+
+    Both are constant along each streamline, and every solver query falls
+    on a lattice node, so the node values are all the solver reads.  p_ref
+    must stay below the sonic pressure of every streamline, otherwise
+    Theta's reference point is inadmissible (``sonic-limit``).
+    """
     state = gas.PrimitiveState(u=trace.u, v=trace.v, p=trace.p, rho=trace.rho)
-    a0 = gas.entropy_function(state, g)
-    b0 = gas.bernoulli(state, g)
-    try:
-        return gas.StreamTable(trace.eta, a0, b0, p_ref, g)
-    except gas.GasError as exc:
-        worst = int(np.argmin(b0))
-        raise gas.GasError(f"{exc} (first offending eta ~ {trace.eta[worst]:.6g})") from None
+    sd = gas.StreamData(gas.entropy_function(state, g), gas.bernoulli(state, g), p_ref)
+    bad = ~(sd.p_ref < gas.sonic_pressure(sd, g) * (1.0 - gas.SONIC_MARGIN))
+    if np.any(bad):
+        raise gas.GasError("sonic-limit: reference pressure reaches the sonic pressure of a "
+                           f"streamline (first offending eta ~ {trace.eta[np.argmax(bad)]:.6g})")
+    return sd
 
 
 # ---------------------------------------------------------------------------

@@ -70,46 +70,44 @@ class SolverError(RuntimeError):
 class MocProblem:
     """Per-run data shared by every iteration.
 
-    ``a0_*`` / ``b0_*`` are the stream tables evaluated once on each layer's
-    eta lattice.
+    ``stream_a`` / ``stream_b`` hold A0 and B0 at every node of each layer's
+    eta lattice (``lagrangian.stream_data_from_inlet``) with the global
+    Theta reference pressure.
     """
 
     g: gas.GasConstants
     domain: LagrangianDomain
     geom: NozzleGeometry
-    sd_a: gas.StreamTable
-    sd_b: gas.StreamTable
+    stream_a: gas.StreamData
+    stream_b: gas.StreamData
     inlet_z_a: gas.InvariantPair
     inlet_z_b: gas.InvariantPair
     zbar_a: tuple
     zbar_b: tuple
     wall_angle_plus: np.ndarray
     wall_angle_minus: np.ndarray
-    a0_a: np.ndarray
-    b0_a: np.ndarray
-    a0_b: np.ndarray
-    b0_b: np.ndarray
     newton_tol: float
     max_newton_iters: int
     min_supersonic_margin: float
 
 
 def build_problem(cfg: RunConfig, geom: NozzleGeometry, trace_a: InletTrace,
-                  trace_b: InletTrace, sd_a: gas.StreamTable, sd_b: gas.StreamTable,
+                  trace_b: InletTrace, stream_a: gas.StreamData, stream_b: gas.StreamData,
                   domain: LagrangianDomain) -> MocProblem:
-    """Assemble the per-run problem data from the Lagrangian inlet traces."""
+    """Assemble the per-run problem data from the Lagrangian inlet traces and
+    their stream data, both on the eta lattice."""
     g = cfg.gas_constants
     bg_a, bg_b = cfg.background.states()
 
-    def inlet_invariants(trace, table):
+    def inlet_invariants(trace, stream):
         state = gas.PrimitiveState(u=trace.u, v=trace.v, p=trace.p, rho=trace.rho)
-        return gas.invariants_from_state(state, table.at(trace.eta), g)
+        return gas.invariants_from_state(state, stream, g)
 
-    z0_a = inlet_invariants(trace_a, sd_a)
-    z0_b = inlet_invariants(trace_b, sd_b)
+    z0_a = inlet_invariants(trace_a, stream_a)
+    z0_b = inlet_invariants(trace_b, stream_b)
 
     def background_invariants(st):
-        sd = gas.StreamData(gas.entropy_function(st, g), gas.bernoulli(st, g), sd_a.p_ref)
+        sd = gas.StreamData(gas.entropy_function(st, g), gas.bernoulli(st, g), stream_a.p_ref)
         z = gas.invariants_from_state(st, sd, g)
         return (float(z.z_minus), float(z.z_plus))
 
@@ -117,24 +115,18 @@ def build_problem(cfg: RunConfig, geom: NozzleGeometry, trace_a: InletTrace,
     zbar_b = background_invariants(bg_b)
 
     xi = domain.xi
-    nodes_a = sd_a.at(domain.eta_a)
-    nodes_b = sd_b.at(domain.eta_b)
     prob = MocProblem(
         g=g,
         domain=domain,
         geom=geom,
-        sd_a=sd_a,
-        sd_b=sd_b,
+        stream_a=stream_a,
+        stream_b=stream_b,
         inlet_z_a=z0_a,
         inlet_z_b=z0_b,
         zbar_a=zbar_a,
         zbar_b=zbar_b,
         wall_angle_plus=np.arctan(geom.g_plus(xi, 1)),
         wall_angle_minus=np.arctan(geom.g_minus(xi, 1)),
-        a0_a=nodes_a.a0,
-        b0_a=nodes_a.b0,
-        a0_b=nodes_b.a0,
-        b0_b=nodes_b.b0,
         newton_tol=cfg.newton_tol,
         max_newton_iters=cfg.max_newton_iters,
         min_supersonic_margin=cfg.min_supersonic_margin,
@@ -206,12 +198,12 @@ def grid_states(grid: InvariantGrid, prob: MocProblem):
     gas.PrimitiveState keyed by layer tag (cached on the grid)."""
     if grid._states is None:
         states = {}
-        for tag, zm, zp, a0, b0 in (("a", grid.zm_a, grid.zp_a, prob.a0_a, prob.b0_a),
-                                    ("b", grid.zm_b, grid.zp_b, prob.a0_b, prob.b0_b)):
+        for tag, zm, zp, stream in (("a", grid.zm_a, grid.zp_a, prob.stream_a),
+                                    ("b", grid.zm_b, grid.zp_b, prob.stream_b)):
             if not np.all(np.abs(zm + zp) < np.pi):
                 raise SolverError("left-supersonic-regime: |z_minus + z_plus| reached pi")
             states[tag] = gas.state_from_invariants(
-                gas.InvariantPair(zm, zp), gas.StreamData(a0, b0, prob.sd_a.p_ref), prob.g,
+                gas.InvariantPair(zm, zp), stream, prob.g,
                 newton_tol=prob.newton_tol, max_newton_iters=prob.max_newton_iters)
         grid._states = states
     return grid._states
@@ -288,26 +280,24 @@ class CouplingCoefficients:
             raise SolverError("coupling coefficients must be positive")
 
 
-def _averaged_dtheta(p_prev, p_bg, a0, b0, prob):
-    """int_0^1 dTheta/dp(p_bg + tau (p_prev - p_bg)) dtau by 16-point Gauss."""
+def _averaged_dtheta(p_prev, stream, node, g):
+    """int_0^1 dTheta/dp(p_bg + tau (p_prev - p_bg)) dtau by 16-point Gauss
+    on the streamline of lattice node ``node`` of ``stream``; the background
+    pressure p_bg is the Theta reference pressure."""
     tau = _GL_X[:, None]
+    p_bg = stream.p_ref
     path = p_bg + tau * (p_prev[None, :] - p_bg)
-    sd = gas.StreamData(a0, b0, prob.sd_a.p_ref)
-    vals = gas.dtheta_dp(path, sd, prob.g)
-    return _GL_W @ vals
+    sd = gas.StreamData(stream.a0[node], stream.b0[node], p_bg)
+    return _GL_W @ gas.dtheta_dp(path, sd, g)
 
 
 def coupling_coefficients(prev: InvariantGrid, prob: MocProblem) -> CouplingCoefficients:
     """Contact-closure coefficients from the previous iterate's contact row."""
     st = grid_states(prev, prob)
-    p_a = st["a"].p[:, 0]
-    p_b = st["b"].p[:, -1]
-    sd_a0 = prob.sd_a.at(0.0)
-    sd_b0 = prob.sd_b.at(0.0)
-    p_bg = prob.sd_a.p_ref
+    # The contact eta = 0 is the first node of layer a and the last of b.
     try:
-        bar_a = _averaged_dtheta(p_a, p_bg, sd_a0.a0, sd_a0.b0, prob)
-        bar_b = _averaged_dtheta(p_b, p_bg, sd_b0.a0, sd_b0.b0, prob)
+        bar_a = _averaged_dtheta(st["a"].p[:, 0], prob.stream_a, 0, prob.g)
+        bar_b = _averaged_dtheta(st["b"].p[:, -1], prob.stream_b, -1, prob.g)
     except gas.GasError as exc:
         raise SolverError(f"sonic-limit on the contact coupling path: {exc}") from None
     alpha = 1.0 / (2.0 * bar_a)

@@ -18,25 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gas
-from .moc import MocProblem, SolverError, _averaged_dtheta
+from .moc import InvariantGrid, MocProblem, SolverError, _averaged_dtheta
 
 _MAX_SUBSTEPS = 1000
 
 
-@dataclass
-class OracleGrid:
-    """z arrays on the same lattice as the fixed-point solver's grid."""
-
-    domain: object
-    zm_a: np.ndarray
-    zp_a: np.ndarray
-    zm_b: np.ndarray
-    zp_b: np.ndarray
-
-
-def _slab_state(zm, zp, a0, b0, prob):
-    state = gas.state_from_invariants(gas.InvariantPair(zm, zp),
-                                      gas.StreamData(a0, b0, prob.sd_a.p_ref), prob.g,
+def _slab_state(zm, zp, stream, prob):
+    state = gas.state_from_invariants(gas.InvariantPair(zm, zp), stream, prob.g,
                                       newton_tol=prob.newton_tol,
                                       max_newton_iters=prob.max_newton_iters)
     lam_m, lam_p = gas.lambda_pm(state, prob.g)
@@ -57,7 +45,7 @@ def _upwind(z, lam, nu_base):
     return out
 
 
-def upwind_march(prob: MocProblem) -> OracleGrid:
+def upwind_march(prob: MocProblem) -> InvariantGrid:
     """March the nonlinear diagonal system with first-order upwinding.
 
     The CFL condition max|lambda| dxi <= deta is enforced by sub-stepping;
@@ -66,8 +54,6 @@ def upwind_march(prob: MocProblem) -> OracleGrid:
     """
     dom = prob.domain
     nxi = dom.xi.size
-    a0_a, b0_a = prob.a0_a, prob.b0_a
-    a0_b, b0_b = prob.a0_b, prob.b0_b
 
     zm_a = np.empty((nxi, dom.eta_a.size))
     zp_a = np.empty_like(zm_a)
@@ -78,18 +64,14 @@ def upwind_march(prob: MocProblem) -> OracleGrid:
     zm_b[0] = np.asarray(prob.inlet_z_b.z_minus)
     zp_b[0] = np.asarray(prob.inlet_z_b.z_plus)
 
-    sd_a0 = prob.sd_a.at(0.0)
-    sd_b0 = prob.sd_b.at(0.0)
-    p_bg = prob.sd_a.p_ref
-
     for k in range(nxi - 1):
         cur_m_a, cur_p_a = zm_a[k].copy(), zp_a[k].copy()
         cur_m_b, cur_p_b = zm_b[k].copy(), zp_b[k].copy()
         xi_left = dom.xi[k]
         remaining = dom.dxi
         while remaining > 1e-14 * dom.dxi:
-            p_a, lam_m_a, lam_p_a = _slab_state(cur_m_a, cur_p_a, a0_a, b0_a, prob)
-            p_b, lam_m_b, lam_p_b = _slab_state(cur_m_b, cur_p_b, a0_b, b0_b, prob)
+            p_a, lam_m_a, lam_p_a = _slab_state(cur_m_a, cur_p_a, prob.stream_a, prob)
+            p_b, lam_m_b, lam_p_b = _slab_state(cur_m_b, cur_p_b, prob.stream_b, prob)
             max_lam = max(float(np.max(np.abs(lam_m_a))), float(np.max(np.abs(lam_p_a))),
                           float(np.max(np.abs(lam_m_b))), float(np.max(np.abs(lam_p_b))))
             cfl_dx = 0.9 * min(dom.deta_a, dom.deta_b) / max_lam
@@ -113,8 +95,8 @@ def upwind_march(prob: MocProblem) -> OracleGrid:
             new_m_b[0] = 2.0 * ang_m - new_p_b[0]
 
             # Contact coupling from this marcher's own slab pressures.
-            bar_a = _averaged_dtheta(p_a[:1], p_bg, sd_a0.a0, sd_a0.b0, prob)[0]
-            bar_b = _averaged_dtheta(p_b[-1:], p_bg, sd_b0.a0, sd_b0.b0, prob)[0]
+            bar_a = _averaged_dtheta(p_a[:1], prob.stream_a, 0, prob.g)[0]
+            bar_b = _averaged_dtheta(p_b[-1:], prob.stream_b, -1, prob.g)[0]
             alpha = 1.0 / (2.0 * bar_a)
             beta = 1.0 / (2.0 * bar_b)
             s = alpha + beta
@@ -133,7 +115,7 @@ def upwind_march(prob: MocProblem) -> OracleGrid:
         zm_a[k + 1], zp_a[k + 1] = cur_m_a, cur_p_a
         zm_b[k + 1], zp_b[k + 1] = cur_m_b, cur_p_b
 
-    return OracleGrid(domain=dom, zm_a=zm_a, zp_a=zp_a, zm_b=zm_b, zp_b=zp_b)
+    return InvariantGrid(dom, zm_a, zp_a, zm_b, zp_b)
 
 
 @dataclass(frozen=True)

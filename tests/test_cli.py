@@ -386,3 +386,38 @@ def test_sampled_wall_solves_through_lazy_spline(workdir, tmp_path):
         ["solve", "--config", str(cfg), "--out", str(tmp_path / "s"), "--quiet"])
     assert codes == [0]
     assert "scipy.interpolate" in loaded
+
+
+def _with_wall_table(workdir, tmp_path, case):
+    """pert.cfg with g_plus sampled as an ``x,y`` table that one defect spoils."""
+    xs = np.linspace(0.0, 4.0, 33)
+    out = []
+    for ln in (workdir / "pert.cfg").read_text().splitlines():
+        if ln.startswith("g_plus = "):
+            wall = SmoothExpression(ln.partition("=")[2].strip(), var="x")
+            rows = [f"{x:.17g},{y:.17g}" for x, y in zip(xs, wall(xs))]
+            header = "t,z" if case == "sidecar-bad-header" else "x,y"
+            if case != "sidecar-bad-header":
+                rows[5] = "foo,1"
+            if case == "inline-bad-row":
+                out += ["g_plus = <<<", header, *rows, ">>>"]
+                continue
+            (tmp_path / "wall.csv").write_text("\n".join([header, *rows]) + "\n")
+            ln = "g_plus_csv = wall.csv"
+        out.append(ln)
+    cfg = tmp_path / "wall.cfg"
+    cfg.write_text("\n".join(out))
+    return cfg
+
+
+@pytest.mark.parametrize("case", ["inline-bad-row", "sidecar-bad-row", "sidecar-bad-header"])
+@pytest.mark.parametrize("command", ["solve", "validate"])
+def test_malformed_wall_table_is_config_error(workdir, tmp_path, command, case):
+    cfg = _with_wall_table(workdir, tmp_path, case)
+    r = run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet")
+    assert "Traceback" not in r.stderr
+    lines = [ln for ln in r.stdout.splitlines() if ln.startswith("status=")]
+    assert lines == [r.stdout.strip().splitlines()[-1]]
+    s = summary_of(r)
+    assert (r.returncode, s["status"], s["error"]) == (2, "error", "config")
+    assert ("header must be 'x,y'" if case == "sidecar-bad-header" else "bad CSV row") in lines[0]

@@ -322,15 +322,3 @@ def test_round_trip_property(du, w, dp, drho):
     assert back.u == pytest.approx(state.u, abs=1e-10)
     assert back.v == pytest.approx(state.v, abs=1e-10)
 
-
-def test_stream_table_interpolation_and_validation():
-    eta = np.linspace(0.0, 1.0, 9)
-    table = gas.StreamTable(eta, 1.0 + 0.01 * eta, B_BG + 0.05 * eta, 1.0, G)
-    sd = table.at(0.5)
-    assert sd.a0 == pytest.approx(1.005, abs=1e-12)
-    with pytest.raises(gas.GasError):
-        table.at(2.0)
-    with pytest.raises(gas.GasError):
-        gas.StreamTable(eta, -np.ones(9), np.full(9, B_BG), 1.0, G)
-    with pytest.raises(gas.GasError, match="sonic-limit"):
-        gas.StreamTable(eta, np.ones(9), np.full(9, 3.51), 1.0, G)  # p_ref barely subsonic

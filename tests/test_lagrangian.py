@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from contactmoc import config, fixtures, gas, interp, lagrangian as lag
+from contactmoc import cli, config, fixtures, gas, interp, lagrangian as lag
 from tests.conftest import assemble, solved
 
 G = gas.GasConstants(1.4)
@@ -102,9 +102,9 @@ def test_stream_data_background_constant():
     ta, tb = lag.inlet_to_lagrangian(profile, flux, dom)
     sa = lag.stream_data_from_inlet(ta, G, p_ref=1.0)
     sb = lag.stream_data_from_inlet(tb, G, p_ref=1.0)
-    assert np.max(np.abs(sa.a0_nodes - 1.0)) < 1e-13
-    assert np.max(np.abs(sa.b0_nodes - (0.5 * 2.2**2 + 3.5))) < 1e-12
-    assert np.max(np.abs(sb.a0_nodes - 1.0 / 1.2**1.4)) < 1e-13
+    assert np.max(np.abs(sa.a0 - 1.0)) < 1e-13
+    assert np.max(np.abs(sa.b0 - (0.5 * 2.2**2 + 3.5))) < 1e-12
+    assert np.max(np.abs(sb.a0 - 1.0 / 1.2**1.4)) < 1e-13
 
 
 def test_stream_data_matches_pointwise_evaluation():
@@ -114,11 +114,38 @@ def test_stream_data_matches_pointwise_evaluation():
     ta, _ = lag.inlet_to_lagrangian(profile, flux, dom)
     sa = lag.stream_data_from_inlet(ta, G, p_ref=1.0)
     direct = ta.p / ta.rho**1.4
-    assert np.max(np.abs(sa.a0_nodes - direct)) < 1e-14
-    dense = np.linspace(0.0, flux.m_a, 1000)
-    sd = sa.at(dense)
-    assert sd.b0.min() >= sa.b0_nodes.min() - 1e-12
-    assert sd.b0.max() <= sa.b0_nodes.max() + 1e-12
+    assert np.max(np.abs(sa.a0 - direct)) < 1e-14
+
+
+def test_problem_stream_data_is_the_inlet_node_values():
+    # Every solver query falls on a lattice node, so the problem carries
+    # A0 and B0 of the inlet trace itself, bit for bit, the last node of
+    # each layer included.
+    cfg, geom, profile = fixtures.perturbed_inputs(1e-3, nxi=400, neta=100)
+    flux = lag.mass_fluxes(profile)
+    dom = lag.LagrangianDomain.build(geom.L, flux, cfg.grid_nxi, cfg.grid_neta_a, cfg.grid_neta_b)
+    traces = lag.inlet_to_lagrangian(profile, flux, dom)
+    prob, _ = cli.build_pipeline(cfg, geom, profile)
+    for trace, stream in zip(traces, (prob.stream_a, prob.stream_b)):
+        state = gas.PrimitiveState(u=trace.u, v=trace.v, p=trace.p, rho=trace.rho)
+        assert np.array_equal(stream.a0, gas.entropy_function(state, G))
+        assert np.array_equal(stream.b0, gas.bernoulli(state, G))
+        assert stream.p_ref == cfg.background.p
+
+
+def test_stream_data_validation():
+    with pytest.raises(gas.GasError):
+        gas.StreamData(-np.ones(9), np.full(9, 0.5 * 2.2**2 + 3.5), 1.0)
+    # A0 = 1 and B0 = u^2/2 + 3.5: p_ref = 1 is above the sonic pressure
+    # (about 0.53) where B0 = 3.51 (nodes 5 and 6) and where B0 = 3.505
+    # (node 7, the least B0); the first of them is named.
+    eta = np.linspace(0.0, 1.0, 9)
+    b0 = np.array([5.9, 5.9, 5.9, 5.9, 5.9, 3.51, 3.51, 3.505, 5.9])
+    trace = lag.InletTrace(eta=eta, y=eta, u=np.sqrt(2.0 * (b0 - 3.5)), v=np.zeros(9),
+                           p=np.ones(9), rho=np.ones(9))
+    with pytest.raises(gas.GasError, match=r"^sonic-limit: .*\(first offending eta ~ 0\.625\)$"):
+        lag.stream_data_from_inlet(trace, G, p_ref=1.0)
+    assert lag.stream_data_from_inlet(trace, G, p_ref=0.5).p_ref == 0.5
 
 
 # ---------------------------------------------------------------------------

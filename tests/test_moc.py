@@ -10,6 +10,13 @@ from tests.conftest import assemble, solved
 G = gas.GasConstants(1.4)
 
 
+def contact_stream_data(prob):
+    """Stream data of the contact streamline eta = 0: the first node of
+    layer a and the last of layer b."""
+    return tuple(gas.StreamData(s.a0[node], s.b0[node], s.p_ref)
+                 for s, node in ((prob.stream_a, 0), (prob.stream_b, -1)))
+
+
 def test_frozen_lambdas_background_constant():
     cfg, geom, profile, prob = assemble(0.0, 60, 12)
     grid = moc.InvariantGrid.background(prob)
@@ -59,8 +66,9 @@ def test_coupling_background_values():
     cfg, geom, profile, prob = assemble(0.0, 60, 12)
     grid = moc.InvariantGrid.background(prob)
     cc = moc.coupling_coefficients(grid, prob)
-    expect_a = 1.0 / (2.0 * gas.dtheta_dp(1.0, prob.sd_a.at(0.0), G))
-    expect_b = 1.0 / (2.0 * gas.dtheta_dp(1.0, prob.sd_b.at(0.0), G))
+    sd_a, sd_b = contact_stream_data(prob)
+    expect_a = 1.0 / (2.0 * gas.dtheta_dp(1.0, sd_a, G))
+    expect_b = 1.0 / (2.0 * gas.dtheta_dp(1.0, sd_b, G))
     assert np.max(np.abs(cc.alpha - expect_a)) < 1e-13
     assert np.max(np.abs(cc.beta - expect_b)) < 1e-13
 
@@ -94,7 +102,7 @@ def test_background_invariants_invert_to_p_ref_on_the_contact(eps):
     # background: the background invariants invert to the reference pressure
     # against the perturbed stream data on either side of the contact.
     cfg, geom, profile, prob = assemble(eps, 60, 12)
-    for zbar, sd in ((prob.zbar_a, prob.sd_a.at(0.0)), (prob.zbar_b, prob.sd_b.at(0.0))):
+    for zbar, sd in zip((prob.zbar_a, prob.zbar_b), contact_stream_data(prob)):
         p = gas.pressure_from_invariants(gas.InvariantPair(*zbar), sd, G)
         assert p == pytest.approx(cfg.background.p, abs=1e-12)
 
@@ -364,11 +372,9 @@ def test_converged_grid_inverts_from_cold_in_few_sweeps():
     # of an O(eps) grid in two sweeps; converged nodes take no further step.
     cfg, geom, profile, prob, grid, report = solved(1e-3, 140, 35)
     states = moc.grid_states(grid, prob)
-    for tag, zm, zp, a0, b0 in (("a", grid.zm_a, grid.zp_a, prob.a0_a, prob.b0_a),
-                                ("b", grid.zm_b, grid.zp_b, prob.a0_b, prob.b0_b)):
-        sd = gas.StreamData(np.broadcast_to(a0, zm.shape), np.broadcast_to(b0, zm.shape),
-                            prob.sd_a.p_ref)
-        p = gas.pressure_from_invariants(gas.InvariantPair(zm, zp), sd, prob.g,
+    for tag, zm, zp, stream in (("a", grid.zm_a, grid.zp_a, prob.stream_a),
+                                ("b", grid.zm_b, grid.zp_b, prob.stream_b)):
+        p = gas.pressure_from_invariants(gas.InvariantPair(zm, zp), stream, prob.g,
                                          newton_tol=prob.newton_tol, max_newton_iters=3)
         assert np.array_equal(p, states[tag].p)
 

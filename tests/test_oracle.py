@@ -12,6 +12,7 @@ G = gas.GasConstants(1.4)
 def test_background_propagates_exactly():
     cfg, geom, profile, prob = assemble(0.0, 60, 12)
     out = oracle.upwind_march(prob)
+    assert isinstance(out, moc.InvariantGrid) and out.domain is prob.domain
     assert np.max(np.abs(out.zm_a - prob.zbar_a[0])) < 1e-14
     assert np.max(np.abs(out.zp_a - prob.zbar_a[1])) < 1e-14
     assert np.max(np.abs(out.zm_b - prob.zbar_b[0])) < 1e-14
@@ -58,7 +59,7 @@ def test_upwind_preserves_monotone_data():
 def test_compare_fields_trivial_and_single_node():
     cfg, geom, profile, prob = assemble(0.0, 40, 10)
     a = moc.InvariantGrid.background(prob)
-    b = oracle.OracleGrid(prob.domain, a.zm_a.copy(), a.zp_a.copy(),
+    b = moc.InvariantGrid(prob.domain, a.zm_a.copy(), a.zp_a.copy(),
                           a.zm_b.copy(), a.zp_b.copy())
     rep = oracle.compare_fields(a, b)
     assert rep.overall_sup == 0.0
