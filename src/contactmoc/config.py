@@ -13,7 +13,6 @@ README and round-tripped by write_config.
 
 from __future__ import annotations
 
-import io
 import os
 from dataclasses import dataclass, field
 
@@ -292,6 +291,11 @@ _OPTIONAL_KEYS = (
 # Parsing
 
 
+class _Block(str):
+    """The text of a ``<<<`` ... ``>>>`` block: always a table, however many
+    lines it holds."""
+
+
 def parse_sections(text, origin="<config>"):
     """Parse sectioned key=value text into {section: {key: (value, line)}}."""
     sections = {}
@@ -324,7 +328,7 @@ def parse_sections(text, origin="<config>"):
             if i >= len(lines):
                 raise ConfigParseError(f"{origin}:{line_no}: unterminated <<< block for {key!r}")
             i += 1
-            sections[current][key] = ("\n".join(block), line_no)
+            sections[current][key] = (_Block("\n".join(block)), line_no)
         else:
             sections[current][key] = (value, line_no)
     return sections
@@ -348,8 +352,9 @@ def _read_table(sections, section, name, columns, origin, base_dir):
 
     The table is inline (``name = <<<`` ... ``>>>``) or in the sidecar file
     named by ``name_csv``, relative to the config file.  Its first line must
-    be the header ``columns`` joined by commas, and every row must hold that
-    many numbers; anything else raises ConfigParseError.
+    be the header ``columns`` joined by commas, at least one data row must
+    follow, and every row must hold that many numbers; anything else raises
+    ConfigParseError.
     """
     table = sections.get(section, {})
     ref = name + "_csv"
@@ -365,11 +370,14 @@ def _read_table(sections, section, name, columns, origin, base_dir):
             raise ConfigParseError(f"{origin}: sidecar CSV {where!r} not readable: {exc}") from None
     else:
         raise ConfigParseError(f"{origin}: section [{section}] needs {name} (inline) or {ref} (sidecar)")
-    buf = io.StringIO(text)
-    if buf.readline().strip().replace(" ", "") != header:
+    first, _, body = text.partition("\n")
+    if first.strip().replace(" ", "") != header:
         raise ConfigParseError(f"{origin}: {where}: CSV header must be {header!r}")
+    rows = [ln for ln in body.splitlines() if ln.partition("#")[0].strip()]
+    if not rows:
+        raise ConfigParseError(f"{origin}: {where}: table has no data rows")
     try:
-        data = np.loadtxt(buf, delimiter=",", ndmin=2)
+        data = np.loadtxt(rows, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise ConfigParseError(f"{origin}: {where}: bad CSV row: {exc}") from None
     if data.shape[1] != len(columns):
@@ -385,7 +393,7 @@ def _load_layer(sections, name, origin, base_dir):
 def _load_wall(sections, name, origin, base_dir):
     """A wall from a one-line expression or an ``x,y`` table (inline or sidecar)."""
     value = sections.get("geometry", {}).get(name)
-    if value is not None and "\n" not in value[0]:
+    if value is not None and not isinstance(value[0], _Block):
         return WallCurve.from_expression(value[0])
     data = _read_table(sections, "geometry", name, ("x", "y"), origin, base_dir)
     return WallCurve.from_samples(data[:, 0], data[:, 1])

@@ -280,14 +280,19 @@ class CouplingCoefficients:
             raise SolverError("coupling coefficients must be positive")
 
 
-def _averaged_dtheta(p_prev, stream, node, g):
+def _averaged_dtheta(p_prev, sd, g):
     """int_0^1 dTheta/dp(p_bg + tau (p_prev - p_bg)) dtau by 16-point Gauss
-    on the streamline of lattice node ``node`` of ``stream``; the background
-    pressure p_bg is the Theta reference pressure."""
+    on the streamline data ``sd``; the background pressure p_bg is the Theta
+    reference pressure.
+
+    The Gauss nodes run along the second-to-last axis of the path, so p_prev
+    of shape (..., m) is summed as one (16, m) product per leading index.  A
+    (k, 1) p_prev with a0/b0 of shape (k, 1, 1) gives each of its k
+    streamlines the bits of a one-node call.
+    """
     tau = _GL_X[:, None]
-    p_bg = stream.p_ref
-    path = p_bg + tau * (p_prev[None, :] - p_bg)
-    sd = gas.StreamData(stream.a0[node], stream.b0[node], p_bg)
+    p_bg = sd.p_ref
+    path = p_bg + tau * (p_prev[..., None, :] - p_bg)
     return _GL_W @ gas.dtheta_dp(path, sd, g)
 
 
@@ -295,9 +300,12 @@ def coupling_coefficients(prev: InvariantGrid, prob: MocProblem) -> CouplingCoef
     """Contact-closure coefficients from the previous iterate's contact row."""
     st = grid_states(prev, prob)
     # The contact eta = 0 is the first node of layer a and the last of b.
+    sa, sb = prob.stream_a, prob.stream_b
     try:
-        bar_a = _averaged_dtheta(st["a"].p[:, 0], prob.stream_a, 0, prob.g)
-        bar_b = _averaged_dtheta(st["b"].p[:, -1], prob.stream_b, -1, prob.g)
+        contact_a = gas.StreamData(sa.a0[0], sa.b0[0], sa.p_ref)
+        contact_b = gas.StreamData(sb.a0[-1], sb.b0[-1], sb.p_ref)
+        bar_a = _averaged_dtheta(st["a"].p[:, 0], contact_a, prob.g)
+        bar_b = _averaged_dtheta(st["b"].p[:, -1], contact_b, prob.g)
     except gas.GasError as exc:
         raise SolverError(f"sonic-limit on the contact coupling path: {exc}") from None
     alpha = 1.0 / (2.0 * bar_a)

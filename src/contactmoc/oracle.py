@@ -8,6 +8,13 @@ have the same form (wall reflection, two-sided contact coupling with the
 averaged-derivative weights) but every coefficient is recomputed from this
 marcher's own slabs; nothing computed by the fixed-point solver is read.
 Agreement between the two is therefore evidence, not shared bias.
+
+Each sub-step works on both layers at once: the invariants are carried as
+stacked rows ``a | b`` (the contact is the first and the last entry, the
+walls meet in the middle), so one pressure inversion and one evaluation of
+the speeds serve both layers, and one Gauss path gives both contact
+weights.  Newton runs independently per node, so the stacked calls return
+the bits of per-layer calls.
 """
 
 from __future__ import annotations
@@ -21,14 +28,6 @@ from . import gas
 from .moc import InvariantGrid, MocProblem, SolverError, _averaged_dtheta
 
 _MAX_SUBSTEPS = 1000
-
-
-def _slab_state(zm, zp, stream, prob):
-    state = gas.state_from_invariants(gas.InvariantPair(zm, zp), stream, prob.g,
-                                      newton_tol=prob.newton_tol,
-                                      max_newton_iters=prob.max_newton_iters)
-    lam_m, lam_p = gas.lambda_pm(state, prob.g)
-    return state.p, lam_m, lam_p
 
 
 def _upwind(z, lam, nu_base):
@@ -54,27 +53,38 @@ def upwind_march(prob: MocProblem) -> InvariantGrid:
     """
     dom = prob.domain
     nxi = dom.xi.size
+    na = dom.eta_a.size
+    a, b = slice(0, na), slice(na, None)
+    deta_min = min(dom.deta_a, dom.deta_b)
 
-    zm_a = np.empty((nxi, dom.eta_a.size))
+    # Both layers' streamlines in one row (Theta has one global p_ref), and
+    # the two contact streamlines, one Gauss block each.
+    sa, sb = prob.stream_a, prob.stream_b
+    stream = gas.StreamData(np.concatenate([sa.a0, sb.a0]), np.concatenate([sa.b0, sb.b0]),
+                            sa.p_ref)
+    ends = np.array([0, -1])
+    contact = gas.StreamData(stream.a0[ends, None, None], stream.b0[ends, None, None],
+                             stream.p_ref)
+
+    zm_a = np.empty((nxi, na))
     zp_a = np.empty_like(zm_a)
     zm_b = np.empty((nxi, dom.eta_b.size))
     zp_b = np.empty_like(zm_b)
-    zm_a[0] = np.asarray(prob.inlet_z_a.z_minus)
-    zp_a[0] = np.asarray(prob.inlet_z_a.z_plus)
-    zm_b[0] = np.asarray(prob.inlet_z_b.z_minus)
-    zp_b[0] = np.asarray(prob.inlet_z_b.z_plus)
+    cur_m = np.concatenate([prob.inlet_z_a.z_minus, prob.inlet_z_b.z_minus])
+    cur_p = np.concatenate([prob.inlet_z_a.z_plus, prob.inlet_z_b.z_plus])
+    zm_a[0], zm_b[0] = cur_m[a], cur_m[b]
+    zp_a[0], zp_b[0] = cur_p[a], cur_p[b]
 
     for k in range(nxi - 1):
-        cur_m_a, cur_p_a = zm_a[k].copy(), zp_a[k].copy()
-        cur_m_b, cur_p_b = zm_b[k].copy(), zp_b[k].copy()
         xi_left = dom.xi[k]
         remaining = dom.dxi
         while remaining > 1e-14 * dom.dxi:
-            p_a, lam_m_a, lam_p_a = _slab_state(cur_m_a, cur_p_a, prob.stream_a, prob)
-            p_b, lam_m_b, lam_p_b = _slab_state(cur_m_b, cur_p_b, prob.stream_b, prob)
-            max_lam = max(float(np.max(np.abs(lam_m_a))), float(np.max(np.abs(lam_p_a))),
-                          float(np.max(np.abs(lam_m_b))), float(np.max(np.abs(lam_p_b))))
-            cfl_dx = 0.9 * min(dom.deta_a, dom.deta_b) / max_lam
+            state = gas.state_from_invariants(gas.InvariantPair(cur_m, cur_p), stream, prob.g,
+                                              newton_tol=prob.newton_tol,
+                                              max_newton_iters=prob.max_newton_iters)
+            lam_m, lam_p = gas.lambda_pm(state, prob.g)
+            max_lam = max(float(np.max(np.abs(lam_m))), float(np.max(np.abs(lam_p))))
+            cfl_dx = 0.9 * deta_min / max_lam
             n_sub = max(1, math.ceil(remaining / cfl_dx))
             if n_sub > _MAX_SUBSTEPS:
                 raise SolverError(
@@ -83,37 +93,36 @@ def upwind_march(prob: MocProblem) -> InvariantGrid:
                 )
             dx = remaining / n_sub
 
-            new_m_a = _upwind(cur_m_a, lam_p_a, dx / dom.deta_a)
-            new_p_a = _upwind(cur_p_a, lam_m_a, dx / dom.deta_a)
-            new_m_b = _upwind(cur_m_b, lam_p_b, dx / dom.deta_b)
-            new_p_b = _upwind(cur_p_b, lam_m_b, dx / dom.deta_b)
+            new_m = np.concatenate([_upwind(cur_m[a], lam_p[a], dx / dom.deta_a),
+                                    _upwind(cur_m[b], lam_p[b], dx / dom.deta_b)])
+            new_p = np.concatenate([_upwind(cur_p[a], lam_m[a], dx / dom.deta_a),
+                                    _upwind(cur_p[b], lam_m[b], dx / dom.deta_b)])
 
+            # Walls: the last node of layer a and the first of layer b.
             xi_next = xi_left + dx
             ang_p = math.atan(float(prob.geom.g_plus(xi_next, 1)))
             ang_m = math.atan(float(prob.geom.g_minus(xi_next, 1)))
-            new_p_a[-1] = 2.0 * ang_p - new_m_a[-1]
-            new_m_b[0] = 2.0 * ang_m - new_p_b[0]
+            new_p[na - 1] = 2.0 * ang_p - new_m[na - 1]
+            new_m[na] = 2.0 * ang_m - new_p[na]
 
             # Contact coupling from this marcher's own slab pressures.
-            bar_a = _averaged_dtheta(p_a[:1], prob.stream_a, 0, prob.g)[0]
-            bar_b = _averaged_dtheta(p_b[-1:], prob.stream_b, -1, prob.g)[0]
+            bar_a, bar_b = _averaged_dtheta(state.p[ends, None], contact, prob.g).ravel()
             alpha = 1.0 / (2.0 * bar_a)
             beta = 1.0 / (2.0 * bar_b)
             s = alpha + beta
             g1 = (alpha - beta) / s
             g2 = 2.0 * alpha / s
             g3 = 2.0 * beta / s
-            d_in_a = new_p_a[0] - prob.zbar_a[1]
-            d_in_b = new_m_b[-1] - prob.zbar_b[0]
-            new_m_a[0] = prob.zbar_a[0] + g1 * d_in_a + g3 * d_in_b
-            new_p_b[-1] = prob.zbar_b[1] + g2 * d_in_a - g1 * d_in_b
+            d_in_a = new_p[0] - prob.zbar_a[1]
+            d_in_b = new_m[-1] - prob.zbar_b[0]
+            new_m[0] = prob.zbar_a[0] + g1 * d_in_a + g3 * d_in_b
+            new_p[-1] = prob.zbar_b[1] + g2 * d_in_a - g1 * d_in_b
 
-            cur_m_a, cur_p_a = new_m_a, new_p_a
-            cur_m_b, cur_p_b = new_m_b, new_p_b
+            cur_m, cur_p = new_m, new_p
             xi_left = xi_next
             remaining -= dx
-        zm_a[k + 1], zp_a[k + 1] = cur_m_a, cur_p_a
-        zm_b[k + 1], zp_b[k + 1] = cur_m_b, cur_p_b
+        zm_a[k + 1], zm_b[k + 1] = cur_m[a], cur_m[b]
+        zp_a[k + 1], zp_b[k + 1] = cur_p[a], cur_p[b]
 
     return InvariantGrid(dom, zm_a, zp_a, zm_b, zp_b)
 

@@ -1,0 +1,95 @@
+"""Test helper: the upwind oracle's march, one layer at a time.
+
+``oracle.upwind_march`` stacks both layers into one row per sub-step.  This
+reference keeps the per-layer form: each sub-step inverts and evaluates the
+speeds of layer a and layer b in separate calls, and takes each contact
+weight from its own one-node Gauss path.  The two must agree bit for bit.
+"""
+
+import math
+
+import numpy as np
+
+from contactmoc import gas
+from contactmoc.moc import _GL_W, _GL_X, InvariantGrid, SolverError
+from contactmoc.oracle import _MAX_SUBSTEPS, _upwind
+
+
+def _slab_state(zm, zp, stream, prob):
+    state = gas.state_from_invariants(gas.InvariantPair(zm, zp), stream, prob.g,
+                                      newton_tol=prob.newton_tol,
+                                      max_newton_iters=prob.max_newton_iters)
+    lam_m, lam_p = gas.lambda_pm(state, prob.g)
+    return state.p, lam_m, lam_p
+
+
+def _contact_dtheta(p, stream, node, g):
+    """Gauss average of dTheta/dp from p_ref to the one pressure ``p[0]``."""
+    path = stream.p_ref + _GL_X[:, None] * (p[None, :] - stream.p_ref)
+    sd = gas.StreamData(stream.a0[node], stream.b0[node], stream.p_ref)
+    return (_GL_W @ gas.dtheta_dp(path, sd, g))[0]
+
+
+def per_layer_march(prob):
+    """The oracle march with per-layer calls; returns (grid, sub-step count)."""
+    dom = prob.domain
+    nxi = dom.xi.size
+    zm_a = np.empty((nxi, dom.eta_a.size))
+    zp_a = np.empty_like(zm_a)
+    zm_b = np.empty((nxi, dom.eta_b.size))
+    zp_b = np.empty_like(zm_b)
+    zm_a[0] = prob.inlet_z_a.z_minus
+    zp_a[0] = prob.inlet_z_a.z_plus
+    zm_b[0] = prob.inlet_z_b.z_minus
+    zp_b[0] = prob.inlet_z_b.z_plus
+    substeps = 0
+
+    for k in range(nxi - 1):
+        cur_m_a, cur_p_a = zm_a[k].copy(), zp_a[k].copy()
+        cur_m_b, cur_p_b = zm_b[k].copy(), zp_b[k].copy()
+        xi_left = dom.xi[k]
+        remaining = dom.dxi
+        while remaining > 1e-14 * dom.dxi:
+            substeps += 1
+            p_a, lam_m_a, lam_p_a = _slab_state(cur_m_a, cur_p_a, prob.stream_a, prob)
+            p_b, lam_m_b, lam_p_b = _slab_state(cur_m_b, cur_p_b, prob.stream_b, prob)
+            max_lam = max(float(np.max(np.abs(lam_m_a))), float(np.max(np.abs(lam_p_a))),
+                          float(np.max(np.abs(lam_m_b))), float(np.max(np.abs(lam_p_b))))
+            cfl_dx = 0.9 * min(dom.deta_a, dom.deta_b) / max_lam
+            n_sub = max(1, math.ceil(remaining / cfl_dx))
+            if n_sub > _MAX_SUBSTEPS:
+                raise SolverError(f"degenerate: would need {n_sub} sub-steps")
+            dx = remaining / n_sub
+
+            new_m_a = _upwind(cur_m_a, lam_p_a, dx / dom.deta_a)
+            new_p_a = _upwind(cur_p_a, lam_m_a, dx / dom.deta_a)
+            new_m_b = _upwind(cur_m_b, lam_p_b, dx / dom.deta_b)
+            new_p_b = _upwind(cur_p_b, lam_m_b, dx / dom.deta_b)
+
+            xi_next = xi_left + dx
+            ang_p = math.atan(float(prob.geom.g_plus(xi_next, 1)))
+            ang_m = math.atan(float(prob.geom.g_minus(xi_next, 1)))
+            new_p_a[-1] = 2.0 * ang_p - new_m_a[-1]
+            new_m_b[0] = 2.0 * ang_m - new_p_b[0]
+
+            bar_a = _contact_dtheta(p_a[:1], prob.stream_a, 0, prob.g)
+            bar_b = _contact_dtheta(p_b[-1:], prob.stream_b, -1, prob.g)
+            alpha = 1.0 / (2.0 * bar_a)
+            beta = 1.0 / (2.0 * bar_b)
+            s = alpha + beta
+            g1 = (alpha - beta) / s
+            g2 = 2.0 * alpha / s
+            g3 = 2.0 * beta / s
+            d_in_a = new_p_a[0] - prob.zbar_a[1]
+            d_in_b = new_m_b[-1] - prob.zbar_b[0]
+            new_m_a[0] = prob.zbar_a[0] + g1 * d_in_a + g3 * d_in_b
+            new_p_b[-1] = prob.zbar_b[1] + g2 * d_in_a - g1 * d_in_b
+
+            cur_m_a, cur_p_a = new_m_a, new_p_a
+            cur_m_b, cur_p_b = new_m_b, new_p_b
+            xi_left = xi_next
+            remaining -= dx
+        zm_a[k + 1], zp_a[k + 1] = cur_m_a, cur_p_a
+        zm_b[k + 1], zp_b[k + 1] = cur_m_b, cur_p_b
+
+    return InvariantGrid(dom, zm_a, zp_a, zm_b, zp_b), substeps

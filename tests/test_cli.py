@@ -397,9 +397,11 @@ def _with_wall_table(workdir, tmp_path, case):
             wall = SmoothExpression(ln.partition("=")[2].strip(), var="x")
             rows = [f"{x:.17g},{y:.17g}" for x, y in zip(xs, wall(xs))]
             header = "t,z" if case == "sidecar-bad-header" else "x,y"
-            if case != "sidecar-bad-header":
+            if case.endswith("no-rows"):
+                rows = []
+            elif case != "sidecar-bad-header":
                 rows[5] = "foo,1"
-            if case == "inline-bad-row":
+            if case.startswith("inline"):
                 out += ["g_plus = <<<", header, *rows, ">>>"]
                 continue
             (tmp_path / "wall.csv").write_text("\n".join([header, *rows]) + "\n")
@@ -410,14 +412,24 @@ def _with_wall_table(workdir, tmp_path, case):
     return cfg
 
 
-@pytest.mark.parametrize("case", ["inline-bad-row", "sidecar-bad-row", "sidecar-bad-header"])
+_WALL_TABLE_ERRORS = {
+    "inline-bad-row": "bad CSV row",
+    "sidecar-bad-row": "bad CSV row",
+    "sidecar-bad-header": "header must be 'x,y'",
+    # a one-line <<< block is still a table, not the expression "x,y"
+    "inline-no-rows": "g_plus: table has no data rows",
+    "sidecar-no-rows": "wall.csv: table has no data rows",
+}
+
+
+@pytest.mark.parametrize("case", list(_WALL_TABLE_ERRORS))
 @pytest.mark.parametrize("command", ["solve", "validate"])
 def test_malformed_wall_table_is_config_error(workdir, tmp_path, command, case):
     cfg = _with_wall_table(workdir, tmp_path, case)
     r = run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet")
-    assert "Traceback" not in r.stderr
+    assert r.stderr == ""
     lines = [ln for ln in r.stdout.splitlines() if ln.startswith("status=")]
     assert lines == [r.stdout.strip().splitlines()[-1]]
     s = summary_of(r)
     assert (r.returncode, s["status"], s["error"]) == (2, "error", "config")
-    assert ("header must be 'x,y'" if case == "sidecar-bad-header" else "bad CSV row") in lines[0]
+    assert _WALL_TABLE_ERRORS[case] in lines[0]

@@ -1,10 +1,12 @@
 import inspect
+import re
 
 import numpy as np
 import pytest
 
 from contactmoc import gas, moc, oracle
 from tests.conftest import assemble, solved
+from tests.oracle_reference import per_layer_march
 
 G = gas.GasConstants(1.4)
 
@@ -84,6 +86,42 @@ def test_oracle_reads_no_solver_caches():
     assert "CouplingCoefficients" not in src
     assert "frozen_lambdas" not in src
     assert "coupling_coefficients" not in src
+    # The oracle evaluates the walls at its own sub-step abscissae and
+    # inverts its own slabs; the problem's precomputed values stay unread.
+    assert "wall_angle_plus" not in src
+    assert "wall_angle_minus" not in src
+    assert "grid_states" not in src
+
+
+def _smallest_valid_nxi(eps, neta):
+    with pytest.raises(moc.SolverError, match="cfl:") as info:
+        assemble(eps, 10, neta)
+    return int(re.search(r"smallest valid nxi is (\d+)", str(info.value)).group(1))
+
+
+@pytest.mark.parametrize("eps, nxi", [(1e-3, 101), (1e-2, 101), (1e-2, None)],
+                         ids=["eps1e-3", "eps1e-2", "near-cfl"])
+def test_march_matches_per_layer_reference(monkeypatch, eps, nxi):
+    near_cfl = nxi is None
+    if near_cfl:
+        nxi = _smallest_valid_nxi(eps, 26) + 1
+    prob = assemble(eps, nxi, 26)[3]
+    ref, ref_substeps = per_layer_march(prob)
+    inversions = []
+    stacked = gas.state_from_invariants
+
+    def counted(*args, **kwargs):
+        inversions.append(1)
+        return stacked(*args, **kwargs)
+
+    monkeypatch.setattr(gas, "state_from_invariants", counted)
+    out = oracle.upwind_march(prob)
+    for name in ("zm_a", "zp_a", "zm_b", "zp_b"):
+        assert np.array_equal(getattr(out, name), getattr(ref, name)), name
+    # one stacked inversion per sub-step, and the reference's sub-steps
+    assert len(inversions) == ref_substeps
+    if near_cfl:
+        assert ref_substeps > nxi - 1  # some step took n_sub >= 2
 
 
 def test_oracle_approaches_moc_solution():
