@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import re
 import sys
@@ -50,22 +51,38 @@ def _config_exit_category(exc):
     return "config" if isinstance(exc, config.ConfigParseError) else "validation"
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors also end with the summary line."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        _summary({"status": "error", "error": "usage", "detail": repr(f"{self.prog}: {message}")})
+        self.exit(EXIT_USAGE)
+
+
+def _grid(text):
+    """The --grid value NXIxNETA as (nxi, neta)."""
+    try:
+        nxi, neta = map(int, text.lower().split("x"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse {text!r}; expected NXIxNETA") from None
+    return nxi, neta
+
+
 def _apply_overrides(cfg, geom, profile, args):
     """Apply the command-line overrides; RunConfig re-checks the result."""
     changes = {}
+    t = getattr(args, "eps_scale", None)
+    if t is not None and not math.isfinite(t):
+        raise config.ConfigError(f"--eps-scale must be finite, got {t}")
     if getattr(args, "grid", None) is not None:
-        try:
-            nxi_s, neta_s = args.grid.lower().split("x")
-            nxi, neta = int(nxi_s), int(neta_s)
-        except ValueError:
-            raise config.ConfigError(f"cannot parse --grid {args.grid!r}; expected NXIxNETA")
+        nxi, neta = args.grid
         changes.update(grid_nxi=nxi, grid_neta_a=neta, grid_neta_b=neta)
     if getattr(args, "max_iters", None) is not None:
         changes["max_fp_iters"] = args.max_iters
     if getattr(args, "out", None):
         changes["out_dir"] = args.out
     cfg = dataclasses.replace(cfg, **changes)
-    t = getattr(args, "eps_scale", None)
     if t is not None and t != 1.0:
         profile = profile.scale_deviation(cfg.background, t)
         geom = geom.scale_deviation(t)
@@ -82,10 +99,9 @@ def build_pipeline(cfg, geom, profile):
     flux = lagrangian.mass_fluxes(profile)
     domain = lagrangian.LagrangianDomain.build(geom.L, flux, cfg.grid_nxi,
                                                cfg.grid_neta_a, cfg.grid_neta_b)
-    trace_a, trace_b = lagrangian.inlet_to_lagrangian(profile, flux, domain)
-    stream_a = lagrangian.stream_data_from_inlet(trace_a, g, p_ref=cfg.background.p)
-    stream_b = lagrangian.stream_data_from_inlet(trace_b, g, p_ref=cfg.background.p)
-    prob = moc.build_problem(cfg, geom, trace_a, trace_b, stream_a, stream_b, domain)
+    traces = lagrangian.inlet_to_lagrangian(profile, flux, domain)
+    streams = [lagrangian.stream_data_from_inlet(t, g, p_ref=cfg.background.p) for t in traces]
+    prob = moc.build_problem(cfg, geom, *traces, *streams, domain)
     return prob, flux
 
 
@@ -110,11 +126,9 @@ def run_solve(cfg, geom, profile, write_outputs=True):
             "recon_top_tol", report=report)
     wres = lagrangian.weak_residual(efield, g)
 
-    bg_a, bg_b = cfg.background.states()
-    sup_dev = 0.0
-    for tag, st, layer in (("a", bg_a, efield.layer_a), ("b", bg_b, efield.layer_b)):
-        for name, ref in (("u", st.u), ("v", st.v), ("p", st.p), ("rho", st.rho)):
-            sup_dev = max(sup_dev, float(np.max(np.abs(getattr(layer, name) - ref))))
+    sup_dev = max(float(np.max(np.abs(getattr(layer, name) - getattr(st, name))))
+                  for st, layer in zip(cfg.background.states(), (efield.layer_a, efield.layer_b))
+                  for name in ("u", "v", "p", "rho"))
 
     paths = {}
     if write_outputs:
@@ -199,8 +213,8 @@ def _load_blowup(path, x_max=None):
     for key, value in (("rho_wall", rho_wall), ("x_max", settings["x_max"]),
                        ("dx_max", settings["dx_max"]), ("grad_factor", factor),
                        ("grad_floor", floor)):
-        if not value > 0:
-            raise config.ConfigError(f"{key} must be positive, got {value:g}")
+        if not 0.0 < value < math.inf:  # an infinite x_max never ends a smooth march
+            raise config.ConfigError(f"{key} must be positive and finite, got {value:g}")
 
     g = gas.GasConstants(gamma)
     profile = blowup.PeriodicProfile(get("u0", cast=str), get("v0", cast=str), g, rho_wall=rho_wall)
@@ -252,8 +266,9 @@ def cmd_sweep(args):
     except ValueError:
         _summary({"status": "error", "error": "usage", "detail": "'bad epsilon list'"})
         return EXIT_USAGE
-    if not targets or any(t <= 0 for t in targets):
-        _summary({"status": "error", "error": "usage", "detail": "'epsilon values must be positive'"})
+    if not targets or not all(0.0 < t < math.inf for t in targets):
+        _summary({"status": "error", "error": "usage",
+                  "detail": "'epsilon values must be positive and finite'"})
         return EXIT_USAGE
 
     try:
@@ -338,7 +353,7 @@ def cmd_validate(args):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="contactmoc",
         description="Supersonic contact-discontinuity nozzle solver and blow-up demonstrator",
     )
@@ -351,7 +366,7 @@ def main(argv=None):
 
     p_solve = sub.add_parser("solve", help="run the full nozzle pipeline")
     common(p_solve)
-    p_solve.add_argument("--grid", default=None, help="override lattice as NXIxNETA")
+    p_solve.add_argument("--grid", type=_grid, default=None, help="override lattice as NXIxNETA")
     p_solve.add_argument("--eps-scale", type=float, default=None,
                          help="scale all deviation fields by this factor")
     p_solve.add_argument("--max-iters", type=int, default=None)
@@ -363,7 +378,7 @@ def main(argv=None):
     p_sweep = sub.add_parser("sweep", help="run a family of scaled perturbations")
     common(p_sweep)
     p_sweep.add_argument("--eps", default="", help="comma-separated target sizes")
-    p_sweep.add_argument("--grid", default=None)
+    p_sweep.add_argument("--grid", type=_grid, default=None)
     p_sweep.add_argument("--max-iters", type=int, default=None)
 
     p_val = sub.add_parser("validate", help="check config and compatibility conditions")

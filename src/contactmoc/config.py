@@ -265,8 +265,8 @@ class RunConfig:
 
     def __post_init__(self):
         for name in ("fp_tol", "newton_tol", "min_supersonic_margin", "compat_tol", "recon_top_tol"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"tolerance {name} must be positive")
+            if not 0.0 < getattr(self, name) < np.inf:  # newton_tol = inf skips every Newton step
+                raise ConfigError(f"tolerance {name} must be positive and finite")
         for name in ("grid_nxi", "grid_neta_a", "grid_neta_b"):
             if not getattr(self, name) >= 4:
                 raise ConfigError(f"grid size {name} must be at least 4")

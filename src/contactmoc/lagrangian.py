@@ -80,6 +80,17 @@ class LagrangianDomain:
     def deta_b(self):
         return self.eta_b[1] - self.eta_b[0]
 
+    @property
+    def layers(self):
+        """``(tag, eta, columns)`` of each layer on the stacked node row.
+
+        Every solver array keeps both layers on one row ``a | b``: layer a
+        from the contact up, then layer b from the lower wall.  The contact
+        eta = 0 is entry 0 and entry -1; the walls meet at na-1 | na.
+        """
+        na = self.eta_a.size
+        return (("a", self.eta_a, slice(0, na)), ("b", self.eta_b, slice(na, na + self.eta_b.size)))
+
 
 @dataclass(frozen=True)
 class InletTrace:
@@ -208,38 +219,38 @@ class EulerianField:
     top_gap: float  # sup |y(xi, m_a) - g_plus(xi)|, a conservation diagnostic
 
 
-def reconstruct(fields, geom: NozzleGeometry, domain: LagrangianDomain) -> EulerianField:
+def reconstruct(state, geom: NozzleGeometry, domain: LagrangianDomain) -> EulerianField:
     """Invert the stream-function map column by column.
 
-    ``fields`` maps layer tag -> gas.PrimitiveState with arrays shaped
-    (nxi, neta), as ``moc.grid_states`` returns.  y(xi, eta) integrates
-    1/(rho u) from the lower wall with composite Simpson; the contact curve
-    is the image of eta = 0 and the upper-wall mismatch is reported, not
-    enforced.
+    ``state`` is the gas.PrimitiveState of both layers on the stacked node
+    row (``LagrangianDomain.layers``), arrays shaped (nxi, neta_a + neta_b),
+    as ``moc.grid_states`` returns.  y(xi, eta) integrates 1/(rho u) from
+    the lower wall with composite Simpson; the contact curve is the image
+    of eta = 0 and the upper-wall mismatch is reported, not enforced.
     """
     xi = domain.xi
-    fa, fb = fields["a"], fields["b"]
-    for tag, f in (("a", fa), ("b", fb)):
-        if not np.all(f.rho * f.u > 0.0):
+    mass = state.rho * state.u
+    for tag, _, cols in domain.layers:
+        if not np.all(mass[:, cols] > 0.0):
             raise TransformError(f"jacobian-degenerate: rho*u <= 0 in layer {tag}")
+    (_, _, a), (_, _, b) = domain.layers
 
-    inv_b = 1.0 / (fb.rho * fb.u)
-    y_b = geom.g_minus(xi)[:, None] + cumulative_simpson(inv_b, domain.deta_b, axis=1)
+    inv = 1.0 / mass
+    y_b = geom.g_minus(xi)[:, None] + cumulative_simpson(inv[:, b], domain.deta_b, axis=1)
     g_cd = y_b[:, -1].copy()
-
-    inv_a = 1.0 / (fa.rho * fa.u)
-    y_a = g_cd[:, None] + cumulative_simpson(inv_a, domain.deta_a, axis=1)
+    y_a = g_cd[:, None] + cumulative_simpson(inv[:, a], domain.deta_a, axis=1)
     top_gap = float(np.max(np.abs(y_a[:, -1] - geom.g_plus(xi))))
 
     if not (np.all(np.diff(y_b, axis=1) > 0) and np.all(np.diff(y_a, axis=1) > 0)):
         raise TransformError("layer ordering violated: reconstructed y is not increasing in eta")
 
-    w_cd = 0.5 * (fa.v[:, 0] / fa.u[:, 0] + fb.v[:, -1] / fb.u[:, -1])
+    u, v, p, rho = state.u, state.v, state.p, state.rho
+    w_cd = 0.5 * (v[:, 0] / u[:, 0] + v[:, -1] / u[:, -1])
     contact = ContactCurve(x=xi.copy(), g_cd=g_cd, d_g_cd=w_cd)
     return EulerianField(
         x=xi.copy(),
-        layer_a=LayerField(y=y_a, u=fa.u, v=fa.v, p=fa.p, rho=fa.rho),
-        layer_b=LayerField(y=y_b, u=fb.u, v=fb.v, p=fb.p, rho=fb.rho),
+        layer_a=LayerField(y=y_a, u=u[:, a], v=v[:, a], p=p[:, a], rho=rho[:, a]),
+        layer_b=LayerField(y=y_b, u=u[:, b], v=v[:, b], p=p[:, b], rho=rho[:, b]),
         contact=contact,
         top_gap=top_gap,
     )

@@ -6,24 +6,25 @@ closures: inlet data at xi = 0, wall reflection z_minus + z_plus =
 2 arctan g' at the nozzle walls, and a two-sided coupling at the contact row
 eta = 0 that enforces continuity of flow angle and pressure.
 
-Each outer iteration inverts the previous iterate to primitive states once
-(``grid_states``), freezes the characteristic speeds on them and solves the
-resulting linear transport problem exactly in the semi-Lagrangian sense:
-every invariant is constant along its own frozen characteristic, so one
-backward trace plus clipped cubic interpolation per node advances a
-xi-slab.  The speeds are frozen, so the feet do not depend on z: the march
-first plans every step (``plan_march``: midpoint foot, clipped foot and
-cubic stencil of every node of every step, the four slabs stacked into one
-row ``zm_a | zp_a | zm_b | zp_b``), then sweeps in xi (``step_linearized``:
-one gather of the stencil values, one of the bracketing pairs, the Lagrange
-sum and its clip, then the wall and contact closures on the four boundary
-entries).  The problem is well posed because each layer has one incoming and
-one outgoing family at every wall and at the contact (lambda_- < 0 <
-lambda_+, required by ``FrozenField``), and the march stays inside its
-domain of dependence because ``check_cfl`` enforces max|lambda| dxi <= deta
-on every frozen field before it is marched (Courant, Friedrichs & Lewy,
-Math. Ann. 100, 1928).  The contact closure linearizes the pressure match
-with averaged-derivative coefficients
+Every grid, state and speed array holds both layers on one node row
+``a | b`` (``LagrangianDomain.layers``).  Each outer iteration inverts the
+previous iterate to primitive states once (``grid_states``), freezes the
+characteristic speeds on them and solves the resulting linear transport
+problem exactly in the semi-Lagrangian sense: every invariant is constant
+along its own frozen characteristic, so one backward trace plus clipped
+cubic interpolation per node advances a xi-slab.  The speeds are frozen, so
+the feet do not depend on z: the march first plans every step
+(``plan_march``: midpoint foot, clipped foot and cubic stencil of every node
+of every step on the row ``zm | zp``), then sweeps in xi
+(``step_linearized``: one gather of the stencil values, one of the
+bracketing pairs, the Lagrange sum and its clip, then the wall and contact
+closures on the four boundary entries).  The problem is well posed because
+each layer has one incoming and one outgoing family at every wall and at the
+contact (lambda_- < 0 < lambda_+, required by ``FrozenField``), and the
+march stays inside its domain of dependence because ``check_cfl`` enforces
+max|lambda| dxi <= deta on every frozen field before it is marched (Courant,
+Friedrichs & Lewy, Math. Ann. 100, 1928).  The contact closure linearizes the
+pressure match with averaged-derivative coefficients
 
     alpha = 1 / (2 int_0^1 dTheta/dp(p_bg + tau (p_prev - p_bg)) dtau)
 
@@ -70,18 +71,17 @@ class SolverError(RuntimeError):
 class MocProblem:
     """Per-run data shared by every iteration.
 
-    ``stream_a`` / ``stream_b`` hold A0 and B0 at every node of each layer's
-    eta lattice (``lagrangian.stream_data_from_inlet``) with the global
-    Theta reference pressure.
+    ``stream`` holds A0 and B0 at every node of the stacked row ``a | b``
+    (``lagrangian.stream_data_from_inlet`` of each layer) with the global
+    Theta reference pressure; ``inlet_z`` holds the inlet invariants on the
+    same row.
     """
 
     g: gas.GasConstants
     domain: LagrangianDomain
     geom: NozzleGeometry
-    stream_a: gas.StreamData
-    stream_b: gas.StreamData
-    inlet_z_a: gas.InvariantPair
-    inlet_z_b: gas.InvariantPair
+    stream: gas.StreamData
+    inlet_z: gas.InvariantPair
     zbar_a: tuple
     zbar_b: tuple
     wall_angle_plus: np.ndarray
@@ -97,32 +97,27 @@ def build_problem(cfg: RunConfig, geom: NozzleGeometry, trace_a: InletTrace,
     """Assemble the per-run problem data from the Lagrangian inlet traces and
     their stream data, both on the eta lattice."""
     g = cfg.gas_constants
-    bg_a, bg_b = cfg.background.states()
+    layer = {"a": (trace_a, stream_a), "b": (trace_b, stream_b)}
 
-    def inlet_invariants(trace, stream):
-        state = gas.PrimitiveState(u=trace.u, v=trace.v, p=trace.p, rho=trace.rho)
-        return gas.invariants_from_state(state, stream, g)
+    def row(i, name):  # one field of both layers on the stacked node row
+        return np.concatenate([getattr(layer[tag][i], name) for tag, _, _ in domain.layers])
 
-    z0_a = inlet_invariants(trace_a, stream_a)
-    z0_b = inlet_invariants(trace_b, stream_b)
+    stream = gas.StreamData(row(1, "a0"), row(1, "b0"), stream_a.p_ref)
+    inlet = gas.PrimitiveState(*(row(0, name) for name in ("u", "v", "p", "rho")))
 
     def background_invariants(st):
         sd = gas.StreamData(gas.entropy_function(st, g), gas.bernoulli(st, g), stream_a.p_ref)
         z = gas.invariants_from_state(st, sd, g)
         return (float(z.z_minus), float(z.z_plus))
 
-    zbar_a = background_invariants(bg_a)
-    zbar_b = background_invariants(bg_b)
-
+    zbar_a, zbar_b = map(background_invariants, cfg.background.states())
     xi = domain.xi
     prob = MocProblem(
         g=g,
         domain=domain,
         geom=geom,
-        stream_a=stream_a,
-        stream_b=stream_b,
-        inlet_z_a=z0_a,
-        inlet_z_b=z0_b,
+        stream=stream,
+        inlet_z=gas.invariants_from_state(inlet, stream, g),
         zbar_a=zbar_a,
         zbar_b=zbar_b,
         wall_angle_plus=np.arctan(geom.g_plus(xi, 1)),
@@ -145,9 +140,8 @@ def check_cfl(frozen: FrozenField, domain: LagrangianDomain):
     """
     violated = []
     nxi_min = 0
-    for tag, eta, lams in (("a", domain.eta_a, (frozen.lam_m_a, frozen.lam_p_a)),
-                           ("b", domain.eta_b, (frozen.lam_m_b, frozen.lam_p_b))):
-        lam = max(float(np.max(np.abs(x))) for x in lams)
+    for tag, eta, cols in domain.layers:
+        lam = max(float(np.max(np.abs(x[:, cols]))) for x in (frozen.lam_m, frozen.lam_p))
         deta = eta[1] - eta[0]
         bound = deta + 1e-9 * (eta[-1] - eta[0])  # round-off must not reject a lattice at the bound
         if lam * domain.dxi > bound:
@@ -163,56 +157,61 @@ def check_cfl(frozen: FrozenField, domain: LagrangianDomain):
 # Grid container
 
 
+def _layer_view(family, tag):
+    """Read-only attribute: a view of one layer's columns of ``family``."""
+    def view(grid):
+        cols = next(cols for t, _, cols in grid.domain.layers if t == tag)
+        return getattr(grid, family)[:, cols]
+    return property(view)
+
+
 class InvariantGrid:
-    """z_minus / z_plus per layer on the Lagrangian lattice.
+    """z_minus / z_plus on the Lagrangian lattice, both layers on the stacked
+    node row: ``zm`` and ``zp`` are (nxi, neta_a + neta_b) arrays, and
+    ``zm_a`` ... ``zp_b`` are read-only attributes viewing one layer's columns.
 
     Caches the implied primitive state the first time it is needed so each
     iterate pays for the pressure inversion exactly once.
     """
 
-    def __init__(self, domain, zm_a, zp_a, zm_b, zp_b):
+    zm_a, zp_a = _layer_view("zm", "a"), _layer_view("zp", "a")
+    zm_b, zp_b = _layer_view("zm", "b"), _layer_view("zp", "b")
+
+    def __init__(self, domain, zm, zp):
         self.domain = domain
-        self.zm_a = zm_a
-        self.zp_a = zp_a
-        self.zm_b = zm_b
-        self.zp_b = zp_b
-        self._states = None
+        self.zm = zm
+        self.zp = zp
+        self._state = None
 
     @classmethod
     def background(cls, prob: MocProblem, nxi=None):
         """The background invariants on ``nxi`` xi rows (default: all)."""
         nxi = prob.domain.xi.size if nxi is None else nxi
-        za = np.full((nxi, prob.domain.eta_a.size), 0.0)
-        zb = np.full((nxi, prob.domain.eta_b.size), 0.0)
-        return cls(
-            prob.domain,
-            za + prob.zbar_a[0],
-            za + prob.zbar_a[1],
-            zb + prob.zbar_b[0],
-            zb + prob.zbar_b[1],
-        )
+        zbar = {"a": prob.zbar_a, "b": prob.zbar_b}
+        zm, zp = np.empty((2, nxi, prob.stream.a0.size))
+        for tag, _, cols in prob.domain.layers:
+            zm[:, cols], zp[:, cols] = zbar[tag]
+        return cls(prob.domain, zm, zp)
 
 
-def grid_states(grid: InvariantGrid, prob: MocProblem):
-    """Primitive state per layer implied by the grid, as a dict of
-    gas.PrimitiveState keyed by layer tag (cached on the grid)."""
-    if grid._states is None:
-        states = {}
-        for tag, zm, zp, stream in (("a", grid.zm_a, grid.zp_a, prob.stream_a),
-                                    ("b", grid.zm_b, grid.zp_b, prob.stream_b)):
-            if not np.all(np.abs(zm + zp) < np.pi):
-                raise SolverError("left-supersonic-regime: |z_minus + z_plus| reached pi")
-            states[tag] = gas.state_from_invariants(
-                gas.InvariantPair(zm, zp), stream, prob.g,
-                newton_tol=prob.newton_tol, max_newton_iters=prob.max_newton_iters)
-        grid._states = states
-    return grid._states
+def grid_states(grid: InvariantGrid, prob: MocProblem) -> gas.PrimitiveState:
+    """Primitive state of both layers implied by the grid, one inversion on
+    the stacked row (cached on the grid)."""
+    if grid._state is None:
+        if not np.all(np.abs(grid.zm + grid.zp) < np.pi):
+            raise SolverError("left-supersonic-regime: |z_minus + z_plus| reached pi")
+        grid._state = gas.state_from_invariants(
+            gas.InvariantPair(grid.zm, grid.zp), prob.stream, prob.g,
+            newton_tol=prob.newton_tol, max_newton_iters=prob.max_newton_iters)
+    return grid._state
 
 
 def check_supersonic_margin(grid: InvariantGrid, prob: MocProblem):
     """Enforce u - c >= min_supersonic_margin at every node."""
-    for tag, s in grid_states(grid, prob).items():
-        worst = float(np.min(s.u - gas.sound_speed(s, prob.g)))
+    s = grid_states(grid, prob)
+    margin = s.u - gas.sound_speed(s, prob.g)
+    for tag, _, cols in prob.domain.layers:
+        worst = float(np.min(margin[:, cols]))
         if worst < prob.min_supersonic_margin:
             raise SolverError(
                 f"left-supersonic-regime: min(u - c) = {worst:.3e} fell below "
@@ -239,29 +238,23 @@ class FrozenField:
     closures.
     """
 
-    lam_m_a: np.ndarray
-    lam_p_a: np.ndarray
-    lam_m_b: np.ndarray
-    lam_p_b: np.ndarray
+    lam_m: np.ndarray
+    lam_p: np.ndarray
 
     def __post_init__(self):
-        for lam_m, lam_p in ((self.lam_m_a, self.lam_p_a), (self.lam_m_b, self.lam_p_b)):
-            if not np.all(np.isfinite(lam_m)) or not np.all(np.isfinite(lam_p)):
-                raise SolverError("degenerate: frozen characteristic speed not finite")
-            if not (np.all(lam_m < 0.0) and np.all(lam_p > 0.0)):
-                raise SolverError("degenerate: frozen speeds must satisfy lambda_- < 0 < lambda_+")
+        if not np.all(np.isfinite(self.lam_m)) or not np.all(np.isfinite(self.lam_p)):
+            raise SolverError("degenerate: frozen characteristic speed not finite")
+        if not (np.all(self.lam_m < 0.0) and np.all(self.lam_p > 0.0)):
+            raise SolverError("degenerate: frozen speeds must satisfy lambda_- < 0 < lambda_+")
 
 
 def frozen_lambdas(grid: InvariantGrid, prob: MocProblem) -> FrozenField:
     """Both characteristic speeds at every node of the grid's states."""
-    lams = {}
-    for tag, state in grid_states(grid, prob).items():
-        try:
-            lams[tag] = gas.lambda_pm(state, prob.g)
-        except gas.GasError as exc:
-            raise SolverError(f"left-supersonic-regime: {exc} (layer {tag})") from None
-    return FrozenField(lam_m_a=lams["a"][0], lam_p_a=lams["a"][1],
-                       lam_m_b=lams["b"][0], lam_p_b=lams["b"][1])
+    try:
+        lam_m, lam_p = gas.lambda_pm(grid_states(grid, prob), prob.g)
+    except gas.GasError as exc:
+        raise SolverError(f"left-supersonic-regime: {exc}") from None
+    return FrozenField(lam_m=lam_m, lam_p=lam_p)
 
 
 @dataclass(frozen=True)
@@ -298,14 +291,13 @@ def _averaged_dtheta(p_prev, sd, g):
 
 def coupling_coefficients(prev: InvariantGrid, prob: MocProblem) -> CouplingCoefficients:
     """Contact-closure coefficients from the previous iterate's contact row."""
-    st = grid_states(prev, prob)
-    # The contact eta = 0 is the first node of layer a and the last of b.
-    sa, sb = prob.stream_a, prob.stream_b
+    p = grid_states(prev, prob).p
+    # The contact eta = 0 is the first and the last entry of the row a | b;
+    # one Gauss path per side keeps each side's (16, nxi) product.
+    sd = prob.stream
     try:
-        contact_a = gas.StreamData(sa.a0[0], sa.b0[0], sa.p_ref)
-        contact_b = gas.StreamData(sb.a0[-1], sb.b0[-1], sb.p_ref)
-        bar_a = _averaged_dtheta(st["a"].p[:, 0], contact_a, prob.g)
-        bar_b = _averaged_dtheta(st["b"].p[:, -1], contact_b, prob.g)
+        bar_a = _averaged_dtheta(p[:, 0], gas.StreamData(sd.a0[0], sd.b0[0], sd.p_ref), prob.g)
+        bar_b = _averaged_dtheta(p[:, -1], gas.StreamData(sd.a0[-1], sd.b0[-1], sd.p_ref), prob.g)
     except gas.GasError as exc:
         raise SolverError(f"sonic-limit on the contact coupling path: {exc}") from None
     alpha = 1.0 / (2.0 * bar_a)
@@ -328,14 +320,13 @@ def coupling_coefficients(prev: InvariantGrid, prob: MocProblem) -> CouplingCoef
 class MarchPlan:
     """Backward-trace data of every step of one frozen field.
 
-    The four slabs are stacked into one row, ``zm_a | zp_a | zm_b | zp_b``,
-    with ``slices`` marking each slab.  Row k of ``base``, ``cell`` and ``s``
-    serves the step xi_k -> xi_{k+1}: the stacked-row index of each node's
-    first stencil node and of the left node of its bracketing cell, and the
-    local coordinate of its foot (``interp.cubic_stencil``).
+    The march row is ``zm | zp``, each on the stacked row a | b.  Row k of
+    ``base``, ``cell`` and ``s`` serves the step xi_k -> xi_{k+1}: the
+    march-row index of each node's first stencil node and of the left node
+    of its bracketing cell, and the local coordinate of its foot
+    (``interp.cubic_stencil``).
     """
 
-    slices: tuple
     base: np.ndarray
     cell: np.ndarray
     s: np.ndarray
@@ -346,67 +337,70 @@ def plan_march(frozen: FrozenField, domain: LagrangianDomain) -> MarchPlan:
 
     The speeds are frozen, so the feet do not depend on z: each foot comes
     from the midpoint speed, the mean of the rows xi_k and xi_{k+1} at the
-    clipped half-step point.  Feet are clipped to their slab; ``check_cfl``
+    clipped half-step point.  Feet are clipped to their layer; ``check_cfl``
     keeps every foot a closure does not overwrite inside it.
     """
     dxi = domain.dxi
-    etas = (domain.eta_a, domain.eta_a, domain.eta_b, domain.eta_b)
-    ends = np.cumsum([0] + [eta.size for eta in etas]).tolist()
-    slices = tuple(slice(start, stop) for start, stop in zip(ends[:-1], ends[1:]))
-    shape = (domain.xi.size - 1, ends[-1])
+    n = frozen.lam_p.shape[1]
+    shape = (domain.xi.size - 1, 2 * n)
     base, cell, s = np.empty(shape, np.intp), np.empty(shape, np.intp), np.empty(shape)
-    for eta, lam, sl in zip(etas, (frozen.lam_p_a, frozen.lam_m_a, frozen.lam_p_b, frozen.lam_m_b),
-                            slices):
-        mid = np.clip(eta - 0.5 * dxi * lam[1:], eta[0], eta[-1])
-        at_mid = np.empty((2,) + mid.shape)  # rows k and k + 1 at the midpoints
-        for k, m in enumerate(mid):
-            at_mid[0, k] = np.interp(m, eta, lam[k])
-            at_mid[1, k] = np.interp(m, eta, lam[k + 1])
-        feet = np.clip(eta - dxi * (0.5 * (at_mid[0] + at_mid[1])), eta[0], eta[-1])
-        base[:, sl], cell[:, sl], s[:, sl] = interp.cubic_stencil(eta[0], eta[1] - eta[0],
-                                                                   eta.size, feet)
-        base[:, sl] += sl.start
-        cell[:, sl] += sl.start
-    return MarchPlan(slices, base, cell, s)
+    # z_minus rides lambda_+ and z_plus rides lambda_-.
+    for offset, lam_row in ((0, frozen.lam_p), (n, frozen.lam_m)):
+        for _, eta, cols in domain.layers:
+            lam = lam_row[:, cols]
+            sl = slice(offset + cols.start, offset + cols.stop)
+            mid = np.clip(eta - 0.5 * dxi * lam[1:], eta[0], eta[-1])
+            at_mid = np.empty((2,) + mid.shape)  # rows k and k + 1 at the midpoints
+            for k, m in enumerate(mid):
+                at_mid[0, k] = np.interp(m, eta, lam[k])
+                at_mid[1, k] = np.interp(m, eta, lam[k + 1])
+            feet = np.clip(eta - dxi * (0.5 * (at_mid[0] + at_mid[1])), eta[0], eta[-1])
+            base[:, sl], cell[:, sl], s[:, sl] = interp.cubic_stencil(eta[0], eta[1] - eta[0],
+                                                                       eta.size, feet)
+            base[:, sl] += sl.start
+            cell[:, sl] += sl.start
+    return MarchPlan(base, cell, s)
 
 
 def step_linearized(prob: MocProblem, plan: MarchPlan, cc: CouplingCoefficients, k, z):
-    """Advance the stacked invariant row ``z`` from xi_k to xi_{k+1}.
+    """Advance the march row ``z = zm | zp`` from xi_k to xi_{k+1}.
 
     Every node takes the clipped cubic at its planned foot; the outgoing
     boundary entries are then assigned: wall reflection at eta = +-m, the
     two-sided coupling at the contact.
     """
     new = interp.cubic_eval(z, plan.base[k], plan.cell[k], plan.s[k])
-    # The contact eta = 0 is the first node of layer a and the last of b.
-    zm_a, zp_a, zm_b, zp_b = plan.slices
+    # Each family is a row a | b: the contact is its first and last entry,
+    # the walls meet at na-1 | na.
+    n, na = new.size // 2, prob.domain.eta_a.size
+    zm, zp = new[:n], new[n:]
 
     # Wall reflections: the outgoing family balances the traced incoming one.
-    new[zp_a.stop - 1] = 2.0 * prob.wall_angle_plus[k + 1] - new[zm_a.stop - 1]
-    new[zm_b.start] = 2.0 * prob.wall_angle_minus[k + 1] - new[zp_b.start]
+    zp[na - 1] = 2.0 * prob.wall_angle_plus[k + 1] - zm[na - 1]
+    zm[na] = 2.0 * prob.wall_angle_minus[k + 1] - zp[na]
 
     # Contact coupling: incoming are z+ from above and z- from below.
-    d_in_a = new[zp_a.start] - prob.zbar_a[1]
-    d_in_b = new[zm_b.stop - 1] - prob.zbar_b[0]
+    d_in_a = zp[0] - prob.zbar_a[1]
+    d_in_b = zm[-1] - prob.zbar_b[0]
     g1, g2, g3 = cc.gamma1[k + 1], cc.gamma2[k + 1], cc.gamma3[k + 1]
-    new[zm_a.start] = prob.zbar_a[0] + g1 * d_in_a + g3 * d_in_b
-    new[zp_b.stop - 1] = prob.zbar_b[1] + g2 * d_in_a - g1 * d_in_b
+    zm[0] = prob.zbar_a[0] + g1 * d_in_a + g3 * d_in_b
+    zp[-1] = prob.zbar_b[1] + g2 * d_in_a - g1 * d_in_b
     return new
 
 
 def march_linearized(prob: MocProblem, frozen: FrozenField, cc: CouplingCoefficients):
     """March the linear transport problem from the inlet to xi = L: plan
-    every step once, then advance the stacked row one step at a time.
+    every step once, then advance the march row one step at a time.
 
-    Returns the four invariant arrays (zm_a, zp_a, zm_b, zp_b).
+    Returns the invariant arrays (zm, zp) on the stacked row.
     """
     plan = plan_march(frozen, prob.domain)
     z = np.empty((prob.domain.xi.size, plan.s.shape[1]))
-    z[0] = np.concatenate([prob.inlet_z_a.z_minus, prob.inlet_z_a.z_plus,
-                           prob.inlet_z_b.z_minus, prob.inlet_z_b.z_plus])
+    z[0] = np.concatenate([prob.inlet_z.z_minus, prob.inlet_z.z_plus])
     for k in range(z.shape[0] - 1):
         z[k + 1] = step_linearized(prob, plan, cc, k, z[k])
-    return tuple(z[:, sl].copy() for sl in plan.slices)
+    n = z.shape[1] // 2
+    return z[:, :n], z[:, n:]
 
 
 def solve_linearized(prev: InvariantGrid, prob: MocProblem):
@@ -442,18 +436,12 @@ class IterationReport:
 def _gaps(new: InvariantGrid, old: InvariantGrid, dom: LagrangianDomain):
     c0 = 0.0
     grad = 0.0
-    for z_new, z_old, deta in (
-        (new.zm_a, old.zm_a, dom.deta_a),
-        (new.zp_a, old.zp_a, dom.deta_a),
-        (new.zm_b, old.zm_b, dom.deta_b),
-        (new.zp_b, old.zp_b, dom.deta_b),
-    ):
-        d = z_new - z_old
+    for d in (new.zm - old.zm, new.zp - old.zp):
         c0 = max(c0, float(np.max(np.abs(d))))
         if d.shape[0] > 1:
             grad = max(grad, float(np.max(np.abs(np.diff(d, axis=0)))) / dom.dxi)
-        if d.shape[1] > 1:
-            grad = max(grad, float(np.max(np.abs(np.diff(d, axis=1)))) / deta)
+        for _, eta, cols in dom.layers:
+            grad = max(grad, float(np.max(np.abs(np.diff(d[:, cols], axis=1)))) / (eta[1] - eta[0]))
     return c0, c0 + grad
 
 
@@ -514,17 +502,16 @@ def residual_check(grid: InvariantGrid, prob: MocProblem) -> ResidualReport:
     """Upwind finite-difference residual of the nonlinear transport operators
     evaluated with the grid's own (self-consistent) speeds, plus pointwise
     wall and contact condition checks."""
-    st = grid_states(grid, prob)
+    p = grid_states(grid, prob).p
     dom = prob.domain
+    dxi = dom.dxi
     frozen = frozen_lambdas(grid, prob)
     sup = 0.0
     interior = {}
-    for tag, zm, zp, lam_p, lam_m, deta in (
-        ("a", grid.zm_a, grid.zp_a, frozen.lam_p_a, frozen.lam_m_a, dom.deta_a),
-        ("b", grid.zm_b, grid.zp_b, frozen.lam_p_b, frozen.lam_m_b, dom.deta_b),
-    ):
-        dxi = dom.dxi
-        for z, lam, fam in ((zm, lam_p, "-"), (zp, lam_m, "+")):
+    for tag, eta, cols in dom.layers:
+        deta = eta[1] - eta[0]
+        for z, lam, fam in ((grid.zm, frozen.lam_p, "-"), (grid.zp, frozen.lam_m, "+")):
+            z, lam = z[:, cols], lam[:, cols]
             dz_xi = (z[1:, 1:-1] - z[:-1, 1:-1]) / dxi
             lam_in = lam[1:, 1:-1]
             back = (z[1:, 1:-1] - z[1:, :-2]) / deta
@@ -533,18 +520,18 @@ def residual_check(grid: InvariantGrid, prob: MocProblem) -> ResidualReport:
             res = np.abs(dz_xi + lam_in * dz_eta)
             interior[f"{tag}{fam}"] = res
             sup = max(sup, float(res.max()))
-    w_a = gas.flow_angle(gas.InvariantPair(grid.zm_a, grid.zp_a))
-    w_b = gas.flow_angle(gas.InvariantPair(grid.zm_b, grid.zp_b))
+    w = gas.flow_angle(gas.InvariantPair(grid.zm, grid.zp))
+    na = dom.eta_a.size
     wall_slip = max(
-        float(np.max(np.abs(w_a[:, -1] - np.tan(prob.wall_angle_plus)))),
-        float(np.max(np.abs(w_b[:, 0] - np.tan(prob.wall_angle_minus)))),
+        float(np.max(np.abs(w[:, na - 1] - np.tan(prob.wall_angle_plus)))),
+        float(np.max(np.abs(w[:, na] - np.tan(prob.wall_angle_minus)))),
     )
     return ResidualReport(
         sup_interior=sup,
         interior_abs=interior,
         wall_slip_max=wall_slip,
-        contact_w_jump=float(np.max(np.abs(w_a[:, 0] - w_b[:, -1]))),
-        contact_p_jump=float(np.max(np.abs(st["a"].p[:, 0] - st["b"].p[:, -1]))),
+        contact_w_jump=float(np.max(np.abs(w[:, 0] - w[:, -1]))),
+        contact_p_jump=float(np.max(np.abs(p[:, 0] - p[:, -1]))),
     )
 
 
@@ -561,10 +548,9 @@ def write_iteration_csv(report: IterationReport, path):
 def write_grid_csv(grid: InvariantGrid, path):
     dom = grid.domain
     parts = []
-    for tag, zm, zp, eta in (("a", grid.zm_a, grid.zp_a, dom.eta_a),
-                             ("b", grid.zm_b, grid.zp_b, dom.eta_b)):
-        shape = zm.shape
+    for tag, eta, cols in dom.layers:
+        shape = (dom.xi.size, eta.size)
         parts.append((np.broadcast_to(dom.xi[:, None], shape), np.broadcast_to(eta, shape),
-                      np.full(shape, tag), zm, zp))
+                      np.full(shape, tag), grid.zm[:, cols], grid.zp[:, cols]))
     write_csv(path, ("xi", "eta", "layer", "z_minus", "z_plus"),
               [np.concatenate(pair, axis=None) for pair in zip(*parts)])

@@ -9,12 +9,12 @@ averaged-derivative weights) but every coefficient is recomputed from this
 marcher's own slabs; nothing computed by the fixed-point solver is read.
 Agreement between the two is therefore evidence, not shared bias.
 
-Each sub-step works on both layers at once: the invariants are carried as
-stacked rows ``a | b`` (the contact is the first and the last entry, the
-walls meet in the middle), so one pressure inversion and one evaluation of
-the speeds serve both layers, and one Gauss path gives both contact
-weights.  Newton runs independently per node, so the stacked calls return
-the bits of per-layer calls.
+Each sub-step works on both layers at once on the problem's stacked node
+row ``a | b`` (``LagrangianDomain.layers``: the contact is the first and
+the last entry, the walls meet at na-1 | na), so one pressure inversion
+and one evaluation of the speeds serve both layers, and one Gauss path
+gives both contact weights.  Newton runs independently per node, so the
+stacked calls return the bits of per-layer calls.
 """
 
 from __future__ import annotations
@@ -54,26 +54,17 @@ def upwind_march(prob: MocProblem) -> InvariantGrid:
     dom = prob.domain
     nxi = dom.xi.size
     na = dom.eta_a.size
-    a, b = slice(0, na), slice(na, None)
     deta_min = min(dom.deta_a, dom.deta_b)
 
-    # Both layers' streamlines in one row (Theta has one global p_ref), and
-    # the two contact streamlines, one Gauss block each.
-    sa, sb = prob.stream_a, prob.stream_b
-    stream = gas.StreamData(np.concatenate([sa.a0, sb.a0]), np.concatenate([sa.b0, sb.b0]),
-                            sa.p_ref)
+    # The two contact streamlines, one Gauss block each.
+    stream = prob.stream
     ends = np.array([0, -1])
     contact = gas.StreamData(stream.a0[ends, None, None], stream.b0[ends, None, None],
                              stream.p_ref)
 
-    zm_a = np.empty((nxi, na))
-    zp_a = np.empty_like(zm_a)
-    zm_b = np.empty((nxi, dom.eta_b.size))
-    zp_b = np.empty_like(zm_b)
-    cur_m = np.concatenate([prob.inlet_z_a.z_minus, prob.inlet_z_b.z_minus])
-    cur_p = np.concatenate([prob.inlet_z_a.z_plus, prob.inlet_z_b.z_plus])
-    zm_a[0], zm_b[0] = cur_m[a], cur_m[b]
-    zp_a[0], zp_b[0] = cur_p[a], cur_p[b]
+    zm, zp = np.empty((2, nxi, stream.a0.size))
+    zm[0], zp[0] = prob.inlet_z.z_minus, prob.inlet_z.z_plus
+    cur_m, cur_p = zm[0], zp[0]
 
     for k in range(nxi - 1):
         xi_left = dom.xi[k]
@@ -93,10 +84,11 @@ def upwind_march(prob: MocProblem) -> InvariantGrid:
                 )
             dx = remaining / n_sub
 
-            new_m = np.concatenate([_upwind(cur_m[a], lam_p[a], dx / dom.deta_a),
-                                    _upwind(cur_m[b], lam_p[b], dx / dom.deta_b)])
-            new_p = np.concatenate([_upwind(cur_p[a], lam_m[a], dx / dom.deta_a),
-                                    _upwind(cur_p[b], lam_m[b], dx / dom.deta_b)])
+            new_m, new_p = np.empty_like(cur_m), np.empty_like(cur_p)
+            for _, eta, cols in dom.layers:
+                nu_base = dx / (eta[1] - eta[0])
+                new_m[cols] = _upwind(cur_m[cols], lam_p[cols], nu_base)
+                new_p[cols] = _upwind(cur_p[cols], lam_m[cols], nu_base)
 
             # Walls: the last node of layer a and the first of layer b.
             xi_next = xi_left + dx
@@ -121,33 +113,27 @@ def upwind_march(prob: MocProblem) -> InvariantGrid:
             cur_m, cur_p = new_m, new_p
             xi_left = xi_next
             remaining -= dx
-        zm_a[k + 1], zm_b[k + 1] = cur_m[a], cur_m[b]
-        zp_a[k + 1], zp_b[k + 1] = cur_p[a], cur_p[b]
+        zm[k + 1], zp[k + 1] = cur_m, cur_p
 
-    return InvariantGrid(dom, zm_a, zp_a, zm_b, zp_b)
+    return InvariantGrid(dom, zm, zp)
 
 
 @dataclass(frozen=True)
 class FieldDifference:
     sup: dict  # per (layer, family)
-    mean: dict
     overall_sup: float
 
 
 def compare_fields(a, b) -> FieldDifference:
-    """Sup and mean lattice differences per family per layer.
+    """Sup lattice differences per family per layer.
 
     ``a`` and ``b`` may be any grid-like objects carrying zm_a/zp_a/zm_b/zp_b
     on identical lattices.
     """
     sup = {}
-    mean = {}
     for name in ("zm_a", "zp_a", "zm_b", "zp_b"):
-        x = getattr(a, name)
-        y = getattr(b, name)
+        x, y = getattr(a, name), getattr(b, name)
         if x.shape != y.shape:
             raise ValueError(f"lattice mismatch for {name}: {x.shape} vs {y.shape}")
-        d = np.abs(x - y)
-        sup[name] = float(d.max())
-        mean[name] = float(d.mean())
-    return FieldDifference(sup=sup, mean=mean, overall_sup=max(sup.values()))
+        sup[name] = float(np.abs(x - y).max())
+    return FieldDifference(sup=sup, overall_sup=max(sup.values()))

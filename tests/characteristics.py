@@ -35,8 +35,8 @@ def trace_characteristic(frozen: FrozenField, domain: LagrangianDomain, layer, f
     crossing (the crossing abscissa is located by linear interpolation inside
     the step and recorded as the final point).
     """
-    lam = getattr(frozen, f"lam_{'p' if family == '+' else 'm'}_{layer}")
-    eta_nodes = domain.eta_a if layer == "a" else domain.eta_b
+    eta_nodes, cols = next((eta, cols) for tag, eta, cols in domain.layers if tag == layer)
+    lam = (frozen.lam_p if family == "+" else frozen.lam_m)[:, cols]
     lo, hi = eta_nodes[0], eta_nodes[-1]
     xi = domain.xi
     dxi = domain.dxi * direction

@@ -1,5 +1,7 @@
 """Shared fixtures: canonical problem setups and cached solves."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,13 @@ from contactmoc import cli, fixtures, moc
 
 
 def assemble(eps, nxi, neta, fp_tol=1e-10):
-    """Build (cfg, geom, profile, prob) for the canonical fixture family."""
-    cfg, geom, profile = fixtures.perturbed_inputs(eps, nxi=nxi, neta=neta, fp_tol=fp_tol)
+    """Build (cfg, geom, profile, prob) for the canonical fixture family.
+
+    ``neta`` is one node count for both layers or a pair (neta_a, neta_b).
+    """
+    neta_a, neta_b = (neta, neta) if np.ndim(neta) == 0 else neta
+    cfg, geom, profile = fixtures.perturbed_inputs(eps, nxi=nxi, neta=neta_a, fp_tol=fp_tol)
+    cfg = dataclasses.replace(cfg, grid_neta_b=neta_b)
     prob, _ = cli.build_pipeline(cfg, geom, profile)
     return cfg, geom, profile, prob
 

@@ -1,9 +1,11 @@
 """Test helper: the upwind oracle's march, one layer at a time.
 
-``oracle.upwind_march`` stacks both layers into one row per sub-step.  This
-reference keeps the per-layer form: each sub-step inverts and evaluates the
-speeds of layer a and layer b in separate calls, and takes each contact
-weight from its own one-node Gauss path.  The two must agree bit for bit.
+``oracle.upwind_march`` works on both layers' stacked row per sub-step.
+This reference keeps the per-layer form: it splits the problem's row into
+its two layers by their node counts, and each sub-step inverts and
+evaluates the speeds of layer a and layer b in separate calls and takes
+each contact weight from its own one-node Gauss path.  The two must agree
+bit for bit.
 """
 
 import math
@@ -34,14 +36,19 @@ def per_layer_march(prob):
     """The oracle march with per-layer calls; returns (grid, sub-step count)."""
     dom = prob.domain
     nxi = dom.xi.size
-    zm_a = np.empty((nxi, dom.eta_a.size))
+    na = dom.eta_a.size
+    a, b = slice(0, na), slice(na, None)
+    sd, z0 = prob.stream, prob.inlet_z
+    stream_a = gas.StreamData(sd.a0[a], sd.b0[a], sd.p_ref)
+    stream_b = gas.StreamData(sd.a0[b], sd.b0[b], sd.p_ref)
+    zm_a = np.empty((nxi, na))
     zp_a = np.empty_like(zm_a)
     zm_b = np.empty((nxi, dom.eta_b.size))
     zp_b = np.empty_like(zm_b)
-    zm_a[0] = prob.inlet_z_a.z_minus
-    zp_a[0] = prob.inlet_z_a.z_plus
-    zm_b[0] = prob.inlet_z_b.z_minus
-    zp_b[0] = prob.inlet_z_b.z_plus
+    zm_a[0] = z0.z_minus[a]
+    zp_a[0] = z0.z_plus[a]
+    zm_b[0] = z0.z_minus[b]
+    zp_b[0] = z0.z_plus[b]
     substeps = 0
 
     for k in range(nxi - 1):
@@ -51,8 +58,8 @@ def per_layer_march(prob):
         remaining = dom.dxi
         while remaining > 1e-14 * dom.dxi:
             substeps += 1
-            p_a, lam_m_a, lam_p_a = _slab_state(cur_m_a, cur_p_a, prob.stream_a, prob)
-            p_b, lam_m_b, lam_p_b = _slab_state(cur_m_b, cur_p_b, prob.stream_b, prob)
+            p_a, lam_m_a, lam_p_a = _slab_state(cur_m_a, cur_p_a, stream_a, prob)
+            p_b, lam_m_b, lam_p_b = _slab_state(cur_m_b, cur_p_b, stream_b, prob)
             max_lam = max(float(np.max(np.abs(lam_m_a))), float(np.max(np.abs(lam_p_a))),
                           float(np.max(np.abs(lam_m_b))), float(np.max(np.abs(lam_p_b))))
             cfl_dx = 0.9 * min(dom.deta_a, dom.deta_b) / max_lam
@@ -72,8 +79,8 @@ def per_layer_march(prob):
             new_p_a[-1] = 2.0 * ang_p - new_m_a[-1]
             new_m_b[0] = 2.0 * ang_m - new_p_b[0]
 
-            bar_a = _contact_dtheta(p_a[:1], prob.stream_a, 0, prob.g)
-            bar_b = _contact_dtheta(p_b[-1:], prob.stream_b, -1, prob.g)
+            bar_a = _contact_dtheta(p_a[:1], stream_a, 0, prob.g)
+            bar_b = _contact_dtheta(p_b[-1:], stream_b, -1, prob.g)
             alpha = 1.0 / (2.0 * bar_a)
             beta = 1.0 / (2.0 * bar_b)
             s = alpha + beta
@@ -92,4 +99,4 @@ def per_layer_march(prob):
         zm_a[k + 1], zp_a[k + 1] = cur_m_a, cur_p_a
         zm_b[k + 1], zp_b[k + 1] = cur_m_b, cur_p_b
 
-    return InvariantGrid(dom, zm_a, zp_a, zm_b, zp_b), substeps
+    return InvariantGrid(dom, np.hstack([zm_a, zm_b]), np.hstack([zp_a, zp_b])), substeps

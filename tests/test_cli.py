@@ -150,11 +150,17 @@ def test_blowup_incompatible_profile_fails(tmp_path):
     assert "v at y=1" in r.stdout
 
 
-def test_sweep_empty_list_usage_error(workdir):
+def test_sweep_empty_list_usage_error(workdir, tmp_path):
     r = run_cli("sweep", "--config", str(workdir / "pert.cfg"), "--eps", "", "--quiet")
     assert r.returncode == 2
-    r = run_cli("sweep", "--config", str(workdir / "pert.cfg"), "--eps", "-1e-4", "--quiet")
-    assert r.returncode == 2
+    # "--eps -1e-4" would be an argparse usage error: "-1e-4" reads as an option
+    for eps in ("-1e-4", "nan", "1e-4,inf"):
+        r = run_cli("sweep", "--config", str(workdir / "pert.cfg"), f"--eps={eps}",
+                    "--out", str(tmp_path / "o"), "--quiet")
+        assert (r.returncode, r.stderr) == (2, ""), eps
+        assert summary_of(r)["error"] == "usage"
+        assert "positive and finite" in r.stdout
+        assert not (tmp_path / "o").exists()
 
 
 def test_sweep_single_eps_slope_undefined(workdir, tmp_path):
@@ -231,21 +237,45 @@ def test_validate_names_subsonic_violation(workdir, tmp_path):
     (("--max-iters", "0"), "iteration caps must be positive"),
     (("--max-iters", "-1"), "iteration caps must be positive"),
     (("--grid", "3x3"), "grid size grid_nxi must be at least 4"),
-], ids=["max-iters-0", "max-iters-negative", "grid-3x3"])
+    (("--eps-scale", "nan"), "--eps-scale must be finite, got nan"),
+    (("--eps-scale", "inf"), "--eps-scale must be finite, got inf"),
+    (("--eps-scale=-inf",), "--eps-scale must be finite, got -inf"),
+], ids=["max-iters-0", "max-iters-negative", "grid-3x3", "eps-scale-nan", "eps-scale-inf",
+        "eps-scale-minus-inf"])
 def test_overrides_are_validated(workdir, tmp_path, flags, detail):
     r = run_cli("solve", "--config", str(workdir / "pert.cfg"), *flags,
                 "--out", str(tmp_path / "o"), "--quiet")
-    assert r.returncode == 1
+    assert (r.returncode, r.stderr) == (1, "")
     s = summary_of(r)
     assert s["error"] == "validation"
     assert detail in r.stdout
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv, detail", [
+    (("solve", "--config", "{cfg}", "--max-iters", "abc"), "invalid int value: 'abc'"),
+    (("solve",), "the following arguments are required: --config"),
+    (("solve", "--config", "{cfg}", "--grid", "abc"), "cannot parse 'abc'; expected NXIxNETA"),
+    (("sweep", "--config", "{cfg}", "--grid", "81x21x3"), "cannot parse '81x21x3'"),
+    (("frobnicate",), "invalid choice: 'frobnicate'"),
+], ids=["max-iters-abc", "no-config", "grid-abc", "sweep-grid-three-parts", "unknown-command"])
+def test_usage_errors_end_with_summary_line(workdir, argv, detail):
+    r = run_cli(*(a.format(cfg=workdir / "pert.cfg") for a in argv))
+    assert r.returncode == 2
+    assert r.stdout.splitlines() == [r.stdout.strip().splitlines()[-1]]
+    s = summary_of(r)
+    assert (s["status"], s["error"]) == ("error", "usage")
+    assert detail in r.stdout
+    assert r.stderr.startswith("usage: contactmoc") and "Traceback" not in r.stderr
 
 
 @pytest.mark.parametrize("flags, file_x_max", [
     (("--x-max", "-5"), "20.0"),
     (("--x-max", "0"), "20.0"),
     ((), "-1.0"),
-], ids=["flag-negative", "flag-zero", "file-negative"])
+    (("--x-max", "inf"), "20.0"),
+    ((), "inf"),
+], ids=["flag-negative", "flag-zero", "file-negative", "flag-inf", "file-inf"])
 def test_blowup_rejects_nonpositive_x_max(tmp_path, flags, file_x_max):
     cfgp = tmp_path / "const.cfg"
     cfgp.write_text("[gas]\ngamma = 1.4\n\n[blowup]\nu0 = 2.0\nv0 = 0.0\n"
@@ -268,8 +298,9 @@ def test_validate_checks_blowup_only_config(workdir):
     ("rho_wall", "-1", "rho_wall must be positive"),
     ("grad_factor", "0", "grad_factor must be positive"),
     ("grad_floor", "-1", "grad_floor must be positive"),
+    ("dx_max", "inf", "dx_max must be positive and finite, got inf"),
 ], ids=["ny-negative", "ny-zero", "dx_max-negative", "rho_wall-negative", "grad_factor-zero",
-        "grad_floor-negative"])
+        "grad_floor-negative", "dx_max-inf"])
 def test_blowup_settings_rejected_up_front(tmp_path, key, value, detail):
     cfgp = tmp_path / "blow.cfg"
     fixtures.write_blowup_fixture(cfgp, delta=0.06, ny=100, x_max=40.0)

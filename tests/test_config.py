@@ -100,6 +100,8 @@ def test_grid_and_tolerance_invariants():
         config.RunConfig(gamma=1.4, grid_nxi=3, grid_neta_a=8, grid_neta_b=8)
     with pytest.raises(ConfigError, match="tolerance"):
         config.RunConfig(gamma=1.4, grid_nxi=8, grid_neta_a=8, grid_neta_b=8, fp_tol=0.0)
+    with pytest.raises(ConfigError, match="tolerance newton_tol must be positive and finite"):
+        config.RunConfig(gamma=1.4, grid_nxi=8, grid_neta_a=8, grid_neta_b=8, newton_tol=np.inf)
 
 
 def test_compatibility_report_flags_pressure_jump():

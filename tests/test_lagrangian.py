@@ -15,13 +15,12 @@ def background_setup(nxi=50, neta=12):
 
 
 def background_fields(dom):
-    """The constant background as per-layer primitive states on the lattice."""
-    def layer(eta, u, rho):
-        shape = (dom.xi.size, eta.size)
-        return gas.PrimitiveState(u=np.full(shape, u), v=np.zeros(shape),
-                                  p=np.ones(shape), rho=np.full(shape, rho))
-
-    return {"a": layer(dom.eta_a, 2.2, 1.0), "b": layer(dom.eta_b, 1.9, 1.2)}
+    """The constant background as a primitive state on the stacked row a | b."""
+    shape = (dom.xi.size, dom.eta_a.size + dom.eta_b.size)
+    u, rho = np.empty(shape), np.empty(shape)
+    for tag, _, cols in dom.layers:
+        u[:, cols], rho[:, cols] = {"a": (2.2, 1.0), "b": (1.9, 1.2)}[tag]
+    return gas.PrimitiveState(u=u, v=np.zeros(shape), p=np.ones(shape), rho=rho)
 
 
 # ---------------------------------------------------------------------------
@@ -126,11 +125,13 @@ def test_problem_stream_data_is_the_inlet_node_values():
     dom = lag.LagrangianDomain.build(geom.L, flux, cfg.grid_nxi, cfg.grid_neta_a, cfg.grid_neta_b)
     traces = lag.inlet_to_lagrangian(profile, flux, dom)
     prob, _ = cli.build_pipeline(cfg, geom, profile)
-    for trace, stream in zip(traces, (prob.stream_a, prob.stream_b)):
+    stream = prob.stream
+    assert stream.a0.shape == (dom.eta_a.size + dom.eta_b.size,)
+    assert stream.p_ref == cfg.background.p
+    for trace, (_, _, cols) in zip(traces, dom.layers):
         state = gas.PrimitiveState(u=trace.u, v=trace.v, p=trace.p, rho=trace.rho)
-        assert np.array_equal(stream.a0, gas.entropy_function(state, G))
-        assert np.array_equal(stream.b0, gas.bernoulli(state, G))
-        assert stream.p_ref == cfg.background.p
+        assert np.array_equal(stream.a0[cols], gas.entropy_function(state, G))
+        assert np.array_equal(stream.b0[cols], gas.bernoulli(state, G))
 
 
 def test_stream_data_validation():
@@ -184,8 +185,17 @@ def test_reconstruct_background_exact():
 def test_reconstruct_rejects_degenerate_jacobian():
     cfg, geom, profile, flux, dom = background_setup(nxi=20, neta=8)
     fields = background_fields(dom)
-    fields["a"].u[3, 4] = -0.1
-    with pytest.raises(lag.TransformError, match="jacobian-degenerate"):
+    fields.u[3, 4] = -0.1
+    with pytest.raises(lag.TransformError, match="^jacobian-degenerate: .* in layer a$"):
+        lag.reconstruct(fields, geom, dom)
+
+
+def test_reconstruct_names_the_degenerate_layer():
+    # node 4 of layer b sits at na + 4 on the stacked row
+    cfg, geom, profile, flux, dom = background_setup(nxi=20, neta=8)
+    fields = background_fields(dom)
+    fields.u[3, dom.eta_a.size + 4] = -0.1
+    with pytest.raises(lag.TransformError, match="^jacobian-degenerate: .* in layer b$"):
         lag.reconstruct(fields, geom, dom)
 
 
@@ -245,7 +255,7 @@ def test_weak_residual_background_zero():
 def test_weak_residual_flags_broken_contact_pressure():
     cfg, geom, profile, flux, dom = background_setup(nxi=30, neta=10)
     fields = background_fields(dom)
-    fields["a"].p[:, 0] += 1e-3
+    fields.p[:, 0] += 1e-3  # the contact node of layer a
     ef = lag.reconstruct(fields, geom, dom)
     rep = lag.weak_residual(ef, G)
     assert rep.contact_pressure_jump == pytest.approx(1e-3, rel=1e-12)

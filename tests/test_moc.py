@@ -11,34 +11,33 @@ G = gas.GasConstants(1.4)
 
 
 def contact_stream_data(prob):
-    """Stream data of the contact streamline eta = 0: the first node of
-    layer a and the last of layer b."""
-    return tuple(gas.StreamData(s.a0[node], s.b0[node], s.p_ref)
-                 for s, node in ((prob.stream_a, 0), (prob.stream_b, -1)))
+    """Stream data of the contact streamline eta = 0 on either side: the
+    first and the last entry of the stacked row a | b."""
+    s = prob.stream
+    return tuple(gas.StreamData(s.a0[node], s.b0[node], s.p_ref) for node in (0, -1))
 
 
 def test_frozen_lambdas_background_constant():
     cfg, geom, profile, prob = assemble(0.0, 60, 12)
     grid = moc.InvariantGrid.background(prob)
     frozen = moc.frozen_lambdas(grid, prob)
+    (_, _, a), (_, _, b) = prob.domain.layers
     lam_a = 1.0 * 2.2 * np.sqrt(1.4) / np.sqrt(2.2**2 - 1.4)
-    assert np.max(np.abs(frozen.lam_p_a - lam_a)) < 1e-12
-    assert np.max(np.abs(frozen.lam_m_a + lam_a)) < 1e-12
+    assert np.max(np.abs(frozen.lam_p[:, a] - lam_a)) < 1e-12
+    assert np.max(np.abs(frozen.lam_m[:, a] + lam_a)) < 1e-12
     c_b = np.sqrt(1.4 / 1.2)
     lam_b = 1.2 * 1.9 * c_b / np.sqrt(1.9**2 - c_b**2)
-    assert np.max(np.abs(frozen.lam_p_b - lam_b)) < 1e-12
+    assert np.max(np.abs(frozen.lam_p[:, b] - lam_b)) < 1e-12
 
 
 def test_frozen_lambdas_locality_of_perturbation():
     cfg, geom, profile, prob = assemble(0.0, 60, 12)
     base = moc.InvariantGrid.background(prob)
-    bumped = moc.InvariantGrid(
-        prob.domain, base.zm_a.copy(), base.zp_a.copy(), base.zm_b.copy(), base.zp_b.copy()
-    )
-    bumped.zm_a[7, 5] += 1e-4
+    bumped = moc.InvariantGrid(prob.domain, base.zm.copy(), base.zp.copy())
+    bumped.zm[7, 5] += 1e-4
     f0 = moc.frozen_lambdas(base, prob)
     f1 = moc.frozen_lambdas(bumped, prob)
-    diff = np.abs(f1.lam_p_a - f0.lam_p_a)
+    diff = np.abs(f1.lam_p - f0.lam_p)
     assert diff[7, 5] > 0.0
     diff[7, 5] = 0.0
     assert np.max(diff) == 0.0
@@ -48,14 +47,14 @@ def test_frozen_lambdas_match_direct_recomputation(rng):
     cfg, geom, profile, prob = solved(1e-3, 101, 26)[3], None, None, None
     cfg, geom, profile, prob, grid, report = solved(1e-3, 101, 26)
     frozen = moc.frozen_lambdas(grid, prob)
-    st = moc.grid_states(grid, prob)["a"]
-    ks = rng.integers(0, grid.zm_a.shape[0], 100)
-    js = rng.integers(0, grid.zm_a.shape[1], 100)
+    st = moc.grid_states(grid, prob)
+    ks = rng.integers(0, grid.zm.shape[0], 100)
+    js = rng.integers(0, grid.zm.shape[1], 100)
     for k, j in zip(ks, js):
         state = gas.PrimitiveState(u=st.u[k, j], v=st.v[k, j], p=st.p[k, j], rho=st.rho[k, j])
         lam_m, lam_p = gas.lambda_pm(state, G)
-        assert frozen.lam_p_a[k, j] == pytest.approx(lam_p, abs=1e-12)
-        assert frozen.lam_m_a[k, j] == pytest.approx(lam_m, abs=1e-12)
+        assert frozen.lam_p[k, j] == pytest.approx(lam_p, abs=1e-12)
+        assert frozen.lam_m[k, j] == pytest.approx(lam_m, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +114,7 @@ def test_trace_straight_line_for_constant_field():
     cfg, geom, profile, prob = assemble(0.0, 60, 12)
     frozen = moc.frozen_lambdas(moc.InvariantGrid.background(prob), prob)
     path = trace_characteristic(frozen, prob.domain, "a", "+", (0.0, 0.0))
-    lam = frozen.lam_p_a[0, 0]
+    lam = frozen.lam_p[0, 0]  # the contact node of layer a
     expect = np.minimum(lam * path.xi, prob.domain.m_a)
     assert np.max(np.abs(path.eta - expect)) < 1e-12
     assert path.event == "wall"
@@ -163,10 +162,8 @@ def test_step_background_is_fixed_point():
     cfg, geom, profile, prob = assemble(0.0, 60, 12)
     grid = moc.InvariantGrid.background(prob)
     out, _, _ = moc.solve_linearized(grid, prob)
-    assert np.array_equal(out.zm_a, grid.zm_a)
-    assert np.array_equal(out.zp_a, grid.zp_a)
-    assert np.array_equal(out.zm_b, grid.zm_b)
-    assert np.array_equal(out.zp_b, grid.zp_b)
+    assert np.array_equal(out.zm, grid.zm)
+    assert np.array_equal(out.zp, grid.zp)
 
 
 def test_one_march_imposes_wall_closure_exactly():
@@ -201,7 +198,7 @@ def test_step_against_dense_characteristic_fan():
     def step_error(neta, nxi):
         cfg, geom, profile, prob = assemble(0.0, nxi, neta)
         dom = prob.domain
-        eta = dom.eta_a
+        (_, eta, a), _ = dom.layers
 
         def lam_field(xi, e):
             return lam_a * (1.0 + 0.05 * np.sin(2.0 * np.pi * e / dom.m_a) + 0.02 * xi)
@@ -209,19 +206,15 @@ def test_step_against_dense_characteristic_fan():
         def z_data(e):
             return 1e-3 * np.cos(3.0 * np.pi * e / dom.m_a)
 
-        nxi = dom.xi.size
-        lam_p_a = lam_field(dom.xi[:, None], eta[None, :])
-        frozen = moc.FrozenField(
-            lam_m_a=-lam_p_a, lam_p_a=lam_p_a,
-            lam_m_b=np.full((nxi, dom.eta_b.size), -lam_a),
-            lam_p_b=np.full((nxi, dom.eta_b.size), lam_a),
-        )
+        lam_p = np.full((dom.xi.size, eta.size + dom.eta_b.size), lam_a)
+        lam_p[:, a] = lam_field(dom.xi[:, None], eta[None, :])
+        frozen = moc.FrozenField(lam_m=-lam_p, lam_p=lam_p)
         cc = moc.coupling_coefficients(moc.InvariantGrid.background(prob), prob)
         plan = moc.plan_march(frozen, dom)
         k = 40
-        z = np.concatenate([z_data(eta) + prob.zbar_a[0], np.zeros_like(eta),
-                            np.zeros(dom.eta_b.size), np.zeros(dom.eta_b.size)])
-        new = moc.step_linearized(prob, plan, cc, k, z)[plan.slices[0]]
+        z = np.zeros(2 * lam_p.shape[1])  # zm | zp
+        z[a] = z_data(eta) + prob.zbar_a[0]
+        new = moc.step_linearized(prob, plan, cc, k, z)[a]
         feet = []
         for e in eta[1:]:
             pos = e
@@ -245,9 +238,14 @@ def _per_slab_march(prob, frozen, cc, hits):
     """The march one slab at a time, tracing every foot inside the step:
     the reference the planned, stacked march must reproduce bit for bit.
     Counts interior midpoints and feet that land exactly on a node, and
-    boundary rows whose midpoint and foot are both clipped, in ``hits``."""
+    boundary rows whose midpoint and foot are both clipped, in ``hits``.
+    Returns the slabs (zm_a, zp_a, zm_b, zp_b)."""
     dom = prob.domain
     dxi = dom.dxi
+    na = dom.eta_a.size
+    a, b = slice(0, na), slice(na, None)
+    lam_m_a, lam_p_a = frozen.lam_m[:, a], frozen.lam_p[:, a]
+    lam_m_b, lam_p_b = frozen.lam_m[:, b], frozen.lam_p[:, b]
 
     def advect(eta, z_old, lam_old, lam_new):
         mid = np.clip(eta - 0.5 * dxi * lam_new, eta[0], eta[-1])
@@ -261,14 +259,14 @@ def _per_slab_march(prob, frozen, cc, hits):
                                        np.clip(feet, eta[0], eta[-1]))
         return interp.cubic_eval(z_old, *stencil)
 
-    rows = [[np.asarray(z)] for z in (prob.inlet_z_a.z_minus, prob.inlet_z_a.z_plus,
-                                      prob.inlet_z_b.z_minus, prob.inlet_z_b.z_plus)]
+    z0 = prob.inlet_z
+    rows = [[z0.z_minus[a]], [z0.z_plus[a]], [z0.z_minus[b]], [z0.z_plus[b]]]
     ea, eb = dom.eta_a, dom.eta_b
     for k in range(dom.xi.size - 1):
-        zm_a = advect(ea, rows[0][-1], frozen.lam_p_a[k], frozen.lam_p_a[k + 1])
-        zp_a = advect(ea, rows[1][-1], frozen.lam_m_a[k], frozen.lam_m_a[k + 1])
-        zm_b = advect(eb, rows[2][-1], frozen.lam_p_b[k], frozen.lam_p_b[k + 1])
-        zp_b = advect(eb, rows[3][-1], frozen.lam_m_b[k], frozen.lam_m_b[k + 1])
+        zm_a = advect(ea, rows[0][-1], lam_p_a[k], lam_p_a[k + 1])
+        zp_a = advect(ea, rows[1][-1], lam_m_a[k], lam_m_a[k + 1])
+        zm_b = advect(eb, rows[2][-1], lam_p_b[k], lam_p_b[k + 1])
+        zp_b = advect(eb, rows[3][-1], lam_m_b[k], lam_m_b[k + 1])
         zp_a[-1] = 2.0 * prob.wall_angle_plus[k + 1] - zm_a[-1]
         zm_b[0] = 2.0 * prob.wall_angle_minus[k + 1] - zp_b[0]
         d_in_a = zp_a[0] - prob.zbar_a[1]
@@ -302,22 +300,25 @@ def test_stacked_march_bit_equal_to_per_slab_march(speeds, neta_a, neta_b):
             lam[rng.uniform(size=lam.shape) < 0.4] = 1e-200
         return sign * lam
 
-    frozen = moc.FrozenField(lam_m_a=speed(dom.eta_a, -1.0), lam_p_a=speed(dom.eta_a, 1.0),
-                             lam_m_b=speed(dom.eta_b, -1.0), lam_p_b=speed(dom.eta_b, 1.0))
+    lam_m_a, lam_p_a, lam_m_b, lam_p_b = (speed(eta, sign) for eta in (dom.eta_a, dom.eta_b)
+                                          for sign in (-1.0, 1.0))
+    frozen = moc.FrozenField(lam_m=np.hstack([lam_m_a, lam_m_b]),
+                             lam_p=np.hstack([lam_p_a, lam_p_b]))
     moc.check_cfl(frozen, dom)
     alpha, beta = rng.uniform(0.5, 2.0, nxi), rng.uniform(0.5, 2.0, nxi)
     cc = moc.CouplingCoefficients(alpha=alpha, beta=beta, gamma1=(alpha - beta) / (alpha + beta),
                                   gamma2=2.0 * alpha / (alpha + beta),
                                   gamma3=2.0 * beta / (alpha + beta))
-    prob = dataclasses.replace(
-        prob,
-        inlet_z_a=gas.InvariantPair(*(z + 1e-3 * rng.normal(size=neta_a) for z in prob.zbar_a)),
-        inlet_z_b=gas.InvariantPair(*(z + 1e-3 * rng.normal(size=neta_b) for z in prob.zbar_b)))
+    inlet_a = [z + 1e-3 * rng.normal(size=neta_a) for z in prob.zbar_a]
+    inlet_b = [z + 1e-3 * rng.normal(size=neta_b) for z in prob.zbar_b]
+    prob = dataclasses.replace(prob, inlet_z=gas.InvariantPair(
+        *(np.concatenate(pair) for pair in zip(inlet_a, inlet_b))))
 
     hits = {"mid": 0, "feet": 0, "clipped": 0}
     ref = _per_slab_march(prob, frozen, cc, hits)
-    ours = moc.march_linearized(prob, frozen, cc)
-    for name, r, o in zip(("zm_a", "zp_a", "zm_b", "zp_b"), ref, ours):
+    ours = moc.InvariantGrid(dom, *moc.march_linearized(prob, frozen, cc))
+    for name, r in zip(("zm_a", "zp_a", "zm_b", "zp_b"), ref):
+        o = getattr(ours, name)
         assert o.shape == r.shape, name
         assert np.array_equal(o, r), name
     # each slab's upstream boundary row has its midpoint and foot clipped
@@ -333,15 +334,15 @@ def test_stacked_march_bit_equal_to_per_slab_march(speeds, neta_a, neta_b):
 def test_solve_outputs_lipschitz_in_prev():
     cfg, geom, profile, prob = assemble(1e-3, 101, 26)
     base = moc.InvariantGrid.background(prob)
-    rng = np.random.default_rng(7)
-    noise = 1e-4 * np.sin(np.linspace(0, 3, base.zm_a.shape[1]))
-    pert = moc.InvariantGrid(prob.domain, base.zm_a + noise, base.zp_a - 0.5 * noise,
-                             base.zm_b.copy(), base.zp_b.copy())
+    (_, eta_a, a), _ = prob.domain.layers
+    noise = 1e-4 * np.sin(np.linspace(0, 3, eta_a.size))
+    pert = moc.InvariantGrid(prob.domain, base.zm.copy(), base.zp.copy())
+    pert.zm[:, a] += noise
+    pert.zp[:, a] -= 0.5 * noise
     out0, _, _ = moc.solve_linearized(base, prob)
     out1, _, _ = moc.solve_linearized(pert, prob)
-    d_prev = np.max(np.abs(pert.zm_a - base.zm_a))
-    d_out = max(np.max(np.abs(out1.zm_a - out0.zm_a)), np.max(np.abs(out1.zp_a - out0.zp_a)),
-                np.max(np.abs(out1.zm_b - out0.zm_b)), np.max(np.abs(out1.zp_b - out0.zp_b)))
+    d_prev = np.max(np.abs(pert.zm - base.zm))
+    d_out = max(np.max(np.abs(out1.zm - out0.zm)), np.max(np.abs(out1.zp - out0.zp)))
     # the map contracts strongly near the background: output differences are
     # an epsilon-sized fraction of the input difference
     assert d_out < 0.05 * d_prev
@@ -371,12 +372,9 @@ def test_converged_grid_inverts_from_cold_in_few_sweeps():
     # Starting at s(p_ref), Newton in s = sqrt(M^2-1) converges on every node
     # of an O(eps) grid in two sweeps; converged nodes take no further step.
     cfg, geom, profile, prob, grid, report = solved(1e-3, 140, 35)
-    states = moc.grid_states(grid, prob)
-    for tag, zm, zp, stream in (("a", grid.zm_a, grid.zp_a, prob.stream_a),
-                                ("b", grid.zm_b, grid.zp_b, prob.stream_b)):
-        p = gas.pressure_from_invariants(gas.InvariantPair(zm, zp), stream, prob.g,
-                                         newton_tol=prob.newton_tol, max_newton_iters=3)
-        assert np.array_equal(p, states[tag].p)
+    p = gas.pressure_from_invariants(gas.InvariantPair(grid.zm, grid.zp), prob.stream, prob.g,
+                                     newton_tol=prob.newton_tol, max_newton_iters=3)
+    assert np.array_equal(p, moc.grid_states(grid, prob).p)
 
 
 def test_fixed_point_no_convergence_carries_report():
@@ -418,10 +416,23 @@ def test_supersonic_margin_guard():
 
 
 def test_wall_and_contact_identities_at_convergence():
-    cfg, geom, profile, prob, grid, report = solved(1e-3, 101, 26)
+    _check_wall_and_contact_identities(*solved(1e-3, 101, 26)[3:])
+
+
+def test_wall_and_contact_identities_at_unequal_layers():
+    # The row a | b puts the walls at na-1 | na; unequal layers catch an
+    # index taken from the wrong layer.
+    prob, grid, report = solved(1e-2, 161, (21, 34))[3:]
+    assert grid.zm_a.shape[1] == 21 and grid.zm_b.shape[1] == 34
+    _check_wall_and_contact_identities(prob, grid, report)
+
+
+def _check_wall_and_contact_identities(prob, grid, report):
     # imposed closures hold to machine precision
     wall = grid.zm_a[1:, -1] + grid.zp_a[1:, -1] - 2.0 * prob.wall_angle_plus[1:]
     assert np.max(np.abs(wall)) < 1e-14
+    wall_b = grid.zm_b[1:, 0] + grid.zp_b[1:, 0] - 2.0 * prob.wall_angle_minus[1:]
+    assert np.max(np.abs(wall_b)) < 1e-14
     cc = report.last_coupling
     d_zm_a = grid.zm_a[1:, 0] - prob.zbar_a[0]
     d_zp_a = grid.zp_a[1:, 0] - prob.zbar_a[1]
@@ -449,10 +460,9 @@ def test_residual_background_zero():
 def test_residual_localizes_a_corrupted_node():
     cfg, geom, profile, prob = assemble(0.0, 60, 12)
     base = moc.InvariantGrid.background(prob)
-    grid = moc.InvariantGrid(prob.domain, base.zm_a.copy(), base.zp_a.copy(),
-                             base.zm_b.copy(), base.zp_b.copy())
-    k0, j0 = 20, 6
-    grid.zm_a[k0, j0] += 1e-5
+    grid = moc.InvariantGrid(prob.domain, base.zm.copy(), base.zp.copy())
+    k0, j0 = 20, 6  # node 6 of layer a
+    grid.zm[k0, j0] += 1e-5
     rep = moc.residual_check(grid, prob)
     res = rep.interior_abs["a-"]
     peak = np.unravel_index(np.argmax(res), res.shape)
@@ -536,10 +546,11 @@ def test_cfl_checked_on_every_frozen_field():
     # raised pressure in layer b (closer to sonic, so faster characteristics)
     # freezes speeds that break max|lambda| dxi <= deta.
     _, _, _, prob = assemble(1e-3, 109, 40)
-    base = moc.InvariantGrid.background(prob)
+    prev = moc.InvariantGrid.background(prob)
+    _, (_, _, b) = prob.domain.layers
     bump = 0.02
-    prev = moc.InvariantGrid(prob.domain, base.zm_a, base.zp_a,
-                             base.zm_b + bump, base.zp_b - bump)
+    prev.zm[:, b] += bump
+    prev.zp[:, b] -= bump
     with pytest.raises(moc.SolverError, match=r"^cfl: .* in layer b at nxi = 109") as err:
         moc.solve_linearized(prev, prob)
     nxi_min = int(str(err.value).rsplit(" ", 1)[1])
@@ -555,4 +566,4 @@ def test_frozen_field_requires_one_incoming_family(which):
     else:
         lam_m[2, 3] = 0.0
     with pytest.raises(moc.SolverError, match="^degenerate: .*lambda_- < 0 < lambda_+"):
-        moc.FrozenField(lam_m_a=lam_m, lam_p_a=lam_p, lam_m_b=-lam, lam_p_b=lam)
+        moc.FrozenField(lam_m=lam_m, lam_p=lam_p)

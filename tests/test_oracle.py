@@ -61,11 +61,10 @@ def test_upwind_preserves_monotone_data():
 def test_compare_fields_trivial_and_single_node():
     cfg, geom, profile, prob = assemble(0.0, 40, 10)
     a = moc.InvariantGrid.background(prob)
-    b = moc.InvariantGrid(prob.domain, a.zm_a.copy(), a.zp_a.copy(),
-                          a.zm_b.copy(), a.zp_b.copy())
+    b = moc.InvariantGrid(prob.domain, a.zm.copy(), a.zp.copy())
     rep = oracle.compare_fields(a, b)
     assert rep.overall_sup == 0.0
-    b.zp_b[3, 4] += 2.5e-7
+    b.zp[3, prob.domain.eta_a.size + 4] += 2.5e-7  # node 4 of layer b
     rep = oracle.compare_fields(a, b)
     assert rep.overall_sup == pytest.approx(2.5e-7, rel=1e-12)
     assert rep.sup["zp_b"] == pytest.approx(2.5e-7, rel=1e-12)
@@ -91,6 +90,10 @@ def test_oracle_reads_no_solver_caches():
     assert "wall_angle_plus" not in src
     assert "wall_angle_minus" not in src
     assert "grid_states" not in src
+    # Nor does it share the fixed point's march.
+    assert "plan_march" not in src
+    assert "march_linearized" not in src
+    assert "step_linearized" not in src
 
 
 def _smallest_valid_nxi(eps, neta):
@@ -99,13 +102,14 @@ def _smallest_valid_nxi(eps, neta):
     return int(re.search(r"smallest valid nxi is (\d+)", str(info.value)).group(1))
 
 
-@pytest.mark.parametrize("eps, nxi", [(1e-3, 101), (1e-2, 101), (1e-2, None)],
-                         ids=["eps1e-3", "eps1e-2", "near-cfl"])
-def test_march_matches_per_layer_reference(monkeypatch, eps, nxi):
+@pytest.mark.parametrize("eps, nxi, neta", [(1e-3, 101, 26), (1e-2, 101, 26), (1e-2, None, 26),
+                                             (1e-2, 161, (21, 34))],
+                         ids=["eps1e-3", "eps1e-2", "near-cfl", "unequal"])
+def test_march_matches_per_layer_reference(monkeypatch, eps, nxi, neta):
     near_cfl = nxi is None
     if near_cfl:
-        nxi = _smallest_valid_nxi(eps, 26) + 1
-    prob = assemble(eps, nxi, 26)[3]
+        nxi = _smallest_valid_nxi(eps, neta) + 1
+    prob = assemble(eps, nxi, neta)[3]
     ref, ref_substeps = per_layer_march(prob)
     inversions = []
     stacked = gas.state_from_invariants
@@ -116,6 +120,7 @@ def test_march_matches_per_layer_reference(monkeypatch, eps, nxi):
 
     monkeypatch.setattr(gas, "state_from_invariants", counted)
     out = oracle.upwind_march(prob)
+    assert out.zm.shape == (nxi, prob.domain.eta_a.size + prob.domain.eta_b.size)
     for name in ("zm_a", "zp_a", "zm_b", "zp_b"):
         assert np.array_equal(getattr(out, name), getattr(ref, name)), name
     # one stacked inversion per sub-step, and the reference's sub-steps
