@@ -47,8 +47,9 @@ def critical_speed(qhat, g):
     return qhat * math.sqrt((g.gamma - 1.0) / (g.gamma + 1.0))
 
 
-def _c_of_q(q, qhat, g):
-    return np.sqrt(0.5 * (g.gamma - 1.0) * (qhat * qhat - q * q))
+def _c_of_q2(q2, qhat, g):
+    """The sound speed c(q) from the squared speed q2 = q * q."""
+    return np.sqrt(0.5 * (g.gamma - 1.0) * (qhat * qhat - q2))
 
 
 def _mach2_of_speed(q, qhat, g):
@@ -70,10 +71,11 @@ def theta_of_speed(q, qhat, g, q_ref):
 def dtheta_of_speed(q, qhat, g):
     """Closed-form dTheta/dq; positive on the admissible range."""
     q = np.asarray(q, dtype=float)
-    c = _c_of_q(q, qhat, g)
-    if np.any(q * q <= c * c):
+    q2 = q * q
+    c = _c_of_q2(q2, qhat, g)
+    if np.any(q2 <= c * c):
         raise BlowupError("sonic-limit: dTheta/dq needs q > c(q)")
-    return np.sqrt(q * q - c * c) / (q * c)
+    return np.sqrt(q2 - c * c) / (q * c)
 
 
 @dataclass(frozen=True)
@@ -112,9 +114,11 @@ _MINUS_PLUS = np.array([-1.0, 1.0])
 
 def _slopes(u, v, c, q2):
     """(uv -+ c sqrt(q2 - c^2)) / (u^2 - c^2), stacked as [lambda_minus,
-    lambda_plus] along a new leading axis; callers check u > c."""
-    cd = c * np.sqrt(np.maximum(q2 - c * c, 0.0))
-    return (u * v + _MINUS_PLUS.reshape((2,) + (1,) * np.ndim(cd)) * cd) / (u * u - c * c)
+    lambda_plus] along a new leading axis.  Callers check u > c, and as
+    q2 >= u^2 (rounded) that keeps q2 - c^2 from going negative."""
+    cc = c * c
+    cd = c * np.sqrt(q2 - cc)
+    return (u * v + np.multiply.outer(_MINUS_PLUS, cd)) / (u * u - cc)
 
 
 def irrot_lambdas(u, v, rho, g):
@@ -228,7 +232,6 @@ class BlowupReport:
     x_end: float = 0.0
     steps: int = 0
     y_nodes: np.ndarray = None
-    slabs: list = None  # optional (x, z_plus, z_minus) snapshots
 
 
 # Step cap of the blow-up march, in cells: |dx lambda| <= _STEP_CAP dy.  A
@@ -267,13 +270,26 @@ class _SpeedInverter:
         self.table = interp.pchip(th, qs)
 
     def q_of_theta(self, th):
-        if np.any(th < self.th_lo) or np.any(th > self.th_hi):
+        """The speed q with Theta(q) = th, for an array ``th``; a target
+        outside the table, or NaN, is an error."""
+        if not (self.th_lo <= th.min() and th.max() <= self.th_hi):
             raise BlowupError("sonic-limit: Theta target outside the admissible speed range")
         return self.table(th)
 
 
+def _mod2(x):
+    """``np.remainder(x, 2.0)`` bit for bit for finite x, from cheaper
+    ufuncs.  x - 2 floor(x/2) rounds the same real number that the remainder
+    rounds, once, wherever x/2 is exact; the one finite x whose half rounds,
+    to -0.0, is -5e-324, and its remainder rounds up to 2.0."""
+    k = np.floor(x * 0.5)
+    r = x - (k + k)
+    r[r < 0.0] = 2.0
+    return r
+
+
 def cauchy_march(profile: PeriodicProfile, g, x_max, ny=800, dx_max=0.05,
-                 policy: ThresholdPolicy = None, record_slabs=False) -> BlowupReport:
+                 policy: ThresholdPolicy = None) -> BlowupReport:
     """March the diagonal system on one period with adaptive steps.
 
     The first row is ``irrot_invariants`` of ``profile.eval`` at the nodes.
@@ -304,17 +320,23 @@ def cauchy_march(profile: PeriodicProfile, g, x_max, ny=800, dx_max=0.05,
 
     inverter = _SpeedInverter(profile.qhat, g, profile.q_ref)
 
-    # Periodic padding: column j + pad of z[:, ext] is node j, on the lattice
-    # y0 + k h.  The step cap keeps every foot within _STEP_CAP cells of its
-    # node and so inside the pad: feet are looked up as they are, unwrapped.
+    # Periodic padding: column j + pad of z.take(ext, axis=1) is node j, on
+    # the lattice y0 + k h.  The step cap keeps every foot within _STEP_CAP
+    # cells of its node and so inside the pad: feet are looked up as they
+    # are, unwrapped.
     pad = _periodic_pad()
     ext = np.arange(-pad, ny + pad) % ny
     h = y[1] - y[0]
     y0 = y[0] - pad * h
+    right, left = slice(pad + 1, pad + ny + 1), slice(pad - 1, pad + ny - 1)
+    two_dy = 2.0 * dy
 
     def abs_gradient(zx):
-        """|d_y Z| by central differences, from the padded rows."""
-        return np.abs((zx[:, pad + 1:pad + ny + 1] - zx[:, pad - 1:pad + ny - 1]) / (2.0 * dy))
+        """max|d_y Z| of each row by central differences, from the padded
+        rows.  Division by 2 dy > 0 is monotone, so it is taken after the
+        maximum, on two numbers."""
+        dmax_p, dmax_m = np.abs(zx[:, right] - zx[:, left]).max(axis=1).tolist()
+        return dmax_p / two_dy, dmax_m / two_dy
 
     # The static half of np.interp(..., period=2.0) for the fans: the sorted
     # lattice extended by one node each side, and the order mapping lambda
@@ -327,29 +349,29 @@ def cauchy_march(profile: PeriodicProfile, g, x_max, ny=800, dx_max=0.05,
     fan_y[-1] += 2.0
     fans = np.array([y, y])
 
-    zx = z[:, ext]
-    g0p, g0m = abs_gradient(zx).max(axis=1).tolist()
+    zx = z.take(ext, axis=1)
+    g0p, g0m = abs_gradient(zx)
     xs, gzp, gzm = [0.0], [g0p], [g0m]
     threshold = policy.threshold(max(g0p, g0m))
 
     report = BlowupReport()
     report.y_nodes = y
-    report.slabs = [(0.0, z[0], z[1])] if record_slabs else None
     x = 0.0
     x_stop = x_max
     for _ in range(_MAX_STEPS):
         if x >= x_stop or (report.gradient_x is not None and report.crossing_x is not None):
             break
-        theta_half = 0.5 * (z[0] + z[1])
-        q = inverter.q_of_theta(0.5 * (z[0] - z[1]))
+        zp, zm = z
+        theta_half = 0.5 * (zp + zm)
+        q = inverter.q_of_theta(0.5 * (zp - zm))
+        q2 = q * q
         uu = q * np.cos(theta_half)
-        vv = q * np.sin(theta_half)
-        c = _c_of_q(q, profile.qhat, g)
-        if np.any(uu <= c):
+        c = _c_of_q2(q2, profile.qhat, g)
+        if (uu <= c).any():
             raise BlowupError("degenerate: u dropped below c during the march")
-        lam = _slopes(uu, vv, c, q * q)
+        lam = _slopes(uu, q * np.sin(theta_half), c, q2)
 
-        max_lam = float(np.max(np.abs(lam)))
+        max_lam = float(np.abs(lam).max())
         max_grad = max(gzp[-1], gzm[-1])
         dx = min(dx_max, _STEP_CAP * dy / max_lam)  # feet stay in the pad
         if max_grad > 0.0:
@@ -361,17 +383,15 @@ def cauchy_march(profile: PeriodicProfile, g, x_max, ny=800, dx_max=0.05,
         z = interp.monotone_interp(y0, h, zx, y - dx * lam)
 
         # Characteristic fans advance with the pre-step slopes (unwrapped).
-        lam_fan = lam[:, fan_order]
-        fan_x = fans % 2.0
+        lam_fan = lam.take(fan_order, axis=1)
+        fan_x = _mod2(fans)
         fans[0] += dx * np.interp(fan_x[0], fan_y, lam_fan[0])
         fans[1] += dx * np.interp(fan_x[1], fan_y, lam_fan[1])
 
         x += dx
         xs.append(x)
-        if record_slabs:
-            report.slabs.append((x, z[0], z[1]))
-        zx = z[:, ext]
-        gp, gm = abs_gradient(zx).max(axis=1).tolist()
+        zx = z.take(ext, axis=1)
+        gp, gm = abs_gradient(zx)
         gzp.append(gp)
         gzm.append(gm)
 

@@ -51,8 +51,19 @@ def _config_exit_category(exc):
     return "config" if isinstance(exc, config.ConfigParseError) else "validation"
 
 
+# A negative number as float() writes it: argparse's own pattern takes "-1.5"
+# for a value but "-1e-4" and "-inf" for options.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-(inf|infinity|nan)$",
+                              re.IGNORECASE)
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse whose usage errors also end with the summary line."""
+    """argparse whose usage errors also end with the summary line, and which
+    reads every negative number as a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -190,8 +201,12 @@ def cmd_solve(args):
 
 def _load_blowup(path, x_max=None):
     """Blow-up inputs from ``path``; ``x_max`` overrides the file's value."""
-    with open(path) as fh:
-        sections = config.parse_sections(fh.read(), origin=str(path))
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise config.ConfigParseError(f"{path}: {exc}") from None
+    sections = config.parse_sections(text, origin=str(path))
     gamma = config._get(sections, "gas", "gamma", path)
     table = sections.get("blowup", {})
     if not table:

@@ -28,6 +28,7 @@ Three flavours of piecewise cubic interpolation:
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -39,11 +40,21 @@ def monotone_slopes(v, h):
     slopes are left at zero: no query of a padded row reads them."""
     v = np.asarray(v, dtype=float)
     s = (v[..., 1:] - v[..., :-1]) / h
-    d = np.zeros_like(v)
+    d = np.zeros(v.shape)
     prod = s[..., :-1] * s[..., 1:]
-    denom = s[..., :-1] + s[..., 1:]
-    np.divide(2.0 * prod, denom, out=d[..., 1:-1], where=(prod > 0.0) & (denom != 0.0))
+    # prod > 0 puts both secants on one strict side of zero, so their sum,
+    # the denominator, cannot round to zero.
+    np.divide(2.0 * prod, s[..., :-1] + s[..., 1:], out=d[..., 1:-1], where=prod > 0.0)
     return d
+
+
+@functools.lru_cache(maxsize=8)
+def _row_offsets(lead, n):
+    """Index of each row's first entry in stacked rows of length ``n`` and
+    leading shape ``lead``, flattened: shape ``lead + (1,)``, read-only."""
+    offsets = (n * np.arange(math.prod(lead), dtype=np.intp)).reshape(lead + (1,))
+    offsets.flags.writeable = False
+    return offsets
 
 
 def hermite_eval(y0, h, v, d, yq):
@@ -56,27 +67,24 @@ def hermite_eval(y0, h, v, d, yq):
     ``v[...]``, so ``yq`` has the leading shape of ``v``.
     """
     v = np.asarray(v, dtype=float)
-    yq = np.asarray(yq, dtype=float)
-    n = v.shape[-1]
-    t = (yq - y0) / h
-    idx = np.floor(t).astype(np.intp)
+    t = (np.asarray(yq, dtype=float) - y0) / h
+    idx = t.astype(np.intp)  # the floor, as every query has t >= 1
     s = t - idx
+    dh = np.asarray(d) * h  # slopes per cell, scaled once before the gathers
     if v.ndim > 1:
         # Row-offset indices into the flattened rows: one gather per term.
-        idx += n * np.arange(v.size // n).reshape(v.shape[:-1] + (1,))
-        v, d = v.reshape(-1), np.asarray(d).reshape(-1)
-    v0 = v.take(idx)
-    v1 = v.take(idx + 1)
-    d0 = d.take(idx) * h
-    d1 = d.take(idx + 1) * h
+        idx += _row_offsets(v.shape[:-1], v.shape[-1])
+        v, dh = v.reshape(-1), dh.reshape(-1)
     s2 = s * s
     s3 = s2 * s
-    return (
-        (2.0 * s3 - 3.0 * s2 + 1.0) * v0
-        + (s3 - 2.0 * s2 + s) * d0
-        + (-2.0 * s3 + 3.0 * s2) * v1
-        + (s3 - s2) * d1
-    )
+    # The basis weights of v1 and v0: 3 s^2 - 2 s^3 rounds as -2 s^3 + 3 s^2,
+    # and 1 - w as 2 s^3 - 3 s^2 + 1.
+    w = 3.0 * s2 - 2.0 * s3
+    out = (1.0 - w) * v.take(idx)
+    out += (s3 - 2.0 * s2 + s) * dh.take(idx)
+    out += w * v[1:].take(idx)  # the right-hand node of each cell
+    out += (s3 - s2) * dh[1:].take(idx)
+    return out
 
 
 def monotone_interp(y0, h, v, yq):
@@ -135,7 +143,7 @@ class PiecewisePoly:
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         flat = t.ravel()
-        i = np.searchsorted(self.x[1:-1], flat, side="right")
+        i = self.x[1:-1].searchsorted(flat, side="right")
         s = flat - self.x.take(i)
         c = self.c.take(i, axis=1)
         # Horner would round differently: add the terms from the constant

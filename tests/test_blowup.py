@@ -2,15 +2,42 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from contactmoc import blowup, gas, interp
 from contactmoc.expressions import SmoothExpression
+from tests.blowup_reference import reference_march
 
 G = gas.GasConstants(1.4)
 
 
 def make_profile(v0_text, u0_text="2.0", rho_wall=1.0):
     return blowup.PeriodicProfile(u0_text, v0_text, G, rho_wall=rho_wall)
+
+
+def march_rows(monkeypatch, *args, **kwargs):
+    """``cauchy_march`` with its rows: (report, rows), rows[k] the (2, ny)
+    array (Z_plus, Z_minus) at ``report.x_history[k]``.
+
+    The rows are read through ``interp.monotone_interp``: the unpadded
+    input of the first update is row 0 and each update returns the next
+    row.  Every row is copied, so that no reuse of a buffer aliases them."""
+    rows = []
+    monotone_interp = interp.monotone_interp
+    pad = blowup._periodic_pad()
+
+    def recording(y0, h, v, yq):
+        if not rows:
+            rows.append(np.array(v[:, pad:v.shape[-1] - pad]))
+        out = monotone_interp(y0, h, v, yq)
+        rows.append(np.array(out))
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(interp, "monotone_interp", recording)
+        rep = blowup.cauchy_march(*args, **kwargs)
+    assert len(rows) == rep.x_history.size
+    return rep, rows
 
 
 def test_invariants_vanish_at_reference():
@@ -114,14 +141,14 @@ def test_compatibility_flags_half_sine():
     assert any("v at y=1" in item for item in report)
 
 
-def test_march_starts_from_the_expressions():
+def test_march_starts_from_the_expressions(monkeypatch):
     """Row 0 of the march is ``irrot_invariants`` of the closed-form data at
     the nodes, bit for bit: u0 and v0 at the folded |t| with v odd, the
     density from the Bernoulli radicand anchored at rho_wall, and qhat and
     q_ref from the wall values."""
     u_text, v_text, rho_wall = "2.0 + 0.01 * cos(pi * y)", "0.03 * sin(pi * y)", 0.9
-    rep = blowup.cauchy_march(make_profile(v_text, u_text, rho_wall), G, x_max=0.1, ny=300,
-                              record_slabs=True)
+    rep, rows = march_rows(monkeypatch, make_profile(v_text, u_text, rho_wall), G, x_max=0.1,
+                           ny=300)
     t = np.mod(rep.y_nodes + 1.0, 2.0) - 1.0
     u0, v0 = SmoothExpression(u_text, var="y"), SmoothExpression(v_text, var="y")
     u = u0(np.abs(t))
@@ -132,8 +159,8 @@ def test_march_starts_from_the_expressions():
     qhat2 = q_ref * q_ref + 2.0 * c_wall * c_wall / gm1
     rho = (0.5 * gm1 * (qhat2 - (u * u + v * v))) ** (1.0 / gm1)
     state = blowup.irrot_invariants(u, v, rho, G, q_ref=q_ref, qhat=math.sqrt(qhat2))
-    x0, zp, zm = rep.slabs[0]
-    assert x0 == 0.0
+    zp, zm = rows[0]
+    assert rep.x_history[0] == 0.0
     assert np.array_equal(zp, state.z_plus) and np.array_equal(zm, state.z_minus)
 
 
@@ -183,18 +210,18 @@ def test_sine_profile_blows_up_and_scales_with_delta():
     assert rep2.blowup_x / rep1.blowup_x == pytest.approx(2.0, rel=0.35)
 
 
-def test_wall_condition_inherited_from_odd_extension():
+def test_wall_condition_inherited_from_odd_extension(monkeypatch):
     prof = make_profile("0.05 * sin(pi * y)")
-    rep = blowup.cauchy_march(prof, G, x_max=3.0, ny=200, record_slabs=True)
+    rep, rows = march_rows(monkeypatch, prof, G, x_max=3.0, ny=200)
     y = rep.y_nodes
     j_wall = [int(np.argmin(np.abs(y - 0.0))), 0]  # y = 0 node and y = -1 node
     assert y[j_wall[0]] == 0.0 and y[j_wall[1]] == -1.0
-    for x, zp, zm in rep.slabs[:: max(1, len(rep.slabs) // 10)]:
+    for zp, zm in rows[:: max(1, len(rows) // 10)]:
         theta = 0.5 * (zp + zm)
         for j in j_wall:
             assert abs(np.sin(theta[j])) < 5e-4  # v/q at the walls
     # the symmetry is exact at machine precision for the discrete march
-    for x, zp, zm in rep.slabs[-3:]:
+    for zp, zm in rows[-3:]:
         assert abs(zp[j_wall[1]] + zm[j_wall[1]]) < 1e-12
 
 
@@ -261,6 +288,74 @@ def test_march_feet_stay_inside_the_pad(monkeypatch, v0_text, ny, x_max):
     assert 1.0 < widest <= blowup._STEP_CAP * (1 + 1e-12)
 
 
+@pytest.mark.parametrize("v0_text, ny, x_max, factor", [
+    ("0.06 * sin(pi * y)", 400, 200.0, 15.0),  # the step cap binds; both detectors fire
+    ("0.0", 100, 50.0, 1e3),  # dx_max binds; neither fires
+    ("0.2 * sin(pi * y)", 100, 200.0, 15.0),  # crossing first, gradient never
+    ("0.1 * sin(pi * y)", 100, 200.0, 5.0),  # gradient first
+], ids=["cap-binds", "dx_max-binds", "crossing-first", "gradient-first"])
+def test_march_is_bit_equal_to_plain_reference(v0_text, ny, x_max, factor):
+    """The march against ``tests/blowup_reference.py``, the same step in
+    plainly written numpy: histories, abscissas and step count bit for bit."""
+    prof = make_profile(v0_text)
+    policy = blowup.ThresholdPolicy(factor=factor)
+    rep = blowup.cauchy_march(prof, G, x_max=x_max, ny=ny, policy=policy)
+    ref = reference_march(prof, G, x_max=x_max, ny=ny, policy=policy)
+    for name in ("x_history", "grad_zp_history", "grad_zm_history", "y_nodes"):
+        assert np.array_equal(getattr(rep, name), getattr(ref, name)), name
+    for name in ("blowup_x", "gradient_x", "crossing_x", "x_end", "steps", "trigger"):
+        assert getattr(rep, name) == getattr(ref, name), name
+    assert rep.steps > 0
+
+
+# ---------------------------------------------------------------------------
+# exactness of the step's rewritten expressions
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_FINITE, min_size=2, max_size=40), st.floats(min_value=0.0, exclude_min=True,
+                                                           allow_infinity=False))
+def test_max_then_divide_is_divide_then_max(values, c):
+    """Division by c > 0 is monotone, so the march takes max|dZ| of each row
+    and then divides, on two numbers."""
+    a = np.array(values[: len(values) // 2 * 2]).reshape(2, -1)
+    with np.errstate(over="ignore", under="ignore"):
+        assert np.array_equal(np.abs(a).max(axis=1) / c, np.abs(a / c).max(axis=1))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_FINITE)
+@example(-5e-324)  # halves to -0.0: the guarded case
+@example(5e-324)
+@example(-0.0)
+@example(-2.0)
+@example(-1e-20)  # the remainder rounds up to 2.0
+@example(-2.0 ** 60 - 2048.0)
+def test_mod2_is_np_remainder_bit_for_bit(x):
+    xs = np.array([x, -x])
+    assert np.array_equal(_bits(blowup._mod2(xs)), _bits(np.remainder(xs, 2.0)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(q=st.floats(0.1, 10.0), c=st.floats(0.01, 10.0), theta=st.floats(-1.5, 1.5),
+       u=st.floats(0.01, 10.0), v=st.floats(-5.0, 5.0))
+def test_slopes_radicand_is_nonnegative_once_u_exceeds_c(q, c, theta, u, v):
+    """``_slopes`` takes sqrt(q2 - c^2) without a clamp: u = q cos(theta)
+    rounds to at most q, so u > c keeps q^2 - c^2 >= 0 after rounding, and
+    for ``irrot_lambdas`` u^2 > c^2 keeps u^2 + v^2 - c^2 > 0."""
+    if q * float(np.cos(theta)) > c:
+        assert q * q - c * c >= 0.0
+    if u * u - c * c > 0.0:
+        assert (u * u + v * v) - c * c > 0.0
+
+
 def test_step_cap_matches_half_cell_march(monkeypatch):
     """The shipped step cap against the same march held to half a cell per
     step: blowup_x agrees within 3 % and both detector pairs within 10 %."""
@@ -286,6 +381,8 @@ def test_speed_lookup_is_bit_equal_to_pchip_call(rng):
     assert np.array_equal(inv.q_of_theta(th[:400].reshape(2, 200)), inv.table(th[:400]).reshape(2, 200))
     with pytest.raises(blowup.BlowupError, match="sonic-limit"):
         inv.q_of_theta(np.array([0.0, inv.th_hi + 1e-9]))
+    with pytest.raises(blowup.BlowupError, match="sonic-limit"):
+        inv.q_of_theta(np.array([0.0, np.nan]))
 
 
 def lax_small_data_x(u0, delta, rho_wall=1.0, n=40001):
@@ -323,7 +420,7 @@ def test_blowup_x_matches_lax_small_data_estimate():
     assert abs(rep.blowup_x - lax_x) / lax_x <= 0.10
 
 
-def test_invariant_constant_along_traced_characteristic():
+def test_invariant_constant_along_traced_characteristic(monkeypatch):
     prof = make_profile("0.05 * sin(pi * y)")
     inverter = blowup._SpeedInverter(prof.qhat, G, prof.q_ref)
 
@@ -336,18 +433,16 @@ def test_invariant_constant_along_traced_characteristic():
         return (uu * vv - c * np.sqrt(np.maximum(q * q - c * c, 0.0))) / (uu * uu - c * c)
 
     def drift(ny):
-        rep = blowup.cauchy_march(prof, G, x_max=2.0, ny=ny, record_slabs=True)
+        rep, rows = march_rows(monkeypatch, prof, G, x_max=2.0, ny=ny)
         y = rep.y_nodes
         pos = float(y[ny // 4])
         vals = []
-        lam_prev = None
-        for i in range(len(rep.slabs) - 1):
-            x0, zp, zm = rep.slabs[i]
-            x1 = rep.slabs[i + 1][0]
+        for i in range(len(rows) - 1):
+            zp, zm = rows[i]
             lam0 = lam_minus_field(zp, zm)
-            lam1 = lam_minus_field(rep.slabs[i + 1][1], rep.slabs[i + 1][2])
+            lam1 = lam_minus_field(*rows[i + 1])
             vals.append(float(periodic_monotone(y, zp, np.array([pos]))[0]))
-            dx = x1 - x0
+            dx = rep.x_history[i + 1] - rep.x_history[i]
             # midpoint tracer so the measurement error is o(step)
             mid = pos + 0.5 * dx * np.interp(np.mod(pos + 1, 2) - 1, y, lam0)
             lam_mid = 0.5 * (np.interp(np.mod(mid + 1, 2) - 1, y, lam0)

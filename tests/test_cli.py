@@ -17,7 +17,11 @@ def run_cli(*args):
 
 
 def summary_of(result):
-    line = result.stdout.strip().splitlines()[-1]
+    return parse_summary(result.stdout)
+
+
+def parse_summary(stdout):
+    line = stdout.strip().splitlines()[-1]
     out = {}
     for tok in line.split():
         k, _, v = tok.partition("=")
@@ -153,7 +157,6 @@ def test_blowup_incompatible_profile_fails(tmp_path):
 def test_sweep_empty_list_usage_error(workdir, tmp_path):
     r = run_cli("sweep", "--config", str(workdir / "pert.cfg"), "--eps", "", "--quiet")
     assert r.returncode == 2
-    # "--eps -1e-4" would be an argparse usage error: "-1e-4" reads as an option
     for eps in ("-1e-4", "nan", "1e-4,inf"):
         r = run_cli("sweep", "--config", str(workdir / "pert.cfg"), f"--eps={eps}",
                     "--out", str(tmp_path / "o"), "--quiet")
@@ -283,6 +286,54 @@ def test_blowup_rejects_nonpositive_x_max(tmp_path, flags, file_x_max):
     r = run_cli("blowup", "--config", str(cfgp), *flags, "--out", str(tmp_path / "o"), "--quiet")
     assert r.returncode == 1
     assert "x_max must be positive" in r.stdout
+
+
+def main_in_process(capsys, *argv):
+    """``cli.main`` in this process: (exit code, stdout, summary)."""
+    code = cli.main([str(a) for a in argv])
+    out = capsys.readouterr().out
+    return code, out, parse_summary(out)
+
+
+@pytest.mark.parametrize("argv, attr, value", [
+    (("sweep", "--eps", "-1e-4"), "eps", "-1e-4"),
+    (("solve", "--eps-scale", "-1e-3"), "eps_scale", -1e-3),
+    (("solve", "--eps-scale", "-2.5E+2"), "eps_scale", -250.0),
+    (("solve", "--eps-scale", "-.5e1"), "eps_scale", -5.0),
+    (("solve", "--eps-scale", "-inf"), "eps_scale", -np.inf),
+    (("blowup", "--x-max", "-1e-3"), "x_max", -1e-3),
+    (("blowup", "--x-max", "-0.5"), "x_max", -0.5),
+], ids=["sweep-eps", "eps-scale", "eps-scale-big-e", "eps-scale-leading-point",
+        "eps-scale-minus-inf", "x-max", "x-max-plain"])
+def test_negative_numbers_are_option_values(monkeypatch, argv, attr, value):
+    """A negative number in any form float() reads is the option's value,
+    not an unknown option."""
+    seen = []
+    monkeypatch.setattr(cli, f"cmd_{argv[0]}", lambda args: seen.append(args) or 0)
+    assert cli.main([argv[0], "--config", "c.cfg", *argv[1:]]) == 0
+    assert getattr(seen[0], attr) == value
+
+
+def test_negative_exponent_values_reach_their_checks(workdir, tmp_path, capsys):
+    out = tmp_path / "o"
+    code, text, s = main_in_process(capsys, "sweep", "--config", workdir / "pert.cfg",
+                                    "--eps", "-1e-4", "--out", out, "--quiet")
+    assert (code, s["error"]) == (2, "usage") and "positive and finite" in text
+    code, text, s = main_in_process(capsys, "solve", "--config", workdir / "pert.cfg",
+                                    "--eps-scale", "-1e999", "--out", out, "--quiet")
+    assert (code, s["error"]) == (1, "validation")
+    assert "--eps-scale must be finite, got -inf" in text
+    code, text, s = main_in_process(capsys, "blowup", "--config", workdir / "blow.cfg",
+                                    "--x-max", "-1e-3", "--out", out, "--quiet")
+    assert (code, s["error"]) == (1, "validation") and "x_max must be positive" in text
+    assert not out.exists()
+
+
+def test_blowup_missing_config_is_config_error(tmp_path, capsys):
+    code, text, s = main_in_process(capsys, "blowup", "--config", tmp_path / "missing.cfg",
+                                    "--quiet")
+    assert (code, s["status"], s["error"]) == (2, "error", "config")
+    assert "missing.cfg" in s["detail"]
 
 
 def test_validate_checks_blowup_only_config(workdir):

@@ -1,12 +1,14 @@
 """The non-uniform PCHIP in ``interp`` against scipy's PchipInterpolator, bit
-for bit: values, piece coefficients, derivatives and the antiderivative; and
-the clipped four-point cubic (``cubic_stencil`` then ``cubic_eval``) against
-its one-function form."""
+for bit: values, piece coefficients, derivatives and the antiderivative; the
+clipped four-point cubic (``cubic_stencil`` then ``cubic_eval``) against its
+one-function form; and the uniform monotone cubic against its plain form."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from contactmoc import blowup, gas, interp
+from tests.blowup_reference import plain_hermite_rows, plain_monotone_slopes
 
 
 def _cases():
@@ -151,3 +153,59 @@ def test_cubic_clipped_needs_four_samples():
         _cubic_clipped(0.0, 0.5, np.array([1.0, 2.0, 0.5]), [0.25, 0.75])
     with pytest.raises(ValueError, match="at least 4 nodes"):
         interp.cubic_stencil(0.0, 0.5, 3, [0.25])
+
+
+def _padded_rows(rng, n):
+    """Rows that exercise every branch of the slopes: random, flat, flat
+    runs, alternating signs and exact zeros."""
+    return np.array([
+        rng.normal(size=n),
+        np.full(n, 0.3),
+        np.where(np.arange(n) % 7 < 3, 0.0, rng.normal(size=n)),
+        np.where(np.arange(n) % 2, 1.0, -1.0) * rng.uniform(0.5, 1.5, n),
+        np.repeat(rng.normal(size=n // 4 + 1), 4)[:n],
+        np.sin(np.linspace(0.0, 6.0, n)),
+    ])
+
+
+@pytest.mark.parametrize("n", [5, 12, 208])
+def test_uniform_monotone_cubic_is_bit_equal_to_plain_form(rng, n):
+    """``monotone_slopes`` and ``hermite_eval`` against the plainly written
+    forms in ``tests/blowup_reference.py``, stacked and row by row, with
+    queries anywhere in the cells [1, n - 2), their ends included."""
+    h = 2.0 / 160
+    y0 = -1.0 - 4 * h
+    v = _padded_rows(rng, n)
+    t = rng.uniform(1.0, n - 2.0, v.shape)
+    t[:, 0], t[:, 1] = 1.0, np.nextafter(n - 2.0, 0.0)
+    yq = y0 + h * t
+    plain = plain_hermite_rows(y0, h, v, plain_monotone_slopes(v, h), yq)
+    assert np.array_equal(interp.monotone_slopes(v, h), plain_monotone_slopes(v, h))
+    assert np.array_equal(interp.monotone_interp(y0, h, v, yq), plain)
+    for r in range(v.shape[0]):
+        assert np.array_equal(interp.monotone_interp(y0, h, v[r], yq[r]), plain[r])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(0.0, 1.0, exclude_max=True))
+def test_hermite_basis_rewrite_is_exact(s):
+    """``hermite_eval`` forms w = 3 s^2 - 2 s^3 once and uses w and 1 - w as
+    the weights of v1 and v0; the plain form rounds them as -2 s^3 + 3 s^2
+    and 2 s^3 - 3 s^2 + 1."""
+    s = np.float64(s)
+    s2 = s * s
+    s3 = s2 * s
+    w = 3.0 * s2 - 2.0 * s3
+    for mine, plain in ((w, -2.0 * s3 + 3.0 * s2), (1.0 - w, 2.0 * s3 - 3.0 * s2 + 1.0)):
+        assert np.array([mine]).view(np.int64) == np.array([plain]).view(np.int64)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(allow_nan=False), st.floats(allow_nan=False))
+def test_positive_secant_product_has_a_nonzero_sum(a, b):
+    """``monotone_slopes`` divides where the secant product is positive,
+    without testing the denominator: same-signed nonzero secants never sum
+    to zero."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        if np.float64(a) * np.float64(b) > 0.0:
+            assert np.float64(a) + np.float64(b) != 0.0
