@@ -68,16 +68,6 @@ def theta_of_speed(q, qhat, g, q_ref):
     return float(out) if np.ndim(q) == 0 else out
 
 
-def dtheta_of_speed(q, qhat, g):
-    """Closed-form dTheta/dq; positive on the admissible range."""
-    q = np.asarray(q, dtype=float)
-    q2 = q * q
-    c = _c_of_q2(q2, qhat, g)
-    if np.any(q2 <= c * c):
-        raise BlowupError("sonic-limit: dTheta/dq needs q > c(q)")
-    return np.sqrt(q2 - c * c) / (q * c)
-
-
 @dataclass(frozen=True)
 class IrrotationalState:
     """Speed, flow angle and the derived Riemann invariants."""
@@ -119,16 +109,6 @@ def _slopes(u, v, c, q2):
     cc = c * c
     cd = c * np.sqrt(q2 - cc)
     return (u * v + np.multiply.outer(_MINUS_PLUS, cd)) / (u * u - cc)
-
-
-def irrot_lambdas(u, v, rho, g):
-    """Characteristic slopes (uv -+ c sqrt(q^2 - c^2)) / (u^2 - c^2); needs u > c."""
-    u, v, rho = (np.asarray(x, dtype=float) for x in (u, v, rho))
-    c = sound_speed_of_density(rho, g)
-    if np.any(u * u - c * c <= 0.0):
-        raise BlowupError("degenerate: characteristic slopes need u > c")
-    lam_m, lam_p = _slopes(u, v, c, u * u + v * v)
-    return lam_m, lam_p
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,13 @@ Supersonic Flow and Shock Waves, ch. IV).  The inverse p(Theta) is found by
 Newton's method on nu in s = sqrt(M^2-1), whose derivative is rational in s,
 and p is recovered from M^2 once.
 
-All quantities are nondimensional.  Every function accepts scalars or numpy
-arrays and broadcasts.
+All quantities are nondimensional.  The module-level functions accept
+scalars or numpy arrays, broadcast, and return floats for scalar inputs.
+Inversion and dTheta/dp go through ``Streamline``, which computes one
+streamline's constants (sonic pressure and its cap, the Newton start and
+floor, the powers of A0) once; a caller that inverts the same streamlines
+many times, as the upwind oracle does every CFL sub-step, builds one and
+calls its array-only methods directly.
 """
 
 from __future__ import annotations
@@ -54,6 +59,16 @@ def _maybe_scalar(x, *inputs):
     return x
 
 
+def _check_positive(p, rho):
+    if not ((p > 0.0).all() and (rho > 0.0).all()):
+        raise GasError("nonpositive pressure or density in PrimitiveState")
+
+
+def _check_flow_angle(z_sum):
+    if not (np.abs(z_sum) < np.pi).all():
+        raise GasError("flow-angle out of range: |z_minus + z_plus| must stay below pi")
+
+
 @dataclass(frozen=True)
 class GasConstants:
     """Adiabatic exponent, gamma > 1."""
@@ -75,9 +90,7 @@ class PrimitiveState:
     rho: object
 
     def __post_init__(self):
-        p, rho = _as_array(self.p, self.rho)
-        if not (np.all(p > 0.0) and np.all(rho > 0.0)):
-            raise GasError("nonpositive pressure or density in PrimitiveState")
+        _check_positive(*_as_array(self.p, self.rho))
 
 
 @dataclass(frozen=True)
@@ -89,8 +102,7 @@ class InvariantPair:
 
     def __post_init__(self):
         zm, zp = _as_array(self.z_minus, self.z_plus)
-        if not np.all(np.abs(zm + zp) < np.pi):
-            raise GasError("flow-angle out of range: |z_minus + z_plus| must stay below pi")
+        _check_flow_angle(zm + zp)
 
 
 @dataclass(frozen=True)
@@ -146,8 +158,8 @@ def entropy_function(state: PrimitiveState, g: GasConstants):
 
 def density_from_pressure(p, sd: StreamData, g: GasConstants):
     """rho = (p / A0)^(1/gamma) on a streamline with entropy function A0."""
-    p, a0 = _as_array(p, sd.a0)
-    return _maybe_scalar((p / a0) ** (1.0 / g.gamma), p, sd.a0)
+    p = np.asarray(p, dtype=float)
+    return _maybe_scalar(Streamline(sd, g).density(p), p, sd.a0)
 
 
 def sonic_pressure(sd: StreamData, g: GasConstants):
@@ -169,23 +181,7 @@ def sonic_pressure(sd: StreamData, g: GasConstants):
 def dtheta_dp(p, sd: StreamData, g: GasConstants):
     """Closed-form dTheta/dp = sqrt(M^2-1)/(rho q^2); strictly positive on the
     supersonic range."""
-    gam = g.gamma
-    orig = (p, sd.a0, sd.b0)
-    p, a0, b0 = np.broadcast_arrays(*_as_array(p, sd.a0, sd.b0))
-    if not np.all(p > 0.0):
-        raise GasError("out-of-range: pressure must be positive")
-    a_pow = a0 ** (1.0 / gam)
-    rad = 2.0 * b0 - gam * (gam + 1.0) / (gam - 1.0) * a_pow * p ** ((gam - 1.0) / gam)
-    if not np.all(rad > 0.0):
-        raise GasError("sonic-limit: dTheta/dp radicand is nonpositive")
-    den = (
-        2.0
-        * np.sqrt(gam)
-        * a0 ** (-0.5 / gam)
-        * (b0 - gam / (gam - 1.0) * a_pow * p ** (1.0 - 1.0 / gam))
-        * p ** ((gam + 1.0) / (2.0 * gam))
-    )
-    return _maybe_scalar(np.sqrt(rad) / den, *orig)
+    return _maybe_scalar(Streamline(sd, g).dtheta_dp(np.asarray(p, dtype=float)), p, sd.a0, sd.b0)
 
 
 def _nu(s, k):
@@ -233,6 +229,141 @@ def flow_angle(z: InvariantPair):
     return _maybe_scalar(np.tan(0.5 * (zm + zp)), z.z_minus, z.z_plus)
 
 
+class Streamline:
+    """Stream data prepared for repeated inversions: the pressure, the full
+    state and dTheta/dp on the streamlines of ``sd``.
+
+    Everything that depends on the streamlines alone is computed here once:
+    the sonic pressure and its SONIC_MARGIN cap, the Newton floor
+    s_floor = s(cap) and nu(s_floor), nu_ref = nu(M(p_ref)), the Newton
+    start s0 = max(s(p_ref), s_floor) and nu(s0), and the powers of A0 that
+    dTheta/dp and the Bernoulli velocity use.
+
+    The methods take numpy arrays (not Python scalars), broadcast against
+    the shape of the stream data and raise the ``GasError`` codes of the
+    module-level functions, which are scalar-or-array wrappers over them.
+    Each value is rounded as in those functions: the sonic pressure comes
+    from ``sonic_pressure(sd, g)`` on the data as given, and every other
+    power is taken on arrays.
+    """
+
+    def __init__(self, sd: StreamData, g: GasConstants, newton_tol=1e-12, max_newton_iters=50):
+        gam = self.gamma = g.gamma
+        k = self._k = (gam + 1.0) / (gam - 1.0)
+        self.p_ref = sd.p_ref
+        self.newton_tol = newton_tol
+        self.max_newton_iters = max_newton_iters
+        self._a0 = np.asarray(sd.a0, dtype=float)
+        arrays = np.broadcast_arrays(*_as_array(sd.a0, sd.b0, sonic_pressure(sd, g)))
+        shape = self.shape = arrays[0].shape
+        a0, b0, p_sonic = (np.ravel(v) for v in arrays)
+
+        # Newton constants, one per node of the raveled data.
+        cap = p_sonic * (1.0 - SONIC_MARGIN)
+        s_floor = np.sqrt(_mach2(cap, a0, b0, gam) - 1.0)
+        m2_ref = _mach2(sd.p_ref, a0, b0, gam)
+        s0 = np.maximum(np.sqrt(np.maximum(m2_ref - 1.0, 0.0)), s_floor)
+        self._newton = (p_sonic, cap, s_floor, _nu(s_floor, k) - newton_tol,
+                        prandtl_meyer(m2_ref, g), s0, _nu(s0, k))
+        self._nu_max = (np.sqrt(k) - 1.0) * np.pi / 2
+
+        # Factors of dTheta/dp and of the Bernoulli velocity, in the data's shape.
+        a_pow = a0 ** (1.0 / gam)
+        self._b0 = b0.reshape(shape)
+        self._two_b0 = (2.0 * b0).reshape(shape)
+        self._sonic_a = (gam * (gam + 1.0) / (gam - 1.0) * a_pow).reshape(shape)
+        self._bern_a = (gam / (gam - 1.0) * a_pow).reshape(shape)
+        self._front = (2.0 * np.sqrt(gam) * a0 ** (-0.5 / gam)).reshape(shape)
+        self._gm1_b0 = ((gam - 1.0) * b0).reshape(shape)
+        self._gam_a = (gam * a_pow).reshape(shape)
+
+    def _invert(self, t):
+        """The pressure with Theta(p) = t; see ``pressure_from_invariants``."""
+        gam, k, tol = self.gamma, self._k, self.newton_tol
+        shape, consts = self.shape, self._newton
+        if t.shape != shape:
+            shape = np.broadcast_shapes(t.shape, shape)
+            t = np.broadcast_to(t, shape)
+            consts = [np.broadcast_to(c.reshape(self.shape), shape).ravel() for c in consts]
+        p_sonic, cap, s_floor, nu_low, nu_ref, s0, nu_s0 = consts
+        nu_goal = nu_ref - t.ravel()
+        if (nu_goal < nu_low).any() or (nu_goal >= self._nu_max).any():
+            raise GasError("out-of-range: target exceeds the range of Theta on the admissible interval")
+
+        s = s0.copy()
+        lo = s_floor.copy()
+        hi = np.full(s.size, np.inf)
+        resid = nu_s0 - nu_goal
+        live = np.flatnonzero(np.abs(resid) > tol)
+        for _ in range(self.max_newton_iters):
+            if not live.size:
+                break
+            x, r = s[live], resid[live]
+            # nu is increasing, so an iterate above the target bounds s from above.
+            above = r > 0.0
+            lo[live] = x_lo = np.where(above, lo[live], x)
+            hi[live] = x_hi = np.where(above, x, hi[live])
+            x2 = x * x
+            x = x - r * (1.0 + x2 / k) * (1.0 + x2) / (x2 * (1.0 - 1.0 / k))  # r / (dnu/ds)
+            x = np.where((x > x_lo) & (x < x_hi), x, 0.5 * (x_lo + x_hi))
+            s[live] = x
+            resid[live] = r = _nu(x, k) - nu_goal[live]
+            live = live[np.abs(r) > tol]
+        if live.size:
+            raise GasError("no-convergence: Newton inversion of Theta did not meet newton_tol")
+
+        # _mach2 solved for p at M^2 = 1 + s^2.
+        p = np.minimum(p_sonic * (k / (k + s * s)) ** (gam / (gam - 1.0)), cap)
+        if not (p > 0.0).all():
+            raise GasError("out-of-range: pressure underflows at this target")
+        return p.reshape(shape)
+
+    def pressure(self, zm, zp):
+        """The pressure at the invariants (z_minus, z_plus)."""
+        _check_flow_angle(zm + zp)
+        return self._invert(0.5 * (zm - zp))
+
+    def velocity(self, w, p):
+        """(u, v) from the flow-angle tangent w and the pressure p; see
+        ``velocity_from_bernoulli``."""
+        gam = self.gamma
+        rad = 2.0 * (self._gm1_b0 - self._gam_a * p ** ((gam - 1.0) / gam))
+        if not (rad > 0.0).all():
+            raise GasError("cavitation: Bernoulli radicand is nonpositive")
+        u = np.sqrt(rad / ((gam - 1.0) * (1.0 + w * w)))
+        return u, w * u
+
+    def density(self, p):
+        """rho = (p / A0)^(1/gamma)."""
+        return (p / self._a0) ** (1.0 / self.gamma)
+
+    def state(self, zm, zp):
+        """(u, v, p, rho) at the invariants (z_minus, z_plus)."""
+        z_sum = zm + zp
+        _check_flow_angle(z_sum)
+        p = self._invert(0.5 * (zm - zp))
+        u, v = self.velocity(np.tan(0.5 * z_sum), p)
+        rho = self.density(p)
+        _check_positive(p, rho)
+        return u, v, p, rho
+
+    def lambdas(self, u, v, p, rho):
+        """(lambda_minus, lambda_plus) at the state; see ``lambda_pm``."""
+        return _lambdas(u, v, p, rho, self.gamma)
+
+    def dtheta_dp(self, p):
+        """dTheta/dp at the pressures p; see ``dtheta_dp``."""
+        gam = self.gamma
+        if not (p > 0.0).all():
+            raise GasError("out-of-range: pressure must be positive")
+        rad = self._two_b0 - self._sonic_a * p ** ((gam - 1.0) / gam)
+        if not (rad > 0.0).all():
+            raise GasError("sonic-limit: dTheta/dp radicand is nonpositive")
+        den = (self._front * (self._b0 - self._bern_a * p ** (1.0 - 1.0 / gam))
+               * p ** ((gam + 1.0) / (2.0 * gam)))
+        return np.sqrt(rad) / den
+
+
 def pressure_from_invariants(z: InvariantPair, sd: StreamData, g: GasConstants,
                              newton_tol=1e-12, max_newton_iters=50):
     """Invert Theta(p) = (z_minus - z_plus)/2 for the unique pressure.
@@ -251,47 +382,9 @@ def pressure_from_invariants(z: InvariantPair, sd: StreamData, g: GasConstants,
     target past the sonic cap, at or beyond vacuum (nu_max =
     (sqrt(K) - 1) pi/2), or whose pressure underflows raises ``out-of-range``.
     """
-    gam = g.gamma
-    k = (gam + 1.0) / (gam - 1.0)
-    zm, zp = _as_array(z.z_minus, z.z_plus)
-    arrays = np.broadcast_arrays(0.5 * (zm - zp), *_as_array(sd.a0, sd.b0, sonic_pressure(sd, g)))
-    shape = arrays[0].shape
-    t, a0, b0, p_sonic = (np.ravel(v) for v in arrays)
-    cap = p_sonic * (1.0 - SONIC_MARGIN)
-    s_floor = np.sqrt(_mach2(cap, a0, b0, gam) - 1.0)
-    m2_ref = _mach2(sd.p_ref, a0, b0, gam)
-    nu_goal = prandtl_meyer(m2_ref, g) - t
-    nu_max = (np.sqrt(k) - 1.0) * np.pi / 2
-    if np.any(nu_goal < _nu(s_floor, k) - newton_tol) or np.any(nu_goal >= nu_max):
-        raise GasError("out-of-range: target exceeds the range of Theta on the admissible interval")
-
-    s = np.maximum(np.sqrt(np.maximum(m2_ref - 1.0, 0.0)), s_floor)
-    lo = s_floor.copy()
-    hi = np.full_like(s, np.inf)
-    resid = _nu(s, k) - nu_goal
-    live = np.flatnonzero(np.abs(resid) > newton_tol)
-    for _ in range(max_newton_iters):
-        if not live.size:
-            break
-        x, r = s[live], resid[live]
-        # nu is increasing, so an iterate above the target bounds s from above.
-        above = r > 0.0
-        lo[live] = x_lo = np.where(above, lo[live], x)
-        hi[live] = x_hi = np.where(above, x, hi[live])
-        x2 = x * x
-        x = x - r * (1.0 + x2 / k) * (1.0 + x2) / (x2 * (1.0 - 1.0 / k))  # r / (dnu/ds)
-        x = np.where((x > x_lo) & (x < x_hi), x, 0.5 * (x_lo + x_hi))
-        s[live] = x
-        resid[live] = r = _nu(x, k) - nu_goal[live]
-        live = live[np.abs(r) > newton_tol]
-    if live.size:
-        raise GasError("no-convergence: Newton inversion of Theta did not meet newton_tol")
-
-    # _mach2 solved for p at M^2 = 1 + s^2.
-    p = np.minimum(p_sonic * (k / (k + s * s)) ** (gam / (gam - 1.0)), cap)
-    if not np.all(p > 0.0):
-        raise GasError("out-of-range: pressure underflows at this target")
-    return _maybe_scalar(p.reshape(shape), z.z_minus, z.z_plus, sd.a0, sd.b0)
+    line = Streamline(sd, g, newton_tol, max_newton_iters)
+    p = line.pressure(*_as_array(z.z_minus, z.z_plus))
+    return _maybe_scalar(p, z.z_minus, z.z_plus, sd.a0, sd.b0)
 
 
 def invariants_from_state(state: PrimitiveState, sd: StreamData, g: GasConstants):
@@ -321,14 +414,8 @@ def velocity_from_bernoulli(w, p, sd: StreamData, g: GasConstants):
     u = sqrt(2((gamma-1) B0 - gamma A0^(1/gamma) p^((gamma-1)/gamma))
              / ((gamma-1)(1+w^2))),  v = w u.
     """
-    gam = g.gamma
     orig = (w, p, sd.a0, sd.b0)
-    w, p, a0, b0 = np.broadcast_arrays(*_as_array(w, p, sd.a0, sd.b0))
-    rad = 2.0 * ((gam - 1.0) * b0 - gam * a0 ** (1.0 / gam) * p ** ((gam - 1.0) / gam))
-    if not np.all(rad > 0.0):
-        raise GasError("cavitation: Bernoulli radicand is nonpositive")
-    u = np.sqrt(rad / ((gam - 1.0) * (1.0 + w * w)))
-    v = w * u
+    u, v = Streamline(sd, g).velocity(*_as_array(w, p))
     return (_maybe_scalar(u, *orig), _maybe_scalar(v, *orig))
 
 
@@ -343,26 +430,28 @@ def state_from_invariants(z: InvariantPair, sd: StreamData, g: GasConstants,
     return PrimitiveState(u=u, v=v, p=p, rho=rho)
 
 
+def _lambdas(u, v, p, rho, gam):
+    c2 = gam * p / rho
+    uu = u * u
+    du = uu - c2
+    if not (du > 0.0).all():
+        raise GasError("degenerate: characteristic speeds need u > c")
+    q2mc2 = uu + v * v - c2
+    if not (q2mc2 > 0.0).all():
+        raise GasError("not-supersonic: q must exceed c")
+    c = np.sqrt(c2)
+    front = rho * u * c2 / du
+    disc = np.sqrt(q2mc2) / c
+    w = v / u
+    return front * (w - disc), front * (w + disc)
+
+
 def lambda_pm(state: PrimitiveState, g: GasConstants):
     """Characteristic speeds in stream-function coordinates.
 
     lambda_pm = rho u c^2 / (u^2 - c^2) * (v/u ± sqrt(u^2+v^2-c^2)/c);
     requires u > c (so u^2 - c^2 > 0).  Returns (lambda_minus, lambda_plus).
     """
-    u, v, p, rho = _as_array(state.u, state.v, state.p, state.rho)
-    c2 = g.gamma * p / rho
-    du = u * u - c2
-    if not np.all(du > 0.0):
-        raise GasError("degenerate: characteristic speeds need u > c")
-    q2mc2 = u * u + v * v - c2
-    if not np.all(q2mc2 > 0.0):
-        raise GasError("not-supersonic: q must exceed c")
-    c = np.sqrt(c2)
-    front = rho * u * c2 / du
-    disc = np.sqrt(q2mc2) / c
-    lam_m = front * (v / u - disc)
-    lam_p = front * (v / u + disc)
-    return (
-        _maybe_scalar(lam_m, state.u, state.v, state.p, state.rho),
-        _maybe_scalar(lam_p, state.u, state.v, state.p, state.rho),
-    )
+    orig = (state.u, state.v, state.p, state.rho)
+    lam_m, lam_p = _lambdas(*_as_array(*orig), g.gamma)
+    return _maybe_scalar(lam_m, *orig), _maybe_scalar(lam_p, *orig)

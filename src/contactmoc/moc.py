@@ -273,10 +273,10 @@ class CouplingCoefficients:
             raise SolverError("coupling coefficients must be positive")
 
 
-def _averaged_dtheta(p_prev, sd, g):
+def _averaged_dtheta(p_prev, line):
     """int_0^1 dTheta/dp(p_bg + tau (p_prev - p_bg)) dtau by 16-point Gauss
-    on the streamline data ``sd``; the background pressure p_bg is the Theta
-    reference pressure.
+    on the prepared streamlines ``line`` (a gas.Streamline); the background
+    pressure p_bg is the Theta reference pressure.
 
     The Gauss nodes run along the second-to-last axis of the path, so p_prev
     of shape (..., m) is summed as one (16, m) product per leading index.  A
@@ -284,9 +284,9 @@ def _averaged_dtheta(p_prev, sd, g):
     streamlines the bits of a one-node call.
     """
     tau = _GL_X[:, None]
-    p_bg = sd.p_ref
+    p_bg = line.p_ref
     path = p_bg + tau * (p_prev[..., None, :] - p_bg)
-    return _GL_W @ gas.dtheta_dp(path, sd, g)
+    return _GL_W @ line.dtheta_dp(path)
 
 
 def coupling_coefficients(prev: InvariantGrid, prob: MocProblem) -> CouplingCoefficients:
@@ -295,9 +295,13 @@ def coupling_coefficients(prev: InvariantGrid, prob: MocProblem) -> CouplingCoef
     # The contact eta = 0 is the first and the last entry of the row a | b;
     # one Gauss path per side keeps each side's (16, nxi) product.
     sd = prob.stream
+
+    def contact(node):
+        return gas.Streamline(gas.StreamData(sd.a0[node], sd.b0[node], sd.p_ref), prob.g)
+
     try:
-        bar_a = _averaged_dtheta(p[:, 0], gas.StreamData(sd.a0[0], sd.b0[0], sd.p_ref), prob.g)
-        bar_b = _averaged_dtheta(p[:, -1], gas.StreamData(sd.a0[-1], sd.b0[-1], sd.p_ref), prob.g)
+        bar_a = _averaged_dtheta(p[:, 0], contact(0))
+        bar_b = _averaged_dtheta(p[:, -1], contact(-1))
     except gas.GasError as exc:
         raise SolverError(f"sonic-limit on the contact coupling path: {exc}") from None
     alpha = 1.0 / (2.0 * bar_a)

@@ -14,7 +14,10 @@ row ``a | b`` (``LagrangianDomain.layers``: the contact is the first and
 the last entry, the walls meet at na-1 | na), so one pressure inversion
 and one evaluation of the speeds serve both layers, and one Gauss path
 gives both contact weights.  Newton runs independently per node, so the
-stacked calls return the bits of per-layer calls.
+stacked calls return the bits of per-layer calls.  The row's streamlines and
+the two contact streamlines are each a ``gas.Streamline`` built once per
+march, so a sub-step recomputes no streamline constant and calls the
+inversion, the speeds and dTheta/dp directly.
 """
 
 from __future__ import annotations
@@ -56,11 +59,13 @@ def upwind_march(prob: MocProblem) -> InvariantGrid:
     na = dom.eta_a.size
     deta_min = min(dom.deta_a, dom.deta_b)
 
-    # The two contact streamlines, one Gauss block each.
+    # The row's streamlines and the two contact streamlines (one Gauss block
+    # each), prepared once for every sub-step of the march.
     stream = prob.stream
+    rows = gas.Streamline(stream, prob.g, prob.newton_tol, prob.max_newton_iters)
     ends = np.array([0, -1])
-    contact = gas.StreamData(stream.a0[ends, None, None], stream.b0[ends, None, None],
-                             stream.p_ref)
+    contact = gas.Streamline(gas.StreamData(stream.a0[ends, None, None],
+                                            stream.b0[ends, None, None], stream.p_ref), prob.g)
 
     zm, zp = np.empty((2, nxi, stream.a0.size))
     zm[0], zp[0] = prob.inlet_z.z_minus, prob.inlet_z.z_plus
@@ -70,11 +75,9 @@ def upwind_march(prob: MocProblem) -> InvariantGrid:
         xi_left = dom.xi[k]
         remaining = dom.dxi
         while remaining > 1e-14 * dom.dxi:
-            state = gas.state_from_invariants(gas.InvariantPair(cur_m, cur_p), stream, prob.g,
-                                              newton_tol=prob.newton_tol,
-                                              max_newton_iters=prob.max_newton_iters)
-            lam_m, lam_p = gas.lambda_pm(state, prob.g)
-            max_lam = max(float(np.max(np.abs(lam_m))), float(np.max(np.abs(lam_p))))
+            u, v, p, rho = rows.state(cur_m, cur_p)
+            lam_m, lam_p = rows.lambdas(u, v, p, rho)
+            max_lam = max(np.abs(lam_m).max(), np.abs(lam_p).max())
             cfl_dx = 0.9 * deta_min / max_lam
             n_sub = max(1, math.ceil(remaining / cfl_dx))
             if n_sub > _MAX_SUBSTEPS:
@@ -98,7 +101,7 @@ def upwind_march(prob: MocProblem) -> InvariantGrid:
             new_m[na] = 2.0 * ang_m - new_p[na]
 
             # Contact coupling from this marcher's own slab pressures.
-            bar_a, bar_b = _averaged_dtheta(state.p[ends, None], contact, prob.g).ravel()
+            bar_a, bar_b = _averaged_dtheta(p[ends, None], contact).ravel()
             alpha = 1.0 / (2.0 * bar_a)
             beta = 1.0 / (2.0 * bar_b)
             s = alpha + beta

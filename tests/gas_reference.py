@@ -1,0 +1,111 @@
+"""Test helper: the pressure inversion and dTheta/dp written per call.
+
+``gas.Streamline`` computes each streamline's constants once and the
+module-level functions wrap it.  This reference keeps the functions as they
+were written before that, every constant recomputed on each call from the
+broadcast inputs: the Newton inversion, dTheta/dp and the Bernoulli velocity
+and density that complete a state.  Both must agree bit for bit.
+"""
+
+import numpy as np
+
+from contactmoc.gas import (SONIC_MARGIN, GasConstants, GasError, InvariantPair, StreamData,
+                            _as_array, _mach2, _maybe_scalar, _nu, flow_angle, prandtl_meyer,
+                            sonic_pressure)
+
+
+def dtheta_dp(p, sd: StreamData, g: GasConstants):
+    """Closed-form dTheta/dp = sqrt(M^2-1)/(rho q^2); strictly positive on the
+    supersonic range."""
+    gam = g.gamma
+    orig = (p, sd.a0, sd.b0)
+    p, a0, b0 = np.broadcast_arrays(*_as_array(p, sd.a0, sd.b0))
+    if not np.all(p > 0.0):
+        raise GasError("out-of-range: pressure must be positive")
+    a_pow = a0 ** (1.0 / gam)
+    rad = 2.0 * b0 - gam * (gam + 1.0) / (gam - 1.0) * a_pow * p ** ((gam - 1.0) / gam)
+    if not np.all(rad > 0.0):
+        raise GasError("sonic-limit: dTheta/dp radicand is nonpositive")
+    den = (
+        2.0
+        * np.sqrt(gam)
+        * a0 ** (-0.5 / gam)
+        * (b0 - gam / (gam - 1.0) * a_pow * p ** (1.0 - 1.0 / gam))
+        * p ** ((gam + 1.0) / (2.0 * gam))
+    )
+    return _maybe_scalar(np.sqrt(rad) / den, *orig)
+
+
+def pressure_from_invariants(z: InvariantPair, sd: StreamData, g: GasConstants,
+                             newton_tol=1e-12, max_newton_iters=50):
+    """Invert Theta(p) = (z_minus - z_plus)/2 by Newton's method on nu(s)."""
+    gam = g.gamma
+    k = (gam + 1.0) / (gam - 1.0)
+    zm, zp = _as_array(z.z_minus, z.z_plus)
+    arrays = np.broadcast_arrays(0.5 * (zm - zp), *_as_array(sd.a0, sd.b0, sonic_pressure(sd, g)))
+    shape = arrays[0].shape
+    t, a0, b0, p_sonic = (np.ravel(v) for v in arrays)
+    cap = p_sonic * (1.0 - SONIC_MARGIN)
+    s_floor = np.sqrt(_mach2(cap, a0, b0, gam) - 1.0)
+    m2_ref = _mach2(sd.p_ref, a0, b0, gam)
+    nu_goal = prandtl_meyer(m2_ref, g) - t
+    nu_max = (np.sqrt(k) - 1.0) * np.pi / 2
+    if np.any(nu_goal < _nu(s_floor, k) - newton_tol) or np.any(nu_goal >= nu_max):
+        raise GasError("out-of-range: target exceeds the range of Theta on the admissible interval")
+
+    s = np.maximum(np.sqrt(np.maximum(m2_ref - 1.0, 0.0)), s_floor)
+    lo = s_floor.copy()
+    hi = np.full_like(s, np.inf)
+    resid = _nu(s, k) - nu_goal
+    live = np.flatnonzero(np.abs(resid) > newton_tol)
+    for _ in range(max_newton_iters):
+        if not live.size:
+            break
+        x, r = s[live], resid[live]
+        # nu is increasing, so an iterate above the target bounds s from above.
+        above = r > 0.0
+        lo[live] = x_lo = np.where(above, lo[live], x)
+        hi[live] = x_hi = np.where(above, x, hi[live])
+        x2 = x * x
+        x = x - r * (1.0 + x2 / k) * (1.0 + x2) / (x2 * (1.0 - 1.0 / k))  # r / (dnu/ds)
+        x = np.where((x > x_lo) & (x < x_hi), x, 0.5 * (x_lo + x_hi))
+        s[live] = x
+        resid[live] = r = _nu(x, k) - nu_goal[live]
+        live = live[np.abs(r) > newton_tol]
+    if live.size:
+        raise GasError("no-convergence: Newton inversion of Theta did not meet newton_tol")
+
+    # _mach2 solved for p at M^2 = 1 + s^2.
+    p = np.minimum(p_sonic * (k / (k + s * s)) ** (gam / (gam - 1.0)), cap)
+    if not np.all(p > 0.0):
+        raise GasError("out-of-range: pressure underflows at this target")
+    return _maybe_scalar(p.reshape(shape), z.z_minus, z.z_plus, sd.a0, sd.b0)
+
+
+def velocity_from_bernoulli(w, p, sd: StreamData, g: GasConstants):
+    """(u, v) from the flow-angle tangent, pressure and stream data."""
+    gam = g.gamma
+    orig = (w, p, sd.a0, sd.b0)
+    w, p, a0, b0 = np.broadcast_arrays(*_as_array(w, p, sd.a0, sd.b0))
+    rad = 2.0 * ((gam - 1.0) * b0 - gam * a0 ** (1.0 / gam) * p ** ((gam - 1.0) / gam))
+    if not np.all(rad > 0.0):
+        raise GasError("cavitation: Bernoulli radicand is nonpositive")
+    u = np.sqrt(rad / ((gam - 1.0) * (1.0 + w * w)))
+    v = w * u
+    return (_maybe_scalar(u, *orig), _maybe_scalar(v, *orig))
+
+
+def density_from_pressure(p, sd: StreamData, g: GasConstants):
+    """rho = (p / A0)^(1/gamma) on a streamline with entropy function A0."""
+    p, a0 = _as_array(p, sd.a0)
+    return _maybe_scalar((p / a0) ** (1.0 / g.gamma), p, sd.a0)
+
+
+def state_from_invariants(z: InvariantPair, sd: StreamData, g: GasConstants,
+                          newton_tol=1e-12, max_newton_iters=50):
+    """(u, v, p, rho) from the invariants, composed of the functions above."""
+    w = flow_angle(z)
+    p = pressure_from_invariants(z, sd, g, newton_tol=newton_tol,
+                                 max_newton_iters=max_newton_iters)
+    u, v = velocity_from_bernoulli(w, p, sd, g)
+    return u, v, p, density_from_pressure(p, sd, g)

@@ -11,6 +11,32 @@ from tests.blowup_reference import reference_march
 G = gas.GasConstants(1.4)
 
 
+def dtheta_of_speed(q, qhat, g):
+    """Closed-form dTheta/dq = sqrt(q^2 - c^2) / (q c); positive on the
+    admissible range."""
+    q = np.asarray(q, dtype=float)
+    q2 = q * q
+    c = blowup._c_of_q2(q2, qhat, g)
+    if np.any(q2 <= c * c):
+        raise blowup.BlowupError("sonic-limit: dTheta/dq needs q > c(q)")
+    return np.sqrt(q2 - c * c) / (q * c)
+
+
+def irrot_lambdas(u, v, rho, g):
+    """Characteristic slopes dy/dx = tan(theta -+ mu) of the irrotational
+    flow: the flow angle theta = atan2(v, u) turned by the Mach angle
+    mu = asin(c/q).  This equals the march's (uv -+ c sqrt(q^2 - c^2)) /
+    (u^2 - c^2) within rounding, and is written apart from it.  Needs u > c,
+    which keeps |theta| + mu below pi/2."""
+    u, v, rho = (np.asarray(x, dtype=float) for x in (u, v, rho))
+    c = blowup.sound_speed_of_density(rho, g)
+    if np.any(u * u - c * c <= 0.0):
+        raise blowup.BlowupError("degenerate: characteristic slopes need u > c")
+    theta = np.arctan2(v, u)
+    mu = np.arcsin(c / np.hypot(u, v))
+    return np.tan(theta - mu), np.tan(theta + mu)
+
+
 def make_profile(v0_text, u0_text="2.0", rho_wall=1.0):
     return blowup.PeriodicProfile(u0_text, v0_text, G, rho_wall=rho_wall)
 
@@ -61,14 +87,14 @@ def test_dtheta_of_speed_matches_fd():
     h = 1e-5
     fd = (blowup.theta_of_speed(q0 + h, qhat, G, 2.0)
           - blowup.theta_of_speed(q0 - h, qhat, G, 2.0)) / (2 * h)
-    assert float(blowup.dtheta_of_speed(q0, qhat, G)) == pytest.approx(fd, abs=1e-10)
+    assert float(dtheta_of_speed(q0, qhat, G)) == pytest.approx(fd, abs=1e-10)
 
     from scipy.integrate import quad
 
     near_sonic = blowup.critical_speed(qhat, G) * (1 + 2e-6)
     for q1, q2 in ((2.0, 2.1), (near_sonic, 2.0), (near_sonic, qhat * 0.999)):
         whole = blowup.theta_of_speed(q2, qhat, G, 2.0) - blowup.theta_of_speed(q1, qhat, G, 2.0)
-        seg, _ = quad(lambda q: blowup.dtheta_of_speed(q, qhat, G), q1, q2,
+        seg, _ = quad(lambda q: dtheta_of_speed(q, qhat, G), q1, q2,
                       epsabs=1e-13, epsrel=1e-13)
         assert whole == pytest.approx(seg, abs=1e-12)
 
@@ -82,10 +108,26 @@ def test_sonic_limit_errors():
 
 
 def test_lambda_antisymmetric_and_degenerate():
-    lam_m, lam_p = blowup.irrot_lambdas(2.0, 0.0, 1.0, G)
+    lam_m, lam_p = irrot_lambdas(2.0, 0.0, 1.0, G)
     assert float(lam_m) == pytest.approx(-float(lam_p), rel=1e-14)
     with pytest.raises(blowup.BlowupError, match="degenerate"):
-        blowup.irrot_lambdas(0.9, 0.0, 1.0, G)
+        irrot_lambdas(0.9, 0.0, 1.0, G)
+
+
+def test_march_slopes_match_mach_angle_form():
+    """The march's slopes against tan(theta -+ mu) over supersonic states,
+    from near-sonic to Mach 4 and flow angles up to +-0.6 rad."""
+    rng = np.random.default_rng(7)
+    c = rng.uniform(0.5, 1.5, 2000)
+    q = c * rng.uniform(1.001, 4.0, c.size)
+    theta = rng.uniform(-0.6, 0.6, c.size) * (np.pi / 2 - np.arcsin(c / q))
+    u, v = q * np.cos(theta), q * np.sin(theta)
+    rho = c ** (2.0 / (G.gamma - 1.0))
+    lam_m, lam_p = blowup._slopes(u, v, blowup.sound_speed_of_density(rho, G), u * u + v * v)
+    want_m, want_p = irrot_lambdas(u, v, rho, G)
+    scale = np.maximum(np.abs(want_m), np.abs(want_p))
+    assert np.max(np.abs(lam_m - want_m) / scale) < 1e-12
+    assert np.max(np.abs(lam_p - want_p) / scale) < 1e-12
 
 
 def test_genuine_nonlinearity_probe(rng):
@@ -110,7 +152,7 @@ def test_genuine_nonlinearity_probe(rng):
         u, v = q * np.cos(theta), q * np.sin(theta)
         c = np.sqrt(0.5 * (G.gamma - 1.0) * (qhat**2 - q**2))
         rho = c ** (2.0 / (G.gamma - 1.0))
-        return blowup.irrot_lambdas(u, v, rho, G)
+        return irrot_lambdas(u, v, rho, G)
 
     h = 1e-5
     for _ in range(100):
@@ -349,7 +391,7 @@ def test_mod2_is_np_remainder_bit_for_bit(x):
 def test_slopes_radicand_is_nonnegative_once_u_exceeds_c(q, c, theta, u, v):
     """``_slopes`` takes sqrt(q2 - c^2) without a clamp: u = q cos(theta)
     rounds to at most q, so u > c keeps q^2 - c^2 >= 0 after rounding, and
-    for ``irrot_lambdas`` u^2 > c^2 keeps u^2 + v^2 - c^2 > 0."""
+    u^2 > c^2 keeps u^2 + v^2 - c^2 > 0."""
     if q * float(np.cos(theta)) > c:
         assert q * q - c * c >= 0.0
     if u * u - c * c > 0.0:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from contactmoc import gas
+from tests import gas_reference
 
 G = gas.GasConstants(1.4)
 BG = gas.PrimitiveState(u=2.2, v=0.0, p=1.0, rho=1.0)
@@ -322,3 +323,167 @@ def test_round_trip_property(du, w, dp, drho):
     assert back.u == pytest.approx(state.u, abs=1e-10)
     assert back.v == pytest.approx(state.v, abs=1e-10)
 
+
+
+# ---------------------------------------------------------------------------
+# The prepared streamline against the per-call reference (tests/gas_reference.py)
+
+# Mach 4 at p_ref: Newton from its s_ref toward the sonic cap first steps
+# below the bracket and falls back to bisection.
+FAST = gas.StreamData(a0=1.0, b0=0.5 * 16.0 * 1.4 + 3.5, p_ref=1.0)
+
+
+def _same_bits(a, b):
+    assert type(a) is type(b)
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _arrays(*values):
+    return [np.asarray(v, dtype=float) for v in values]
+
+
+def _targets(sd):
+    """Theta targets from the sonic floor (one just past it, within
+    newton_tol) down to low pressure."""
+    # theta's own cap may round 1 ulp below this one
+    cap = gas.sonic_pressure(sd, G) * (1 - gas.SONIC_MARGIN) * (1 - 1e-15)
+    t = gas.theta(np.array([cap, cap * (1 - 1e-9), 0.5 * cap, 0.9, 0.21, 1e-8]), sd, G)
+    return np.append(t, t[0] + 0.5e-12)
+
+
+def _random_streamlines(n, seed):
+    """Supersonic streamlines through p_ref = 1, Mach 1.05 to 4 there."""
+    rng = np.random.default_rng(seed)
+    rho = rng.uniform(0.6, 1.5, n)
+    u = rng.uniform(1.05, 4.0, n) * np.sqrt(1.4 / rho)
+    return rho**-1.4, 0.5 * u * u + 3.5 / rho
+
+
+def _assert_inversions_agree(zm, zp, sd):
+    """Pressure and state: the wrappers and the prepared object return the
+    reference's bits (the prepared object as arrays)."""
+    z = gas.InvariantPair(zm, zp)
+    line = gas.Streamline(sd, G)
+    p = gas_reference.pressure_from_invariants(z, sd, G)
+    _same_bits(gas.pressure_from_invariants(z, sd, G), p)
+    _same_bits(np.asarray(line.pressure(*_arrays(zm, zp))), np.asarray(p))
+    state = gas_reference.state_from_invariants(z, sd, G)
+    got = gas.state_from_invariants(z, sd, G)
+    for a, b in zip((got.u, got.v, got.p, got.rho), state):
+        _same_bits(a, b)
+    for a, b in zip(line.state(*_arrays(zm, zp)), state):
+        _same_bits(np.asarray(a), np.asarray(b))
+
+
+def test_prepared_inversion_matches_reference_on_scalars():
+    for sd in STREAMLINES + (FAST,):
+        for t in _targets(sd):
+            _assert_inversions_agree(float(t) + 0.1, 0.1 - float(t), sd)
+    # Scalar stream data takes numpy's scalar power for the sonic pressure,
+    # which differs from the array power in the last bit for some data.
+    a0, b0 = _random_streamlines(100, 1)
+    for a, b in zip(a0, b0):
+        sd = gas.StreamData(float(a), float(b), 1.0)
+        _assert_inversions_agree(0.02, 0.08, sd)
+        t = _targets(sd)
+        _assert_inversions_agree(t + 0.1, 0.1 - t, sd)
+
+
+def test_prepared_inversion_matches_reference_on_rows():
+    a0, b0 = _random_streamlines(40, 2)
+    sd = gas.StreamData(np.repeat(a0, 7), np.repeat(b0, 7), 1.0)
+    t = np.concatenate([_targets(gas.StreamData(a, b, 1.0)) for a, b in zip(a0, b0)])
+    _assert_inversions_agree(t + 0.05, 0.05 - t, sd)
+    # The fixed point's shape: (nxi, n) invariants over (n,) stream data.
+    sd = gas.StreamData(a0, b0, 1.0)
+    t = np.stack([_targets(gas.StreamData(a, b, 1.0)) for a, b in zip(a0, b0)], axis=1)
+    _assert_inversions_agree(t - 0.02, -0.02 - t, sd)
+    # A row of targets over one streamline.
+    t = _targets(FAST)
+    _assert_inversions_agree(t, -t, FAST)
+
+
+def test_prepared_dtheta_matches_reference():
+    a0, b0 = _random_streamlines(2, 3)
+    cap = gas.sonic_pressure(gas.StreamData(a0, b0, 1.0), G) * (1 - gas.SONIC_MARGIN)
+    p = np.array([0.999 * cap[0], 0.3])
+    tau = np.linspace(0.0, 1.0, 16)[:, None]
+    cases = [
+        # the oracle's Gauss path: (2, 16, 1) over (2, 1, 1)
+        (1.0 + tau * (p[:, None, None] - 1.0), a0[:, None, None], b0[:, None, None]),
+        # the fixed point's: (16, m) over one streamline
+        (1.0 + tau * (p - 1.0), a0[0], b0[0]),
+        (p, a0, b0),
+        (float(p[1]), float(a0[1]), float(b0[1])),
+    ]
+    for path, a, b in cases:
+        sd = gas.StreamData(a, b, 1.0)
+        want = gas_reference.dtheta_dp(path, sd, G)
+        _same_bits(gas.dtheta_dp(path, sd, G), want)
+        got = gas.Streamline(sd, G).dtheta_dp(np.asarray(path))
+        _same_bits(np.asarray(got), np.asarray(want))
+
+
+def _error_cases():
+    line = gas.Streamline(SD_BG, G)
+    p_s = gas.sonic_pressure(SD_BG, G)
+    t_cap = 2.0 * gas.theta(p_s * (1 - gas.SONIC_MARGIN) * 0.9999999, SD_BG, G)
+    t_vac = gas.prandtl_meyer(2.2**2 / 1.4, G) - (np.sqrt(6.0) - 1.0) * np.pi / 2 - 0.1
+    t_low = gas.theta(0.21, SD_BG, G)
+    # past the sonic floor by more than newton_tol (0.5e-12 past is admissible)
+    t_floor = _targets(SD_BG)[0] + 1.5e-12
+    # a sonic pressure of 7e-283: p underflows just inside vacuum
+    tiny = gas.StreamData(1.0, 1e-80, 1.0)
+    t_tiny = (np.sqrt(6.0) - 1.0) * np.pi / 2 - 1e-6
+    # A0 = 1e300 with sonic pressure 1: p / A0 underflows, and so does rho
+    heavy = gas.StreamData(1e300, 1.4 * 2.4 * 1e300 ** (1 / 1.4) / 0.8, 0.5)
+    t_heavy = gas.theta(1e-30, heavy, G)
+
+    def pair(sd, t, **kw):
+        """(wrapper, prepared, reference) inversions of the target t."""
+        return (lambda: gas.pressure_from_invariants(gas.InvariantPair(t, -t), sd, G, **kw),
+                lambda: gas.Streamline(sd, G, **kw).pressure(*_arrays(t, -t)),
+                lambda: gas_reference.pressure_from_invariants(gas.InvariantPair(t, -t), sd, G,
+                                                               **kw))
+
+    return {
+        "flow-angle": ("flow-angle", (lambda: gas.state_from_invariants(gas.InvariantPair(2.0, 2.0),
+                                                                        SD_BG, G),
+                                      lambda: line.state(*_arrays(2.0, 2.0)),
+                                      lambda: line.pressure(*_arrays(2.0, 2.0)))),
+        "past-cap": ("out-of-range", pair(SD_BG, t_cap)),
+        "past-floor": ("out-of-range", pair(SD_BG, t_floor)),
+        "vacuum": ("out-of-range", pair(SD_BG, t_vac)),
+        "underflow": ("out-of-range", pair(tiny, t_tiny)),
+        "no-convergence": ("no-convergence", pair(SD_BG, t_low, max_newton_iters=1)),
+        "cavitation": ("cavitation", (lambda: gas.velocity_from_bernoulli(0.0, 50.0, SD_BG, G),
+                                      lambda: line.velocity(*_arrays(0.0, 50.0)),
+                                      lambda: gas_reference.velocity_from_bernoulli(0.0, 50.0,
+                                                                                    SD_BG, G))),
+        "nonpositive-rho": ("nonpositive", (
+            lambda: gas.state_from_invariants(gas.InvariantPair(t_heavy, -t_heavy), heavy, G),
+            lambda: gas.Streamline(heavy, G).state(*_arrays(t_heavy, -t_heavy)))),
+        "dtheta-p": ("out-of-range", (lambda: gas.dtheta_dp(0.0, SD_BG, G),
+                                      lambda: line.dtheta_dp(np.asarray(0.0)),
+                                      lambda: gas_reference.dtheta_dp(0.0, SD_BG, G))),
+        "dtheta-sonic": ("sonic-limit", (lambda: gas.dtheta_dp(p_s * 1.000001, SD_BG, G),
+                                         lambda: line.dtheta_dp(np.asarray(p_s * 1.000001)),
+                                         lambda: gas_reference.dtheta_dp(p_s * 1.000001,
+                                                                         SD_BG, G))),
+        "degenerate": ("degenerate", (
+            lambda: gas.lambda_pm(gas.PrimitiveState(u=1.0, v=2.0, p=1.0, rho=1.0), G),
+            lambda: line.lambdas(*_arrays(1.0, 2.0, 1.0, 1.0)))),
+        # u > c makes q > c, so only a NaN v reaches this check
+        "not-supersonic": ("not-supersonic", (
+            lambda: gas.lambda_pm(gas.PrimitiveState(u=2.2, v=np.nan, p=1.0, rho=1.0), G),
+            lambda: line.lambdas(*_arrays(2.2, np.nan, 1.0, 1.0)))),
+    }
+
+
+@pytest.mark.parametrize("case", list(_error_cases()))
+def test_prepared_object_raises_the_wrappers_codes(case):
+    code, calls = _error_cases()[case]
+    for call in calls:
+        with pytest.raises(gas.GasError, match=f"^{code}"):
+            call()

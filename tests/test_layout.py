@@ -3,8 +3,8 @@ class in ``src/contactmoc`` is referenced by code in ``src/`` or ``scripts/``,
 and every dataclass field is read somewhere in ``src/``, ``scripts/`` or
 ``tests/``.
 
-A helper that only the tests call belongs in ``tests/``.  The exceptions are
-named reference implementations that tests compare the run path against.
+A helper that only the tests call belongs in ``tests/``, reference
+implementations that tests compare the run path against included.
 """
 
 import ast
@@ -15,9 +15,6 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "contactmoc")
 SCRIPTS = os.path.join(ROOT, "scripts")
 TESTS = os.path.join(ROOT, "tests")
-
-# Closed-form references the tests hold the march's own formulas against.
-REFERENCE_ONLY = {"blowup.irrot_lambdas", "blowup.dtheta_of_speed"}
 
 
 def _parse(directory):
@@ -46,7 +43,7 @@ def test_every_library_definition_is_used_outside_the_tests():
     while True:
         live = reads - sum((own[q] for q in unused), Counter())
         found = {q for q, node in defs.items()
-                 if live[node.name] - (q not in unused) * own[q][node.name] <= 0} - REFERENCE_ONLY
+                 if live[node.name] - (q not in unused) * own[q][node.name] <= 0}
         if found == unused:
             break
         unused = found
