@@ -4,13 +4,15 @@ Supports polynomials, sin, cos, exp of a single variable, numeric literals
 and pi, combined with + - * / ** (constant exponents) and unary minus.
 Expressions are parsed once into a tuple tree that can be differentiated
 symbolically, so third derivatives of wall curves are exact rather than
-finite-differenced.
+finite-differenced.  Each derivative tree is evaluated through a flat
+program that computes each of its distinct subtrees once.
 """
 
 from __future__ import annotations
 
 import ast
 import math
+import operator
 
 import numpy as np
 
@@ -147,33 +149,100 @@ def _mul(a, b):
     return ("mul", a, b)
 
 
-def evaluate(expr, x):
-    """Evaluate an expression tree at ``x`` (scalar or ndarray)."""
-    x = np.asarray(x, dtype=float)
-    tag = expr[0]
-    if tag == "num":
-        return np.broadcast_to(np.float64(expr[1]), x.shape).copy() if x.ndim else np.float64(expr[1])
-    if tag == "var":
-        return x
-    if tag == "neg":
-        return -evaluate(expr[1], x)
-    if tag == "add":
-        return evaluate(expr[1], x) + evaluate(expr[2], x)
-    if tag == "sub":
-        return evaluate(expr[1], x) - evaluate(expr[2], x)
-    if tag == "mul":
-        return evaluate(expr[1], x) * evaluate(expr[2], x)
-    if tag == "div":
-        return evaluate(expr[1], x) / evaluate(expr[2], x)
-    if tag == "pow":
-        return evaluate(expr[1], x) ** expr[2]
-    if tag in _FUNCS:
-        return _FUNCS[tag](evaluate(expr[1], x))
-    raise ExpressionError(f"cannot evaluate node {tag!r}")
+def _number(x, c):
+    """A ``num`` node at x: a fresh array of x's shape, or the ``np.float64``
+    itself for a 0-d x."""
+    return np.full(x.shape, c) if x.ndim else c
+
+
+_OPS = {"num": _number, "neg": operator.neg, "add": operator.add, "sub": operator.sub,
+        "mul": operator.mul, "div": operator.truediv, "pow": operator.pow, **_FUNCS}
+
+
+class _Program:
+    """An expression tree compiled into a flat program over its distinct
+    subtrees.
+
+    Hash-consing gives structurally equal subtrees one node, emitted as one
+    operation; constants are keyed on their bits, so 0.0 and -0.0 stay
+    apart.  The slots start with x and the constants (each number as an
+    ``np.float64``, each exponent as the tree's float), then hold the
+    operations' results in post order.  Each operation makes the numpy call
+    a walk of the tree makes at that node, on the same kinds of operands, so
+    the values are those of the walk, bit for bit.  A ``num`` operand is
+    made for its reader alone, after the reader's other operands, and every
+    value is dropped after its last reader, so few arrays are alive at once.
+    """
+
+    def __init__(self, tree):
+        ids, keys, seen = {}, [], {}  # structural key <-> node id; id(subtree) -> node id
+        const_slots, self._constants = {}, []
+
+        def node(key):
+            if key not in ids:
+                ids[key] = len(keys)
+                keys.append(key)
+            return ids[key]
+
+        def const(value):
+            bits = (type(value), np.float64(value).tobytes())
+            if bits not in const_slots:
+                const_slots[bits] = 1 + len(self._constants)
+                self._constants.append(value)
+            return const_slots[bits]
+
+        def visit(e):
+            # Derivative trees reuse subtree objects: each is visited once.
+            if id(e) not in seen:
+                tag = e[0]
+                if tag == "num":
+                    seen[id(e)] = node((tag, const(np.float64(e[1]))))
+                elif tag == "pow":
+                    seen[id(e)] = node((tag, visit(e[1]), const(e[2])))
+                else:
+                    seen[id(e)] = node((tag,) + tuple(visit(c) for c in e[1:]))
+            return seen[id(e)]
+
+        root = visit(tree)
+        first = 1 + len(self._constants)  # the slot of the first operation
+        steps, slots = [], {}
+
+        def emit(i):
+            tag = keys[i][0]
+            if tag == "var":
+                return 0
+            if tag == "num":
+                steps.append((_number, 0, keys[i][1]))
+                return first + len(steps) - 1
+            if i not in slots:
+                if tag == "pow":
+                    a, b = emit(keys[i][1]), keys[i][2]
+                else:
+                    args = keys[i][1:]
+                    done = {j: emit(j) for j in sorted(args, key=lambda j: keys[j][0] == "num")}
+                    a, b = done[args[0]], done[args[-1]] if len(args) > 1 else None
+                steps.append((_OPS[tag], a, b))
+                slots[i] = first + len(steps) - 1
+            return slots[i]
+
+        self._root = emit(root)
+        del visit, emit  # the recursive closures are reference cycles: free them now
+        last_read = {s: k for k, (_, a, b) in enumerate(steps) for s in (a, b)}
+        self._steps = [(fn, a, b, tuple(s for s in {a, b} if s is not None and last_read[s] == k))
+                       for k, (fn, a, b) in enumerate(steps)]
+
+    def __call__(self, x):
+        vals = [np.asarray(x, dtype=float), *self._constants]
+        for fn, a, b, dead in self._steps:
+            vals.append(fn(vals[a]) if b is None else fn(vals[a], vals[b]))
+            for i in dead:
+                vals[i] = None
+        return vals[self._root]
 
 
 class SmoothExpression:
-    """Expression with cached derivative trees up to third order."""
+    """Expression with cached derivative trees up to third order, each
+    compiled into a ``_Program`` on its first evaluation."""
 
     def __init__(self, text, var="x"):
         self.text = text
@@ -182,8 +251,12 @@ class SmoothExpression:
         self._trees = [tree]
         for _ in range(3):
             self._trees.append(differentiate(self._trees[-1]))
+        self._programs = [None] * 4
 
     def __call__(self, x, order=0):
         if not 0 <= order <= 3:
             raise ExpressionError("derivative order must be 0..3")
-        return evaluate(self._trees[order], x)
+        program = self._programs[order]
+        if program is None:
+            program = self._programs[order] = _Program(self._trees[order])
+        return program(x)

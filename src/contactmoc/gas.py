@@ -32,6 +32,7 @@ calls its array-only methods directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -209,13 +210,15 @@ def theta(p, sd: StreamData, g: GasConstants):
 
     Theta(p_ref) = 0 by construction and Theta is strictly increasing.
     Pressures within SONIC_MARGIN (relative) of the sonic pressure are
-    rejected with a ``sonic-limit`` error.
+    rejected with a ``sonic-limit`` error; the sonic pressure is taken on the
+    stream data as given, as ``Streamline`` takes it, so theta accepts every
+    pressure the inversion returns.
     """
     orig = (p, sd.a0, sd.b0)
     p, a0, b0 = np.broadcast_arrays(*_as_array(p, sd.a0, sd.b0))
     if not np.all(p > 0.0):
         raise GasError("out-of-range: pressure must be positive")
-    cap = np.asarray(sonic_pressure(StreamData(a0, b0, sd.p_ref), g))
+    cap = np.asarray(sonic_pressure(sd, g))
     if not np.all(p <= cap * (1.0 - SONIC_MARGIN)):
         raise GasError("sonic-limit: pressure within margin of the sonic pressure")
     nu_ref = prandtl_meyer(_mach2(sd.p_ref, a0, b0, g.gamma), g)
@@ -233,11 +236,12 @@ class Streamline:
     """Stream data prepared for repeated inversions: the pressure, the full
     state and dTheta/dp on the streamlines of ``sd``.
 
-    Everything that depends on the streamlines alone is computed here once:
-    the sonic pressure and its SONIC_MARGIN cap, the Newton floor
-    s_floor = s(cap) and nu(s_floor), nu_ref = nu(M(p_ref)), the Newton
-    start s0 = max(s(p_ref), s_floor) and nu(s0), and the powers of A0 that
-    dTheta/dp and the Bernoulli velocity use.
+    Everything that depends on the streamlines alone is computed once: here
+    the powers of A0 that dTheta/dp and the Bernoulli velocity use, and on
+    the first inversion the Newton constants, which are the sonic pressure
+    and its SONIC_MARGIN cap, the Newton floor s_floor = s(cap) and
+    nu(s_floor), nu_ref = nu(M(p_ref)), and the Newton start
+    s0 = max(s(p_ref), s_floor) and nu(s0).
 
     The methods take numpy arrays (not Python scalars), broadcast against
     the shape of the stream data and raise the ``GasError`` codes of the
@@ -253,18 +257,11 @@ class Streamline:
         self.p_ref = sd.p_ref
         self.newton_tol = newton_tol
         self.max_newton_iters = max_newton_iters
+        self._sd, self._g = sd, g
         self._a0 = np.asarray(sd.a0, dtype=float)
-        arrays = np.broadcast_arrays(*_as_array(sd.a0, sd.b0, sonic_pressure(sd, g)))
+        arrays = np.broadcast_arrays(*_as_array(sd.a0, sd.b0))
         shape = self.shape = arrays[0].shape
-        a0, b0, p_sonic = (np.ravel(v) for v in arrays)
-
-        # Newton constants, one per node of the raveled data.
-        cap = p_sonic * (1.0 - SONIC_MARGIN)
-        s_floor = np.sqrt(_mach2(cap, a0, b0, gam) - 1.0)
-        m2_ref = _mach2(sd.p_ref, a0, b0, gam)
-        s0 = np.maximum(np.sqrt(np.maximum(m2_ref - 1.0, 0.0)), s_floor)
-        self._newton = (p_sonic, cap, s_floor, _nu(s_floor, k) - newton_tol,
-                        prandtl_meyer(m2_ref, g), s0, _nu(s0, k))
+        a0, b0 = (np.ravel(v) for v in arrays)
         self._nu_max = (np.sqrt(k) - 1.0) * np.pi / 2
 
         # Factors of dTheta/dp and of the Bernoulli velocity, in the data's shape.
@@ -276,6 +273,20 @@ class Streamline:
         self._front = (2.0 * np.sqrt(gam) * a0 ** (-0.5 / gam)).reshape(shape)
         self._gm1_b0 = ((gam - 1.0) * b0).reshape(shape)
         self._gam_a = (gam * a_pow).reshape(shape)
+
+    @cached_property
+    def _newton(self):
+        """Newton constants, one per node of the raveled data, computed on
+        the first inversion (the other methods never read them)."""
+        sd, g, gam, k = self._sd, self._g, self.gamma, self._k
+        a0, b0, p_sonic = (np.ravel(v) for v in np.broadcast_arrays(
+            *_as_array(sd.a0, sd.b0, sonic_pressure(sd, g))))
+        cap = p_sonic * (1.0 - SONIC_MARGIN)
+        s_floor = np.sqrt(_mach2(cap, a0, b0, gam) - 1.0)
+        m2_ref = _mach2(sd.p_ref, a0, b0, gam)
+        s0 = np.maximum(np.sqrt(np.maximum(m2_ref - 1.0, 0.0)), s_floor)
+        return (p_sonic, cap, s_floor, _nu(s_floor, k) - self.newton_tol,
+                prandtl_meyer(m2_ref, g), s0, _nu(s0, k))
 
     def _invert(self, t):
         """The pressure with Theta(p) = t; see ``pressure_from_invariants``."""

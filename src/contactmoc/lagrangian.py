@@ -15,7 +15,7 @@ import numpy as np
 
 from . import gas
 from .config import InletProfile, NozzleGeometry
-from .csvout import write_csv
+from .csvout import float_strings, write_csv
 
 
 class TransformError(RuntimeError):
@@ -376,10 +376,11 @@ def streamline_conservation(field: EulerianField, g: gas.GasConstants):
 
 def write_field_csv(field: EulerianField, path):
     names = ("y", "u", "v", "p", "rho")
+    x = float_strings(field.x)[:, None]
     parts = []
     for tag, layer in (("a", field.layer_a), ("b", field.layer_b)):
-        x = np.broadcast_to(field.x[:, None], layer.y.shape)
-        parts.append([x] + [getattr(layer, n) for n in names] + [np.full(layer.y.shape, tag)])
+        parts.append([np.broadcast_to(x, layer.y.shape)] + [getattr(layer, n) for n in names]
+                     + [np.full(layer.y.shape, tag)])
     write_csv(path, ("x",) + names + ("layer",),
               [np.concatenate(pair, axis=None) for pair in zip(*parts)])
 

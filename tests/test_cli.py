@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import pathlib
 import subprocess
@@ -7,8 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from contactmoc import cli, config, fixtures, moc
+from contactmoc import cli, config, fixtures, lagrangian, moc
 from contactmoc.expressions import SmoothExpression
+from tests import csv_reference, expression_reference
 
 
 def run_cli(*args):
@@ -515,3 +517,31 @@ def test_malformed_wall_table_is_config_error(workdir, tmp_path, command, case):
     s = summary_of(r)
     assert (r.returncode, s["status"], s["error"]) == (2, "error", "config")
     assert _WALL_TABLE_ERRORS[case] in lines[0]
+
+
+def _solve_digests(tmp_path, name):
+    """sha256 of the four solve CSVs and of the summary dict, on the 140x35
+    fixture loaded from its config file as the CLI loads it."""
+    fixtures.write_fixture(tmp_path / "s.cfg", eps=1e-3, nxi=140, neta=35)
+    cfg, geom, profile = config.load_config(tmp_path / "s.cfg")
+    cfg = dataclasses.replace(cfg, out_dir=str(tmp_path / name))
+    summary, artifacts = cli.run_solve(cfg, geom, profile)
+    digests = {key: hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
+               for key, path in artifacts["paths"].items()}
+    digests["summary"] = hashlib.sha256(repr(sorted(summary.items())).encode()).hexdigest()
+    return digests
+
+
+def test_run_solve_is_byte_identical_to_the_reference_paths(tmp_path, monkeypatch):
+    """The compiled expression programs and the block-wise CSV rows change no
+    byte: a solve with the recursive expression walker and the per-row
+    '%.17g' writer in their place writes the same four files and summary."""
+    shipped = _solve_digests(tmp_path, "shipped")
+    monkeypatch.setattr(SmoothExpression, "__call__",
+                        lambda self, x, order=0: expression_reference.evaluate(self._trees[order], x))
+    for module in (lagrangian, moc):
+        monkeypatch.setattr(module, "write_csv", csv_reference.write_csv)
+        monkeypatch.setattr(module, "float_strings", csv_reference.float_strings)
+    reference = _solve_digests(tmp_path, "reference")
+    assert set(shipped) == {"fields", "contact", "iterations", "grid", "summary"}
+    assert shipped == reference

@@ -115,6 +115,24 @@ def test_theta_sonic_limit_rejected():
         gas.theta(p_s, SD_BG, G)
 
 
+def test_theta_sonic_cap_is_the_same_for_scalars_and_arrays():
+    """The cap comes from sonic_pressure on the stream data as given, so a
+    one-element array is checked as its scalar is (on these data the power
+    on arrays rounds the sonic pressure 1 ulp below the scalar one), and
+    theta accepts the cap that the inversion clamps its pressure to at the
+    sonic floor."""
+    sd = gas.StreamData(a0=1.0150774356727503, b0=13.214780846921927, p_ref=1.0)
+    cap = gas.sonic_pressure(sd, G) * (1 - gas.SONIC_MARGIN)
+    scalar = gas.theta(cap, sd, G)
+    _same_bits(gas.theta(np.array([cap]), sd, G), np.array([scalar]))
+    inversion_cap = gas.Streamline(sd, G)._newton[1]
+    assert inversion_cap.tolist() == [cap]
+    _same_bits(gas.theta(inversion_cap, sd, G), np.array([scalar]))
+    for p in (np.nextafter(cap, np.inf), np.array([np.nextafter(cap, np.inf)])):
+        with pytest.raises(gas.GasError, match="sonic-limit"):
+            gas.theta(p, sd, G)
+
+
 def test_dtheta_positive_everywhere_sampled():
     ps = np.linspace(0.2, 0.98 * gas.sonic_pressure(SD_BG, G), 64)
     assert np.all(gas.dtheta_dp(ps, SD_BG, G) > 0.0)
@@ -346,8 +364,7 @@ def _arrays(*values):
 def _targets(sd):
     """Theta targets from the sonic floor (one just past it, within
     newton_tol) down to low pressure."""
-    # theta's own cap may round 1 ulp below this one
-    cap = gas.sonic_pressure(sd, G) * (1 - gas.SONIC_MARGIN) * (1 - 1e-15)
+    cap = gas.sonic_pressure(sd, G) * (1 - gas.SONIC_MARGIN)
     t = gas.theta(np.array([cap, cap * (1 - 1e-9), 0.5 * cap, 0.9, 0.21, 1e-8]), sd, G)
     return np.append(t, t[0] + 0.5e-12)
 
