@@ -123,6 +123,7 @@ def run_solve(cfg, geom, profile, write_outputs=True):
     """
     g = cfg.gas_constants
     eps = config.perturbation_size(profile, geom, cfg.background)
+    profile.validate(g, cfg.compat_tol)  # an --eps-scale or sweep profile is new
     violations = config.validate_compatibility(profile, geom, tol=cfg.compat_tol)
     if violations:
         raise config.ConfigError("inlet compatibility violated: " + "; ".join(violations))

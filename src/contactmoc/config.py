@@ -188,9 +188,9 @@ class InletProfile:
 
     def validate(self, g: gas.GasConstants, compat_tol=1e-8):
         for tag, layer in (("a", self.layer_a), ("b", self.layer_b)):
-            c = np.sqrt(g.gamma * layer.p / layer.rho)
             if not np.all(layer.p > 0) or not np.all(layer.rho > 0):
                 raise ConfigError(f"not supersonic: layer {tag} has nonpositive p or rho")
+            c = np.sqrt(g.gamma * layer.p / layer.rho)
             if not np.all(layer.u > c):
                 raise ConfigError(f"not supersonic: layer {tag} has a sample with u <= c")
             if not np.all(layer.rho * layer.u > 0):
@@ -264,6 +264,8 @@ class RunConfig:
     background: BackgroundState = None
 
     def __post_init__(self):
+        if not 1.0 < self.gamma < np.inf:
+            raise ConfigError(f"gamma must be in (1, inf), got {self.gamma}")
         for name in ("fp_tol", "newton_tol", "min_supersonic_margin", "compat_tol", "recon_top_tol"):
             if not 0.0 < getattr(self, name) < np.inf:  # newton_tol = inf skips every Newton step
                 raise ConfigError(f"tolerance {name} must be positive and finite")

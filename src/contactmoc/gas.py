@@ -20,13 +20,15 @@ Supersonic Flow and Shock Waves, ch. IV).  The inverse p(Theta) is found by
 Newton's method on nu in s = sqrt(M^2-1), whose derivative is rational in s,
 and p is recovered from M^2 once.
 
-All quantities are nondimensional.  The module-level functions accept
-scalars or numpy arrays, broadcast, and return floats for scalar inputs.
-Inversion and dTheta/dp go through ``Streamline``, which computes one
-streamline's constants (sonic pressure and its cap, the Newton start and
-floor, the powers of A0) once; a caller that inverts the same streamlines
-many times, as the upwind oracle does every CFL sub-step, builds one and
-calls its array-only methods directly.
+All quantities are nondimensional.  The pointwise functions (sound speed,
+Bernoulli and entropy constants, sonic pressure, Theta, flow angle and the
+invariants of a state) accept scalars or numpy arrays, broadcast, and return
+floats for scalar inputs.  The inversion z -> (u, v, p, rho), the
+characteristic speeds and dTheta/dp exist only as methods of
+``Streamline``, which computes its streamlines' constants (sonic pressure
+and its cap, the Newton start and floor, the powers of A0) once and takes
+arrays; ``moc.MocProblem.line`` is one for the whole node row, shared by the
+fixed point and the upwind oracle.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ def _maybe_scalar(x, *inputs):
 
 def _check_positive(p, rho):
     if not ((p > 0.0).all() and (rho > 0.0).all()):
-        raise GasError("nonpositive pressure or density in PrimitiveState")
+        raise GasError("out-of-range: nonpositive pressure or density in PrimitiveState")
 
 
 def _check_flow_angle(z_sum):
@@ -78,7 +80,7 @@ class GasConstants:
 
     def __post_init__(self):
         if not self.gamma > 1.0:
-            raise GasError(f"gamma invariant violated: gamma={self.gamma} must be > 1")
+            raise GasError(f"out-of-range: gamma invariant violated: gamma={self.gamma} must be > 1")
 
 
 @dataclass(frozen=True)
@@ -119,9 +121,9 @@ class StreamData:
     def __post_init__(self):
         a0, b0 = _as_array(self.a0, self.b0)
         if not (np.all(a0 > 0.0) and np.all(b0 > 0.0)):
-            raise GasError("stream data invariant violated: A0 and B0 must be positive")
+            raise GasError("out-of-range: stream data invariant violated: A0 and B0 must be positive")
         if not self.p_ref > 0.0:
-            raise GasError("stream data invariant violated: p_ref must be positive")
+            raise GasError("out-of-range: stream data invariant violated: p_ref must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -157,12 +159,6 @@ def entropy_function(state: PrimitiveState, g: GasConstants):
     return _maybe_scalar(p / rho**g.gamma, state.p, state.rho)
 
 
-def density_from_pressure(p, sd: StreamData, g: GasConstants):
-    """rho = (p / A0)^(1/gamma) on a streamline with entropy function A0."""
-    p = np.asarray(p, dtype=float)
-    return _maybe_scalar(Streamline(sd, g).density(p), p, sd.a0)
-
-
 def sonic_pressure(sd: StreamData, g: GasConstants):
     """Pressure at which the flow on this streamline turns sonic.
 
@@ -177,12 +173,6 @@ def sonic_pressure(sd: StreamData, g: GasConstants):
 
 # ---------------------------------------------------------------------------
 # Theta and its inverse
-
-
-def dtheta_dp(p, sd: StreamData, g: GasConstants):
-    """Closed-form dTheta/dp = sqrt(M^2-1)/(rho q^2); strictly positive on the
-    supersonic range."""
-    return _maybe_scalar(Streamline(sd, g).dtheta_dp(np.asarray(p, dtype=float)), p, sd.a0, sd.b0)
 
 
 def _nu(s, k):
@@ -233,8 +223,9 @@ def flow_angle(z: InvariantPair):
 
 
 class Streamline:
-    """Stream data prepared for repeated inversions: the pressure, the full
-    state and dTheta/dp on the streamlines of ``sd``.
+    """Stream data prepared for repeated inversions: the state at given
+    invariants, the characteristic speeds and dTheta/dp on the streamlines
+    of ``sd``.  It is the one way to evaluate any of them.
 
     Everything that depends on the streamlines alone is computed once: here
     the powers of A0 that dTheta/dp and the Bernoulli velocity use, and on
@@ -244,11 +235,9 @@ class Streamline:
     s0 = max(s(p_ref), s_floor) and nu(s0).
 
     The methods take numpy arrays (not Python scalars), broadcast against
-    the shape of the stream data and raise the ``GasError`` codes of the
-    module-level functions, which are scalar-or-array wrappers over them.
-    Each value is rounded as in those functions: the sonic pressure comes
-    from ``sonic_pressure(sd, g)`` on the data as given, and every other
-    power is taken on arrays.
+    the shape of the stream data and return arrays.  The sonic pressure
+    comes from ``sonic_pressure(sd, g)`` on the data as given, as ``theta``
+    takes it, and every other power is taken on arrays.
     """
 
     def __init__(self, sd: StreamData, g: GasConstants, newton_tol=1e-12, max_newton_iters=50):
@@ -289,7 +278,24 @@ class Streamline:
                 prandtl_meyer(m2_ref, g), s0, _nu(s0, k))
 
     def _invert(self, t):
-        """The pressure with Theta(p) = t; see ``pressure_from_invariants``."""
+        """The pressure with Theta(p) = t.
+
+        Theta(p) = nu_ref - nu(s) with s = sqrt(M^2-1), so Newton's method
+        solves nu(s) = nu_ref - t in s, from each streamline's s0, and p is
+        recovered from M^2 = 1 + s^2 once at the end.  With
+        K = (gamma+1)/(gamma-1), nu(s) = sqrt(K) arctan(s/sqrt(K)) - arctan(s)
+        increases with dnu/ds = s^2 (1 - 1/K) / ((1 + s^2/K)(1 + s^2)), which
+        vanishes at the sonic point: a Newton step that leaves the bracket of
+        s falls back to bisection.  The bracket's lower end is the s of the
+        SONIC_MARGIN cap on p; its upper end is open until an iterate
+        overshoots.
+
+        Only nodes whose Theta residual exceeds newton_tol take a step;
+        needing more than max_newton_iters such sweeps raises
+        ``no-convergence``.  A target past the sonic cap, at or beyond vacuum
+        (nu_max = (sqrt(K) - 1) pi/2), or whose pressure underflows raises
+        ``out-of-range``.
+        """
         gam, k, tol = self.gamma, self._k, self.newton_tol
         shape, consts = self.shape, self._newton
         if t.shape != shape:
@@ -329,14 +335,13 @@ class Streamline:
             raise GasError("out-of-range: pressure underflows at this target")
         return p.reshape(shape)
 
-    def pressure(self, zm, zp):
-        """The pressure at the invariants (z_minus, z_plus)."""
-        _check_flow_angle(zm + zp)
-        return self._invert(0.5 * (zm - zp))
-
     def velocity(self, w, p):
-        """(u, v) from the flow-angle tangent w and the pressure p; see
-        ``velocity_from_bernoulli``."""
+        """(u, v) from the flow-angle tangent w and the pressure p by the
+        Bernoulli law:
+
+        u = sqrt(2((gamma-1) B0 - gamma A0^(1/gamma) p^((gamma-1)/gamma))
+                 / ((gamma-1)(1+w^2))),  v = w u.
+        """
         gam = self.gamma
         rad = 2.0 * (self._gm1_b0 - self._gam_a * p ** ((gam - 1.0) / gam))
         if not (rad > 0.0).all():
@@ -359,11 +364,30 @@ class Streamline:
         return u, v, p, rho
 
     def lambdas(self, u, v, p, rho):
-        """(lambda_minus, lambda_plus) at the state; see ``lambda_pm``."""
-        return _lambdas(u, v, p, rho, self.gamma)
+        """Characteristic speeds (lambda_minus, lambda_plus) in
+        stream-function coordinates at the state:
+
+        lambda_pm = rho u c^2 / (u^2 - c^2) * (v/u ± sqrt(u^2+v^2-c^2)/c);
+
+        requires u > c (so u^2 - c^2 > 0).
+        """
+        c2 = self.gamma * p / rho
+        uu = u * u
+        du = uu - c2
+        if not (du > 0.0).all():
+            raise GasError("degenerate: characteristic speeds need u > c")
+        q2mc2 = uu + v * v - c2
+        if not (q2mc2 > 0.0).all():
+            raise GasError("not-supersonic: q must exceed c")
+        c = np.sqrt(c2)
+        front = rho * u * c2 / du
+        disc = np.sqrt(q2mc2) / c
+        w = v / u
+        return front * (w - disc), front * (w + disc)
 
     def dtheta_dp(self, p):
-        """dTheta/dp at the pressures p; see ``dtheta_dp``."""
+        """Closed-form dTheta/dp = sqrt(M^2-1)/(rho q^2) at the pressures p;
+        strictly positive on the supersonic range."""
         gam = self.gamma
         if not (p > 0.0).all():
             raise GasError("out-of-range: pressure must be positive")
@@ -373,29 +397,6 @@ class Streamline:
         den = (self._front * (self._b0 - self._bern_a * p ** (1.0 - 1.0 / gam))
                * p ** ((gam + 1.0) / (2.0 * gam)))
         return np.sqrt(rad) / den
-
-
-def pressure_from_invariants(z: InvariantPair, sd: StreamData, g: GasConstants,
-                             newton_tol=1e-12, max_newton_iters=50):
-    """Invert Theta(p) = (z_minus - z_plus)/2 for the unique pressure.
-
-    Theta(p) = nu_ref - nu(s) with s = sqrt(M^2-1), so Newton's method solves
-    nu(s) = nu_ref - Theta in s, from each streamline's s_ref = s(p_ref), and
-    p is recovered from M^2 = 1 + s^2 once at the end.  With
-    K = (gamma+1)/(gamma-1), nu(s) = sqrt(K) arctan(s/sqrt(K)) - arctan(s)
-    increases with dnu/ds = s^2 (1 - 1/K) / ((1 + s^2/K)(1 + s^2)), which
-    vanishes at the sonic point: a Newton step that leaves the bracket of s
-    falls back to bisection.  The bracket's lower end is the s of the
-    SONIC_MARGIN cap on p; its upper end is open until an iterate overshoots.
-
-    Only nodes whose Theta residual exceeds newton_tol take a step; needing
-    more than max_newton_iters such sweeps raises ``no-convergence``.  A
-    target past the sonic cap, at or beyond vacuum (nu_max =
-    (sqrt(K) - 1) pi/2), or whose pressure underflows raises ``out-of-range``.
-    """
-    line = Streamline(sd, g, newton_tol, max_newton_iters)
-    p = line.pressure(*_as_array(z.z_minus, z.z_plus))
-    return _maybe_scalar(p, z.z_minus, z.z_plus, sd.a0, sd.b0)
 
 
 def invariants_from_state(state: PrimitiveState, sd: StreamData, g: GasConstants):
@@ -417,52 +418,3 @@ def invariants_from_state(state: PrimitiveState, sd: StreamData, g: GasConstants
     zm = _maybe_scalar(ang + th, state.u, state.v, state.p, sd.a0)
     zp = _maybe_scalar(ang - th, state.u, state.v, state.p, sd.a0)
     return InvariantPair(zm, zp)
-
-
-def velocity_from_bernoulli(w, p, sd: StreamData, g: GasConstants):
-    """Recover (u, v) from the flow-angle tangent, pressure and stream data.
-
-    u = sqrt(2((gamma-1) B0 - gamma A0^(1/gamma) p^((gamma-1)/gamma))
-             / ((gamma-1)(1+w^2))),  v = w u.
-    """
-    orig = (w, p, sd.a0, sd.b0)
-    u, v = Streamline(sd, g).velocity(*_as_array(w, p))
-    return (_maybe_scalar(u, *orig), _maybe_scalar(v, *orig))
-
-
-def state_from_invariants(z: InvariantPair, sd: StreamData, g: GasConstants,
-                          newton_tol=1e-12, max_newton_iters=50):
-    """Full inversion z -> (u, v, p, rho) on a streamline."""
-    w = flow_angle(z)
-    p = pressure_from_invariants(z, sd, g, newton_tol=newton_tol,
-                                 max_newton_iters=max_newton_iters)
-    u, v = velocity_from_bernoulli(w, p, sd, g)
-    rho = density_from_pressure(p, sd, g)
-    return PrimitiveState(u=u, v=v, p=p, rho=rho)
-
-
-def _lambdas(u, v, p, rho, gam):
-    c2 = gam * p / rho
-    uu = u * u
-    du = uu - c2
-    if not (du > 0.0).all():
-        raise GasError("degenerate: characteristic speeds need u > c")
-    q2mc2 = uu + v * v - c2
-    if not (q2mc2 > 0.0).all():
-        raise GasError("not-supersonic: q must exceed c")
-    c = np.sqrt(c2)
-    front = rho * u * c2 / du
-    disc = np.sqrt(q2mc2) / c
-    w = v / u
-    return front * (w - disc), front * (w + disc)
-
-
-def lambda_pm(state: PrimitiveState, g: GasConstants):
-    """Characteristic speeds in stream-function coordinates.
-
-    lambda_pm = rho u c^2 / (u^2 - c^2) * (v/u ± sqrt(u^2+v^2-c^2)/c);
-    requires u > c (so u^2 - c^2 > 0).  Returns (lambda_minus, lambda_plus).
-    """
-    orig = (state.u, state.v, state.p, state.rho)
-    lam_m, lam_p = _lambdas(*_as_array(*orig), g.gamma)
-    return _maybe_scalar(lam_m, *orig), _maybe_scalar(lam_p, *orig)

@@ -73,21 +73,22 @@ class MocProblem:
 
     ``stream`` holds A0 and B0 at every node of the stacked row ``a | b``
     (``lagrangian.stream_data_from_inlet`` of each layer) with the global
-    Theta reference pressure; ``inlet_z`` holds the inlet invariants on the
-    same row.
+    Theta reference pressure, and ``line`` is that row prepared once
+    (``gas.Streamline`` with the run's Newton settings): every inversion and
+    every evaluation of the speeds on the row goes through it.  ``inlet_z``
+    holds the inlet invariants on the same row.
     """
 
     g: gas.GasConstants
     domain: LagrangianDomain
     geom: NozzleGeometry
     stream: gas.StreamData
+    line: gas.Streamline
     inlet_z: gas.InvariantPair
     zbar_a: tuple
     zbar_b: tuple
     wall_angle_plus: np.ndarray
     wall_angle_minus: np.ndarray
-    newton_tol: float
-    max_newton_iters: int
     min_supersonic_margin: float
 
 
@@ -117,13 +118,12 @@ def build_problem(cfg: RunConfig, geom: NozzleGeometry, trace_a: InletTrace,
         domain=domain,
         geom=geom,
         stream=stream,
+        line=gas.Streamline(stream, g, cfg.newton_tol, cfg.max_newton_iters),
         inlet_z=gas.invariants_from_state(inlet, stream, g),
         zbar_a=zbar_a,
         zbar_b=zbar_b,
         wall_angle_plus=np.arctan(geom.g_plus(xi, 1)),
         wall_angle_minus=np.arctan(geom.g_minus(xi, 1)),
-        newton_tol=cfg.newton_tol,
-        max_newton_iters=cfg.max_newton_iters,
         min_supersonic_margin=cfg.min_supersonic_margin,
     )
     check_cfl(frozen_lambdas(InvariantGrid.background(prob, nxi=1), prob), domain)
@@ -200,9 +200,7 @@ def grid_states(grid: InvariantGrid, prob: MocProblem) -> gas.PrimitiveState:
     if grid._state is None:
         if not np.all(np.abs(grid.zm + grid.zp) < np.pi):
             raise SolverError("left-supersonic-regime: |z_minus + z_plus| reached pi")
-        grid._state = gas.state_from_invariants(
-            gas.InvariantPair(grid.zm, grid.zp), prob.stream, prob.g,
-            newton_tol=prob.newton_tol, max_newton_iters=prob.max_newton_iters)
+        grid._state = gas.PrimitiveState(*prob.line.state(grid.zm, grid.zp))
     return grid._state
 
 
@@ -251,7 +249,8 @@ class FrozenField:
 def frozen_lambdas(grid: InvariantGrid, prob: MocProblem) -> FrozenField:
     """Both characteristic speeds at every node of the grid's states."""
     try:
-        lam_m, lam_p = gas.lambda_pm(grid_states(grid, prob), prob.g)
+        s = grid_states(grid, prob)
+        lam_m, lam_p = prob.line.lambdas(s.u, s.v, s.p, s.rho)
     except gas.GasError as exc:
         raise SolverError(f"left-supersonic-regime: {exc}") from None
     return FrozenField(lam_m=lam_m, lam_p=lam_p)

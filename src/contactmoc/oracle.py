@@ -14,9 +14,10 @@ row ``a | b`` (``LagrangianDomain.layers``: the contact is the first and
 the last entry, the walls meet at na-1 | na), so one pressure inversion
 and one evaluation of the speeds serve both layers, and one Gauss path
 gives both contact weights.  Newton runs independently per node, so the
-stacked calls return the bits of per-layer calls.  The row's streamlines and
-the two contact streamlines are each a ``gas.Streamline`` built once per
-march, so a sub-step recomputes no streamline constant and calls the
+stacked calls return the bits of per-layer calls.  The row's streamlines are
+the problem's own ``gas.Streamline`` (``MocProblem.line``, the one the fixed
+point inverts with) and the two contact streamlines are one more, built once
+per march, so a sub-step recomputes no streamline constant and calls the
 inversion, the speeds and dTheta/dp directly.
 """
 
@@ -59,10 +60,9 @@ def upwind_march(prob: MocProblem) -> InvariantGrid:
     na = dom.eta_a.size
     deta_min = min(dom.deta_a, dom.deta_b)
 
-    # The row's streamlines and the two contact streamlines (one Gauss block
-    # each), prepared once for every sub-step of the march.
-    stream = prob.stream
-    rows = gas.Streamline(stream, prob.g, prob.newton_tol, prob.max_newton_iters)
+    # The two contact streamlines (one Gauss block each), prepared once for
+    # every sub-step of the march; the row's are the problem's own.
+    stream, rows = prob.stream, prob.line
     ends = np.array([0, -1])
     contact = gas.Streamline(gas.StreamData(stream.a0[ends, None, None],
                                             stream.b0[ends, None, None], stream.p_ref), prob.g)

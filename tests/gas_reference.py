@@ -1,17 +1,20 @@
-"""Test helper: the pressure inversion and dTheta/dp written per call.
+"""Test helper: the pressure inversion, the speeds and dTheta/dp written per
+call.
 
-``gas.Streamline`` computes each streamline's constants once and the
-module-level functions wrap it.  This reference keeps the functions as they
-were written before that, every constant recomputed on each call from the
-broadcast inputs: the Newton inversion, dTheta/dp and the Bernoulli velocity
-and density that complete a state.  Both must agree bit for bit.
+``gas.Streamline`` computes each streamline's constants once, and it is the
+package's only way to invert the invariants and to evaluate the speeds and
+dTheta/dp.  This reference keeps those evaluations as plain scalar-or-array
+functions, every constant recomputed on each call from the broadcast
+inputs: the Newton inversion, dTheta/dp, the Bernoulli velocity and density
+that complete a state, and the characteristic speeds.  Both must agree bit
+for bit.
 """
 
 import numpy as np
 
-from contactmoc.gas import (SONIC_MARGIN, GasConstants, GasError, InvariantPair, StreamData,
-                            _as_array, _mach2, _maybe_scalar, _nu, flow_angle, prandtl_meyer,
-                            sonic_pressure)
+from contactmoc.gas import (SONIC_MARGIN, GasConstants, GasError, InvariantPair, PrimitiveState,
+                            StreamData, _as_array, _mach2, _maybe_scalar, _nu, flow_angle,
+                            prandtl_meyer, sonic_pressure)
 
 
 def dtheta_dp(p, sd: StreamData, g: GasConstants):
@@ -109,3 +112,18 @@ def state_from_invariants(z: InvariantPair, sd: StreamData, g: GasConstants,
                                  max_newton_iters=max_newton_iters)
     u, v = velocity_from_bernoulli(w, p, sd, g)
     return u, v, p, density_from_pressure(p, sd, g)
+
+
+def lambda_pm(state: PrimitiveState, g: GasConstants):
+    """(lambda_minus, lambda_plus) = rho u c^2 / (u^2 - c^2) (v/u -+ sqrt(q^2 - c^2)/c)."""
+    orig = (state.u, state.v, state.p, state.rho)
+    u, v, p, rho = _as_array(*orig)
+    c2 = g.gamma * p / rho
+    if not np.all(u * u - c2 > 0.0):
+        raise GasError("degenerate: characteristic speeds need u > c")
+    if not np.all(u * u + v * v - c2 > 0.0):
+        raise GasError("not-supersonic: q must exceed c")
+    front = rho * u * c2 / (u * u - c2)
+    disc = np.sqrt(u * u + v * v - c2) / np.sqrt(c2)
+    return (_maybe_scalar(front * (v / u - disc), *orig),
+            _maybe_scalar(front * (v / u + disc), *orig))

@@ -4,8 +4,10 @@
 This reference keeps the per-layer form: it splits the problem's row into
 its two layers by their node counts, and each sub-step inverts and
 evaluates the speeds of layer a and layer b in separate calls and takes
-each contact weight from its own one-node Gauss path.  The two must agree
-bit for bit.
+each contact weight from its own one-node Gauss path.  Every inversion,
+speed and dTheta/dp comes from the per-call functions of
+``tests/gas_reference.py``, not from the problem's prepared
+``gas.Streamline``.  The two must agree bit for bit.
 """
 
 import math
@@ -15,13 +17,14 @@ import numpy as np
 from contactmoc import gas
 from contactmoc.moc import _GL_W, _GL_X, InvariantGrid, SolverError
 from contactmoc.oracle import _MAX_SUBSTEPS, _upwind
+from tests import gas_reference
 
 
 def _slab_state(zm, zp, stream, prob):
-    state = gas.state_from_invariants(gas.InvariantPair(zm, zp), stream, prob.g,
-                                      newton_tol=prob.newton_tol,
-                                      max_newton_iters=prob.max_newton_iters)
-    lam_m, lam_p = gas.lambda_pm(state, prob.g)
+    state = gas.PrimitiveState(*gas_reference.state_from_invariants(
+        gas.InvariantPair(zm, zp), stream, prob.g, newton_tol=prob.line.newton_tol,
+        max_newton_iters=prob.line.max_newton_iters))
+    lam_m, lam_p = gas_reference.lambda_pm(state, prob.g)
     return state.p, lam_m, lam_p
 
 
@@ -29,7 +32,7 @@ def _contact_dtheta(p, stream, node, g):
     """Gauss average of dTheta/dp from p_ref to the one pressure ``p[0]``."""
     path = stream.p_ref + _GL_X[:, None] * (p[None, :] - stream.p_ref)
     sd = gas.StreamData(stream.a0[node], stream.b0[node], stream.p_ref)
-    return (_GL_W @ gas.dtheta_dp(path, sd, g))[0]
+    return (_GL_W @ gas_reference.dtheta_dp(path, sd, g))[0]
 
 
 def per_layer_march(prob):

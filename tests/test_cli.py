@@ -107,6 +107,61 @@ def test_subsonic_inlet_is_validation_error(workdir, tmp_path):
     assert s["error"] == "validation"
 
 
+def _with_inlet_value(workdir, tmp_path, column, value):
+    """The eps = 1e-3 fixture with one value of layer a's third inlet row
+    replaced (columns y, u, v, p, rho)."""
+    lines = (workdir / "pert.cfg").read_text().splitlines()
+    row = lines.index(next(ln for ln in lines if ln.startswith("layer_a = <<<"))) + 3
+    cols = lines[row].split(",")
+    cols[column] = value
+    lines[row] = ",".join(cols)
+    bad = tmp_path / "bad_inlet.cfg"
+    bad.write_text("\n".join(lines))
+    return bad
+
+
+def test_nonpositive_inlet_pressure_is_validation_error_without_warning(workdir, tmp_path):
+    bad = _with_inlet_value(workdir, tmp_path, 3, "-1.0")
+    r = run_cli("solve", "--config", str(bad), "--out", str(tmp_path / "o"), "--quiet")
+    assert (r.returncode, r.stderr) == (1, "")
+    s = summary_of(r)
+    assert (s["status"], s["error"]) == ("error", "validation")
+    assert "layer a has nonpositive p or rho" in r.stdout
+
+
+@pytest.mark.parametrize("command, extra", [("solve", ("--eps-scale", "1e9")),
+                                            ("sweep", ("--eps", "1e6"))])
+def test_scaled_profile_is_validated(workdir, tmp_path, command, extra):
+    # a billion times the eps = 1e-3 deviation makes part of layer a subsonic
+    r = run_cli(command, "--config", str(workdir / "pert.cfg"), *extra,
+                "--out", str(tmp_path / "o"), "--quiet")
+    assert (r.returncode, r.stderr) == (1, "")
+    s = summary_of(r)
+    assert s["status"] == "error"
+    assert "not supersonic: layer a has a sample with u <= c" in r.stdout
+    if command == "solve":
+        assert s["error"] == "validation"
+        assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, gamma, extra", [("solve", "1.0", ()),
+                                                   ("sweep", "0.5", ("--eps", "1e-4")),
+                                                   ("validate", "1.0", ())])
+def test_gamma_at_most_one_is_a_validation_error(workdir, tmp_path, command, gamma, extra):
+    text = (workdir / "pert.cfg").read_text().splitlines()
+    cfgp = tmp_path / "gamma.cfg"
+    cfgp.write_text("\n".join(f"gamma = {gamma}" if ln.startswith("gamma =") else ln
+                              for ln in text))
+    r = run_cli(command, "--config", str(cfgp), *extra, "--out", str(tmp_path / "o"), "--quiet")
+    assert (r.returncode, r.stderr) == (1, "")
+    detail = f"gamma must be in (1, inf), got {gamma}"
+    if command == "validate":
+        assert r.stdout.splitlines() == [f"violation: {detail}", "status=invalid violations=1"]
+    else:
+        assert r.stdout.splitlines() == [
+            f"status=error error=validation detail={detail!r}"]
+
+
 def test_validate_ok_and_violations(workdir, tmp_path):
     r = run_cli("validate", "--config", str(workdir / "pert.cfg"))
     assert r.returncode == 0
@@ -409,6 +464,16 @@ def test_blowup_sonic_limit_error_carries_code(tmp_path):
     s = summary_of(r)
     assert (s["error"], s["code"]) == ("validation", "sonic-limit")
     assert s["detail"].startswith("'sonic-limit:")
+
+
+def test_blowup_gamma_error_carries_code(tmp_path):
+    cfgp = tmp_path / "isothermal.cfg"
+    cfgp.write_text("[gas]\ngamma = 1.0\n\n[blowup]\nu0 = 2.0\nv0 = 0.0\nny = 100\n")
+    r = run_cli("blowup", "--config", str(cfgp), "--out", str(tmp_path / "o"), "--quiet")
+    assert (r.returncode, r.stderr) == (1, "")
+    s = summary_of(r)
+    assert (s["error"], s["code"]) == ("validation", "out-of-range")
+    assert "detail='out-of-range: gamma invariant violated" in r.stdout
 
 
 def test_error_code_only_from_program_errors(capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +103,21 @@ def test_grid_and_tolerance_invariants():
         config.RunConfig(gamma=1.4, grid_nxi=8, grid_neta_a=8, grid_neta_b=8, fp_tol=0.0)
     with pytest.raises(ConfigError, match="tolerance newton_tol must be positive and finite"):
         config.RunConfig(gamma=1.4, grid_nxi=8, grid_neta_a=8, grid_neta_b=8, newton_tol=np.inf)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.5, -1.4, np.inf, np.nan])
+def test_gamma_outside_one_to_infinity_rejected(gamma):
+    with pytest.raises(ConfigError, match=r"gamma must be in \(1, inf\)"):
+        config.RunConfig(gamma=gamma, grid_nxi=8, grid_neta_a=8, grid_neta_b=8)
+
+
+def test_profile_positivity_checked_before_the_sound_speed():
+    cfg, geom, profile = fixtures.perturbed_inputs(0.0, nxi=50, neta=12)
+    profile.layer_a.p[3] = -1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no sqrt of a negative pressure
+        with pytest.raises(ConfigError, match="layer a has nonpositive p or rho"):
+            profile.validate(cfg.gas_constants)
 
 
 def test_compatibility_report_flags_pressure_jump():

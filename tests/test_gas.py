@@ -11,6 +11,23 @@ B_BG = 0.5 * 2.2**2 + 3.5
 SD_BG = gas.StreamData(a0=1.0, b0=B_BG, p_ref=1.0)
 
 
+def _arrays(*values):
+    return [np.asarray(v, dtype=float) for v in values]
+
+
+def _line(sd=SD_BG, **kw):
+    return gas.Streamline(sd, G, **kw)
+
+
+def _pressure(t, sd=SD_BG, **kw):
+    """The pressure at Theta = t, i.e. at the invariants (t, -t)."""
+    return _line(sd, **kw).state(*_arrays(t, -t))[2]
+
+
+def _lambdas(state):
+    return _line().lambdas(*_arrays(state.u, state.v, state.p, state.rho))
+
+
 def random_supersonic_states(rng, n):
     """Moderate supersonic cloud around the reference state."""
     u = 2.2 * (1.0 + 0.15 * rng.uniform(-1, 1, n))
@@ -103,9 +120,11 @@ def test_theta_additivity_against_independent_quadrature():
         p_s = gas.sonic_pressure(sd, G)
         # the admissible cap p_s (1 - SONIC_MARGIN) and a point just below it
         near = (p_s * (1 - gas.SONIC_MARGIN), p_s * (1 - 1.5 * gas.SONIC_MARGIN))
+        line = _line(sd)
         for p1, p2 in ((0.9, 1.25), (0.3, near[0]), (near[1], near[0]), (0.5 * p_s, near[1])):
             whole = gas.theta(p2, sd, G) - gas.theta(p1, sd, G)
-            seg, _ = quad(lambda p: gas.dtheta_dp(p, sd, G), p1, p2, epsabs=1e-13, epsrel=1e-13)
+            seg, _ = quad(lambda p: float(line.dtheta_dp(np.asarray(p))), p1, p2,
+                          epsabs=1e-13, epsrel=1e-13)
             assert whole == pytest.approx(seg, abs=1e-11)
 
 
@@ -135,18 +154,18 @@ def test_theta_sonic_cap_is_the_same_for_scalars_and_arrays():
 
 def test_dtheta_positive_everywhere_sampled():
     ps = np.linspace(0.2, 0.98 * gas.sonic_pressure(SD_BG, G), 64)
-    assert np.all(gas.dtheta_dp(ps, SD_BG, G) > 0.0)
+    assert np.all(_line().dtheta_dp(ps) > 0.0)
 
 
 def test_dtheta_sonic_error():
     p_s = gas.sonic_pressure(SD_BG, G)
     with pytest.raises(gas.GasError, match="sonic-limit"):
-        gas.dtheta_dp(p_s * 1.000001, SD_BG, G)
+        _line().dtheta_dp(np.asarray(p_s * 1.000001))
 
 
 def test_dtheta_matches_theta_fd_second_order():
     p0 = 1.07
-    exact = gas.dtheta_dp(p0, SD_BG, G)
+    exact = float(_line().dtheta_dp(np.asarray(p0)))
 
     def fd(h):
         return (gas.theta(p0 + h, SD_BG, G) - gas.theta(p0 - h, SD_BG, G)) / (2 * h)
@@ -188,14 +207,14 @@ def test_invariants_detect_stream_mismatch():
 
 
 def test_pressure_inversion_at_origin():
-    p = gas.pressure_from_invariants(gas.InvariantPair(0.0, 0.0), SD_BG, G)
+    p = _pressure(0.0)
     assert p == pytest.approx(1.0, abs=1e-14)
 
 
 def test_pressure_forward_invert_round_trip():
     p_true = 1.21
     t = gas.theta(p_true, SD_BG, G)
-    p = gas.pressure_from_invariants(gas.InvariantPair(t, -t), SD_BG, G)
+    p = _pressure(t)
     assert p == pytest.approx(p_true, abs=1e-10)
     # Near the sonic cap dTheta/dp -> 0: the inversion meets newton_tol in
     # Theta, so p is as close as newton_tol / min dTheta/dp allows.  The low
@@ -204,10 +223,10 @@ def test_pressure_forward_invert_round_trip():
         cap = gas.sonic_pressure(sd, G) * (1 - gas.SONIC_MARGIN)
         for p_true in (cap, cap * (1 - 0.5 * gas.SONIC_MARGIN), cap * (1 - 1e-3), 0.21):
             t = gas.theta(p_true, sd, G)
-            p = gas.pressure_from_invariants(gas.InvariantPair(t, -t), sd, G)
+            p = _pressure(t, sd)
             assert p <= cap
             assert abs(gas.theta(p, sd, G) - t) <= 1e-12
-            assert p == pytest.approx(p_true, abs=1e-12 / gas.dtheta_dp(cap, sd, G))
+            assert p == pytest.approx(p_true, abs=1e-12 / _line(sd).dtheta_dp(np.asarray(cap)))
 
 
 def _assert_inverts(p_true, sd):
@@ -215,10 +234,10 @@ def _assert_inverts(p_true, sd):
     recovers p_true as closely as newton_tol / dTheta/dp(cap) allows."""
     cap = gas.sonic_pressure(sd, G) * (1 - gas.SONIC_MARGIN)
     t = gas.theta(p_true, sd, G)
-    p = gas.pressure_from_invariants(gas.InvariantPair(t, -t), sd, G)
+    p = _pressure(t, sd)
     assert np.all(p <= cap)
     assert np.max(np.abs(gas.theta(p, sd, G) - t)) <= 1e-12
-    assert np.all(np.abs(p - p_true) <= 1e-12 / gas.dtheta_dp(cap, sd, G))
+    assert np.all(np.abs(p - p_true) <= 1e-12 / _line(sd).dtheta_dp(np.asarray(cap)))
 
 
 def test_pressure_inversion_is_batch_independent(rng):
@@ -243,7 +262,7 @@ def test_pressure_inversion_out_of_range():
     p_cap = gas.sonic_pressure(SD_BG, G) * (1 - gas.SONIC_MARGIN)
     t_max = gas.theta(p_cap * 0.9999999, SD_BG, G)
     with pytest.raises(gas.GasError, match="out-of-range"):
-        gas.pressure_from_invariants(gas.InvariantPair(2.0 * t_max, -2.0 * t_max), SD_BG, G)
+        _pressure(2.0 * t_max)
     # Vacuum side: the target nu(s) = nu_ref - Theta reaches the Prandtl-Meyer
     # limit nu_max = (sqrt(K) - 1) pi/2 as p -> 0, K = (gamma+1)/(gamma-1) = 6.
     nu_ref = gas.prandtl_meyer(2.2**2 / 1.4, G)
@@ -251,60 +270,60 @@ def test_pressure_inversion_out_of_range():
     for beyond in (1e-12, 0.1):
         t = nu_ref - nu_max - beyond
         with pytest.raises(gas.GasError, match="out-of-range"):
-            gas.pressure_from_invariants(gas.InvariantPair(t, -t), SD_BG, G)
+            _pressure(t)
     # Just inside vacuum the target is admissible however small its pressure.
     t = nu_ref - nu_max + 1e-3
-    p = gas.pressure_from_invariants(gas.InvariantPair(t, -t), SD_BG, G)
+    p = _pressure(t)
     assert 0.0 < p < 1e-20
     assert abs(gas.theta(p, SD_BG, G) - t) <= 1e-12
 
 
 def test_velocity_from_bernoulli_background():
-    u, v = gas.velocity_from_bernoulli(0.0, 1.0, SD_BG, G)
+    u, v = _line().velocity(*_arrays(0.0, 1.0))
     assert u == pytest.approx(2.2, rel=1e-14)
     assert v == 0.0
 
 
 def test_velocity_ratio_identity():
     w = 0.137
-    u, v = gas.velocity_from_bernoulli(w, 1.05, SD_BG, G)
+    u, v = _line().velocity(*_arrays(w, 1.05))
     assert v / u == w
 
 
 def test_velocity_reproduces_bernoulli():
     w, p = 0.1, 1.1
-    u, v = gas.velocity_from_bernoulli(w, p, SD_BG, G)
-    rho = gas.density_from_pressure(p, SD_BG, G)
+    u, v = _line().velocity(*_arrays(w, p))
+    rho = _line().density(np.asarray(p))
     b = 0.5 * (u * u + v * v) + 1.4 * p / (0.4 * rho)
     assert b == pytest.approx(B_BG, abs=1e-12)
 
 
 def test_velocity_cavitation_error():
     with pytest.raises(gas.GasError, match="cavitation"):
-        gas.velocity_from_bernoulli(0.0, 50.0, SD_BG, G)
+        _line().velocity(*_arrays(0.0, 50.0))
 
 
 def test_lambda_symmetric_for_straight_flow():
-    lam_m, lam_p = gas.lambda_pm(BG, G)
+    lam_m, lam_p = _lambdas(BG)
     assert lam_m == pytest.approx(-lam_p, rel=1e-14)
 
 
 def test_lambda_reference_value():
-    _, lam_p = gas.lambda_pm(BG, G)
+    _, lam_p = _lambdas(BG)
     independent = 1.0 * 2.2 * np.sqrt(1.4) / np.sqrt(2.2**2 - 1.4)
     assert lam_p == pytest.approx(independent, rel=1e-13)
 
 
 def test_lambda_degenerate():
     with pytest.raises(gas.GasError, match="degenerate"):
-        gas.lambda_pm(gas.PrimitiveState(u=1.0, v=2.0, p=1.0, rho=1.0), G)
+        _lambdas(gas.PrimitiveState(u=1.0, v=2.0, p=1.0, rho=1.0))
 
 
 def test_lambda_odd_in_v():
     a = gas.PrimitiveState(u=2.2, v=0.31, p=1.05, rho=0.97)
     b = gas.PrimitiveState(u=2.2, v=-0.31, p=1.05, rho=0.97)
-    am, ap = gas.lambda_pm(a, G)
-    bm, bp = gas.lambda_pm(b, G)
+    am, ap = _lambdas(a)
+    bm, bp = _lambdas(b)
     assert am == pytest.approx(-bp, rel=1e-13)
     assert ap == pytest.approx(-bm, rel=1e-13)
 
@@ -323,7 +342,7 @@ def test_round_trip_many_states(rng):
     state = gas.PrimitiveState(u=u, v=v, p=p, rho=rho)
     sd = gas.StreamData(a0=gas.entropy_function(state, G), b0=gas.bernoulli(state, G), p_ref=1.0)
     z = gas.invariants_from_state(state, sd, G)
-    back = gas.state_from_invariants(z, sd, G)
+    back = gas.PrimitiveState(*_line(sd).state(z.z_minus, z.z_plus))
     for name in ("u", "v", "p"):
         assert np.max(np.abs(getattr(back, name) - getattr(state, name))) < 1e-10
 
@@ -336,7 +355,7 @@ def test_round_trip_property(du, w, dp, drho):
     state = gas.PrimitiveState(u=u, v=w * u, p=1.0 + dp, rho=1.0 + drho)
     sd = gas.StreamData(a0=gas.entropy_function(state, G), b0=gas.bernoulli(state, G), p_ref=1.0)
     z = gas.invariants_from_state(state, sd, G)
-    back = gas.state_from_invariants(z, sd, G)
+    back = gas.PrimitiveState(*_line(sd).state(*_arrays(z.z_minus, z.z_plus)))
     assert back.p == pytest.approx(state.p, abs=1e-10)
     assert back.u == pytest.approx(state.u, abs=1e-10)
     assert back.v == pytest.approx(state.v, abs=1e-10)
@@ -357,10 +376,6 @@ def _same_bits(a, b):
     assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _arrays(*values):
-    return [np.asarray(v, dtype=float) for v in values]
-
-
 def _targets(sd):
     """Theta targets from the sonic floor (one just past it, within
     newton_tol) down to low pressure."""
@@ -378,18 +393,9 @@ def _random_streamlines(n, seed):
 
 
 def _assert_inversions_agree(zm, zp, sd):
-    """Pressure and state: the wrappers and the prepared object return the
-    reference's bits (the prepared object as arrays)."""
-    z = gas.InvariantPair(zm, zp)
-    line = gas.Streamline(sd, G)
-    p = gas_reference.pressure_from_invariants(z, sd, G)
-    _same_bits(gas.pressure_from_invariants(z, sd, G), p)
-    _same_bits(np.asarray(line.pressure(*_arrays(zm, zp))), np.asarray(p))
-    state = gas_reference.state_from_invariants(z, sd, G)
-    got = gas.state_from_invariants(z, sd, G)
-    for a, b in zip((got.u, got.v, got.p, got.rho), state):
-        _same_bits(a, b)
-    for a, b in zip(line.state(*_arrays(zm, zp)), state):
+    """The prepared object returns the reference's state bits (as arrays)."""
+    state = gas_reference.state_from_invariants(gas.InvariantPair(zm, zp), sd, G)
+    for a, b in zip(gas.Streamline(sd, G).state(*_arrays(zm, zp)), state):
         _same_bits(np.asarray(a), np.asarray(b))
 
 
@@ -437,13 +443,12 @@ def test_prepared_dtheta_matches_reference():
     for path, a, b in cases:
         sd = gas.StreamData(a, b, 1.0)
         want = gas_reference.dtheta_dp(path, sd, G)
-        _same_bits(gas.dtheta_dp(path, sd, G), want)
         got = gas.Streamline(sd, G).dtheta_dp(np.asarray(path))
         _same_bits(np.asarray(got), np.asarray(want))
 
 
 def _error_cases():
-    line = gas.Streamline(SD_BG, G)
+    line = _line()
     p_s = gas.sonic_pressure(SD_BG, G)
     t_cap = 2.0 * gas.theta(p_s * (1 - gas.SONIC_MARGIN) * 0.9999999, SD_BG, G)
     t_vac = gas.prandtl_meyer(2.2**2 / 1.4, G) - (np.sqrt(6.0) - 1.0) * np.pi / 2 - 0.1
@@ -458,49 +463,64 @@ def _error_cases():
     t_heavy = gas.theta(1e-30, heavy, G)
 
     def pair(sd, t, **kw):
-        """(wrapper, prepared, reference) inversions of the target t."""
-        return (lambda: gas.pressure_from_invariants(gas.InvariantPair(t, -t), sd, G, **kw),
-                lambda: gas.Streamline(sd, G, **kw).pressure(*_arrays(t, -t)),
+        """(prepared, reference) inversions of the target t."""
+        return (lambda: _pressure(t, sd, **kw),
                 lambda: gas_reference.pressure_from_invariants(gas.InvariantPair(t, -t), sd, G,
                                                                **kw))
 
     return {
-        "flow-angle": ("flow-angle", (lambda: gas.state_from_invariants(gas.InvariantPair(2.0, 2.0),
-                                                                        SD_BG, G),
-                                      lambda: line.state(*_arrays(2.0, 2.0)),
-                                      lambda: line.pressure(*_arrays(2.0, 2.0)))),
+        "flow-angle": ("flow-angle", (lambda: line.state(*_arrays(2.0, 2.0)),
+                                      lambda: gas_reference.state_from_invariants(
+                                          gas.InvariantPair(2.0, 2.0), SD_BG, G))),
         "past-cap": ("out-of-range", pair(SD_BG, t_cap)),
         "past-floor": ("out-of-range", pair(SD_BG, t_floor)),
         "vacuum": ("out-of-range", pair(SD_BG, t_vac)),
         "underflow": ("out-of-range", pair(tiny, t_tiny)),
         "no-convergence": ("no-convergence", pair(SD_BG, t_low, max_newton_iters=1)),
-        "cavitation": ("cavitation", (lambda: gas.velocity_from_bernoulli(0.0, 50.0, SD_BG, G),
-                                      lambda: line.velocity(*_arrays(0.0, 50.0)),
+        "cavitation": ("cavitation", (lambda: line.velocity(*_arrays(0.0, 50.0)),
                                       lambda: gas_reference.velocity_from_bernoulli(0.0, 50.0,
                                                                                     SD_BG, G))),
-        "nonpositive-rho": ("nonpositive", (
-            lambda: gas.state_from_invariants(gas.InvariantPair(t_heavy, -t_heavy), heavy, G),
-            lambda: gas.Streamline(heavy, G).state(*_arrays(t_heavy, -t_heavy)))),
-        "dtheta-p": ("out-of-range", (lambda: gas.dtheta_dp(0.0, SD_BG, G),
-                                      lambda: line.dtheta_dp(np.asarray(0.0)),
+        "nonpositive-rho": ("out-of-range", (
+            lambda: _line(heavy).state(*_arrays(t_heavy, -t_heavy)),
+            lambda: gas.PrimitiveState(*gas_reference.state_from_invariants(
+                gas.InvariantPair(t_heavy, -t_heavy), heavy, G)))),
+        "dtheta-p": ("out-of-range", (lambda: line.dtheta_dp(np.asarray(0.0)),
                                       lambda: gas_reference.dtheta_dp(0.0, SD_BG, G))),
-        "dtheta-sonic": ("sonic-limit", (lambda: gas.dtheta_dp(p_s * 1.000001, SD_BG, G),
-                                         lambda: line.dtheta_dp(np.asarray(p_s * 1.000001)),
+        "dtheta-sonic": ("sonic-limit", (lambda: line.dtheta_dp(np.asarray(p_s * 1.000001)),
                                          lambda: gas_reference.dtheta_dp(p_s * 1.000001,
                                                                          SD_BG, G))),
         "degenerate": ("degenerate", (
-            lambda: gas.lambda_pm(gas.PrimitiveState(u=1.0, v=2.0, p=1.0, rho=1.0), G),
-            lambda: line.lambdas(*_arrays(1.0, 2.0, 1.0, 1.0)))),
+            lambda: line.lambdas(*_arrays(1.0, 2.0, 1.0, 1.0)),
+            lambda: gas_reference.lambda_pm(gas.PrimitiveState(u=1.0, v=2.0, p=1.0, rho=1.0), G))),
         # u > c makes q > c, so only a NaN v reaches this check
         "not-supersonic": ("not-supersonic", (
-            lambda: gas.lambda_pm(gas.PrimitiveState(u=2.2, v=np.nan, p=1.0, rho=1.0), G),
-            lambda: line.lambdas(*_arrays(2.2, np.nan, 1.0, 1.0)))),
+            lambda: line.lambdas(*_arrays(2.2, np.nan, 1.0, 1.0)),
+            lambda: gas_reference.lambda_pm(gas.PrimitiveState(u=2.2, v=np.nan, p=1.0, rho=1.0),
+                                            G))),
     }
 
 
 @pytest.mark.parametrize("case", list(_error_cases()))
 def test_prepared_object_raises_the_wrappers_codes(case):
+    """``gas.Streamline`` raises the code of the scalar-or-array functions
+    in ``tests/gas_reference.py`` for each way out of the admissible domain."""
     code, calls = _error_cases()[case]
     for call in calls:
         with pytest.raises(gas.GasError, match=f"^{code}"):
             call()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gas.GasConstants(1.0),
+    lambda: gas.GasConstants(0.5),
+    lambda: gas.StreamData(0.0, 1.0, 1.0),
+    lambda: gas.StreamData(1.0, -1.0, 1.0),
+    lambda: gas.StreamData(1.0, 1.0, 0.0),
+    lambda: gas.PrimitiveState(u=1.0, v=0.0, p=-1.0, rho=1.0),
+    lambda: gas.PrimitiveState(u=1.0, v=0.0, p=1.0, rho=np.array([1.0, 0.0])),
+], ids=["gamma-1", "gamma-half", "a0", "b0", "p_ref", "p", "rho"])
+def test_constructor_errors_lead_with_a_code(make):
+    """Every GasError message starts with a code token, so the CLI's summary
+    line carries ``code=`` for it."""
+    with pytest.raises(gas.GasError, match="^out-of-range: "):
+        make()

@@ -22,28 +22,40 @@ def _parse(directory):
             for name in sorted(os.listdir(directory)) if name.endswith(".py")}
 
 
-def _names(tree):
-    """Every identifier that code in ``tree`` reads: bare names and
-    attribute names (imports and definitions are not reads)."""
-    return Counter(node.id if isinstance(node, ast.Name) else node.attr
-                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+def _uses(tree, module):
+    """The module-level definitions that code in ``tree`` (part of the
+    module ``module``) uses, as ``module.name`` keys: a bare name read in
+    ``module``, a name imported with ``from``, or an attribute read off a
+    module by its name (``gas.theta``).  An attribute that only shares a
+    definition's name (``line.dtheta_dp`` against ``gas.dtheta_dp``) is no
+    use."""
+    uses = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            uses[f"{module}.{node.id}"] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            uses[f"{node.value.id}.{node.attr}"] += 1
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            source = node.module.rpartition(".")[2]
+            uses.update(f"{source}.{alias.name}" for alias in node.names)
+    return uses
 
 
 def test_every_library_definition_is_used_outside_the_tests():
     modules = _parse(PACKAGE)
-    trees = list(modules.values()) + list(_parse(SCRIPTS).values())
-    reads = sum((_names(tree) for tree in trees), Counter())
+    trees = [(tree, name[:-3]) for name, tree in modules.items()]
+    trees += [(tree, name[:-3]) for name, tree in _parse(SCRIPTS).items()]
+    reads = sum((_uses(tree, module) for tree, module in trees), Counter())
     defs = {f"{filename[:-3]}.{node.name}": node for filename, tree in modules.items()
             for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    own = {q: _names(node) for q, node in defs.items()}
+    own = {q: _uses(node, q.partition(".")[0]) for q, node in defs.items()}
     # A read from inside a definition's own body (recursion) or from an
     # unused definition (a helper only it calls) is no use: drop those reads
     # until no further definition falls unused.
     unused = set()
     while True:
         live = reads - sum((own[q] for q in unused), Counter())
-        found = {q for q, node in defs.items()
-                 if live[node.name] - (q not in unused) * own[q][node.name] <= 0}
+        found = {q for q in defs if live[q] - (q not in unused) * own[q][q] <= 0}
         if found == unused:
             break
         unused = found

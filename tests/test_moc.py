@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from contactmoc import cli, fixtures, gas, interp, moc
+from tests import gas_reference
 from tests.characteristics import trace_characteristic
 from tests.conftest import assemble, solved
 
@@ -52,7 +53,7 @@ def test_frozen_lambdas_match_direct_recomputation(rng):
     js = rng.integers(0, grid.zm.shape[1], 100)
     for k, j in zip(ks, js):
         state = gas.PrimitiveState(u=st.u[k, j], v=st.v[k, j], p=st.p[k, j], rho=st.rho[k, j])
-        lam_m, lam_p = gas.lambda_pm(state, G)
+        lam_m, lam_p = gas_reference.lambda_pm(state, G)
         assert frozen.lam_p[k, j] == pytest.approx(lam_p, abs=1e-12)
         assert frozen.lam_m[k, j] == pytest.approx(lam_m, abs=1e-12)
 
@@ -66,8 +67,8 @@ def test_coupling_background_values():
     grid = moc.InvariantGrid.background(prob)
     cc = moc.coupling_coefficients(grid, prob)
     sd_a, sd_b = contact_stream_data(prob)
-    expect_a = 1.0 / (2.0 * gas.dtheta_dp(1.0, sd_a, G))
-    expect_b = 1.0 / (2.0 * gas.dtheta_dp(1.0, sd_b, G))
+    expect_a = 1.0 / (2.0 * gas_reference.dtheta_dp(1.0, sd_a, G))
+    expect_b = 1.0 / (2.0 * gas_reference.dtheta_dp(1.0, sd_b, G))
     assert np.max(np.abs(cc.alpha - expect_a)) < 1e-13
     assert np.max(np.abs(cc.beta - expect_b)) < 1e-13
 
@@ -102,7 +103,7 @@ def test_background_invariants_invert_to_p_ref_on_the_contact(eps):
     # against the perturbed stream data on either side of the contact.
     cfg, geom, profile, prob = assemble(eps, 60, 12)
     for zbar, sd in zip((prob.zbar_a, prob.zbar_b), contact_stream_data(prob)):
-        p = gas.pressure_from_invariants(gas.InvariantPair(*zbar), sd, G)
+        p = gas.Streamline(sd, G).state(*np.asarray(zbar))[2]
         assert p == pytest.approx(cfg.background.p, abs=1e-12)
 
 
@@ -372,8 +373,8 @@ def test_converged_grid_inverts_from_cold_in_few_sweeps():
     # Starting at s(p_ref), Newton in s = sqrt(M^2-1) converges on every node
     # of an O(eps) grid in two sweeps; converged nodes take no further step.
     cfg, geom, profile, prob, grid, report = solved(1e-3, 140, 35)
-    p = gas.pressure_from_invariants(gas.InvariantPair(grid.zm, grid.zp), prob.stream, prob.g,
-                                     newton_tol=prob.newton_tol, max_newton_iters=3)
+    cold = gas.Streamline(prob.stream, prob.g, prob.line.newton_tol, max_newton_iters=3)
+    p = cold.state(grid.zm, grid.zp)[2]
     assert np.array_equal(p, moc.grid_states(grid, prob).p)
 
 
