@@ -58,14 +58,12 @@ def _mach2_of_speed(q, qhat, g):
 
 def theta_of_speed(q, qhat, g, q_ref):
     """Theta(q) = nu(M(q)) - nu(M(q_ref)), the integral of
-    sqrt(tau^2 - c^2(tau)) / (tau c(tau)) from q_ref to q."""
-    q = np.asarray(q, dtype=float)
+    sqrt(tau^2 - c^2(tau)) / (tau c(tau)) from q_ref to q, for an array q."""
     c_hat = critical_speed(qhat, g)
     if np.any(q <= c_hat) or np.any(q >= qhat) or not c_hat < q_ref < qhat:
         raise BlowupError("sonic-limit: speed outside the admissible (c_hat, qhat) range")
     nu_ref = prandtl_meyer(_mach2_of_speed(q_ref, qhat, g), g)
-    out = prandtl_meyer(_mach2_of_speed(q, qhat, g), g) - nu_ref
-    return float(out) if np.ndim(q) == 0 else out
+    return prandtl_meyer(_mach2_of_speed(q, qhat, g), g) - nu_ref
 
 
 @dataclass(frozen=True)
@@ -77,21 +75,18 @@ class IrrotationalState:
     z_plus: object
 
 
-def irrot_invariants(u, v, rho, g, q_ref, qhat=None):
-    """Z_pm = theta +- Theta(q) for an irrotational state.
+def irrot_invariants(u, v, rho, g, q_ref, qhat):
+    """Z_pm = theta +- Theta(q) for irrotational states, given as arrays.
 
-    ``qhat`` is derived pointwise from the Bernoulli normalization when not
-    given; (u, v, rho) data whose pointwise qhat departs from it by more
-    than 1e-8 (relative) is rejected.
+    (u, v, rho) data whose pointwise limit speed
+    qhat = sqrt(q^2 + 2 c^2 / (gamma - 1)) departs from ``qhat`` by more than
+    1e-8 (relative) is rejected.
     """
-    u, v, rho = (np.asarray(x, dtype=float) for x in (u, v, rho))
     q = np.hypot(u, v)
     c = sound_speed_of_density(rho, g)
     if np.any(q <= c):
         raise BlowupError("sonic-limit: state is not supersonic (q <= c)")
     qhat_point = np.sqrt(q * q + 2.0 * c * c / (g.gamma - 1.0))
-    if qhat is None:
-        qhat = float(np.max(qhat_point))
     if np.any(np.abs(qhat_point - qhat) > 1e-8 * qhat):
         raise BlowupError("bernoulli-mismatch: (u, v, rho) violate the qhat normalization")
     theta = np.arctan2(v, u)

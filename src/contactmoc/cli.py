@@ -34,15 +34,17 @@ def _summary(entries):
     print(" ".join(f"{k}={_fmt(v)}" for k, v in entries.items()))
 
 
-def _error_exit(category, exc):
+def _error_exit(category, exc, prefix="", **extra):
     """Summary line of a failed run.  The solver, gas and blow-up errors
     lead with a code token ("cfl: ...", "sonic-limit: ..."), repeated as
-    ``code=``; config errors carry none (many lead with a file name)."""
+    ``code=``; config errors carry none (many lead with a file name).
+    ``prefix`` leads the detail and ``extra`` entries follow it."""
     entries = {"status": "error", "error": category}
     token = _CODE_TOKEN.match(str(exc))
     if token and not isinstance(exc, config.ConfigError):
         entries["code"] = token.group(1)
-    entries["detail"] = repr(str(exc))
+    entries["detail"] = repr(prefix + str(exc))
+    entries.update(extra)
     _summary(entries)
     return EXIT_FAIL if category in ("validation", "convergence") else EXIT_USAGE
 
@@ -179,6 +181,14 @@ def run_solve(cfg, geom, profile, write_outputs=True):
     return summary, artifacts
 
 
+# What a failed run_solve raises: a solver failure, or a profile that fails validation.
+_RUN_ERRORS = (moc.SolverError, lagrangian.TransformError, gas.GasError, config.ConfigError)
+
+
+def _run_category(exc):
+    return "validation" if isinstance(exc, config.ConfigError) else "convergence"
+
+
 def cmd_solve(args):
     try:
         cfg, geom, profile = config.load_config(args.config)
@@ -187,10 +197,8 @@ def cmd_solve(args):
         return _error_exit(_config_exit_category(exc), exc)
     try:
         summary, artifacts = run_solve(cfg, geom, profile)
-    except (moc.SolverError, lagrangian.TransformError, gas.GasError) as exc:
-        return _error_exit("convergence", exc)
-    except config.ConfigError as exc:
-        return _error_exit("validation", exc)
+    except _RUN_ERRORS as exc:
+        return _error_exit(_run_category(exc), exc)
     if not args.quiet:
         rep = artifacts["report"]
         for i, (c0, c1) in enumerate(zip(rep.c0_gaps, rep.c1_gaps), start=1):
@@ -306,7 +314,7 @@ def cmd_sweep(args):
         try:
             prof_t = profile.scale_deviation(cfg.background, t)
             summary, _ = run_solve(cfg, geom.scale_deviation(t), prof_t, write_outputs=False)
-        except Exception as exc:  # keep partial results
+        except _RUN_ERRORS as exc:  # keep partial results
             failure = (target, exc)
             break
         rows.append((target, summary))
@@ -319,9 +327,7 @@ def cmd_sweep(args):
 
     if failure is not None:
         target, exc = failure
-        _summary({"status": "error", "error": "convergence",
-                  "detail": repr(f"eps={target:g}: {exc}"), "out": csv_path})
-        return EXIT_FAIL
+        return _error_exit(_run_category(exc), exc, prefix=f"eps={target:g}: ", out=csv_path)
 
     if len(rows) >= 2:
         xs = np.log([r[0] for r in rows])

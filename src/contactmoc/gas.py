@@ -21,14 +21,16 @@ Newton's method on nu in s = sqrt(M^2-1), whose derivative is rational in s,
 and p is recovered from M^2 once.
 
 All quantities are nondimensional.  The pointwise functions (sound speed,
-Bernoulli and entropy constants, sonic pressure, Theta, flow angle and the
-invariants of a state) accept scalars or numpy arrays, broadcast, and return
-floats for scalar inputs.  The inversion z -> (u, v, p, rho), the
-characteristic speeds and dTheta/dp exist only as methods of
-``Streamline``, which computes its streamlines' constants (sonic pressure
-and its cap, the Newton start and floor, the powers of A0) once and takes
-arrays; ``moc.MocProblem.line`` is one for the whole node row, shared by the
-fixed point and the upwind oracle.
+Bernoulli and entropy constants, sonic pressure) accept scalars or numpy
+arrays and broadcast.  The invariants of a state, their inversion
+z -> (u, v, p, rho), the characteristic speeds and dTheta/dp exist only as
+methods of ``Streamline``, which computes its streamlines' constants (sonic
+pressure and its cap, nu(M(p_ref)), the Newton start and floor, the powers
+of A0) once and takes arrays; ``moc.MocProblem.line`` is one for the whole
+node row, shared by the fixed point and the upwind oracle.  nu(M(p_ref)) is
+taken with p_ref as an array, through the same power as nu(M(p)), so a
+state at p_ref has Theta exactly 0.0 and the background's invariants are
+exactly (0, 0).
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ class GasError(ValueError):
 
     The message starts with a short machine-readable code such as
     ``sonic-limit``, ``not-supersonic``, ``out-of-range``, ``cavitation``,
-    ``degenerate``, ``no-convergence`` or ``stream-data-mismatch``.
+    ``degenerate`` or ``no-convergence``.
     """
 
 
@@ -56,20 +58,9 @@ def _as_array(*vals):
     return [np.asarray(v, dtype=float) for v in vals]
 
 
-def _maybe_scalar(x, *inputs):
-    if all(np.ndim(v) == 0 for v in inputs):
-        return float(x)
-    return x
-
-
 def _check_positive(p, rho):
     if not ((p > 0.0).all() and (rho > 0.0).all()):
         raise GasError("out-of-range: nonpositive pressure or density in PrimitiveState")
-
-
-def _check_flow_angle(z_sum):
-    if not (np.abs(z_sum) < np.pi).all():
-        raise GasError("flow-angle out of range: |z_minus + z_plus| must stay below pi")
 
 
 @dataclass(frozen=True)
@@ -97,18 +88,6 @@ class PrimitiveState:
 
 
 @dataclass(frozen=True)
-class InvariantPair:
-    """Riemann invariants (z_minus, z_plus); |z_minus + z_plus| < pi."""
-
-    z_minus: object
-    z_plus: object
-
-    def __post_init__(self):
-        zm, zp = _as_array(self.z_minus, self.z_plus)
-        _check_flow_angle(zm + zp)
-
-
-@dataclass(frozen=True)
 class StreamData:
     """Streamline data at fixed eta: entropy function a0, Bernoulli b0, and
     the global Theta reference pressure.  a0/b0 may be arrays (one value per
@@ -133,30 +112,19 @@ class StreamData:
 def sound_speed(state: PrimitiveState, g: GasConstants):
     """c = sqrt(gamma p / rho)."""
     p, rho = _as_array(state.p, state.rho)
-    return _maybe_scalar(np.sqrt(g.gamma * p / rho), state.p, state.rho)
-
-
-def is_supersonic(state: PrimitiveState, g: GasConstants):
-    """True where u^2 + v^2 > c^2."""
-    u, v = _as_array(state.u, state.v)
-    c = np.asarray(sound_speed(state, g))
-    out = u * u + v * v > c * c
-    if np.ndim(state.u) == 0 and np.ndim(state.p) == 0:
-        return bool(out)
-    return out
+    return np.sqrt(g.gamma * p / rho)
 
 
 def bernoulli(state: PrimitiveState, g: GasConstants):
     """B = (u^2+v^2)/2 + gamma p / ((gamma-1) rho), conserved along streamlines."""
     u, v, p, rho = _as_array(state.u, state.v, state.p, state.rho)
-    out = 0.5 * (u * u + v * v) + g.gamma * p / ((g.gamma - 1.0) * rho)
-    return _maybe_scalar(out, state.u, state.v, state.p, state.rho)
+    return 0.5 * (u * u + v * v) + g.gamma * p / ((g.gamma - 1.0) * rho)
 
 
 def entropy_function(state: PrimitiveState, g: GasConstants):
     """A = p / rho^gamma, conserved along streamlines."""
     p, rho = _as_array(state.p, state.rho)
-    return _maybe_scalar(p / rho**g.gamma, state.p, state.rho)
+    return p / rho**g.gamma
 
 
 def sonic_pressure(sd: StreamData, g: GasConstants):
@@ -168,11 +136,11 @@ def sonic_pressure(sd: StreamData, g: GasConstants):
     gam = g.gamma
     a0, b0 = _as_array(sd.a0, sd.b0)
     base = 2.0 * b0 * (gam - 1.0) / (gam * (gam + 1.0) * a0 ** (1.0 / gam))
-    return _maybe_scalar(base ** (gam / (gam - 1.0)), sd.a0, sd.b0)
+    return base ** (gam / (gam - 1.0))
 
 
 # ---------------------------------------------------------------------------
-# Theta and its inverse
+# Theta: the invariants and their inversion
 
 
 def _nu(s, k):
@@ -194,50 +162,26 @@ def _mach2(p, a0, b0, gam):
     return 2.0 * b0 / (gam * a0 ** (1.0 / gam) * p ** ((gam - 1.0) / gam)) - 2.0 / (gam - 1.0)
 
 
-def theta(p, sd: StreamData, g: GasConstants):
-    """Theta(p; A0, B0) = nu(M(p_ref)) - nu(M(p)), the integral of dTheta/dp
-    from p_ref to p in closed form.
-
-    Theta(p_ref) = 0 by construction and Theta is strictly increasing.
-    Pressures within SONIC_MARGIN (relative) of the sonic pressure are
-    rejected with a ``sonic-limit`` error; the sonic pressure is taken on the
-    stream data as given, as ``Streamline`` takes it, so theta accepts every
-    pressure the inversion returns.
-    """
-    orig = (p, sd.a0, sd.b0)
-    p, a0, b0 = np.broadcast_arrays(*_as_array(p, sd.a0, sd.b0))
-    if not np.all(p > 0.0):
-        raise GasError("out-of-range: pressure must be positive")
-    cap = np.asarray(sonic_pressure(sd, g))
-    if not np.all(p <= cap * (1.0 - SONIC_MARGIN)):
-        raise GasError("sonic-limit: pressure within margin of the sonic pressure")
-    nu_ref = prandtl_meyer(_mach2(sd.p_ref, a0, b0, g.gamma), g)
-    out = nu_ref - prandtl_meyer(_mach2(p, a0, b0, g.gamma), g)
-    return _maybe_scalar(out, *orig)
-
-
-def flow_angle(z: InvariantPair):
-    """w = v/u = tan((z_minus + z_plus)/2)."""
-    zm, zp = _as_array(z.z_minus, z.z_plus)
-    return _maybe_scalar(np.tan(0.5 * (zm + zp)), z.z_minus, z.z_plus)
-
-
 class Streamline:
-    """Stream data prepared for repeated inversions: the state at given
-    invariants, the characteristic speeds and dTheta/dp on the streamlines
-    of ``sd``.  It is the one way to evaluate any of them.
+    """Stream data prepared for repeated evaluations: the invariants of a
+    state, the state at given invariants, the characteristic speeds and
+    dTheta/dp on the streamlines of ``sd``.  It is the one way to evaluate
+    any of them.
 
     Everything that depends on the streamlines alone is computed once: here
     the powers of A0 that dTheta/dp and the Bernoulli velocity use, and on
-    the first inversion the Newton constants, which are the sonic pressure
-    and its SONIC_MARGIN cap, the Newton floor s_floor = s(cap) and
-    nu(s_floor), nu_ref = nu(M(p_ref)), and the Newton start
-    s0 = max(s(p_ref), s_floor) and nu(s0).
+    the first inversion or forward map the Newton constants, which are the
+    sonic pressure and its SONIC_MARGIN cap, the Newton floor
+    s_floor = s(cap) and nu(s_floor), nu_ref = nu(M(p_ref)), and the Newton
+    start s0 = max(s(p_ref), s_floor) and nu(s0).  The forward map and the
+    inversion read the same nu_ref and cap.
 
     The methods take numpy arrays (not Python scalars), broadcast against
     the shape of the stream data and return arrays.  The sonic pressure
-    comes from ``sonic_pressure(sd, g)`` on the data as given, as ``theta``
-    takes it, and every other power is taken on arrays.
+    comes from ``sonic_pressure(sd, g)`` on the data as given, and every
+    other power is taken on arrays, p_ref included: numpy's scalar power
+    rounds differently from its array power, and nu_ref must carry the bits
+    of nu(M(p)) at p = p_ref.
     """
 
     def __init__(self, sd: StreamData, g: GasConstants, newton_tol=1e-12, max_newton_iters=50):
@@ -266,16 +210,39 @@ class Streamline:
     @cached_property
     def _newton(self):
         """Newton constants, one per node of the raveled data, computed on
-        the first inversion (the other methods never read them)."""
+        the first call of ``invariants`` or of an inversion."""
         sd, g, gam, k = self._sd, self._g, self.gamma, self._k
         a0, b0, p_sonic = (np.ravel(v) for v in np.broadcast_arrays(
             *_as_array(sd.a0, sd.b0, sonic_pressure(sd, g))))
         cap = p_sonic * (1.0 - SONIC_MARGIN)
         s_floor = np.sqrt(_mach2(cap, a0, b0, gam) - 1.0)
-        m2_ref = _mach2(sd.p_ref, a0, b0, gam)
+        m2_ref = _mach2(np.full(a0.shape, sd.p_ref), a0, b0, gam)
         s0 = np.maximum(np.sqrt(np.maximum(m2_ref - 1.0, 0.0)), s_floor)
         return (p_sonic, cap, s_floor, _nu(s_floor, k) - self.newton_tol,
                 prandtl_meyer(m2_ref, g), s0, _nu(s0, k))
+
+    def invariants(self, u, v, p, rho):
+        """The invariants of the states (u, v, p, rho), stacked as one
+        (2, ...) array [z_minus, z_plus]:
+
+        z_minus = arctan(v/u) + Theta(p),  z_plus = arctan(v/u) - Theta(p),
+
+        with Theta(p) = nu_ref - nu(M(p)), the inverse of ``_invert``.  A
+        state at p_ref has Theta exactly 0.0, and every pressure the
+        inversion returns is admissible.  Raises ``not-supersonic`` where
+        q <= c, ``out-of-range`` where p <= 0 and ``sonic-limit`` above the
+        SONIC_MARGIN cap.
+        """
+        if not (u * u + v * v > self.gamma * p / rho).all():
+            raise GasError("not-supersonic: invariants are defined only for supersonic states")
+        if not (p > 0.0).all():
+            raise GasError("out-of-range: pressure must be positive")
+        _, cap, _, _, nu_ref, _, _ = (c.reshape(self.shape) for c in self._newton)
+        if not (p <= cap).all():
+            raise GasError("sonic-limit: pressure within margin of the sonic pressure")
+        t = nu_ref - prandtl_meyer(_mach2(p, self._a0, self._b0, self.gamma), self._g)
+        angle = np.arctan2(v, u)
+        return np.stack([angle + t, angle - t])
 
     def _invert(self, t):
         """The pressure with Theta(p) = t.
@@ -356,7 +323,8 @@ class Streamline:
     def state(self, zm, zp):
         """(u, v, p, rho) at the invariants (z_minus, z_plus)."""
         z_sum = zm + zp
-        _check_flow_angle(z_sum)
+        if not (np.abs(z_sum) < np.pi).all():
+            raise GasError("flow-angle out of range: |z_minus + z_plus| must stay below pi")
         p = self._invert(0.5 * (zm - zp))
         u, v = self.velocity(np.tan(0.5 * z_sum), p)
         rho = self.density(p)
@@ -397,24 +365,3 @@ class Streamline:
         den = (self._front * (self._b0 - self._bern_a * p ** (1.0 - 1.0 / gam))
                * p ** ((gam + 1.0) / (2.0 * gam)))
         return np.sqrt(rad) / den
-
-
-def invariants_from_state(state: PrimitiveState, sd: StreamData, g: GasConstants):
-    """z_minus = arctan(v/u) + Theta(p), z_plus = arctan(v/u) - Theta(p).
-
-    The state must be supersonic and its entropy function / Bernoulli
-    constant must match the streamline data within 1e-8 (relative).
-    """
-    if not np.all(np.asarray(is_supersonic(state, g))):
-        raise GasError("not-supersonic: invariants are defined only for supersonic states")
-    a = np.asarray(entropy_function(state, g))
-    b = np.asarray(bernoulli(state, g))
-    a0, b0 = _as_array(sd.a0, sd.b0)
-    if np.any(np.abs(a - a0) > 1e-8 * np.abs(a0)) or np.any(np.abs(b - b0) > 1e-8 * np.abs(b0)):
-        raise GasError("stream-data-mismatch: state A/B disagree with streamline data")
-    u, v = _as_array(state.u, state.v)
-    ang = np.arctan2(v, u)
-    th = np.asarray(theta(state.p, sd, g))
-    zm = _maybe_scalar(ang + th, state.u, state.v, state.p, sd.a0)
-    zp = _maybe_scalar(ang - th, state.u, state.v, state.p, sd.a0)
-    return InvariantPair(zm, zp)

@@ -31,10 +31,12 @@ pressure match with averaged-derivative coefficients
 (and beta likewise below the contact); the mixing weights
 gamma_1 = (alpha-beta)/(alpha+beta), gamma_2 = 2 alpha/(alpha+beta),
 gamma_3 = 2 beta/(alpha+beta) assign the two outgoing invariants from the
-two incoming ones.  The closure is homogeneous in the deviations from the
-background: Theta has one global reference pressure, so the background
-invariants invert to p_ref on both sides of the contact.  At the fixed point
-the averaged form makes the pressure match exact, not merely first-order.
+two incoming ones.  The background's invariants are exactly (0, 0) in both
+layers: Theta has one global reference pressure p_ref, and
+``gas.Streamline`` gives Theta(p_ref) = 0.0 exactly, so the closure acts on
+the invariants themselves and is homogeneous by construction.  At the fixed
+point the averaged form makes the pressure match exact, not merely
+first-order.
 """
 
 from __future__ import annotations
@@ -76,7 +78,8 @@ class MocProblem:
     Theta reference pressure, and ``line`` is that row prepared once
     (``gas.Streamline`` with the run's Newton settings): every inversion and
     every evaluation of the speeds on the row goes through it.  ``inlet_z``
-    holds the inlet invariants on the same row.
+    holds the inlet invariants on the same row, as one (2, n) array
+    [z_minus, z_plus]; the background's are zero.
     """
 
     g: gas.GasConstants
@@ -84,9 +87,7 @@ class MocProblem:
     geom: NozzleGeometry
     stream: gas.StreamData
     line: gas.Streamline
-    inlet_z: gas.InvariantPair
-    zbar_a: tuple
-    zbar_b: tuple
+    inlet_z: np.ndarray
     wall_angle_plus: np.ndarray
     wall_angle_minus: np.ndarray
     min_supersonic_margin: float
@@ -105,23 +106,15 @@ def build_problem(cfg: RunConfig, geom: NozzleGeometry, trace_a: InletTrace,
 
     stream = gas.StreamData(row(1, "a0"), row(1, "b0"), stream_a.p_ref)
     inlet = gas.PrimitiveState(*(row(0, name) for name in ("u", "v", "p", "rho")))
-
-    def background_invariants(st):
-        sd = gas.StreamData(gas.entropy_function(st, g), gas.bernoulli(st, g), stream_a.p_ref)
-        z = gas.invariants_from_state(st, sd, g)
-        return (float(z.z_minus), float(z.z_plus))
-
-    zbar_a, zbar_b = map(background_invariants, cfg.background.states())
+    line = gas.Streamline(stream, g, cfg.newton_tol, cfg.max_newton_iters)
     xi = domain.xi
     prob = MocProblem(
         g=g,
         domain=domain,
         geom=geom,
         stream=stream,
-        line=gas.Streamline(stream, g, cfg.newton_tol, cfg.max_newton_iters),
-        inlet_z=gas.invariants_from_state(inlet, stream, g),
-        zbar_a=zbar_a,
-        zbar_b=zbar_b,
+        line=line,
+        inlet_z=line.invariants(inlet.u, inlet.v, inlet.p, inlet.rho),
         wall_angle_plus=np.arctan(geom.g_plus(xi, 1)),
         wall_angle_minus=np.arctan(geom.g_minus(xi, 1)),
         min_supersonic_margin=cfg.min_supersonic_margin,
@@ -185,12 +178,9 @@ class InvariantGrid:
 
     @classmethod
     def background(cls, prob: MocProblem, nxi=None):
-        """The background invariants on ``nxi`` xi rows (default: all)."""
+        """The background invariants, zero, on ``nxi`` xi rows (default: all)."""
         nxi = prob.domain.xi.size if nxi is None else nxi
-        zbar = {"a": prob.zbar_a, "b": prob.zbar_b}
-        zm, zp = np.empty((2, nxi, prob.stream.a0.size))
-        for tag, _, cols in prob.domain.layers:
-            zm[:, cols], zp[:, cols] = zbar[tag]
+        zm, zp = np.zeros((2, nxi, prob.stream.a0.size))
         return cls(prob.domain, zm, zp)
 
 
@@ -383,11 +373,10 @@ def step_linearized(prob: MocProblem, plan: MarchPlan, cc: CouplingCoefficients,
     zm[na] = 2.0 * prob.wall_angle_minus[k + 1] - zp[na]
 
     # Contact coupling: incoming are z+ from above and z- from below.
-    d_in_a = zp[0] - prob.zbar_a[1]
-    d_in_b = zm[-1] - prob.zbar_b[0]
+    z_in_a, z_in_b = zp[0], zm[-1]
     g1, g2, g3 = cc.gamma1[k + 1], cc.gamma2[k + 1], cc.gamma3[k + 1]
-    zm[0] = prob.zbar_a[0] + g1 * d_in_a + g3 * d_in_b
-    zp[-1] = prob.zbar_b[1] + g2 * d_in_a - g1 * d_in_b
+    zm[0] = g1 * z_in_a + g3 * z_in_b
+    zp[-1] = g2 * z_in_a - g1 * z_in_b
     return new
 
 
@@ -399,7 +388,7 @@ def march_linearized(prob: MocProblem, frozen: FrozenField, cc: CouplingCoeffici
     """
     plan = plan_march(frozen, prob.domain)
     z = np.empty((prob.domain.xi.size, plan.s.shape[1]))
-    z[0] = np.concatenate([prob.inlet_z.z_minus, prob.inlet_z.z_plus])
+    z[0] = prob.inlet_z.ravel()
     for k in range(z.shape[0] - 1):
         z[k + 1] = step_linearized(prob, plan, cc, k, z[k])
     n = z.shape[1] // 2
@@ -523,7 +512,7 @@ def residual_check(grid: InvariantGrid, prob: MocProblem) -> ResidualReport:
             res = np.abs(dz_xi + lam_in * dz_eta)
             interior[f"{tag}{fam}"] = res
             sup = max(sup, float(res.max()))
-    w = gas.flow_angle(gas.InvariantPair(grid.zm, grid.zp))
+    w = np.tan(0.5 * (grid.zm + grid.zp))
     na = dom.eta_a.size
     wall_slip = max(
         float(np.max(np.abs(w[:, na - 1] - np.tan(prob.wall_angle_plus)))),

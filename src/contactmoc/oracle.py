@@ -68,7 +68,7 @@ def upwind_march(prob: MocProblem) -> InvariantGrid:
                                             stream.b0[ends, None, None], stream.p_ref), prob.g)
 
     zm, zp = np.empty((2, nxi, stream.a0.size))
-    zm[0], zp[0] = prob.inlet_z.z_minus, prob.inlet_z.z_plus
+    zm[0], zp[0] = prob.inlet_z
     cur_m, cur_p = zm[0], zp[0]
 
     for k in range(nxi - 1):
@@ -108,10 +108,9 @@ def upwind_march(prob: MocProblem) -> InvariantGrid:
             g1 = (alpha - beta) / s
             g2 = 2.0 * alpha / s
             g3 = 2.0 * beta / s
-            d_in_a = new_p[0] - prob.zbar_a[1]
-            d_in_b = new_m[-1] - prob.zbar_b[0]
-            new_m[0] = prob.zbar_a[0] + g1 * d_in_a + g3 * d_in_b
-            new_p[-1] = prob.zbar_b[1] + g2 * d_in_a - g1 * d_in_b
+            z_in_a, z_in_b = new_p[0], new_m[-1]
+            new_m[0] = g1 * z_in_a + g3 * z_in_b
+            new_p[-1] = g2 * z_in_a - g1 * z_in_b
 
             cur_m, cur_p = new_m, new_p
             xi_left = xi_next

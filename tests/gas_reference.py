@@ -1,20 +1,48 @@
-"""Test helper: the pressure inversion, the speeds and dTheta/dp written per
-call.
+"""Test helper: Theta, the pressure inversion, the speeds and dTheta/dp
+written per call.
 
 ``gas.Streamline`` computes each streamline's constants once, and it is the
-package's only way to invert the invariants and to evaluate the speeds and
-dTheta/dp.  This reference keeps those evaluations as plain scalar-or-array
-functions, every constant recomputed on each call from the broadcast
-inputs: the Newton inversion, dTheta/dp, the Bernoulli velocity and density
-that complete a state, and the characteristic speeds.  Both must agree bit
-for bit.
+package's only way to map states to invariants and back and to evaluate the
+speeds and dTheta/dp.  This reference keeps those evaluations as plain
+scalar-or-array functions, every constant recomputed on each call from the
+broadcast inputs: Theta, the Newton inversion, dTheta/dp, the Bernoulli
+velocity and density that complete a state, and the characteristic speeds.
+They return floats for scalar inputs.  Both take nu(M(p_ref)) with p_ref as
+an array, and both must agree bit for bit.
 """
 
 import numpy as np
 
-from contactmoc.gas import (SONIC_MARGIN, GasConstants, GasError, InvariantPair, PrimitiveState,
-                            StreamData, _as_array, _mach2, _maybe_scalar, _nu, flow_angle,
-                            prandtl_meyer, sonic_pressure)
+from contactmoc.gas import (SONIC_MARGIN, GasConstants, GasError, PrimitiveState, StreamData,
+                            _as_array, _mach2, _nu, prandtl_meyer, sonic_pressure)
+
+
+def _maybe_scalar(x, *inputs):
+    if all(np.ndim(v) == 0 for v in inputs):
+        return float(x)
+    return x
+
+
+def theta(p, sd: StreamData, g: GasConstants):
+    """Theta(p; A0, B0) = nu(M(p_ref)) - nu(M(p)), the integral of dTheta/dp
+    from p_ref to p in closed form.
+
+    Theta(p_ref) = 0 by construction and Theta is strictly increasing.
+    Pressures within SONIC_MARGIN (relative) of the sonic pressure are
+    rejected with a ``sonic-limit`` error; the sonic pressure is taken on the
+    stream data as given, as ``Streamline`` takes it, so theta accepts every
+    pressure the inversion returns.
+    """
+    orig = (p, sd.a0, sd.b0)
+    p, a0, b0 = np.broadcast_arrays(*_as_array(p, sd.a0, sd.b0))
+    if not np.all(p > 0.0):
+        raise GasError("out-of-range: pressure must be positive")
+    cap = np.asarray(sonic_pressure(sd, g))
+    if not np.all(p <= cap * (1.0 - SONIC_MARGIN)):
+        raise GasError("sonic-limit: pressure within margin of the sonic pressure")
+    nu_ref = prandtl_meyer(_mach2(np.full(p.shape, sd.p_ref), a0, b0, g.gamma), g)
+    out = nu_ref - prandtl_meyer(_mach2(p, a0, b0, g.gamma), g)
+    return _maybe_scalar(out, *orig)
 
 
 def dtheta_dp(p, sd: StreamData, g: GasConstants):
@@ -39,18 +67,18 @@ def dtheta_dp(p, sd: StreamData, g: GasConstants):
     return _maybe_scalar(np.sqrt(rad) / den, *orig)
 
 
-def pressure_from_invariants(z: InvariantPair, sd: StreamData, g: GasConstants,
+def pressure_from_invariants(z_minus, z_plus, sd: StreamData, g: GasConstants,
                              newton_tol=1e-12, max_newton_iters=50):
     """Invert Theta(p) = (z_minus - z_plus)/2 by Newton's method on nu(s)."""
     gam = g.gamma
     k = (gam + 1.0) / (gam - 1.0)
-    zm, zp = _as_array(z.z_minus, z.z_plus)
+    zm, zp = _as_array(z_minus, z_plus)
     arrays = np.broadcast_arrays(0.5 * (zm - zp), *_as_array(sd.a0, sd.b0, sonic_pressure(sd, g)))
     shape = arrays[0].shape
     t, a0, b0, p_sonic = (np.ravel(v) for v in arrays)
     cap = p_sonic * (1.0 - SONIC_MARGIN)
     s_floor = np.sqrt(_mach2(cap, a0, b0, gam) - 1.0)
-    m2_ref = _mach2(sd.p_ref, a0, b0, gam)
+    m2_ref = _mach2(np.full(a0.shape, sd.p_ref), a0, b0, gam)
     nu_goal = prandtl_meyer(m2_ref, g) - t
     nu_max = (np.sqrt(k) - 1.0) * np.pi / 2
     if np.any(nu_goal < _nu(s_floor, k) - newton_tol) or np.any(nu_goal >= nu_max):
@@ -82,7 +110,7 @@ def pressure_from_invariants(z: InvariantPair, sd: StreamData, g: GasConstants,
     p = np.minimum(p_sonic * (k / (k + s * s)) ** (gam / (gam - 1.0)), cap)
     if not np.all(p > 0.0):
         raise GasError("out-of-range: pressure underflows at this target")
-    return _maybe_scalar(p.reshape(shape), z.z_minus, z.z_plus, sd.a0, sd.b0)
+    return _maybe_scalar(p.reshape(shape), z_minus, z_plus, sd.a0, sd.b0)
 
 
 def velocity_from_bernoulli(w, p, sd: StreamData, g: GasConstants):
@@ -104,11 +132,14 @@ def density_from_pressure(p, sd: StreamData, g: GasConstants):
     return _maybe_scalar((p / a0) ** (1.0 / g.gamma), p, sd.a0)
 
 
-def state_from_invariants(z: InvariantPair, sd: StreamData, g: GasConstants,
+def state_from_invariants(z_minus, z_plus, sd: StreamData, g: GasConstants,
                           newton_tol=1e-12, max_newton_iters=50):
     """(u, v, p, rho) from the invariants, composed of the functions above."""
-    w = flow_angle(z)
-    p = pressure_from_invariants(z, sd, g, newton_tol=newton_tol,
+    zm, zp = _as_array(z_minus, z_plus)
+    if not np.all(np.abs(zm + zp) < np.pi):
+        raise GasError("flow-angle out of range: |z_minus + z_plus| must stay below pi")
+    w = _maybe_scalar(np.tan(0.5 * (zm + zp)), z_minus, z_plus)
+    p = pressure_from_invariants(z_minus, z_plus, sd, g, newton_tol=newton_tol,
                                  max_newton_iters=max_newton_iters)
     u, v = velocity_from_bernoulli(w, p, sd, g)
     return u, v, p, density_from_pressure(p, sd, g)

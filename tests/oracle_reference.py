@@ -22,7 +22,7 @@ from tests import gas_reference
 
 def _slab_state(zm, zp, stream, prob):
     state = gas.PrimitiveState(*gas_reference.state_from_invariants(
-        gas.InvariantPair(zm, zp), stream, prob.g, newton_tol=prob.line.newton_tol,
+        zm, zp, stream, prob.g, newton_tol=prob.line.newton_tol,
         max_newton_iters=prob.line.max_newton_iters))
     lam_m, lam_p = gas_reference.lambda_pm(state, prob.g)
     return state.p, lam_m, lam_p
@@ -41,17 +41,17 @@ def per_layer_march(prob):
     nxi = dom.xi.size
     na = dom.eta_a.size
     a, b = slice(0, na), slice(na, None)
-    sd, z0 = prob.stream, prob.inlet_z
+    sd, (zm0, zp0) = prob.stream, prob.inlet_z
     stream_a = gas.StreamData(sd.a0[a], sd.b0[a], sd.p_ref)
     stream_b = gas.StreamData(sd.a0[b], sd.b0[b], sd.p_ref)
     zm_a = np.empty((nxi, na))
     zp_a = np.empty_like(zm_a)
     zm_b = np.empty((nxi, dom.eta_b.size))
     zp_b = np.empty_like(zm_b)
-    zm_a[0] = z0.z_minus[a]
-    zp_a[0] = z0.z_plus[a]
-    zm_b[0] = z0.z_minus[b]
-    zp_b[0] = z0.z_plus[b]
+    zm_a[0] = zm0[a]
+    zp_a[0] = zp0[a]
+    zm_b[0] = zm0[b]
+    zp_b[0] = zp0[b]
     substeps = 0
 
     for k in range(nxi - 1):
@@ -90,10 +90,10 @@ def per_layer_march(prob):
             g1 = (alpha - beta) / s
             g2 = 2.0 * alpha / s
             g3 = 2.0 * beta / s
-            d_in_a = new_p_a[0] - prob.zbar_a[1]
-            d_in_b = new_m_b[-1] - prob.zbar_b[0]
-            new_m_a[0] = prob.zbar_a[0] + g1 * d_in_a + g3 * d_in_b
-            new_p_b[-1] = prob.zbar_b[1] + g2 * d_in_a - g1 * d_in_b
+            # The background invariants are zero: the closure acts on z itself.
+            z_in_a, z_in_b = new_p_a[0], new_m_b[-1]
+            new_m_a[0] = g1 * z_in_a + g3 * z_in_b
+            new_p_b[-1] = g2 * z_in_a - g1 * z_in_b
 
             cur_m_a, cur_p_a = new_m_a, new_p_a
             cur_m_b, cur_p_b = new_m_b, new_p_b

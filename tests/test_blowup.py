@@ -66,18 +66,29 @@ def march_rows(monkeypatch, *args, **kwargs):
     return rep, rows
 
 
+def _irrot(u, v, rho):
+    """``irrot_invariants`` of one state, with its own limit speed qhat and
+    q_ref = 2."""
+    qhat = math.sqrt(u * u + v * v + 2.0 * rho ** (G.gamma - 1.0) / (G.gamma - 1.0))
+    return blowup.irrot_invariants(*(np.array([x]) for x in (u, v, rho)), G, q_ref=2.0, qhat=qhat)
+
+
+def _theta(q, qhat):
+    """Theta(q) with q_ref = 2, for one speed."""
+    return float(blowup.theta_of_speed(np.array([q]), qhat, G, 2.0)[0])
+
+
 def test_invariants_vanish_at_reference():
-    st = blowup.irrot_invariants(2.0, 0.0, 1.0, G, q_ref=2.0)
-    assert st.z_minus == 0.0 and st.z_plus == 0.0
+    st = _irrot(2.0, 0.0, 1.0)
+    assert st.z_minus.tolist() == [0.0] and st.z_plus.tolist() == [0.0]
     assert st.q == pytest.approx(2.0)
 
 
 def test_invariants_v_flip_swap_law():
-    a = blowup.irrot_invariants(2.0, 0.3, 0.93, G, q_ref=2.0, qhat=None)
-    qhat = float(np.sqrt(a.q**2 + 2 * 0.93 ** (G.gamma - 1.0) / (G.gamma - 1.0)))
-    b = blowup.irrot_invariants(2.0, -0.3, 0.93, G, q_ref=2.0, qhat=None)
-    assert float(b.z_plus) == pytest.approx(-float(a.z_minus), rel=1e-13)
-    assert float(b.z_minus) == pytest.approx(-float(a.z_plus), rel=1e-13)
+    a = _irrot(2.0, 0.3, 0.93)
+    b = _irrot(2.0, -0.3, 0.93)
+    assert float(b.z_plus[0]) == pytest.approx(-float(a.z_minus[0]), rel=1e-13)
+    assert float(b.z_minus[0]) == pytest.approx(-float(a.z_plus[0]), rel=1e-13)
 
 
 def test_dtheta_of_speed_matches_fd():
@@ -85,15 +96,14 @@ def test_dtheta_of_speed_matches_fd():
     qhat = prof.qhat
     q0 = 2.1
     h = 1e-5
-    fd = (blowup.theta_of_speed(q0 + h, qhat, G, 2.0)
-          - blowup.theta_of_speed(q0 - h, qhat, G, 2.0)) / (2 * h)
+    fd = (_theta(q0 + h, qhat) - _theta(q0 - h, qhat)) / (2 * h)
     assert float(dtheta_of_speed(q0, qhat, G)) == pytest.approx(fd, abs=1e-10)
 
     from scipy.integrate import quad
 
     near_sonic = blowup.critical_speed(qhat, G) * (1 + 2e-6)
     for q1, q2 in ((2.0, 2.1), (near_sonic, 2.0), (near_sonic, qhat * 0.999)):
-        whole = blowup.theta_of_speed(q2, qhat, G, 2.0) - blowup.theta_of_speed(q1, qhat, G, 2.0)
+        whole = _theta(q2, qhat) - _theta(q1, qhat)
         seg, _ = quad(lambda q: dtheta_of_speed(q, qhat, G), q1, q2,
                       epsabs=1e-13, epsrel=1e-13)
         assert whole == pytest.approx(seg, abs=1e-12)
@@ -101,10 +111,10 @@ def test_dtheta_of_speed_matches_fd():
 
 def test_sonic_limit_errors():
     with pytest.raises(blowup.BlowupError, match="sonic-limit"):
-        blowup.irrot_invariants(0.5, 0.0, 1.0, G, q_ref=2.0)
+        _irrot(0.5, 0.0, 1.0)
     prof = make_profile("0.0")
     with pytest.raises(blowup.BlowupError, match="sonic-limit"):
-        blowup.theta_of_speed(prof.qhat * 1.01, prof.qhat, G, 2.0)
+        _theta(prof.qhat * 1.01, prof.qhat)
 
 
 def test_lambda_antisymmetric_and_degenerate():
@@ -144,7 +154,7 @@ def test_genuine_nonlinearity_probe(rng):
         hi = qhat * 0.995
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            if blowup.theta_of_speed(mid, qhat, G, 2.0) < tv:
+            if _theta(mid, qhat) < tv:
                 lo = mid
             else:
                 hi = mid

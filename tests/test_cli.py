@@ -139,8 +139,8 @@ def test_scaled_profile_is_validated(workdir, tmp_path, command, extra):
     s = summary_of(r)
     assert s["status"] == "error"
     assert "not supersonic: layer a has a sample with u <= c" in r.stdout
+    assert s["error"] == "validation"
     if command == "solve":
-        assert s["error"] == "validation"
         assert not (tmp_path / "o").exists()
 
 
@@ -384,6 +384,27 @@ def test_negative_exponent_values_reach_their_checks(workdir, tmp_path, capsys):
                                     "--x-max", "-1e-3", "--out", out, "--quiet")
     assert (code, s["error"]) == (1, "validation") and "x_max must be positive" in text
     assert not out.exists()
+
+
+def test_sweep_member_failure_is_classified_as_solve_does(workdir, tmp_path, capsys):
+    """A failing member ends the sweep with the summary ``solve`` prints for
+    it, its detail led by the member's eps, after the partial sweep.csv."""
+    out = tmp_path / "o"
+    csv = out / "sweep.csv"
+    code, text, s = main_in_process(capsys, "sweep", "--config", workdir / "pert.cfg",
+                                    "--eps", "1e-3,1e6", "--out", out, "--quiet")
+    assert code == 1
+    assert text.splitlines()[-1] == (
+        "status=error error=validation detail='eps=1e+06: not supersonic: layer a has a "
+        f"sample with u <= c' out={csv}")
+    assert [ln.split(",")[0] for ln in csv.read_text().splitlines()] == ["epsilon", "0.001"]
+    code, text, s = main_in_process(capsys, "sweep", "--config", workdir / "pert.cfg",
+                                    "--eps", "1e-3", "--max-iters", "1", "--out", out, "--quiet")
+    assert (code, s["status"], s["error"], s["code"]) == (1, "error", "convergence",
+                                                          "no-convergence")
+    assert "detail='eps=0.001: no-convergence: fixed point did not reach" in text
+    assert s["out"] == str(csv)
+    assert csv.read_text().splitlines() == ["epsilon,sup_dev,iters,ratio"]
 
 
 def test_blowup_missing_config_is_config_error(tmp_path, capsys):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from contactmoc import gas
+from contactmoc.config import BackgroundState
 from tests import gas_reference
+from tests.gas_reference import theta
 
 G = gas.GasConstants(1.4)
 BG = gas.PrimitiveState(u=2.2, v=0.0, p=1.0, rho=1.0)
@@ -62,10 +64,11 @@ def test_nonpositive_state_rejected():
 
 
 def test_is_supersonic_cases():
-    assert gas.is_supersonic(BG, G) is True
-    c = np.sqrt(1.4)
-    assert gas.is_supersonic(gas.PrimitiveState(u=c, v=0.0, p=1.0, rho=1.0), G) is False
-    assert gas.is_supersonic(gas.PrimitiveState(u=1e-12, v=0.0, p=1.0, rho=1.0), G) is False
+    """The invariants are those of supersonic states only: q > c."""
+    _line().invariants(*_arrays(2.2, 0.0, 1.0, 1.0))
+    for u in (np.sqrt(1.4), 1e-12):
+        with pytest.raises(gas.GasError, match="^not-supersonic"):
+            _line().invariants(*_arrays(u, 0.0, 1.0, 1.0))
 
 
 def test_bernoulli_values():
@@ -100,11 +103,11 @@ def test_entropy_v_sign_invariance():
 
 
 def test_theta_reference_point_is_zero():
-    assert gas.theta(1.0, SD_BG, G) == 0.0
+    assert theta(1.0, SD_BG, G) == 0.0
 
 
 def test_theta_positive_above_reference():
-    assert gas.theta(1.0 + 1e-3, SD_BG, G) > 0.0
+    assert theta(1.0 + 1e-3, SD_BG, G) > 0.0
 
 
 # Background streamlines of both fixture layers and one far from them.
@@ -122,7 +125,7 @@ def test_theta_additivity_against_independent_quadrature():
         near = (p_s * (1 - gas.SONIC_MARGIN), p_s * (1 - 1.5 * gas.SONIC_MARGIN))
         line = _line(sd)
         for p1, p2 in ((0.9, 1.25), (0.3, near[0]), (near[1], near[0]), (0.5 * p_s, near[1])):
-            whole = gas.theta(p2, sd, G) - gas.theta(p1, sd, G)
+            whole = theta(p2, sd, G) - theta(p1, sd, G)
             seg, _ = quad(lambda p: float(line.dtheta_dp(np.asarray(p))), p1, p2,
                           epsabs=1e-13, epsrel=1e-13)
             assert whole == pytest.approx(seg, abs=1e-11)
@@ -131,25 +134,30 @@ def test_theta_additivity_against_independent_quadrature():
 def test_theta_sonic_limit_rejected():
     p_s = gas.sonic_pressure(SD_BG, G)
     with pytest.raises(gas.GasError, match="sonic-limit"):
-        gas.theta(p_s, SD_BG, G)
+        theta(p_s, SD_BG, G)
 
 
 def test_theta_sonic_cap_is_the_same_for_scalars_and_arrays():
     """The cap comes from sonic_pressure on the stream data as given, so a
     one-element array is checked as its scalar is (on these data the power
     on arrays rounds the sonic pressure 1 ulp below the scalar one), and
-    theta accepts the cap that the inversion clamps its pressure to at the
-    sonic floor."""
+    ``Streamline.invariants`` accepts the cap that the inversion clamps its
+    pressure to at the sonic floor, in either form."""
     sd = gas.StreamData(a0=1.0150774356727503, b0=13.214780846921927, p_ref=1.0)
     cap = gas.sonic_pressure(sd, G) * (1 - gas.SONIC_MARGIN)
-    scalar = gas.theta(cap, sd, G)
-    _same_bits(gas.theta(np.array([cap]), sd, G), np.array([scalar]))
-    inversion_cap = gas.Streamline(sd, G)._newton[1]
+    line = gas.Streamline(sd, G)
+    inversion_cap = line._newton[1]
     assert inversion_cap.tolist() == [cap]
-    _same_bits(gas.theta(inversion_cap, sd, G), np.array([scalar]))
-    for p in (np.nextafter(cap, np.inf), np.array([np.nextafter(cap, np.inf)])):
+    t = theta(cap, sd, G)
+    for p in (np.asarray(cap), inversion_cap):
+        u, v = line.velocity(np.zeros_like(p), p)
+        zm, zp = line.invariants(u, v, p, line.density(p))
+        assert zm.tolist() == np.full(p.shape, t).tolist() and (zm == -zp).all()
+    for p in (np.asarray(np.nextafter(cap, np.inf)), np.array([np.nextafter(cap, np.inf)])):
         with pytest.raises(gas.GasError, match="sonic-limit"):
-            gas.theta(p, sd, G)
+            theta(p, sd, G)
+        with pytest.raises(gas.GasError, match="^sonic-limit"):
+            line.invariants(*_arrays(10.0, 0.0), p, np.asarray(1.0))
 
 
 def test_dtheta_positive_everywhere_sampled():
@@ -168,7 +176,7 @@ def test_dtheta_matches_theta_fd_second_order():
     exact = float(_line().dtheta_dp(np.asarray(p0)))
 
     def fd(h):
-        return (gas.theta(p0 + h, SD_BG, G) - gas.theta(p0 - h, SD_BG, G)) / (2 * h)
+        return (theta(p0 + h, SD_BG, G) - theta(p0 - h, SD_BG, G)) / (2 * h)
 
     e1 = abs(fd(2e-3) - exact)
     e2 = abs(fd(1e-3) - exact)
@@ -181,29 +189,56 @@ def test_dtheta_matches_theta_fd_second_order():
 
 
 def test_invariants_at_reference_vanish():
-    z = gas.invariants_from_state(BG, SD_BG, G)
-    assert z.z_minus == 0.0 and z.z_plus == 0.0
+    z = _line().invariants(*_arrays(2.2, 0.0, 1.0, 1.0))
+    assert z.tolist() == [0.0, 0.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.floats(0.05, 20.0), s_a=st.floats(1.0, 6.0), rho_a=st.floats(0.2, 5.0),
+       s_b=st.floats(1.0, 6.0), rho_b=st.floats(0.2, 5.0))
+@example(p=1.29, s_a=2.2, rho_a=1.0, s_b=1.9, rho_b=1.2)
+def test_background_invariants_are_exactly_zero(p, s_a, rho_a, s_b, rho_b):
+    """The invariants of an admissible background (speeds s sqrt(p)), both
+    layers on one row as the solver stacks them, are exactly (0.0, 0.0):
+    nu(M(p_ref)) and nu(M(p)) at p = p_ref take the same power."""
+    bg = BackgroundState(u_a=s_a * np.sqrt(p), rho_a=rho_a, u_b=s_b * np.sqrt(p), rho_b=rho_b, p=p)
+    try:
+        bg.validate(G, 1e-3)
+    except ValueError:
+        assume(False)
+    a, b = bg.states()
+    u, v, p_row, rho = (np.array([getattr(a, n), getattr(b, n)]) for n in ("u", "v", "p", "rho"))
+    row = gas.PrimitiveState(u, v, p_row, rho)
+    sd = gas.StreamData(gas.entropy_function(row, G), gas.bernoulli(row, G), p)
+    assert gas.Streamline(sd, G).invariants(u, v, p_row, rho).tolist() == [[0.0, 0.0], [0.0, 0.0]]
 
 
 def test_invariants_antisymmetric_for_straight_flow():
     st_ = gas.PrimitiveState(u=2.2, v=0.0, p=1.12, rho=1.0)
     sd = gas.StreamData(a0=gas.entropy_function(st_, G), b0=gas.bernoulli(st_, G), p_ref=1.12 / 1.3)
-    z = gas.invariants_from_state(st_, sd, G)
-    assert z.z_minus == pytest.approx(-z.z_plus, rel=1e-14)
-    assert z.z_minus > 0.0
+    zm, zp = gas.Streamline(sd, G).invariants(*_arrays(2.2, 0.0, 1.12, 1.0))
+    assert zm == pytest.approx(-zp, rel=1e-14)
+    assert zm > 0.0
 
 
 def test_invariants_require_supersonic():
     slow = gas.PrimitiveState(u=0.5, v=0.0, p=1.0, rho=1.0)
     sd = gas.StreamData(a0=1.0, b0=gas.bernoulli(slow, G), p_ref=1.0)
     with pytest.raises(gas.GasError, match="not-supersonic"):
-        gas.invariants_from_state(slow, sd, G)
+        gas.Streamline(sd, G).invariants(*_arrays(0.5, 0.0, 1.0, 1.0))
 
 
-def test_invariants_detect_stream_mismatch():
-    sd = gas.StreamData(a0=1.05, b0=B_BG, p_ref=1.0)
-    with pytest.raises(gas.GasError, match="stream-data-mismatch"):
-        gas.invariants_from_state(BG, sd, G)
+def test_invariants_match_reference_theta(rng):
+    """z_-+ = arctan(v/u) +- Theta(p), with the reference's Theta bit for
+    bit, on rows and on a (k, n) grid over n streamlines."""
+    u, v, p, rho = random_supersonic_states(rng, 400)
+    state = gas.PrimitiveState(u=u, v=v, p=p, rho=rho)
+    sd = gas.StreamData(gas.entropy_function(state, G), gas.bernoulli(state, G), 1.1)
+    t, angle = theta(p, sd, G), np.arctan2(v, u)
+    _same_bits(_line(sd).invariants(u, v, p, rho), np.stack([angle + t, angle - t]))
+    grid = np.stack([p, 0.97 * p])
+    t = theta(grid, gas.StreamData(sd.a0[None], sd.b0[None], 1.1), G)
+    _same_bits(_line(sd).invariants(u, v, grid, rho), np.stack([angle + t, angle - t]))
 
 
 def test_pressure_inversion_at_origin():
@@ -213,7 +248,7 @@ def test_pressure_inversion_at_origin():
 
 def test_pressure_forward_invert_round_trip():
     p_true = 1.21
-    t = gas.theta(p_true, SD_BG, G)
+    t = theta(p_true, SD_BG, G)
     p = _pressure(t)
     assert p == pytest.approx(p_true, abs=1e-10)
     # Near the sonic cap dTheta/dp -> 0: the inversion meets newton_tol in
@@ -222,10 +257,10 @@ def test_pressure_forward_invert_round_trip():
     for sd in STREAMLINES:
         cap = gas.sonic_pressure(sd, G) * (1 - gas.SONIC_MARGIN)
         for p_true in (cap, cap * (1 - 0.5 * gas.SONIC_MARGIN), cap * (1 - 1e-3), 0.21):
-            t = gas.theta(p_true, sd, G)
+            t = theta(p_true, sd, G)
             p = _pressure(t, sd)
             assert p <= cap
-            assert abs(gas.theta(p, sd, G) - t) <= 1e-12
+            assert abs(theta(p, sd, G) - t) <= 1e-12
             assert p == pytest.approx(p_true, abs=1e-12 / _line(sd).dtheta_dp(np.asarray(cap)))
 
 
@@ -233,10 +268,10 @@ def _assert_inverts(p_true, sd):
     """One batched inversion of Theta(p_true) meets newton_tol in Theta and
     recovers p_true as closely as newton_tol / dTheta/dp(cap) allows."""
     cap = gas.sonic_pressure(sd, G) * (1 - gas.SONIC_MARGIN)
-    t = gas.theta(p_true, sd, G)
+    t = theta(p_true, sd, G)
     p = _pressure(t, sd)
     assert np.all(p <= cap)
-    assert np.max(np.abs(gas.theta(p, sd, G) - t)) <= 1e-12
+    assert np.max(np.abs(theta(p, sd, G) - t)) <= 1e-12
     assert np.all(np.abs(p - p_true) <= 1e-12 / _line(sd).dtheta_dp(np.asarray(cap)))
 
 
@@ -260,7 +295,7 @@ def test_pressure_inversion_is_batch_independent(rng):
 
 def test_pressure_inversion_out_of_range():
     p_cap = gas.sonic_pressure(SD_BG, G) * (1 - gas.SONIC_MARGIN)
-    t_max = gas.theta(p_cap * 0.9999999, SD_BG, G)
+    t_max = theta(p_cap * 0.9999999, SD_BG, G)
     with pytest.raises(gas.GasError, match="out-of-range"):
         _pressure(2.0 * t_max)
     # Vacuum side: the target nu(s) = nu_ref - Theta reaches the Prandtl-Meyer
@@ -275,7 +310,7 @@ def test_pressure_inversion_out_of_range():
     t = nu_ref - nu_max + 1e-3
     p = _pressure(t)
     assert 0.0 < p < 1e-20
-    assert abs(gas.theta(p, SD_BG, G) - t) <= 1e-12
+    assert abs(theta(p, SD_BG, G) - t) <= 1e-12
 
 
 def test_velocity_from_bernoulli_background():
@@ -329,8 +364,8 @@ def test_lambda_odd_in_v():
 
 
 def test_invariant_pair_angle_guard():
-    with pytest.raises(gas.GasError):
-        gas.InvariantPair(2.0, 2.0)
+    with pytest.raises(gas.GasError, match="^flow-angle"):
+        _line().state(*_arrays(2.0, 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +376,8 @@ def test_round_trip_many_states(rng):
     u, v, p, rho = random_supersonic_states(rng, 1500)
     state = gas.PrimitiveState(u=u, v=v, p=p, rho=rho)
     sd = gas.StreamData(a0=gas.entropy_function(state, G), b0=gas.bernoulli(state, G), p_ref=1.0)
-    z = gas.invariants_from_state(state, sd, G)
-    back = gas.PrimitiveState(*_line(sd).state(z.z_minus, z.z_plus))
+    line = _line(sd)
+    back = gas.PrimitiveState(*line.state(*line.invariants(u, v, p, rho)))
     for name in ("u", "v", "p"):
         assert np.max(np.abs(getattr(back, name) - getattr(state, name))) < 1e-10
 
@@ -354,8 +389,8 @@ def test_round_trip_property(du, w, dp, drho):
     u = 2.2 * (1 + du)
     state = gas.PrimitiveState(u=u, v=w * u, p=1.0 + dp, rho=1.0 + drho)
     sd = gas.StreamData(a0=gas.entropy_function(state, G), b0=gas.bernoulli(state, G), p_ref=1.0)
-    z = gas.invariants_from_state(state, sd, G)
-    back = gas.PrimitiveState(*_line(sd).state(*_arrays(z.z_minus, z.z_plus)))
+    line = _line(sd)
+    back = gas.PrimitiveState(*line.state(*line.invariants(*_arrays(u, w * u, 1.0 + dp, 1.0 + drho))))
     assert back.p == pytest.approx(state.p, abs=1e-10)
     assert back.u == pytest.approx(state.u, abs=1e-10)
     assert back.v == pytest.approx(state.v, abs=1e-10)
@@ -380,7 +415,7 @@ def _targets(sd):
     """Theta targets from the sonic floor (one just past it, within
     newton_tol) down to low pressure."""
     cap = gas.sonic_pressure(sd, G) * (1 - gas.SONIC_MARGIN)
-    t = gas.theta(np.array([cap, cap * (1 - 1e-9), 0.5 * cap, 0.9, 0.21, 1e-8]), sd, G)
+    t = theta(np.array([cap, cap * (1 - 1e-9), 0.5 * cap, 0.9, 0.21, 1e-8]), sd, G)
     return np.append(t, t[0] + 0.5e-12)
 
 
@@ -394,7 +429,7 @@ def _random_streamlines(n, seed):
 
 def _assert_inversions_agree(zm, zp, sd):
     """The prepared object returns the reference's state bits (as arrays)."""
-    state = gas_reference.state_from_invariants(gas.InvariantPair(zm, zp), sd, G)
+    state = gas_reference.state_from_invariants(zm, zp, sd, G)
     for a, b in zip(gas.Streamline(sd, G).state(*_arrays(zm, zp)), state):
         _same_bits(np.asarray(a), np.asarray(b))
 
@@ -450,9 +485,9 @@ def test_prepared_dtheta_matches_reference():
 def _error_cases():
     line = _line()
     p_s = gas.sonic_pressure(SD_BG, G)
-    t_cap = 2.0 * gas.theta(p_s * (1 - gas.SONIC_MARGIN) * 0.9999999, SD_BG, G)
+    t_cap = 2.0 * theta(p_s * (1 - gas.SONIC_MARGIN) * 0.9999999, SD_BG, G)
     t_vac = gas.prandtl_meyer(2.2**2 / 1.4, G) - (np.sqrt(6.0) - 1.0) * np.pi / 2 - 0.1
-    t_low = gas.theta(0.21, SD_BG, G)
+    t_low = theta(0.21, SD_BG, G)
     # past the sonic floor by more than newton_tol (0.5e-12 past is admissible)
     t_floor = _targets(SD_BG)[0] + 1.5e-12
     # a sonic pressure of 7e-283: p underflows just inside vacuum
@@ -460,18 +495,17 @@ def _error_cases():
     t_tiny = (np.sqrt(6.0) - 1.0) * np.pi / 2 - 1e-6
     # A0 = 1e300 with sonic pressure 1: p / A0 underflows, and so does rho
     heavy = gas.StreamData(1e300, 1.4 * 2.4 * 1e300 ** (1 / 1.4) / 0.8, 0.5)
-    t_heavy = gas.theta(1e-30, heavy, G)
+    t_heavy = theta(1e-30, heavy, G)
 
     def pair(sd, t, **kw):
         """(prepared, reference) inversions of the target t."""
         return (lambda: _pressure(t, sd, **kw),
-                lambda: gas_reference.pressure_from_invariants(gas.InvariantPair(t, -t), sd, G,
-                                                               **kw))
+                lambda: gas_reference.pressure_from_invariants(t, -t, sd, G, **kw))
 
     return {
         "flow-angle": ("flow-angle", (lambda: line.state(*_arrays(2.0, 2.0)),
                                       lambda: gas_reference.state_from_invariants(
-                                          gas.InvariantPair(2.0, 2.0), SD_BG, G))),
+                                          2.0, 2.0, SD_BG, G))),
         "past-cap": ("out-of-range", pair(SD_BG, t_cap)),
         "past-floor": ("out-of-range", pair(SD_BG, t_floor)),
         "vacuum": ("out-of-range", pair(SD_BG, t_vac)),
@@ -483,7 +517,11 @@ def _error_cases():
         "nonpositive-rho": ("out-of-range", (
             lambda: _line(heavy).state(*_arrays(t_heavy, -t_heavy)),
             lambda: gas.PrimitiveState(*gas_reference.state_from_invariants(
-                gas.InvariantPair(t_heavy, -t_heavy), heavy, G)))),
+                t_heavy, -t_heavy, heavy, G)))),
+        "theta-p": ("out-of-range", (lambda: line.invariants(*_arrays(2.2, 0.0, 0.0, 1.0)),
+                                     lambda: theta(0.0, SD_BG, G))),
+        "theta-sonic": ("sonic-limit", (lambda: line.invariants(*_arrays(10.0, 0.0, p_s, 1.0)),
+                                        lambda: theta(p_s, SD_BG, G))),
         "dtheta-p": ("out-of-range", (lambda: line.dtheta_dp(np.asarray(0.0)),
                                       lambda: gas_reference.dtheta_dp(0.0, SD_BG, G))),
         "dtheta-sonic": ("sonic-limit", (lambda: line.dtheta_dp(np.asarray(p_s * 1.000001)),

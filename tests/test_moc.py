@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from contactmoc import cli, fixtures, gas, interp, moc
+from contactmoc import cli, fixtures, gas, interp, moc, oracle
+from contactmoc.config import BackgroundState
 from tests import gas_reference
 from tests.characteristics import trace_characteristic
 from tests.conftest import assemble, solved
@@ -84,9 +85,6 @@ def test_coupling_gamma_algebra_exact():
 
 def test_coupling_equal_layers_give_symmetric_weights():
     # identical layers force alpha = beta, hence gamma1 = 0, gamma2 = gamma3 = 1
-    from contactmoc.config import BackgroundState
-    from contactmoc import fixtures
-
     bg = BackgroundState(u_a=2.2, rho_a=1.0, u_b=2.2, rho_b=1.0, p=1.0)
     cfg, geom, profile = fixtures.perturbed_inputs(0.0, background=bg, nxi=40, neta=10)
     prob, _ = cli.build_pipeline(cfg, geom, profile)
@@ -98,12 +96,12 @@ def test_coupling_equal_layers_give_symmetric_weights():
 
 @pytest.mark.parametrize("eps", [1e-3, 1e-2])
 def test_background_invariants_invert_to_p_ref_on_the_contact(eps):
-    # The contact closure is homogeneous in the deviations from the
-    # background: the background invariants invert to the reference pressure
-    # against the perturbed stream data on either side of the contact.
+    # The contact closure is homogeneous in the invariants: the background's,
+    # zero, invert to the reference pressure against the perturbed stream
+    # data on either side of the contact.
     cfg, geom, profile, prob = assemble(eps, 60, 12)
-    for zbar, sd in zip((prob.zbar_a, prob.zbar_b), contact_stream_data(prob)):
-        p = gas.Streamline(sd, G).state(*np.asarray(zbar))[2]
+    for sd in contact_stream_data(prob):
+        p = gas.Streamline(sd, G).state(*np.zeros(2))[2]
         assert p == pytest.approx(cfg.background.p, abs=1e-12)
 
 
@@ -214,7 +212,7 @@ def test_step_against_dense_characteristic_fan():
         plan = moc.plan_march(frozen, dom)
         k = 40
         z = np.zeros(2 * lam_p.shape[1])  # zm | zp
-        z[a] = z_data(eta) + prob.zbar_a[0]
+        z[a] = z_data(eta)
         new = moc.step_linearized(prob, plan, cc, k, z)[a]
         feet = []
         for e in eta[1:]:
@@ -226,7 +224,7 @@ def test_step_against_dense_characteristic_fan():
                 pos = pos - h * lam_field(xi_now - 0.5 * h, mid)
                 xi_now -= h
             feet.append(pos)
-        oracle = z_data(np.array(feet)) + prob.zbar_a[0]
+        oracle = z_data(np.array(feet))
         return np.max(np.abs(new[1:] - oracle))
 
     e_coarse = step_error(26, 101)
@@ -260,8 +258,8 @@ def _per_slab_march(prob, frozen, cc, hits):
                                        np.clip(feet, eta[0], eta[-1]))
         return interp.cubic_eval(z_old, *stencil)
 
-    z0 = prob.inlet_z
-    rows = [[z0.z_minus[a]], [z0.z_plus[a]], [z0.z_minus[b]], [z0.z_plus[b]]]
+    zm0, zp0 = prob.inlet_z
+    rows = [[zm0[a]], [zp0[a]], [zm0[b]], [zp0[b]]]
     ea, eb = dom.eta_a, dom.eta_b
     for k in range(dom.xi.size - 1):
         zm_a = advect(ea, rows[0][-1], lam_p_a[k], lam_p_a[k + 1])
@@ -270,11 +268,9 @@ def _per_slab_march(prob, frozen, cc, hits):
         zp_b = advect(eb, rows[3][-1], lam_m_b[k], lam_m_b[k + 1])
         zp_a[-1] = 2.0 * prob.wall_angle_plus[k + 1] - zm_a[-1]
         zm_b[0] = 2.0 * prob.wall_angle_minus[k + 1] - zp_b[0]
-        d_in_a = zp_a[0] - prob.zbar_a[1]
-        d_in_b = zm_b[-1] - prob.zbar_b[0]
         g1, g2, g3 = cc.gamma1[k + 1], cc.gamma2[k + 1], cc.gamma3[k + 1]
-        zm_a[0] = prob.zbar_a[0] + g1 * d_in_a + g3 * d_in_b
-        zp_b[-1] = prob.zbar_b[1] + g2 * d_in_a - g1 * d_in_b
+        zm_a[0] = g1 * zp_a[0] + g3 * zm_b[-1]
+        zp_b[-1] = g2 * zp_a[0] - g1 * zm_b[-1]
         for row, z in zip(rows, (zm_a, zp_a, zm_b, zp_b)):
             row.append(z)
     return [np.array(row) for row in rows]
@@ -310,10 +306,10 @@ def test_stacked_march_bit_equal_to_per_slab_march(speeds, neta_a, neta_b):
     cc = moc.CouplingCoefficients(alpha=alpha, beta=beta, gamma1=(alpha - beta) / (alpha + beta),
                                   gamma2=2.0 * alpha / (alpha + beta),
                                   gamma3=2.0 * beta / (alpha + beta))
-    inlet_a = [z + 1e-3 * rng.normal(size=neta_a) for z in prob.zbar_a]
-    inlet_b = [z + 1e-3 * rng.normal(size=neta_b) for z in prob.zbar_b]
-    prob = dataclasses.replace(prob, inlet_z=gas.InvariantPair(
-        *(np.concatenate(pair) for pair in zip(inlet_a, inlet_b))))
+    inlet_a = [1e-3 * rng.normal(size=neta_a) for _ in range(2)]
+    inlet_b = [1e-3 * rng.normal(size=neta_b) for _ in range(2)]
+    prob = dataclasses.replace(prob, inlet_z=np.array(
+        [np.concatenate(pair) for pair in zip(inlet_a, inlet_b)]))
 
     hits = {"mid": 0, "feet": 0, "clipped": 0}
     ref = _per_slab_march(prob, frozen, cc, hits)
@@ -359,6 +355,21 @@ def test_fixed_point_background_one_iteration():
     assert report.iterations == 1
     assert report.converged
     assert report.c1_gaps == [0.0]
+
+
+def test_background_off_unit_pressure_is_exactly_zero():
+    """On a background at p = 1.29 (where numpy's scalar and array powers of
+    p_ref differ) the eps = 0 solve and the oracle stay exactly at the
+    background's invariants, zero."""
+    p = 1.29
+    bg = BackgroundState(u_a=2.2 * np.sqrt(p), rho_a=1.0, u_b=1.9 * np.sqrt(p), rho_b=1.2, p=p)
+    cfg, geom, profile = fixtures.perturbed_inputs(0.0, background=bg, nxi=140, neta=35)
+    summary, artifacts = cli.run_solve(cfg, geom, profile, write_outputs=False)
+    grid = artifacts["grid"]
+    assert not grid.zm.any() and not grid.zp.any()
+    assert summary["c0_gap"] == summary["c1_gap"] == 0.0
+    out = oracle.upwind_march(artifacts["prob"])
+    assert not out.zm.any() and not out.zp.any()
 
 
 def test_fixed_point_gaps_decrease_and_converge():
@@ -435,12 +446,10 @@ def _check_wall_and_contact_identities(prob, grid, report):
     wall_b = grid.zm_b[1:, 0] + grid.zp_b[1:, 0] - 2.0 * prob.wall_angle_minus[1:]
     assert np.max(np.abs(wall_b)) < 1e-14
     cc = report.last_coupling
-    d_zm_a = grid.zm_a[1:, 0] - prob.zbar_a[0]
-    d_zp_a = grid.zp_a[1:, 0] - prob.zbar_a[1]
-    d_zm_b = grid.zm_b[1:, -1] - prob.zbar_b[0]
-    d_zp_b = grid.zp_b[1:, -1] - prob.zbar_b[1]
-    r1 = d_zm_a - (cc.gamma1[1:] * d_zp_a + cc.gamma3[1:] * d_zm_b)
-    r2 = d_zp_b - (cc.gamma2[1:] * d_zp_a - cc.gamma1[1:] * d_zm_b)
+    zm_a, zp_a = grid.zm_a[1:, 0], grid.zp_a[1:, 0]
+    zm_b, zp_b = grid.zm_b[1:, -1], grid.zp_b[1:, -1]
+    r1 = zm_a - (cc.gamma1[1:] * zp_a + cc.gamma3[1:] * zm_b)
+    r2 = zp_b - (cc.gamma2[1:] * zp_a - cc.gamma1[1:] * zm_b)
     assert np.max(np.abs(r1)) < 1e-15
     assert np.max(np.abs(r2)) < 1e-15
     # derived interface conditions
@@ -492,12 +501,7 @@ def test_iteration_csv_format(tmp_path):
 def test_z_deviation_halves_with_eps():
     def zdev(eps):
         cfg, geom, profile, prob, grid, report = solved(eps, 101, 26)
-        return max(
-            np.max(np.abs(grid.zm_a - prob.zbar_a[0])),
-            np.max(np.abs(grid.zp_a - prob.zbar_a[1])),
-            np.max(np.abs(grid.zm_b - prob.zbar_b[0])),
-            np.max(np.abs(grid.zp_b - prob.zbar_b[1])),
-        )
+        return max(np.max(np.abs(grid.zm)), np.max(np.abs(grid.zp)))
 
     ratio = zdev(1e-3) / zdev(5e-4)
     assert ratio == pytest.approx(2.0, rel=0.10)
