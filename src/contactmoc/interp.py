@@ -13,10 +13,12 @@ Three flavours of piecewise cubic interpolation:
   end slopes are left unset.
 
 * The clipped four-point Lagrange cubic on a uniform lattice, in two
-  halves: ``cubic_stencil`` maps queries to their stencil and local
-  coordinate, ``cubic_eval`` gathers the values and evaluates.  The nozzle
-  march plans the stencils of a whole outer iteration at once and
-  evaluates them step by step.
+  halves: ``cubic_stencil`` maps queries to one gather index (the four
+  stencil nodes and the bracketing pair) and the local coordinate,
+  ``cubic_eval`` makes one gather and one stacked Lagrange sum, then clips.
+  The nozzle march plans the stencils of a whole outer iteration at once
+  and evaluates them step by step, so the index arithmetic is paid once per
+  plan and each step is a dozen numpy calls.
 
 * On non-uniform knots (``pchip``, ``PiecewisePoly``): the PCHIP of Fritsch
   & Butland (SIAM J. Sci. Comput. 5, 1984) with weighted harmonic slopes and
@@ -94,6 +96,22 @@ def monotone_interp(y0, h, v, yq):
 
 
 _STENCIL = np.arange(4)
+# The twelve Lagrange factors are s - _SHIFT, in three blocks of four: entry
+# r of [0:4], [4:8] and [8:12] is the first, second and third factor of
+# basis weight r (s - 0.0 is s, -0.0 included).  _DENOM holds the weights'
+# denominators.
+_SHIFT = np.array([1.0, 0.0, 0.0, 0.0, 2.0, 2.0, 1.0, 1.0, 3.0, 3.0, 3.0, 2.0])
+_DENOM = np.array([6.0, 2.0, 2.0, 6.0])
+
+
+@functools.lru_cache(maxsize=8)
+def _lagrange_columns(ndim):
+    """``_SHIFT`` and ``_DENOM`` as columns over ``ndim`` trailing axes,
+    read-only."""
+    cols = tuple(c.reshape(c.shape + (1,) * ndim) for c in (_SHIFT, _DENOM))
+    for c in cols:
+        c.flags.writeable = False
+    return cols
 
 
 def cubic_stencil(y0, h, n, yq):
@@ -101,29 +119,48 @@ def cubic_stencil(y0, h, n, yq):
     i < n, for each query in ``yq`` (any shape; queries are expected inside
     the lattice span).
 
-    Returns ``(base, cell, s)``: the first of the four stencil nodes, the
-    left node of the bracketing cell and the local coordinate in [0, 3]
-    over the stencil.  Raises ValueError for n < 4.
+    Returns ``(index, s)``: the (6,) + yq.shape gather index, whose rows are
+    the four stencil nodes and then the bracketing pair (the left and right
+    node of the query's cell), and the local coordinate in [0, 3] over the
+    stencil.  Raises ValueError for n < 4.
     """
     if n < 4:
         raise ValueError(f"the four-point cubic needs at least 4 nodes, got {n}")
-    t = (np.asarray(yq, dtype=float) - y0) / h
+    t = np.asarray(yq, dtype=float) - y0
+    t /= h
     cell = np.clip(np.floor(t).astype(np.intp), 0, n - 2)
     base = np.clip(cell - 1, 0, n - 4)
-    return base, cell, t - base
+    index = np.empty((6,) + t.shape, np.intp)
+    np.add.outer(_STENCIL, base, out=index[:4])
+    np.add.outer(_STENCIL[:2], cell, out=index[4:])
+    t -= base
+    return index, t
 
 
-def cubic_eval(v, base, cell, s):
+def cubic_eval(v, index, s):
     """Four-point Lagrange cubic of the 1-D samples ``v`` on a stencil from
-    ``cubic_stencil``, clipped to the range of the bracketing pair."""
-    v0, v1, v2, v3 = v.take(np.add.outer(_STENCIL, base))
-    c0, c1 = v.take(np.add.outer(_STENCIL[:2], cell))
-    out = (
-        -v0 * (s - 1.0) * (s - 2.0) * (s - 3.0) / 6.0
-        + v1 * s * (s - 2.0) * (s - 3.0) / 2.0
-        - v2 * s * (s - 1.0) * (s - 3.0) / 2.0
-        + v3 * s * (s - 1.0) * (s - 2.0) / 6.0
-    )
+    ``cubic_stencil``, clipped to the range of the bracketing pair.
+
+    One gather reads the stencil values v0..v3 and the pair.  The terms
+    t0 = v0 (s-1)(s-2)(s-3)/6, t1 = v1 s (s-2)(s-3)/2,
+    t2 = v2 s (s-1)(s-3)/2 and t3 = v3 s (s-1)(s-2)/6 are built in place on
+    the stacked block, each product rounded left to right, and the value is
+    t1 - t0 - t2 + t3.  In IEEE arithmetic (-a) b = -(a b) and
+    -a + b = b - a, so this is bit for bit the written-out
+    -v0 (s-1)(s-2)(s-3)/6 + v1 s (s-2)(s-3)/2 - ... + v3 s (s-1)(s-2)/6.
+    """
+    shift, denom = _lagrange_columns(np.ndim(s))
+    vals = v.take(index)
+    terms = vals[:4]
+    factor = s - shift
+    terms *= factor[:4]
+    terms *= factor[4:8]
+    terms *= factor[8:]
+    terms /= denom
+    out = terms[1] - terms[0]
+    out -= terms[2]
+    out += terms[3]
+    c0, c1 = vals[4], vals[5]
     return np.clip(out, np.minimum(c0, c1), np.maximum(c0, c1))
 
 

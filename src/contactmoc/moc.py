@@ -15,16 +15,17 @@ along its own frozen characteristic, so one backward trace plus clipped
 cubic interpolation per node advances a xi-slab.  The speeds are frozen, so
 the feet do not depend on z: the march first plans every step
 (``plan_march``: midpoint foot, clipped foot and cubic stencil of every node
-of every step on the row ``zm | zp``), then sweeps in xi
-(``step_linearized``: one gather of the stencil values, one of the
-bracketing pairs, the Lagrange sum and its clip, then the wall and contact
-closures on the four boundary entries).  The problem is well posed because
-each layer has one incoming and one outgoing family at every wall and at the
-contact (lambda_- < 0 < lambda_+, required by ``FrozenField``), and the
-march stays inside its domain of dependence because ``check_cfl`` enforces
-max|lambda| dxi <= deta on every frozen field before it is marched (Courant,
-Friedrichs & Lewy, Math. Ann. 100, 1928).  The contact closure linearizes the
-pressure match with averaged-derivative coefficients
+of every step on the row ``zm | zp``, each frozen row interpolated once per
+family and layer), then sweeps in xi (``step_linearized``: one gather of
+the stencil values and bracketing pairs, one stacked Lagrange sum and its
+clip, then the wall and contact closures on the four boundary entries).
+The problem is well posed because each layer has one incoming and one
+outgoing family at every wall and at the contact (lambda_- < 0 < lambda_+,
+required by ``FrozenField``), and the march stays inside its domain of
+dependence because ``check_cfl`` enforces max|lambda| dxi <= deta on every
+frozen field before it is marched (Courant, Friedrichs & Lewy, Math. Ann.
+100, 1928).  The contact closure linearizes the pressure match with
+averaged-derivative coefficients
 
     alpha = 1 / (2 int_0^1 dTheta/dp(p_bg + tau (p_prev - p_bg)) dtau)
 
@@ -314,14 +315,14 @@ class MarchPlan:
     """Backward-trace data of every step of one frozen field.
 
     The march row is ``zm | zp``, each on the stacked row a | b.  Row k of
-    ``base``, ``cell`` and ``s`` serves the step xi_k -> xi_{k+1}: the
-    march-row index of each node's first stencil node and of the left node
-    of its bracketing cell, and the local coordinate of its foot
-    (``interp.cubic_stencil``).
+    ``index`` and ``s`` serves the step xi_k -> xi_{k+1}: a (6, 2n) gather
+    index into the march row (each node's four stencil nodes, then the
+    bracketing pair of its foot) and the local coordinate of the foot
+    (``interp.cubic_stencil``).  The index is held as int32, so the plan
+    takes 32 bytes a node-step.
     """
 
-    base: np.ndarray
-    cell: np.ndarray
+    index: np.ndarray
     s: np.ndarray
 
 
@@ -330,39 +331,56 @@ def plan_march(frozen: FrozenField, domain: LagrangianDomain) -> MarchPlan:
 
     The speeds are frozen, so the feet do not depend on z: each foot comes
     from the midpoint speed, the mean of the rows xi_k and xi_{k+1} at the
-    clipped half-step point.  Feet are clipped to their layer; ``check_cfl``
-    keeps every foot a closure does not overwrite inside it.
+    clipped half-step point.  Row k is interpolated once, at the midpoints
+    of the step it ends and of the step it starts (``np.interp`` treats
+    every query on its own, so the values are those of two calls).  Feet
+    are clipped to their layer; ``check_cfl`` keeps every foot a closure
+    does not overwrite inside it.
     """
     dxi = domain.dxi
-    n = frozen.lam_p.shape[1]
-    shape = (domain.xi.size - 1, 2 * n)
-    base, cell, s = np.empty(shape, np.intp), np.empty(shape, np.intp), np.empty(shape)
+    nxi, n = frozen.lam_p.shape
+    index = np.empty((nxi - 1, 6, 2 * n), np.int32)
+    s = np.empty((nxi - 1, 2 * n))
     # z_minus rides lambda_+ and z_plus rides lambda_-.
     for offset, lam_row in ((0, frozen.lam_p), (n, frozen.lam_m)):
         for _, eta, cols in domain.layers:
             lam = lam_row[:, cols]
+            m = eta.size
+            # Row k + 1 of ``mid`` holds the midpoints of step k; the padding
+            # rows serve no step, so any query does there.
+            mid = np.empty((nxi + 1, m))
+            mid[0] = mid[-1] = eta
+            feet = mid[1:-1]
+            np.multiply(lam[1:], 0.5 * dxi, out=feet)
+            np.subtract(eta, feet, out=feet)
+            np.clip(feet, eta[0], eta[-1], out=feet)
+            # Row k of lam at the midpoints of steps k - 1 and k, adjacent in
+            # ``mid``: one call per row.
+            queries = mid.reshape(-1)
+            at = np.empty((nxi, 2 * m))
+            for k, row in enumerate(lam):
+                at[k] = np.interp(queries[k * m:(k + 2) * m], eta, row)
+            # Rows k and k + 1 at the midpoints of step k, summed in their place.
+            np.add(at[:-1, m:], at[1:, :m], out=feet)
+            feet *= 0.5
+            feet *= dxi
+            np.subtract(eta, feet, out=feet)
+            np.clip(feet, eta[0], eta[-1], out=feet)
             sl = slice(offset + cols.start, offset + cols.stop)
-            mid = np.clip(eta - 0.5 * dxi * lam[1:], eta[0], eta[-1])
-            at_mid = np.empty((2,) + mid.shape)  # rows k and k + 1 at the midpoints
-            for k, m in enumerate(mid):
-                at_mid[0, k] = np.interp(m, eta, lam[k])
-                at_mid[1, k] = np.interp(m, eta, lam[k + 1])
-            feet = np.clip(eta - dxi * (0.5 * (at_mid[0] + at_mid[1])), eta[0], eta[-1])
-            base[:, sl], cell[:, sl], s[:, sl] = interp.cubic_stencil(eta[0], eta[1] - eta[0],
-                                                                       eta.size, feet)
-            base[:, sl] += sl.start
-            cell[:, sl] += sl.start
-    return MarchPlan(base, cell, s)
+            stencil, s[:, sl] = interp.cubic_stencil(eta[0], eta[1] - eta[0], m, feet)
+            np.add(stencil.transpose(1, 0, 2), sl.start, out=index[:, :, sl], casting="unsafe")
+    return MarchPlan(index, s)
 
 
 def step_linearized(prob: MocProblem, plan: MarchPlan, cc: CouplingCoefficients, k, z):
     """Advance the march row ``z = zm | zp`` from xi_k to xi_{k+1}.
 
-    Every node takes the clipped cubic at its planned foot; the outgoing
+    Every node takes the clipped cubic at its planned foot, one gather of
+    its stencil and bracketing pair (``interp.cubic_eval``); the outgoing
     boundary entries are then assigned: wall reflection at eta = +-m, the
     two-sided coupling at the contact.
     """
-    new = interp.cubic_eval(z, plan.base[k], plan.cell[k], plan.s[k])
+    new = interp.cubic_eval(z, plan.index[k], plan.s[k])
     # Each family is a row a | b: the contact is its first and last entry,
     # the walls meet at na-1 | na.
     n, na = new.size // 2, prob.domain.eta_a.size

@@ -1,11 +1,12 @@
 """The non-uniform PCHIP in ``interp`` against scipy's PchipInterpolator, bit
 for bit: values, piece coefficients, derivatives and the antiderivative; the
 clipped four-point cubic (``cubic_stencil`` then ``cubic_eval``) against its
-one-function form; and the uniform monotone cubic against its plain form."""
+one-function form, and its stacked Lagrange sum against the written-out sum;
+and the uniform monotone cubic against its plain form."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from contactmoc import blowup, gas, interp
 from tests.blowup_reference import plain_hermite_rows, plain_monotone_slopes
@@ -153,6 +154,49 @@ def test_cubic_clipped_needs_four_samples():
         _cubic_clipped(0.0, 0.5, np.array([1.0, 2.0, 0.5]), [0.25, 0.75])
     with pytest.raises(ValueError, match="at least 4 nodes"):
         interp.cubic_stencil(0.0, 0.5, 3, [0.25])
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+# Finite samples well inside overflow of the cubic's products (each partial
+# product is at most 27 |v|), so both forms stay finite; subnormals and both
+# zeros included.
+_SAMPLE = st.floats(-1e300, 1e300)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_SAMPLE, _SAMPLE, _SAMPLE, _SAMPLE, st.floats(-0.0, 3.0),
+                          st.integers(0, 2)), min_size=1, max_size=40))
+@example([(0.0, -0.0, 5e-324, -5e-324, 0.0, 0), (-0.0, -0.0, -0.0, -0.0, 3.0, 2),
+          (-0.0, 0.0, -0.0, 0.0, -0.0, 1), (2.2e-308, -1e-310, 0.0, -0.0, 1.5, 1),
+          (1.0, 1.0, 1.0, 1.0, 1.0, 0), (-0.0, -0.0, -0.0, -0.0, 2.0, 2)])
+def test_stacked_lagrange_sum_is_exact(cases):
+    """``cubic_eval`` builds t0..t3 in place and sums t1 - t0 - t2 + t3; the
+    written-out sum starts from -v0.  Bit for bit equal on whole rows and on
+    one query alone (0-d), unclipped and clipped to a bracketing pair of the
+    stencil as ``cubic_stencil`` gives it.  The clip is compared like with
+    like: ``np.clip`` resolves a tie of 0.0 and -0.0 toward the bound on
+    arrays and toward the value on 0-d input."""
+    v0, v1, v2, v3, s, cell = (np.array(c) for c in zip(*cases))
+    m = s.size
+    v = np.concatenate([v0, v1, v2, v3, [-np.inf, np.inf]])
+    stencil = np.arange(4 * m).reshape(4, m)
+    unclipped = np.vstack([stencil, np.full((1, m), 4 * m), np.full((1, m), 4 * m + 1)])
+    clipped = np.vstack([stencil, stencil[[cell, cell + 1], np.arange(m)]])
+    for part in (slice(None), 0):  # the rows, then the first query alone
+        t = s[part]
+        want = (
+            -v[stencil[0, part]] * (t - 1.0) * (t - 2.0) * (t - 3.0) / 6.0
+            + v[stencil[1, part]] * t * (t - 2.0) * (t - 3.0) / 2.0
+            - v[stencil[2, part]] * t * (t - 1.0) * (t - 3.0) / 2.0
+            + v[stencil[3, part]] * t * (t - 1.0) * (t - 2.0) / 6.0
+        )
+        assert np.array_equal(_bits(interp.cubic_eval(v, unclipped[:, part], t)), _bits(want))
+        c0, c1 = v[clipped[4, part]], v[clipped[5, part]]
+        want = np.clip(want, np.minimum(c0, c1), np.maximum(c0, c1))
+        assert np.array_equal(_bits(interp.cubic_eval(v, clipped[:, part], t)), _bits(want))
 
 
 def _padded_rows(rng, n):

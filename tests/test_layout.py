@@ -5,10 +5,15 @@ and every dataclass field is read somewhere in ``src/``, ``scripts/`` or
 
 A helper that only the tests call belongs in ``tests/``, reference
 implementations that tests compare the run path against included.
+
+``src/`` also reaches numpy only through its public names: the private
+modules (``numpy._core``, ``numpy.core``, ``numpy.lib._*``) moved between
+numpy 1.x and 2.x, and ``pyproject.toml`` promises numpy >= 1.24.
 """
 
 import ast
 import os
+import re
 from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -89,3 +94,61 @@ def test_every_dataclass_field_is_read():
                     if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
                     and stmt.target.id not in reads)
     assert not unread, f"dataclass fields no code reads: {unread}"
+
+
+_PRIVATE_NUMPY = re.compile(r"numpy\.((_core|core)(\.|$)|lib\._)")
+
+
+def _dotted(node):
+    """``a.b.c`` for a chain of attribute reads on a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id] + parts[::-1]) if isinstance(node, ast.Name) else None
+
+
+def _numpy_paths(tree):
+    """Every numpy path a module names: its imports, and its attribute
+    chains on a name bound to numpy (``np._core.umath``), spelled from
+    ``numpy``."""
+    aliases, paths = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "numpy":
+                    paths.append(alias.name)
+                    aliases[alias.asname or "numpy"] = alias.name if alias.asname else "numpy"
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            paths += [f"{node.module}.{alias.name}" for alias in node.names]
+            aliases.update({alias.asname or alias.name: f"{node.module}.{alias.name}"
+                            for alias in node.names})
+    for node in ast.walk(tree):
+        chain = _dotted(node) if isinstance(node, ast.Attribute) else None
+        head, _, rest = (chain or "").partition(".")
+        if head in aliases:
+            paths.append(f"{aliases[head]}.{rest}")
+    return paths
+
+
+def test_src_uses_only_public_numpy():
+    private = sorted({f"{name}: {path}" for name, tree in _parse(PACKAGE).items()
+                      for path in _numpy_paths(tree) if _PRIVATE_NUMPY.match(path)})
+    assert not private, f"private numpy paths in src/: {private}"
+
+
+def test_private_numpy_paths_are_caught():
+    cases = {
+        "import numpy as np\nnp._core.umath.clip": True,
+        "import numpy\nnumpy.core.multiarray.interp": True,
+        "import numpy as np\nnp.lib._function_base_impl.interp": True,
+        "from numpy._core import umath": True,
+        "from numpy.lib import _index_tricks_impl": True,
+        "import numpy.core.multiarray as cm": True,
+        "from numpy import _core as c\nc.umath": True,
+        "import numpy as np\nnp.clip; np.lib.stride_tricks.sliding_window_view": False,
+        "import numpy as np\nnp.core_count = 1\nnp.interp": False,
+    }
+    for src, private in cases.items():
+        found = any(_PRIVATE_NUMPY.match(p) for p in _numpy_paths(ast.parse(src)))
+        assert found == private, src

@@ -328,6 +328,49 @@ def test_stacked_march_bit_equal_to_per_slab_march(speeds, neta_a, neta_b):
         assert hits["clipped"] == 4 * (nxi - 1)
 
 
+@pytest.mark.parametrize("nxi,neta", [(101, 26), (201, 51)])
+def test_march_plan_stays_within_twice_the_three_array_plan(nxi, neta):
+    """The plan once held ``base``, ``cell`` and ``s``: 3 (nxi-1) 2n 8-byte
+    entries.  Precomputing more per node-step (the twelve Lagrange factors
+    would be 12 more) must not grow it past twice that."""
+    _, _, _, prob = assemble(1e-3, nxi, neta)
+    plan = moc.plan_march(moc.frozen_lambdas(moc.InvariantGrid.background(prob), prob),
+                          prob.domain)
+    arrays = [getattr(plan, f.name) for f in dataclasses.fields(plan)]
+    assert all(a.base is None for a in arrays)  # no field views a larger array
+    width = prob.stream.a0.size * 2  # the march row zm | zp
+    assert sum(a.nbytes for a in arrays) <= 2 * 3 * (nxi - 1) * width * 8
+
+
+def test_march_call_counts(monkeypatch):
+    """``plan_march`` reads each frozen row once per family and layer, at
+    most 4 nxi ``np.interp`` calls, and the march makes exactly nxi - 1
+    ``step_linearized`` calls (what perfbench counts as ``moc.slab_steps``)."""
+    _, _, _, prob = assemble(1e-3, 60, 12)
+    frozen = moc.frozen_lambdas(moc.InvariantGrid.background(prob), prob)
+    cc = moc.coupling_coefficients(moc.InvariantGrid.background(prob), prob)
+    nxi = prob.domain.xi.size
+    calls = {"interp": 0, "step": 0}
+    real_interp, real_step = np.interp, moc.step_linearized
+
+    def interp_counted(*args, **kwargs):
+        calls["interp"] += 1
+        return real_interp(*args, **kwargs)
+
+    def step_counted(*args):
+        calls["step"] += 1
+        return real_step(*args)
+
+    monkeypatch.setattr(np, "interp", interp_counted)
+    monkeypatch.setattr(moc, "step_linearized", step_counted)
+    moc.plan_march(frozen, prob.domain)
+    assert 0 < calls["interp"] <= 4 * nxi
+    calls["interp"] = 0
+    moc.march_linearized(prob, frozen, cc)
+    assert 0 < calls["interp"] <= 4 * nxi
+    assert calls["step"] == nxi - 1
+
+
 def test_solve_outputs_lipschitz_in_prev():
     cfg, geom, profile, prob = assemble(1e-3, 101, 26)
     base = moc.InvariantGrid.background(prob)
