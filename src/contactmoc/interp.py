@@ -7,18 +7,19 @@ Three flavours of piecewise cubic interpolation:
   secants, zero at local extrema) with cubic Hermite evaluation, stacked
   rows along the last axis.  Reproduces constants and straight lines up to
   rounding (not bit for bit: a flat row of 0.3 can come back an ulp off) and
-  never overshoots the local data range, which is what the semi-Lagrangian
-  updates rely on at the contact row.  The rows are padded: every query
-  lies in a cell ``[1, n - 2)``, so both of its slopes are interior and the
-  end slopes are left unset.
+  never overshoots the local data range, which is what the blow-up march's
+  semi-Lagrangian update relies on.  The rows are padded: every query lies
+  in a cell ``[1, n - 2)``, so both of its slopes are interior and the end
+  slopes are left unset.
 
-* The clipped four-point Lagrange cubic on a uniform lattice, in two
-  halves: ``cubic_stencil`` maps queries to one gather index (the four
-  stencil nodes and the bracketing pair) and the local coordinate,
-  ``cubic_eval`` makes one gather and one stacked Lagrange sum, then clips.
-  The nozzle march plans the stencils of a whole outer iteration at once
-  and evaluates them step by step, so the index arithmetic is paid once per
-  plan and each step is a dozen numpy calls.
+* The four-point Lagrange cubic on a uniform lattice, in two halves:
+  ``cubic_stencil`` maps queries to the gather index of their four stencil
+  nodes and the local coordinate, ``cubic_eval`` makes one gather and one
+  stacked Lagrange sum.  The nozzle march plans the stencils of a whole
+  outer iteration at once and evaluates them step by step, so the index
+  arithmetic is paid once per plan and each step is nine numpy calls.  The
+  nozzle flow is smooth, so the cubic is not limited: a clip to the
+  bracketing pair would flatten smooth extrema and cost an order.
 
 * On non-uniform knots (``pchip``, ``PiecewisePoly``): the PCHIP of Fritsch
   & Butland (SIAM J. Sci. Comput. 5, 1984) with weighted harmonic slopes and
@@ -115,33 +116,30 @@ def _lagrange_columns(ndim):
 
 
 def cubic_stencil(y0, h, n, yq):
-    """Stencil of the clipped four-point cubic on the lattice y0 + i*h,
-    i < n, for each query in ``yq`` (any shape; queries are expected inside
-    the lattice span).
+    """Stencil of the four-point cubic on the lattice y0 + i*h, i < n, for
+    each query in ``yq`` (any shape; queries are expected inside the lattice
+    span).
 
-    Returns ``(index, s)``: the (6,) + yq.shape gather index, whose rows are
-    the four stencil nodes and then the bracketing pair (the left and right
-    node of the query's cell), and the local coordinate in [0, 3] over the
+    Returns ``(index, s)``: the (4,) + yq.shape gather index of the four
+    stencil nodes, centred on the query's cell and shifted inside the
+    lattice at its ends, and the local coordinate in [0, 3] over the
     stencil.  Raises ValueError for n < 4.
     """
     if n < 4:
         raise ValueError(f"the four-point cubic needs at least 4 nodes, got {n}")
     t = np.asarray(yq, dtype=float) - y0
     t /= h
-    cell = np.clip(np.floor(t).astype(np.intp), 0, n - 2)
-    base = np.clip(cell - 1, 0, n - 4)
-    index = np.empty((6,) + t.shape, np.intp)
-    np.add.outer(_STENCIL, base, out=index[:4])
-    np.add.outer(_STENCIL[:2], cell, out=index[4:])
+    base = np.clip(np.floor(t).astype(np.intp) - 1, 0, n - 4)
+    index = np.add.outer(_STENCIL, base)
     t -= base
     return index, t
 
 
 def cubic_eval(v, index, s):
     """Four-point Lagrange cubic of the 1-D samples ``v`` on a stencil from
-    ``cubic_stencil``, clipped to the range of the bracketing pair.
+    ``cubic_stencil``.
 
-    One gather reads the stencil values v0..v3 and the pair.  The terms
+    One gather reads the stencil values v0..v3.  The terms
     t0 = v0 (s-1)(s-2)(s-3)/6, t1 = v1 s (s-2)(s-3)/2,
     t2 = v2 s (s-1)(s-3)/2 and t3 = v3 s (s-1)(s-2)/6 are built in place on
     the stacked block, each product rounded left to right, and the value is
@@ -150,8 +148,7 @@ def cubic_eval(v, index, s):
     -v0 (s-1)(s-2)(s-3)/6 + v1 s (s-2)(s-3)/2 - ... + v3 s (s-1)(s-2)/6.
     """
     shift, denom = _lagrange_columns(np.ndim(s))
-    vals = v.take(index)
-    terms = vals[:4]
+    terms = v.take(index)
     factor = s - shift
     terms *= factor[:4]
     terms *= factor[4:8]
@@ -160,8 +157,7 @@ def cubic_eval(v, index, s):
     out = terms[1] - terms[0]
     out -= terms[2]
     out += terms[3]
-    c0, c1 = vals[4], vals[5]
-    return np.clip(out, np.minimum(c0, c1), np.maximum(c0, c1))
+    return out
 
 
 class PiecewisePoly:

@@ -11,14 +11,14 @@ Every grid, state and speed array holds both layers on one node row
 previous iterate to primitive states once (``grid_states``), freezes the
 characteristic speeds on them and solves the resulting linear transport
 problem exactly in the semi-Lagrangian sense: every invariant is constant
-along its own frozen characteristic, so one backward trace plus clipped
+along its own frozen characteristic, so one backward trace plus four-point
 cubic interpolation per node advances a xi-slab.  The speeds are frozen, so
 the feet do not depend on z: the march first plans every step
 (``plan_march``: midpoint foot, clipped foot and cubic stencil of every node
 of every step on the row ``zm | zp``, each frozen row interpolated once per
 family and layer), then sweeps in xi (``step_linearized``: one gather of
-the stencil values and bracketing pairs, one stacked Lagrange sum and its
-clip, then the wall and contact closures on the four boundary entries).
+the four stencil values and one stacked Lagrange sum, then the wall and
+contact closures on the four boundary entries).
 The problem is well posed because each layer has one incoming and one
 outgoing family at every wall and at the contact (lambda_- < 0 < lambda_+,
 required by ``FrozenField``), and the march stays inside its domain of
@@ -315,11 +315,10 @@ class MarchPlan:
     """Backward-trace data of every step of one frozen field.
 
     The march row is ``zm | zp``, each on the stacked row a | b.  Row k of
-    ``index`` and ``s`` serves the step xi_k -> xi_{k+1}: a (6, 2n) gather
-    index into the march row (each node's four stencil nodes, then the
-    bracketing pair of its foot) and the local coordinate of the foot
-    (``interp.cubic_stencil``).  The index is held as int32, so the plan
-    takes 32 bytes a node-step.
+    ``index`` and ``s`` serves the step xi_k -> xi_{k+1}: a (4, 2n) gather
+    index into the march row (each node's four stencil nodes) and the local
+    coordinate of the foot (``interp.cubic_stencil``).  The index is held
+    as int32, so the plan takes 24 bytes a node-step.
     """
 
     index: np.ndarray
@@ -335,11 +334,12 @@ def plan_march(frozen: FrozenField, domain: LagrangianDomain) -> MarchPlan:
     of the step it ends and of the step it starts (``np.interp`` treats
     every query on its own, so the values are those of two calls).  Feet
     are clipped to their layer; ``check_cfl`` keeps every foot a closure
-    does not overwrite inside it.
+    does not overwrite inside it.  Each foot's four-point stencil comes
+    from ``interp.cubic_stencil``, offset into the march row.
     """
     dxi = domain.dxi
     nxi, n = frozen.lam_p.shape
-    index = np.empty((nxi - 1, 6, 2 * n), np.int32)
+    index = np.empty((nxi - 1, 4, 2 * n), np.int32)
     s = np.empty((nxi - 1, 2 * n))
     # z_minus rides lambda_+ and z_plus rides lambda_-.
     for offset, lam_row in ((0, frozen.lam_p), (n, frozen.lam_m)):
@@ -375,10 +375,10 @@ def plan_march(frozen: FrozenField, domain: LagrangianDomain) -> MarchPlan:
 def step_linearized(prob: MocProblem, plan: MarchPlan, cc: CouplingCoefficients, k, z):
     """Advance the march row ``z = zm | zp`` from xi_k to xi_{k+1}.
 
-    Every node takes the clipped cubic at its planned foot, one gather of
-    its stencil and bracketing pair (``interp.cubic_eval``); the outgoing
-    boundary entries are then assigned: wall reflection at eta = +-m, the
-    two-sided coupling at the contact.
+    Every node takes the four-point cubic at its planned foot, one gather
+    of its stencil (``interp.cubic_eval``); the outgoing boundary entries
+    are then assigned: wall reflection at eta = +-m, the two-sided coupling
+    at the contact.
     """
     new = interp.cubic_eval(z, plan.index[k], plan.s[k])
     # Each family is a row a | b: the contact is its first and last entry,

@@ -1,6 +1,6 @@
 """The non-uniform PCHIP in ``interp`` against scipy's PchipInterpolator, bit
 for bit: values, piece coefficients, derivatives and the antiderivative; the
-clipped four-point cubic (``cubic_stencil`` then ``cubic_eval``) against its
+four-point cubic (``cubic_stencil`` then ``cubic_eval``) against its
 one-function form, and its stacked Lagrange sum against the written-out sum;
 and the uniform monotone cubic against its plain form."""
 
@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from contactmoc import blowup, gas, interp
 from tests.blowup_reference import plain_hermite_rows, plain_monotone_slopes
+from tests.cubic_reference import plain_cubic
 
 
 def _cases():
@@ -100,38 +101,13 @@ def test_pchip_rejects_bad_knots(x, y):
         interp.pchip(x, y)
 
 
-def _cubic_clipped_one_function(y0, h, v, yq):
-    """The clipped cubic as one function, before its stencil and evaluator
-    were split apart (its n < 4 fallback left out)."""
-    v = np.asarray(v, dtype=float)
-    yq = np.asarray(yq, dtype=float)
-    n = v.size
-    t = (yq - y0) / h
-    cell = np.clip(np.floor(t).astype(int), 0, n - 2)
-    base = np.clip(cell - 1, 0, n - 4)
-    s = t - base
-    v0 = v[base]
-    v1 = v[base + 1]
-    v2 = v[base + 2]
-    v3 = v[base + 3]
-    out = (
-        -v0 * (s - 1.0) * (s - 2.0) * (s - 3.0) / 6.0
-        + v1 * s * (s - 2.0) * (s - 3.0) / 2.0
-        - v2 * s * (s - 1.0) * (s - 3.0) / 2.0
-        + v3 * s * (s - 1.0) * (s - 2.0) / 6.0
-    )
-    lo = np.minimum(v[cell], v[cell + 1])
-    hi = np.maximum(v[cell], v[cell + 1])
-    return np.clip(out, lo, hi)
-
-
-def _cubic_clipped(y0, h, v, yq):
-    """The clipped cubic through the library's two halves."""
+def _cubic(y0, h, v, yq):
+    """The four-point cubic through the library's two halves."""
     return interp.cubic_eval(v, *interp.cubic_stencil(y0, h, v.size, yq))
 
 
 @pytest.mark.parametrize("n", [4, 5, 9, 35, 101])
-def test_cubic_clipped_bit_equal_to_one_function_form(n):
+def test_cubic_bit_equal_to_one_function_form(n):
     rng = np.random.default_rng(n)
     y0, h = rng.uniform(-2.0, 2.0), rng.uniform(0.01, 1.0)
     nodes = np.linspace(y0, y0 + (n - 1) * h, n)
@@ -139,19 +115,17 @@ def test_cubic_clipped_bit_equal_to_one_function_form(n):
         # every node (computed both ways), both ends, and random interior points
         q = np.concatenate([nodes, y0 + h * np.arange(n), [y0, nodes[-1]],
                             rng.uniform(y0, nodes[-1], 400)])
-        ours = _cubic_clipped(y0, h, v, q)
-        assert np.array_equal(ours, _cubic_clipped_one_function(y0, h, v, q))
+        assert np.array_equal(_cubic(y0, h, v, q), plain_cubic(y0, h, v, q))
         q2 = q[:400].reshape(20, 20)
-        assert np.array_equal(_cubic_clipped(y0, h, v, q2),
-                              _cubic_clipped_one_function(y0, h, v, q2))
-        one = _cubic_clipped(y0, h, v, q[n + 1])
+        assert np.array_equal(_cubic(y0, h, v, q2), plain_cubic(y0, h, v, q2))
+        one = _cubic(y0, h, v, q[n + 1])
         assert np.shape(one) == ()
-        assert one == _cubic_clipped_one_function(y0, h, v, q[n + 1])
+        assert one == plain_cubic(y0, h, v, q[n + 1])
 
 
 def test_cubic_clipped_needs_four_samples():
     with pytest.raises(ValueError, match="at least 4 nodes"):
-        _cubic_clipped(0.0, 0.5, np.array([1.0, 2.0, 0.5]), [0.25, 0.75])
+        _cubic(0.0, 0.5, np.array([1.0, 2.0, 0.5]), [0.25, 0.75])
     with pytest.raises(ValueError, match="at least 4 nodes"):
         interp.cubic_stencil(0.0, 0.5, 3, [0.25])
 
@@ -167,24 +141,19 @@ _SAMPLE = st.floats(-1e300, 1e300)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(_SAMPLE, _SAMPLE, _SAMPLE, _SAMPLE, st.floats(-0.0, 3.0),
-                          st.integers(0, 2)), min_size=1, max_size=40))
-@example([(0.0, -0.0, 5e-324, -5e-324, 0.0, 0), (-0.0, -0.0, -0.0, -0.0, 3.0, 2),
-          (-0.0, 0.0, -0.0, 0.0, -0.0, 1), (2.2e-308, -1e-310, 0.0, -0.0, 1.5, 1),
-          (1.0, 1.0, 1.0, 1.0, 1.0, 0), (-0.0, -0.0, -0.0, -0.0, 2.0, 2)])
+@given(st.lists(st.tuples(_SAMPLE, _SAMPLE, _SAMPLE, _SAMPLE, st.floats(-0.0, 3.0)),
+                min_size=1, max_size=40))
+@example([(0.0, -0.0, 5e-324, -5e-324, 0.0), (-0.0, -0.0, -0.0, -0.0, 3.0),
+          (-0.0, 0.0, -0.0, 0.0, -0.0), (2.2e-308, -1e-310, 0.0, -0.0, 1.5),
+          (1.0, 1.0, 1.0, 1.0, 1.0), (-0.0, -0.0, -0.0, -0.0, 2.0)])
 def test_stacked_lagrange_sum_is_exact(cases):
     """``cubic_eval`` builds t0..t3 in place and sums t1 - t0 - t2 + t3; the
     written-out sum starts from -v0.  Bit for bit equal on whole rows and on
-    one query alone (0-d), unclipped and clipped to a bracketing pair of the
-    stencil as ``cubic_stencil`` gives it.  The clip is compared like with
-    like: ``np.clip`` resolves a tie of 0.0 and -0.0 toward the bound on
-    arrays and toward the value on 0-d input."""
-    v0, v1, v2, v3, s, cell = (np.array(c) for c in zip(*cases))
+    one query alone (0-d)."""
+    v0, v1, v2, v3, s = (np.array(c) for c in zip(*cases))
     m = s.size
-    v = np.concatenate([v0, v1, v2, v3, [-np.inf, np.inf]])
+    v = np.concatenate([v0, v1, v2, v3])
     stencil = np.arange(4 * m).reshape(4, m)
-    unclipped = np.vstack([stencil, np.full((1, m), 4 * m), np.full((1, m), 4 * m + 1)])
-    clipped = np.vstack([stencil, stencil[[cell, cell + 1], np.arange(m)]])
     for part in (slice(None), 0):  # the rows, then the first query alone
         t = s[part]
         want = (
@@ -193,10 +162,7 @@ def test_stacked_lagrange_sum_is_exact(cases):
             - v[stencil[2, part]] * t * (t - 1.0) * (t - 3.0) / 2.0
             + v[stencil[3, part]] * t * (t - 1.0) * (t - 2.0) / 6.0
         )
-        assert np.array_equal(_bits(interp.cubic_eval(v, unclipped[:, part], t)), _bits(want))
-        c0, c1 = v[clipped[4, part]], v[clipped[5, part]]
-        want = np.clip(want, np.minimum(c0, c1), np.maximum(c0, c1))
-        assert np.array_equal(_bits(interp.cubic_eval(v, clipped[:, part], t)), _bits(want))
+        assert np.array_equal(_bits(interp.cubic_eval(v, stencil[:, part], t)), _bits(want))
 
 
 def _padded_rows(rng, n):

@@ -8,6 +8,7 @@ from contactmoc.config import BackgroundState
 from tests import gas_reference
 from tests.characteristics import trace_characteristic
 from tests.conftest import assemble, solved
+from tests.cubic_reference import plain_cubic
 
 G = gas.GasConstants(1.4)
 
@@ -234,11 +235,12 @@ def test_step_against_dense_characteristic_fan():
 
 
 def _per_slab_march(prob, frozen, cc, hits):
-    """The march one slab at a time, tracing every foot inside the step:
-    the reference the planned, stacked march must reproduce bit for bit.
-    Counts interior midpoints and feet that land exactly on a node, and
-    boundary rows whose midpoint and foot are both clipped, in ``hits``.
-    Returns the slabs (zm_a, zp_a, zm_b, zp_b)."""
+    """The march one slab at a time, tracing every foot inside the step and
+    evaluating the written-out cubic there: the reference the planned,
+    stacked march must reproduce bit for bit.  Counts interior midpoints
+    and feet that land exactly on a node, and boundary rows whose midpoint
+    and foot are both clipped, in ``hits``.  Returns the slabs (zm_a, zp_a,
+    zm_b, zp_b)."""
     dom = prob.domain
     dxi = dom.dxi
     na = dom.eta_a.size
@@ -254,9 +256,7 @@ def _per_slab_march(prob, frozen, cc, hits):
         hits["feet"] += int(np.isin(feet[1:-1], eta).sum())
         hits["clipped"] += int(mid[0] == eta[0] and feet[0] < eta[0])
         hits["clipped"] += int(mid[-1] == eta[-1] and feet[-1] > eta[-1])
-        stencil = interp.cubic_stencil(eta[0], eta[1] - eta[0], eta.size,
-                                       np.clip(feet, eta[0], eta[-1]))
-        return interp.cubic_eval(z_old, *stencil)
+        return plain_cubic(eta[0], eta[1] - eta[0], z_old, np.clip(feet, eta[0], eta[-1]))
 
     zm0, zp0 = prob.inlet_z
     rows = [[zm0[a]], [zp0[a]], [zm0[b]], [zp0[b]]]
@@ -331,15 +331,16 @@ def test_stacked_march_bit_equal_to_per_slab_march(speeds, neta_a, neta_b):
 @pytest.mark.parametrize("nxi,neta", [(101, 26), (201, 51)])
 def test_march_plan_stays_within_twice_the_three_array_plan(nxi, neta):
     """The plan once held ``base``, ``cell`` and ``s``: 3 (nxi-1) 2n 8-byte
-    entries.  Precomputing more per node-step (the twelve Lagrange factors
-    would be 12 more) must not grow it past twice that."""
+    entries.  Its four int32 stencil rows and ``s`` fit that, 24 bytes a
+    node-step, and precomputing more per node-step (the twelve Lagrange
+    factors would be 12 more) must not grow it past."""
     _, _, _, prob = assemble(1e-3, nxi, neta)
     plan = moc.plan_march(moc.frozen_lambdas(moc.InvariantGrid.background(prob), prob),
                           prob.domain)
     arrays = [getattr(plan, f.name) for f in dataclasses.fields(plan)]
     assert all(a.base is None for a in arrays)  # no field views a larger array
     width = prob.stream.a0.size * 2  # the march row zm | zp
-    assert sum(a.nbytes for a in arrays) <= 2 * 3 * (nxi - 1) * width * 8
+    assert sum(a.nbytes for a in arrays) <= 3 * (nxi - 1) * width * 8
 
 
 def test_march_call_counts(monkeypatch):
@@ -557,6 +558,21 @@ def test_residual_first_order_under_refinement():
         sups.append(report.residuals.sup_interior)
     assert sups[1] < sups[0]
     assert sups[0] / sups[1] > 1.6  # ~2 for a first-order upwind residual
+
+
+def test_self_convergence_sup_order_at_least_two():
+    """Over 101x26 -> 201x51 -> 401x101 the sup of successive differences,
+    restricted to the 101x26 nodes, falls at an observed order of at least
+    2: the unlimited four-point cubic keeps the smooth solution's extrema."""
+    def on_coarse_nodes(nxi, neta):
+        _, _, _, prob, grid, _ = solved(1e-3, nxi, neta)
+        r = (nxi - 1) // 100
+        return np.concatenate([z[::r, cols][:, ::r] for z in (grid.zm, grid.zp)
+                               for _, _, cols in prob.domain.layers], axis=1)
+
+    z = [on_coarse_nodes(nxi, neta) for nxi, neta in ((101, 26), (201, 51), (401, 101))]
+    d1, d2 = np.max(np.abs(z[1] - z[0])), np.max(np.abs(z[2] - z[1]))
+    assert np.log2(d1 / d2) >= 2.0
 
 
 def test_z_nearly_constant_along_frozen_characteristic():
