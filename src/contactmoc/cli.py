@@ -103,7 +103,8 @@ def _apply_overrides(cfg, geom, profile, args):
 
 
 def build_pipeline(cfg, geom, profile):
-    """Assemble the problem: mass fluxes, lattice, inlet traces, stream data.
+    """Assemble the problem: mass fluxes, lattice, the inlet state and its
+    stream data on the stacked node row.
 
     The one assembly path; every caller that needs a ``MocProblem`` uses it.
     Returns (MocProblem, MassFluxes).
@@ -112,9 +113,9 @@ def build_pipeline(cfg, geom, profile):
     flux = lagrangian.mass_fluxes(profile)
     domain = lagrangian.LagrangianDomain.build(geom.L, flux, cfg.grid_nxi,
                                                cfg.grid_neta_a, cfg.grid_neta_b)
-    traces = lagrangian.inlet_to_lagrangian(profile, flux, domain)
-    streams = [lagrangian.stream_data_from_inlet(t, g, p_ref=cfg.background.p) for t in traces]
-    prob = moc.build_problem(cfg, geom, *traces, *streams, domain)
+    _, inlet = lagrangian.inlet_to_lagrangian(profile, domain)
+    stream = lagrangian.stream_data_from_inlet(inlet, domain, g, p_ref=cfg.background.p)
+    prob = moc.build_problem(cfg, geom, domain, inlet, stream)
     return prob, flux
 
 

@@ -190,8 +190,7 @@ class InletProfile:
         for tag, layer in (("a", self.layer_a), ("b", self.layer_b)):
             if not np.all(layer.p > 0) or not np.all(layer.rho > 0):
                 raise ConfigError(f"not supersonic: layer {tag} has nonpositive p or rho")
-            c = np.sqrt(g.gamma * layer.p / layer.rho)
-            if not np.all(layer.u > c):
+            if not np.all(layer.u > gas.sound_speed(layer, g)):
                 raise ConfigError(f"not supersonic: layer {tag} has a sample with u <= c")
             if not np.all(layer.rho * layer.u > 0):
                 raise ConfigError(f"layer {tag} has nonpositive mass flux rho*u")
@@ -203,7 +202,7 @@ class InletProfile:
         pb = self.layer_b.p[-1]
         if abs(wa - wb) > compat_tol:
             raise ConfigError("contact compatibility violated: flow angle mismatch at y=0")
-        if abs(pa - pb) > compat_tol * max(abs(pa), 1.0):
+        if abs(pa - pb) > compat_tol:
             raise ConfigError("contact compatibility violated: pressure mismatch at y=0")
 
     def scale_deviation(self, background, t):
@@ -240,8 +239,7 @@ class BackgroundState:
 
     def validate(self, g: gas.GasConstants, margin):
         for tag, st in zip(("a", "b"), self.states()):
-            c = np.sqrt(g.gamma * st.p / st.rho)
-            if not st.u - c > margin:
+            if not st.u - gas.sound_speed(st, g) > margin:
                 raise ConfigError(f"not supersonic: background layer {tag} violates u - c > {margin}")
 
 
@@ -507,15 +505,10 @@ def write_config(cfg: RunConfig, geom: NozzleGeometry, profile: InletProfile, pa
 
 
 def validate_compatibility(profile: InletProfile, geom: NozzleGeometry, tol=1e-8):
-    """Check Eq-type inlet corner and contact conditions; returns violation strings."""
+    """Check the inlet corner-slip conditions at both walls; returns violation
+    strings.  The contact conditions are ``InletProfile.validate``'s."""
     report = []
     la, lb = profile.layer_a, profile.layer_b
-    wa0 = la.v[0] / la.u[0]
-    wb0 = lb.v[-1] / lb.u[-1]
-    if abs(wa0 - wb0) > tol:
-        report.append(f"flow-angle mismatch at contact: |{wa0:.3e} - {wb0:.3e}| > {tol:.1e}")
-    if abs(la.p[0] - lb.p[-1]) > tol:
-        report.append(f"pressure mismatch at contact: |{la.p[0]:.17g} - {lb.p[-1]:.17g}| > {tol:.1e}")
     w_top = la.v[-1] / la.u[-1]
     slope_top = float(geom.g_plus(0.0, 1))
     if abs(w_top - slope_top) > tol:

@@ -74,10 +74,9 @@ def hermite_eval(y0, h, v, d, yq):
     idx = t.astype(np.intp)  # the floor, as every query has t >= 1
     s = t - idx
     dh = np.asarray(d) * h  # slopes per cell, scaled once before the gathers
-    if v.ndim > 1:
-        # Row-offset indices into the flattened rows: one gather per term.
-        idx += _row_offsets(v.shape[:-1], v.shape[-1])
-        v, dh = v.reshape(-1), dh.reshape(-1)
+    # Row-offset indices into the flattened rows: one gather per term.
+    idx += _row_offsets(v.shape[:-1], v.shape[-1])
+    v, dh = v.reshape(-1), dh.reshape(-1)
     s2 = s * s
     s3 = s2 * s
     # The basis weights of v1 and v0: 3 s^2 - 2 s^3 rounds as -2 s^3 + 3 s^2,

@@ -5,6 +5,10 @@ measured from the contact streamline, so the two layers occupy the fixed
 strips eta in [0, m_a] and [-m_b, 0] and the contact is the lattice line
 eta = 0.  The inverse map integrates 1/(rho u) back up each xi-column and
 recovers the contact position as the image of eta = 0.
+
+Both layers live on one node row ``a | b`` (``LagrangianDomain.layers``)
+from the inlet on: ``inlet_to_lagrangian`` returns the inlet state on it
+and ``stream_data_from_inlet`` the streamline constants of its nodes.
 """
 
 from __future__ import annotations
@@ -92,18 +96,6 @@ class LagrangianDomain:
         return (("a", self.eta_a, slice(0, na)), ("b", self.eta_b, slice(na, na + self.eta_b.size)))
 
 
-@dataclass(frozen=True)
-class InletTrace:
-    """Inlet data resampled onto one layer's eta lattice."""
-
-    eta: np.ndarray
-    y: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    p: np.ndarray
-    rho: np.ndarray
-
-
 def _invert_mass_coordinate(layer, base_y, targets):
     """Solve F(y) = target for each target, F the cumulative mass flux from base_y."""
     flux, anti = layer.mass_flux()
@@ -129,43 +121,43 @@ def _invert_mass_coordinate(layer, base_y, targets):
     return y
 
 
-def inlet_to_lagrangian(profile: InletProfile, flux: MassFluxes, domain: LagrangianDomain):
-    """Resample the inlet onto the eta lattices; endpoints map exactly.
+def inlet_to_lagrangian(profile: InletProfile, domain: LagrangianDomain):
+    """Resample the inlet onto the stacked node row ``a | b``; endpoints map
+    exactly.
 
     Layer a solves int_0^y rho0 u0 = eta, layer b solves
-    int_{g_-(0)}^y rho0 u0 - m_b = eta.
+    int_{g_-(0)}^y rho0 u0 - m_b = eta.  Returns the inlet ordinates y and
+    the gas.PrimitiveState on the row, both of shape (neta_a + neta_b,).
     """
     la, lb = profile.layer_a, profile.layer_b
 
     y_a = _invert_mass_coordinate(la, 0.0, domain.eta_a.copy())
     y_a[0] = 0.0
     y_a[-1] = la.y[-1]
-    u, v, p, rho = la.eval(y_a)
-    trace_a = InletTrace(eta=domain.eta_a, y=y_a, u=u, v=v, p=p, rho=rho)
-
-    y_b = _invert_mass_coordinate(lb, lb.y[0], domain.eta_b + flux.m_b)
+    y_b = _invert_mass_coordinate(lb, lb.y[0], domain.eta_b + domain.m_b)
     y_b[0] = lb.y[0]
     y_b[-1] = 0.0
-    u, v, p, rho = lb.eval(y_b)
-    trace_b = InletTrace(eta=domain.eta_b, y=y_b, u=u, v=v, p=p, rho=rho)
-    return trace_a, trace_b
+    state = gas.PrimitiveState(*np.concatenate([la.eval(y_a), lb.eval(y_b)], axis=1))
+    return np.concatenate([y_a, y_b]), state
 
 
-def stream_data_from_inlet(trace: InletTrace, g: gas.GasConstants, p_ref) -> gas.StreamData:
-    """Entropy function A0 and Bernoulli constant B0 at every node of one
-    layer's eta lattice, with the global Theta reference pressure.
+def stream_data_from_inlet(state: gas.PrimitiveState, domain: LagrangianDomain,
+                           g: gas.GasConstants, p_ref) -> gas.StreamData:
+    """Entropy function A0 and Bernoulli constant B0 at every node of the
+    stacked row ``a | b`` of ``domain``, with the global Theta reference
+    pressure.
 
     Both are constant along each streamline, and every solver query falls
     on a lattice node, so the node values are all the solver reads.  p_ref
     must stay below the sonic pressure of every streamline, otherwise
     Theta's reference point is inadmissible (``sonic-limit``).
     """
-    state = gas.PrimitiveState(u=trace.u, v=trace.v, p=trace.p, rho=trace.rho)
     sd = gas.StreamData(gas.entropy_function(state, g), gas.bernoulli(state, g), p_ref)
     bad = ~(sd.p_ref < gas.sonic_pressure(sd, g) * (1.0 - gas.SONIC_MARGIN))
     if np.any(bad):
+        eta = np.concatenate([eta for _, eta, _ in domain.layers])
         raise gas.GasError("sonic-limit: reference pressure reaches the sonic pressure of a "
-                           f"streamline (first offending eta ~ {trace.eta[np.argmax(bad)]:.6g})")
+                           f"streamline (first offending eta ~ {eta[np.argmax(bad)]:.6g})")
     return sd
 
 

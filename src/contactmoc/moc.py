@@ -50,7 +50,7 @@ import numpy as np
 from . import gas, interp
 from .config import NozzleGeometry, RunConfig
 from .csvout import float_strings, write_csv
-from .lagrangian import InletTrace, LagrangianDomain
+from .lagrangian import LagrangianDomain
 
 # 16-point Gauss-Legendre rule on [0, 1] for the averaged-derivative
 # coefficients (fixed order; the integrand is smooth).
@@ -75,11 +75,14 @@ class MocProblem:
     """Per-run data shared by every iteration.
 
     ``stream`` holds A0 and B0 at every node of the stacked row ``a | b``
-    (``lagrangian.stream_data_from_inlet`` of each layer) with the global
-    Theta reference pressure, and ``line`` is that row prepared once
-    (``gas.Streamline`` with the run's Newton settings): every inversion and
-    every evaluation of the speeds on the row goes through it.  ``inlet_z``
-    holds the inlet invariants on the same row, as one (2, n) array
+    (``lagrangian.stream_data_from_inlet``) with the global Theta reference
+    pressure, and ``line`` is that row prepared once (``gas.Streamline``
+    with the run's Newton settings): every inversion and every evaluation
+    of the speeds on the row goes through it.  ``contact`` is the contact
+    streamline eta = 0 on either side, the row's first and last entry,
+    prepared once as one (2, 1, 1) ``gas.Streamline``: the contact weights
+    of the fixed point and of the oracle read dTheta/dp from it.
+    ``inlet_z`` holds the inlet invariants on the row, as one (2, n) array
     [z_minus, z_plus]; the background's are zero.
     """
 
@@ -88,26 +91,21 @@ class MocProblem:
     geom: NozzleGeometry
     stream: gas.StreamData
     line: gas.Streamline
+    contact: gas.Streamline
     inlet_z: np.ndarray
     wall_angle_plus: np.ndarray
     wall_angle_minus: np.ndarray
     min_supersonic_margin: float
 
 
-def build_problem(cfg: RunConfig, geom: NozzleGeometry, trace_a: InletTrace,
-                  trace_b: InletTrace, stream_a: gas.StreamData, stream_b: gas.StreamData,
-                  domain: LagrangianDomain) -> MocProblem:
-    """Assemble the per-run problem data from the Lagrangian inlet traces and
-    their stream data, both on the eta lattice."""
+def build_problem(cfg: RunConfig, geom: NozzleGeometry, domain: LagrangianDomain,
+                  inlet: gas.PrimitiveState, stream: gas.StreamData) -> MocProblem:
+    """Assemble the per-run problem data from the inlet state and its stream
+    data, both on the stacked node row ``a | b`` of ``domain``."""
     g = cfg.gas_constants
-    layer = {"a": (trace_a, stream_a), "b": (trace_b, stream_b)}
-
-    def row(i, name):  # one field of both layers on the stacked node row
-        return np.concatenate([getattr(layer[tag][i], name) for tag, _, _ in domain.layers])
-
-    stream = gas.StreamData(row(1, "a0"), row(1, "b0"), stream_a.p_ref)
-    inlet = gas.PrimitiveState(*(row(0, name) for name in ("u", "v", "p", "rho")))
     line = gas.Streamline(stream, g, cfg.newton_tol, cfg.max_newton_iters)
+    ends = [0, -1]
+    contact = gas.StreamData(stream.a0[ends, None, None], stream.b0[ends, None, None], stream.p_ref)
     xi = domain.xi
     prob = MocProblem(
         g=g,
@@ -115,6 +113,7 @@ def build_problem(cfg: RunConfig, geom: NozzleGeometry, trace_a: InletTrace,
         geom=geom,
         stream=stream,
         line=line,
+        contact=gas.Streamline(contact, g),
         inlet_z=line.invariants(inlet.u, inlet.v, inlet.p, inlet.rho),
         wall_angle_plus=np.arctan(geom.g_plus(xi, 1)),
         wall_angle_minus=np.arctan(geom.g_minus(xi, 1)),
@@ -263,35 +262,29 @@ class CouplingCoefficients:
             raise SolverError("coupling coefficients must be positive")
 
 
-def _averaged_dtheta(p_prev, line):
+def _averaged_dtheta(p_prev, contact):
     """int_0^1 dTheta/dp(p_bg + tau (p_prev - p_bg)) dtau by 16-point Gauss
-    on the prepared streamlines ``line`` (a gas.Streamline); the background
-    pressure p_bg is the Theta reference pressure.
+    on the prepared contact streamlines ``contact`` (``MocProblem.contact``);
+    the background pressure p_bg is the Theta reference pressure.
 
-    The Gauss nodes run along the second-to-last axis of the path, so p_prev
-    of shape (..., m) is summed as one (16, m) product per leading index.  A
-    (k, 1) p_prev with a0/b0 of shape (k, 1, 1) gives each of its k
-    streamlines the bits of a one-node call.
+    ``p_prev`` is (2, m): row 0 the contact pressures of layer a, row 1
+    those of layer b.  Each row is summed as one (16, m) product along its
+    own Gauss path, so the result, (2, m), carries the bits of one call per
+    side.
     """
     tau = _GL_X[:, None]
-    p_bg = line.p_ref
-    path = p_bg + tau * (p_prev[..., None, :] - p_bg)
-    return _GL_W @ line.dtheta_dp(path)
+    p_bg = contact.p_ref
+    path = p_bg + tau * (p_prev[:, None, :] - p_bg)
+    return _GL_W @ contact.dtheta_dp(path)
 
 
 def coupling_coefficients(prev: InvariantGrid, prob: MocProblem) -> CouplingCoefficients:
-    """Contact-closure coefficients from the previous iterate's contact row."""
+    """Contact-closure coefficients from the previous iterate's contact row:
+    the first and the last entry of the row a | b, one (2, nxi) Gauss sum
+    on ``MocProblem.contact``."""
     p = grid_states(prev, prob).p
-    # The contact eta = 0 is the first and the last entry of the row a | b;
-    # one Gauss path per side keeps each side's (16, nxi) product.
-    sd = prob.stream
-
-    def contact(node):
-        return gas.Streamline(gas.StreamData(sd.a0[node], sd.b0[node], sd.p_ref), prob.g)
-
     try:
-        bar_a = _averaged_dtheta(p[:, 0], contact(0))
-        bar_b = _averaged_dtheta(p[:, -1], contact(-1))
+        bar_a, bar_b = _averaged_dtheta(p[:, [0, -1]].T, prob.contact)
     except gas.GasError as exc:
         raise SolverError(f"sonic-limit on the contact coupling path: {exc}") from None
     alpha = 1.0 / (2.0 * bar_a)

@@ -14,11 +14,13 @@ row ``a | b`` (``LagrangianDomain.layers``: the contact is the first and
 the last entry, the walls meet at na-1 | na), so one pressure inversion
 and one evaluation of the speeds serve both layers, and one Gauss path
 gives both contact weights.  Newton runs independently per node, so the
-stacked calls return the bits of per-layer calls.  The row's streamlines are
-the problem's own ``gas.Streamline`` (``MocProblem.line``, the one the fixed
-point inverts with) and the two contact streamlines are one more, built once
-per march, so a sub-step recomputes no streamline constant and calls the
-inversion, the speeds and dTheta/dp directly.
+stacked calls return the bits of per-layer calls.  The streamlines are the
+problem's own, prepared once when the problem is built: the row's
+(``MocProblem.line``, the one the fixed point inverts with) and the two
+contact streamlines (``MocProblem.contact``, the one the fixed point's
+contact weights read).  These hold constants of the inlet data alone, so a
+sub-step recomputes no streamline constant and reads nothing the fixed point
+computes.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gas
 from .moc import InvariantGrid, MocProblem, SolverError, _averaged_dtheta
 
 _MAX_SUBSTEPS = 1000
@@ -60,14 +61,8 @@ def upwind_march(prob: MocProblem) -> InvariantGrid:
     na = dom.eta_a.size
     deta_min = min(dom.deta_a, dom.deta_b)
 
-    # The two contact streamlines (one Gauss block each), prepared once for
-    # every sub-step of the march; the row's are the problem's own.
-    stream, rows = prob.stream, prob.line
-    ends = np.array([0, -1])
-    contact = gas.Streamline(gas.StreamData(stream.a0[ends, None, None],
-                                            stream.b0[ends, None, None], stream.p_ref), prob.g)
-
-    zm, zp = np.empty((2, nxi, stream.a0.size))
+    rows = prob.line
+    zm, zp = np.empty((2, nxi, prob.stream.a0.size))
     zm[0], zp[0] = prob.inlet_z
     cur_m, cur_p = zm[0], zp[0]
 
@@ -101,7 +96,7 @@ def upwind_march(prob: MocProblem) -> InvariantGrid:
             new_m[na] = 2.0 * ang_m - new_p[na]
 
             # Contact coupling from this marcher's own slab pressures.
-            bar_a, bar_b = _averaged_dtheta(p[ends, None], contact).ravel()
+            bar_a, bar_b = _averaged_dtheta(p[[0, -1], None], prob.contact).ravel()
             alpha = 1.0 / (2.0 * bar_a)
             beta = 1.0 / (2.0 * bar_b)
             s = alpha + beta

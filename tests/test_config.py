@@ -121,10 +121,15 @@ def test_profile_positivity_checked_before_the_sound_speed():
 
 
 def test_compatibility_report_flags_pressure_jump():
-    cfg, geom, profile = fixtures.perturbed_inputs(0.0, nxi=50, neta=12)
-    profile.layer_a.p[0] += 1e-3
-    report = config.validate_compatibility(profile, geom, tol=1e-6)
-    assert any("pressure mismatch" in item for item in report)
+    # The contact pressures must agree to compat_tol itself, whatever the
+    # pressure level: a jump of 1.5e-8 on a p = 2 background is rejected
+    # when the profile is validated, not later in the run.
+    for p, jump, tol in ((1.0, 1e-3, 1e-6), (2.0, 1.5e-8, 1e-8)):
+        bg = config.BackgroundState(u_a=2.2, rho_a=1.0, u_b=1.9, rho_b=1.2, p=p)
+        cfg, geom, profile = fixtures.perturbed_inputs(0.0, background=bg, nxi=50, neta=12)
+        profile.layer_a.p[0] += jump
+        with pytest.raises(ConfigError, match="pressure mismatch"):
+            profile.validate(cfg.gas_constants, tol)
 
 
 def test_compatibility_report_flags_corner_slip():

@@ -63,17 +63,20 @@ def test_mass_flux_sinusoid_against_fine_trapezoid():
 
 def test_inlet_map_linear_for_background():
     _, _, profile, flux, dom = background_setup()
-    ta, tb = lag.inlet_to_lagrangian(profile, flux, dom)
-    assert np.max(np.abs(ta.y - dom.eta_a / 2.2)) < 1e-12
-    assert ta.y[0] == 0.0 and tb.y[-1] == 0.0
-    assert ta.y[-1] == 1.0 and tb.y[0] == -1.0
+    y, _ = lag.inlet_to_lagrangian(profile, dom)
+    (_, _, a), (_, _, b) = dom.layers
+    ya, yb = y[a], y[b]
+    assert np.max(np.abs(ya - dom.eta_a / 2.2)) < 1e-12
+    assert ya[0] == 0.0 and yb[-1] == 0.0
+    assert ya[-1] == 1.0 and yb[0] == -1.0
 
 
 def test_inlet_map_against_dense_inversion_oracle():
     cfg, geom, profile = fixtures.perturbed_inputs(5e-3, nxi=50, neta=40)
     flux = lag.mass_fluxes(profile)
     dom = lag.LagrangianDomain.build(geom.L, flux, cfg.grid_nxi, cfg.grid_neta_a, cfg.grid_neta_b)
-    ta, _ = lag.inlet_to_lagrangian(profile, flux, dom)
+    y, _ = lag.inlet_to_lagrangian(profile, dom)
+    (_, _, a), _ = dom.layers
     # Independent inversion: cumulative trapezoid of the interpolated mass
     # flux on 10^4 points, then inverse interpolation eta -> y.
     la = profile.layer_a
@@ -84,7 +87,7 @@ def test_inlet_map_against_dense_inversion_oracle():
     F = np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(fine))])
     F *= flux.m_a / F[-1]
     y_oracle = np.interp(dom.eta_a, F, fine)
-    assert np.max(np.abs(ta.y - y_oracle)) < 1e-9
+    assert np.max(np.abs(y[a] - y_oracle)) < 1e-9
 
 
 def test_pipeline_builds_each_layer_mass_flux_once(monkeypatch):
@@ -98,38 +101,40 @@ def test_pipeline_builds_each_layer_mass_flux_once(monkeypatch):
 
 def test_stream_data_background_constant():
     cfg, _, profile, flux, dom = background_setup()
-    ta, tb = lag.inlet_to_lagrangian(profile, flux, dom)
-    sa = lag.stream_data_from_inlet(ta, G, p_ref=1.0)
-    sb = lag.stream_data_from_inlet(tb, G, p_ref=1.0)
-    assert np.max(np.abs(sa.a0 - 1.0)) < 1e-13
-    assert np.max(np.abs(sa.b0 - (0.5 * 2.2**2 + 3.5))) < 1e-12
-    assert np.max(np.abs(sb.a0 - 1.0 / 1.2**1.4)) < 1e-13
+    _, state = lag.inlet_to_lagrangian(profile, dom)
+    sd = lag.stream_data_from_inlet(state, dom, G, p_ref=1.0)
+    (_, _, a), (_, _, b) = dom.layers
+    assert np.max(np.abs(sd.a0[a] - 1.0)) < 1e-13
+    assert np.max(np.abs(sd.b0[a] - (0.5 * 2.2**2 + 3.5))) < 1e-12
+    assert np.max(np.abs(sd.a0[b] - 1.0 / 1.2**1.4)) < 1e-13
 
 
 def test_stream_data_matches_pointwise_evaluation():
     cfg, geom, profile = fixtures.perturbed_inputs(5e-3, nxi=50, neta=24)
     flux = lag.mass_fluxes(profile)
     dom = lag.LagrangianDomain.build(geom.L, flux, cfg.grid_nxi, cfg.grid_neta_a, cfg.grid_neta_b)
-    ta, _ = lag.inlet_to_lagrangian(profile, flux, dom)
-    sa = lag.stream_data_from_inlet(ta, G, p_ref=1.0)
-    direct = ta.p / ta.rho**1.4
-    assert np.max(np.abs(sa.a0 - direct)) < 1e-14
+    _, state = lag.inlet_to_lagrangian(profile, dom)
+    sd = lag.stream_data_from_inlet(state, dom, G, p_ref=1.0)
+    (_, _, a), _ = dom.layers
+    direct = state.p[a] / state.rho[a]**1.4
+    assert np.max(np.abs(sd.a0[a] - direct)) < 1e-14
 
 
 def test_problem_stream_data_is_the_inlet_node_values():
     # Every solver query falls on a lattice node, so the problem carries
-    # A0 and B0 of the inlet trace itself, bit for bit, the last node of
-    # each layer included.
+    # A0 and B0 of each layer's inlet samples themselves, bit for bit, the
+    # last node of each layer included.
     cfg, geom, profile = fixtures.perturbed_inputs(1e-3, nxi=400, neta=100)
     flux = lag.mass_fluxes(profile)
     dom = lag.LagrangianDomain.build(geom.L, flux, cfg.grid_nxi, cfg.grid_neta_a, cfg.grid_neta_b)
-    traces = lag.inlet_to_lagrangian(profile, flux, dom)
+    _, inlet = lag.inlet_to_lagrangian(profile, dom)
     prob, _ = cli.build_pipeline(cfg, geom, profile)
     stream = prob.stream
     assert stream.a0.shape == (dom.eta_a.size + dom.eta_b.size,)
     assert stream.p_ref == cfg.background.p
-    for trace, (_, _, cols) in zip(traces, dom.layers):
-        state = gas.PrimitiveState(u=trace.u, v=trace.v, p=trace.p, rho=trace.rho)
+    for _, _, cols in dom.layers:
+        state = gas.PrimitiveState(u=inlet.u[cols], v=inlet.v[cols], p=inlet.p[cols],
+                                   rho=inlet.rho[cols])
         assert np.array_equal(stream.a0[cols], gas.entropy_function(state, G))
         assert np.array_equal(stream.b0[cols], gas.bernoulli(state, G))
 
@@ -139,14 +144,16 @@ def test_stream_data_validation():
         gas.StreamData(-np.ones(9), np.full(9, 0.5 * 2.2**2 + 3.5), 1.0)
     # A0 = 1 and B0 = u^2/2 + 3.5: p_ref = 1 is above the sonic pressure
     # (about 0.53) where B0 = 3.51 (nodes 5 and 6) and where B0 = 3.505
-    # (node 7, the least B0); the first of them is named.
-    eta = np.linspace(0.0, 1.0, 9)
-    b0 = np.array([5.9, 5.9, 5.9, 5.9, 5.9, 3.51, 3.51, 3.505, 5.9])
-    trace = lag.InletTrace(eta=eta, y=eta, u=np.sqrt(2.0 * (b0 - 3.5)), v=np.zeros(9),
-                           p=np.ones(9), rho=np.ones(9))
+    # (node 7, the least B0) of layer a; the first of them is named.  Layer
+    # b, three more nodes on the row, is healthy.
+    flux = lag.MassFluxes(m_a=1.0, m_b=1.0)
+    dom = lag.LagrangianDomain.build(1.0, flux, 5, 9, 3)
+    b0 = np.array([5.9, 5.9, 5.9, 5.9, 5.9, 3.51, 3.51, 3.505, 5.9, 5.9, 5.9, 5.9])
+    state = gas.PrimitiveState(u=np.sqrt(2.0 * (b0 - 3.5)), v=np.zeros(12), p=np.ones(12),
+                               rho=np.ones(12))
     with pytest.raises(gas.GasError, match=r"^sonic-limit: .*\(first offending eta ~ 0\.625\)$"):
-        lag.stream_data_from_inlet(trace, G, p_ref=1.0)
-    assert lag.stream_data_from_inlet(trace, G, p_ref=0.5).p_ref == 0.5
+        lag.stream_data_from_inlet(state, dom, G, p_ref=1.0)
+    assert lag.stream_data_from_inlet(state, dom, G, p_ref=0.5).p_ref == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +215,10 @@ def test_transform_round_trip_at_inlet():
 
     fields = moc.grid_states(grid, prob)
     ef = lag.reconstruct(fields, geom, prob.domain)
-    flux = lag.mass_fluxes(profile)
-    ta, tb = lag.inlet_to_lagrangian(profile, flux, prob.domain)
-    assert np.max(np.abs(ef.layer_a.y[0] - ta.y)) < 1e-9
-    assert np.max(np.abs(ef.layer_b.y[0] - tb.y)) < 1e-9
+    y, _ = lag.inlet_to_lagrangian(profile, prob.domain)
+    (_, _, a), (_, _, b) = prob.domain.layers
+    assert np.max(np.abs(ef.layer_a.y[0] - y[a])) < 1e-9
+    assert np.max(np.abs(ef.layer_b.y[0] - y[b])) < 1e-9
 
 
 def test_contact_slope_consistent_with_finite_differences():

@@ -75,6 +75,30 @@ def test_coupling_background_values():
     assert np.max(np.abs(cc.beta - expect_b)) < 1e-13
 
 
+@pytest.mark.parametrize("eps", [1e-3, 1e-2])
+def test_coupling_bits_of_one_gauss_sum_per_contact_side(eps):
+    # alpha and beta of a solved grid carry the bits of one (16, nxi) Gauss
+    # sum along each side's own path, against the reference dTheta/dp.
+    cfg, geom, profile, prob, grid, report = solved(eps, 101, 26)
+    cc = moc.coupling_coefficients(grid, prob)
+    p = moc.grid_states(grid, prob).p
+    for got, node, sd in zip((cc.alpha, cc.beta), (0, -1), contact_stream_data(prob)):
+        path = sd.p_ref + moc._GL_X[:, None] * (p[:, node] - sd.p_ref)
+        expect = 1.0 / (2.0 * (moc._GL_W @ gas_reference.dtheta_dp(path, sd, G)))
+        assert np.array_equal(got, expect)
+
+
+def test_first_contraction_ratio_is_linear_in_eps():
+    # The outer iteration contracts at a rate proportional to the data size:
+    # the first gap ratio is about 0.143 eps on 201x51, with log-log slope 1.
+    eps = (1e-4, 3e-4, 1e-3, 3e-3, 1e-2)
+    first = np.array([solved(e, 201, 51)[5].ratios[0] for e in eps])
+    eps = np.array(eps)
+    slope = np.polyfit(np.log(eps), np.log(first), 1)[0]
+    assert 0.95 <= slope <= 1.05
+    assert np.all((first / eps >= 0.136) & (first / eps <= 0.150))
+
+
 def test_coupling_gamma_algebra_exact():
     cfg, geom, profile, prob, grid, report = solved(1e-3, 101, 26)
     cc = report.last_coupling
