@@ -141,8 +141,8 @@ def run_solve(cfg, geom, profile, write_outputs=True):
             "recon_top_tol", report=report)
     wres = lagrangian.weak_residual(efield, g)
 
-    sup_dev = max(float(np.max(np.abs(getattr(layer, name) - getattr(st, name))))
-                  for st, layer in zip(cfg.background.states(), (efield.layer_a, efield.layer_b))
+    sup_dev = max(float(np.max(np.abs(getattr(efield.state, name)[:, cols] - getattr(st, name))))
+                  for st, (_, _, cols) in zip(cfg.background.states(), efield.domain.layers)
                   for name in ("u", "v", "p", "rho"))
 
     paths = {}

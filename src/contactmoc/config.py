@@ -8,7 +8,8 @@ in sidecar files referenced by ``layer_a_csv`` / ``layer_b_csv``.  Wall
 curves are closed-form expressions in x (polynomials, sin, cos, exp) or CSV
 samples with header ``x,y``, inline or in sidecar files referenced by
 ``g_minus_csv`` / ``g_plus_csv``.  The full grammar is documented in the
-README and round-tripped by write_config.
+README and round-tripped by write_config; ``_GRAMMAR`` lists every section
+and key a file may hold.
 """
 
 from __future__ import annotations
@@ -278,13 +279,22 @@ class RunConfig:
         return gas.GasConstants(self.gamma)
 
 
-# The optional RunConfig settings of a config file, by section.  A key the
-# file omits keeps its RunConfig default, whose type also parses the value.
-_OPTIONAL_KEYS = (
-    ("tolerances", ("fp_tol", "max_fp_iters", "newton_tol", "max_newton_iters",
-                    "min_supersonic_margin", "compat_tol", "recon_top_tol")),
-    ("output", ("out_dir",)),
-)
+# Every section a config file may hold, with the keys it takes; any other
+# section or key is a ConfigParseError.  The sections in _OPTIONAL_SECTIONS
+# hold RunConfig settings: a key the file omits keeps its RunConfig default,
+# whose type also parses the value.
+_GRAMMAR = {
+    "gas": ("gamma",),
+    "background": ("u_a", "rho_a", "u_b", "rho_b", "p"),
+    "geometry": ("L", "g_minus", "g_plus", "g_minus_csv", "g_plus_csv"),
+    "inlet": ("layer_a", "layer_b", "layer_a_csv", "layer_b_csv"),
+    "grid": ("nxi", "neta_a", "neta_b"),
+    "tolerances": ("fp_tol", "max_fp_iters", "newton_tol", "max_newton_iters",
+                   "min_supersonic_margin", "compat_tol", "recon_top_tol"),
+    "output": ("out_dir",),
+    "blowup": ("u0", "v0", "rho_wall", "ny", "x_max", "dx_max", "grad_factor", "grad_floor"),
+}
+_OPTIONAL_SECTIONS = ("tolerances", "output")
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +307,11 @@ class _Block(str):
 
 
 def parse_sections(text, origin="<config>"):
-    """Parse sectioned key=value text into {section: {key: (value, line)}}."""
+    """Parse sectioned key=value text into {section: {key: (value, line)}}.
+
+    A section or key outside ``_GRAMMAR``, or a key given twice, raises
+    ConfigParseError at its line.
+    """
     sections = {}
     current = None
     lines = text.splitlines()
@@ -311,6 +325,8 @@ def parse_sections(text, origin="<config>"):
             continue
         if stripped.startswith("[") and stripped.endswith("]"):
             current = stripped[1:-1].strip()
+            if current not in _GRAMMAR:
+                raise ConfigParseError(f"{origin}:{line_no}: unknown section [{current}]")
             sections.setdefault(current, {})
             continue
         if "=" not in stripped:
@@ -320,6 +336,11 @@ def parse_sections(text, origin="<config>"):
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
+        if key not in _GRAMMAR[current]:
+            raise ConfigParseError(f"{origin}:{line_no}: unknown key {key!r} in section [{current}]")
+        if key in sections[current]:
+            raise ConfigParseError(f"{origin}:{line_no}: repeated key {key!r} in section "
+                                   f"[{current}] (first on line {sections[current][key][1]})")
         if value == "<<<":
             block = []
             while i < len(lines) and lines[i].strip() != ">>>":
@@ -419,7 +440,7 @@ def load_config(path):
         p=_get(sections, "background", "p", origin),
     )
     optional = {key: _get(sections, section, key, origin, cast=type(getattr(RunConfig, key)))
-                for section, keys in _OPTIONAL_KEYS for key in keys
+                for section in _OPTIONAL_SECTIONS for key in _GRAMMAR[section]
                 if key in sections.get(section, {})}
     cfg = RunConfig(
         gamma=gamma,
@@ -490,9 +511,9 @@ def write_config(cfg: RunConfig, geom: NozzleGeometry, profile: InletProfile, pa
     out.append(f"neta_a = {cfg.grid_neta_a}")
     out.append(f"neta_b = {cfg.grid_neta_b}")
     out.append("")
-    for section, keys in _OPTIONAL_KEYS:
+    for section in _OPTIONAL_SECTIONS:
         out.append(f"[{section}]")
-        for key in keys:
+        for key in _GRAMMAR[section]:
             value = getattr(cfg, key)
             out.append(f"{key} = {_fmt(value) if isinstance(value, float) else value}")
         out.append("")

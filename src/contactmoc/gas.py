@@ -65,13 +65,14 @@ def _check_positive(p, rho):
 
 @dataclass(frozen=True)
 class GasConstants:
-    """Adiabatic exponent, gamma > 1."""
+    """Adiabatic exponent, 1 < gamma < inf."""
 
     gamma: float
 
     def __post_init__(self):
-        if not self.gamma > 1.0:
-            raise GasError(f"out-of-range: gamma invariant violated: gamma={self.gamma} must be > 1")
+        if not 1.0 < self.gamma < np.inf:
+            raise GasError(f"out-of-range: gamma invariant violated: gamma={self.gamma} "
+                           "must be in (1, inf)")
 
 
 @dataclass(frozen=True)

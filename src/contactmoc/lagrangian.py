@@ -7,8 +7,10 @@ eta = 0.  The inverse map integrates 1/(rho u) back up each xi-column and
 recovers the contact position as the image of eta = 0.
 
 Both layers live on one node row ``a | b`` (``LagrangianDomain.layers``)
-from the inlet on: ``inlet_to_lagrangian`` returns the inlet state on it
-and ``stream_data_from_inlet`` the streamline constants of its nodes.
+from the inlet on: ``inlet_to_lagrangian`` returns the inlet state on it,
+``stream_data_from_inlet`` the streamline constants of its nodes, and
+``reconstruct`` the mapped solution, which the diagnostics and the writer
+read per layer through ``layers``.
 """
 
 from __future__ import annotations
@@ -75,14 +77,6 @@ class LagrangianDomain:
     @property
     def dxi(self):
         return self.xi[1] - self.xi[0]
-
-    @property
-    def deta_a(self):
-        return self.eta_a[1] - self.eta_a[0]
-
-    @property
-    def deta_b(self):
-        return self.eta_b[1] - self.eta_b[0]
 
     @property
     def layers(self):
@@ -192,21 +186,15 @@ class ContactCurve:
 
 
 @dataclass(frozen=True)
-class LayerField:
-    """One layer of the mapped solution in physical coordinates."""
-
-    y: np.ndarray  # (nxi, neta)
-    u: np.ndarray
-    v: np.ndarray
-    p: np.ndarray
-    rho: np.ndarray
-
-
-@dataclass(frozen=True)
 class EulerianField:
+    """The mapped solution on the stacked node row ``a | b``: the ordinate
+    ``y`` and the gas.PrimitiveState ``state`` that ``reconstruct`` received,
+    both (nxi, neta_a + neta_b); ``domain.layers`` names each layer's columns."""
+
     x: np.ndarray
-    layer_a: LayerField
-    layer_b: LayerField
+    y: np.ndarray
+    state: gas.PrimitiveState
+    domain: LagrangianDomain
     contact: ContactCurve
     top_gap: float  # sup |y(xi, m_a) - g_plus(xi)|, a conservation diagnostic
 
@@ -216,44 +204,40 @@ def reconstruct(state, geom: NozzleGeometry, domain: LagrangianDomain) -> Euleri
 
     ``state`` is the gas.PrimitiveState of both layers on the stacked node
     row (``LagrangianDomain.layers``), arrays shaped (nxi, neta_a + neta_b),
-    as ``moc.grid_states`` returns.  y(xi, eta) integrates 1/(rho u) from
-    the lower wall with composite Simpson; the contact curve is the image
-    of eta = 0 and the upper-wall mismatch is reported, not enforced.
+    as ``moc.grid_states`` returns.  y(xi, eta) integrates 1/(rho u) with
+    composite Simpson up layer b from the lower wall, then on up layer a;
+    the contact curve is the image of eta = 0 and the upper-wall mismatch
+    is reported, not enforced.
     """
     xi = domain.xi
     mass = state.rho * state.u
     for tag, _, cols in domain.layers:
         if not np.all(mass[:, cols] > 0.0):
             raise TransformError(f"jacobian-degenerate: rho*u <= 0 in layer {tag}")
-    (_, _, a), (_, _, b) = domain.layers
 
     inv = 1.0 / mass
-    y_b = geom.g_minus(xi)[:, None] + cumulative_simpson(inv[:, b], domain.deta_b, axis=1)
-    g_cd = y_b[:, -1].copy()
-    y_a = g_cd[:, None] + cumulative_simpson(inv[:, a], domain.deta_a, axis=1)
-    top_gap = float(np.max(np.abs(y_a[:, -1] - geom.g_plus(xi))))
+    y = np.empty_like(inv)
+    base = geom.g_minus(xi)
+    for _, eta, cols in reversed(domain.layers):
+        y[:, cols] = base[:, None] + cumulative_simpson(inv[:, cols], eta[1] - eta[0], axis=1)
+        base = y[:, cols.stop - 1]
+    top_gap = float(np.max(np.abs(base - geom.g_plus(xi))))
 
-    if not (np.all(np.diff(y_b, axis=1) > 0) and np.all(np.diff(y_a, axis=1) > 0)):
+    if not all(np.all(np.diff(y[:, cols], axis=1) > 0) for _, _, cols in domain.layers):
         raise TransformError("layer ordering violated: reconstructed y is not increasing in eta")
 
-    u, v, p, rho = state.u, state.v, state.p, state.rho
-    w_cd = 0.5 * (v[:, 0] / u[:, 0] + v[:, -1] / u[:, -1])
-    contact = ContactCurve(x=xi.copy(), g_cd=g_cd, d_g_cd=w_cd)
-    return EulerianField(
-        x=xi.copy(),
-        layer_a=LayerField(y=y_a, u=u[:, a], v=v[:, a], p=p[:, a], rho=rho[:, a]),
-        layer_b=LayerField(y=y_b, u=u[:, b], v=v[:, b], p=p[:, b], rho=rho[:, b]),
-        contact=contact,
-        top_gap=top_gap,
-    )
+    w_cd = 0.5 * (state.v[:, 0] / state.u[:, 0] + state.v[:, -1] / state.u[:, -1])
+    contact = ContactCurve(x=xi.copy(), g_cd=y[:, -1].copy(), d_g_cd=w_cd)
+    return EulerianField(x=xi.copy(), y=y, state=state, domain=domain, contact=contact,
+                         top_gap=top_gap)
 
 
 # ---------------------------------------------------------------------------
 # Conservation diagnostics
 
 
-def _flux_vectors(layer: LayerField, gamma):
-    u, v, p, rho = layer.u, layer.v, layer.p, layer.rho
+def _flux_vectors(state: gas.PrimitiveState, gamma):
+    u, v, p, rho = state.u, state.v, state.p, state.rho
     E = 0.5 * (u * u + v * v) + p / ((gamma - 1.0) * rho)
     total = rho * E + p
     W = np.stack([rho * u, rho * u * u + p, rho * u * v, total * u])
@@ -273,21 +257,21 @@ class WeakResidualReport:
 def weak_residual(field: EulerianField, g: gas.GasConstants) -> WeakResidualReport:
     """Discrete control-volume flux divergence of the mapped mesh.
 
-    Every quadrilateral cell lies inside one layer (no cell straddles the
-    contact); edge fluxes use the trapezoid rule, and the residual is the
-    closed contour integral of (W dy - H dx) normalized by cell area.
-    Across the contact only the jump conditions are checked: pressure
-    continuity and the normal mass flux.
+    The fluxes are evaluated on the node row, the cells per layer, so no
+    cell straddles the contact; edge fluxes use the trapezoid rule, and the
+    residual is the closed contour integral of (W dy - H dx) normalized by
+    cell area.  Across the contact (row entries 0 and -1) only the jump
+    conditions are checked: pressure continuity and the normal mass flux.
     """
+    W_row, H_row = _flux_vectors(field.state, g.gamma)
+
+    def edge(px, py, qx, qy, Wp, Wq, Hp, Hq):
+        return 0.5 * (Wp + Wq) * (qy - py) - 0.5 * (Hp + Hq) * (qx - px)
+
     all_res = []
-    for layer in (field.layer_a, field.layer_b):
-        W, H = _flux_vectors(layer, g.gamma)
-        x = np.broadcast_to(field.x[:, None], layer.y.shape)
-        y = layer.y
-
-        def edge(px, py, qx, qy, Wp, Wq, Hp, Hq):
-            return 0.5 * (Wp + Wq) * (qy - py) - 0.5 * (Hp + Hq) * (qx - px)
-
+    for _, _, cols in field.domain.layers:
+        W, H, y = W_row[..., cols], H_row[..., cols], field.y[:, cols]
+        x = np.broadcast_to(field.x[:, None], y.shape)
         # corners: 1=(k,j) 2=(k+1,j) 3=(k+1,j+1) 4=(k,j+1), counterclockwise
         x1, y1 = x[:-1, :-1], y[:-1, :-1]
         x2, y2 = x[1:, :-1], y[1:, :-1]
@@ -311,11 +295,11 @@ def weak_residual(field: EulerianField, g: gas.GasConstants) -> WeakResidualRepo
 
     flat = np.concatenate(all_res)
 
-    la, lb = field.layer_a, field.layer_b
+    u, v, p, rho = field.state.u, field.state.v, field.state.p, field.state.rho
     slope = field.contact.d_g_cd
-    p_jump = float(np.max(np.abs(la.p[:, 0] - lb.p[:, -1])))
-    mdot_a = la.rho[:, 0] * la.u[:, 0] * (slope - la.v[:, 0] / la.u[:, 0])
-    mdot_b = lb.rho[:, -1] * lb.u[:, -1] * (slope - lb.v[:, -1] / lb.u[:, -1])
+    p_jump = float(np.max(np.abs(p[:, 0] - p[:, -1])))
+    mdot_a = rho[:, 0] * u[:, 0] * (slope - v[:, 0] / u[:, 0])
+    mdot_b = rho[:, -1] * u[:, -1] * (slope - v[:, -1] / u[:, -1])
     return WeakResidualReport(
         max_residual=float(flat.max()),
         mean_residual=float(flat.mean()),
@@ -334,19 +318,17 @@ def streamline_conservation(field: EulerianField, g: gas.GasConstants):
     A, B node fields are sampled the same way along the traced curve.
     Traces seven lines per layer and returns the sup deviation over them.
     """
-    x = field.x
+    x, st = field.x, field.state
+    w_row, A_row, B_row = st.v / st.u, gas.entropy_function(st, g), gas.bernoulli(st, g)
     dev = 0.0
-    for layer in (field.layer_a, field.layer_b):
-        neta = layer.y.shape[1]
-        idx = np.linspace(1, neta - 2, 7).round().astype(int)
-        w = layer.v / layer.u
-        A = layer.p / layer.rho**g.gamma
-        B = 0.5 * (layer.u**2 + layer.v**2) + g.gamma * layer.p / ((g.gamma - 1.0) * layer.rho)
+    for _, eta, cols in field.domain.layers:
+        y, w, A, B = field.y[:, cols], w_row[:, cols], A_row[:, cols], B_row[:, cols]
+        idx = np.linspace(1, eta.size - 2, 7).round().astype(int)
 
         def col_interp(fcol, k, yq):
-            return np.interp(yq, layer.y[k], fcol[k])
+            return np.interp(yq, y[k], fcol[k])
 
-        ys = layer.y[0, idx].copy()
+        ys = y[0, idx].copy()
         a_ref = A[0, idx].copy()
         b_ref = B[0, idx].copy()
         for k in range(x.size - 1):
@@ -355,7 +337,7 @@ def streamline_conservation(field: EulerianField, g: gas.GasConstants):
             y_half = ys + 0.5 * dx * w_here
             w_half = 0.5 * (col_interp(w, k, y_half) + col_interp(w, k + 1, y_half))
             ys = ys + dx * w_half
-            ys = np.clip(ys, layer.y[k + 1, 0], layer.y[k + 1, -1])
+            ys = np.clip(ys, y[k + 1, 0], y[k + 1, -1])
             a_here = col_interp(A, k + 1, ys)
             b_here = col_interp(B, k + 1, ys)
             dev = max(dev, float(np.max(np.abs(a_here - a_ref))), float(np.max(np.abs(b_here - b_ref))))
@@ -367,13 +349,15 @@ def streamline_conservation(field: EulerianField, g: gas.GasConstants):
 
 
 def write_field_csv(field: EulerianField, path):
-    names = ("y", "u", "v", "p", "rho")
+    names = ("u", "v", "p", "rho")
     x = float_strings(field.x)[:, None]
     parts = []
-    for tag, layer in (("a", field.layer_a), ("b", field.layer_b)):
-        parts.append([np.broadcast_to(x, layer.y.shape)] + [getattr(layer, n) for n in names]
-                     + [np.full(layer.y.shape, tag)])
-    write_csv(path, ("x",) + names + ("layer",),
+    for tag, _, cols in field.domain.layers:
+        y = field.y[:, cols]
+        parts.append([np.broadcast_to(x, y.shape), y]
+                     + [getattr(field.state, n)[:, cols] for n in names]
+                     + [np.full(y.shape, tag)])
+    write_csv(path, ("x", "y") + names + ("layer",),
               [np.concatenate(pair, axis=None) for pair in zip(*parts)])
 
 

@@ -59,7 +59,7 @@ def upwind_march(prob: MocProblem) -> InvariantGrid:
     dom = prob.domain
     nxi = dom.xi.size
     na = dom.eta_a.size
-    deta_min = min(dom.deta_a, dom.deta_b)
+    deta_min = min(eta[1] - eta[0] for _, eta, _ in dom.layers)
 
     rows = prob.line
     zm, zp = np.empty((2, nxi, prob.stream.a0.size))

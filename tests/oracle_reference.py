@@ -41,6 +41,7 @@ def per_layer_march(prob):
     nxi = dom.xi.size
     na = dom.eta_a.size
     a, b = slice(0, na), slice(na, None)
+    deta_a, deta_b = dom.eta_a[1] - dom.eta_a[0], dom.eta_b[1] - dom.eta_b[0]
     sd, (zm0, zp0) = prob.stream, prob.inlet_z
     stream_a = gas.StreamData(sd.a0[a], sd.b0[a], sd.p_ref)
     stream_b = gas.StreamData(sd.a0[b], sd.b0[b], sd.p_ref)
@@ -65,16 +66,16 @@ def per_layer_march(prob):
             p_b, lam_m_b, lam_p_b = _slab_state(cur_m_b, cur_p_b, stream_b, prob)
             max_lam = max(float(np.max(np.abs(lam_m_a))), float(np.max(np.abs(lam_p_a))),
                           float(np.max(np.abs(lam_m_b))), float(np.max(np.abs(lam_p_b))))
-            cfl_dx = 0.9 * min(dom.deta_a, dom.deta_b) / max_lam
+            cfl_dx = 0.9 * min(deta_a, deta_b) / max_lam
             n_sub = max(1, math.ceil(remaining / cfl_dx))
             if n_sub > _MAX_SUBSTEPS:
                 raise SolverError(f"degenerate: would need {n_sub} sub-steps")
             dx = remaining / n_sub
 
-            new_m_a = _upwind(cur_m_a, lam_p_a, dx / dom.deta_a)
-            new_p_a = _upwind(cur_p_a, lam_m_a, dx / dom.deta_a)
-            new_m_b = _upwind(cur_m_b, lam_p_b, dx / dom.deta_b)
-            new_p_b = _upwind(cur_p_b, lam_m_b, dx / dom.deta_b)
+            new_m_a = _upwind(cur_m_a, lam_p_a, dx / deta_a)
+            new_p_a = _upwind(cur_p_a, lam_m_a, dx / deta_a)
+            new_m_b = _upwind(cur_m_b, lam_p_b, dx / deta_b)
+            new_p_b = _upwind(cur_p_b, lam_m_b, dx / deta_b)
 
             xi_next = xi_left + dx
             ang_p = math.atan(float(prob.geom.g_plus(xi_next, 1)))

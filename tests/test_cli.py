@@ -420,6 +420,54 @@ def test_validate_checks_blowup_only_config(workdir):
     assert summary_of(r) == {"status": "ok", "violations": "0"}
 
 
+@pytest.mark.parametrize("kind, old, new, bad_line, detail", [
+    ("nozzle", "fp_tol =", "fp_tl =", "fp_tl =", "unknown key 'fp_tl' in section [tolerances]"),
+    ("nozzle", "[tolerances]", "[tolerance]", "[tolerance]", "unknown section [tolerance]"),
+    ("blowup", "grad_factor =", "grad_facter =", "grad_facter =",
+     "unknown key 'grad_facter' in section [blowup]"),
+    ("nozzle", "[output]", "[gas]\ngamma = 1.5\n[output]", "gamma = 1.5",
+     "repeated key 'gamma' in section [gas] (first on line 2)"),
+], ids=["unknown-key", "unknown-section", "unknown-blowup-key", "repeated-key"])
+def test_config_names_outside_the_grammar_are_config_errors(tmp_path, capsys, kind, old, new,
+                                                            bad_line, detail):
+    cfgp = tmp_path / "c.cfg"
+    if kind == "nozzle":
+        fixtures.write_fixture(cfgp, eps=1e-3, nxi=101, neta=26)
+    else:
+        fixtures.write_blowup_fixture(cfgp, delta=0.06, ny=100, x_max=40.0)
+    text = cfgp.read_text()
+    assert old in text
+    text = text.replace(old, new)
+    line = text[:text.index(bad_line)].count("\n") + 1
+    cfgp.write_text(text)
+    run = "solve" if kind == "nozzle" else "blowup"
+    for command in ("validate", run):
+        code, out, s = main_in_process(capsys, command, "--config", cfgp,
+                                       "--out", tmp_path / "o", "--quiet")
+        assert (code, s["status"], s["error"]) == (2, "error", "config")
+        assert f"{cfgp}:{line}: {detail}" in out
+        assert len(out.splitlines()) == 1
+
+
+def test_infinite_gamma_is_out_of_range_for_both_commands(tmp_path):
+    blow = tmp_path / "blow.cfg"
+    fixtures.write_blowup_fixture(blow, delta=0.06, ny=100, x_max=40.0)
+    blow.write_text(blow.read_text().replace("gamma = 1.4", "gamma = inf"))
+    r = run_cli("blowup", "--config", str(blow), "--out", str(tmp_path / "o"), "--quiet")
+    assert (r.returncode, r.stderr) == (1, "")
+    s = summary_of(r)
+    assert (s["error"], s["code"]) == ("validation", "out-of-range")
+    assert "gamma=inf must be in (1, inf)" in r.stdout
+    nozzle = tmp_path / "nozzle.cfg"
+    fixtures.write_fixture(nozzle, eps=1e-3, nxi=101, neta=26)
+    text = nozzle.read_text()
+    nozzle.write_text(text.replace(text.splitlines()[1], "gamma = inf", 1))
+    r = run_cli("solve", "--config", str(nozzle), "--out", str(tmp_path / "o"), "--quiet")
+    assert (r.returncode, r.stderr) == (1, "")
+    assert summary_of(r)["error"] == "validation"
+    assert "gamma must be in (1, inf), got inf" in r.stdout
+
+
 @pytest.mark.parametrize("key, value, detail", [
     ("ny", "-4", "ny must be at least 2"),
     ("ny", "0", "ny must be at least 2"),

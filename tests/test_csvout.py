@@ -71,9 +71,11 @@ def test_nozzle_writers_match_per_value_formatting(tmp_path, neta):
     lagrangian.write_field_csv(efield, tmp_path / "fields.csv")
     header = ("x", "y", "u", "v", "p", "rho", "layer")
     rows = [[] for _ in header]
-    for tag, layer in (("a", efield.layer_a), ("b", efield.layer_b)):
-        values = [np.broadcast_to(efield.x[:, None], layer.y.shape)]
-        values += [getattr(layer, n) for n in header[1:-1]] + [np.full(layer.y.shape, tag)]
+    for tag, _, cols in efield.domain.layers:
+        y = efield.y[:, cols]
+        values = [np.broadcast_to(efield.x[:, None], y.shape), y]
+        values += [getattr(efield.state, n)[:, cols] for n in header[2:-1]]
+        values += [np.full(y.shape, tag)]
         for col, v in zip(rows, values):
             col.extend(np.ravel(v).tolist())
     assert (tmp_path / "fields.csv").read_bytes() == per_value_bytes(header, rows, set(range(6)))

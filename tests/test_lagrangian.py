@@ -183,10 +183,11 @@ def test_reconstruct_background_exact():
     cfg, geom, profile, flux, dom = background_setup(nxi=40, neta=15)
     fields = background_fields(dom)
     ef = lag.reconstruct(fields, geom, dom)
+    (_, _, a), (_, _, b) = dom.layers
     assert np.max(np.abs(ef.contact.g_cd)) < 1e-13
-    assert np.max(np.abs(ef.layer_b.y[:, 0] - (-1.0))) == 0.0  # exact lower limit
+    assert np.max(np.abs(ef.y[:, b][:, 0] - (-1.0))) == 0.0  # exact lower limit
     assert ef.top_gap < 1e-13
-    assert np.all(np.diff(ef.layer_a.y, axis=1) > 0)
+    assert np.all(np.diff(ef.y[:, a], axis=1) > 0)
 
 
 def test_reconstruct_rejects_degenerate_jacobian():
@@ -217,8 +218,8 @@ def test_transform_round_trip_at_inlet():
     ef = lag.reconstruct(fields, geom, prob.domain)
     y, _ = lag.inlet_to_lagrangian(profile, prob.domain)
     (_, _, a), (_, _, b) = prob.domain.layers
-    assert np.max(np.abs(ef.layer_a.y[0] - y[a])) < 1e-9
-    assert np.max(np.abs(ef.layer_b.y[0] - y[b])) < 1e-9
+    assert np.max(np.abs(ef.y[0, a] - y[a])) < 1e-9
+    assert np.max(np.abs(ef.y[0, b] - y[b])) < 1e-9
 
 
 def test_contact_slope_consistent_with_finite_differences():
@@ -242,9 +243,9 @@ def test_cross_section_mass_flux_conserved():
     ef = lag.reconstruct(fields, geom, prob.domain)
     # Trapezoidal integral of rho u dy over each reconstructed column.
     total = np.zeros(ef.x.size)
-    for layer in (ef.layer_b, ef.layer_a):
-        f = layer.rho * layer.u
-        total += np.sum(0.5 * (f[:, 1:] + f[:, :-1]) * np.diff(layer.y, axis=1), axis=1)
+    for _, _, cols in reversed(prob.domain.layers):  # layer b, then layer a
+        f = ef.state.rho[:, cols] * ef.state.u[:, cols]
+        total += np.sum(0.5 * (f[:, 1:] + f[:, :-1]) * np.diff(ef.y[:, cols], axis=1), axis=1)
     expect = prob.domain.m_a + prob.domain.m_b
     assert np.max(np.abs(total - expect)) < 5e-5 * expect
 

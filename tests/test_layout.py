@@ -9,9 +9,13 @@ implementations that tests compare the run path against included.
 ``src/`` also reaches numpy only through its public names: the private
 modules (``numpy._core``, ``numpy.core``, ``numpy.lib._*``) moved between
 numpy 1.x and 2.x, and ``pyproject.toml`` promises numpy >= 1.24.
+
+The benchmark's tracer (``perfbench/tracing.py``) wraps library functions by
+name, so the ones it traces must keep their names.
 """
 
 import ast
+import importlib.util
 import os
 import re
 from collections import Counter
@@ -152,3 +156,24 @@ def test_private_numpy_paths_are_caught():
     for src, private in cases.items():
         found = any(_PRIVATE_NUMPY.match(p) for p in _numpy_paths(ast.parse(src)))
         assert found == private, src
+
+
+# Layer boundaries perfbench/tracing.py wraps that the program no longer has.
+_STALE_TRACED = {"gas.pressure_from_invariants", "interp.cubic_clipped",
+                 "moc.trace_characteristic", "quadrature.adaptive_gauss_kronrod"}
+
+
+def test_benchmark_tracer_finds_its_layer_boundaries():
+    """A renamed or deleted function that the benchmark's tracer wraps leaves
+    its per-layer metric silently at 0; only the names already stale may be
+    missing."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", os.path.join(ROOT, "perfbench", "tracing.py"))
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+    finally:
+        tracer.uninstall()
+    assert set(tracer.missing) <= _STALE_TRACED, sorted(set(tracer.missing) - _STALE_TRACED)

@@ -99,6 +99,19 @@ def test_first_contraction_ratio_is_linear_in_eps():
     assert np.all((first / eps >= 0.136) & (first / eps <= 0.150))
 
 
+def test_first_iterate_misses_the_solution_by_eps_squared():
+    # The first outer iterate is the linearised (Ackeret) solution; the
+    # converged one differs from it by O(eps^2), so doubling eps quadruples
+    # the gap (3.97-3.99 per doubling on 201x51).
+    gaps = []
+    for eps in (1e-3, 2e-3, 4e-3, 8e-3):
+        cfg, geom, profile, prob, grid, report = solved(eps, 201, 51)
+        first = moc.solve_linearized(moc.InvariantGrid.background(prob), prob)[0]
+        gaps.append(max(np.max(np.abs(grid.zm - first.zm)), np.max(np.abs(grid.zp - first.zp))))
+    ratios = np.array(gaps[1:]) / np.array(gaps[:-1])
+    assert np.all((ratios >= 3.5) & (ratios <= 4.5)), ratios
+
+
 def test_coupling_gamma_algebra_exact():
     cfg, geom, profile, prob, grid, report = solved(1e-3, 101, 26)
     cc = report.last_coupling
@@ -605,7 +618,7 @@ def test_z_nearly_constant_along_frozen_characteristic():
     dom = prob.domain
     path = trace_characteristic(frozen, dom, "a", "+", (0.0, 0.3 * dom.m_a), max_steps=40)
     assert path.event == "end"
-    h = dom.deta_a
+    h = dom.eta_a[1] - dom.eta_a[0]
     vals = np.array([
         float(interp.cubic_eval(grid.zm_a[int(round(x / dom.dxi))],
                                 *interp.cubic_stencil(dom.eta_a[0], h, dom.eta_a.size, e)))
