@@ -16,7 +16,10 @@ import sys
 
 import numpy as np
 
-from . import blowup, config, gas, lagrangian, moc
+# The nozzle solver (lagrangian, moc) and the blow-up demonstrator (blowup)
+# are imported inside the commands that run them, so each command loads only
+# its own code; config.WallCurve keeps scipy off the import path the same way.
+from . import config, gas
 from .csvout import write_csv
 
 EXIT_OK = 0
@@ -109,6 +112,8 @@ def build_pipeline(cfg, geom, profile):
     The one assembly path; every caller that needs a ``MocProblem`` uses it.
     Returns (MocProblem, MassFluxes).
     """
+    from . import lagrangian, moc
+
     g = cfg.gas_constants
     flux = lagrangian.mass_fluxes(profile)
     domain = lagrangian.LagrangianDomain.build(geom.L, flux, cfg.grid_nxi,
@@ -124,6 +129,8 @@ def run_solve(cfg, geom, profile, write_outputs=True):
 
     Returns (summary dict, artifacts dict).
     """
+    from . import lagrangian, moc
+
     g = cfg.gas_constants
     eps = config.perturbation_size(profile, geom, cfg.background)
     profile.validate(g, cfg.compat_tol)  # an --eps-scale or sweep profile is new
@@ -182,8 +189,12 @@ def run_solve(cfg, geom, profile, write_outputs=True):
     return summary, artifacts
 
 
-# What a failed run_solve raises: a solver failure, or a profile that fails validation.
-_RUN_ERRORS = (moc.SolverError, lagrangian.TransformError, gas.GasError, config.ConfigError)
+def _run_errors():
+    """What a failed run_solve raises: a solver failure, or a profile that
+    fails validation."""
+    from . import lagrangian, moc
+
+    return moc.SolverError, lagrangian.TransformError, gas.GasError, config.ConfigError
 
 
 def _run_category(exc):
@@ -198,7 +209,7 @@ def cmd_solve(args):
         return _error_exit(_config_exit_category(exc), exc)
     try:
         summary, artifacts = run_solve(cfg, geom, profile)
-    except _RUN_ERRORS as exc:
+    except _run_errors() as exc:
         return _error_exit(_run_category(exc), exc)
     if not args.quiet:
         rep = artifacts["report"]
@@ -211,6 +222,8 @@ def cmd_solve(args):
 
 def _load_blowup(path, x_max=None):
     """Blow-up inputs from ``path``; ``x_max`` overrides the file's value."""
+    from . import blowup
+
     try:
         with open(path) as fh:
             text = fh.read()
@@ -240,6 +253,8 @@ def _load_blowup(path, x_max=None):
                        ("grad_floor", floor)):
         if not 0.0 < value < math.inf:  # an infinite x_max never ends a smooth march
             raise config.ConfigError(f"{key} must be positive and finite, got {value:g}")
+    if factor <= 1.0:  # the trigger level would sit at or below the initial gradient
+        raise config.ConfigError(f"grad_factor must exceed 1, got {factor:g}")
 
     g = gas.GasConstants(gamma)
     profile = blowup.PeriodicProfile(get("u0", cast=str), get("v0", cast=str), g, rho_wall=rho_wall)
@@ -248,6 +263,8 @@ def _load_blowup(path, x_max=None):
 
 
 def cmd_blowup(args):
+    from . import blowup
+
     try:
         g, profile, policy, settings = _load_blowup(args.config, x_max=args.x_max)
     except (config.ConfigError, blowup.BlowupError, gas.GasError) as exc:
@@ -315,7 +332,7 @@ def cmd_sweep(args):
         try:
             prof_t = profile.scale_deviation(cfg.background, t)
             summary, _ = run_solve(cfg, geom.scale_deviation(t), prof_t, write_outputs=False)
-        except _RUN_ERRORS as exc:  # keep partial results
+        except _run_errors() as exc:  # keep partial results
             failure = (target, exc)
             break
         rows.append((target, summary))
@@ -358,12 +375,16 @@ def cmd_validate(args):
                 return _error_exit("config", exc)
             violations.append(str(exc))
     if profile is not None:
+        from . import lagrangian, moc
+
         violations.extend(config.validate_compatibility(profile, geom, tol=cfg.compat_tol))
         try:
             build_pipeline(cfg, geom, profile)
         except (moc.SolverError, lagrangian.TransformError, gas.GasError) as exc:
             violations.append(str(exc))
     if "blowup" in sections:
+        from . import blowup
+
         try:
             g, bprofile, _, _ = _load_blowup(args.config)
             violations.extend(blowup.check_compatibility(bprofile))

@@ -372,14 +372,17 @@ def _read_table(sections, section, name, columns, origin, base_dir):
     """The CSV table ``name`` of ``section`` as a (rows, columns) array.
 
     The table is inline (``name = <<<`` ... ``>>>``) or in the sidecar file
-    named by ``name_csv``, relative to the config file.  Its first line must
-    be the header ``columns`` joined by commas, at least one data row must
-    follow, and every row must hold that many numbers; anything else raises
-    ConfigParseError.
+    named by ``name_csv``, relative to the config file, never both.  Its
+    first line must be the header ``columns`` joined by commas, at least one
+    data row must follow, and every row must hold that many numbers; anything
+    else raises ConfigParseError.
     """
     table = sections.get(section, {})
     ref = name + "_csv"
     header = ",".join(columns)
+    if name in table and ref in table:
+        raise ConfigParseError(f"{origin}: section [{section}] gives both {name} (line "
+                               f"{table[name][1]}) and {ref} (line {table[ref][1]}); give one")
     if name in table:
         text, where = table[name][0], name
     elif ref in table:
@@ -412,9 +415,11 @@ def _load_layer(sections, name, origin, base_dir):
 
 
 def _load_wall(sections, name, origin, base_dir):
-    """A wall from a one-line expression or an ``x,y`` table (inline or sidecar)."""
-    value = sections.get("geometry", {}).get(name)
-    if value is not None and not isinstance(value[0], _Block):
+    """A wall from a one-line expression or an ``x,y`` table (inline or
+    sidecar); an expression beside a sidecar is _read_table's error."""
+    table = sections.get("geometry", {})
+    value = table.get(name)
+    if value is not None and not isinstance(value[0], _Block) and name + "_csv" not in table:
         return WallCurve.from_expression(value[0])
     data = _read_table(sections, "geometry", name, ("x", "y"), origin, base_dir)
     return WallCurve.from_samples(data[:, 0], data[:, 1])

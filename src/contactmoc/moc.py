@@ -53,10 +53,22 @@ from .csvout import float_strings, write_csv
 from .lagrangian import LagrangianDomain
 
 # 16-point Gauss-Legendre rule on [0, 1] for the averaged-derivative
-# coefficients (fixed order; the integrand is smooth).
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
-_GL_X = 0.5 * (_GL_X + 1.0)
-_GL_W = 0.5 * _GL_W
+# coefficients (fixed order; the integrand is smooth): 0.5 (x + 1) and 0.5 w
+# of numpy.polynomial.legendre.leggauss(16), written out so that importing
+# the solver does not load numpy.polynomial.  repr round-trips a float, so
+# these are the same bits (tests/test_moc.py pins them).
+_GL_X = np.array([
+    0.005299532504175031, 0.0277124884633837, 0.06718439880608412, 0.1222977958224985,
+    0.19106187779867811, 0.2709916111713863, 0.35919822461037054, 0.4524937450811813,
+    0.5475062549188188, 0.6408017753896295, 0.7290083888286136, 0.8089381222013219,
+    0.8777022041775016, 0.9328156011939159, 0.9722875115366163, 0.994700467495825,
+])
+_GL_W = np.array([
+    0.013576229705877088, 0.031126761969323728, 0.0475792558412463, 0.062314485627767036,
+    0.07479799440828835, 0.08457825969750132, 0.09130170752246182, 0.09472530522753432,
+    0.09472530522753432, 0.09130170752246182, 0.08457825969750132, 0.07479799440828835,
+    0.062314485627767036, 0.0475792558412463, 0.031126761969323728, 0.013576229705877088,
+])
 
 
 class SolverError(RuntimeError):

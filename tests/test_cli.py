@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import pathlib
 import subprocess
@@ -474,10 +475,12 @@ def test_infinite_gamma_is_out_of_range_for_both_commands(tmp_path):
     ("dx_max", "-1", "dx_max must be positive"),
     ("rho_wall", "-1", "rho_wall must be positive"),
     ("grad_factor", "0", "grad_factor must be positive"),
+    ("grad_factor", "1", "grad_factor must exceed 1, got 1"),
+    ("grad_factor", "0.5", "grad_factor must exceed 1, got 0.5"),
     ("grad_floor", "-1", "grad_floor must be positive"),
     ("dx_max", "inf", "dx_max must be positive and finite, got inf"),
 ], ids=["ny-negative", "ny-zero", "dx_max-negative", "rho_wall-negative", "grad_factor-zero",
-        "grad_floor-negative", "dx_max-inf"])
+        "grad_factor-one", "grad_factor-half", "grad_floor-negative", "dx_max-inf"])
 def test_blowup_settings_rejected_up_front(tmp_path, key, value, detail):
     cfgp = tmp_path / "blow.cfg"
     fixtures.write_blowup_fixture(cfgp, delta=0.06, ny=100, x_max=40.0)
@@ -562,30 +565,42 @@ def test_package_reads_no_environment():
         assert "environ" not in src and "getenv" not in src, path.name
 
 
-_SCIPY_PROBE = """\
+_IMPORT_PROBE = """\
 import json, sys
 import contactmoc.cli as cli
 codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("scipy"))]))
+loaded = (m for m in sys.modules if m.startswith(("scipy", "contactmoc.", "numpy.polynomial")))
+print(json.dumps([codes, sorted(loaded)]))
 """
 
 
 def cli_in_fresh_interpreter(*argvs):
-    """Exit codes of the CLI runs and the scipy modules they left loaded."""
-    r = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(argvs)],
+    """Exit codes of the CLI runs, and the scipy, contactmoc and
+    numpy.polynomial modules they left loaded."""
+    r = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)],
                        capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     return json.loads(r.stdout.strip().splitlines()[-1])
 
 
-def test_expression_wall_runs_never_import_scipy(workdir, tmp_path):
-    codes, loaded = cli_in_fresh_interpreter(
+def test_each_command_loads_only_the_code_it_runs(workdir, tmp_path):
+    """On expression configs, blowup loads no nozzle solver, the nozzle
+    commands no blow-up demonstrator, and none of them scipy or
+    numpy.polynomial."""
+    codes, blow = cli_in_fresh_interpreter(
+        ["blowup", "--config", str(workdir / "blow.cfg"), "--out", str(tmp_path / "b"), "--quiet"])
+    assert codes == [0]
+    assert "contactmoc.blowup" in blow
+    assert not {"contactmoc.moc", "contactmoc.lagrangian", "contactmoc.oracle"} & set(blow)
+    codes, nozzle = cli_in_fresh_interpreter(
         ["solve", "--config", str(workdir / "pert.cfg"), "--out", str(tmp_path / "s"), "--quiet"],
         ["validate", "--config", str(workdir / "pert.cfg")],
-        ["blowup", "--config", str(workdir / "blow.cfg"), "--out", str(tmp_path / "b"), "--quiet"],
     )
-    assert codes == [0, 0, 0]
-    assert loaded == []
+    assert codes == [0, 0]
+    assert {"contactmoc.moc", "contactmoc.lagrangian"} <= set(nozzle)
+    assert "contactmoc.blowup" not in nozzle
+    for loaded in (blow, nozzle):
+        assert [m for m in loaded if m.startswith(("scipy", "numpy.polynomial"))] == []
 
 
 def test_sampled_wall_solves_through_lazy_spline(workdir, tmp_path):
@@ -651,6 +666,39 @@ def test_malformed_wall_table_is_config_error(workdir, tmp_path, command, case):
     s = summary_of(r)
     assert (r.returncode, s["status"], s["error"]) == (2, "error", "config")
     assert _WALL_TABLE_ERRORS[case] in lines[0]
+
+
+@pytest.mark.parametrize("key", ["layer_a", "layer_b", "g_plus", "g_minus"])
+def test_inline_value_beside_its_sidecar_is_config_error(workdir, tmp_path, key):
+    """A table or wall given inline and again by its ``_csv`` sidecar is
+    refused, even when both hold the same data: the layers as inline tables,
+    g_plus as an expression, g_minus as an inline ``x,y`` table."""
+    xs = np.linspace(0.0, 4.0, 33)
+    lines = iter((workdir / "pert.cfg").read_text().splitlines())
+    out = []
+    for ln in lines:
+        out.append(ln)
+        if not ln.startswith(f"{key} = "):
+            continue
+        if ln.endswith("<<<"):
+            table = list(itertools.takewhile(lambda row: row != ">>>", lines))
+            out += [*table, ">>>"]
+        else:
+            wall = SmoothExpression(ln.partition("=")[2].strip(), var="x")
+            table = ["x,y", *(f"{x:.17g},{y:.17g}" for x, y in zip(xs, wall(xs)))]
+            if key == "g_minus":
+                out[-1:] = [f"{key} = <<<", *table, ">>>"]
+        (tmp_path / "side.csv").write_text("\n".join(table) + "\n")
+        out.append(f"{key}_csv = side.csv")
+    cfg = tmp_path / "both.cfg"
+    cfg.write_text("\n".join(out))
+    with pytest.raises(config.ConfigParseError, match=fr"gives both {key} \(line \d+\) and {key}_csv"):
+        config.load_config(cfg)
+    r = run_cli("solve", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet")
+    assert (r.returncode, r.stderr) == (2, "")
+    s = summary_of(r)
+    assert (s["status"], s["error"]) == ("error", "config")
+    assert f"gives both {key} (line " in r.stdout
 
 
 def _solve_digests(tmp_path, name):

@@ -75,6 +75,14 @@ def test_coupling_background_values():
     assert np.max(np.abs(cc.beta - expect_b)) < 1e-13
 
 
+def test_gauss_table_is_leggauss_16_on_the_unit_interval():
+    # The written-out rule carries the bits of numpy's, mapped to [0, 1].
+    x, w = np.polynomial.legendre.leggauss(16)
+    for got, expect in ((moc._GL_X, 0.5 * (x + 1.0)), (moc._GL_W, 0.5 * w)):
+        assert got.dtype == expect.dtype and np.array_equal(got, expect)
+        assert got.tobytes() == expect.tobytes()
+
+
 @pytest.mark.parametrize("eps", [1e-3, 1e-2])
 def test_coupling_bits_of_one_gauss_sum_per_contact_side(eps):
     # alpha and beta of a solved grid carry the bits of one (16, nxi) Gauss
