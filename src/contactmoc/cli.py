@@ -1,8 +1,9 @@
 """Command-line entry points: solve, blowup, sweep, validate.
 
 Exit codes: 0 success, 1 validation/convergence failure, 2 usage/config
-error.  Every invocation ends with exactly one key=value summary line; CSV
-outputs carry 17 significant digits so reruns are byte-identical.
+error or an output that cannot be written (``error=io``).  Every invocation
+ends with exactly one key=value summary line; CSV outputs carry 17
+significant digits so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -211,6 +212,8 @@ def cmd_solve(args):
         summary, artifacts = run_solve(cfg, geom, profile)
     except _run_errors() as exc:
         return _error_exit(_run_category(exc), exc)
+    except OSError as exc:  # --out or a file under it cannot be written
+        return _error_exit("io", exc)
     if not args.quiet:
         rep = artifacts["report"]
         for i, (c0, c1) in enumerate(zip(rep.c0_gaps, rep.c1_gaps), start=1):
@@ -282,9 +285,12 @@ def cmd_blowup(args):
     except blowup.BlowupError as exc:
         return _error_exit("convergence", exc)
     out_dir = args.out or "out"
-    os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "gradients.csv")
-    blowup.write_gradient_csv(rep, csv_path)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        blowup.write_gradient_csv(rep, csv_path)
+    except OSError as exc:
+        return _error_exit("io", exc)
     _summary({
         "status": "ok",
         "blowup_x": rep.blowup_x if rep.blowup_x is not None else "none",
@@ -337,11 +343,14 @@ def cmd_sweep(args):
             break
         rows.append((target, summary))
 
-    os.makedirs(cfg.out_dir, exist_ok=True)
     csv_path = os.path.join(cfg.out_dir, "sweep.csv")
     columns = [[target for target, _ in rows]]
     columns += [[summary[key] for _, summary in rows] for key in ("sup_dev", "iters", "ratio_last")]
-    write_csv(csv_path, ("epsilon", "sup_dev", "iters", "ratio"), columns)
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+        write_csv(csv_path, ("epsilon", "sup_dev", "iters", "ratio"), columns)
+    except OSError as exc:
+        return _error_exit("io", exc)
 
     if failure is not None:
         target, exc = failure

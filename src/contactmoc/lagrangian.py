@@ -21,7 +21,7 @@ import numpy as np
 
 from . import gas
 from .config import InletProfile, NozzleGeometry
-from .csvout import float_strings, write_csv
+from .csvout import write_csv
 
 
 class TransformError(RuntimeError):
@@ -350,7 +350,7 @@ def streamline_conservation(field: EulerianField, g: gas.GasConstants):
 
 def write_field_csv(field: EulerianField, path):
     names = ("u", "v", "p", "rho")
-    x = float_strings(field.x)[:, None]
+    x = field.x[:, None]
     parts = []
     for tag, _, cols in field.domain.layers:
         y = field.y[:, cols]

@@ -49,7 +49,7 @@ import numpy as np
 
 from . import gas, interp
 from .config import NozzleGeometry, RunConfig
-from .csvout import float_strings, write_csv
+from .csvout import write_csv
 from .lagrangian import LagrangianDomain
 
 # 16-point Gauss-Legendre rule on [0, 1] for the averaged-derivative
@@ -562,11 +562,11 @@ def write_iteration_csv(report: IterationReport, path):
 
 def write_grid_csv(grid: InvariantGrid, path):
     dom = grid.domain
-    xi = float_strings(dom.xi)[:, None]
+    xi = dom.xi[:, None]
     parts = []
     for tag, eta, cols in dom.layers:
         shape = (dom.xi.size, eta.size)
-        parts.append((np.broadcast_to(xi, shape), np.broadcast_to(float_strings(eta), shape),
+        parts.append((np.broadcast_to(xi, shape), np.broadcast_to(eta, shape),
                       np.full(shape, tag), grid.zm[:, cols], grid.zp[:, cols]))
     write_csv(path, ("xi", "eta", "layer", "z_minus", "z_plus"),
               [np.concatenate(pair, axis=None) for pair in zip(*parts)])

@@ -569,14 +569,16 @@ _IMPORT_PROBE = """\
 import json, sys
 import contactmoc.cli as cli
 codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
-loaded = (m for m in sys.modules if m.startswith(("scipy", "contactmoc.", "numpy.polynomial")))
+loaded = (m for m in sys.modules
+          if m.startswith(("scipy", "contactmoc.", "numpy.polynomial", "fractions", "decimal",
+                           "_decimal", "_pydecimal")))
 print(json.dumps([codes, sorted(loaded)]))
 """
 
 
 def cli_in_fresh_interpreter(*argvs):
-    """Exit codes of the CLI runs, and the scipy, contactmoc and
-    numpy.polynomial modules they left loaded."""
+    """Exit codes of the CLI runs, and the scipy, contactmoc,
+    numpy.polynomial, fractions and decimal modules they left loaded."""
     r = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)],
                        capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
@@ -585,8 +587,9 @@ def cli_in_fresh_interpreter(*argvs):
 
 def test_each_command_loads_only_the_code_it_runs(workdir, tmp_path):
     """On expression configs, blowup loads no nozzle solver, the nozzle
-    commands no blow-up demonstrator, and none of them scipy or
-    numpy.polynomial."""
+    commands no blow-up demonstrator, and none of them scipy,
+    numpy.polynomial, or the fractions and decimal modules (the CSV float
+    kernel builds its powers of ten from ints)."""
     codes, blow = cli_in_fresh_interpreter(
         ["blowup", "--config", str(workdir / "blow.cfg"), "--out", str(tmp_path / "b"), "--quiet"])
     assert codes == [0]
@@ -601,6 +604,8 @@ def test_each_command_loads_only_the_code_it_runs(workdir, tmp_path):
     assert "contactmoc.blowup" not in nozzle
     for loaded in (blow, nozzle):
         assert [m for m in loaded if m.startswith(("scipy", "numpy.polynomial"))] == []
+        assert [m for m in loaded
+                if m.startswith(("fractions", "decimal", "_decimal", "_pydecimal"))] == []
 
 
 def test_sampled_wall_solves_through_lazy_spline(workdir, tmp_path):
@@ -723,7 +728,47 @@ def test_run_solve_is_byte_identical_to_the_reference_paths(tmp_path, monkeypatc
                         lambda self, x, order=0: expression_reference.evaluate(self._trees[order], x))
     for module in (lagrangian, moc):
         monkeypatch.setattr(module, "write_csv", csv_reference.write_csv)
-        monkeypatch.setattr(module, "float_strings", csv_reference.float_strings)
     reference = _solve_digests(tmp_path, "reference")
     assert set(shipped) == {"fields", "contact", "iterations", "grid", "summary"}
     assert shipped == reference
+
+
+def _io_error_of(capsys, *argv):
+    """The summary line of an in-process run whose output cannot be
+    written: exit 2, error=io, nothing on stderr."""
+    code = cli.main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    s = parse_summary(captured.out)
+    assert (code, s["status"], s["error"]) == (2, "error", "io"), captured.out
+    return captured.out.splitlines()[-1]
+
+
+def test_solve_unusable_out_is_io_error(workdir, tmp_path, capsys):
+    """--out naming a file, and a fields.csv that is a directory, end with
+    the io summary line instead of a traceback."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    line = _io_error_of(capsys, "solve", "--config", workdir / "pert.cfg", "--grid", "41x11",
+                        "--out", blocker, "--quiet")
+    assert "File exists" in line and str(blocker) in line
+    (tmp_path / "o" / "fields.csv").mkdir(parents=True)
+    line = _io_error_of(capsys, "solve", "--config", workdir / "pert.cfg", "--grid", "41x11",
+                        "--out", tmp_path / "o", "--quiet")
+    assert "Is a directory" in line and "fields.csv" in line
+
+
+def test_sweep_unusable_out_is_io_error(workdir, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    line = _io_error_of(capsys, "sweep", "--config", workdir / "pert.cfg", "--grid", "41x11",
+                        "--eps", "2e-4", "--out", blocker, "--quiet")
+    assert "File exists" in line
+
+
+def test_blowup_unusable_out_is_io_error(workdir, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    line = _io_error_of(capsys, "blowup", "--config", workdir / "blow.cfg", "--out", blocker,
+                        "--quiet")
+    assert "File exists" in line
