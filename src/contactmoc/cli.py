@@ -1,15 +1,17 @@
 """Command-line entry points: solve, blowup, sweep, validate.
 
 Exit codes: 0 success, 1 validation/convergence failure, 2 usage/config
-error or an output that cannot be written (``error=io``).  Every invocation
-ends with exactly one key=value summary line; CSV outputs carry 17
-significant digits so reruns are byte-identical.
+error or an output that cannot be written (``error=io``; an ``--out`` that
+exists and is not a directory is caught before any solving or marching).
+Every invocation ends with exactly one key=value summary line; CSV outputs
+carry 17 significant digits so reruns are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import math
 import os
 import re
@@ -22,6 +24,7 @@ import numpy as np
 # its own code; config.WallCurve keeps scipy off the import path the same way.
 from . import config, gas
 from .csvout import write_csv
+from .expressions import ExpressionError, parse_expression
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -106,6 +109,13 @@ def _apply_overrides(cfg, geom, profile, args):
     return cfg, geom, profile
 
 
+def _check_out_dir(path):
+    """Raise, without creating anything, the error ``os.makedirs(path,
+    exist_ok=True)`` raises when ``path`` exists and is not a directory."""
+    if os.path.exists(path) and not os.path.isdir(path):
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), path)
+
+
 def build_pipeline(cfg, geom, profile):
     """Assemble the problem: mass fluxes, lattice, the inlet state and its
     stream data on the stacked node row.
@@ -138,6 +148,8 @@ def run_solve(cfg, geom, profile, write_outputs=True):
     violations = config.validate_compatibility(profile, geom, tol=cfg.compat_tol)
     if violations:
         raise config.ConfigError("inlet compatibility violated: " + "; ".join(violations))
+    if write_outputs:
+        _check_out_dir(cfg.out_dir)
 
     prob, flux = build_pipeline(cfg, geom, profile)
     grid, report = moc.fixed_point(prob, fp_tol=cfg.fp_tol, max_fp_iters=cfg.max_fp_iters)
@@ -259,8 +271,16 @@ def _load_blowup(path, x_max=None):
     if factor <= 1.0:  # the trigger level would sit at or below the initial gradient
         raise config.ConfigError(f"grad_factor must exceed 1, got {factor:g}")
 
+    def expression(key):
+        text = get(key, cast=str)
+        try:
+            parse_expression(text, var="y")
+        except ExpressionError as exc:
+            raise config.ConfigParseError(f"{path}: [blowup] {key}: {exc}") from None
+        return text
+
     g = gas.GasConstants(gamma)
-    profile = blowup.PeriodicProfile(get("u0", cast=str), get("v0", cast=str), g, rho_wall=rho_wall)
+    profile = blowup.PeriodicProfile(expression("u0"), expression("v0"), g, rho_wall=rho_wall)
     policy = blowup.ThresholdPolicy(factor=factor, floor=floor)
     return g, profile, policy, settings
 
@@ -279,12 +299,16 @@ def cmd_blowup(args):
         _summary({"status": "error", "error": "validation",
                   "detail": repr("; ".join(report_compat))})
         return EXIT_FAIL
+    out_dir = args.out or "out"
+    try:
+        _check_out_dir(out_dir)
+    except OSError as exc:
+        return _error_exit("io", exc)
     try:
         rep = blowup.cauchy_march(profile, g, settings["x_max"], ny=settings["ny"],
                                   dx_max=settings["dx_max"], policy=policy)
     except blowup.BlowupError as exc:
         return _error_exit("convergence", exc)
-    out_dir = args.out or "out"
     csv_path = os.path.join(out_dir, "gradients.csv")
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -330,6 +354,10 @@ def cmd_sweep(args):
         _summary({"status": "error", "error": "usage",
                   "detail": "'sweep needs a perturbed base config (eps > 0)'"})
         return EXIT_USAGE
+    try:
+        _check_out_dir(cfg.out_dir)
+    except OSError as exc:
+        return _error_exit("io", exc)
 
     rows = []
     failure = None

@@ -239,6 +239,10 @@ class BackgroundState:
         return a, b
 
     def validate(self, g: gas.GasConstants, margin):
+        for name in ("p", "rho_a", "rho_b"):
+            x = getattr(self, name)
+            if not 0.0 < x < np.inf:
+                raise ConfigError(f"background {name} must be positive and finite, got {x:g}")
         for tag, st in zip(("a", "b"), self.states()):
             if not st.u - gas.sound_speed(st, g) > margin:
                 raise ConfigError(f"not supersonic: background layer {tag} violates u - c > {margin}")

@@ -325,7 +325,7 @@ class Streamline:
         """(u, v, p, rho) at the invariants (z_minus, z_plus)."""
         z_sum = zm + zp
         if not (np.abs(z_sum) < np.pi).all():
-            raise GasError("flow-angle out of range: |z_minus + z_plus| must stay below pi")
+            raise GasError("flow-angle: |z_minus + z_plus| must stay below pi")
         p = self._invert(0.5 * (zm - zp))
         u, v = self.velocity(np.tan(0.5 * z_sum), p)
         rho = self.density(p)

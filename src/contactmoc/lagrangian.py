@@ -37,7 +37,7 @@ class MassFluxes:
 
     def __post_init__(self):
         if not (self.m_a > 0 and self.m_b > 0):
-            raise TransformError("mass fluxes must be positive")
+            raise TransformError("out-of-range: mass fluxes must be positive")
 
 
 def mass_fluxes(profile: InletProfile) -> MassFluxes:
@@ -167,7 +167,7 @@ def cumulative_simpson(f, h, axis=-1):
     f = np.moveaxis(np.asarray(f, dtype=float), axis, -1)
     n = f.shape[-1]
     if n < 3:
-        raise TransformError("cumulative Simpson needs at least 3 nodes")
+        raise TransformError("degenerate: cumulative Simpson needs at least 3 nodes")
     inc = np.empty(f.shape[:-1] + (n - 1,))
     inc[..., 0] = h / 12.0 * (5.0 * f[..., 0] + 8.0 * f[..., 1] - f[..., 2])
     inc[..., 1:] = h / 12.0 * (-f[..., :-2] + 8.0 * f[..., 1:-1] + 5.0 * f[..., 2:])
@@ -224,7 +224,7 @@ def reconstruct(state, geom: NozzleGeometry, domain: LagrangianDomain) -> Euleri
     top_gap = float(np.max(np.abs(base - geom.g_plus(xi))))
 
     if not all(np.all(np.diff(y[:, cols], axis=1) > 0) for _, _, cols in domain.layers):
-        raise TransformError("layer ordering violated: reconstructed y is not increasing in eta")
+        raise TransformError("degenerate: layer ordering violated: y is not increasing in eta")
 
     w_cd = 0.5 * (state.v[:, 0] / state.u[:, 0] + state.v[:, -1] / state.u[:, -1])
     contact = ContactCurve(x=xi.copy(), g_cd=y[:, -1].copy(), d_g_cd=w_cd)

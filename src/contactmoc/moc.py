@@ -18,7 +18,7 @@ the feet do not depend on z: the march first plans every step
 of every step on the row ``zm | zp``, each frozen row interpolated once per
 family and layer), then sweeps in xi (``step_linearized``: one gather of
 the four stencil values and one stacked Lagrange sum, then the wall and
-contact closures on the four boundary entries).
+contact closures of ``close_row`` on the four boundary entries).
 The problem is well posed because each layer has one incoming and one
 outgoing family at every wall and at the contact (lambda_- < 0 < lambda_+,
 required by ``FrozenField``), and the march stays inside its domain of
@@ -271,44 +271,47 @@ class CouplingCoefficients:
 
     def __post_init__(self):
         if not (np.all(self.alpha > 0) and np.all(self.beta > 0)):
-            raise SolverError("coupling coefficients must be positive")
+            raise SolverError("degenerate: coupling coefficients must be positive")
 
 
-def _averaged_dtheta(p_prev, contact):
-    """int_0^1 dTheta/dp(p_bg + tau (p_prev - p_bg)) dtau by 16-point Gauss
-    on the prepared contact streamlines ``contact`` (``MocProblem.contact``);
-    the background pressure p_bg is the Theta reference pressure.
+def contact_weights(p, contact):
+    """(alpha, beta, gamma1, gamma2, gamma3), each (m,), at the contact
+    pressures ``p``, (2, m): row 0 those of layer a, row 1 those of layer b.
 
-    ``p_prev`` is (2, m): row 0 the contact pressures of layer a, row 1
-    those of layer b.  Each row is summed as one (16, m) product along its
-    own Gauss path, so the result, (2, m), carries the bits of one call per
-    side.
+    Each side's int_0^1 dTheta/dp(p_bg + tau (p - p_bg)) dtau is a 16-point
+    Gauss sum on the prepared contact streamlines ``contact``
+    (``MocProblem.contact``), p_bg their Theta reference pressure.  Each row
+    is one (16, m) product along its own Gauss path, so the weights carry
+    the bits of one call per side.
     """
-    tau = _GL_X[:, None]
-    p_bg = contact.p_ref
-    path = p_bg + tau * (p_prev[:, None, :] - p_bg)
-    return _GL_W @ contact.dtheta_dp(path)
+    path = contact.p_ref + _GL_X[:, None] * (p[:, None, :] - contact.p_ref)
+    bar_a, bar_b = _GL_W @ contact.dtheta_dp(path)
+    alpha = 1.0 / (2.0 * bar_a)
+    beta = 1.0 / (2.0 * bar_b)
+    s = alpha + beta
+    return alpha, beta, (alpha - beta) / s, 2.0 * alpha / s, 2.0 * beta / s
 
 
 def coupling_coefficients(prev: InvariantGrid, prob: MocProblem) -> CouplingCoefficients:
     """Contact-closure coefficients from the previous iterate's contact row:
-    the first and the last entry of the row a | b, one (2, nxi) Gauss sum
-    on ``MocProblem.contact``."""
+    the first and the last entry of the row a | b, one (2, nxi)
+    ``contact_weights`` call."""
     p = grid_states(prev, prob).p
     try:
-        bar_a, bar_b = _averaged_dtheta(p[:, [0, -1]].T, prob.contact)
+        return CouplingCoefficients(*contact_weights(p[:, [0, -1]].T, prob.contact))
     except gas.GasError as exc:
-        raise SolverError(f"sonic-limit on the contact coupling path: {exc}") from None
-    alpha = 1.0 / (2.0 * bar_a)
-    beta = 1.0 / (2.0 * bar_b)
-    s = alpha + beta
-    return CouplingCoefficients(
-        alpha=alpha,
-        beta=beta,
-        gamma1=(alpha - beta) / s,
-        gamma2=2.0 * alpha / s,
-        gamma3=2.0 * beta / s,
-    )
+        raise SolverError(f"sonic-limit: contact coupling path: {exc}") from None
+
+
+def close_row(zm, zp, na, angle_plus, angle_minus, g1, g2, g3):
+    """Assign in place the outgoing entries of the node row a | b of each
+    family: wall reflection at na-1 | na, then the gamma-weighted contact
+    coupling of the incoming z_plus from above and z_minus from below."""
+    zp[na - 1] = 2.0 * angle_plus - zm[na - 1]
+    zm[na] = 2.0 * angle_minus - zp[na]
+    z_in_a, z_in_b = zp[0], zm[-1]
+    zm[0] = g1 * z_in_a + g3 * z_in_b
+    zp[-1] = g2 * z_in_a - g1 * z_in_b
 
 
 # ---------------------------------------------------------------------------
@@ -381,25 +384,14 @@ def step_linearized(prob: MocProblem, plan: MarchPlan, cc: CouplingCoefficients,
     """Advance the march row ``z = zm | zp`` from xi_k to xi_{k+1}.
 
     Every node takes the four-point cubic at its planned foot, one gather
-    of its stencil (``interp.cubic_eval``); the outgoing boundary entries
-    are then assigned: wall reflection at eta = +-m, the two-sided coupling
-    at the contact.
+    of its stencil (``interp.cubic_eval``); ``close_row`` then assigns the
+    outgoing boundary entries: wall reflection at eta = +-m, the two-sided
+    coupling at the contact.
     """
     new = interp.cubic_eval(z, plan.index[k], plan.s[k])
-    # Each family is a row a | b: the contact is its first and last entry,
-    # the walls meet at na-1 | na.
-    n, na = new.size // 2, prob.domain.eta_a.size
-    zm, zp = new[:n], new[n:]
-
-    # Wall reflections: the outgoing family balances the traced incoming one.
-    zp[na - 1] = 2.0 * prob.wall_angle_plus[k + 1] - zm[na - 1]
-    zm[na] = 2.0 * prob.wall_angle_minus[k + 1] - zp[na]
-
-    # Contact coupling: incoming are z+ from above and z- from below.
-    z_in_a, z_in_b = zp[0], zm[-1]
-    g1, g2, g3 = cc.gamma1[k + 1], cc.gamma2[k + 1], cc.gamma3[k + 1]
-    zm[0] = g1 * z_in_a + g3 * z_in_b
-    zp[-1] = g2 * z_in_a - g1 * z_in_b
+    n = new.size // 2
+    close_row(new[:n], new[n:], prob.domain.eta_a.size, prob.wall_angle_plus[k + 1],
+              prob.wall_angle_minus[k + 1], cc.gamma1[k + 1], cc.gamma2[k + 1], cc.gamma3[k + 1])
     return new
 
 
@@ -525,13 +517,13 @@ def residual_check(grid: InvariantGrid, prob: MocProblem) -> ResidualReport:
     interior = {}
     for tag, eta, cols in dom.layers:
         deta = eta[1] - eta[0]
-        for z, lam, fam in ((grid.zm, frozen.lam_p, "-"), (grid.zp, frozen.lam_m, "+")):
+        # FrozenField holds lambda_- < 0 < lambda_+: z_minus is upwind behind, z_plus ahead.
+        for z, lam, fam, hi, lo in ((grid.zm, frozen.lam_p, "-", slice(1, -1), slice(None, -2)),
+                                    (grid.zp, frozen.lam_m, "+", slice(2, None), slice(1, -1))):
             z, lam = z[:, cols], lam[:, cols]
             dz_xi = (z[1:, 1:-1] - z[:-1, 1:-1]) / dxi
             lam_in = lam[1:, 1:-1]
-            back = (z[1:, 1:-1] - z[1:, :-2]) / deta
-            fwd = (z[1:, 2:] - z[1:, 1:-1]) / deta
-            dz_eta = np.where(lam_in >= 0.0, back, fwd)
+            dz_eta = (z[1:, hi] - z[1:, lo]) / deta
             res = np.abs(dz_xi + lam_in * dz_eta)
             interior[f"{tag}{fam}"] = res
             sup = max(sup, float(res.max()))

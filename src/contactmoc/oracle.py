@@ -3,24 +3,24 @@
 Solves the same diagonal two-layer problem as the fixed-point solver but
 with a completely different truncation structure: explicit first-order
 upwind differencing, speeds evaluated from the current slab's own state (no
-freezing, no outer iteration), CFL sub-stepping in xi.  Boundary closures
-have the same form (wall reflection, two-sided contact coupling with the
-averaged-derivative weights) but every coefficient is recomputed from this
-marcher's own slabs; nothing computed by the fixed-point solver is read.
-Agreement between the two is therefore evidence, not shared bias.
+freezing, no outer iteration), CFL sub-stepping in xi.  The boundary
+conditions are the problem's, not the discretization's: the fixed point's
+``moc.close_row`` and ``moc.contact_weights`` apply them, but from this
+marcher's own slabs and sub-step abscissae; nothing computed by the
+fixed-point solver is read.  Agreement between the two is therefore
+evidence, not shared bias.
 
-Each sub-step works on both layers at once on the problem's stacked node
-row ``a | b`` (``LagrangianDomain.layers``: the contact is the first and
-the last entry, the walls meet at na-1 | na), so one pressure inversion
-and one evaluation of the speeds serve both layers, and one Gauss path
-gives both contact weights.  Newton runs independently per node, so the
-stacked calls return the bits of per-layer calls.  The streamlines are the
-problem's own, prepared once when the problem is built: the row's
-(``MocProblem.line``, the one the fixed point inverts with) and the two
-contact streamlines (``MocProblem.contact``, the one the fixed point's
-contact weights read).  These hold constants of the inlet data alone, so a
-sub-step recomputes no streamline constant and reads nothing the fixed point
-computes.
+Each sub-step updates the problem's whole stacked node row ``a | b``
+(``LagrangianDomain.layers``: the contact is the first and the last entry,
+the walls meet at na-1 | na): z_minus by backward and z_plus by forward
+differences, each column with its Courant number dx / deta.  One pressure
+inversion and one evaluation of the speeds serve both layers, and one Gauss
+path gives both contact weights.  Newton runs independently per node, so
+the stacked calls return the bits of per-layer calls.  The streamlines are
+the problem's own, prepared once when the problem is built: the row's
+(``MocProblem.line``) and the two contact streamlines (``MocProblem.contact``).
+These hold constants of the inlet data alone, so a sub-step recomputes no
+streamline constant and reads nothing the fixed point computes.
 """
 
 from __future__ import annotations
@@ -30,23 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moc import InvariantGrid, MocProblem, SolverError, _averaged_dtheta
+from .moc import InvariantGrid, MocProblem, SolverError, close_row, contact_weights
 
 _MAX_SUBSTEPS = 1000
-
-
-def _upwind(z, lam, nu_base):
-    """First-order upwind update of one slab; boundary rows keep stale values
-    (they are overwritten by closures)."""
-    out = z.copy()
-    nu = nu_base * lam
-    back = z[1:-1] - z[:-2]
-    fwd = z[2:] - z[1:-1]
-    out[1:-1] = z[1:-1] - np.where(nu[1:-1] >= 0.0, nu[1:-1] * back, nu[1:-1] * fwd)
-    # one-sided updates at the two boundary rows where the stencil exists
-    out[0] = z[0] - min(nu[0], 0.0) * (z[1] - z[0])
-    out[-1] = z[-1] - max(nu[-1], 0.0) * (z[-1] - z[-2])
-    return out
 
 
 def upwind_march(prob: MocProblem) -> InvariantGrid:
@@ -59,10 +45,11 @@ def upwind_march(prob: MocProblem) -> InvariantGrid:
     dom = prob.domain
     nxi = dom.xi.size
     na = dom.eta_a.size
-    deta_min = min(eta[1] - eta[0] for _, eta, _ in dom.layers)
+    deta = np.concatenate([np.full(eta.size, eta[1] - eta[0]) for _, eta, _ in dom.layers])
+    deta_min = deta.min()
 
     rows = prob.line
-    zm, zp = np.empty((2, nxi, prob.stream.a0.size))
+    zm, zp = np.empty((2, nxi, deta.size))
     zm[0], zp[0] = prob.inlet_z
     cur_m, cur_p = zm[0], zp[0]
 
@@ -82,30 +69,17 @@ def upwind_march(prob: MocProblem) -> InvariantGrid:
                 )
             dx = remaining / n_sub
 
-            new_m, new_p = np.empty_like(cur_m), np.empty_like(cur_p)
-            for _, eta, cols in dom.layers:
-                nu_base = dx / (eta[1] - eta[0])
-                new_m[cols] = _upwind(cur_m[cols], lam_p[cols], nu_base)
-                new_p[cols] = _upwind(cur_p[cols], lam_m[cols], nu_base)
+            # ``lambdas`` needs u > c, so lambda_- < 0 < lambda_+; close_row
+            # assigns the four entries whose stencil crosses na-1 | na or the ends.
+            nu = dx / deta
+            new_m, new_p = np.empty((2, deta.size))
+            new_m[1:] = cur_m[1:] - (nu[1:] * lam_p[1:]) * (cur_m[1:] - cur_m[:-1])
+            new_p[:-1] = cur_p[:-1] - (nu[:-1] * lam_m[:-1]) * (cur_p[1:] - cur_p[:-1])
 
-            # Walls: the last node of layer a and the first of layer b.
             xi_next = xi_left + dx
-            ang_p = math.atan(float(prob.geom.g_plus(xi_next, 1)))
-            ang_m = math.atan(float(prob.geom.g_minus(xi_next, 1)))
-            new_p[na - 1] = 2.0 * ang_p - new_m[na - 1]
-            new_m[na] = 2.0 * ang_m - new_p[na]
-
-            # Contact coupling from this marcher's own slab pressures.
-            bar_a, bar_b = _averaged_dtheta(p[[0, -1], None], prob.contact).ravel()
-            alpha = 1.0 / (2.0 * bar_a)
-            beta = 1.0 / (2.0 * bar_b)
-            s = alpha + beta
-            g1 = (alpha - beta) / s
-            g2 = 2.0 * alpha / s
-            g3 = 2.0 * beta / s
-            z_in_a, z_in_b = new_p[0], new_m[-1]
-            new_m[0] = g1 * z_in_a + g3 * z_in_b
-            new_p[-1] = g2 * z_in_a - g1 * z_in_b
+            _, _, g1, g2, g3 = np.ravel(contact_weights(p[[0, -1], None], prob.contact))
+            close_row(new_m, new_p, na, math.atan(float(prob.geom.g_plus(xi_next, 1))),
+                      math.atan(float(prob.geom.g_minus(xi_next, 1))), g1, g2, g3)
 
             cur_m, cur_p = new_m, new_p
             xi_left = xi_next

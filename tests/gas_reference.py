@@ -137,7 +137,7 @@ def state_from_invariants(z_minus, z_plus, sd: StreamData, g: GasConstants,
     """(u, v, p, rho) from the invariants, composed of the functions above."""
     zm, zp = _as_array(z_minus, z_plus)
     if not np.all(np.abs(zm + zp) < np.pi):
-        raise GasError("flow-angle out of range: |z_minus + z_plus| must stay below pi")
+        raise GasError("flow-angle: |z_minus + z_plus| must stay below pi")
     w = _maybe_scalar(np.tan(0.5 * (zm + zp)), z_minus, z_plus)
     p = pressure_from_invariants(z_minus, z_plus, sd, g, newton_tol=newton_tol,
                                  max_newton_iters=max_newton_iters)

@@ -2,12 +2,14 @@
 
 ``oracle.upwind_march`` works on both layers' stacked row per sub-step.
 This reference keeps the per-layer form: it splits the problem's row into
-its two layers by their node counts, and each sub-step inverts and
-evaluates the speeds of layer a and layer b in separate calls and takes
-each contact weight from its own one-node Gauss path.  Every inversion,
-speed and dTheta/dp comes from the per-call functions of
-``tests/gas_reference.py``, not from the problem's prepared
-``gas.Streamline``.  The two must agree bit for bit.
+its two layers by their node counts, updates each layer with the
+sign-generic ``_upwind``, and each sub-step inverts and evaluates the
+speeds of layer a and layer b in separate calls and takes each contact
+weight from its own one-node Gauss path.  It writes the wall and contact
+closures out itself rather than calling ``moc.close_row`` and
+``moc.contact_weights``.  Every inversion, speed and dTheta/dp comes from
+the per-call functions of ``tests/gas_reference.py``, not from the
+problem's prepared ``gas.Streamline``.  The two must agree bit for bit.
 """
 
 import math
@@ -16,8 +18,22 @@ import numpy as np
 
 from contactmoc import gas
 from contactmoc.moc import _GL_W, _GL_X, InvariantGrid, SolverError
-from contactmoc.oracle import _MAX_SUBSTEPS, _upwind
+from contactmoc.oracle import _MAX_SUBSTEPS
 from tests import gas_reference
+
+
+def _upwind(z, lam, nu_base):
+    """First-order upwind update of one slab; boundary rows keep stale values
+    (they are overwritten by closures)."""
+    out = z.copy()
+    nu = nu_base * lam
+    back = z[1:-1] - z[:-2]
+    fwd = z[2:] - z[1:-1]
+    out[1:-1] = z[1:-1] - np.where(nu[1:-1] >= 0.0, nu[1:-1] * back, nu[1:-1] * fwd)
+    # one-sided updates at the two boundary rows where the stencil exists
+    out[0] = z[0] - min(nu[0], 0.0) * (z[1] - z[0])
+    out[-1] = z[-1] - max(nu[-1], 0.0) * (z[-1] - z[-2])
+    return out
 
 
 def _slab_state(zm, zp, stream, prob):

@@ -1,15 +1,17 @@
+import ast
 import dataclasses
 import hashlib
 import itertools
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from contactmoc import cli, config, fixtures, lagrangian, moc
+from contactmoc import blowup, cli, config, fixtures, lagrangian, moc
 from contactmoc.expressions import SmoothExpression
 from tests import csv_reference, expression_reference
 
@@ -23,13 +25,23 @@ def summary_of(result):
     return parse_summary(result.stdout)
 
 
+# key=value; a quoted value is the repr of a string and may hold spaces.
+_ENTRY = re.compile(r"""(\w+)=('(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*"|\S*)""")
+
+
 def parse_summary(stdout):
+    """The last line's entries; a quoted value is read back to its string."""
     line = stdout.strip().splitlines()[-1]
-    out = {}
-    for tok in line.split():
-        k, _, v = tok.partition("=")
-        out[k] = v
-    return out
+    return {k: ast.literal_eval(v) if v.startswith(("'", '"')) else v
+            for k, v in _ENTRY.findall(line)}
+
+
+@pytest.mark.parametrize("detail", ["[Errno 17] File exists: '/tmp/a b'",
+                                    """it's "both" quotes \\ and a=b""", ""])
+def test_parse_summary_reads_a_quoted_detail(capsys, detail):
+    cli._summary({"status": "error", "error": "io", "detail": repr(detail), "out": "o/x.csv"})
+    assert parse_summary(capsys.readouterr().out) == {
+        "status": "error", "error": "io", "detail": detail, "out": "o/x.csv"}
 
 
 @pytest.fixture(scope="module")
@@ -504,7 +516,7 @@ def test_cfl_violation_rejected_up_front(workdir, tmp_path):
     assert r.returncode == 1
     s = summary_of(r)
     assert (s["error"], s["code"]) == ("convergence", "cfl")
-    assert s["detail"].startswith("'cfl:")
+    assert s["detail"].startswith("cfl:")
     assert "smallest valid nxi is 109" in r.stdout
     r = run_cli("validate", "--config", str(workdir / "coarse_xi.cfg"))
     assert r.returncode == 1
@@ -535,7 +547,7 @@ def test_blowup_sonic_limit_error_carries_code(tmp_path):
     assert r.returncode == 1
     s = summary_of(r)
     assert (s["error"], s["code"]) == ("validation", "sonic-limit")
-    assert s["detail"].startswith("'sonic-limit:")
+    assert s["detail"].startswith("sonic-limit:")
 
 
 def test_blowup_gamma_error_carries_code(tmp_path):
@@ -744,31 +756,103 @@ def _io_error_of(capsys, *argv):
     return captured.out.splitlines()[-1]
 
 
-def test_solve_unusable_out_is_io_error(workdir, tmp_path, capsys):
+def _counted(monkeypatch, module, name):
+    """Count the calls of ``module.name`` while the test runs."""
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
+def test_solve_unusable_out_is_io_error(workdir, tmp_path, capsys, monkeypatch):
     """--out naming a file, and a fields.csv that is a directory, end with
-    the io summary line instead of a traceback."""
+    the io summary line instead of a traceback; the file is caught before
+    the fixed point runs."""
+    solves = _counted(monkeypatch, moc, "fixed_point")
     blocker = tmp_path / "file"
     blocker.write_text("")
     line = _io_error_of(capsys, "solve", "--config", workdir / "pert.cfg", "--grid", "41x11",
                         "--out", blocker, "--quiet")
     assert "File exists" in line and str(blocker) in line
+    assert parse_summary(line)["detail"] == f"[Errno 17] File exists: {str(blocker)!r}"
+    assert solves == []
     (tmp_path / "o" / "fields.csv").mkdir(parents=True)
     line = _io_error_of(capsys, "solve", "--config", workdir / "pert.cfg", "--grid", "41x11",
                         "--out", tmp_path / "o", "--quiet")
     assert "Is a directory" in line and "fields.csv" in line
+    assert solves == [1]
 
 
-def test_sweep_unusable_out_is_io_error(workdir, tmp_path, capsys):
+def test_sweep_unusable_out_is_io_error(workdir, tmp_path, capsys, monkeypatch):
+    solves = _counted(monkeypatch, moc, "fixed_point")
     blocker = tmp_path / "file"
     blocker.write_text("")
     line = _io_error_of(capsys, "sweep", "--config", workdir / "pert.cfg", "--grid", "41x11",
-                        "--eps", "2e-4", "--out", blocker, "--quiet")
+                        "--eps", "2e-4,4e-4", "--out", blocker, "--quiet")
     assert "File exists" in line
+    assert solves == []
 
 
-def test_blowup_unusable_out_is_io_error(workdir, tmp_path, capsys):
+def test_blowup_unusable_out_is_io_error(workdir, tmp_path, capsys, monkeypatch):
+    marches = _counted(monkeypatch, blowup, "cauchy_march")
     blocker = tmp_path / "file"
     blocker.write_text("")
     line = _io_error_of(capsys, "blowup", "--config", workdir / "blow.cfg", "--out", blocker,
                         "--quiet")
     assert "File exists" in line
+    assert marches == []
+
+
+def test_failed_validation_beside_an_unusable_out_is_a_validation_error(workdir, tmp_path,
+                                                                       capsys):
+    """The config's checks come first: an --out that is a file does not hide them."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, _, s = main_in_process(capsys, "solve", "--config", workdir / "pert.cfg",
+                                 "--eps-scale", "1e9", "--out", blocker, "--quiet")
+    assert (code, s["error"]) == (1, "validation")
+
+
+def _with_background_value(workdir, tmp_path, key, value):
+    """The eps = 1e-3 fixture with one [background] value replaced."""
+    lines = (workdir / "pert.cfg").read_text().splitlines()
+    start = lines.index("[background]")
+    row = next(i for i in range(start, len(lines)) if lines[i].startswith(f"{key} ="))
+    lines[row] = f"{key} = {value}"
+    bad = tmp_path / "bad_background.cfg"
+    bad.write_text("\n".join(lines))
+    return bad
+
+
+@pytest.mark.parametrize("key", ["p", "rho_a", "rho_b"])
+@pytest.mark.parametrize("command, extra", [("solve", ()), ("sweep", ("--eps", "1e-4")),
+                                            ("validate", ())])
+def test_nonpositive_background_is_a_validation_error(workdir, tmp_path, capsys, command,
+                                                      extra, key):
+    bad = _with_background_value(workdir, tmp_path, key, "-1")
+    out = tmp_path / "o"
+    code, text, s = main_in_process(capsys, command, "--config", bad, *extra, "--out", out,
+                                    "--quiet")
+    detail = f"background {key} must be positive and finite, got -1"
+    assert code == 1
+    if command == "validate":
+        assert text.splitlines() == [f"violation: {detail}", "status=invalid violations=1"]
+    else:
+        assert text.splitlines() == [f"status=error error=validation detail={detail!r}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, text", [("u0", "foo(y)"), ("u0", "2.0 +"), ("v0", "y ** y")])
+def test_malformed_blowup_expression_is_a_config_error(tmp_path, capsys, key, text):
+    values = {"u0": "2.0", "v0": "0.0", key: text}
+    cfgp = tmp_path / "expr.cfg"
+    cfgp.write_text(f"[gas]\ngamma = 1.4\n\n[blowup]\nu0 = {values['u0']}\n"
+                    f"v0 = {values['v0']}\nny = 100\nx_max = 5.0\n")
+    out = tmp_path / "o"
+    code, _, s = main_in_process(capsys, "blowup", "--config", cfgp, "--out", out, "--quiet")
+    assert (code, s["status"], s["error"]) == (2, "error", "config")
+    assert s["detail"].startswith(f"{cfgp}: [blowup] {key}: ") and repr(text) in s["detail"]
+    assert "code" not in s and not out.exists()
+    code, text_out, s = main_in_process(capsys, "validate", "--config", cfgp)
+    assert (code, s) == (1, {"status": "invalid", "violations": "1"})
+    assert text_out.startswith(f"violation: {cfgp}: [blowup] {key}: ")

@@ -177,3 +177,35 @@ def test_benchmark_tracer_finds_its_layer_boundaries():
     finally:
         tracer.uninstall()
     assert set(tracer.missing) <= _STALE_TRACED, sorted(set(tracer.missing) - _STALE_TRACED)
+
+
+_PROGRAM_ERRORS = {"SolverError", "TransformError", "GasError", "BlowupError"}
+
+
+def _raised_messages(tree):
+    """The message of every ``raise`` of a program error in ``tree`` whose
+    first argument is a string literal or an f-string, each replacement
+    field written as ``{}``."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)):
+            continue
+        func, args = node.exc.func, node.exc.args
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name not in _PROGRAM_ERRORS or not args:
+            continue
+        if isinstance(args[0], ast.Constant) and isinstance(args[0].value, str):
+            yield args[0].value
+        elif isinstance(args[0], ast.JoinedStr):
+            yield "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in args[0].values)
+
+
+def test_every_program_error_leads_with_a_code():
+    """The CLI repeats a solver, transform, gas or blow-up error's leading
+    token as ``code=``; only an ``internal error: ...`` goes without one."""
+    from contactmoc import cli
+
+    messages = [m for tree in _parse(PACKAGE).values() for m in _raised_messages(tree)]
+    assert len(messages) >= 35
+    codeless = [m for m in messages
+                if not (cli._CODE_TOKEN.match(m) or m.startswith("internal error: "))]
+    assert codeless == []

@@ -1,3 +1,4 @@
+import ast
 import inspect
 import re
 
@@ -6,7 +7,7 @@ import pytest
 
 from contactmoc import gas, moc, oracle
 from tests.conftest import assemble, solved
-from tests.oracle_reference import per_layer_march
+from tests.oracle_reference import _upwind, per_layer_march
 
 G = gas.GasConstants(1.4)
 
@@ -38,7 +39,7 @@ def test_upwind_first_order_against_exact_translation():
         n = int(round(distance / (courant * h)))
         out = z0.copy()
         for _ in range(n):
-            out = oracle._upwind(out, lam, dx / h)
+            out = _upwind(out, lam, dx / h)
             out[0] = z0[0]
         exact = np.tanh((y - 1.0 - n * courant * h) / 0.15)
         return np.max(np.abs(out - exact)[5:-5])
@@ -55,7 +56,7 @@ def test_upwind_preserves_monotone_data():
     z = np.linspace(0.0, 1.0, 101) ** 2
     out = z.copy()
     for _ in range(40):
-        out = oracle._upwind(out, lam, 0.9)
+        out = _upwind(out, lam, 0.9)
         assert np.all(np.diff(out) >= -1e-15)
 
 
@@ -140,3 +141,11 @@ def test_oracle_approaches_moc_solution():
     # deviation scale on a coarse grid
     assert rep.overall_sup < 0.5 * dev_scale
     assert rep.overall_sup > 0.0
+
+
+def test_oracle_imports_only_public_solver_names():
+    tree = ast.parse(inspect.getsource(oracle))
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "moc" for alias in node.names]
+    assert {"close_row", "contact_weights"} <= set(names)
+    assert not [name for name in names if name.startswith("_")]
