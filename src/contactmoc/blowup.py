@@ -66,17 +66,10 @@ def theta_of_speed(q, qhat, g, q_ref):
     return prandtl_meyer(_mach2_of_speed(q, qhat, g), g) - nu_ref
 
 
-@dataclass(frozen=True)
-class IrrotationalState:
-    """Speed, flow angle and the derived Riemann invariants."""
-
-    q: object
-    z_minus: object
-    z_plus: object
-
-
 def irrot_invariants(u, v, rho, g, q_ref, qhat):
-    """Z_pm = theta +- Theta(q) for irrotational states, given as arrays.
+    """Z_pm = theta +- Theta(q) for irrotational states, given as arrays,
+    stacked as [Z_plus, Z_minus] along a new leading axis (the march's row
+    order).
 
     (u, v, rho) data whose pointwise limit speed
     qhat = sqrt(q^2 + 2 c^2 / (gamma - 1)) departs from ``qhat`` by more than
@@ -91,7 +84,7 @@ def irrot_invariants(u, v, rho, g, q_ref, qhat):
         raise BlowupError("bernoulli-mismatch: (u, v, rho) violate the qhat normalization")
     theta = np.arctan2(v, u)
     th = theta_of_speed(q, qhat, g, q_ref)
-    return IrrotationalState(q=q, z_minus=theta - th, z_plus=theta + th)
+    return np.array([theta + th, theta - th])
 
 
 _MINUS_PLUS = np.array([-1.0, 1.0])
@@ -290,8 +283,7 @@ def cauchy_march(profile: PeriodicProfile, g, x_max, ny=800, dx_max=0.05,
     y = -1.0 + 2.0 * np.arange(ny) / ny  # one period, no duplicate endpoint
     dy = 2.0 / ny
     u, v, rho = profile.eval(y)
-    state = irrot_invariants(u, v, rho, g, q_ref=profile.q_ref, qhat=profile.qhat)
-    z = np.array([state.z_plus, state.z_minus], dtype=float)
+    z = irrot_invariants(u, v, rho, g, q_ref=profile.q_ref, qhat=profile.qhat)
 
     inverter = _SpeedInverter(profile.qhat, g, profile.q_ref)
 

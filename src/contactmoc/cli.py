@@ -2,9 +2,11 @@
 
 Exit codes: 0 success, 1 validation/convergence failure, 2 usage/config
 error or an output that cannot be written (``error=io``; an ``--out`` that
-exists and is not a directory is caught before any solving or marching).
-Every invocation ends with exactly one key=value summary line; CSV outputs
-carry 17 significant digits so reruns are byte-identical.
+is, or lies below, an existing file is caught before any solving or
+marching).  Every invocation ends with exactly one key=value summary line,
+in which ``detail``, and an ``out`` path holding whitespace or a quote, are
+printed as their repr; CSV outputs carry 17 significant digits so reruns
+are byte-identical.
 """
 
 from __future__ import annotations
@@ -56,6 +58,18 @@ def _error_exit(category, exc, prefix="", **extra):
     return EXIT_FAIL if category in ("validation", "convergence") else EXIT_USAGE
 
 
+def _usage_exit(detail):
+    """Summary line of a usage error; returns its exit code."""
+    _summary({"status": "error", "error": "usage", "detail": repr(detail)})
+    return EXIT_USAGE
+
+
+def _out(path):
+    """An output path for the summary line: its repr, as ``detail`` prints,
+    when it holds whitespace or a quote, so the line reads back."""
+    return repr(path) if re.search(r"[\s'\"]", path) else path
+
+
 def _config_exit_category(exc):
     return "config" if isinstance(exc, config.ConfigParseError) else "validation"
 
@@ -76,8 +90,7 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        _summary({"status": "error", "error": "usage", "detail": repr(f"{self.prog}: {message}")})
-        self.exit(EXIT_USAGE)
+        self.exit(_usage_exit(f"{self.prog}: {message}"))
 
 
 def _grid(text):
@@ -111,9 +124,21 @@ def _apply_overrides(cfg, geom, profile, args):
 
 def _check_out_dir(path):
     """Raise, without creating anything, the error ``os.makedirs(path,
-    exist_ok=True)`` raises when ``path`` exists and is not a directory."""
-    if os.path.exists(path) and not os.path.isdir(path):
-        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), path)
+    exist_ok=True)`` raises when ``path`` or its nearest existing ancestor
+    exists and is not a directory."""
+    name = path.rstrip(os.sep) or path  # os.makedirs reads "f/" as f
+    if os.path.exists(name):
+        if not os.path.isdir(name):
+            raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), path)
+        return
+    # os.makedirs creates the missing directories top down; the first one
+    # fails if the existing ancestor above it is a file.
+    head = os.path.dirname(name)
+    if head:
+        if not os.path.exists(head):
+            _check_out_dir(head)
+        elif not os.path.isdir(head):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
 
 
 def build_pipeline(cfg, geom, profile):
@@ -175,7 +200,7 @@ def run_solve(cfg, geom, profile, write_outputs=True):
             "grid": os.path.join(cfg.out_dir, "grid.csv"),
         }
         lagrangian.write_field_csv(efield, paths["fields"])
-        lagrangian.write_contact_csv(efield.contact, paths["contact"])
+        lagrangian.write_contact_csv(efield, paths["contact"])
         moc.write_iteration_csv(report, paths["iterations"])
         moc.write_grid_csv(grid, paths["grid"])
 
@@ -194,7 +219,7 @@ def run_solve(cfg, geom, profile, write_outputs=True):
         "weak_max": wres.max_residual,
         "weak_contact_p": wres.contact_pressure_jump,
         "weak_contact_mdot": wres.contact_mass_flux,
-        "gcd_max": float(np.max(np.abs(efield.contact.g_cd))),
+        "gcd_max": float(np.max(np.abs(efield.y[:, -1]))),
         "top_gap": efield.top_gap,
     }
     artifacts = {"grid": grid, "report": report, "efield": efield, "weak": wres,
@@ -230,7 +255,7 @@ def cmd_solve(args):
         rep = artifacts["report"]
         for i, (c0, c1) in enumerate(zip(rep.c0_gaps, rep.c1_gaps), start=1):
             print(f"iter {i}: c0_gap={c0:.3e} c1_gap={c1:.3e}")
-    summary["out"] = cfg.out_dir
+    summary["out"] = _out(cfg.out_dir)
     _summary(summary)
     return EXIT_OK
 
@@ -323,7 +348,7 @@ def cmd_blowup(args):
         "crossing_x": rep.crossing_x if rep.crossing_x is not None else "none",
         "x_end": rep.x_end,
         "steps": rep.steps,
-        "out": csv_path,
+        "out": _out(csv_path),
     })
     return EXIT_OK
 
@@ -331,17 +356,13 @@ def cmd_blowup(args):
 def cmd_sweep(args):
     if not args.eps:
         print("usage error: --eps requires a comma-separated list of positive values")
-        _summary({"status": "error", "error": "usage", "detail": "'empty epsilon list'"})
-        return EXIT_USAGE
+        return _usage_exit("empty epsilon list")
     try:
         targets = [float(tok) for tok in args.eps.split(",") if tok.strip()]
     except ValueError:
-        _summary({"status": "error", "error": "usage", "detail": "'bad epsilon list'"})
-        return EXIT_USAGE
+        return _usage_exit("bad epsilon list")
     if not targets or not all(0.0 < t < math.inf for t in targets):
-        _summary({"status": "error", "error": "usage",
-                  "detail": "'epsilon values must be positive and finite'"})
-        return EXIT_USAGE
+        return _usage_exit("epsilon values must be positive and finite")
 
     try:
         cfg, geom, profile = config.load_config(args.config)
@@ -351,9 +372,7 @@ def cmd_sweep(args):
 
     eps_base = config.perturbation_size(profile, geom, cfg.background)
     if eps_base == 0.0:
-        _summary({"status": "error", "error": "usage",
-                  "detail": "'sweep needs a perturbed base config (eps > 0)'"})
-        return EXIT_USAGE
+        return _usage_exit("sweep needs a perturbed base config (eps > 0)")
     try:
         _check_out_dir(cfg.out_dir)
     except OSError as exc:
@@ -382,7 +401,8 @@ def cmd_sweep(args):
 
     if failure is not None:
         target, exc = failure
-        return _error_exit(_run_category(exc), exc, prefix=f"eps={target:g}: ", out=csv_path)
+        return _error_exit(_run_category(exc), exc, prefix=f"eps={target:g}: ",
+                           out=_out(csv_path))
 
     if len(rows) >= 2:
         xs = np.log([r[0] for r in rows])
@@ -391,7 +411,7 @@ def cmd_sweep(args):
         slope_txt = slope
     else:
         slope_txt = "undefined"
-    _summary({"status": "ok", "runs": len(rows), "slope": slope_txt, "out": csv_path})
+    _summary({"status": "ok", "runs": len(rows), "slope": slope_txt, "out": _out(csv_path)})
     return EXIT_OK
 
 

@@ -177,25 +177,16 @@ def cumulative_simpson(f, h, axis=-1):
 
 
 @dataclass(frozen=True)
-class ContactCurve:
-    """Reconstructed contact position g_cd(x) and slope samples."""
-
-    x: np.ndarray
-    g_cd: np.ndarray
-    d_g_cd: np.ndarray
-
-
-@dataclass(frozen=True)
 class EulerianField:
     """The mapped solution on the stacked node row ``a | b``: the ordinate
     ``y`` and the gas.PrimitiveState ``state`` that ``reconstruct`` received,
-    both (nxi, neta_a + neta_b); ``domain.layers`` names each layer's columns."""
+    both (nxi, neta_a + neta_b); ``domain.layers`` names each layer's columns
+    and ``domain.xi`` is x.  The contact curve g_cd(x) is ``y[:, -1]``, the
+    image of eta = 0."""
 
-    x: np.ndarray
     y: np.ndarray
     state: gas.PrimitiveState
     domain: LagrangianDomain
-    contact: ContactCurve
     top_gap: float  # sup |y(xi, m_a) - g_plus(xi)|, a conservation diagnostic
 
 
@@ -226,10 +217,7 @@ def reconstruct(state, geom: NozzleGeometry, domain: LagrangianDomain) -> Euleri
     if not all(np.all(np.diff(y[:, cols], axis=1) > 0) for _, _, cols in domain.layers):
         raise TransformError("degenerate: layer ordering violated: y is not increasing in eta")
 
-    w_cd = 0.5 * (state.v[:, 0] / state.u[:, 0] + state.v[:, -1] / state.u[:, -1])
-    contact = ContactCurve(x=xi.copy(), g_cd=y[:, -1].copy(), d_g_cd=w_cd)
-    return EulerianField(x=xi.copy(), y=y, state=state, domain=domain, contact=contact,
-                         top_gap=top_gap)
+    return EulerianField(y=y, state=state, domain=domain, top_gap=top_gap)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +259,7 @@ def weak_residual(field: EulerianField, g: gas.GasConstants) -> WeakResidualRepo
     all_res = []
     for _, _, cols in field.domain.layers:
         W, H, y = W_row[..., cols], H_row[..., cols], field.y[:, cols]
-        x = np.broadcast_to(field.x[:, None], y.shape)
+        x = np.broadcast_to(field.domain.xi[:, None], y.shape)
         # corners: 1=(k,j) 2=(k+1,j) 3=(k+1,j+1) 4=(k,j+1), counterclockwise
         x1, y1 = x[:-1, :-1], y[:-1, :-1]
         x2, y2 = x[1:, :-1], y[1:, :-1]
@@ -296,10 +284,11 @@ def weak_residual(field: EulerianField, g: gas.GasConstants) -> WeakResidualRepo
     flat = np.concatenate(all_res)
 
     u, v, p, rho = field.state.u, field.state.v, field.state.p, field.state.rho
-    slope = field.contact.d_g_cd
+    w_a, w_b = v[:, 0] / u[:, 0], v[:, -1] / u[:, -1]
+    slope = 0.5 * (w_a + w_b)  # g_cd', the mean streamline slope of the contact's two sides
     p_jump = float(np.max(np.abs(p[:, 0] - p[:, -1])))
-    mdot_a = rho[:, 0] * u[:, 0] * (slope - v[:, 0] / u[:, 0])
-    mdot_b = rho[:, -1] * u[:, -1] * (slope - v[:, -1] / u[:, -1])
+    mdot_a = rho[:, 0] * u[:, 0] * (slope - w_a)
+    mdot_b = rho[:, -1] * u[:, -1] * (slope - w_b)
     return WeakResidualReport(
         max_residual=float(flat.max()),
         mean_residual=float(flat.mean()),
@@ -318,7 +307,7 @@ def streamline_conservation(field: EulerianField, g: gas.GasConstants):
     A, B node fields are sampled the same way along the traced curve.
     Traces seven lines per layer and returns the sup deviation over them.
     """
-    x, st = field.x, field.state
+    x, st = field.domain.xi, field.state
     w_row, A_row, B_row = st.v / st.u, gas.entropy_function(st, g), gas.bernoulli(st, g)
     dev = 0.0
     for _, eta, cols in field.domain.layers:
@@ -350,7 +339,7 @@ def streamline_conservation(field: EulerianField, g: gas.GasConstants):
 
 def write_field_csv(field: EulerianField, path):
     names = ("u", "v", "p", "rho")
-    x = field.x[:, None]
+    x = field.domain.xi[:, None]
     parts = []
     for tag, _, cols in field.domain.layers:
         y = field.y[:, cols]
@@ -361,5 +350,6 @@ def write_field_csv(field: EulerianField, path):
               [np.concatenate(pair, axis=None) for pair in zip(*parts)])
 
 
-def write_contact_csv(contact: ContactCurve, path):
-    write_csv(path, ("x", "g_cd"), (contact.x, contact.g_cd))
+def write_contact_csv(field: EulerianField, path):
+    """The contact curve: x and g_cd(x) = y(x, eta = 0)."""
+    write_csv(path, ("x", "g_cd"), (field.domain.xi, field.y[:, -1]))

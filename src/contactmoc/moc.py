@@ -258,22 +258,6 @@ def frozen_lambdas(grid: InvariantGrid, prob: MocProblem) -> FrozenField:
     return FrozenField(lam_m=lam_m, lam_p=lam_p)
 
 
-@dataclass(frozen=True)
-class CouplingCoefficients:
-    """Per-xi contact closure data: averaged-derivative alpha/beta and the
-    gamma mixing weights."""
-
-    alpha: np.ndarray
-    beta: np.ndarray
-    gamma1: np.ndarray
-    gamma2: np.ndarray
-    gamma3: np.ndarray
-
-    def __post_init__(self):
-        if not (np.all(self.alpha > 0) and np.all(self.beta > 0)):
-            raise SolverError("degenerate: coupling coefficients must be positive")
-
-
 def contact_weights(p, contact):
     """(alpha, beta, gamma1, gamma2, gamma3), each (m,), at the contact
     pressures ``p``, (2, m): row 0 those of layer a, row 1 those of layer b.
@@ -282,23 +266,24 @@ def contact_weights(p, contact):
     Gauss sum on the prepared contact streamlines ``contact``
     (``MocProblem.contact``), p_bg their Theta reference pressure.  Each row
     is one (16, m) product along its own Gauss path, so the weights carry
-    the bits of one call per side.
+    the bits of one call per side.  Raises a ``degenerate`` SolverError
+    unless alpha and beta are positive.
     """
     path = contact.p_ref + _GL_X[:, None] * (p[:, None, :] - contact.p_ref)
-    bar_a, bar_b = _GL_W @ contact.dtheta_dp(path)
-    alpha = 1.0 / (2.0 * bar_a)
-    beta = 1.0 / (2.0 * bar_b)
+    alpha, beta = ab = 1.0 / (2.0 * (_GL_W @ contact.dtheta_dp(path)))
+    if not (ab > 0).all():
+        raise SolverError("degenerate: coupling coefficients must be positive")
     s = alpha + beta
     return alpha, beta, (alpha - beta) / s, 2.0 * alpha / s, 2.0 * beta / s
 
 
-def coupling_coefficients(prev: InvariantGrid, prob: MocProblem) -> CouplingCoefficients:
-    """Contact-closure coefficients from the previous iterate's contact row:
-    the first and the last entry of the row a | b, one (2, nxi)
-    ``contact_weights`` call."""
+def coupling_coefficients(prev: InvariantGrid, prob: MocProblem):
+    """Contact-closure weights (alpha, beta, gamma1, gamma2, gamma3), each
+    (nxi,), from the previous iterate's contact row: the first and the last
+    entry of the row a | b, one (2, nxi) ``contact_weights`` call."""
     p = grid_states(prev, prob).p
     try:
-        return CouplingCoefficients(*contact_weights(p[:, [0, -1]].T, prob.contact))
+        return contact_weights(p[:, [0, -1]].T, prob.contact)
     except gas.GasError as exc:
         raise SolverError(f"sonic-limit: contact coupling path: {exc}") from None
 
@@ -318,23 +303,14 @@ def close_row(zm, zp, na, angle_plus, angle_minus, g1, g2, g3):
 # Linearized march
 
 
-@dataclass(frozen=True)
-class MarchPlan:
-    """Backward-trace data of every step of one frozen field.
-
-    The march row is ``zm | zp``, each on the stacked row a | b.  Row k of
-    ``index`` and ``s`` serves the step xi_k -> xi_{k+1}: a (4, 2n) gather
-    index into the march row (each node's four stencil nodes) and the local
-    coordinate of the foot (``interp.cubic_stencil``).  The index is held
-    as int32, so the plan takes 24 bytes a node-step.
-    """
-
-    index: np.ndarray
-    s: np.ndarray
-
-
-def plan_march(frozen: FrozenField, domain: LagrangianDomain) -> MarchPlan:
+def plan_march(frozen: FrozenField, domain: LagrangianDomain):
     """Trace every node of every step back along its frozen characteristic.
+
+    Returns ``(index, s)`` on the march row ``zm | zp``, each on the stacked
+    row a | b.  Row k of each serves the step xi_k -> xi_{k+1}: a (4, 2n)
+    gather index into the march row (each node's four stencil nodes) and
+    the local coordinate of the foot (``interp.cubic_stencil``).  The index
+    is held as int32, so the plan takes 24 bytes a node-step.
 
     The speeds are frozen, so the feet do not depend on z: each foot comes
     from the midpoint speed, the mean of the rows xi_k and xi_{k+1} at the
@@ -377,50 +353,46 @@ def plan_march(frozen: FrozenField, domain: LagrangianDomain) -> MarchPlan:
             sl = slice(offset + cols.start, offset + cols.stop)
             stencil, s[:, sl] = interp.cubic_stencil(eta[0], eta[1] - eta[0], m, feet)
             np.add(stencil.transpose(1, 0, 2), sl.start, out=index[:, :, sl], casting="unsafe")
-    return MarchPlan(index, s)
+    return index, s
 
 
-def step_linearized(prob: MocProblem, plan: MarchPlan, cc: CouplingCoefficients, k, z):
+def step_linearized(prob: MocProblem, plan, weights, k, z):
     """Advance the march row ``z = zm | zp`` from xi_k to xi_{k+1}.
 
-    Every node takes the four-point cubic at its planned foot, one gather
-    of its stencil (``interp.cubic_eval``); ``close_row`` then assigns the
-    outgoing boundary entries: wall reflection at eta = +-m, the two-sided
+    Every node takes the four-point cubic at its foot in ``plan``, the
+    ``(index, s)`` of ``plan_march``: one gather of its stencil
+    (``interp.cubic_eval``).  ``close_row`` then assigns the outgoing
+    boundary entries with the gammas of ``weights``, the tuple of
+    ``coupling_coefficients``: wall reflection at eta = +-m, the two-sided
     coupling at the contact.
     """
-    new = interp.cubic_eval(z, plan.index[k], plan.s[k])
+    index, s = plan
+    _, _, g1, g2, g3 = weights
+    new = interp.cubic_eval(z, index[k], s[k])
     n = new.size // 2
     close_row(new[:n], new[n:], prob.domain.eta_a.size, prob.wall_angle_plus[k + 1],
-              prob.wall_angle_minus[k + 1], cc.gamma1[k + 1], cc.gamma2[k + 1], cc.gamma3[k + 1])
+              prob.wall_angle_minus[k + 1], g1[k + 1], g2[k + 1], g3[k + 1])
     return new
-
-
-def march_linearized(prob: MocProblem, frozen: FrozenField, cc: CouplingCoefficients):
-    """March the linear transport problem from the inlet to xi = L: plan
-    every step once, then advance the march row one step at a time.
-
-    Returns the invariant arrays (zm, zp) on the stacked row.
-    """
-    plan = plan_march(frozen, prob.domain)
-    z = np.empty((prob.domain.xi.size, plan.s.shape[1]))
-    z[0] = prob.inlet_z.ravel()
-    for k in range(z.shape[0] - 1):
-        z[k + 1] = step_linearized(prob, plan, cc, k, z[k])
-    n = z.shape[1] // 2
-    return z[:, :n], z[:, n:]
 
 
 def solve_linearized(prev: InvariantGrid, prob: MocProblem):
     """One application of the iteration map: freeze speeds on ``prev`` and
-    march the linear transport problem from the inlet to xi = L.
+    march the linear transport problem from the inlet to xi = L, planning
+    every step once and then advancing the march row one step at a time.
 
-    Returns (InvariantGrid, FrozenField, CouplingCoefficients): the new
-    iterate and the coefficients frozen on ``prev`` that produced it.
+    Returns (InvariantGrid, weights): the new iterate and the contact
+    weights of ``coupling_coefficients`` frozen on ``prev`` that produced it.
     """
     frozen = frozen_lambdas(prev, prob)
     check_cfl(frozen, prob.domain)
-    cc = coupling_coefficients(prev, prob)
-    return InvariantGrid(prob.domain, *march_linearized(prob, frozen, cc)), frozen, cc
+    weights = coupling_coefficients(prev, prob)
+    plan = plan_march(frozen, prob.domain)
+    z = np.empty((prob.domain.xi.size, prob.inlet_z.size))
+    z[0] = prob.inlet_z.ravel()
+    for k in range(z.shape[0] - 1):
+        z[k + 1] = step_linearized(prob, plan, weights, k, z[k])
+    n = z.shape[1] // 2
+    return InvariantGrid(prob.domain, z[:, :n], z[:, n:]), weights
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +408,7 @@ class IterationReport:
     ratios: list = field(default_factory=list)
     iterations: int = 0
     converged: bool = False
-    last_coupling: CouplingCoefficients = None
+    last_coupling: tuple = None  # the last iteration's coupling_coefficients
     residuals: object = None
 
 
@@ -467,7 +439,7 @@ def fixed_point(prob: MocProblem, fp_tol, max_fp_iters):
     check_supersonic_margin(grid, prob)
     for n in range(1, max_fp_iters + 1):
         try:
-            new, _, cc = solve_linearized(grid, prob)
+            new, weights = solve_linearized(grid, prob)
             check_supersonic_margin(new, prob)
         except SolverError as exc:
             raise SolverError(str(exc), report=report) from None
@@ -477,7 +449,7 @@ def fixed_point(prob: MocProblem, fp_tol, max_fp_iters):
         if len(report.c1_gaps) > 1 and report.c1_gaps[-2] > 0:
             report.ratios.append(report.c1_gaps[-1] / report.c1_gaps[-2])
         report.iterations = n
-        report.last_coupling = cc
+        report.last_coupling = weights
         grid = new
         if c1 <= fp_tol:
             report.converged = True

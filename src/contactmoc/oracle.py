@@ -26,7 +26,6 @@ streamline constant and reads nothing the fixed point computes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,14 +88,10 @@ def upwind_march(prob: MocProblem) -> InvariantGrid:
     return InvariantGrid(dom, zm, zp)
 
 
-@dataclass(frozen=True)
-class FieldDifference:
-    sup: dict  # per (layer, family)
-    overall_sup: float
-
-
-def compare_fields(a, b) -> FieldDifference:
-    """Sup lattice differences per family per layer.
+def compare_fields(a, b) -> dict:
+    """Sup lattice differences per family per layer, keyed by ``zm_a``,
+    ``zp_a``, ``zm_b`` and ``zp_b``; the overall sup is the ``max`` of the
+    values.
 
     ``a`` and ``b`` may be any grid-like objects carrying zm_a/zp_a/zm_b/zp_b
     on identical lattices.
@@ -107,4 +102,4 @@ def compare_fields(a, b) -> FieldDifference:
         if x.shape != y.shape:
             raise ValueError(f"lattice mismatch for {name}: {x.shape} vs {y.shape}")
         sup[name] = float(np.abs(x - y).max())
-    return FieldDifference(sup=sup, overall_sup=max(sup.values()))
+    return sup

@@ -51,8 +51,7 @@ def reference_march(profile, g, x_max, ny=800, dx_max=0.05, policy=None):
     y = -1.0 + 2.0 * np.arange(ny) / ny
     dy = 2.0 / ny
     u, v, rho = profile.eval(y)
-    state = blowup.irrot_invariants(u, v, rho, g, q_ref=profile.q_ref, qhat=profile.qhat)
-    z = np.array([state.z_plus, state.z_minus], dtype=float)
+    z = blowup.irrot_invariants(u, v, rho, g, q_ref=profile.q_ref, qhat=profile.qhat)
     inverter = blowup._SpeedInverter(profile.qhat, g, profile.q_ref)
 
     pad = blowup._periodic_pad()

@@ -79,16 +79,15 @@ def _theta(q, qhat):
 
 
 def test_invariants_vanish_at_reference():
-    st = _irrot(2.0, 0.0, 1.0)
-    assert st.z_minus.tolist() == [0.0] and st.z_plus.tolist() == [0.0]
-    assert st.q == pytest.approx(2.0)
+    z_plus, z_minus = _irrot(2.0, 0.0, 1.0)
+    assert z_minus.tolist() == [0.0] and z_plus.tolist() == [0.0]
 
 
 def test_invariants_v_flip_swap_law():
-    a = _irrot(2.0, 0.3, 0.93)
-    b = _irrot(2.0, -0.3, 0.93)
-    assert float(b.z_plus[0]) == pytest.approx(-float(a.z_minus[0]), rel=1e-13)
-    assert float(b.z_minus[0]) == pytest.approx(-float(a.z_plus[0]), rel=1e-13)
+    a_plus, a_minus = _irrot(2.0, 0.3, 0.93)
+    b_plus, b_minus = _irrot(2.0, -0.3, 0.93)
+    assert float(b_plus[0]) == pytest.approx(-float(a_minus[0]), rel=1e-13)
+    assert float(b_minus[0]) == pytest.approx(-float(a_plus[0]), rel=1e-13)
 
 
 def test_dtheta_of_speed_matches_fd():
@@ -210,10 +209,10 @@ def test_march_starts_from_the_expressions(monkeypatch):
     c_wall = rho_wall ** (0.5 * gm1)
     qhat2 = q_ref * q_ref + 2.0 * c_wall * c_wall / gm1
     rho = (0.5 * gm1 * (qhat2 - (u * u + v * v))) ** (1.0 / gm1)
-    state = blowup.irrot_invariants(u, v, rho, G, q_ref=q_ref, qhat=math.sqrt(qhat2))
+    z_plus, z_minus = blowup.irrot_invariants(u, v, rho, G, q_ref=q_ref, qhat=math.sqrt(qhat2))
     zp, zm = rows[0]
     assert rep.x_history[0] == 0.0
-    assert np.array_equal(zp, state.z_plus) and np.array_equal(zm, state.z_minus)
+    assert np.array_equal(zp, z_plus) and np.array_equal(zm, z_minus)
 
 
 def test_periodic_extension_exact():

@@ -765,9 +765,9 @@ def _counted(monkeypatch, module, name):
 
 
 def test_solve_unusable_out_is_io_error(workdir, tmp_path, capsys, monkeypatch):
-    """--out naming a file, and a fields.csv that is a directory, end with
-    the io summary line instead of a traceback; the file is caught before
-    the fixed point runs."""
+    """--out naming a file or a directory below one, and a fields.csv that
+    is a directory, end with the io summary line instead of a traceback; the
+    file is caught before the fixed point runs."""
     solves = _counted(monkeypatch, moc, "fixed_point")
     blocker = tmp_path / "file"
     blocker.write_text("")
@@ -775,6 +775,10 @@ def test_solve_unusable_out_is_io_error(workdir, tmp_path, capsys, monkeypatch):
                         "--out", blocker, "--quiet")
     assert "File exists" in line and str(blocker) in line
     assert parse_summary(line)["detail"] == f"[Errno 17] File exists: {str(blocker)!r}"
+    line = _io_error_of(capsys, "solve", "--config", workdir / "pert.cfg", "--grid", "41x11",
+                        "--out", blocker / "sub" / "deeper", "--quiet")
+    below = str(blocker / "sub")  # the directory os.makedirs would fail to create
+    assert parse_summary(line)["detail"] == f"[Errno 20] Not a directory: {below!r}"
     assert solves == []
     (tmp_path / "o" / "fields.csv").mkdir(parents=True)
     line = _io_error_of(capsys, "solve", "--config", workdir / "pert.cfg", "--grid", "41x11",
@@ -790,6 +794,9 @@ def test_sweep_unusable_out_is_io_error(workdir, tmp_path, capsys, monkeypatch):
     line = _io_error_of(capsys, "sweep", "--config", workdir / "pert.cfg", "--grid", "41x11",
                         "--eps", "2e-4,4e-4", "--out", blocker, "--quiet")
     assert "File exists" in line
+    line = _io_error_of(capsys, "sweep", "--config", workdir / "pert.cfg", "--grid", "41x11",
+                        "--eps", "2e-4,4e-4", "--out", blocker / "sub", "--quiet")
+    assert parse_summary(line)["detail"] == f"[Errno 20] Not a directory: {str(blocker / 'sub')!r}"
     assert solves == []
 
 
@@ -800,7 +807,25 @@ def test_blowup_unusable_out_is_io_error(workdir, tmp_path, capsys, monkeypatch)
     line = _io_error_of(capsys, "blowup", "--config", workdir / "blow.cfg", "--out", blocker,
                         "--quiet")
     assert "File exists" in line
+    line = _io_error_of(capsys, "blowup", "--config", workdir / "blow.cfg", "--out",
+                        blocker / "sub", "--quiet")
+    assert parse_summary(line)["detail"] == f"[Errno 20] Not a directory: {str(blocker / 'sub')!r}"
     assert marches == []
+
+
+@pytest.mark.parametrize("argv, csv", [
+    (("solve", "--config", "pert.cfg", "--grid", "41x11"), None),
+    (("sweep", "--config", "pert.cfg", "--grid", "41x11", "--eps", "2e-4,4e-4"), "sweep.csv"),
+    (("blowup", "--config", "blow.cfg"), "gradients.csv"),
+], ids=["solve", "sweep", "blowup"])
+def test_summary_reads_back_an_out_path_with_a_space(workdir, tmp_path, capsys, argv, csv):
+    """An ``out`` path holding whitespace is printed as its repr, as
+    ``detail`` is, so the summary line reads back to the whole path."""
+    out = tmp_path / "a b"
+    argv = [workdir / a if a.endswith(".cfg") else a for a in argv]
+    code, _, s = main_in_process(capsys, *argv, "--out", out, "--quiet")
+    assert (code, s["status"]) == (0, "ok")
+    assert s["out"] == str(out if csv is None else out / csv)
 
 
 def test_failed_validation_beside_an_unusable_out_is_a_validation_error(workdir, tmp_path,

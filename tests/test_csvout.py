@@ -164,7 +164,7 @@ def test_nozzle_writers_match_per_value_formatting(tmp_path, neta):
     rows = [[] for _ in header]
     for tag, _, cols in efield.domain.layers:
         y = efield.y[:, cols]
-        values = [np.broadcast_to(efield.x[:, None], y.shape), y]
+        values = [np.broadcast_to(efield.domain.xi[:, None], y.shape), y]
         values += [getattr(efield.state, n)[:, cols] for n in header[2:-1]]
         values += [np.full(y.shape, tag)]
         for col, v in zip(rows, values):

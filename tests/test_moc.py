@@ -67,12 +67,12 @@ def test_frozen_lambdas_match_direct_recomputation(rng):
 def test_coupling_background_values():
     cfg, geom, profile, prob = assemble(0.0, 60, 12)
     grid = moc.InvariantGrid.background(prob)
-    cc = moc.coupling_coefficients(grid, prob)
+    alpha, beta, _, _, _ = moc.coupling_coefficients(grid, prob)
     sd_a, sd_b = contact_stream_data(prob)
     expect_a = 1.0 / (2.0 * gas_reference.dtheta_dp(1.0, sd_a, G))
     expect_b = 1.0 / (2.0 * gas_reference.dtheta_dp(1.0, sd_b, G))
-    assert np.max(np.abs(cc.alpha - expect_a)) < 1e-13
-    assert np.max(np.abs(cc.beta - expect_b)) < 1e-13
+    assert np.max(np.abs(alpha - expect_a)) < 1e-13
+    assert np.max(np.abs(beta - expect_b)) < 1e-13
 
 
 def test_gauss_table_is_leggauss_16_on_the_unit_interval():
@@ -88,9 +88,9 @@ def test_coupling_bits_of_one_gauss_sum_per_contact_side(eps):
     # alpha and beta of a solved grid carry the bits of one (16, nxi) Gauss
     # sum along each side's own path, against the reference dTheta/dp.
     cfg, geom, profile, prob, grid, report = solved(eps, 101, 26)
-    cc = moc.coupling_coefficients(grid, prob)
+    alpha, beta, _, _, _ = moc.coupling_coefficients(grid, prob)
     p = moc.grid_states(grid, prob).p
-    for got, node, sd in zip((cc.alpha, cc.beta), (0, -1), contact_stream_data(prob)):
+    for got, node, sd in zip((alpha, beta), (0, -1), contact_stream_data(prob)):
         path = sd.p_ref + moc._GL_X[:, None] * (p[:, node] - sd.p_ref)
         expect = 1.0 / (2.0 * (moc._GL_W @ gas_reference.dtheta_dp(path, sd, G)))
         assert np.array_equal(got, expect)
@@ -122,11 +122,11 @@ def test_first_iterate_misses_the_solution_by_eps_squared():
 
 def test_coupling_gamma_algebra_exact():
     cfg, geom, profile, prob, grid, report = solved(1e-3, 101, 26)
-    cc = report.last_coupling
-    assert np.max(np.abs(cc.gamma2 + cc.gamma3 - 2.0)) < 1e-15
-    assert np.max(np.abs(cc.gamma2 - cc.gamma3 - 2.0 * cc.gamma1)) < 1e-15
-    assert np.all((cc.gamma2 > 0) & (cc.gamma2 < 2))
-    assert np.all(np.abs(cc.gamma1) < 1.0)
+    _, _, gamma1, gamma2, gamma3 = report.last_coupling
+    assert np.max(np.abs(gamma2 + gamma3 - 2.0)) < 1e-15
+    assert np.max(np.abs(gamma2 - gamma3 - 2.0 * gamma1)) < 1e-15
+    assert np.all((gamma2 > 0) & (gamma2 < 2))
+    assert np.all(np.abs(gamma1) < 1.0)
 
 
 def test_coupling_equal_layers_give_symmetric_weights():
@@ -134,10 +134,11 @@ def test_coupling_equal_layers_give_symmetric_weights():
     bg = BackgroundState(u_a=2.2, rho_a=1.0, u_b=2.2, rho_b=1.0, p=1.0)
     cfg, geom, profile = fixtures.perturbed_inputs(0.0, background=bg, nxi=40, neta=10)
     prob, _ = cli.build_pipeline(cfg, geom, profile)
-    cc = moc.coupling_coefficients(moc.InvariantGrid.background(prob), prob)
-    assert np.max(np.abs(cc.gamma1)) < 1e-14
-    assert np.max(np.abs(cc.gamma2 - 1.0)) < 1e-14
-    assert np.max(np.abs(cc.gamma3 - 1.0)) < 1e-14
+    _, _, gamma1, gamma2, gamma3 = moc.coupling_coefficients(moc.InvariantGrid.background(prob),
+                                                             prob)
+    assert np.max(np.abs(gamma1)) < 1e-14
+    assert np.max(np.abs(gamma2 - 1.0)) < 1e-14
+    assert np.max(np.abs(gamma3 - 1.0)) < 1e-14
 
 
 @pytest.mark.parametrize("eps", [1e-3, 1e-2])
@@ -206,14 +207,14 @@ def test_trace_back_and_forth_second_order():
 def test_step_background_is_fixed_point():
     cfg, geom, profile, prob = assemble(0.0, 60, 12)
     grid = moc.InvariantGrid.background(prob)
-    out, _, _ = moc.solve_linearized(grid, prob)
+    out, _ = moc.solve_linearized(grid, prob)
     assert np.array_equal(out.zm, grid.zm)
     assert np.array_equal(out.zp, grid.zp)
 
 
 def test_one_march_imposes_wall_closure_exactly():
     cfg, geom, profile, prob = assemble(1e-3, 101, 26)
-    out, _, _ = moc.solve_linearized(moc.InvariantGrid.background(prob), prob)
+    out, _ = moc.solve_linearized(moc.InvariantGrid.background(prob), prob)
     wall = out.zm_a[1:, -1] + out.zp_a[1:, -1] - 2.0 * prob.wall_angle_plus[1:]
     assert np.max(np.abs(wall)) < 1e-12
     wall_b = out.zm_b[1:, 0] + out.zp_b[1:, 0] - 2.0 * prob.wall_angle_minus[1:]
@@ -223,13 +224,10 @@ def test_one_march_imposes_wall_closure_exactly():
 def test_contact_closure_specialization_gamma1_zero():
     # with gamma1 = 0 the closure reduces to a pure swap of the incoming
     # deviations scaled by gamma3 / gamma2
-    cc = moc.CouplingCoefficients(
-        alpha=np.full(3, 0.8), beta=np.full(3, 0.8),
-        gamma1=np.zeros(3), gamma2=np.ones(3), gamma3=np.ones(3),
-    )
+    gamma1, gamma2, gamma3 = np.zeros(3), np.ones(3), np.ones(3)
     d_in_a, d_in_b = 1.3e-4, -0.7e-4
-    out_a = cc.gamma1[1] * d_in_a + cc.gamma3[1] * d_in_b
-    out_b = cc.gamma2[1] * d_in_a - cc.gamma1[1] * d_in_b
+    out_a = gamma1[1] * d_in_a + gamma3[1] * d_in_b
+    out_b = gamma2[1] * d_in_a - gamma1[1] * d_in_b
     assert out_a == pytest.approx(d_in_b, rel=1e-15)
     assert out_b == pytest.approx(d_in_a, rel=1e-15)
 
@@ -279,7 +277,7 @@ def test_step_against_dense_characteristic_fan():
     assert e_coarse / e_fine > 3.0  # ~4 expected for an O(deta^2) step
 
 
-def _per_slab_march(prob, frozen, cc, hits):
+def _per_slab_march(prob, frozen, weights, hits):
     """The march one slab at a time, tracing every foot inside the step and
     evaluating the written-out cubic there: the reference the planned,
     stacked march must reproduce bit for bit.  Counts interior midpoints
@@ -292,6 +290,7 @@ def _per_slab_march(prob, frozen, cc, hits):
     a, b = slice(0, na), slice(na, None)
     lam_m_a, lam_p_a = frozen.lam_m[:, a], frozen.lam_p[:, a]
     lam_m_b, lam_p_b = frozen.lam_m[:, b], frozen.lam_p[:, b]
+    _, _, gamma1, gamma2, gamma3 = weights
 
     def advect(eta, z_old, lam_old, lam_new):
         mid = np.clip(eta - 0.5 * dxi * lam_new, eta[0], eta[-1])
@@ -313,7 +312,7 @@ def _per_slab_march(prob, frozen, cc, hits):
         zp_b = advect(eb, rows[3][-1], lam_m_b[k], lam_m_b[k + 1])
         zp_a[-1] = 2.0 * prob.wall_angle_plus[k + 1] - zm_a[-1]
         zm_b[0] = 2.0 * prob.wall_angle_minus[k + 1] - zp_b[0]
-        g1, g2, g3 = cc.gamma1[k + 1], cc.gamma2[k + 1], cc.gamma3[k + 1]
+        g1, g2, g3 = gamma1[k + 1], gamma2[k + 1], gamma3[k + 1]
         zm_a[0] = g1 * zp_a[0] + g3 * zm_b[-1]
         zp_b[-1] = g2 * zp_a[0] - g1 * zm_b[-1]
         for row, z in zip(rows, (zm_a, zp_a, zm_b, zp_b)):
@@ -323,7 +322,7 @@ def _per_slab_march(prob, frozen, cc, hits):
 
 @pytest.mark.parametrize("speeds", ["random", "tiny", "cfl-one"])
 @pytest.mark.parametrize("neta_a,neta_b", [(12, 17), (19, 6)])
-def test_stacked_march_bit_equal_to_per_slab_march(speeds, neta_a, neta_b):
+def test_stacked_march_bit_equal_to_per_slab_march(monkeypatch, speeds, neta_a, neta_b):
     cfg, geom, profile = fixtures.perturbed_inputs(1e-3, nxi=60, neta=neta_a)
     cfg = dataclasses.replace(cfg, grid_neta_b=neta_b)
     prob, _ = cli.build_pipeline(cfg, geom, profile)
@@ -348,17 +347,19 @@ def test_stacked_march_bit_equal_to_per_slab_march(speeds, neta_a, neta_b):
                              lam_p=np.hstack([lam_p_a, lam_p_b]))
     moc.check_cfl(frozen, dom)
     alpha, beta = rng.uniform(0.5, 2.0, nxi), rng.uniform(0.5, 2.0, nxi)
-    cc = moc.CouplingCoefficients(alpha=alpha, beta=beta, gamma1=(alpha - beta) / (alpha + beta),
-                                  gamma2=2.0 * alpha / (alpha + beta),
-                                  gamma3=2.0 * beta / (alpha + beta))
+    weights = (alpha, beta, (alpha - beta) / (alpha + beta), 2.0 * alpha / (alpha + beta),
+               2.0 * beta / (alpha + beta))
     inlet_a = [1e-3 * rng.normal(size=neta_a) for _ in range(2)]
     inlet_b = [1e-3 * rng.normal(size=neta_b) for _ in range(2)]
     prob = dataclasses.replace(prob, inlet_z=np.array(
         [np.concatenate(pair) for pair in zip(inlet_a, inlet_b)]))
 
     hits = {"mid": 0, "feet": 0, "clipped": 0}
-    ref = _per_slab_march(prob, frozen, cc, hits)
-    ours = moc.InvariantGrid(dom, *moc.march_linearized(prob, frozen, cc))
+    ref = _per_slab_march(prob, frozen, weights, hits)
+    # solve_linearized marches the speeds and weights it freezes on prev
+    monkeypatch.setattr(moc, "frozen_lambdas", lambda *_: frozen)
+    monkeypatch.setattr(moc, "coupling_coefficients", lambda *_: weights)
+    ours, _ = moc.solve_linearized(moc.InvariantGrid.background(prob), prob)
     for name, r in zip(("zm_a", "zp_a", "zm_b", "zp_b"), ref):
         o = getattr(ours, name)
         assert o.shape == r.shape, name
@@ -380,10 +381,9 @@ def test_march_plan_stays_within_twice_the_three_array_plan(nxi, neta):
     node-step, and precomputing more per node-step (the twelve Lagrange
     factors would be 12 more) must not grow it past."""
     _, _, _, prob = assemble(1e-3, nxi, neta)
-    plan = moc.plan_march(moc.frozen_lambdas(moc.InvariantGrid.background(prob), prob),
-                          prob.domain)
-    arrays = [getattr(plan, f.name) for f in dataclasses.fields(plan)]
-    assert all(a.base is None for a in arrays)  # no field views a larger array
+    arrays = moc.plan_march(moc.frozen_lambdas(moc.InvariantGrid.background(prob), prob),
+                            prob.domain)
+    assert all(a.base is None for a in arrays)  # no array views a larger one
     width = prob.stream.a0.size * 2  # the march row zm | zp
     assert sum(a.nbytes for a in arrays) <= 3 * (nxi - 1) * width * 8
 
@@ -394,7 +394,6 @@ def test_march_call_counts(monkeypatch):
     ``step_linearized`` calls (what perfbench counts as ``moc.slab_steps``)."""
     _, _, _, prob = assemble(1e-3, 60, 12)
     frozen = moc.frozen_lambdas(moc.InvariantGrid.background(prob), prob)
-    cc = moc.coupling_coefficients(moc.InvariantGrid.background(prob), prob)
     nxi = prob.domain.xi.size
     calls = {"interp": 0, "step": 0}
     real_interp, real_step = np.interp, moc.step_linearized
@@ -412,7 +411,7 @@ def test_march_call_counts(monkeypatch):
     moc.plan_march(frozen, prob.domain)
     assert 0 < calls["interp"] <= 4 * nxi
     calls["interp"] = 0
-    moc.march_linearized(prob, frozen, cc)
+    moc.solve_linearized(moc.InvariantGrid.background(prob), prob)
     assert 0 < calls["interp"] <= 4 * nxi
     assert calls["step"] == nxi - 1
 
@@ -425,8 +424,8 @@ def test_solve_outputs_lipschitz_in_prev():
     pert = moc.InvariantGrid(prob.domain, base.zm.copy(), base.zp.copy())
     pert.zm[:, a] += noise
     pert.zp[:, a] -= 0.5 * noise
-    out0, _, _ = moc.solve_linearized(base, prob)
-    out1, _, _ = moc.solve_linearized(pert, prob)
+    out0, _ = moc.solve_linearized(base, prob)
+    out1, _ = moc.solve_linearized(pert, prob)
     d_prev = np.max(np.abs(pert.zm - base.zm))
     d_out = max(np.max(np.abs(out1.zm - out0.zm)), np.max(np.abs(out1.zp - out0.zp)))
     # the map contracts strongly near the background: output differences are
@@ -509,6 +508,19 @@ def test_failure_inside_an_iteration_carries_report(monkeypatch, stage, code):
     assert len(err.value.report.c1_gaps) == 1
 
 
+def test_nonpositive_coupling_weights_stop_both_marches(monkeypatch):
+    """A contact dTheta/dp of inf gives alpha = beta = 0: the fixed point and
+    the oracle, whose weights both come from ``contact_weights``, stop with
+    the same degenerate error."""
+    _, _, _, prob = assemble(1e-3, 60, 12)
+    monkeypatch.setattr(prob.contact, "dtheta_dp", lambda p: np.full(p.shape, np.inf))
+    message = "^degenerate: coupling coefficients must be positive$"
+    with pytest.raises(moc.SolverError, match=message):
+        moc.fixed_point(prob, fp_tol=1e-10, max_fp_iters=5)
+    with pytest.raises(moc.SolverError, match=message):
+        oracle.upwind_march(prob)
+
+
 def test_supersonic_margin_guard():
     cfg, geom, profile, prob = assemble(0.0, 60, 12)
     prob.min_supersonic_margin = 5.0  # impossible margin
@@ -534,11 +546,11 @@ def _check_wall_and_contact_identities(prob, grid, report):
     assert np.max(np.abs(wall)) < 1e-14
     wall_b = grid.zm_b[1:, 0] + grid.zp_b[1:, 0] - 2.0 * prob.wall_angle_minus[1:]
     assert np.max(np.abs(wall_b)) < 1e-14
-    cc = report.last_coupling
+    _, _, gamma1, gamma2, gamma3 = report.last_coupling
     zm_a, zp_a = grid.zm_a[1:, 0], grid.zp_a[1:, 0]
     zm_b, zp_b = grid.zm_b[1:, -1], grid.zp_b[1:, -1]
-    r1 = zm_a - (cc.gamma1[1:] * zp_a + cc.gamma3[1:] * zm_b)
-    r2 = zp_b - (cc.gamma2[1:] * zp_a - cc.gamma1[1:] * zm_b)
+    r1 = zm_a - (gamma1[1:] * zp_a + gamma3[1:] * zm_b)
+    r2 = zp_b - (gamma2[1:] * zp_a - gamma1[1:] * zm_b)
     assert np.max(np.abs(r1)) < 1e-15
     assert np.max(np.abs(r2)) < 1e-15
     # derived interface conditions
