@@ -9,12 +9,13 @@ so c(q)^2 = (gamma-1)(qhat^2 - q^2)/2 and the flow is admissible for
 c_hat < q < qhat with c_hat = qhat sqrt((gamma-1)/(gamma+1)).  Theta(q) is
 the Prandtl-Meyer angle nu(M(q)) measured from q_ref, in closed form with
 M^2 = 2 q^2 / ((gamma-1)(qhat^2 - q^2)).  Z_plus is constant along
-dy/dx = lambda_minus and Z_minus along lambda_plus.  The
-wall-bounded problem on y in [0, 1] is extended to one full period
-y in [-1, 1) by even reflection of (u, rho) and odd reflection of v, so the
-march is a pure periodic Cauchy problem.  It starts from the configured
-closed forms: u0(y) and v0(y) are evaluated at the nodes and the density
-follows pointwise from the Bernoulli law.
+dy/dx = lambda_minus and Z_minus along lambda_plus, lambda_-+ =
+tan(theta -+ mu) with the Mach angle mu (sin mu = c/q), a function of Theta
+alone.  The wall-bounded problem on y in [0, 1] is extended to one full
+period y in [-1, 1) by even reflection of (u, rho) and odd reflection of v,
+so the march is a pure periodic Cauchy problem.  It starts from the
+configured closed forms: u0(y) and v0(y) are evaluated at the nodes and the
+density follows pointwise from the Bernoulli law.
 
 Two independent blow-up detectors run side by side: a gradient-explosion
 trigger on sup|d_y Z| and a same-family characteristic-crossing trigger
@@ -88,15 +89,18 @@ def irrot_invariants(u, v, rho, g, q_ref, qhat):
 
 
 _MINUS_PLUS = np.array([-1.0, 1.0])
+_HALF_PI = 0.5 * math.pi
 
 
-def _slopes(u, v, c, q2):
-    """(uv -+ c sqrt(q2 - c^2)) / (u^2 - c^2), stacked as [lambda_minus,
-    lambda_plus] along a new leading axis.  Callers check u > c, and as
-    q2 >= u^2 (rounded) that keeps q2 - c^2 from going negative."""
-    cc = c * c
-    cd = c * np.sqrt(q2 - cc)
-    return (u * v + np.multiply.outer(_MINUS_PLUS, cd)) / (u * u - cc)
+def _mach_slopes(theta, mu):
+    """Slopes dy/dx = tan(theta -+ mu), stacked as [lambda_minus, lambda_plus]
+    along a new leading axis.  As u = q cos(theta) and c = q sin(mu), u > c
+    is |theta| + mu < pi/2; elsewhere the state is ``degenerate``."""
+    if (np.abs(theta) + mu >= _HALF_PI).any():
+        raise BlowupError("degenerate: u dropped below c during the march")
+    lam = np.multiply.outer(_MINUS_PLUS, mu)
+    lam += theta
+    return np.tan(lam, out=lam)
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +226,10 @@ def _periodic_pad():
     return math.ceil(_STEP_CAP) + 2
 
 
-class _SpeedInverter:
-    """Dense monotone interpolant of q <-> Theta(q), built once per march
-    from closed-form samples; one table lookup per step is cheaper than a
-    per-step Newton inversion of the closed form."""
+class _MachAngleTable:
+    """Dense monotone interpolant of the Mach angle mu(Theta), sin mu = c/q,
+    built once per march from closed-form samples in q; one table lookup
+    per step is cheaper than a per-step Newton inversion of Theta(q)."""
 
     def __init__(self, qhat, g, q_ref):
         c_hat = critical_speed(qhat, g)
@@ -235,10 +239,10 @@ class _SpeedInverter:
         th = theta_of_speed(qs, qhat, g, q_ref)
         self.q_lo, self.q_hi = lo, hi
         self.th_lo, self.th_hi = float(th[0]), float(th[-1])
-        self.table = interp.pchip(th, qs)
+        self.table = interp.pchip(th, np.arcsin(_c_of_q2(qs * qs, qhat, g) / qs))
 
-    def q_of_theta(self, th):
-        """The speed q with Theta(q) = th, for an array ``th``; a target
+    def mu_of_theta(self, th):
+        """The Mach angle at Theta = th, for an array ``th``; a target
         outside the table, or NaN, is an error."""
         if not (self.th_lo <= th.min() and th.max() <= self.th_hi):
             raise BlowupError("sonic-limit: Theta target outside the admissible speed range")
@@ -261,6 +265,8 @@ def cauchy_march(profile: PeriodicProfile, g, x_max, ny=800, dx_max=0.05,
     """March the diagonal system on one period with adaptive steps.
 
     The first row is ``irrot_invariants`` of ``profile.eval`` at the nodes.
+    Each step takes both slopes as tan(theta -+ mu) (``_mach_slopes``), with
+    mu(Theta) read from a table built once (``_MachAngleTable``).
     Semi-Lagrangian update (monotone cubic, periodic): Z_plus is pulled back
     along lambda_minus and Z_minus along lambda_plus.  The step size tracks
     dx = min(dx_max, 1.5 dy / max|lambda|, 0.1 / max|d_y Z|), so every foot
@@ -285,7 +291,7 @@ def cauchy_march(profile: PeriodicProfile, g, x_max, ny=800, dx_max=0.05,
     u, v, rho = profile.eval(y)
     z = irrot_invariants(u, v, rho, g, q_ref=profile.q_ref, qhat=profile.qhat)
 
-    inverter = _SpeedInverter(profile.qhat, g, profile.q_ref)
+    mach_angle = _MachAngleTable(profile.qhat, g, profile.q_ref)
 
     # Periodic padding: column j + pad of z.take(ext, axis=1) is node j, on
     # the lattice y0 + k h.  The step cap keeps every foot within _STEP_CAP
@@ -329,14 +335,7 @@ def cauchy_march(profile: PeriodicProfile, g, x_max, ny=800, dx_max=0.05,
         if x >= x_stop or (report.gradient_x is not None and report.crossing_x is not None):
             break
         zp, zm = z
-        theta_half = 0.5 * (zp + zm)
-        q = inverter.q_of_theta(0.5 * (zp - zm))
-        q2 = q * q
-        uu = q * np.cos(theta_half)
-        c = _c_of_q2(q2, profile.qhat, g)
-        if (uu <= c).any():
-            raise BlowupError("degenerate: u dropped below c during the march")
-        lam = _slopes(uu, q * np.sin(theta_half), c, q2)
+        lam = _mach_slopes(0.5 * (zp + zm), mach_angle.mu_of_theta(0.5 * (zp - zm)))
 
         max_lam = float(np.abs(lam).max())
         max_grad = max(gzp[-1], gzm[-1])

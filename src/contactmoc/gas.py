@@ -59,7 +59,7 @@ def _as_array(*vals):
 
 
 def _check_positive(p, rho):
-    if not ((p > 0.0).all() and (rho > 0.0).all()):
+    if not ((p > 0.0) & (rho > 0.0)).all():
         raise GasError("out-of-range: nonpositive pressure or density in PrimitiveState")
 
 
@@ -272,7 +272,7 @@ class Streamline:
             consts = [np.broadcast_to(c.reshape(self.shape), shape).ravel() for c in consts]
         p_sonic, cap, s_floor, nu_low, nu_ref, s0, nu_s0 = consts
         nu_goal = nu_ref - t.ravel()
-        if (nu_goal < nu_low).any() or (nu_goal >= self._nu_max).any():
+        if ((nu_goal < nu_low) | (nu_goal >= self._nu_max)).any():
             raise GasError("out-of-range: target exceeds the range of Theta on the admissible interval")
 
         s = s0.copy()
@@ -343,10 +343,11 @@ class Streamline:
         c2 = self.gamma * p / rho
         uu = u * u
         du = uu - c2
-        if not (du > 0.0).all():
-            raise GasError("degenerate: characteristic speeds need u > c")
         q2mc2 = uu + v * v - c2
-        if not (q2mc2 > 0.0).all():
+        # One reduction for both guards; the failing one is found only on error.
+        if not ((du > 0.0) & (q2mc2 > 0.0)).all():
+            if not (du > 0.0).all():
+                raise GasError("degenerate: characteristic speeds need u > c")
             raise GasError("not-supersonic: q must exceed c")
         c = np.sqrt(c2)
         front = rho * u * c2 / du
@@ -358,10 +359,11 @@ class Streamline:
         """Closed-form dTheta/dp = sqrt(M^2-1)/(rho q^2) at the pressures p;
         strictly positive on the supersonic range."""
         gam = self.gamma
-        if not (p > 0.0).all():
-            raise GasError("out-of-range: pressure must be positive")
         rad = self._two_b0 - self._sonic_a * p ** ((gam - 1.0) / gam)
-        if not (rad > 0.0).all():
+        # One reduction for both guards; the failing one is found only on error.
+        if not ((p > 0.0) & (rad > 0.0)).all():
+            if not (p > 0.0).all():
+                raise GasError("out-of-range: pressure must be positive")
             raise GasError("sonic-limit: dTheta/dp radicand is nonpositive")
         den = (self._front * (self._b0 - self._bern_a * p ** (1.0 - 1.0 / gam))
                * p ** ((gam + 1.0) / (2.0 * gam)))

@@ -2,9 +2,10 @@
 
 ``blowup.cauchy_march`` is written for a low per-step call count.  This
 reference keeps the plain form of the same arithmetic: its own copies of the
-Fritsch-Carlson slopes and the Hermite evaluation, the speed lookup through
-``PiecewisePoly.__call__``, fancy-index gathers, ``% 2.0`` for the fans and
-the gradients divided before their maximum.  The two must agree bit for bit.
+Fritsch-Carlson slopes and the Hermite evaluation, the Mach-angle lookup
+through ``PiecewisePoly.__call__``, the slopes as tan(theta -+ mu) in one
+broadcast, fancy-index gathers, ``% 2.0`` for the fans and the gradients
+divided before their maximum.  The two must agree bit for bit.
 """
 
 import numpy as np
@@ -52,7 +53,7 @@ def reference_march(profile, g, x_max, ny=800, dx_max=0.05, policy=None):
     dy = 2.0 / ny
     u, v, rho = profile.eval(y)
     z = blowup.irrot_invariants(u, v, rho, g, q_ref=profile.q_ref, qhat=profile.qhat)
-    inverter = blowup._SpeedInverter(profile.qhat, g, profile.q_ref)
+    mach_angle = blowup._MachAngleTable(profile.qhat, g, profile.q_ref)
 
     pad = blowup._periodic_pad()
     ext = np.arange(-pad, ny + pad) % ny
@@ -82,18 +83,14 @@ def reference_march(profile, g, x_max, ny=800, dx_max=0.05, policy=None):
     for _ in range(blowup._MAX_STEPS):
         if x >= x_stop or (report.gradient_x is not None and report.crossing_x is not None):
             break
-        theta_half = 0.5 * (z[0] + z[1])
+        theta = 0.5 * (z[0] + z[1])
         th = 0.5 * (z[0] - z[1])
-        if np.any(th < inverter.th_lo) or np.any(th > inverter.th_hi):
+        if np.any(th < mach_angle.th_lo) or np.any(th > mach_angle.th_hi):
             raise BlowupError("sonic-limit: Theta target outside the admissible speed range")
-        q = inverter.table(th)
-        uu = q * np.cos(theta_half)
-        vv = q * np.sin(theta_half)
-        c = np.sqrt(0.5 * (g.gamma - 1.0) * (profile.qhat * profile.qhat - q * q))
-        if np.any(uu <= c):
+        mu = mach_angle.table(th)
+        if np.any(np.abs(theta) + mu >= np.pi / 2):
             raise BlowupError("degenerate: u dropped below c during the march")
-        cd = c * np.sqrt(np.maximum(q * q - c * c, 0.0))
-        lam = (uu * vv + np.array([[-1.0], [1.0]]) * cd) / (uu * uu - c * c)
+        lam = np.tan(theta + np.array([[-1.0], [1.0]]) * mu)
 
         max_lam = float(np.max(np.abs(lam)))
         max_grad = max(gzp[-1], gzm[-1])

@@ -1,4 +1,6 @@
+import importlib.util
 import math
+import os
 
 import numpy as np
 import pytest
@@ -23,18 +25,18 @@ def dtheta_of_speed(q, qhat, g):
 
 
 def irrot_lambdas(u, v, rho, g):
-    """Characteristic slopes dy/dx = tan(theta -+ mu) of the irrotational
-    flow: the flow angle theta = atan2(v, u) turned by the Mach angle
-    mu = asin(c/q).  This equals the march's (uv -+ c sqrt(q^2 - c^2)) /
-    (u^2 - c^2) within rounding, and is written apart from it.  Needs u > c,
-    which keeps |theta| + mu below pi/2."""
+    """Characteristic slopes (uv -+ c sqrt(q^2 - c^2)) / (u^2 - c^2) of the
+    irrotational flow, from the velocity and the sound speed.  This equals
+    the march's tan(theta -+ mu) within rounding, and is written apart from
+    it.  Needs u > c, so the denominator is positive; then
+    q^2 - c^2 >= u^2 - c^2 > 0 keeps the radicand positive without a clamp."""
     u, v, rho = (np.asarray(x, dtype=float) for x in (u, v, rho))
     c = blowup.sound_speed_of_density(rho, g)
     if np.any(u * u - c * c <= 0.0):
         raise blowup.BlowupError("degenerate: characteristic slopes need u > c")
-    theta = np.arctan2(v, u)
-    mu = np.arcsin(c / np.hypot(u, v))
-    return np.tan(theta - mu), np.tan(theta + mu)
+    cd = c * np.sqrt((u * u + v * v) - c * c)
+    den = u * u - c * c
+    return (u * v - cd) / den, (u * v + cd) / den
 
 
 def make_profile(v0_text, u0_text="2.0", rho_wall=1.0):
@@ -124,19 +126,37 @@ def test_lambda_antisymmetric_and_degenerate():
 
 
 def test_march_slopes_match_mach_angle_form():
-    """The march's slopes against tan(theta -+ mu) over supersonic states,
-    from near-sonic to Mach 4 and flow angles up to +-0.6 rad."""
+    """The march's slopes tan(theta -+ mu) against the (u, v, c) form over
+    supersonic states, from near-sonic to Mach 4 and flow angles up to 0.6 of
+    the degenerate angle pi/2 - mu."""
     rng = np.random.default_rng(7)
     c = rng.uniform(0.5, 1.5, 2000)
     q = c * rng.uniform(1.001, 4.0, c.size)
-    theta = rng.uniform(-0.6, 0.6, c.size) * (np.pi / 2 - np.arcsin(c / q))
+    mu = np.arcsin(c / q)
+    theta = rng.uniform(-0.6, 0.6, c.size) * (np.pi / 2 - mu)
     u, v = q * np.cos(theta), q * np.sin(theta)
     rho = c ** (2.0 / (G.gamma - 1.0))
-    lam_m, lam_p = blowup._slopes(u, v, blowup.sound_speed_of_density(rho, G), u * u + v * v)
+    lam_m, lam_p = blowup._mach_slopes(theta, mu)
     want_m, want_p = irrot_lambdas(u, v, rho, G)
     scale = np.maximum(np.abs(want_m), np.abs(want_p))
     assert np.max(np.abs(lam_m - want_m) / scale) < 1e-12
     assert np.max(np.abs(lam_p - want_p) / scale) < 1e-12
+
+
+def test_march_stops_where_u_drops_below_c(monkeypatch):
+    """The march's own ``degenerate`` exit: a profile that passes every check
+    up front (q > c everywhere, wall-compatible) but has u < c near y = 1/2
+    stops before the first update."""
+    prof = make_profile("0.8 * sin(pi * y) ** 3", "2.0 - 0.9 * sin(pi * y) ** 2")
+    assert blowup.check_compatibility(prof) == []
+    u, v, rho = prof.eval(np.linspace(-1.0, 1.0, 401))
+    c = blowup.sound_speed_of_density(rho, G)
+    assert np.all(np.hypot(u, v) > c) and np.any(u < c)
+    updates = []
+    monkeypatch.setattr(interp, "monotone_interp", lambda *args: updates.append(args))
+    with pytest.raises(blowup.BlowupError, match="^degenerate: u dropped below c during the march$"):
+        blowup.cauchy_march(prof, G, x_max=10.0, ny=200)
+    assert updates == []
 
 
 def test_genuine_nonlinearity_probe(rng):
@@ -398,9 +418,9 @@ def test_mod2_is_np_remainder_bit_for_bit(x):
 @given(q=st.floats(0.1, 10.0), c=st.floats(0.01, 10.0), theta=st.floats(-1.5, 1.5),
        u=st.floats(0.01, 10.0), v=st.floats(-5.0, 5.0))
 def test_slopes_radicand_is_nonnegative_once_u_exceeds_c(q, c, theta, u, v):
-    """``_slopes`` takes sqrt(q2 - c^2) without a clamp: u = q cos(theta)
-    rounds to at most q, so u > c keeps q^2 - c^2 >= 0 after rounding, and
-    u^2 > c^2 keeps u^2 + v^2 - c^2 > 0."""
+    """``irrot_lambdas`` takes sqrt(u^2 + v^2 - c^2) without a clamp: u^2 > c^2
+    keeps u^2 + v^2 - c^2 > 0 after rounding.  In polar form u = q cos(theta)
+    rounds to at most q, so u > c keeps q^2 - c^2 >= 0."""
     if q * float(np.cos(theta)) > c:
         assert q * q - c * c >= 0.0
     if u * u - c * c > 0.0:
@@ -424,16 +444,33 @@ def test_step_cap_matches_half_cell_march(monkeypatch):
 
 def test_speed_lookup_is_bit_equal_to_pchip_call(rng):
     prof = make_profile("0.05 * sin(pi * y)")
-    inv = blowup._SpeedInverter(prof.qhat, G, prof.q_ref)
-    th = np.concatenate([rng.uniform(inv.th_lo, inv.th_hi, 5000),
+    tab = blowup._MachAngleTable(prof.qhat, G, prof.q_ref)
+    th = np.concatenate([rng.uniform(tab.th_lo, tab.th_hi, 5000),
                          rng.uniform(-0.05, 0.05, 5000),
-                         inv.table.x, [inv.th_lo, inv.th_hi]])
-    assert np.array_equal(inv.q_of_theta(th), inv.table(th))
-    assert np.array_equal(inv.q_of_theta(th[:400].reshape(2, 200)), inv.table(th[:400]).reshape(2, 200))
+                         tab.table.x, [tab.th_lo, tab.th_hi]])
+    assert np.array_equal(tab.mu_of_theta(th), tab.table(th))
+    assert np.array_equal(tab.mu_of_theta(th[:400].reshape(2, 200)), tab.table(th[:400]).reshape(2, 200))
     with pytest.raises(blowup.BlowupError, match="sonic-limit"):
-        inv.q_of_theta(np.array([0.0, inv.th_hi + 1e-9]))
+        tab.mu_of_theta(np.array([0.0, tab.th_hi + 1e-9]))
     with pytest.raises(blowup.BlowupError, match="sonic-limit"):
-        inv.q_of_theta(np.array([0.0, np.nan]))
+        tab.mu_of_theta(np.array([0.0, np.nan]))
+
+
+@pytest.mark.parametrize("inset, bound", [(0.3, 1.2e-11), (0.05, 2e-9), (0.002, 1.2e-5)])
+def test_mach_angle_table_error_against_closed_form(inset, bound):
+    """The march's mu(Theta) table against asin(c(q)/q) at Theta(q), both in
+    closed form, at speeds ``inset`` of the way inside (c_hat, qhat) from
+    each end.  The error grows toward the ends, where mu is steep in Theta;
+    the bounds sit about 30 % above the measured 9.1e-12, 1.5e-9 and
+    8.8e-6."""
+    prof = make_profile("0.05 * sin(pi * y)")
+    c_hat = blowup.critical_speed(prof.qhat, G)
+    margin = inset * (prof.qhat - c_hat)
+    q = np.linspace(c_hat + margin, prof.qhat - margin, 200001)
+    want = np.arcsin(np.sqrt(0.5 * (G.gamma - 1.0) * (prof.qhat ** 2 - q * q)) / q)
+    tab = blowup._MachAngleTable(prof.qhat, G, prof.q_ref)
+    err = np.abs(tab.mu_of_theta(blowup.theta_of_speed(q, prof.qhat, G, prof.q_ref)) - want).max()
+    assert err < bound
 
 
 def lax_small_data_x(u0, delta, rho_wall=1.0, n=40001):
@@ -471,14 +508,41 @@ def test_blowup_x_matches_lax_small_data_estimate():
     assert abs(rep.blowup_x - lax_x) / lax_x <= 0.10
 
 
+def _study_riccati_x():
+    """``riccati_x`` of ``scripts/blowup_study.py``."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "scripts", "blowup_study.py")
+    spec = importlib.util.spec_from_file_location("blowup_study", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.riccati_x
+
+
+def test_riccati_fit_matches_lax_and_converges():
+    """The study's Riccati abscissa lies within 1 % of Lax's small-data
+    estimate at delta = 0.03, ny = 400, and its error falls from ny = 200."""
+    riccati_x = _study_riccati_x()
+    lax_x = lax_small_data_x(2.0, 0.03)
+    err = {}
+    for ny in (200, 400):
+        rep = blowup.cauchy_march(make_profile("0.03 * sin(pi * y)"), G, x_max=200.0, ny=ny,
+                                  policy=blowup.ThresholdPolicy(factor=15.0))
+        err[ny] = abs(riccati_x(rep) - lax_x) / lax_x
+    assert err[400] <= 0.01
+    assert err[400] < err[200]
+
+
 def test_invariant_constant_along_traced_characteristic(monkeypatch):
     prof = make_profile("0.05 * sin(pi * y)")
-    inverter = blowup._SpeedInverter(prof.qhat, G, prof.q_ref)
+    c_hat = blowup.critical_speed(prof.qhat, G)
+    margin = 1e-3 * (prof.qhat - c_hat)
+    qs = np.linspace(c_hat + margin, prof.qhat - margin, 2001)
+    speed = interp.pchip(blowup.theta_of_speed(qs, prof.qhat, G, prof.q_ref), qs)  # q(Theta)
 
     def lam_minus_field(zp, zm):
         th = 0.5 * (zp + zm)
         tv = 0.5 * (zp - zm)
-        q = inverter.q_of_theta(tv)
+        q = speed(tv)
         uu, vv = q * np.cos(th), q * np.sin(th)
         c = np.sqrt(0.5 * (G.gamma - 1.0) * (prof.qhat**2 - q * q))
         return (uu * vv - c * np.sqrt(np.maximum(q * q - c * c, 0.0))) / (uu * uu - c * c)

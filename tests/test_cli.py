@@ -550,6 +550,20 @@ def test_blowup_sonic_limit_error_carries_code(tmp_path):
     assert s["detail"].startswith("sonic-limit:")
 
 
+def test_blowup_degenerate_march_is_a_convergence_error(tmp_path, capsys):
+    """A profile with q > c everywhere but u < c near y = 1/2 passes every
+    up-front check; the march stops it as ``degenerate``."""
+    cfgp = tmp_path / "degenerate.cfg"
+    cfgp.write_text("[gas]\ngamma = 1.4\n\n[blowup]\nu0 = 2.0 - 0.9 * sin(pi * y) ** 2\n"
+                    "v0 = 0.8 * sin(pi * y) ** 3\nny = 100\n")
+    code, _, s = main_in_process(capsys, "blowup", "--config", cfgp, "--out", tmp_path / "o",
+                                 "--quiet")
+    assert code == 1
+    assert (s["status"], s["error"], s["code"]) == ("error", "convergence", "degenerate")
+    assert s["detail"] == "degenerate: u dropped below c during the march"
+    assert not (tmp_path / "o").exists()
+
+
 def test_blowup_gamma_error_carries_code(tmp_path):
     cfgp = tmp_path / "isothermal.cfg"
     cfgp.write_text("[gas]\ngamma = 1.0\n\n[blowup]\nu0 = 2.0\nv0 = 0.0\nny = 100\n")

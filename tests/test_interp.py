@@ -80,12 +80,12 @@ def test_speed_table_bit_equal_to_scipy(rng):
 
     g = gas.GasConstants(1.4)
     prof = blowup.PeriodicProfile("2.0", "0.05 * sin(pi * y)", g)
-    inv = blowup._SpeedInverter(prof.qhat, g, prof.q_ref)
-    qs = np.linspace(inv.q_lo, inv.q_hi, inv.table.x.size)
-    ref = PchipInterpolator(inv.table.x, qs)
-    th = rng.uniform(inv.th_lo, inv.th_hi, 2000)
-    assert np.array_equal(inv.table.c, ref.c)
-    assert np.array_equal(inv.q_of_theta(th), ref(th))
+    tab = blowup._MachAngleTable(prof.qhat, g, prof.q_ref)
+    qs = np.linspace(tab.q_lo, tab.q_hi, tab.table.x.size)
+    ref = PchipInterpolator(tab.table.x, np.arcsin(blowup._c_of_q2(qs * qs, prof.qhat, g) / qs))
+    th = rng.uniform(tab.th_lo, tab.th_hi, 2000)
+    assert np.array_equal(tab.table.c, ref.c)
+    assert np.array_equal(tab.mu_of_theta(th), ref(th))
 
 
 @pytest.mark.parametrize("x, y", [

@@ -221,15 +221,19 @@ def test_one_march_imposes_wall_closure_exactly():
     assert np.max(np.abs(wall_b)) < 1e-12
 
 
-def test_contact_closure_specialization_gamma1_zero():
-    # with gamma1 = 0 the closure reduces to a pure swap of the incoming
-    # deviations scaled by gamma3 / gamma2
-    gamma1, gamma2, gamma3 = np.zeros(3), np.ones(3), np.ones(3)
-    d_in_a, d_in_b = 1.3e-4, -0.7e-4
-    out_a = gamma1[1] * d_in_a + gamma3[1] * d_in_b
-    out_b = gamma2[1] * d_in_a - gamma1[1] * d_in_b
-    assert out_a == pytest.approx(d_in_b, rel=1e-15)
-    assert out_b == pytest.approx(d_in_a, rel=1e-15)
+def test_contact_closure_specialization_gamma1_zero(rng):
+    """With gamma1 = 0, ``close_row`` reduces the contact coupling to a swap
+    of the incoming invariants scaled by gamma3 / gamma2, exactly, and
+    reflects both walls."""
+    na, nb = 4, 3
+    zm, zp = rng.normal(size=(2, na + nb))
+    z_in_a, z_in_b = zp[0], zm[-1]
+    angle_plus, angle_minus, g2, g3 = 0.01, -0.02, 0.9, 1.1
+    moc.close_row(zm, zp, na, angle_plus, angle_minus, 0.0, g2, g3)
+    assert zm[0] == g3 * z_in_b
+    assert zp[-1] == g2 * z_in_a
+    assert zp[na - 1] == 2.0 * angle_plus - zm[na - 1]
+    assert zm[na] == 2.0 * angle_minus - zp[na]
 
 
 def test_step_against_dense_characteristic_fan():

@@ -35,11 +35,12 @@ def test_study_script_runs(tmp_path, script, args):
 
 def test_blowup_study_writes_17_digits_and_none(tmp_path):
     lines = run_script(tmp_path, "blowup_study.py", ["--deltas", "0.06,0.001", "--ny", "100", "--x-max", "40"])
-    assert lines[0] == "delta,blowup_x,gradient_x,crossing_x,trigger,steps"
+    assert lines[0] == "delta,blowup_x,gradient_x,crossing_x,trigger,steps,riccati_x"
     fired = lines[1].split(",")
-    assert fired[1] != "none" and fired[4] != "none"
-    for text in fired[:4]:
+    assert fired[1] != "none" and fired[4] != "none" and fired[6] != "none"
+    for text in fired[:4] + fired[6:]:
         assert text == "none" or text == format(float(text), ".17g")
     quiet = lines[2].split(",")
     assert quiet[0] == "0.001"
     assert quiet[1:5] == ["none"] * 4  # no detector fired before x = 40
+    assert quiet[6] == "none"
