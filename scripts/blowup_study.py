@@ -44,12 +44,11 @@ def main():
     args = ap.parse_args()
 
     g = gas.GasConstants(1.4)
-    policy = blowup.ThresholdPolicy(factor=args.grad_factor)
     deltas = [float(tok) for tok in args.deltas.split(",")]
     rows = []
     for delta in deltas:
         profile = blowup.PeriodicProfile("2.0", f"{delta!r} * sin(pi * y)", g, rho_wall=1.0)
-        rep = blowup.cauchy_march(profile, g, args.x_max, ny=args.ny, policy=policy)
+        rep = blowup.cauchy_march(profile, args.x_max, ny=args.ny, grad_factor=args.grad_factor)
         # A detector that did not fire reads "none", as in the CLI summary.
         rows.append([_or_none(rep.blowup_x), _or_none(rep.gradient_x), _or_none(rep.crossing_x),
                      rep.trigger or "none", rep.steps, _or_none(riccati_x(rep))])

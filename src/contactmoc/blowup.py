@@ -19,7 +19,9 @@ density follows pointwise from the Bernoulli law.
 
 Two independent blow-up detectors run side by side: a gradient-explosion
 trigger on sup|d_y Z| and a same-family characteristic-crossing trigger
-(forward-integrated fans of characteristics whose ordering inverts).
+(forward-integrated fans of characteristics whose ordering inverts).  The
+march's settings, the trigger's among them, are plain keywords of
+``cauchy_march``, whose defaults are the ``[blowup]`` defaults.
 """
 
 from __future__ import annotations
@@ -177,19 +179,6 @@ def check_compatibility(profile: PeriodicProfile):
 # Detection
 
 
-@dataclass(frozen=True)
-class ThresholdPolicy:
-    """Gradient-explosion trigger: fire when sup|d_y Z| exceeds
-    factor x (its initial value) or an absolute floor, whichever is larger."""
-
-    factor: float = 1e3
-    floor: float = 1e-6
-
-    def threshold(self, g0):
-        """The trigger level for an initial gradient g0."""
-        return max(self.factor * g0, self.floor)
-
-
 @dataclass
 class BlowupReport:
     """March outcome: detector abscissas and the gradient history."""
@@ -260,11 +249,12 @@ def _mod2(x):
     return r
 
 
-def cauchy_march(profile: PeriodicProfile, g, x_max, ny=800, dx_max=0.05,
-                 policy: ThresholdPolicy = None) -> BlowupReport:
+def cauchy_march(profile: PeriodicProfile, x_max=200.0, ny=800, dx_max=0.05,
+                 grad_factor=1e3, grad_floor=1e-6) -> BlowupReport:
     """March the diagonal system on one period with adaptive steps.
 
-    The first row is ``irrot_invariants`` of ``profile.eval`` at the nodes.
+    The first row is ``irrot_invariants`` of ``profile.eval`` at the nodes,
+    with the gas constants ``profile.g``.
     Each step takes both slopes as tan(theta -+ mu) (``_mach_slopes``), with
     mu(Theta) read from a table built once (``_MachAngleTable``).
     Semi-Lagrangian update (monotone cubic, periodic): Z_plus is pulled back
@@ -273,6 +263,9 @@ def cauchy_march(profile: PeriodicProfile, g, x_max, ny=800, dx_max=0.05,
     lies within 1.5 cells of its node and is read unwrapped from the
     periodically padded row.  The march stops at x_max or once both
     detectors have fired.
+
+    Gradient detector: the trigger fires once sup|d_y Z| exceeds
+    max(grad_factor x its initial value, grad_floor).
 
     Crossing detector: same-family characteristic fans seeded at the inlet
     nodes are integrated alongside the solution; the trigger fires when an
@@ -284,8 +277,7 @@ def cauchy_march(profile: PeriodicProfile, g, x_max, ny=800, dx_max=0.05,
     Both families share every array: row 0 holds Z_plus, lambda_minus and
     the family-minus fan, row 1 Z_minus, lambda_plus and the family-plus fan.
     """
-    if policy is None:
-        policy = ThresholdPolicy()
+    g = profile.g
     y = -1.0 + 2.0 * np.arange(ny) / ny  # one period, no duplicate endpoint
     dy = 2.0 / ny
     u, v, rho = profile.eval(y)
@@ -325,7 +317,7 @@ def cauchy_march(profile: PeriodicProfile, g, x_max, ny=800, dx_max=0.05,
     zx = z.take(ext, axis=1)
     g0p, g0m = abs_gradient(zx)
     xs, gzp, gzm = [0.0], [g0p], [g0m]
-    threshold = policy.threshold(max(g0p, g0m))
+    threshold = max(grad_factor * max(g0p, g0m), grad_floor)
 
     report = BlowupReport()
     report.y_nodes = y

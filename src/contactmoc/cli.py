@@ -170,6 +170,7 @@ def run_solve(cfg, geom, profile, write_outputs=True):
     g = cfg.gas_constants
     eps = config.perturbation_size(profile, geom, cfg.background)
     profile.validate(g, cfg.compat_tol)  # an --eps-scale or sweep profile is new
+    config.check_inlet_ordinates(profile, geom)
     violations = config.validate_compatibility(profile, geom, tol=cfg.compat_tol)
     if violations:
         raise config.ConfigError("inlet compatibility violated: " + "; ".join(violations))
@@ -261,7 +262,9 @@ def cmd_solve(args):
 
 
 def _load_blowup(path, x_max=None):
-    """Blow-up inputs from ``path``; ``x_max`` overrides the file's value."""
+    """Blow-up inputs from ``path``: the profile and the ``cauchy_march``
+    keywords that the file gives; ``x_max`` overrides the file's value.  A
+    key the file omits keeps its default in the library's signature."""
     from . import blowup
 
     try:
@@ -275,26 +278,23 @@ def _load_blowup(path, x_max=None):
     if not table:
         raise config.ConfigError(f"{path}: missing [blowup] section")
 
-    def get(key, cast=float, default=None):
-        return config._get(sections, "blowup", key, path, cast=cast, default=default)
+    def get(key, cast=float):
+        return config._get(sections, "blowup", key, path, cast=cast)
 
-    settings = {
-        "ny": get("ny", cast=int, default=800),
-        "x_max": get("x_max", default=200.0) if x_max is None else x_max,
-        "dx_max": get("dx_max", default=0.05),
-    }
-    rho_wall = get("rho_wall", default=1.0)
-    factor = get("grad_factor", default=1e3)
-    floor = get("grad_floor", default=1e-6)
-    if settings["ny"] < 2:
-        raise config.ConfigError(f"ny must be at least 2, got {settings['ny']}")
-    for key, value in (("rho_wall", rho_wall), ("x_max", settings["x_max"]),
-                       ("dx_max", settings["dx_max"]), ("grad_factor", factor),
-                       ("grad_floor", floor)):
-        if not 0.0 < value < math.inf:  # an infinite x_max never ends a smooth march
-            raise config.ConfigError(f"{key} must be positive and finite, got {value:g}")
-    if factor <= 1.0:  # the trigger level would sit at or below the initial gradient
-        raise config.ConfigError(f"grad_factor must exceed 1, got {factor:g}")
+    # PeriodicProfile's rho_wall and cauchy_march's keywords.
+    keys = [key for key in config._GRAMMAR["blowup"] if key not in ("u0", "v0")]
+    given = {key: get(key, cast=int if key == "ny" else float) for key in keys if key in table}
+    if x_max is not None:
+        given["x_max"] = x_max
+    if "ny" in given and given["ny"] < 2:
+        raise config.ConfigError(f"ny must be at least 2, got {given['ny']}")
+    for key in keys:
+        # An infinite x_max never ends a smooth march.
+        if key != "ny" and key in given and not 0.0 < given[key] < math.inf:
+            raise config.ConfigError(f"{key} must be positive and finite, got {given[key]:g}")
+    if "grad_factor" in given and given["grad_factor"] <= 1.0:
+        # The trigger level would sit at or below the initial gradient.
+        raise config.ConfigError(f"grad_factor must exceed 1, got {given['grad_factor']:g}")
 
     def expression(key):
         text = get(key, cast=str)
@@ -304,17 +304,17 @@ def _load_blowup(path, x_max=None):
             raise config.ConfigParseError(f"{path}: [blowup] {key}: {exc}") from None
         return text
 
-    g = gas.GasConstants(gamma)
-    profile = blowup.PeriodicProfile(expression("u0"), expression("v0"), g, rho_wall=rho_wall)
-    policy = blowup.ThresholdPolicy(factor=factor, floor=floor)
-    return g, profile, policy, settings
+    anchor = {"rho_wall": given.pop("rho_wall")} if "rho_wall" in given else {}
+    profile = blowup.PeriodicProfile(expression("u0"), expression("v0"),
+                                     gas.GasConstants(gamma), **anchor)
+    return profile, given
 
 
 def cmd_blowup(args):
     from . import blowup
 
     try:
-        g, profile, policy, settings = _load_blowup(args.config, x_max=args.x_max)
+        profile, march = _load_blowup(args.config, x_max=args.x_max)
     except (config.ConfigError, blowup.BlowupError, gas.GasError) as exc:
         return _error_exit(_config_exit_category(exc), exc)
     report_compat = blowup.check_compatibility(profile)
@@ -330,8 +330,7 @@ def cmd_blowup(args):
     except OSError as exc:
         return _error_exit("io", exc)
     try:
-        rep = blowup.cauchy_march(profile, g, settings["x_max"], ny=settings["ny"],
-                                  dx_max=settings["dx_max"], policy=policy)
+        rep = blowup.cauchy_march(profile, **march)
     except blowup.BlowupError as exc:
         return _error_exit("convergence", exc)
     csv_path = os.path.join(out_dir, "gradients.csv")
@@ -443,7 +442,7 @@ def cmd_validate(args):
         from . import blowup
 
         try:
-            g, bprofile, _, _ = _load_blowup(args.config)
+            bprofile, _ = _load_blowup(args.config)
             violations.extend(blowup.check_compatibility(bprofile))
         except (config.ConfigError, blowup.BlowupError, gas.GasError) as exc:
             violations.append(str(exc))

@@ -7,9 +7,11 @@ header ``y,u,v,p,rho``, either inline between ``<<<`` and ``>>>`` markers or
 in sidecar files referenced by ``layer_a_csv`` / ``layer_b_csv``.  Wall
 curves are closed-form expressions in x (polynomials, sin, cos, exp) or CSV
 samples with header ``x,y``, inline or in sidecar files referenced by
-``g_minus_csv`` / ``g_plus_csv``.  The full grammar is documented in the
-README and round-tripped by write_config; ``_GRAMMAR`` lists every section
-and key a file may hold.
+``g_minus_csv`` / ``g_plus_csv``.  Scaling a wall's deviation keeps its
+kind (an expression stays an expression, samples stay samples), so scaled
+inputs round-trip too.  The full grammar is documented in the README and
+round-tripped by write_config; ``_GRAMMAR`` lists every section and key a
+file may hold.
 """
 
 from __future__ import annotations
@@ -62,8 +64,6 @@ class WallCurve:
 
             self._spline = CubicSpline(x, y)
             self._derivs = [self._spline.derivative(k) for k in (1, 2, 3)]
-        elif kind == "scaled":
-            self._base, self._baseline, self._t = payload
         else:
             raise ConfigError(f"unknown wall kind {kind!r}")
 
@@ -81,30 +81,22 @@ class WallCurve:
     def __call__(self, x, order=0):
         x = np.asarray(x, dtype=float)
         if self._kind == "expr":
-            out = self._expr(x, order)
-        elif self._kind == "samples":
-            out = self._spline(x) if order == 0 else self._derivs[order - 1](x)
-        else:
-            base = self._base(x, order)
-            if order == 0:
-                out = self._baseline + self._t * (base - self._baseline)
-            else:
-                out = self._t * base
-        return out
+            return self._expr(x, order)
+        return self._spline(x) if order == 0 else self._derivs[order - 1](x)
 
     def scale_deviation(self, baseline, t):
-        """Wall with its deviation from ``baseline`` scaled by ``t``."""
-        return WallCurve("scaled", (self, float(baseline), float(t)))
+        """The wall b + t (g - b) for b = ``baseline``, of the same kind: an
+        expression wall stays an expression, a sampled wall is the spline of
+        its scaled samples."""
+        b, t = float(baseline), float(t)
+        if self._kind == "expr":
+            return WallCurve.from_expression(f"{b!r} + {t!r} * (({self._text}) - {b!r})")
+        return WallCurve.from_samples(self._x, b + t * (self._y - b))
 
-    def serialization(self, L=None):
+    def serialization(self):
         if self._kind == "expr":
             return ("expr", self._text)
-        if self._kind == "samples":
-            return ("samples", self._x, self._y)
-        if L is None:
-            raise ConfigError("scaled walls serialize as samples and need the nozzle length")
-        xs = np.linspace(0.0, L, 257)
-        return ("samples", xs, self(xs))
+        return ("samples", self._x, self._y)
 
 
 @dataclass
@@ -119,13 +111,14 @@ class NozzleGeometry:
         if not self.L > 0:
             raise ConfigError("nozzle length must be positive")
         xs = np.linspace(0.0, self.L, 1025)
-        lo = self.g_minus(xs)
-        hi = self.g_plus(xs)
-        if not np.all(lo < hi):
+        with np.errstate(all="ignore"):  # a non-finite value is this error, not a warning
+            for name in ("g_minus", "g_plus"):
+                for k in (0, 1, 2, 3):  # C3-evaluable
+                    if not np.all(np.isfinite(getattr(self, name)(xs, k))):
+                        what = "value" if k == 0 else f"derivative of order {k}"
+                        raise ConfigError(f"wall {name} has a non-finite {what} on [0, L]")
+        if not np.all(self.g_minus(xs) < self.g_plus(xs)):
             raise ConfigError("walls crossed: g_minus must stay below g_plus on [0, L]")
-        for k in (1, 2, 3):  # C3-evaluable
-            self.g_minus(xs, k)
-            self.g_plus(xs, k)
 
     def scale_deviation(self, t):
         return NozzleGeometry(
@@ -286,7 +279,8 @@ class RunConfig:
 # Every section a config file may hold, with the keys it takes; any other
 # section or key is a ConfigParseError.  The sections in _OPTIONAL_SECTIONS
 # hold RunConfig settings: a key the file omits keeps its RunConfig default,
-# whose type also parses the value.
+# whose type also parses the value.  [blowup] is read by the CLI the same way:
+# a key it omits keeps its default in the blow-up signatures.
 _GRAMMAR = {
     "gas": ("gamma",),
     "background": ("u_a", "rho_a", "u_b", "rho_b", "p"),
@@ -359,11 +353,9 @@ def parse_sections(text, origin="<config>"):
     return sections
 
 
-def _get(sections, section, key, origin, cast=float, default=None):
+def _get(sections, section, key, origin, cast=float):
     table = sections.get(section, {})
     if key not in table:
-        if default is not None:
-            return default
         raise ConfigParseError(f"{origin}: missing key {key!r} in section [{section}]")
     value, line = table[key]
     try:
@@ -473,14 +465,20 @@ def load_config(path):
         layer_b=_load_layer(sections, "layer_b", origin, base_dir),
     )
     profile.validate(g, cfg.compat_tol)
+    check_inlet_ordinates(profile, geom, origin)
+    return cfg, geom, profile
 
+
+def check_inlet_ordinates(profile: InletProfile, geom: NozzleGeometry, origin=None):
+    """Raise ConfigError unless layer_a ends at g_plus(0) and layer_b starts at
+    g_minus(0), to 1e-9 of the inlet width; ``origin`` leads the message."""
+    lead = f"{origin}: " if origin else ""
     top = geom.g_plus(0.0)
     bot = geom.g_minus(0.0)
     if abs(profile.layer_a.y[-1] - top) > 1e-9 * (top - bot):
-        raise ConfigError(f"{origin}: layer_a top {profile.layer_a.y[-1]} != g_plus(0) = {top}")
+        raise ConfigError(f"{lead}layer_a top {profile.layer_a.y[-1]} != g_plus(0) = {top}")
     if abs(profile.layer_b.y[0] - bot) > 1e-9 * (top - bot):
-        raise ConfigError(f"{origin}: layer_b bottom {profile.layer_b.y[0]} != g_minus(0) = {bot}")
-    return cfg, geom, profile
+        raise ConfigError(f"{lead}layer_b bottom {profile.layer_b.y[0]} != g_minus(0) = {bot}")
 
 
 def write_config(cfg: RunConfig, geom: NozzleGeometry, profile: InletProfile, path):
@@ -496,7 +494,7 @@ def write_config(cfg: RunConfig, geom: NozzleGeometry, profile: InletProfile, pa
     out.append("[geometry]")
     out.append(f"L = {_fmt(geom.L)}")
     for name, wall in (("g_minus", geom.g_minus), ("g_plus", geom.g_plus)):
-        kind, *payload = wall.serialization(L=geom.L)
+        kind, *payload = wall.serialization()
         if kind == "expr":
             out.append(f"{name} = {payload[0]}")
         else:

@@ -261,8 +261,8 @@ class Streamline:
         Only nodes whose Theta residual exceeds newton_tol take a step;
         needing more than max_newton_iters such sweeps raises
         ``no-convergence``.  A target past the sonic cap, at or beyond vacuum
-        (nu_max = (sqrt(K) - 1) pi/2), or whose pressure underflows raises
-        ``out-of-range``.
+        (nu_max = (sqrt(K) - 1) pi/2), NaN, or whose pressure underflows
+        raises ``out-of-range``.
         """
         gam, k, tol = self.gamma, self._k, self.newton_tol
         shape, consts = self.shape, self._newton
@@ -272,7 +272,7 @@ class Streamline:
             consts = [np.broadcast_to(c.reshape(self.shape), shape).ravel() for c in consts]
         p_sonic, cap, s_floor, nu_low, nu_ref, s0, nu_s0 = consts
         nu_goal = nu_ref - t.ravel()
-        if ((nu_goal < nu_low) | (nu_goal >= self._nu_max)).any():
+        if not ((nu_goal >= nu_low) & (nu_goal < self._nu_max)).all():  # NaN fails too
             raise GasError("out-of-range: target exceeds the range of Theta on the admissible interval")
 
         s = s0.copy()

@@ -11,7 +11,7 @@ divided before their maximum.  The two must agree bit for bit.
 import numpy as np
 
 from contactmoc import blowup
-from contactmoc.blowup import BlowupError, BlowupReport, ThresholdPolicy
+from contactmoc.blowup import BlowupError, BlowupReport
 
 
 def plain_monotone_slopes(v, h):
@@ -44,11 +44,10 @@ def plain_hermite_rows(y0, h, v, d, yq):
     )
 
 
-def reference_march(profile, g, x_max, ny=800, dx_max=0.05, policy=None):
+def reference_march(profile, x_max=200.0, ny=800, dx_max=0.05, grad_factor=1e3, grad_floor=1e-6):
     """``blowup.cauchy_march`` with the step written out plainly; returns a
     ``BlowupReport``."""
-    if policy is None:
-        policy = ThresholdPolicy()
+    g = profile.g
     y = -1.0 + 2.0 * np.arange(ny) / ny
     dy = 2.0 / ny
     u, v, rho = profile.eval(y)
@@ -74,7 +73,7 @@ def reference_march(profile, g, x_max, ny=800, dx_max=0.05, policy=None):
     zx = z[:, ext]
     g0p, g0m = np.max(abs_gradient(zx), axis=1).tolist()
     xs, gzp, gzm = [0.0], [g0p], [g0m]
-    threshold = policy.threshold(max(g0p, g0m))
+    threshold = max(grad_factor * max(g0p, g0m), grad_floor)
 
     report = BlowupReport()
     report.y_nodes = y

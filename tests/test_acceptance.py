@@ -163,20 +163,19 @@ def test_criterion_08_weak_residual():
 def test_criterion_09_blowup_dichotomy():
     # constant inlet: no detection through x = 1000
     const = blowup.PeriodicProfile("2.0", "0.0", G, rho_wall=1.0)
-    rep_const = blowup.cauchy_march(const, G, x_max=1000.0, ny=100)
+    rep_const = blowup.cauchy_march(const, x_max=1000.0, ny=100)
     assert rep_const.blowup_x is None
     assert rep_const.x_end >= 1000.0 - 1e-9
 
-    policy = blowup.ThresholdPolicy(factor=15.0)
     prof = blowup.PeriodicProfile("2.0", "0.01 * sin(pi * y)", G, rho_wall=1.0)
-    rep_base = blowup.cauchy_march(prof, G, x_max=200.0, ny=400, policy=policy)
-    rep_fine = blowup.cauchy_march(prof, G, x_max=200.0, ny=800, policy=policy)
+    rep_base = blowup.cauchy_march(prof, x_max=200.0, ny=400, grad_factor=15.0)
+    rep_fine = blowup.cauchy_march(prof, x_max=200.0, ny=800, grad_factor=15.0)
     assert rep_base.blowup_x is not None and rep_fine.blowup_x is not None
     drift = abs(rep_fine.blowup_x - rep_base.blowup_x) / rep_base.blowup_x
     assert drift <= 0.15
 
     half = blowup.PeriodicProfile("2.0", "0.005 * sin(pi * y)", G, rho_wall=1.0)
-    rep_half = blowup.cauchy_march(half, G, x_max=400.0, ny=400, policy=policy)
+    rep_half = blowup.cauchy_march(half, x_max=400.0, ny=400, grad_factor=15.0)
     assert rep_half.blowup_x is not None
     assert rep_half.blowup_x > rep_base.blowup_x
 

@@ -1,4 +1,5 @@
 import importlib.util
+import inspect
 import math
 import os
 
@@ -155,7 +156,7 @@ def test_march_stops_where_u_drops_below_c(monkeypatch):
     updates = []
     monkeypatch.setattr(interp, "monotone_interp", lambda *args: updates.append(args))
     with pytest.raises(blowup.BlowupError, match="^degenerate: u dropped below c during the march$"):
-        blowup.cauchy_march(prof, G, x_max=10.0, ny=200)
+        blowup.cauchy_march(prof, x_max=10.0, ny=200)
     assert updates == []
 
 
@@ -218,7 +219,7 @@ def test_march_starts_from_the_expressions(monkeypatch):
     density from the Bernoulli radicand anchored at rho_wall, and qhat and
     q_ref from the wall values."""
     u_text, v_text, rho_wall = "2.0 + 0.01 * cos(pi * y)", "0.03 * sin(pi * y)", 0.9
-    rep, rows = march_rows(monkeypatch, make_profile(v_text, u_text, rho_wall), G, x_max=0.1,
+    rep, rows = march_rows(monkeypatch, make_profile(v_text, u_text, rho_wall), x_max=0.1,
                            ny=300)
     t = np.mod(rep.y_nodes + 1.0, 2.0) - 1.0
     u0, v0 = SmoothExpression(u_text, var="y"), SmoothExpression(v_text, var="y")
@@ -254,28 +255,32 @@ def test_periodic_extension_exact():
 
 def test_gradient_trigger_fires_at_first_history_crossing():
     """The march's gradient trigger fires at the first recorded step whose
-    steeper invariant exceeds the policy threshold of the initial gradient."""
-    policy = blowup.ThresholdPolicy(factor=15.0)
-    rep = blowup.cauchy_march(make_profile("0.06 * sin(pi * y)"), G, x_max=200.0, ny=400,
-                              policy=policy)
+    steeper invariant exceeds max(grad_factor x the initial gradient,
+    grad_floor): the factor binds first, then a floor set above it."""
+    prof = make_profile("0.06 * sin(pi * y)")
+    rep = blowup.cauchy_march(prof, x_max=200.0, ny=400, grad_factor=15.0)
     steepest = np.maximum(rep.grad_zp_history, rep.grad_zm_history)
-    above = np.nonzero(steepest > policy.threshold(steepest[0]))[0]
-    assert above.size and rep.gradient_x == rep.x_history[above[0]]
-    assert blowup.ThresholdPolicy().threshold(0.0) == 1e-6
+    floor = 30.0 * steepest[0]
+    floored = blowup.cauchy_march(prof, x_max=200.0, ny=400, grad_factor=15.0, grad_floor=floor)
+    for r, threshold in ((rep, 15.0 * steepest[0]), (floored, floor)):
+        above = np.nonzero(np.maximum(r.grad_zp_history, r.grad_zm_history) > threshold)[0]
+        assert above.size and r.gradient_x == r.x_history[above[0]]
+    assert floored.gradient_x > rep.gradient_x
+    assert inspect.signature(blowup.cauchy_march).parameters["grad_floor"].default == 1e-6
 
 
 def test_constant_profile_never_detects():
-    rep = blowup.cauchy_march(make_profile("0.0"), G, x_max=50.0, ny=100)
+    rep = blowup.cauchy_march(make_profile("0.0"), x_max=50.0, ny=100)
     assert rep.blowup_x is None
     assert rep.gradient_x is None and rep.crossing_x is None
     assert float(rep.grad_zp_history.max()) == 0.0
 
 
 def test_sine_profile_blows_up_and_scales_with_delta():
-    rep1 = blowup.cauchy_march(make_profile("0.1 * sin(pi * y)"), G, x_max=40.0, ny=200,
-                               policy=blowup.ThresholdPolicy(factor=15.0))
-    rep2 = blowup.cauchy_march(make_profile("0.05 * sin(pi * y)"), G, x_max=40.0, ny=200,
-                               policy=blowup.ThresholdPolicy(factor=15.0))
+    rep1 = blowup.cauchy_march(make_profile("0.1 * sin(pi * y)"), x_max=40.0, ny=200,
+                               grad_factor=15.0)
+    rep2 = blowup.cauchy_march(make_profile("0.05 * sin(pi * y)"), x_max=40.0, ny=200,
+                               grad_factor=15.0)
     assert rep1.blowup_x is not None and rep2.blowup_x is not None
     assert rep2.blowup_x > rep1.blowup_x
     assert rep2.blowup_x / rep1.blowup_x == pytest.approx(2.0, rel=0.35)
@@ -283,7 +288,7 @@ def test_sine_profile_blows_up_and_scales_with_delta():
 
 def test_wall_condition_inherited_from_odd_extension(monkeypatch):
     prof = make_profile("0.05 * sin(pi * y)")
-    rep, rows = march_rows(monkeypatch, prof, G, x_max=3.0, ny=200)
+    rep, rows = march_rows(monkeypatch, prof, x_max=3.0, ny=200)
     y = rep.y_nodes
     j_wall = [int(np.argmin(np.abs(y - 0.0))), 0]  # y = 0 node and y = -1 node
     assert y[j_wall[0]] == 0.0 and y[j_wall[1]] == -1.0
@@ -348,8 +353,7 @@ def test_march_feet_stay_inside_the_pad(monkeypatch, v0_text, ny, x_max):
         return hermite_eval(y0, h, v, d, yq)
 
     monkeypatch.setattr(interp, "hermite_eval", recording)
-    rep = blowup.cauchy_march(make_profile(v0_text), G, x_max=x_max, ny=ny,
-                              policy=blowup.ThresholdPolicy(factor=15.0))
+    rep = blowup.cauchy_march(make_profile(v0_text), x_max=x_max, ny=ny, grad_factor=15.0)
     assert len(calls) == rep.steps > 0
     widest = 0.0
     for t, n in calls:
@@ -369,9 +373,8 @@ def test_march_is_bit_equal_to_plain_reference(v0_text, ny, x_max, factor):
     """The march against ``tests/blowup_reference.py``, the same step in
     plainly written numpy: histories, abscissas and step count bit for bit."""
     prof = make_profile(v0_text)
-    policy = blowup.ThresholdPolicy(factor=factor)
-    rep = blowup.cauchy_march(prof, G, x_max=x_max, ny=ny, policy=policy)
-    ref = reference_march(prof, G, x_max=x_max, ny=ny, policy=policy)
+    rep = blowup.cauchy_march(prof, x_max=x_max, ny=ny, grad_factor=factor)
+    ref = reference_march(prof, x_max=x_max, ny=ny, grad_factor=factor)
     for name in ("x_history", "grad_zp_history", "grad_zm_history", "y_nodes"):
         assert np.array_equal(getattr(rep, name), getattr(ref, name)), name
     for name in ("blowup_x", "gradient_x", "crossing_x", "x_end", "steps", "trigger"):
@@ -431,10 +434,9 @@ def test_step_cap_matches_half_cell_march(monkeypatch):
     """The shipped step cap against the same march held to half a cell per
     step: blowup_x agrees within 3 % and both detector pairs within 10 %."""
     prof = make_profile("0.06 * sin(pi * y)")
-    policy = blowup.ThresholdPolicy(factor=15.0)
-    rep = blowup.cauchy_march(prof, G, x_max=200.0, ny=400, policy=policy)
+    rep = blowup.cauchy_march(prof, x_max=200.0, ny=400, grad_factor=15.0)
     monkeypatch.setattr(blowup, "_STEP_CAP", 0.5)
-    rep_half = blowup.cauchy_march(prof, G, x_max=200.0, ny=400, policy=policy)
+    rep_half = blowup.cauchy_march(prof, x_max=200.0, ny=400, grad_factor=15.0)
     assert rep.steps < 0.5 * rep_half.steps
     assert abs(rep.blowup_x - rep_half.blowup_x) / rep_half.blowup_x <= 0.03
     for r in (rep, rep_half):
@@ -502,8 +504,8 @@ def lax_small_data_x(u0, delta, rho_wall=1.0, n=40001):
 def test_blowup_x_matches_lax_small_data_estimate():
     lax_x = lax_small_data_x(2.0, 0.06)
     assert 9.5 < lax_x < 10.5
-    rep = blowup.cauchy_march(make_profile("0.06 * sin(pi * y)"), G, x_max=200.0, ny=400,
-                              policy=blowup.ThresholdPolicy(factor=15.0))
+    rep = blowup.cauchy_march(make_profile("0.06 * sin(pi * y)"), x_max=200.0, ny=400,
+                              grad_factor=15.0)
     assert rep.blowup_x is not None
     assert abs(rep.blowup_x - lax_x) / lax_x <= 0.10
 
@@ -525,8 +527,8 @@ def test_riccati_fit_matches_lax_and_converges():
     lax_x = lax_small_data_x(2.0, 0.03)
     err = {}
     for ny in (200, 400):
-        rep = blowup.cauchy_march(make_profile("0.03 * sin(pi * y)"), G, x_max=200.0, ny=ny,
-                                  policy=blowup.ThresholdPolicy(factor=15.0))
+        rep = blowup.cauchy_march(make_profile("0.03 * sin(pi * y)"), x_max=200.0, ny=ny,
+                                  grad_factor=15.0)
         err[ny] = abs(riccati_x(rep) - lax_x) / lax_x
     assert err[400] <= 0.01
     assert err[400] < err[200]
@@ -548,7 +550,7 @@ def test_invariant_constant_along_traced_characteristic(monkeypatch):
         return (uu * vv - c * np.sqrt(np.maximum(q * q - c * c, 0.0))) / (uu * uu - c * c)
 
     def drift(ny):
-        rep, rows = march_rows(monkeypatch, prof, G, x_max=2.0, ny=ny)
+        rep, rows = march_rows(monkeypatch, prof, x_max=2.0, ny=ny)
         y = rep.y_nodes
         pos = float(y[ny // 4])
         vals = []

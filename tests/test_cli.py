@@ -1,12 +1,14 @@
 import ast
 import dataclasses
 import hashlib
+import inspect
 import itertools
 import json
 import pathlib
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -509,6 +511,15 @@ def test_blowup_settings_rejected_up_front(tmp_path, key, value, detail):
     assert f"violation: {detail}" in r.stdout
 
 
+def test_blowup_keys_are_the_library_keywords():
+    """``_load_blowup`` passes on the [blowup] keys a file gives: every key but
+    u0 and v0 is a keyword of ``cauchy_march`` or ``PeriodicProfile``'s
+    rho_wall, whose defaults stand for the keys a file omits."""
+    march = list(inspect.signature(blowup.cauchy_march).parameters)[1:]  # after the profile
+    assert "rho_wall" in inspect.signature(blowup.PeriodicProfile).parameters
+    assert sorted(set(config._GRAMMAR["blowup"]) - {"u0", "v0"}) == sorted(march + ["rho_wall"])
+
+
 def test_cfl_violation_rejected_up_front(workdir, tmp_path):
     # 101 xi nodes against 40 eta nodes breaks max|lambda| dxi <= deta in layer b
     r = run_cli("solve", "--config", str(workdir / "pert.cfg"), "--grid", "101x40",
@@ -776,6 +787,58 @@ def _counted(monkeypatch, module, name):
     real = getattr(module, name)
     monkeypatch.setattr(module, name, lambda *a, **k: calls.append(1) or real(*a, **k))
     return calls
+
+
+def _wide_inlet_config(tmp_path):
+    """A nozzle whose flat walls sit at -+1.1, with the eps = 1e-3 fixture's
+    inlet stretched to span [-1.1, 1.1]."""
+    cfg, _, profile = fixtures.perturbed_inputs(1e-3, nxi=101, neta=26)
+    for layer in (profile.layer_a, profile.layer_b):
+        layer.y = 1.1 * layer.y
+    geom = config.NozzleGeometry(config.WallCurve.from_expression("-1.1"),
+                                 config.WallCurve.from_expression("1.1"), fixtures.DEFAULT_L)
+    path = tmp_path / "wide.cfg"
+    config.write_config(cfg, geom, profile, path)
+    return path
+
+
+@pytest.mark.parametrize("command, extra", [("solve", ("--eps-scale", "0.5")),
+                                            ("sweep", ("--eps", "0.1"))])
+def test_scaled_walls_are_checked_against_the_inlet_ordinates(tmp_path, capsys, monkeypatch,
+                                                              command, extra):
+    """Scaling moves the wall ends but not the inlet ordinates: the scaled
+    input fails load_config's ordinate check before any fixed point runs."""
+    cfgp = _wide_inlet_config(tmp_path)
+    code, _, s = main_in_process(capsys, "solve", "--config", cfgp, "--out", tmp_path / "s",
+                                 "--quiet")
+    assert (code, s["status"]) == (0, "ok")
+    solves = _counted(monkeypatch, moc, "fixed_point")
+    code, _, s = main_in_process(capsys, command, "--config", cfgp, *extra,
+                                 "--out", tmp_path / "o", "--quiet")
+    assert (code, s["status"], s["error"]) == (1, "error", "validation")
+    assert "layer_a top 1.1 != g_plus(0) = " in s["detail"]
+    assert solves == []
+
+
+_NAN_SLOPE_WALL = "1 + 0.0001 * (x ** 2 * (x - 2) ** 2) ** 0.75"  # g'(0) = inf * 0
+
+
+@pytest.mark.parametrize("command", ["solve", "validate"])
+def test_non_finite_wall_derivative_is_a_validation_error(workdir, tmp_path, capsys, command):
+    lines = [f"g_plus = {_NAN_SLOPE_WALL}" if ln.startswith("g_plus = ") else ln
+             for ln in (workdir / "bg.cfg").read_text().splitlines()]
+    cfgp = tmp_path / "nan_slope.cfg"
+    cfgp.write_text("\n".join(lines))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text, s = main_in_process(capsys, command, "--config", cfgp,
+                                        "--out", tmp_path / "o", "--quiet")
+    detail = "wall g_plus has a non-finite derivative of order 1 on [0, L]"
+    assert code == 1
+    if command == "validate":
+        assert text.splitlines() == [f"violation: {detail}", "status=invalid violations=1"]
+    else:
+        assert text.splitlines() == [f"status=error error=validation detail={detail!r}"]
 
 
 def test_solve_unusable_out_is_io_error(workdir, tmp_path, capsys, monkeypatch):

@@ -179,12 +179,28 @@ def test_wall_eps_against_dense_sampling_oracle():
 
 
 def test_sampled_wall_round_trip(tmp_path):
+    """A sampled wall, a scaled sampled wall and a scaled expression wall each
+    come back from write_config and load_config with the same serialization
+    and the same values of orders 0-3."""
     xs = np.linspace(0.0, 4.0, 65)
     ys = 1.0 + 1e-3 * np.sin(np.pi * xs / 4.0)
     wall = config.WallCurve.from_samples(xs, ys)
     assert wall(2.0) == pytest.approx(1.0 + 1e-3, rel=1e-6)
     # third derivative is evaluable (piecewise constant for a cubic spline)
     wall(np.linspace(0, 4, 9), 3)
+    cfg, _, profile = fixtures.perturbed_inputs(0.0, nxi=50, neta=12)
+    expr = config.WallCurve.from_expression("1 + 0.001 * sin(pi * x / 4.0) ** 4")
+    path = tmp_path / "wall.cfg"
+    for g_plus in (wall, wall.scale_deviation(1.0, 0.37), expr.scale_deviation(1.0, 0.37)):
+        geom = config.NozzleGeometry(config.WallCurve.from_expression("-1"), g_plus, 4.0)
+        config.write_config(cfg, geom, profile, path)
+        loaded = config.load_config(path)[1].g_plus
+        (kind, *payload), (kind2, *payload2) = g_plus.serialization(), loaded.serialization()
+        assert kind == kind2 and len(payload) == len(payload2)
+        assert all(np.array_equal(a, b) for a, b in zip(payload, payload2))
+        xq = np.linspace(0.0, 4.0, 101)
+        for k in range(4):
+            assert np.array_equal(loaded(xq, k), g_plus(xq, k))
 
 
 def test_eps_scale_flag_semantics():

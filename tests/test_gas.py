@@ -550,15 +550,16 @@ def test_prepared_object_raises_the_wrappers_codes(case):
 
 def test_paired_guards_raise_the_first_failing_check():
     """A pair of guards is tested as one mask: where both checks fail, the
-    first check's code is raised, and a NaN Theta target passes the range
-    pair, as neither of its comparisons holds."""
+    first check's code is raised.  The Theta range pair is tested as the
+    in-range pair negated, so a NaN target fails it."""
     line = _line()
     p_s = gas.sonic_pressure(SD_BG, G)
     with pytest.raises(gas.GasError, match="^degenerate"):  # u < c, and a NaN q^2 - c^2
         line.lambdas(*_arrays([2.2, 1.0], [np.nan, 0.0], 1.0, 1.0))
     with pytest.raises(gas.GasError, match="^out-of-range"):  # past sonic, and p = 0
         line.dtheta_dp(np.array([p_s * 1.000001, 0.0]))
-    assert line._invert(np.array([0.0, np.nan])).shape == (2,)
+    with pytest.raises(gas.GasError, match="^out-of-range: target exceeds the range of Theta"):
+        line._invert(np.array([0.0, np.nan]))
 
 
 @pytest.mark.parametrize("make", [
