@@ -12,7 +12,7 @@ import argparse
 
 import numpy as np
 
-from contactmoc import blowup, gas
+from contactmoc import blowup
 from contactmoc.csvout import write_csv
 
 
@@ -43,11 +43,10 @@ def main():
     ap.add_argument("--out", default="blowup_study.csv")
     args = ap.parse_args()
 
-    g = gas.GasConstants(1.4)
     deltas = [float(tok) for tok in args.deltas.split(",")]
     rows = []
     for delta in deltas:
-        profile = blowup.PeriodicProfile("2.0", f"{delta!r} * sin(pi * y)", g, rho_wall=1.0)
+        profile = blowup.PeriodicProfile("2.0", f"{delta!r} * sin(pi * y)", 1.4, rho_wall=1.0)
         rep = blowup.cauchy_march(profile, args.x_max, ny=args.ny, grad_factor=args.grad_factor)
         # A detector that did not fire reads "none", as in the CLI summary.
         rows.append([_or_none(rep.blowup_x), _or_none(rep.gradient_x), _or_none(rep.crossing_x),

@@ -24,8 +24,8 @@ def main():
         grid, _ = moc.fixed_point(prob, fp_tol=cfg.fp_tol, max_fp_iters=cfg.max_fp_iters)
         diff = max(oracle.compare_fields(grid, oracle.upwind_march(prob)).values())
         ef = lagrangian.reconstruct(moc.grid_states(grid, prob), geom, prob.domain)
-        w = lagrangian.weak_residual(ef, cfg.gas_constants)
-        dev = lagrangian.streamline_conservation(ef, cfg.gas_constants)
+        w = lagrangian.weak_residual(ef, cfg.gamma)
+        dev = lagrangian.streamline_conservation(ef, cfg.gamma)
         rows.append([nxi, neta, diff, w.max_residual, w.mean_residual, dev])
         print(*rows[-1])
     write_csv(args.out, ("nxi", "neta", "oracle_sup_diff", "weak_max", "weak_mean", "stream_dev"),

@@ -34,42 +34,42 @@ import numpy as np
 from . import interp
 from .csvout import write_csv
 from .expressions import SmoothExpression
-from .gas import prandtl_meyer
+from .gas import GasError, prandtl_meyer
 
 
 class BlowupError(ValueError):
     """Inadmissible state or data in the demonstrator."""
 
 
-def sound_speed_of_density(rho, g):
-    return np.asarray(rho, dtype=float) ** (0.5 * (g.gamma - 1.0))
+def sound_speed_of_density(rho, gamma):
+    return np.asarray(rho, dtype=float) ** (0.5 * (gamma - 1.0))
 
 
-def critical_speed(qhat, g):
+def critical_speed(qhat, gamma):
     """Speed at which q = c(q); admissible supersonic range is (c_hat, qhat)."""
-    return qhat * math.sqrt((g.gamma - 1.0) / (g.gamma + 1.0))
+    return qhat * math.sqrt((gamma - 1.0) / (gamma + 1.0))
 
 
-def _c_of_q2(q2, qhat, g):
+def _c_of_q2(q2, qhat, gamma):
     """The sound speed c(q) from the squared speed q2 = q * q."""
-    return np.sqrt(0.5 * (g.gamma - 1.0) * (qhat * qhat - q2))
+    return np.sqrt(0.5 * (gamma - 1.0) * (qhat * qhat - q2))
 
 
-def _mach2_of_speed(q, qhat, g):
-    return 2.0 * q * q / ((g.gamma - 1.0) * (qhat * qhat - q * q))
+def _mach2_of_speed(q, qhat, gamma):
+    return 2.0 * q * q / ((gamma - 1.0) * (qhat * qhat - q * q))
 
 
-def theta_of_speed(q, qhat, g, q_ref):
+def theta_of_speed(q, qhat, gamma, q_ref):
     """Theta(q) = nu(M(q)) - nu(M(q_ref)), the integral of
     sqrt(tau^2 - c^2(tau)) / (tau c(tau)) from q_ref to q, for an array q."""
-    c_hat = critical_speed(qhat, g)
+    c_hat = critical_speed(qhat, gamma)
     if np.any(q <= c_hat) or np.any(q >= qhat) or not c_hat < q_ref < qhat:
         raise BlowupError("sonic-limit: speed outside the admissible (c_hat, qhat) range")
-    nu_ref = prandtl_meyer(_mach2_of_speed(q_ref, qhat, g), g)
-    return prandtl_meyer(_mach2_of_speed(q, qhat, g), g) - nu_ref
+    nu_ref = prandtl_meyer(_mach2_of_speed(q_ref, qhat, gamma), gamma)
+    return prandtl_meyer(_mach2_of_speed(q, qhat, gamma), gamma) - nu_ref
 
 
-def irrot_invariants(u, v, rho, g, q_ref, qhat):
+def irrot_invariants(u, v, rho, gamma, q_ref, qhat):
     """Z_pm = theta +- Theta(q) for irrotational states, given as arrays,
     stacked as [Z_plus, Z_minus] along a new leading axis (the march's row
     order).
@@ -79,14 +79,14 @@ def irrot_invariants(u, v, rho, g, q_ref, qhat):
     1e-8 (relative) is rejected.
     """
     q = np.hypot(u, v)
-    c = sound_speed_of_density(rho, g)
+    c = sound_speed_of_density(rho, gamma)
     if np.any(q <= c):
         raise BlowupError("sonic-limit: state is not supersonic (q <= c)")
-    qhat_point = np.sqrt(q * q + 2.0 * c * c / (g.gamma - 1.0))
+    qhat_point = np.sqrt(q * q + 2.0 * c * c / (gamma - 1.0))
     if np.any(np.abs(qhat_point - qhat) > 1e-8 * qhat):
         raise BlowupError("bernoulli-mismatch: (u, v, rho) violate the qhat normalization")
     theta = np.arctan2(v, u)
-    th = theta_of_speed(q, qhat, g, q_ref)
+    th = theta_of_speed(q, qhat, gamma, q_ref)
     return np.array([theta + th, theta - th])
 
 
@@ -114,34 +114,39 @@ class PeriodicProfile:
     with even/odd periodic extension to the line.
 
     The density follows pointwise from the Bernoulli normalization anchored
-    at rho(0) = rho_wall; ``qhat`` and ``q_ref`` are the limit speed and the
-    speed at the wall y = 0.  (u, rho) extend evenly and v oddly about
-    y = 0, then everything repeats with period 2, which keeps the wall
-    conditions v(x, 0) = v(x, 1) = 0 built into the symmetry.
+    at rho(0) = rho_wall for the adiabatic exponent ``gamma``, which must lie
+    in (1, inf) (``gas.GasError``, ``out-of-range``); ``qhat`` and ``q_ref``
+    are the limit speed and the speed at the wall y = 0.  (u, rho) extend
+    evenly and v oddly about y = 0, then everything repeats with period 2,
+    which keeps the wall conditions v(x, 0) = v(x, 1) = 0 built into the
+    symmetry.
     """
 
-    def __init__(self, u0_text, v0_text, g, rho_wall=1.0):
-        self.g = g
+    def __init__(self, u0_text, v0_text, gamma, rho_wall=1.0):
+        if not 1.0 < gamma < math.inf:
+            raise GasError(f"out-of-range: gamma invariant violated: gamma={gamma} "
+                           "must be in (1, inf)")
+        self.gamma = gamma
         self.u_expr = SmoothExpression(u0_text, var="y")
         self.v_expr = SmoothExpression(v0_text, var="y")
-        c0 = rho_wall ** (0.5 * (g.gamma - 1.0))
+        c0 = rho_wall ** (0.5 * (gamma - 1.0))
         self.q_ref = math.hypot(float(self.u_expr(0.0)), float(self.v_expr(0.0)))
-        self._qhat2 = self.q_ref * self.q_ref + 2.0 * c0 * c0 / (g.gamma - 1.0)
+        self._qhat2 = self.q_ref * self.q_ref + 2.0 * c0 * c0 / (gamma - 1.0)
         self.qhat = math.sqrt(self._qhat2)
         # Reject a profile that reaches the limit speed or turns subsonic
         # anywhere on a 2001-node lattice of [0, 1], before any march.
         u, v, rho = self._base(np.linspace(0.0, 1.0, 2001))
-        if np.any(np.hypot(u, v) <= sound_speed_of_density(rho, g)):
+        if np.any(np.hypot(u, v) <= sound_speed_of_density(rho, gamma)):
             raise BlowupError("sonic-limit: base profile has a non-supersonic sample")
 
     def _base(self, y):
         """(u0, v0, rho0) at y in [0, 1], rho0 from the Bernoulli radicand."""
         u = self.u_expr(y)
         v = self.v_expr(y)
-        radic = 0.5 * (self.g.gamma - 1.0) * (self._qhat2 - (u * u + v * v))
+        radic = 0.5 * (self.gamma - 1.0) * (self._qhat2 - (u * u + v * v))
         if np.any(radic <= 0.0):
             raise BlowupError("sonic-limit: profile speed reaches the limit speed")
-        return u, v, radic ** (1.0 / (self.g.gamma - 1.0))
+        return u, v, radic ** (1.0 / (self.gamma - 1.0))
 
     def eval(self, y):
         """Periodic extension: (u, rho) even, v odd about integer lines."""
@@ -166,7 +171,7 @@ def check_compatibility(profile: PeriodicProfile):
         if abs(du) > _COMPAT_TOL:
             report.append(f"du/dy at {label}: {du:.3e} != 0")
         # Bernoulli: d rho / dy = -rho^(2 - gamma) (u u' + v v').
-        drho = -rho ** (2.0 - profile.g.gamma) * (u * du + v * float(profile.v_expr(y_wall, 1)))
+        drho = -rho ** (2.0 - profile.gamma) * (u * du + v * float(profile.v_expr(y_wall, 1)))
         if abs(drho) > _COMPAT_TOL:
             report.append(f"drho/dy at {label}: {drho:.3e} != 0")
         d2v = float(profile.v_expr(y_wall, 2))
@@ -220,15 +225,15 @@ class _MachAngleTable:
     built once per march from closed-form samples in q; one table lookup
     per step is cheaper than a per-step Newton inversion of Theta(q)."""
 
-    def __init__(self, qhat, g, q_ref):
-        c_hat = critical_speed(qhat, g)
+    def __init__(self, qhat, gamma, q_ref):
+        c_hat = critical_speed(qhat, gamma)
         lo = c_hat + 1e-3 * (qhat - c_hat)
         hi = qhat - 1e-3 * (qhat - c_hat)
         qs = np.linspace(lo, hi, 2001)
-        th = theta_of_speed(qs, qhat, g, q_ref)
+        th = theta_of_speed(qs, qhat, gamma, q_ref)
         self.q_lo, self.q_hi = lo, hi
         self.th_lo, self.th_hi = float(th[0]), float(th[-1])
-        self.table = interp.pchip(th, np.arcsin(_c_of_q2(qs * qs, qhat, g) / qs))
+        self.table = interp.pchip(th, np.arcsin(_c_of_q2(qs * qs, qhat, gamma) / qs))
 
     def mu_of_theta(self, th):
         """The Mach angle at Theta = th, for an array ``th``; a target
@@ -254,7 +259,7 @@ def cauchy_march(profile: PeriodicProfile, x_max=200.0, ny=800, dx_max=0.05,
     """March the diagonal system on one period with adaptive steps.
 
     The first row is ``irrot_invariants`` of ``profile.eval`` at the nodes,
-    with the gas constants ``profile.g``.
+    with the adiabatic exponent ``profile.gamma``.
     Each step takes both slopes as tan(theta -+ mu) (``_mach_slopes``), with
     mu(Theta) read from a table built once (``_MachAngleTable``).
     Semi-Lagrangian update (monotone cubic, periodic): Z_plus is pulled back
@@ -277,13 +282,13 @@ def cauchy_march(profile: PeriodicProfile, x_max=200.0, ny=800, dx_max=0.05,
     Both families share every array: row 0 holds Z_plus, lambda_minus and
     the family-minus fan, row 1 Z_minus, lambda_plus and the family-plus fan.
     """
-    g = profile.g
+    gamma = profile.gamma
     y = -1.0 + 2.0 * np.arange(ny) / ny  # one period, no duplicate endpoint
     dy = 2.0 / ny
     u, v, rho = profile.eval(y)
-    z = irrot_invariants(u, v, rho, g, q_ref=profile.q_ref, qhat=profile.qhat)
+    z = irrot_invariants(u, v, rho, gamma, q_ref=profile.q_ref, qhat=profile.qhat)
 
-    mach_angle = _MachAngleTable(profile.qhat, g, profile.q_ref)
+    mach_angle = _MachAngleTable(profile.qhat, gamma, profile.q_ref)
 
     # Periodic padding: column j + pad of z.take(ext, axis=1) is node j, on
     # the lattice y0 + k h.  The step cap keeps every foot within _STEP_CAP

@@ -143,21 +143,20 @@ def _check_out_dir(path):
 
 def build_pipeline(cfg, geom, profile):
     """Assemble the problem: mass fluxes, lattice, the inlet state and its
-    stream data on the stacked node row.
+    streamline constants on the stacked node row.
 
     The one assembly path; every caller that needs a ``MocProblem`` uses it.
-    Returns (MocProblem, MassFluxes).
+    Returns (MocProblem, (m_a, m_b)).
     """
     from . import lagrangian, moc
 
-    g = cfg.gas_constants
-    flux = lagrangian.mass_fluxes(profile)
-    domain = lagrangian.LagrangianDomain.build(geom.L, flux, cfg.grid_nxi,
+    m_a, m_b = lagrangian.mass_fluxes(profile)
+    domain = lagrangian.LagrangianDomain.build(geom.L, m_a, m_b, cfg.grid_nxi,
                                                cfg.grid_neta_a, cfg.grid_neta_b)
     _, inlet = lagrangian.inlet_to_lagrangian(profile, domain)
-    stream = lagrangian.stream_data_from_inlet(inlet, domain, g, p_ref=cfg.background.p)
-    prob = moc.build_problem(cfg, geom, domain, inlet, stream)
-    return prob, flux
+    a0, b0 = lagrangian.stream_data_from_inlet(inlet, domain, cfg.gamma, p_ref=cfg.background.p)
+    prob = moc.build_problem(cfg, geom, domain, inlet, a0, b0)
+    return prob, (m_a, m_b)
 
 
 def run_solve(cfg, geom, profile, write_outputs=True):
@@ -167,9 +166,8 @@ def run_solve(cfg, geom, profile, write_outputs=True):
     """
     from . import lagrangian, moc
 
-    g = cfg.gas_constants
     eps = config.perturbation_size(profile, geom, cfg.background)
-    profile.validate(g, cfg.compat_tol)  # an --eps-scale or sweep profile is new
+    profile.validate(cfg.gamma, cfg.compat_tol)  # an --eps-scale or sweep profile is new
     config.check_inlet_ordinates(profile, geom)
     violations = config.validate_compatibility(profile, geom, tol=cfg.compat_tol)
     if violations:
@@ -177,7 +175,7 @@ def run_solve(cfg, geom, profile, write_outputs=True):
     if write_outputs:
         _check_out_dir(cfg.out_dir)
 
-    prob, flux = build_pipeline(cfg, geom, profile)
+    prob, _ = build_pipeline(cfg, geom, profile)
     grid, report = moc.fixed_point(prob, fp_tol=cfg.fp_tol, max_fp_iters=cfg.max_fp_iters)
     efield = lagrangian.reconstruct(moc.grid_states(grid, prob), geom, prob.domain)
     if efield.top_gap > cfg.recon_top_tol:
@@ -185,7 +183,7 @@ def run_solve(cfg, geom, profile, write_outputs=True):
             f"recon-gap: upper-wall image misses g_plus by {efield.top_gap:.3e} "
             f"(recon_top_tol = {cfg.recon_top_tol:.1e}); refine the lattice or raise "
             "recon_top_tol", report=report)
-    wres = lagrangian.weak_residual(efield, g)
+    wres = lagrangian.weak_residual(efield, cfg.gamma)
 
     sup_dev = max(float(np.max(np.abs(getattr(efield.state, name)[:, cols] - getattr(st, name))))
                   for st, (_, _, cols) in zip(cfg.background.states(), efield.domain.layers)
@@ -305,8 +303,7 @@ def _load_blowup(path, x_max=None):
         return text
 
     anchor = {"rho_wall": given.pop("rho_wall")} if "rho_wall" in given else {}
-    profile = blowup.PeriodicProfile(expression("u0"), expression("v0"),
-                                     gas.GasConstants(gamma), **anchor)
+    profile = blowup.PeriodicProfile(expression("u0"), expression("v0"), gamma, **anchor)
     return profile, given
 
 

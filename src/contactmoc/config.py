@@ -84,11 +84,11 @@ class WallCurve:
             return self._expr(x, order)
         return self._spline(x) if order == 0 else self._derivs[order - 1](x)
 
-    def scale_deviation(self, baseline, t):
-        """The wall b + t (g - b) for b = ``baseline``, of the same kind: an
-        expression wall stays an expression, a sampled wall is the spline of
-        its scaled samples."""
-        b, t = float(baseline), float(t)
+    def scale_deviation(self, t):
+        """The wall b + t (g - b) about the constant line b = g(0) through its
+        inlet end, of the same kind: an expression wall stays an expression,
+        a sampled wall is the spline of its scaled samples."""
+        b, t = float(self(0.0)), float(t)
         if self._kind == "expr":
             return WallCurve.from_expression(f"{b!r} + {t!r} * (({self._text}) - {b!r})")
         return WallCurve.from_samples(self._x, b + t * (self._y - b))
@@ -121,11 +121,9 @@ class NozzleGeometry:
             raise ConfigError("walls crossed: g_minus must stay below g_plus on [0, L]")
 
     def scale_deviation(self, t):
-        return NozzleGeometry(
-            self.g_minus.scale_deviation(-1.0, t),
-            self.g_plus.scale_deviation(1.0, t),
-            self.L,
-        )
+        """Both walls scaled about their inlet ends (``WallCurve.scale_deviation``)."""
+        return NozzleGeometry(self.g_minus.scale_deviation(t), self.g_plus.scale_deviation(t),
+                              self.L)
 
 
 # ---------------------------------------------------------------------------
@@ -180,11 +178,11 @@ class InletProfile:
     layer_a: InletLayer
     layer_b: InletLayer
 
-    def validate(self, g: gas.GasConstants, compat_tol=1e-8):
+    def validate(self, gamma, compat_tol=1e-8):
         for tag, layer in (("a", self.layer_a), ("b", self.layer_b)):
             if not np.all(layer.p > 0) or not np.all(layer.rho > 0):
                 raise ConfigError(f"not supersonic: layer {tag} has nonpositive p or rho")
-            if not np.all(layer.u > gas.sound_speed(layer, g)):
+            if not np.all(layer.u > gas.sound_speed(layer, gamma)):
                 raise ConfigError(f"not supersonic: layer {tag} has a sample with u <= c")
             if not np.all(layer.rho * layer.u > 0):
                 raise ConfigError(f"layer {tag} has nonpositive mass flux rho*u")
@@ -231,13 +229,13 @@ class BackgroundState:
         b = gas.PrimitiveState(u=self.u_b, v=0.0, p=self.p, rho=self.rho_b)
         return a, b
 
-    def validate(self, g: gas.GasConstants, margin):
+    def validate(self, gamma, margin):
         for name in ("p", "rho_a", "rho_b"):
             x = getattr(self, name)
             if not 0.0 < x < np.inf:
                 raise ConfigError(f"background {name} must be positive and finite, got {x:g}")
         for tag, st in zip(("a", "b"), self.states()):
-            if not st.u - gas.sound_speed(st, g) > margin:
+            if not st.u - gas.sound_speed(st, gamma) > margin:
                 raise ConfigError(f"not supersonic: background layer {tag} violates u - c > {margin}")
 
 
@@ -270,10 +268,6 @@ class RunConfig:
                 raise ConfigError(f"grid size {name} must be at least 4")
         if self.max_fp_iters < 1 or self.max_newton_iters < 1:
             raise ConfigError("iteration caps must be positive")
-
-    @property
-    def gas_constants(self):
-        return gas.GasConstants(self.gamma)
 
 
 # Every section a config file may hold, with the keys it takes; any other
@@ -451,8 +445,7 @@ def load_config(path):
         background=bg,
         **optional,
     )
-    g = cfg.gas_constants
-    bg.validate(g, cfg.min_supersonic_margin)
+    bg.validate(gamma, cfg.min_supersonic_margin)
 
     L = _get(sections, "geometry", "L", origin)
     geom = NozzleGeometry(
@@ -464,7 +457,7 @@ def load_config(path):
         layer_a=_load_layer(sections, "layer_a", origin, base_dir),
         layer_b=_load_layer(sections, "layer_b", origin, base_dir),
     )
-    profile.validate(g, cfg.compat_tol)
+    profile.validate(gamma, cfg.compat_tol)
     check_inlet_ordinates(profile, geom, origin)
     return cfg, geom, profile
 
@@ -553,9 +546,11 @@ def perturbation_size(profile: InletProfile, geom: NozzleGeometry,
     """Discrete sup-norm size of the data perturbation.
 
     Sum of per-layer C2 norms of (U0 - background) and C3 norms of
-    (g_plus - 1) and (g_minus + 1), each norm a sum over derivative orders of
-    the sup over a dense evaluation lattice; derivatives come from the stored
-    interpolants.
+    (g_plus - g_plus(0)) and (g_minus - g_minus(0)), each wall measured
+    against the constant line through its inlet end; each norm is a sum over
+    derivative orders of the sup over a dense evaluation lattice, and
+    derivatives come from the stored interpolants.  Every norm is absolute,
+    in the input's own units.
     """
     n_dense = 4096
     eps = 0.0
@@ -574,10 +569,10 @@ def perturbation_size(profile: InletProfile, geom: NozzleGeometry,
                 worst = max(worst, float(np.max(np.abs(vals))))
             eps += worst
     xs = np.linspace(0.0, geom.L, n_dense)
-    for wall, baseline in ((geom.g_plus, 1.0), (geom.g_minus, -1.0)):
+    for wall in (geom.g_plus, geom.g_minus):
         for order in (0, 1, 2, 3):
             vals = wall(xs, order)
             if order == 0:
-                vals = vals - baseline
+                vals = vals - float(wall(0.0))
             eps += float(np.max(np.abs(vals)))
     return eps

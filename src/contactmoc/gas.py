@@ -64,18 +64,6 @@ def _check_positive(p, rho):
 
 
 @dataclass(frozen=True)
-class GasConstants:
-    """Adiabatic exponent, 1 < gamma < inf."""
-
-    gamma: float
-
-    def __post_init__(self):
-        if not 1.0 < self.gamma < np.inf:
-            raise GasError(f"out-of-range: gamma invariant violated: gamma={self.gamma} "
-                           "must be in (1, inf)")
-
-
-@dataclass(frozen=True)
 class PrimitiveState:
     """Physical flow state (u, v, p, rho) at a point; fields may be arrays."""
 
@@ -88,56 +76,38 @@ class PrimitiveState:
         _check_positive(*_as_array(self.p, self.rho))
 
 
-@dataclass(frozen=True)
-class StreamData:
-    """Streamline data at fixed eta: entropy function a0, Bernoulli b0, and
-    the global Theta reference pressure.  a0/b0 may be arrays (one value per
-    lattice point)."""
-
-    a0: object
-    b0: object
-    p_ref: float
-
-    def __post_init__(self):
-        a0, b0 = _as_array(self.a0, self.b0)
-        if not (np.all(a0 > 0.0) and np.all(b0 > 0.0)):
-            raise GasError("out-of-range: stream data invariant violated: A0 and B0 must be positive")
-        if not self.p_ref > 0.0:
-            raise GasError("out-of-range: stream data invariant violated: p_ref must be positive")
-
-
 # ---------------------------------------------------------------------------
 # Pointwise thermodynamics
 
 
-def sound_speed(state: PrimitiveState, g: GasConstants):
+def sound_speed(state: PrimitiveState, gamma):
     """c = sqrt(gamma p / rho)."""
     p, rho = _as_array(state.p, state.rho)
-    return np.sqrt(g.gamma * p / rho)
+    return np.sqrt(gamma * p / rho)
 
 
-def bernoulli(state: PrimitiveState, g: GasConstants):
+def bernoulli(state: PrimitiveState, gamma):
     """B = (u^2+v^2)/2 + gamma p / ((gamma-1) rho), conserved along streamlines."""
     u, v, p, rho = _as_array(state.u, state.v, state.p, state.rho)
-    return 0.5 * (u * u + v * v) + g.gamma * p / ((g.gamma - 1.0) * rho)
+    return 0.5 * (u * u + v * v) + gamma * p / ((gamma - 1.0) * rho)
 
 
-def entropy_function(state: PrimitiveState, g: GasConstants):
+def entropy_function(state: PrimitiveState, gamma):
     """A = p / rho^gamma, conserved along streamlines."""
     p, rho = _as_array(state.p, state.rho)
-    return p / rho**g.gamma
+    return p / rho**gamma
 
 
-def sonic_pressure(sd: StreamData, g: GasConstants):
-    """Pressure at which the flow on this streamline turns sonic.
+def sonic_pressure(a0, b0, gamma):
+    """Pressure at which the flow on the streamline with entropy function a0
+    and Bernoulli constant b0 turns sonic.
 
     Solves 2 B0 = gamma(gamma+1)/(gamma-1) A0^(1/gamma) p^((gamma-1)/gamma);
     the admissible supersonic pressures are 0 < p < sonic_pressure.
     """
-    gam = g.gamma
-    a0, b0 = _as_array(sd.a0, sd.b0)
-    base = 2.0 * b0 * (gam - 1.0) / (gam * (gam + 1.0) * a0 ** (1.0 / gam))
-    return base ** (gam / (gam - 1.0))
+    a0, b0 = _as_array(a0, b0)
+    base = 2.0 * b0 * (gamma - 1.0) / (gamma * (gamma + 1.0) * a0 ** (1.0 / gamma))
+    return base ** (gamma / (gamma - 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -149,12 +119,12 @@ def _nu(s, k):
     return np.sqrt(k) * np.arctan(s / np.sqrt(k)) - np.arctan(s)
 
 
-def prandtl_meyer(mach2, g: GasConstants):
+def prandtl_meyer(mach2, gamma):
     """Prandtl-Meyer function nu(M), taking M^2 >= 1:
 
     nu = sqrt((g+1)/(g-1)) arctan(sqrt((g-1)/(g+1) (M^2-1))) - arctan(sqrt(M^2-1)).
     """
-    k = (g.gamma + 1.0) / (g.gamma - 1.0)
+    k = (gamma + 1.0) / (gamma - 1.0)
     return _nu(np.sqrt(np.maximum(mach2 - 1.0, 0.0)), k)
 
 
@@ -164,10 +134,14 @@ def _mach2(p, a0, b0, gam):
 
 
 class Streamline:
-    """Stream data prepared for repeated evaluations: the invariants of a
-    state, the state at given invariants, the characteristic speeds and
-    dTheta/dp on the streamlines of ``sd``.  It is the one way to evaluate
-    any of them.
+    """The streamlines with entropy functions ``a0`` and Bernoulli constants
+    ``b0`` (arrays, one value per node, or scalars), the global Theta
+    reference pressure ``p_ref`` and the adiabatic exponent ``gamma``,
+    prepared for repeated evaluations: the invariants of a state, the state
+    at given invariants, the characteristic speeds and dTheta/dp.  It is the
+    one way to evaluate any of them, and it exposes ``a0`` and ``b0`` as
+    float arrays, ``p_ref`` and ``gamma``.  A0, B0 and p_ref must be
+    positive (``out-of-range``).
 
     Everything that depends on the streamlines alone is computed once: here
     the powers of A0 that dTheta/dp and the Bernoulli velocity use, and on
@@ -179,28 +153,31 @@ class Streamline:
 
     The methods take numpy arrays (not Python scalars), broadcast against
     the shape of the stream data and return arrays.  The sonic pressure
-    comes from ``sonic_pressure(sd, g)`` on the data as given, and every
+    comes from ``sonic_pressure`` on the data as given, and every
     other power is taken on arrays, p_ref included: numpy's scalar power
     rounds differently from its array power, and nu_ref must carry the bits
     of nu(M(p)) at p = p_ref.
     """
 
-    def __init__(self, sd: StreamData, g: GasConstants, newton_tol=1e-12, max_newton_iters=50):
-        gam = self.gamma = g.gamma
+    def __init__(self, a0, b0, p_ref, gamma, newton_tol=1e-12, max_newton_iters=50):
+        self.a0, self.b0 = _as_array(a0, b0)
+        if not (np.all(self.a0 > 0.0) and np.all(self.b0 > 0.0)):
+            raise GasError("out-of-range: stream data invariant violated: "
+                           "A0 and B0 must be positive")
+        if not p_ref > 0.0:
+            raise GasError("out-of-range: stream data invariant violated: p_ref must be positive")
+        gam = self.gamma = gamma
         k = self._k = (gam + 1.0) / (gam - 1.0)
-        self.p_ref = sd.p_ref
+        self.p_ref = p_ref
         self.newton_tol = newton_tol
         self.max_newton_iters = max_newton_iters
-        self._sd, self._g = sd, g
-        self._a0 = np.asarray(sd.a0, dtype=float)
-        arrays = np.broadcast_arrays(*_as_array(sd.a0, sd.b0))
+        arrays = np.broadcast_arrays(self.a0, self.b0)
         shape = self.shape = arrays[0].shape
         a0, b0 = (np.ravel(v) for v in arrays)
         self._nu_max = (np.sqrt(k) - 1.0) * np.pi / 2
 
         # Factors of dTheta/dp and of the Bernoulli velocity, in the data's shape.
         a_pow = a0 ** (1.0 / gam)
-        self._b0 = b0.reshape(shape)
         self._two_b0 = (2.0 * b0).reshape(shape)
         self._sonic_a = (gam * (gam + 1.0) / (gam - 1.0) * a_pow).reshape(shape)
         self._bern_a = (gam / (gam - 1.0) * a_pow).reshape(shape)
@@ -212,15 +189,15 @@ class Streamline:
     def _newton(self):
         """Newton constants, one per node of the raveled data, computed on
         the first call of ``invariants`` or of an inversion."""
-        sd, g, gam, k = self._sd, self._g, self.gamma, self._k
+        gam, k = self.gamma, self._k
         a0, b0, p_sonic = (np.ravel(v) for v in np.broadcast_arrays(
-            *_as_array(sd.a0, sd.b0, sonic_pressure(sd, g))))
+            self.a0, self.b0, sonic_pressure(self.a0, self.b0, gam)))
         cap = p_sonic * (1.0 - SONIC_MARGIN)
         s_floor = np.sqrt(_mach2(cap, a0, b0, gam) - 1.0)
-        m2_ref = _mach2(np.full(a0.shape, sd.p_ref), a0, b0, gam)
+        m2_ref = _mach2(np.full(a0.shape, self.p_ref), a0, b0, gam)
         s0 = np.maximum(np.sqrt(np.maximum(m2_ref - 1.0, 0.0)), s_floor)
         return (p_sonic, cap, s_floor, _nu(s_floor, k) - self.newton_tol,
-                prandtl_meyer(m2_ref, g), s0, _nu(s0, k))
+                prandtl_meyer(m2_ref, gam), s0, _nu(s0, k))
 
     def invariants(self, u, v, p, rho):
         """The invariants of the states (u, v, p, rho), stacked as one
@@ -241,7 +218,7 @@ class Streamline:
         _, cap, _, _, nu_ref, _, _ = (c.reshape(self.shape) for c in self._newton)
         if not (p <= cap).all():
             raise GasError("sonic-limit: pressure within margin of the sonic pressure")
-        t = nu_ref - prandtl_meyer(_mach2(p, self._a0, self._b0, self.gamma), self._g)
+        t = nu_ref - prandtl_meyer(_mach2(p, self.a0, self.b0, self.gamma), self.gamma)
         angle = np.arctan2(v, u)
         return np.stack([angle + t, angle - t])
 
@@ -319,7 +296,7 @@ class Streamline:
 
     def density(self, p):
         """rho = (p / A0)^(1/gamma)."""
-        return (p / self._a0) ** (1.0 / self.gamma)
+        return (p / self.a0) ** (1.0 / self.gamma)
 
     def state(self, zm, zp):
         """(u, v, p, rho) at the invariants (z_minus, z_plus)."""
@@ -365,6 +342,6 @@ class Streamline:
             if not (p > 0.0).all():
                 raise GasError("out-of-range: pressure must be positive")
             raise GasError("sonic-limit: dTheta/dp radicand is nonpositive")
-        den = (self._front * (self._b0 - self._bern_a * p ** (1.0 - 1.0 / gam))
+        den = (self._front * (self.b0 - self._bern_a * p ** (1.0 - 1.0 / gam))
                * p ** ((gam + 1.0) / (2.0 * gam)))
         return np.sqrt(rad) / den

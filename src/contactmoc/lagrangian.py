@@ -8,9 +8,9 @@ recovers the contact position as the image of eta = 0.
 
 Both layers live on one node row ``a | b`` (``LagrangianDomain.layers``)
 from the inlet on: ``inlet_to_lagrangian`` returns the inlet state on it,
-``stream_data_from_inlet`` the streamline constants of its nodes, and
-``reconstruct`` the mapped solution, which the diagnostics and the writer
-read per layer through ``layers``.
+``stream_data_from_inlet`` the streamline constants A0 and B0 of its nodes,
+and ``reconstruct`` the mapped solution, which the diagnostics and the
+writer read per layer through ``layers``.
 """
 
 from __future__ import annotations
@@ -28,20 +28,9 @@ class TransformError(RuntimeError):
     """Lagrangian transform or reconstruction left its admissible domain."""
 
 
-@dataclass(frozen=True)
-class MassFluxes:
-    """Inlet mass fluxes above (m_a) and below (m_b) the contact."""
-
-    m_a: float
-    m_b: float
-
-    def __post_init__(self):
-        if not (self.m_a > 0 and self.m_b > 0):
-            raise TransformError("out-of-range: mass fluxes must be positive")
-
-
-def mass_fluxes(profile: InletProfile) -> MassFluxes:
-    """Integrate rho0*u0 across each inlet layer.
+def mass_fluxes(profile: InletProfile):
+    """The inlet mass fluxes (m_a, m_b) above and below the contact: rho0*u0
+    integrated across each inlet layer.
 
     The integral is taken of the layer's monotone-cubic interpolant itself
     (exact antiderivative), matching the interpolation order used everywhere
@@ -52,7 +41,7 @@ def mass_fluxes(profile: InletProfile) -> MassFluxes:
     _, anti_b = lb.mass_flux()
     m_a = float(anti_a(la.y[-1]) - anti_a(la.y[0]))
     m_b = float(anti_b(lb.y[-1]) - anti_b(lb.y[0]))
-    return MassFluxes(m_a=m_a, m_b=m_b)
+    return m_a, m_b
 
 
 @dataclass(frozen=True)
@@ -67,12 +56,16 @@ class LagrangianDomain:
     eta_b: np.ndarray
 
     @classmethod
-    def build(cls, L, flux: MassFluxes, nxi, neta_a, neta_b):
+    def build(cls, L, m_a, m_b, nxi, neta_a, neta_b):
+        """The lattice of the layers with mass fluxes m_a above and m_b below
+        the contact, which must be positive."""
+        if not (m_a > 0 and m_b > 0):
+            raise TransformError("out-of-range: mass fluxes must be positive")
         xi = np.linspace(0.0, L, nxi)
-        eta_a = np.linspace(0.0, flux.m_a, neta_a)
-        eta_b = np.linspace(-flux.m_b, 0.0, neta_b)
+        eta_a = np.linspace(0.0, m_a, neta_a)
+        eta_b = np.linspace(-m_b, 0.0, neta_b)
         assert eta_a[0] == 0.0 and eta_b[-1] == 0.0
-        return cls(L=L, m_a=flux.m_a, m_b=flux.m_b, xi=xi, eta_a=eta_a, eta_b=eta_b)
+        return cls(L=L, m_a=m_a, m_b=m_b, xi=xi, eta_a=eta_a, eta_b=eta_b)
 
     @property
     def dxi(self):
@@ -135,24 +128,23 @@ def inlet_to_lagrangian(profile: InletProfile, domain: LagrangianDomain):
     return np.concatenate([y_a, y_b]), state
 
 
-def stream_data_from_inlet(state: gas.PrimitiveState, domain: LagrangianDomain,
-                           g: gas.GasConstants, p_ref) -> gas.StreamData:
+def stream_data_from_inlet(state: gas.PrimitiveState, domain: LagrangianDomain, gamma, p_ref):
     """Entropy function A0 and Bernoulli constant B0 at every node of the
-    stacked row ``a | b`` of ``domain``, with the global Theta reference
-    pressure.
+    stacked row ``a | b`` of ``domain``, as the pair (a0, b0).
 
     Both are constant along each streamline, and every solver query falls
-    on a lattice node, so the node values are all the solver reads.  p_ref
-    must stay below the sonic pressure of every streamline, otherwise
-    Theta's reference point is inadmissible (``sonic-limit``).
+    on a lattice node, so the node values are all the solver reads.  The
+    global Theta reference pressure p_ref must stay below the sonic pressure
+    of every streamline, otherwise Theta's reference point is inadmissible
+    (``sonic-limit``).
     """
-    sd = gas.StreamData(gas.entropy_function(state, g), gas.bernoulli(state, g), p_ref)
-    bad = ~(sd.p_ref < gas.sonic_pressure(sd, g) * (1.0 - gas.SONIC_MARGIN))
+    a0, b0 = gas.entropy_function(state, gamma), gas.bernoulli(state, gamma)
+    bad = ~(p_ref < gas.sonic_pressure(a0, b0, gamma) * (1.0 - gas.SONIC_MARGIN))
     if np.any(bad):
         eta = np.concatenate([eta for _, eta, _ in domain.layers])
         raise gas.GasError("sonic-limit: reference pressure reaches the sonic pressure of a "
                            f"streamline (first offending eta ~ {eta[np.argmax(bad)]:.6g})")
-    return sd
+    return a0, b0
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +234,7 @@ class WeakResidualReport:
     contact_mass_flux_jump: float
 
 
-def weak_residual(field: EulerianField, g: gas.GasConstants) -> WeakResidualReport:
+def weak_residual(field: EulerianField, gamma) -> WeakResidualReport:
     """Discrete control-volume flux divergence of the mapped mesh.
 
     The fluxes are evaluated on the node row, the cells per layer, so no
@@ -251,7 +243,7 @@ def weak_residual(field: EulerianField, g: gas.GasConstants) -> WeakResidualRepo
     cell area.  Across the contact (row entries 0 and -1) only the jump
     conditions are checked: pressure continuity and the normal mass flux.
     """
-    W_row, H_row = _flux_vectors(field.state, g.gamma)
+    W_row, H_row = _flux_vectors(field.state, gamma)
 
     def edge(px, py, qx, qy, Wp, Wq, Hp, Hq):
         return 0.5 * (Wp + Wq) * (qy - py) - 0.5 * (Hp + Hq) * (qx - px)
@@ -298,7 +290,7 @@ def weak_residual(field: EulerianField, g: gas.GasConstants) -> WeakResidualRepo
     )
 
 
-def streamline_conservation(field: EulerianField, g: gas.GasConstants):
+def streamline_conservation(field: EulerianField, gamma):
     """Trace streamlines through the reconstructed field and measure how well
     the entropy function and Bernoulli constant hold along them.
 
@@ -308,7 +300,7 @@ def streamline_conservation(field: EulerianField, g: gas.GasConstants):
     Traces seven lines per layer and returns the sup deviation over them.
     """
     x, st = field.domain.xi, field.state
-    w_row, A_row, B_row = st.v / st.u, gas.entropy_function(st, g), gas.bernoulli(st, g)
+    w_row, A_row, B_row = st.v / st.u, gas.entropy_function(st, gamma), gas.bernoulli(st, gamma)
     dev = 0.0
     for _, eta, cols in field.domain.layers:
         y, w, A, B = field.y[:, cols], w_row[:, cols], A_row[:, cols], B_row[:, cols]

@@ -86,11 +86,11 @@ class SolverError(RuntimeError):
 class MocProblem:
     """Per-run data shared by every iteration.
 
-    ``stream`` holds A0 and B0 at every node of the stacked row ``a | b``
-    (``lagrangian.stream_data_from_inlet``) with the global Theta reference
-    pressure, and ``line`` is that row prepared once (``gas.Streamline``
-    with the run's Newton settings): every inversion and every evaluation
-    of the speeds on the row goes through it.  ``contact`` is the contact
+    ``line`` is the stacked row ``a | b`` prepared once (``gas.Streamline``
+    of the A0 and B0 at every node, ``lagrangian.stream_data_from_inlet``,
+    with the global Theta reference pressure, gamma and the run's Newton
+    settings): every inversion and every evaluation of the speeds on the
+    row goes through it.  ``contact`` is the contact
     streamline eta = 0 on either side, the row's first and last entry,
     prepared once as one (2, 1, 1) ``gas.Streamline``: the contact weights
     of the fixed point and of the oracle read dTheta/dp from it.
@@ -98,10 +98,8 @@ class MocProblem:
     [z_minus, z_plus]; the background's are zero.
     """
 
-    g: gas.GasConstants
     domain: LagrangianDomain
     geom: NozzleGeometry
-    stream: gas.StreamData
     line: gas.Streamline
     contact: gas.Streamline
     inlet_z: np.ndarray
@@ -111,21 +109,20 @@ class MocProblem:
 
 
 def build_problem(cfg: RunConfig, geom: NozzleGeometry, domain: LagrangianDomain,
-                  inlet: gas.PrimitiveState, stream: gas.StreamData) -> MocProblem:
-    """Assemble the per-run problem data from the inlet state and its stream
-    data, both on the stacked node row ``a | b`` of ``domain``."""
-    g = cfg.gas_constants
-    line = gas.Streamline(stream, g, cfg.newton_tol, cfg.max_newton_iters)
+                  inlet: gas.PrimitiveState, a0, b0) -> MocProblem:
+    """Assemble the per-run problem data from the inlet state and its
+    streamline constants A0 and B0, all on the stacked node row ``a | b`` of
+    ``domain``; the Theta reference pressure is the background's."""
+    p_ref = cfg.background.p
+    line = gas.Streamline(a0, b0, p_ref, cfg.gamma, cfg.newton_tol, cfg.max_newton_iters)
     ends = [0, -1]
-    contact = gas.StreamData(stream.a0[ends, None, None], stream.b0[ends, None, None], stream.p_ref)
     xi = domain.xi
     prob = MocProblem(
-        g=g,
         domain=domain,
         geom=geom,
-        stream=stream,
         line=line,
-        contact=gas.Streamline(contact, g),
+        contact=gas.Streamline(line.a0[ends, None, None], line.b0[ends, None, None], p_ref,
+                               cfg.gamma),
         inlet_z=line.invariants(inlet.u, inlet.v, inlet.p, inlet.rho),
         wall_angle_plus=np.arctan(geom.g_plus(xi, 1)),
         wall_angle_minus=np.arctan(geom.g_minus(xi, 1)),
@@ -192,7 +189,7 @@ class InvariantGrid:
     def background(cls, prob: MocProblem, nxi=None):
         """The background invariants, zero, on ``nxi`` xi rows (default: all)."""
         nxi = prob.domain.xi.size if nxi is None else nxi
-        zm, zp = np.zeros((2, nxi, prob.stream.a0.size))
+        zm, zp = np.zeros((2, nxi, prob.line.a0.size))
         return cls(prob.domain, zm, zp)
 
 
@@ -209,7 +206,7 @@ def grid_states(grid: InvariantGrid, prob: MocProblem) -> gas.PrimitiveState:
 def check_supersonic_margin(grid: InvariantGrid, prob: MocProblem):
     """Enforce u - c >= min_supersonic_margin at every node."""
     s = grid_states(grid, prob)
-    margin = s.u - gas.sound_speed(s, prob.g)
+    margin = s.u - gas.sound_speed(s, prob.line.gamma)
     for tag, _, cols in prob.domain.layers:
         worst = float(np.min(margin[:, cols]))
         if worst < prob.min_supersonic_margin:

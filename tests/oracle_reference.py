@@ -9,7 +9,8 @@ weight from its own one-node Gauss path.  It writes the wall and contact
 closures out itself rather than calling ``moc.close_row`` and
 ``moc.contact_weights``.  Every inversion, speed and dTheta/dp comes from
 the per-call functions of ``tests/gas_reference.py``, not from the
-problem's prepared ``gas.Streamline``.  The two must agree bit for bit.
+problem's prepared ``gas.Streamline``; each layer's ``gas.Streamline`` here
+only carries its constants to them.  The two must agree bit for bit.
 """
 
 import math
@@ -38,17 +39,17 @@ def _upwind(z, lam, nu_base):
 
 def _slab_state(zm, zp, stream, prob):
     state = gas.PrimitiveState(*gas_reference.state_from_invariants(
-        zm, zp, stream, prob.g, newton_tol=prob.line.newton_tol,
+        zm, zp, stream, newton_tol=prob.line.newton_tol,
         max_newton_iters=prob.line.max_newton_iters))
-    lam_m, lam_p = gas_reference.lambda_pm(state, prob.g)
+    lam_m, lam_p = gas_reference.lambda_pm(state, stream.gamma)
     return state.p, lam_m, lam_p
 
 
-def _contact_dtheta(p, stream, node, g):
+def _contact_dtheta(p, stream, node):
     """Gauss average of dTheta/dp from p_ref to the one pressure ``p[0]``."""
     path = stream.p_ref + _GL_X[:, None] * (p[None, :] - stream.p_ref)
-    sd = gas.StreamData(stream.a0[node], stream.b0[node], stream.p_ref)
-    return (_GL_W @ gas_reference.dtheta_dp(path, sd, g))[0]
+    line = gas.Streamline(stream.a0[node], stream.b0[node], stream.p_ref, stream.gamma)
+    return (_GL_W @ gas_reference.dtheta_dp(path, line))[0]
 
 
 def per_layer_march(prob):
@@ -58,9 +59,9 @@ def per_layer_march(prob):
     na = dom.eta_a.size
     a, b = slice(0, na), slice(na, None)
     deta_a, deta_b = dom.eta_a[1] - dom.eta_a[0], dom.eta_b[1] - dom.eta_b[0]
-    sd, (zm0, zp0) = prob.stream, prob.inlet_z
-    stream_a = gas.StreamData(sd.a0[a], sd.b0[a], sd.p_ref)
-    stream_b = gas.StreamData(sd.a0[b], sd.b0[b], sd.p_ref)
+    row, (zm0, zp0) = prob.line, prob.inlet_z
+    stream_a = gas.Streamline(row.a0[a], row.b0[a], row.p_ref, row.gamma)
+    stream_b = gas.Streamline(row.a0[b], row.b0[b], row.p_ref, row.gamma)
     zm_a = np.empty((nxi, na))
     zp_a = np.empty_like(zm_a)
     zm_b = np.empty((nxi, dom.eta_b.size))
@@ -99,8 +100,8 @@ def per_layer_march(prob):
             new_p_a[-1] = 2.0 * ang_p - new_m_a[-1]
             new_m_b[0] = 2.0 * ang_m - new_p_b[0]
 
-            bar_a = _contact_dtheta(p_a[:1], stream_a, 0, prob.g)
-            bar_b = _contact_dtheta(p_b[-1:], stream_b, -1, prob.g)
+            bar_a = _contact_dtheta(p_a[:1], stream_a, 0)
+            bar_b = _contact_dtheta(p_b[-1:], stream_b, -1)
             alpha = 1.0 / (2.0 * bar_a)
             beta = 1.0 / (2.0 * bar_b)
             s = alpha + beta

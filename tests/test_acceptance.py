@@ -18,7 +18,7 @@ from contactmoc.cli import run_solve
 from tests import gas_reference
 from tests.conftest import solved
 
-G = gas.GasConstants(1.4)
+G = 1.4  # gamma
 
 
 def _report(criterion, detail):
@@ -52,21 +52,19 @@ def test_criterion_02_gas_round_trip(rng):
     u, v, p, rho = (arr[keep][:n_target] for arr in (u, v, p, rho))
     assert u.size == n_target
     state = gas.PrimitiveState(u=u, v=v, p=p, rho=rho)
-    sd = gas.StreamData(a0=gas.entropy_function(state, G),
-                        b0=gas.bernoulli(state, G), p_ref=1.0)
-    line = gas.Streamline(sd, G)
+    line = gas.Streamline(gas.entropy_function(state, G), gas.bernoulli(state, G), 1.0, G)
     back_u, back_v, back_p, _ = line.state(*line.invariants(u, v, p, rho))
     worst = max(np.max(np.abs(back_u - u)), np.max(np.abs(back_v - v)),
                 np.max(np.abs(back_p - p)))
     assert worst <= 1e-10
 
     # Theta / dTheta finite-difference consistency at second order
-    sd0 = gas.StreamData(a0=1.0, b0=0.5 * 2.2**2 + 3.5, p_ref=1.0)
+    line0 = gas.Streamline(1.0, 0.5 * 2.2**2 + 3.5, 1.0, G)
     p0 = 1.07
-    exact = float(gas.Streamline(sd0, G).dtheta_dp(np.asarray(p0)))
+    exact = float(line0.dtheta_dp(np.asarray(p0)))
 
     def fd(h):
-        return (gas_reference.theta(p0 + h, sd0, G) - gas_reference.theta(p0 - h, sd0, G)) / (2 * h)
+        return (gas_reference.theta(p0 + h, line0) - gas_reference.theta(p0 - h, line0)) / (2 * h)
 
     e1, e2 = abs(fd(2e-3) - exact), abs(fd(1e-3) - exact)
     assert 3.0 < e1 / e2 < 5.0

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from contactmoc import blowup, gas, interp
+from contactmoc import blowup, interp
 from contactmoc.expressions import SmoothExpression
 from tests.blowup_reference import reference_march
 
-G = gas.GasConstants(1.4)
+G = 1.4  # gamma
 
 
 def dtheta_of_speed(q, qhat, g):
@@ -72,7 +72,7 @@ def march_rows(monkeypatch, *args, **kwargs):
 def _irrot(u, v, rho):
     """``irrot_invariants`` of one state, with its own limit speed qhat and
     q_ref = 2."""
-    qhat = math.sqrt(u * u + v * v + 2.0 * rho ** (G.gamma - 1.0) / (G.gamma - 1.0))
+    qhat = math.sqrt(u * u + v * v + 2.0 * rho ** (G - 1.0) / (G - 1.0))
     return blowup.irrot_invariants(*(np.array([x]) for x in (u, v, rho)), G, q_ref=2.0, qhat=qhat)
 
 
@@ -136,7 +136,7 @@ def test_march_slopes_match_mach_angle_form():
     mu = np.arcsin(c / q)
     theta = rng.uniform(-0.6, 0.6, c.size) * (np.pi / 2 - mu)
     u, v = q * np.cos(theta), q * np.sin(theta)
-    rho = c ** (2.0 / (G.gamma - 1.0))
+    rho = c ** (2.0 / (G - 1.0))
     lam_m, lam_p = blowup._mach_slopes(theta, mu)
     want_m, want_p = irrot_lambdas(u, v, rho, G)
     scale = np.maximum(np.abs(want_m), np.abs(want_p))
@@ -180,8 +180,8 @@ def test_genuine_nonlinearity_probe(rng):
                 hi = mid
         q = 0.5 * (lo + hi)
         u, v = q * np.cos(theta), q * np.sin(theta)
-        c = np.sqrt(0.5 * (G.gamma - 1.0) * (qhat**2 - q**2))
-        rho = c ** (2.0 / (G.gamma - 1.0))
+        c = np.sqrt(0.5 * (G - 1.0) * (qhat**2 - q**2))
+        rho = c ** (2.0 / (G - 1.0))
         return irrot_lambdas(u, v, rho, G)
 
     h = 1e-5
@@ -225,7 +225,7 @@ def test_march_starts_from_the_expressions(monkeypatch):
     u0, v0 = SmoothExpression(u_text, var="y"), SmoothExpression(v_text, var="y")
     u = u0(np.abs(t))
     v = np.where(t < 0.0, -1.0, 1.0) * v0(np.abs(t))
-    gm1 = G.gamma - 1.0
+    gm1 = G - 1.0
     q_ref = math.hypot(float(u0(0.0)), float(v0(0.0)))
     c_wall = rho_wall ** (0.5 * gm1)
     qhat2 = q_ref * q_ref + 2.0 * c_wall * c_wall / gm1
@@ -469,7 +469,7 @@ def test_mach_angle_table_error_against_closed_form(inset, bound):
     c_hat = blowup.critical_speed(prof.qhat, G)
     margin = inset * (prof.qhat - c_hat)
     q = np.linspace(c_hat + margin, prof.qhat - margin, 200001)
-    want = np.arcsin(np.sqrt(0.5 * (G.gamma - 1.0) * (prof.qhat ** 2 - q * q)) / q)
+    want = np.arcsin(np.sqrt(0.5 * (G - 1.0) * (prof.qhat ** 2 - q * q)) / q)
     tab = blowup._MachAngleTable(prof.qhat, G, prof.q_ref)
     err = np.abs(tab.mu_of_theta(blowup.theta_of_speed(q, prof.qhat, G, prof.q_ref)) - want).max()
     assert err < bound
@@ -485,7 +485,7 @@ def lax_small_data_x(u0, delta, rho_wall=1.0, n=40001):
     lambda_plus, so d lambda/dZ = sec^2(theta -+ mu) (1 - mu'(q) / Theta'(q)) / 2
     for both families.
     """
-    gm1 = G.gamma - 1.0
+    gm1 = G - 1.0
     qhat2 = u0 * u0 + 2.0 * rho_wall ** gm1 / gm1
     y = np.linspace(-1.0, 1.0, n)
     v0, dv0 = delta * np.sin(np.pi * y), delta * np.pi * np.cos(np.pi * y)
@@ -508,6 +508,22 @@ def test_blowup_x_matches_lax_small_data_estimate():
                               grad_factor=15.0)
     assert rep.blowup_x is not None
     assert abs(rep.blowup_x - lax_x) / lax_x <= 0.10
+
+
+def test_gradient_detector_approaches_its_riccati_abscissa():
+    """Near blow-up the gradient grows as w0 / (1 - x / x*) (the Riccati law),
+    so a trigger at grad_factor times the initial gradient fires at
+    x* (1 - 1 / grad_factor), 6.67 % before Lax's estimate at factor 15.  The
+    detector's abscissa falls toward it as the grid refines (+9.95 %, -2.22 %
+    and -5.32 % at ny = 200, 400 and 800 when measured)."""
+    lax_x = lax_small_data_x(2.0, 0.06)
+    rel = []
+    for ny in (200, 400, 800):
+        rep = blowup.cauchy_march(make_profile("0.06 * sin(pi * y)"), x_max=200.0, ny=ny,
+                                  grad_factor=15.0)
+        rel.append(rep.gradient_x / lax_x - 1.0)
+    assert rel[0] > rel[1] > rel[2]
+    assert abs(rel[2] + 1.0 / 15.0) <= 0.02
 
 
 def _study_riccati_x():
@@ -546,7 +562,7 @@ def test_invariant_constant_along_traced_characteristic(monkeypatch):
         tv = 0.5 * (zp - zm)
         q = speed(tv)
         uu, vv = q * np.cos(th), q * np.sin(th)
-        c = np.sqrt(0.5 * (G.gamma - 1.0) * (prof.qhat**2 - q * q))
+        c = np.sqrt(0.5 * (G - 1.0) * (prof.qhat**2 - q * q))
         return (uu * vv - c * np.sqrt(np.maximum(q * q - c * c, 0.0))) / (uu * uu - c * c)
 
     def drift(ny):

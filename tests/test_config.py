@@ -36,7 +36,7 @@ def test_subsonic_inlet_rejected(tmp_path):
     cfg, geom, profile = fixtures.perturbed_inputs(0.0, nxi=50, neta=12)
     profile.layer_a.u[:] = 0.5  # far below the sound speed
     with pytest.raises(ConfigError, match="not supersonic"):
-        profile.validate(cfg.gas_constants)
+        profile.validate(cfg.gamma)
 
 
 def test_roundtrip_write_load_identity(tmp_path):
@@ -117,7 +117,7 @@ def test_profile_positivity_checked_before_the_sound_speed():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no sqrt of a negative pressure
         with pytest.raises(ConfigError, match="layer a has nonpositive p or rho"):
-            profile.validate(cfg.gas_constants)
+            profile.validate(cfg.gamma)
 
 
 def test_compatibility_report_flags_pressure_jump():
@@ -129,7 +129,7 @@ def test_compatibility_report_flags_pressure_jump():
         cfg, geom, profile = fixtures.perturbed_inputs(0.0, background=bg, nxi=50, neta=12)
         profile.layer_a.p[0] += jump
         with pytest.raises(ConfigError, match="pressure mismatch"):
-            profile.validate(cfg.gas_constants, tol)
+            profile.validate(cfg.gamma, tol)
 
 
 def test_compatibility_report_flags_corner_slip():
@@ -191,7 +191,7 @@ def test_sampled_wall_round_trip(tmp_path):
     cfg, _, profile = fixtures.perturbed_inputs(0.0, nxi=50, neta=12)
     expr = config.WallCurve.from_expression("1 + 0.001 * sin(pi * x / 4.0) ** 4")
     path = tmp_path / "wall.cfg"
-    for g_plus in (wall, wall.scale_deviation(1.0, 0.37), expr.scale_deviation(1.0, 0.37)):
+    for g_plus in (wall, wall.scale_deviation(0.37), expr.scale_deviation(0.37)):
         geom = config.NozzleGeometry(config.WallCurve.from_expression("-1"), g_plus, 4.0)
         config.write_config(cfg, geom, profile, path)
         loaded = config.load_config(path)[1].g_plus

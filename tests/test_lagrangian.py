@@ -4,13 +4,13 @@ import pytest
 from contactmoc import cli, config, fixtures, gas, interp, lagrangian as lag
 from tests.conftest import assemble, solved
 
-G = gas.GasConstants(1.4)
+G = 1.4  # gamma
 
 
 def background_setup(nxi=50, neta=12):
     cfg, geom, profile = fixtures.perturbed_inputs(0.0, nxi=nxi, neta=neta)
     flux = lag.mass_fluxes(profile)
-    dom = lag.LagrangianDomain.build(geom.L, flux, cfg.grid_nxi, cfg.grid_neta_a, cfg.grid_neta_b)
+    dom = lag.LagrangianDomain.build(geom.L, *flux, cfg.grid_nxi, cfg.grid_neta_a, cfg.grid_neta_b)
     return cfg, geom, profile, flux, dom
 
 
@@ -28,9 +28,9 @@ def background_fields(dom):
 
 
 def test_mass_fluxes_constant_layers():
-    _, _, profile, flux, _ = background_setup()
-    assert flux.m_a == pytest.approx(2.2, rel=1e-12)
-    assert flux.m_b == pytest.approx(1.9 * 1.2, rel=1e-12)
+    _, _, profile, (m_a, m_b), _ = background_setup()
+    assert m_a == pytest.approx(2.2, rel=1e-12)
+    assert m_b == pytest.approx(1.9 * 1.2, rel=1e-12)
 
 
 def test_mass_fluxes_linear_in_density():
@@ -41,9 +41,7 @@ def test_mass_fluxes_linear_in_density():
         layer_b=config.InletLayer(profile.layer_b.y, profile.layer_b.u, profile.layer_b.v,
                                   profile.layer_b.p, 2.0 * profile.layer_b.rho),
     )
-    flux2 = lag.mass_fluxes(doubled)
-    assert flux2.m_a == pytest.approx(2.0 * flux.m_a, rel=1e-12)
-    assert flux2.m_b == pytest.approx(2.0 * flux.m_b, rel=1e-12)
+    assert lag.mass_fluxes(doubled) == pytest.approx(tuple(2.0 * m for m in flux), rel=1e-12)
 
 
 def test_mass_flux_sinusoid_against_fine_trapezoid():
@@ -58,7 +56,7 @@ def test_mass_flux_sinusoid_against_fine_trapezoid():
     f = interp(fine)
     oracle = float(np.sum(0.5 * (f[1:] + f[:-1]) * np.diff(fine)))
     profile = config.InletProfile(layer_a=layer, layer_b=fixtures.perturbed_inputs(0.0)[2].layer_b)
-    assert lag.mass_fluxes(profile).m_a == pytest.approx(oracle, abs=1e-10)
+    assert lag.mass_fluxes(profile)[0] == pytest.approx(oracle, abs=1e-10)
 
 
 def test_inlet_map_linear_for_background():
@@ -73,8 +71,9 @@ def test_inlet_map_linear_for_background():
 
 def test_inlet_map_against_dense_inversion_oracle():
     cfg, geom, profile = fixtures.perturbed_inputs(5e-3, nxi=50, neta=40)
-    flux = lag.mass_fluxes(profile)
-    dom = lag.LagrangianDomain.build(geom.L, flux, cfg.grid_nxi, cfg.grid_neta_a, cfg.grid_neta_b)
+    m_a, m_b = lag.mass_fluxes(profile)
+    dom = lag.LagrangianDomain.build(geom.L, m_a, m_b, cfg.grid_nxi, cfg.grid_neta_a,
+                                     cfg.grid_neta_b)
     y, _ = lag.inlet_to_lagrangian(profile, dom)
     (_, _, a), _ = dom.layers
     # Independent inversion: cumulative trapezoid of the interpolated mass
@@ -85,7 +84,7 @@ def test_inlet_map_against_dense_inversion_oracle():
     fine = np.linspace(la.y[0], la.y[-1], 10_001)
     f = PchipInterpolator(la.y, la.rho * la.u)(fine)
     F = np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(fine))])
-    F *= flux.m_a / F[-1]
+    F *= m_a / F[-1]
     y_oracle = np.interp(dom.eta_a, F, fine)
     assert np.max(np.abs(y[a] - y_oracle)) < 1e-9
 
@@ -102,22 +101,22 @@ def test_pipeline_builds_each_layer_mass_flux_once(monkeypatch):
 def test_stream_data_background_constant():
     cfg, _, profile, flux, dom = background_setup()
     _, state = lag.inlet_to_lagrangian(profile, dom)
-    sd = lag.stream_data_from_inlet(state, dom, G, p_ref=1.0)
+    a0, b0 = lag.stream_data_from_inlet(state, dom, G, p_ref=1.0)
     (_, _, a), (_, _, b) = dom.layers
-    assert np.max(np.abs(sd.a0[a] - 1.0)) < 1e-13
-    assert np.max(np.abs(sd.b0[a] - (0.5 * 2.2**2 + 3.5))) < 1e-12
-    assert np.max(np.abs(sd.a0[b] - 1.0 / 1.2**1.4)) < 1e-13
+    assert np.max(np.abs(a0[a] - 1.0)) < 1e-13
+    assert np.max(np.abs(b0[a] - (0.5 * 2.2**2 + 3.5))) < 1e-12
+    assert np.max(np.abs(a0[b] - 1.0 / 1.2**1.4)) < 1e-13
 
 
 def test_stream_data_matches_pointwise_evaluation():
     cfg, geom, profile = fixtures.perturbed_inputs(5e-3, nxi=50, neta=24)
-    flux = lag.mass_fluxes(profile)
-    dom = lag.LagrangianDomain.build(geom.L, flux, cfg.grid_nxi, cfg.grid_neta_a, cfg.grid_neta_b)
+    dom = lag.LagrangianDomain.build(geom.L, *lag.mass_fluxes(profile), cfg.grid_nxi,
+                                     cfg.grid_neta_a, cfg.grid_neta_b)
     _, state = lag.inlet_to_lagrangian(profile, dom)
-    sd = lag.stream_data_from_inlet(state, dom, G, p_ref=1.0)
+    a0, _ = lag.stream_data_from_inlet(state, dom, G, p_ref=1.0)
     (_, _, a), _ = dom.layers
     direct = state.p[a] / state.rho[a]**1.4
-    assert np.max(np.abs(sd.a0[a] - direct)) < 1e-14
+    assert np.max(np.abs(a0[a] - direct)) < 1e-14
 
 
 def test_problem_stream_data_is_the_inlet_node_values():
@@ -125,13 +124,13 @@ def test_problem_stream_data_is_the_inlet_node_values():
     # A0 and B0 of each layer's inlet samples themselves, bit for bit, the
     # last node of each layer included.
     cfg, geom, profile = fixtures.perturbed_inputs(1e-3, nxi=400, neta=100)
-    flux = lag.mass_fluxes(profile)
-    dom = lag.LagrangianDomain.build(geom.L, flux, cfg.grid_nxi, cfg.grid_neta_a, cfg.grid_neta_b)
+    dom = lag.LagrangianDomain.build(geom.L, *lag.mass_fluxes(profile), cfg.grid_nxi,
+                                     cfg.grid_neta_a, cfg.grid_neta_b)
     _, inlet = lag.inlet_to_lagrangian(profile, dom)
     prob, _ = cli.build_pipeline(cfg, geom, profile)
-    stream = prob.stream
+    stream = prob.line
     assert stream.a0.shape == (dom.eta_a.size + dom.eta_b.size,)
-    assert stream.p_ref == cfg.background.p
+    assert (stream.p_ref, stream.gamma) == (cfg.background.p, cfg.gamma)
     for _, _, cols in dom.layers:
         state = gas.PrimitiveState(u=inlet.u[cols], v=inlet.v[cols], p=inlet.p[cols],
                                    rho=inlet.rho[cols])
@@ -140,20 +139,22 @@ def test_problem_stream_data_is_the_inlet_node_values():
 
 
 def test_stream_data_validation():
-    with pytest.raises(gas.GasError):
-        gas.StreamData(-np.ones(9), np.full(9, 0.5 * 2.2**2 + 3.5), 1.0)
+    with pytest.raises(gas.GasError, match="^out-of-range: stream data"):
+        gas.Streamline(-np.ones(9), np.full(9, 0.5 * 2.2**2 + 3.5), 1.0, G)
+    with pytest.raises(lag.TransformError, match="^out-of-range: mass fluxes"):
+        lag.LagrangianDomain.build(1.0, 1.0, 0.0, 5, 9, 3)
     # A0 = 1 and B0 = u^2/2 + 3.5: p_ref = 1 is above the sonic pressure
     # (about 0.53) where B0 = 3.51 (nodes 5 and 6) and where B0 = 3.505
     # (node 7, the least B0) of layer a; the first of them is named.  Layer
     # b, three more nodes on the row, is healthy.
-    flux = lag.MassFluxes(m_a=1.0, m_b=1.0)
-    dom = lag.LagrangianDomain.build(1.0, flux, 5, 9, 3)
+    dom = lag.LagrangianDomain.build(1.0, 1.0, 1.0, 5, 9, 3)
     b0 = np.array([5.9, 5.9, 5.9, 5.9, 5.9, 3.51, 3.51, 3.505, 5.9, 5.9, 5.9, 5.9])
     state = gas.PrimitiveState(u=np.sqrt(2.0 * (b0 - 3.5)), v=np.zeros(12), p=np.ones(12),
                                rho=np.ones(12))
     with pytest.raises(gas.GasError, match=r"^sonic-limit: .*\(first offending eta ~ 0\.625\)$"):
         lag.stream_data_from_inlet(state, dom, G, p_ref=1.0)
-    assert lag.stream_data_from_inlet(state, dom, G, p_ref=0.5).p_ref == 0.5
+    a0, b0 = lag.stream_data_from_inlet(state, dom, G, p_ref=0.5)  # below every sonic pressure
+    assert np.array_equal(a0, np.ones(12)) and np.array_equal(b0, gas.bernoulli(state, G))
 
 
 # ---------------------------------------------------------------------------

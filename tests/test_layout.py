@@ -17,6 +17,7 @@ name, so the ones it traces must keep their names.
 import ast
 import importlib.util
 import os
+import pathlib
 import re
 from collections import Counter
 
@@ -27,7 +28,7 @@ TESTS = os.path.join(ROOT, "tests")
 
 
 def _parse(directory):
-    return {name: ast.parse(open(os.path.join(directory, name), encoding="utf-8").read())
+    return {name: ast.parse(pathlib.Path(directory, name).read_text(encoding="utf-8"))
             for name in sorted(os.listdir(directory)) if name.endswith(".py")}
 
 

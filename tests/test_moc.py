@@ -3,21 +3,21 @@ import dataclasses
 import numpy as np
 import pytest
 
-from contactmoc import cli, fixtures, gas, interp, moc, oracle
+from contactmoc import cli, config, fixtures, gas, interp, moc, oracle
 from contactmoc.config import BackgroundState
 from tests import gas_reference
 from tests.characteristics import trace_characteristic
 from tests.conftest import assemble, solved
 from tests.cubic_reference import plain_cubic
 
-G = gas.GasConstants(1.4)
+G = 1.4  # gamma
 
 
 def contact_stream_data(prob):
-    """Stream data of the contact streamline eta = 0 on either side: the
-    first and the last entry of the stacked row a | b."""
-    s = prob.stream
-    return tuple(gas.StreamData(s.a0[node], s.b0[node], s.p_ref) for node in (0, -1))
+    """The contact streamline eta = 0 on either side: the first and the last
+    entry of the stacked row a | b, each as its own ``gas.Streamline``."""
+    s = prob.line
+    return tuple(gas.Streamline(s.a0[node], s.b0[node], s.p_ref, s.gamma) for node in (0, -1))
 
 
 def test_frozen_lambdas_background_constant():
@@ -69,8 +69,8 @@ def test_coupling_background_values():
     grid = moc.InvariantGrid.background(prob)
     alpha, beta, _, _, _ = moc.coupling_coefficients(grid, prob)
     sd_a, sd_b = contact_stream_data(prob)
-    expect_a = 1.0 / (2.0 * gas_reference.dtheta_dp(1.0, sd_a, G))
-    expect_b = 1.0 / (2.0 * gas_reference.dtheta_dp(1.0, sd_b, G))
+    expect_a = 1.0 / (2.0 * gas_reference.dtheta_dp(1.0, sd_a))
+    expect_b = 1.0 / (2.0 * gas_reference.dtheta_dp(1.0, sd_b))
     assert np.max(np.abs(alpha - expect_a)) < 1e-13
     assert np.max(np.abs(beta - expect_b)) < 1e-13
 
@@ -92,7 +92,7 @@ def test_coupling_bits_of_one_gauss_sum_per_contact_side(eps):
     p = moc.grid_states(grid, prob).p
     for got, node, sd in zip((alpha, beta), (0, -1), contact_stream_data(prob)):
         path = sd.p_ref + moc._GL_X[:, None] * (p[:, node] - sd.p_ref)
-        expect = 1.0 / (2.0 * (moc._GL_W @ gas_reference.dtheta_dp(path, sd, G)))
+        expect = 1.0 / (2.0 * (moc._GL_W @ gas_reference.dtheta_dp(path, sd)))
         assert np.array_equal(got, expect)
 
 
@@ -148,7 +148,7 @@ def test_background_invariants_invert_to_p_ref_on_the_contact(eps):
     # data on either side of the contact.
     cfg, geom, profile, prob = assemble(eps, 60, 12)
     for sd in contact_stream_data(prob):
-        p = gas.Streamline(sd, G).state(*np.zeros(2))[2]
+        p = sd.state(*np.zeros(2))[2]
         assert p == pytest.approx(cfg.background.p, abs=1e-12)
 
 
@@ -388,7 +388,7 @@ def test_march_plan_stays_within_twice_the_three_array_plan(nxi, neta):
     arrays = moc.plan_march(moc.frozen_lambdas(moc.InvariantGrid.background(prob), prob),
                             prob.domain)
     assert all(a.base is None for a in arrays)  # no array views a larger one
-    width = prob.stream.a0.size * 2  # the march row zm | zp
+    width = prob.line.a0.size * 2  # the march row zm | zp
     assert sum(a.nbytes for a in arrays) <= 3 * (nxi - 1) * width * 8
 
 
@@ -476,7 +476,9 @@ def test_converged_grid_inverts_from_cold_in_few_sweeps():
     # Starting at s(p_ref), Newton in s = sqrt(M^2-1) converges on every node
     # of an O(eps) grid in two sweeps; converged nodes take no further step.
     cfg, geom, profile, prob, grid, report = solved(1e-3, 140, 35)
-    cold = gas.Streamline(prob.stream, prob.g, prob.line.newton_tol, max_newton_iters=3)
+    line = prob.line
+    cold = gas.Streamline(line.a0, line.b0, line.p_ref, line.gamma, line.newton_tol,
+                          max_newton_iters=3)
     p = cold.state(grid.zm, grid.zp)[2]
     assert np.array_equal(p, moc.grid_states(grid, prob).p)
 
@@ -561,6 +563,55 @@ def _check_wall_and_contact_identities(prob, grid, report):
     assert report.residuals.wall_slip_max < 1e-12
     assert report.residuals.contact_w_jump < 1e-12
     assert report.residuals.contact_p_jump < 1e-8
+
+
+def _mirrored(cfg, geom, profile):
+    """The input mirrored in y -> -y: the layers swapped, each inlet table
+    reflected with v negated, g_plus swapped with -g_minus, and layer a's
+    background (u, rho) and node count swapped with layer b's."""
+    def reflect(layer):
+        return config.InletLayer(y=0.0 - layer.y[::-1], u=layer.u[::-1], v=-layer.v[::-1],
+                                 p=layer.p[::-1], rho=layer.rho[::-1])
+
+    def negated(wall):
+        return config.WallCurve.from_expression(f"-({wall.serialization()[1]})")
+
+    bg = cfg.background
+    cfg = dataclasses.replace(cfg, grid_neta_a=cfg.grid_neta_b, grid_neta_b=cfg.grid_neta_a,
+                              background=BackgroundState(u_a=bg.u_b, rho_a=bg.rho_b, u_b=bg.u_a,
+                                                         rho_b=bg.rho_a, p=bg.p))
+    return (cfg, config.NozzleGeometry(negated(geom.g_plus), negated(geom.g_minus), geom.L),
+            config.InletProfile(reflect(profile.layer_b), reflect(profile.layer_a)))
+
+
+def test_solution_respects_the_mirror_symmetry():
+    """The steady Euler equations are invariant under y -> -y with v -> -v,
+    so the mirrored input has the mirrored solution: the row a | b reversed,
+    z_minus taking the place of -z_plus.  The two solvers of acceptance #7
+    share ``close_row`` and ``contact_weights``; a sign slip in either
+    breaks this symmetry but not their agreement.  The layers differ in
+    size, so an index taken from the wrong layer shows too."""
+    cfg, geom, profile = fixtures.perturbed_inputs(1e-3, nxi=140, neta=35)
+    cfg = dataclasses.replace(cfg, grid_neta_b=42)
+    _, run = cli.run_solve(cfg, geom, profile, write_outputs=False)
+    _, mirror = cli.run_solve(*_mirrored(cfg, geom, profile), write_outputs=False)
+    grid, grid_m = run["grid"], mirror["grid"]
+    assert grid_m.zm_a.shape[1] == 42 and grid_m.zm_b.shape[1] == 35
+    # The invariants to a few ulps (3 measured).
+    ulps = 8 * np.spacing(1.0)
+    assert np.max(np.abs(grid_m.zm + grid.zp[:, ::-1])) <= ulps
+    assert np.max(np.abs(grid_m.zp + grid.zm[:, ::-1])) <= ulps
+    # The states to the Newton tolerance (3.2e-15 measured).
+    field, field_m = run["efield"], mirror["efield"]
+    for name, sign in (("u", 1.0), ("v", -1.0), ("p", 1.0), ("rho", 1.0)):
+        got, want = getattr(field_m.state, name), sign * getattr(field.state, name)[:, ::-1]
+        assert np.max(np.abs(got - want)) <= 10 * cfg.newton_tol
+    # Both reconstructions integrate y up from their own lower wall, so the
+    # mirrored ordinates differ by the reconstruction error that each run's
+    # top_gap measures at the upper wall.  Inside the column it reaches 1.2
+    # times their sum (1.16e-9 against 5.0e-10 + 4.6e-10).
+    gaps = field.top_gap + field_m.top_gap
+    assert np.max(np.abs(field_m.y + field.y[:, ::-1])) <= 2.0 * gaps
 
 
 def test_residual_background_zero():

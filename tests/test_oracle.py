@@ -9,8 +9,6 @@ from contactmoc import gas, moc, oracle
 from tests.conftest import assemble, solved
 from tests.oracle_reference import _upwind, per_layer_march
 
-G = gas.GasConstants(1.4)
-
 
 def test_background_propagates_exactly():
     cfg, geom, profile, prob = assemble(0.0, 60, 12)
