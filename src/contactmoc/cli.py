@@ -400,11 +400,12 @@ def cmd_sweep(args):
         return _error_exit(_run_category(exc), exc, prefix=f"eps={target:g}: ",
                            out=_out(csv_path))
 
-    if len(rows) >= 2:
-        xs = np.log([r[0] for r in rows])
-        ys = np.log([r[1]["sup_dev"] for r in rows])
-        slope = float(np.polyfit(xs, ys, 1)[0])
-        slope_txt = slope
+    # A repeated eps adds no abscissa: the slope needs two distinct ones.
+    sup_devs = {}
+    for target, summary in rows:
+        sup_devs.setdefault(target, summary["sup_dev"])
+    if len(sup_devs) >= 2:
+        slope_txt = float(np.polyfit(np.log(list(sup_devs)), np.log(list(sup_devs.values())), 1)[0])
     else:
         slope_txt = "undefined"
     _summary({"status": "ok", "runs": len(rows), "slope": slope_txt, "out": _out(csv_path)})

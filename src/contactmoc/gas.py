@@ -16,21 +16,28 @@ and on Theta differences, so the convention is observable-free.
 Theta is closed form: along a streamline dTheta/dp = sqrt(M^2-1)/(rho q^2)
 = -d nu/dp, where nu is the Prandtl-Meyer function and M^2 is algebraic in
 (p; A0, B0), so Theta(p) = nu(M(p_ref)) - nu(M(p)) (Courant & Friedrichs,
-Supersonic Flow and Shock Waves, ch. IV).  The inverse p(Theta) is found by
-Newton's method on nu in s = sqrt(M^2-1), whose derivative is rational in s,
-and p is recovered from M^2 once.
+Supersonic Flow and Shock Waves, ch. IV).  The inversion is one Newton
+iteration on nu in the Mach variable s = sqrt(M^2-1) = cot(mu), whose
+derivative is rational in s.  Everything else is closed form in s: the
+pressure from M^2 = 1 + s^2, and, with the flow-angle tangent
+w = tan((z_minus + z_plus)/2), the characteristic speeds
+
+    lambda_pm = +-rho c / cos(theta +- mu) = +-rho q sqrt(1+w^2) / (s -+ w),
+
+with rho q = rho* c* (K/(K+s^2))^(K/2) sqrt(1+s^2), K = (gamma+1)/(gamma-1),
+from each streamline's sonic density and sound speed.
 
 All quantities are nondimensional.  The pointwise functions (sound speed,
 Bernoulli and entropy constants, sonic pressure) accept scalars or numpy
 arrays and broadcast.  The invariants of a state, their inversion
-z -> (u, v, p, rho), the characteristic speeds and dTheta/dp exist only as
-methods of ``Streamline``, which computes its streamlines' constants (sonic
-pressure and its cap, nu(M(p_ref)), the Newton start and floor, the powers
-of A0) once and takes arrays; ``moc.MocProblem.line`` is one for the whole
-node row, shared by the fixed point and the upwind oracle.  nu(M(p_ref)) is
-taken with p_ref as an array, through the same power as nu(M(p)), so a
-state at p_ref has Theta exactly 0.0 and the background's invariants are
-exactly (0, 0).
+z -> (s, w) -> (u, v, p, rho), the characteristic speeds and dTheta/dp exist
+only as methods of ``Streamline``, which computes its streamlines' constants
+(sonic pressure and its cap, rho* c*, nu(M(p_ref)), the Newton start and
+floor, the powers of A0) once and takes arrays; ``moc.MocProblem.line`` is
+one for the whole node row, shared by the fixed point and the upwind oracle.
+nu(M(p_ref)) is taken with p_ref as an array, through the same power as
+nu(M(p)), so a state at p_ref has Theta exactly 0.0 and the background's
+invariants are exactly (0, 0).
 """
 
 from __future__ import annotations
@@ -137,11 +144,11 @@ class Streamline:
     """The streamlines with entropy functions ``a0`` and Bernoulli constants
     ``b0`` (arrays, one value per node, or scalars), the global Theta
     reference pressure ``p_ref`` and the adiabatic exponent ``gamma``,
-    prepared for repeated evaluations: the invariants of a state, the state
-    at given invariants, the characteristic speeds and dTheta/dp.  It is the
-    one way to evaluate any of them, and it exposes ``a0`` and ``b0`` as
-    float arrays, ``p_ref`` and ``gamma``.  A0, B0 and p_ref must be
-    positive (``out-of-range``).
+    prepared for repeated evaluations: the invariants of a state, the Mach
+    variable s = sqrt(M^2-1) and the state at given invariants, the
+    characteristic speeds and dTheta/dp.  It is the one way to evaluate any
+    of them, and it exposes ``a0`` and ``b0`` as float arrays, ``p_ref`` and
+    ``gamma``.  A0, B0 and p_ref must be positive (``out-of-range``).
 
     Everything that depends on the streamlines alone is computed once: here
     the powers of A0 that dTheta/dp and the Bernoulli velocity use, and on
@@ -149,7 +156,8 @@ class Streamline:
     sonic pressure and its SONIC_MARGIN cap, the Newton floor
     s_floor = s(cap) and nu(s_floor), nu_ref = nu(M(p_ref)), and the Newton
     start s0 = max(s(p_ref), s_floor) and nu(s0).  The forward map and the
-    inversion read the same nu_ref and cap.
+    inversion read the same nu_ref and cap.  With them, on the first
+    evaluation of the speeds, comes rho* c*, the sonic mass flux.
 
     The methods take numpy arrays (not Python scalars), broadcast against
     the shape of the stream data and return arrays.  The sonic pressure
@@ -199,6 +207,13 @@ class Streamline:
         return (p_sonic, cap, s_floor, _nu(s_floor, k) - self.newton_tol,
                 prandtl_meyer(m2_ref, gam), s0, _nu(s0, k))
 
+    @cached_property
+    def _flux_sonic(self):
+        """rho* c* = sqrt(gamma p* rho*), each streamline's sonic density
+        times its sonic sound speed, in the data's shape."""
+        p_sonic = self._newton[0].reshape(self.shape)
+        return np.sqrt(self.gamma * p_sonic * (p_sonic / self.a0) ** (1.0 / self.gamma))
+
     def invariants(self, u, v, p, rho):
         """The invariants of the states (u, v, p, rho), stacked as one
         (2, ...) array [z_minus, z_plus]:
@@ -222,12 +237,12 @@ class Streamline:
         angle = np.arctan2(v, u)
         return np.stack([angle + t, angle - t])
 
-    def _invert(self, t):
-        """The pressure with Theta(p) = t.
+    def _invert(self, t, s=None):
+        """The Mach variable s = sqrt(M^2-1) with Theta(p(s)) = t.
 
-        Theta(p) = nu_ref - nu(s) with s = sqrt(M^2-1), so Newton's method
-        solves nu(s) = nu_ref - t in s, from each streamline's s0, and p is
-        recovered from M^2 = 1 + s^2 once at the end.  With
+        Theta(p) = nu_ref - nu(s), so Newton's method solves nu(s) = nu_ref - t
+        in s, from the given ``s`` (a previous result of the same shape: a
+        warm start) or else from each streamline's s0.  With
         K = (gamma+1)/(gamma-1), nu(s) = sqrt(K) arctan(s/sqrt(K)) - arctan(s)
         increases with dnu/ds = s^2 (1 - 1/K) / ((1 + s^2/K)(1 + s^2)), which
         vanishes at the sonic point: a Newton step that leaves the bracket of
@@ -238,24 +253,28 @@ class Streamline:
         Only nodes whose Theta residual exceeds newton_tol take a step;
         needing more than max_newton_iters such sweeps raises
         ``no-convergence``.  A target past the sonic cap, at or beyond vacuum
-        (nu_max = (sqrt(K) - 1) pi/2), NaN, or whose pressure underflows
-        raises ``out-of-range``.
+        (nu_max = (sqrt(K) - 1) pi/2), or NaN raises ``out-of-range``, and so
+        does ``pressure`` where the pressure of the result underflows.
         """
-        gam, k, tol = self.gamma, self._k, self.newton_tol
-        shape, consts = self.shape, self._newton
+        k, tol = self._k, self.newton_tol
+        shape, consts = self.shape, self._newton[2:]
         if t.shape != shape:
             shape = np.broadcast_shapes(t.shape, shape)
             t = np.broadcast_to(t, shape)
             consts = [np.broadcast_to(c.reshape(self.shape), shape).ravel() for c in consts]
-        p_sonic, cap, s_floor, nu_low, nu_ref, s0, nu_s0 = consts
+        s_floor, nu_low, nu_ref, s0, nu_s0 = consts
         nu_goal = nu_ref - t.ravel()
         if not ((nu_goal >= nu_low) & (nu_goal < self._nu_max)).all():  # NaN fails too
             raise GasError("out-of-range: target exceeds the range of Theta on the admissible interval")
 
-        s = s0.copy()
+        if s is None:
+            s, nu_s = s0.copy(), nu_s0
+        else:
+            s = s.flatten()
+            nu_s = _nu(s, k)
         lo = s_floor.copy()
         hi = np.full(s.size, np.inf)
-        resid = nu_s0 - nu_goal
+        resid = nu_s - nu_goal
         live = np.flatnonzero(np.abs(resid) > tol)
         for _ in range(self.max_newton_iters):
             if not live.size:
@@ -273,12 +292,32 @@ class Streamline:
             live = live[np.abs(r) > tol]
         if live.size:
             raise GasError("no-convergence: Newton inversion of Theta did not meet newton_tol")
+        return s.reshape(shape)
 
-        # _mach2 solved for p at M^2 = 1 + s^2.
+    def pressure(self, s):
+        """p at the Mach variable s: ``_mach2`` solved for p at M^2 = 1 + s^2,
+        p = p_sonic (K/(K+s^2))^(gamma/(gamma-1)), capped at the SONIC_MARGIN
+        cap.  Raises ``out-of-range`` where it underflows."""
+        gam, k = self.gamma, self._k
+        # One leading axis keeps every operand an array: numpy's scalar power
+        # rounds differently from its array power.
+        p_sonic, cap = (c.reshape((1,) + self.shape) for c in self._newton[:2])
+        s = s[None]
         p = np.minimum(p_sonic * (k / (k + s * s)) ** (gam / (gam - 1.0)), cap)
         if not (p > 0.0).all():
             raise GasError("out-of-range: pressure underflows at this target")
-        return p.reshape(shape)
+        return p.reshape(p.shape[1:])
+
+    def mach(self, zm, zp, s=None):
+        """(s, w) at the invariants (z_minus, z_plus): the Mach variable
+        s = sqrt(M^2-1) = cot(mu) of the pressure with
+        Theta = (z_minus - z_plus)/2 (``_invert``, warm-started from ``s``
+        where given), and the flow-angle tangent w = tan((z_minus + z_plus)/2).
+        """
+        z_sum = zm + zp
+        if not (np.abs(z_sum) < np.pi).all():
+            raise GasError("flow-angle: |z_minus + z_plus| must stay below pi")
+        return self._invert(0.5 * (zm - zp), s), np.tan(0.5 * z_sum)
 
     def velocity(self, w, p):
         """(u, v) from the flow-angle tangent w and the pressure p by the
@@ -298,39 +337,36 @@ class Streamline:
         """rho = (p / A0)^(1/gamma)."""
         return (p / self.a0) ** (1.0 / self.gamma)
 
-    def state(self, zm, zp):
-        """(u, v, p, rho) at the invariants (z_minus, z_plus)."""
-        z_sum = zm + zp
-        if not (np.abs(z_sum) < np.pi).all():
-            raise GasError("flow-angle: |z_minus + z_plus| must stay below pi")
-        p = self._invert(0.5 * (zm - zp))
-        u, v = self.velocity(np.tan(0.5 * z_sum), p)
+    def primitives(self, s, w):
+        """(u, v, p, rho) at the Mach variable s and the flow-angle tangent w
+        (``mach``)."""
+        p = self.pressure(s)
+        u, v = self.velocity(w, p)
         rho = self.density(p)
         _check_positive(p, rho)
         return u, v, p, rho
 
-    def lambdas(self, u, v, p, rho):
+    def state(self, zm, zp):
+        """(u, v, p, rho) at the invariants (z_minus, z_plus)."""
+        return self.primitives(*self.mach(zm, zp))
+
+    def lambdas(self, s, w):
         """Characteristic speeds (lambda_minus, lambda_plus) in
-        stream-function coordinates at the state:
+        stream-function coordinates at the Mach variable s = cot(mu) and the
+        flow-angle tangent w = tan(theta) (``mach``):
 
-        lambda_pm = rho u c^2 / (u^2 - c^2) * (v/u ± sqrt(u^2+v^2-c^2)/c);
+        lambda_pm = +-rho c / cos(theta +- mu) = +-rho q sqrt(1+w^2) / (s -+ w),
+        rho q = rho* c* (K/(K+s^2))^(K/2) sqrt(1+s^2),  K = (gamma+1)/(gamma-1).
 
-        requires u > c (so u^2 - c^2 > 0).
+        Requires u > c, which is s > |w| (``degenerate``), so that
+        lambda_- < 0 < lambda_+.
         """
-        c2 = self.gamma * p / rho
-        uu = u * u
-        du = uu - c2
-        q2mc2 = uu + v * v - c2
-        # One reduction for both guards; the failing one is found only on error.
-        if not ((du > 0.0) & (q2mc2 > 0.0)).all():
-            if not (du > 0.0).all():
-                raise GasError("degenerate: characteristic speeds need u > c")
-            raise GasError("not-supersonic: q must exceed c")
-        c = np.sqrt(c2)
-        front = rho * u * c2 / du
-        disc = np.sqrt(q2mc2) / c
-        w = v / u
-        return front * (w - disc), front * (w + disc)
+        if not (s > np.abs(w)).all():
+            raise GasError("degenerate: characteristic speeds need u > c")
+        k = self._k
+        s2 = s * s
+        flux = self._flux_sonic * (k / (k + s2)) ** (0.5 * k) * np.sqrt((1.0 + s2) * (1.0 + w * w))
+        return -flux / (s + w), flux / (s - w)
 
     def dtheta_dp(self, p):
         """Closed-form dTheta/dp = sqrt(M^2-1)/(rho q^2) at the pressures p;

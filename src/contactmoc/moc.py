@@ -9,10 +9,11 @@ eta = 0 that enforces continuity of flow angle and pressure.
 Every grid, state and speed array holds both layers on one node row
 ``a | b`` (``LagrangianDomain.layers``).  Each outer iteration inverts the
 previous iterate to primitive states once (``grid_states``), freezes the
-characteristic speeds on them and solves the resulting linear transport
-problem exactly in the semi-Lagrangian sense: every invariant is constant
-along its own frozen characteristic, so one backward trace plus four-point
-cubic interpolation per node advances a xi-slab.  The speeds are frozen, so
+characteristic speeds on the Mach variable of that inversion and solves the
+resulting linear transport problem exactly in the semi-Lagrangian sense:
+every invariant is constant along its own frozen characteristic, so one
+backward trace plus four-point cubic interpolation per node advances a
+xi-slab.  The speeds are frozen, so
 the feet do not depend on z: the march first plans every step
 (``plan_march``: midpoint foot, clipped foot and cubic stencil of every node
 of every step on the row ``zm | zp``, each frozen row interpolated once per
@@ -172,8 +173,9 @@ class InvariantGrid:
     node row: ``zm`` and ``zp`` are (nxi, neta_a + neta_b) arrays, and
     ``zm_a`` ... ``zp_b`` are read-only attributes viewing one layer's columns.
 
-    Caches the implied primitive state the first time it is needed so each
-    iterate pays for the pressure inversion exactly once.
+    Caches the implied primitive state and the Mach variable s the first
+    time either is needed, so each iterate pays for the pressure inversion
+    exactly once.
     """
 
     zm_a, zp_a = _layer_view("zm", "a"), _layer_view("zp", "a")
@@ -183,7 +185,7 @@ class InvariantGrid:
         self.domain = domain
         self.zm = zm
         self.zp = zp
-        self._state = None
+        self._state = self._s = None
 
     @classmethod
     def background(cls, prob: MocProblem, nxi=None):
@@ -195,11 +197,14 @@ class InvariantGrid:
 
 def grid_states(grid: InvariantGrid, prob: MocProblem) -> gas.PrimitiveState:
     """Primitive state of both layers implied by the grid, one inversion on
-    the stacked row (cached on the grid)."""
+    the stacked row (cached on the grid, with the Mach variable s that
+    ``frozen_lambdas`` reads)."""
     if grid._state is None:
         if not np.all(np.abs(grid.zm + grid.zp) < np.pi):
             raise SolverError("left-supersonic-regime: |z_minus + z_plus| reached pi")
-        grid._state = gas.PrimitiveState(*prob.line.state(grid.zm, grid.zp))
+        s, w = prob.line.mach(grid.zm, grid.zp)
+        grid._state = gas.PrimitiveState(*prob.line.primitives(s, w))
+        grid._s = s
     return grid._state
 
 
@@ -246,10 +251,12 @@ class FrozenField:
 
 
 def frozen_lambdas(grid: InvariantGrid, prob: MocProblem) -> FrozenField:
-    """Both characteristic speeds at every node of the grid's states."""
+    """Both characteristic speeds at every node of the grid, from the Mach
+    variable s of its one inversion (``grid_states``) and its flow-angle
+    tangent w = tan((z_minus + z_plus)/2)."""
     try:
-        s = grid_states(grid, prob)
-        lam_m, lam_p = prob.line.lambdas(s.u, s.v, s.p, s.rho)
+        grid_states(grid, prob)
+        lam_m, lam_p = prob.line.lambdas(grid._s, np.tan(0.5 * (grid.zm + grid.zp)))
     except gas.GasError as exc:
         raise SolverError(f"left-supersonic-regime: {exc}") from None
     return FrozenField(lam_m=lam_m, lam_p=lam_p)

@@ -13,14 +13,19 @@ evidence, not shared bias.
 Each sub-step updates the problem's whole stacked node row ``a | b``
 (``LagrangianDomain.layers``: the contact is the first and the last entry,
 the walls meet at na-1 | na): z_minus by backward and z_plus by forward
-differences, each column with its Courant number dx / deta.  One pressure
-inversion and one evaluation of the speeds serve both layers, and one Gauss
-path gives both contact weights.  Newton runs independently per node, so
-the stacked calls return the bits of per-layer calls.  The streamlines are
-the problem's own, prepared once when the problem is built: the row's
-(``MocProblem.line``) and the two contact streamlines (``MocProblem.contact``).
-These hold constants of the inlet data alone, so a sub-step recomputes no
-streamline constant and reads nothing the fixed point computes.
+differences, each column with its Courant number dx / deta.  A sub-step
+works on the Mach variable s = sqrt(M^2-1) = cot(mu) and never forms the
+primitive state: one flow-angle guard and one Newton inversion for s
+(``gas.Streamline.mach``), started from the previous sub-step's s (the
+first from each streamline's own start), give both layers' speeds in closed
+form (``gas.Streamline.lambdas``), and the pressure is recovered at the two
+contact entries only, where one Gauss path gives both contact weights.
+Newton runs independently per node, so the stacked calls return the bits of
+per-layer calls.  The streamlines are the problem's own, prepared once when
+the problem is built: the row's (``MocProblem.line``) and the two contact
+streamlines (``MocProblem.contact``).  These hold constants of the inlet
+data alone, so a sub-step recomputes no streamline constant and reads
+nothing the fixed point computes.
 """
 
 from __future__ import annotations
@@ -47,18 +52,20 @@ def upwind_march(prob: MocProblem) -> InvariantGrid:
     deta = np.concatenate([np.full(eta.size, eta[1] - eta[0]) for _, eta, _ in dom.layers])
     deta_min = deta.min()
 
-    rows = prob.line
+    rows, contact = prob.line, prob.contact
     zm, zp = np.empty((2, nxi, deta.size))
     zm[0], zp[0] = prob.inlet_z
     cur_m, cur_p = zm[0], zp[0]
+    s = None
 
     for k in range(nxi - 1):
         xi_left = dom.xi[k]
         remaining = dom.dxi
         while remaining > 1e-14 * dom.dxi:
-            u, v, p, rho = rows.state(cur_m, cur_p)
-            lam_m, lam_p = rows.lambdas(u, v, p, rho)
-            max_lam = max(np.abs(lam_m).max(), np.abs(lam_p).max())
+            s, w = rows.mach(cur_m, cur_p, s)
+            # ``lambdas`` needs u > c, so lambda_- < 0 < lambda_+.
+            lam_m, lam_p = rows.lambdas(s, w)
+            max_lam = max(-lam_m.min(), lam_p.max())
             cfl_dx = 0.9 * deta_min / max_lam
             n_sub = max(1, math.ceil(remaining / cfl_dx))
             if n_sub > _MAX_SUBSTEPS:
@@ -68,15 +75,16 @@ def upwind_march(prob: MocProblem) -> InvariantGrid:
                 )
             dx = remaining / n_sub
 
-            # ``lambdas`` needs u > c, so lambda_- < 0 < lambda_+; close_row
-            # assigns the four entries whose stencil crosses na-1 | na or the ends.
+            # close_row assigns the four entries whose stencil crosses
+            # na-1 | na or the ends.
             nu = dx / deta
             new_m, new_p = np.empty((2, deta.size))
             new_m[1:] = cur_m[1:] - (nu[1:] * lam_p[1:]) * (cur_m[1:] - cur_m[:-1])
             new_p[:-1] = cur_p[:-1] - (nu[:-1] * lam_m[:-1]) * (cur_p[1:] - cur_p[:-1])
 
             xi_next = xi_left + dx
-            _, _, g1, g2, g3 = np.ravel(contact_weights(p[[0, -1], None], prob.contact))
+            p = contact.pressure(s[[0, -1], None, None])
+            _, _, g1, g2, g3 = np.ravel(contact_weights(p[:, 0], contact))
             close_row(new_m, new_p, na, math.atan(float(prob.geom.g_plus(xi_next, 1))),
                       math.atan(float(prob.geom.g_minus(xi_next, 1))), g1, g2, g3)
 

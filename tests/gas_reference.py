@@ -5,12 +5,17 @@ written per call.
 package's only way to map states to invariants and back and to evaluate the
 speeds and dTheta/dp.  This reference keeps those evaluations as plain
 scalar-or-array functions, every constant recomputed on each call from the
-broadcast inputs: Theta, the Newton inversion, dTheta/dp, the Bernoulli
-velocity and density that complete a state, and the characteristic speeds.
-They return floats for scalar inputs.  Both take nu(M(p_ref)) with p_ref as
-an array, and both must agree bit for bit.  The streamline ``line`` they take
-is a ``gas.Streamline``, of which they read only the values it was built
-from: ``a0``, ``b0``, ``p_ref`` and ``gamma``.
+broadcast inputs: Theta, the Newton inversion for the Mach variable
+s = sqrt(M^2-1) (cold or warm-started) and the pressure it gives,
+dTheta/dp, the Bernoulli velocity and density that complete a state, and
+the Mach-form speeds.  They return floats for scalar inputs.  Both take
+nu(M(p_ref)) with p_ref as an array, and both must agree bit for bit.  The
+streamline ``line`` they take is a ``gas.Streamline``, of which they read
+only the values it was built from: ``a0``, ``b0``, ``p_ref`` and ``gamma``.
+
+``lambda_pm`` is the textbook form of the speeds in (u, v, p, rho), which
+the package no longer evaluates: it is the independent reference that the
+Mach-form speeds are tested against.
 """
 
 import numpy as np
@@ -70,9 +75,11 @@ def dtheta_dp(p, line: Streamline):
     return _maybe_scalar(np.sqrt(rad) / den, *orig)
 
 
-def pressure_from_invariants(z_minus, z_plus, line: Streamline, newton_tol=1e-12,
-                             max_newton_iters=50):
-    """Invert Theta(p) = (z_minus - z_plus)/2 by Newton's method on nu(s)."""
+def mach_from_invariants(z_minus, z_plus, line: Streamline, newton_tol=1e-12,
+                         max_newton_iters=50, s_start=None):
+    """The Mach variable s = sqrt(M^2-1) with Theta(p(s)) = (z_minus - z_plus)/2,
+    by Newton's method on nu(s), from ``s_start`` where given (a warm start)
+    or else from s(p_ref) raised to the sonic floor."""
     gam = line.gamma
     k = (gam + 1.0) / (gam - 1.0)
     zm, zp = _as_array(z_minus, z_plus)
@@ -88,7 +95,10 @@ def pressure_from_invariants(z_minus, z_plus, line: Streamline, newton_tol=1e-12
     if np.any(nu_goal < _nu(s_floor, k) - newton_tol) or np.any(nu_goal >= nu_max):
         raise GasError("out-of-range: target exceeds the range of Theta on the admissible interval")
 
-    s = np.maximum(np.sqrt(np.maximum(m2_ref - 1.0, 0.0)), s_floor)
+    if s_start is None:
+        s = np.maximum(np.sqrt(np.maximum(m2_ref - 1.0, 0.0)), s_floor)
+    else:
+        s = np.array(s_start, dtype=float).ravel()
     lo = s_floor.copy()
     hi = np.full_like(s, np.inf)
     resid = _nu(s, k) - nu_goal
@@ -109,12 +119,29 @@ def pressure_from_invariants(z_minus, z_plus, line: Streamline, newton_tol=1e-12
         live = live[np.abs(r) > newton_tol]
     if live.size:
         raise GasError("no-convergence: Newton inversion of Theta did not meet newton_tol")
+    return _maybe_scalar(s.reshape(shape), z_minus, z_plus, line.a0, line.b0)
 
-    # _mach2 solved for p at M^2 = 1 + s^2.
+
+def pressure_from_mach(s, line: Streamline):
+    """p at M^2 = 1 + s^2 (``_mach2`` solved for p), capped at the sonic cap."""
+    gam = line.gamma
+    k = (gam + 1.0) / (gam - 1.0)
+    orig = (s, line.a0, line.b0)
+    arrays = np.broadcast_arrays(*_as_array(s, sonic_pressure(line.a0, line.b0, gam)))
+    shape = arrays[0].shape
+    s, p_sonic = (np.ravel(v) for v in arrays)
+    cap = p_sonic * (1.0 - SONIC_MARGIN)
     p = np.minimum(p_sonic * (k / (k + s * s)) ** (gam / (gam - 1.0)), cap)
     if not np.all(p > 0.0):
         raise GasError("out-of-range: pressure underflows at this target")
-    return _maybe_scalar(p.reshape(shape), z_minus, z_plus, line.a0, line.b0)
+    return _maybe_scalar(p.reshape(shape), *orig)
+
+
+def pressure_from_invariants(z_minus, z_plus, line: Streamline, newton_tol=1e-12,
+                             max_newton_iters=50):
+    """Invert Theta(p) = (z_minus - z_plus)/2 through the Mach variable."""
+    return pressure_from_mach(mach_from_invariants(z_minus, z_plus, line, newton_tol,
+                                                   max_newton_iters), line)
 
 
 def velocity_from_bernoulli(w, p, line: Streamline):
@@ -147,6 +174,22 @@ def state_from_invariants(z_minus, z_plus, line: Streamline, newton_tol=1e-12,
                                  max_newton_iters=max_newton_iters)
     u, v = velocity_from_bernoulli(w, p, line)
     return u, v, p, density_from_pressure(p, line)
+
+
+def mach_lambdas(s, w, line: Streamline):
+    """(lambda_minus, lambda_plus) = (-rho q sqrt(1+w^2) / (s + w), rho q sqrt(1+w^2) / (s - w))
+    at the Mach variable s and the flow-angle tangent w, with
+    rho q = rho* c* (K/(K+s^2))^(K/2) sqrt(1+s^2) from the sonic state."""
+    gam = line.gamma
+    k = (gam + 1.0) / (gam - 1.0)
+    orig = (s, w, line.a0, line.b0)
+    s, w, a0, p_sonic = _as_array(s, w, line.a0, sonic_pressure(line.a0, line.b0, gam))
+    if not np.all(s > np.abs(w)):
+        raise GasError("degenerate: characteristic speeds need u > c")
+    flux_sonic = np.sqrt(gam * p_sonic * (p_sonic / a0) ** (1.0 / gam))
+    s2 = s * s
+    flux = flux_sonic * (k / (k + s2)) ** (0.5 * k) * np.sqrt((1.0 + s2) * (1.0 + w * w))
+    return _maybe_scalar(-flux / (s + w), *orig), _maybe_scalar(flux / (s - w), *orig)
 
 
 def lambda_pm(state: PrimitiveState, gamma):

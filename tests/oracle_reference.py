@@ -5,12 +5,16 @@ This reference keeps the per-layer form: it splits the problem's row into
 its two layers by their node counts, updates each layer with the
 sign-generic ``_upwind``, and each sub-step inverts and evaluates the
 speeds of layer a and layer b in separate calls and takes each contact
-weight from its own one-node Gauss path.  It writes the wall and contact
-closures out itself rather than calling ``moc.close_row`` and
-``moc.contact_weights``.  Every inversion, speed and dTheta/dp comes from
-the per-call functions of ``tests/gas_reference.py``, not from the
-problem's prepared ``gas.Streamline``; each layer's ``gas.Streamline`` here
-only carries its constants to them.  The two must agree bit for bit.
+weight from its own one-node Gauss path.  Like the oracle, it works on the
+Mach variable s: each layer's Newton starts from that layer's s of the
+previous sub-step (the first from the streamlines' own start), the speeds
+take the Mach form, and only the contact node's pressure is read.  It
+writes the wall and contact closures out itself rather than calling
+``moc.close_row`` and ``moc.contact_weights``.  Every inversion, speed,
+pressure and dTheta/dp comes from the per-call functions of
+``tests/gas_reference.py``, not from the problem's prepared
+``gas.Streamline``; each layer's ``gas.Streamline`` here only carries its
+constants to them.  The two must agree bit for bit.
 """
 
 import math
@@ -37,12 +41,16 @@ def _upwind(z, lam, nu_base):
     return out
 
 
-def _slab_state(zm, zp, stream, prob):
-    state = gas.PrimitiveState(*gas_reference.state_from_invariants(
-        zm, zp, stream, newton_tol=prob.line.newton_tol,
-        max_newton_iters=prob.line.max_newton_iters))
-    lam_m, lam_p = gas_reference.lambda_pm(state, stream.gamma)
-    return state.p, lam_m, lam_p
+def _slab_speeds(zm, zp, stream, prob, s_start):
+    """(s, lambda_minus, lambda_plus) of one layer's slab, Newton started
+    from ``s_start`` (None: from the streamlines' own start)."""
+    if not np.all(np.abs(zm + zp) < np.pi):
+        raise gas.GasError("flow-angle: |z_minus + z_plus| must stay below pi")
+    s = gas_reference.mach_from_invariants(zm, zp, stream, newton_tol=prob.line.newton_tol,
+                                           max_newton_iters=prob.line.max_newton_iters,
+                                           s_start=s_start)
+    lam_m, lam_p = gas_reference.mach_lambdas(s, np.tan(0.5 * (zm + zp)), stream)
+    return s, lam_m, lam_p
 
 
 def _contact_dtheta(p, stream, node):
@@ -71,6 +79,7 @@ def per_layer_march(prob):
     zm_b[0] = zm0[b]
     zp_b[0] = zp0[b]
     substeps = 0
+    s_a = s_b = None
 
     for k in range(nxi - 1):
         cur_m_a, cur_p_a = zm_a[k].copy(), zp_a[k].copy()
@@ -79,8 +88,8 @@ def per_layer_march(prob):
         remaining = dom.dxi
         while remaining > 1e-14 * dom.dxi:
             substeps += 1
-            p_a, lam_m_a, lam_p_a = _slab_state(cur_m_a, cur_p_a, stream_a, prob)
-            p_b, lam_m_b, lam_p_b = _slab_state(cur_m_b, cur_p_b, stream_b, prob)
+            s_a, lam_m_a, lam_p_a = _slab_speeds(cur_m_a, cur_p_a, stream_a, prob, s_a)
+            s_b, lam_m_b, lam_p_b = _slab_speeds(cur_m_b, cur_p_b, stream_b, prob, s_b)
             max_lam = max(float(np.max(np.abs(lam_m_a))), float(np.max(np.abs(lam_p_a))),
                           float(np.max(np.abs(lam_m_b))), float(np.max(np.abs(lam_p_b))))
             cfl_dx = 0.9 * min(deta_a, deta_b) / max_lam
@@ -100,6 +109,8 @@ def per_layer_march(prob):
             new_p_a[-1] = 2.0 * ang_p - new_m_a[-1]
             new_m_b[0] = 2.0 * ang_m - new_p_b[0]
 
+            p_a = gas_reference.pressure_from_mach(s_a, stream_a)
+            p_b = gas_reference.pressure_from_mach(s_b, stream_b)
             bar_a = _contact_dtheta(p_a[:1], stream_a, 0)
             bar_b = _contact_dtheta(p_b[-1:], stream_b, -1)
             alpha = 1.0 / (2.0 * bar_a)

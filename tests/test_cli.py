@@ -245,6 +245,18 @@ def test_sweep_single_eps_slope_undefined(workdir, tmp_path):
     assert summary_of(r)["slope"] == "undefined"
 
 
+def test_sweep_repeated_eps_fits_distinct_values_only(tmp_path):
+    """A repeated eps is one abscissa: two runs at one eps leave the slope
+    undefined, as one run does, and polyfit warns of nothing."""
+    fixtures.write_fixture(tmp_path / "pert.cfg", eps=1e-3, nxi=140, neta=35)
+    r = run_cli("sweep", "--config", str(tmp_path / "pert.cfg"), "--grid", "61x16",
+                "--eps", "1e-3,1e-3", "--out", str(tmp_path / "s"), "--quiet")
+    assert (r.returncode, r.stderr) == (0, "")
+    s = summary_of(r)
+    assert (s["runs"], s["slope"]) == ("2", "undefined")
+    assert len((tmp_path / "s" / "sweep.csv").read_text().splitlines()) == 3
+
+
 def test_sweep_writes_csv_and_slope(workdir, tmp_path):
     r = run_cli("sweep", "--config", str(workdir / "pert.cfg"),
                 "--eps", "1e-4,2e-4", "--out", str(tmp_path / "s2"), "--quiet")

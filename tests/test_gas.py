@@ -31,8 +31,16 @@ def _pressure(t, sd=SD_BG, **kw):
     return _line(sd, **kw).state(*_arrays(t, -t))[2]
 
 
+def _mach_of(state):
+    """(s, w) of the state: s = sqrt(M^2-1) and w = v/u."""
+    u, v, p, rho = _arrays(state.u, state.v, state.p, state.rho)
+    return np.sqrt((u * u + v * v) * rho / (G * p) - 1.0), v / u
+
+
 def _lambdas(state):
-    return _line().lambdas(*_arrays(state.u, state.v, state.p, state.rho))
+    """The Mach-form speeds at the state, on the streamline through it."""
+    line = gas.Streamline(gas.entropy_function(state, G), gas.bernoulli(state, G), 1.0, G)
+    return line.lambdas(*_mach_of(state))
 
 
 def random_supersonic_states(rng, n):
@@ -367,6 +375,46 @@ def test_lambda_odd_in_v():
     assert ap == pytest.approx(-bm, rel=1e-13)
 
 
+@pytest.mark.parametrize("layer", [0, 1], ids=["a", "b"])
+def test_mach_form_speeds_match_the_textbook_speeds(layer):
+    """The speeds in (s, w) agree with the textbook (u, v, p, rho) form of
+    ``gas_reference.lambda_pm`` on random states of the fixture layer's
+    background streamline, M from 1 + 1e-6 to 5 and |theta| up to 1.2, and
+    raise ``degenerate`` exactly where u <= c.
+
+    Each state is built from its (s, theta) on the streamline.  The bound is
+    in ulps times the conditioning (1 + s^2) / (s (s - |w|)): 1/(s - |w|)
+    from u^2 - c^2 = q^2 cos(theta + mu) cos(theta - mu) near the u = c
+    boundary, and (1 + s^2)/s from q^2 - c^2 = c^2 s^2 near sonic, both
+    cancellations of the textbook form.  Measured here: 2.2 ulps in layer a
+    and 2.9 in layer b (5.9 over 20000 states), while the plain relative
+    error reaches 7.7e5 ulps near sonic."""
+    line = STREAMLINES[layer]
+    rng = np.random.default_rng(7 + layer)
+    m_minus_1 = 10.0 ** rng.uniform(-6.0, np.log10(4.0), 4000)
+    s = np.sqrt(m_minus_1 * (2.0 + m_minus_1))
+    theta = rng.uniform(-1.2, 1.2, s.size)
+    w = np.tan(theta)
+    k = (G + 1.0) / (G - 1.0)
+    p = _sonic(line) * (k / (k + s * s)) ** (G / (G - 1.0))
+    rho = (p / line.a0) ** (1.0 / G)
+    c2 = G * p / rho
+    q = np.sqrt(c2 * (1.0 + s * s))
+    u, v = q * np.cos(theta), q * np.sin(theta)
+
+    away = np.abs(u * u - c2) > 1e-9 * c2
+    fast = away & (u * u > c2)
+    assert fast.sum() > 500 and (away & ~fast).sum() > 500
+    lam = line.lambdas(s[fast], w[fast])
+    ref = gas_reference.lambda_pm(gas.PrimitiveState(u[fast], v[fast], p[fast], rho[fast]), G)
+    cond = (1.0 + s[fast] ** 2) / (s[fast] * (s[fast] - np.abs(w[fast])))
+    for got, want in zip(lam, ref):
+        assert np.max(np.abs(got / want - 1.0) / cond) <= 8 * np.spacing(1.0)
+    for j in np.flatnonzero(away & ~fast):
+        with pytest.raises(gas.GasError, match="^degenerate"):
+            line.lambdas(s[j:j + 1], w[j:j + 1])
+
+
 def test_invariant_pair_angle_guard():
     with pytest.raises(gas.GasError, match="^flow-angle"):
         _line().state(*_arrays(2.0, 2.0))
@@ -529,12 +577,15 @@ def _error_cases():
         "dtheta-sonic": ("sonic-limit", (lambda: line.dtheta_dp(np.asarray(p_s * 1.000001)),
                                          lambda: gas_reference.dtheta_dp(p_s * 1.000001,
                                                                          SD_BG))),
+        # s = 1 < |w| = 2 is u < c
         "degenerate": ("degenerate", (
-            lambda: line.lambdas(*_arrays(1.0, 2.0, 1.0, 1.0)),
+            lambda: line.lambdas(*_arrays(1.0, 2.0)),
             lambda: gas_reference.lambda_pm(gas.PrimitiveState(u=1.0, v=2.0, p=1.0, rho=1.0), G))),
-        # u > c makes q > c, so only a NaN v reaches this check
+        # The Mach-form speeds need only s > |w|; the prepared object's
+        # supersonic guard is the forward map's.  In the textbook speeds u > c
+        # makes q > c, so only a NaN v reaches this check.
         "not-supersonic": ("not-supersonic", (
-            lambda: line.lambdas(*_arrays(2.2, np.nan, 1.0, 1.0)),
+            lambda: line.invariants(*_arrays(1.0, 0.0, 1.0, 1.0)),
             lambda: gas_reference.lambda_pm(gas.PrimitiveState(u=2.2, v=np.nan, p=1.0, rho=1.0),
                                             G))),
     }
@@ -553,11 +604,12 @@ def test_prepared_object_raises_the_wrappers_codes(case):
 def test_paired_guards_raise_the_first_failing_check():
     """A pair of guards is tested as one mask: where both checks fail, the
     first check's code is raised.  The Theta range pair is tested as the
-    in-range pair negated, so a NaN target fails it."""
+    in-range pair negated, so a NaN target fails it, and so is the speeds'
+    one guard s > |w|, which a NaN w fails."""
     line = _line()
     p_s = _sonic(SD_BG)
-    with pytest.raises(gas.GasError, match="^degenerate"):  # u < c, and a NaN q^2 - c^2
-        line.lambdas(*_arrays([2.2, 1.0], [np.nan, 0.0], 1.0, 1.0))
+    with pytest.raises(gas.GasError, match="^degenerate"):  # a NaN w, and s < |w|
+        line.lambdas(*_arrays([2.2, 1.0], [np.nan, 2.0]))
     with pytest.raises(gas.GasError, match="^out-of-range"):  # past sonic, and p = 0
         line.dtheta_dp(np.array([p_s * 1.000001, 0.0]))
     with pytest.raises(gas.GasError, match="^out-of-range: target exceeds the range of Theta"):

@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import re
 
 import numpy as np
 import pytest
@@ -589,18 +591,21 @@ def test_solution_respects_the_mirror_symmetry():
     so the mirrored input has the mirrored solution: the row a | b reversed,
     z_minus taking the place of -z_plus.  The two solvers of acceptance #7
     share ``close_row`` and ``contact_weights``; a sign slip in either
-    breaks this symmetry but not their agreement.  The layers differ in
-    size, so an index taken from the wrong layer shows too."""
+    breaks this symmetry but not their agreement, so both the fixed point
+    and the upwind oracle are checked.  The layers differ in size, so an
+    index taken from the wrong layer shows too."""
     cfg, geom, profile = fixtures.perturbed_inputs(1e-3, nxi=140, neta=35)
     cfg = dataclasses.replace(cfg, grid_neta_b=42)
     _, run = cli.run_solve(cfg, geom, profile, write_outputs=False)
     _, mirror = cli.run_solve(*_mirrored(cfg, geom, profile), write_outputs=False)
     grid, grid_m = run["grid"], mirror["grid"]
     assert grid_m.zm_a.shape[1] == 42 and grid_m.zm_b.shape[1] == 35
-    # The invariants to a few ulps (3 measured).
+    # The invariants to a few ulps (3 measured for either solver).
     ulps = 8 * np.spacing(1.0)
-    assert np.max(np.abs(grid_m.zm + grid.zp[:, ::-1])) <= ulps
-    assert np.max(np.abs(grid_m.zp + grid.zm[:, ::-1])) <= ulps
+    for a, b in ((grid, grid_m),
+                 (oracle.upwind_march(run["prob"]), oracle.upwind_march(mirror["prob"]))):
+        assert np.max(np.abs(b.zm + a.zp[:, ::-1])) <= ulps
+        assert np.max(np.abs(b.zp + a.zm[:, ::-1])) <= ulps
     # The states to the Newton tolerance (3.2e-15 measured).
     field, field_m = run["efield"], mirror["efield"]
     for name, sign in (("u", 1.0), ("v", -1.0), ("p", 1.0), ("rho", 1.0)):
@@ -612,6 +617,63 @@ def test_solution_respects_the_mirror_symmetry():
     # times their sum (1.16e-9 against 5.0e-10 + 4.6e-10).
     gaps = field.top_gap + field_m.top_gap
     assert np.max(np.abs(field_m.y + field.y[:, ::-1])) <= 2.0 * gaps
+
+
+def _rescaled(cfg, geom, profile, vel=1.0, dens=1.0, length=1.0):
+    """The input with velocities times ``vel``, densities times ``dens``,
+    pressures times dens vel^2 and lengths (y, the walls and L) times
+    ``length``: the same flow in other units."""
+    p_scale = dens * vel * vel
+
+    def layer(table):
+        return config.InletLayer(y=length * table.y, u=vel * table.u, v=vel * table.v,
+                                 p=p_scale * table.p, rho=dens * table.rho)
+
+    def wall(curve):
+        if length == 1.0:
+            return curve
+        text = re.sub(r"\bx\b", f"(x / {length!r})", curve.serialization()[1])
+        return config.WallCurve.from_expression(f"{length!r} * ({text})")
+
+    bg = cfg.background
+    cfg = dataclasses.replace(cfg, background=BackgroundState(
+        u_a=vel * bg.u_a, rho_a=dens * bg.rho_a, u_b=vel * bg.u_b, rho_b=dens * bg.rho_b,
+        p=p_scale * bg.p))
+    return (cfg, config.NozzleGeometry(wall(geom.g_minus), wall(geom.g_plus), length * geom.L),
+            config.InletProfile(layer(profile.layer_a), layer(profile.layer_b)))
+
+
+@functools.lru_cache(maxsize=None)
+def _similarity_base():
+    """The 140x35 fixture's solve and oracle march, shared by the cases."""
+    inputs = fixtures.perturbed_inputs(1e-3, nxi=140, neta=35)
+    _, run = cli.run_solve(*inputs, write_outputs=False)
+    return inputs, run, oracle.upwind_march(run["prob"])
+
+
+@pytest.mark.parametrize("kind", [{"vel": 1.7}, {"dens": 1.7}, {"length": 3.0}],
+                         ids=["velocity", "density", "length"])
+def test_solution_respects_the_similarity_of_the_euler_equations(kind):
+    """The steady Euler equations keep their form when velocity is scaled by
+    k with p by k^2, when density and p are scaled by k, and when every
+    length is scaled by s.  The Mach number and the flow angle do not move,
+    so the invariants of both solvers agree to a few ulps: 3.0, 4.0 and
+    0.0 ulps measured for the fixed point and the oracle alike.  The
+    rescaled states and ordinates agree with the base ones; measured, the
+    states to 3.8e-15 and y to 2.9e-15."""
+    inputs, run, marched = _similarity_base()
+    cfg = inputs[0]
+    _, scaled = cli.run_solve(*_rescaled(*inputs, **kind), write_outputs=False)
+    ulps = 8 * np.spacing(1.0)
+    for a, b in ((run["grid"], scaled["grid"]), (marched, oracle.upwind_march(scaled["prob"]))):
+        assert np.max(np.abs(b.zm - a.zm)) <= ulps
+        assert np.max(np.abs(b.zp - a.zp)) <= ulps
+    vel, dens, length = (kind.get(name, 1.0) for name in ("vel", "dens", "length"))
+    field, field_s = run["efield"], scaled["efield"]
+    for name, scale in (("u", vel), ("v", vel), ("p", dens * vel * vel), ("rho", dens)):
+        got, want = getattr(field_s.state, name) / scale, getattr(field.state, name)
+        assert np.max(np.abs(got - want)) <= 10 * cfg.newton_tol
+    assert np.max(np.abs(field_s.y / length - field.y)) <= 64 * np.spacing(1.0)
 
 
 def test_residual_background_zero():

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import inspect
 import re
 
@@ -114,9 +115,9 @@ def test_march_matches_per_layer_reference(monkeypatch, eps, nxi, neta):
     inversions = []
     invert = gas.Streamline._invert
 
-    def counted(line, t):
+    def counted(line, t, s=None):
         inversions.append(t.shape)
-        return invert(line, t)
+        return invert(line, t, s)
 
     monkeypatch.setattr(gas.Streamline, "_invert", counted)
     out = oracle.upwind_march(prob)
@@ -128,6 +129,50 @@ def test_march_matches_per_layer_reference(monkeypatch, eps, nxi, neta):
     assert set(inversions) == {out.zm.shape[1:]}
     if near_cfl:
         assert ref_substeps > nxi - 1  # some step took n_sub >= 2
+
+
+class _SteepUpperWall:
+    """The problem's walls, but the upper wall turns down with slope
+    ``slope`` from x = 1 on: a compression that the march meets mid-row."""
+
+    def __init__(self, geom, slope):
+        self.geom, self.slope = geom, slope
+
+    def g_plus(self, x, order=0):
+        return self.slope * (x > 1.0) if order == 1 else self.geom.g_plus(x, order)
+
+    def g_minus(self, x, order=0):
+        return self.geom.g_minus(x, order)
+
+
+def test_march_that_leaves_the_supersonic_regime_raises_out_of_range(monkeypatch):
+    """The compression drives layer a's pressure past the sonic cap after
+    the march has started: the inversion rejects the target with the gas
+    layer's ``out-of-range`` error, and the sub-steps before it ran."""
+    prob = assemble(1e-3, 60, 12)[3]
+    prob = dataclasses.replace(prob, geom=_SteepUpperWall(prob.geom, -0.3))
+    inversions = []
+    invert = gas.Streamline._invert
+
+    def counted(line, t, s=None):
+        inversions.append(1)
+        return invert(line, t, s)
+
+    monkeypatch.setattr(gas.Streamline, "_invert", counted)
+    with pytest.raises(gas.GasError, match="^out-of-range: target exceeds the range of Theta"):
+        oracle.upwind_march(prob)
+    assert len(inversions) > 14  # xi = 1 is step 15 of 59
+
+
+def test_substep_cap_raises_degenerate(monkeypatch):
+    """A step that needs more CFL sub-steps than ``_MAX_SUBSTEPS`` stops the
+    march with a ``degenerate`` SolverError naming the count."""
+    nxi = _smallest_valid_nxi(1e-2, 26) + 1  # some step takes two sub-steps
+    prob = assemble(1e-2, nxi, 26)[3]
+    monkeypatch.setattr(oracle, "_MAX_SUBSTEPS", 1)
+    with pytest.raises(moc.SolverError, match=r"^degenerate: CFL sub-stepping exploded near "
+                                              r"xi = \S+ \(would need 2 sub-steps\)$"):
+        oracle.upwind_march(prob)
 
 
 def test_oracle_approaches_moc_solution():
