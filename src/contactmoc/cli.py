@@ -374,17 +374,21 @@ def cmd_sweep(args):
     except OSError as exc:
         return _error_exit("io", exc)
 
+    # A repeated eps is the same member: it is solved once and its row repeated.
+    summaries = {}
     rows = []
     failure = None
     for target in targets:
-        t = target / eps_base
-        try:
-            prof_t = profile.scale_deviation(cfg.background, t)
-            summary, _ = run_solve(cfg, geom.scale_deviation(t), prof_t, write_outputs=False)
-        except _run_errors() as exc:  # keep partial results
-            failure = (target, exc)
-            break
-        rows.append((target, summary))
+        if target not in summaries:
+            t = target / eps_base
+            try:
+                prof_t = profile.scale_deviation(cfg.background, t)
+                summaries[target], _ = run_solve(cfg, geom.scale_deviation(t), prof_t,
+                                                 write_outputs=False)
+            except _run_errors() as exc:  # keep partial results
+                failure = (target, exc)
+                break
+        rows.append((target, summaries[target]))
 
     csv_path = os.path.join(cfg.out_dir, "sweep.csv")
     columns = [[target for target, _ in rows]]
@@ -401,11 +405,9 @@ def cmd_sweep(args):
                            out=_out(csv_path))
 
     # A repeated eps adds no abscissa: the slope needs two distinct ones.
-    sup_devs = {}
-    for target, summary in rows:
-        sup_devs.setdefault(target, summary["sup_dev"])
-    if len(sup_devs) >= 2:
-        slope_txt = float(np.polyfit(np.log(list(sup_devs)), np.log(list(sup_devs.values())), 1)[0])
+    if len(summaries) >= 2:
+        sup_devs = [summary["sup_dev"] for summary in summaries.values()]
+        slope_txt = float(np.polyfit(np.log(list(summaries)), np.log(sup_devs), 1)[0])
     else:
         slope_txt = "undefined"
     _summary({"status": "ok", "runs": len(rows), "slope": slope_txt, "out": _out(csv_path)})

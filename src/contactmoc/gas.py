@@ -204,8 +204,11 @@ class Streamline:
         s_floor = np.sqrt(_mach2(cap, a0, b0, gam) - 1.0)
         m2_ref = _mach2(np.full(a0.shape, self.p_ref), a0, b0, gam)
         s0 = np.maximum(np.sqrt(np.maximum(m2_ref - 1.0, 0.0)), s_floor)
-        return (p_sonic, cap, s_floor, _nu(s_floor, k) - self.newton_tol,
-                prandtl_meyer(m2_ref, gam), s0, _nu(s0, k))
+        consts = (p_sonic, cap, s_floor, _nu(s_floor, k) - self.newton_tol,
+                  prandtl_meyer(m2_ref, gam), s0, _nu(s0, k))
+        for c in consts:
+            c.flags.writeable = False  # a cold ``_invert`` may return s0 itself
+        return consts
 
     @cached_property
     def _flux_sonic(self):
@@ -250,11 +253,14 @@ class Streamline:
         SONIC_MARGIN cap on p; its upper end is open until an iterate
         overshoots.
 
-        Only nodes whose Theta residual exceeds newton_tol take a step;
-        needing more than max_newton_iters such sweeps raises
-        ``no-convergence``.  A target past the sonic cap, at or beyond vacuum
-        (nu_max = (sqrt(K) - 1) pi/2), or NaN raises ``out-of-range``, and so
-        does ``pressure`` where the pressure of the result underflows.
+        Each sweep steps the whole raveled row, and a boolean mask keeps
+        only the nodes whose Theta residual still exceeds newton_tol: a
+        converged node is frozen and keeps its s, so every node carries the
+        bits of its own iteration.  Needing more than max_newton_iters
+        sweeps raises ``no-convergence``.  A target past the sonic cap, at or
+        beyond vacuum (nu_max = (sqrt(K) - 1) pi/2), or NaN raises
+        ``out-of-range``, and so does ``pressure`` where the pressure of the
+        result underflows.
         """
         k, tol = self._k, self.newton_tol
         shape, consts = self.shape, self._newton[2:]
@@ -268,29 +274,26 @@ class Streamline:
             raise GasError("out-of-range: target exceeds the range of Theta on the admissible interval")
 
         if s is None:
-            s, nu_s = s0.copy(), nu_s0
+            s, r = s0, nu_s0 - nu_goal
         else:
-            s = s.flatten()
-            nu_s = _nu(s, k)
-        lo = s_floor.copy()
-        hi = np.full(s.size, np.inf)
-        resid = nu_s - nu_goal
-        live = np.flatnonzero(np.abs(resid) > tol)
+            s = s.ravel()
+            r = _nu(s, k) - nu_goal
+        lo, hi = s_floor, np.inf
+        live = np.abs(r) > tol
         for _ in range(self.max_newton_iters):
-            if not live.size:
+            if not live.any():
                 break
-            x, r = s[live], resid[live]
             # nu is increasing, so an iterate above the target bounds s from above.
             above = r > 0.0
-            lo[live] = x_lo = np.where(above, lo[live], x)
-            hi[live] = x_hi = np.where(above, x, hi[live])
-            x2 = x * x
-            x = x - r * (1.0 + x2 / k) * (1.0 + x2) / (x2 * (1.0 - 1.0 / k))  # r / (dnu/ds)
-            x = np.where((x > x_lo) & (x < x_hi), x, 0.5 * (x_lo + x_hi))
-            s[live] = x
-            resid[live] = r = _nu(x, k) - nu_goal[live]
-            live = live[np.abs(r) > tol]
-        if live.size:
+            lo = np.where(above, lo, s)
+            hi = np.where(above, s, hi)
+            s2 = s * s
+            x = s - r * (1.0 + s2 / k) * (1.0 + s2) / (s2 * (1.0 - 1.0 / k))  # r / (dnu/ds)
+            x = np.where((x > lo) & (x < hi), x, 0.5 * (lo + hi))
+            s = np.where(live, x, s)
+            r = _nu(s, k) - nu_goal
+            live &= np.abs(r) > tol
+        if live.any():
             raise GasError("no-convergence: Newton inversion of Theta did not meet newton_tol")
         return s.reshape(shape)
 

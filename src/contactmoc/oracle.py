@@ -20,9 +20,13 @@ primitive state: one flow-angle guard and one Newton inversion for s
 first from each streamline's own start), give both layers' speeds in closed
 form (``gas.Streamline.lambdas``), and the pressure is recovered at the two
 contact entries only, where one Gauss path gives both contact weights.
-Newton runs independently per node, so the stacked calls return the bits of
-per-layer calls.  The streamlines are the problem's own, prepared once when
-the problem is built: the row's (``MocProblem.line``) and the two contact
+Newton runs independently per node and freezes converged nodes by mask, so
+the stacked calls return the bits of per-layer calls.  The wall angles
+arctan g'(x) are tabulated once per march on the step ends xi_k + dxi, where
+a step with a single sub-step lands exactly; any other sub-step evaluates
+the same vector helper on its one abscissa, which gives the bits a table
+entry would.  The streamlines are the problem's own, prepared once when the
+problem is built: the row's (``MocProblem.line``) and the two contact
 streamlines (``MocProblem.contact``).  These hold constants of the inlet
 data alone, so a sub-step recomputes no streamline constant and reads
 nothing the fixed point computes.
@@ -43,25 +47,30 @@ def upwind_march(prob: MocProblem) -> InvariantGrid:
     """March the nonlinear diagonal system with first-order upwinding.
 
     The CFL condition max|lambda| dxi <= deta is enforced by sub-stepping;
-    closures are applied after every sub-step with the wall slope evaluated
-    at the sub-step's target abscissa.
+    closures are applied after every sub-step with the wall angles at the
+    sub-step's target abscissa: read from the march's table of step ends
+    when the sub-step spans the whole step (dx == dxi), else evaluated on
+    the one-element array [xi_next].
     """
     dom = prob.domain
-    nxi = dom.xi.size
+    xi, dxi = dom.xi, dom.dxi
+    nxi = xi.size
     na = dom.eta_a.size
     deta = np.concatenate([np.full(eta.size, eta[1] - eta[0]) for _, eta, _ in dom.layers])
     deta_min = deta.min()
 
     rows, contact = prob.line, prob.contact
+    # A step's first sub-step with dx == dxi lands on xi_k + dxi exactly.
+    step_angles = _wall_angles(prob.geom, xi[:-1] + dxi).T.tolist()
     zm, zp = np.empty((2, nxi, deta.size))
     zm[0], zp[0] = prob.inlet_z
     cur_m, cur_p = zm[0], zp[0]
     s = None
 
     for k in range(nxi - 1):
-        xi_left = dom.xi[k]
-        remaining = dom.dxi
-        while remaining > 1e-14 * dom.dxi:
+        xi_left = xi[k]
+        remaining = dxi
+        while remaining > 1e-14 * dxi:
             s, w = rows.mach(cur_m, cur_p, s)
             # ``lambdas`` needs u > c, so lambda_- < 0 < lambda_+.
             lam_m, lam_p = rows.lambdas(s, w)
@@ -83,10 +92,13 @@ def upwind_march(prob: MocProblem) -> InvariantGrid:
             new_p[:-1] = cur_p[:-1] - (nu[:-1] * lam_m[:-1]) * (cur_p[1:] - cur_p[:-1])
 
             xi_next = xi_left + dx
+            if dx == dxi:
+                angles = step_angles[k]
+            else:
+                angles = _wall_angles(prob.geom, np.array([xi_next]))[:, 0]
             p = contact.pressure(s[[0, -1], None, None])
-            _, _, g1, g2, g3 = np.ravel(contact_weights(p[:, 0], contact))
-            close_row(new_m, new_p, na, math.atan(float(prob.geom.g_plus(xi_next, 1))),
-                      math.atan(float(prob.geom.g_minus(xi_next, 1))), g1, g2, g3)
+            g1, g2, g3 = (float(v[0]) for v in contact_weights(p[:, 0], contact)[2:])
+            close_row(new_m, new_p, na, *angles, g1, g2, g3)
 
             cur_m, cur_p = new_m, new_p
             xi_left = xi_next
@@ -94,6 +106,13 @@ def upwind_march(prob: MocProblem) -> InvariantGrid:
         zm[k + 1], zp[k + 1] = cur_m, cur_p
 
     return InvariantGrid(dom, zm, zp)
+
+
+def _wall_angles(geom, x):
+    """(2, x.size): the angles arctan g'(x) of the upper wall, then of the
+    lower wall, at the abscissae ``x``.  Every call passes an array, so a
+    one-element call gives the bits of the same entry of a longer one."""
+    return np.arctan([geom.g_plus(x, 1), geom.g_minus(x, 1)])
 
 
 def compare_fields(a, b) -> dict:

@@ -10,11 +10,12 @@ Mach variable s: each layer's Newton starts from that layer's s of the
 previous sub-step (the first from the streamlines' own start), the speeds
 take the Mach form, and only the contact node's pressure is read.  It
 writes the wall and contact closures out itself rather than calling
-``moc.close_row`` and ``moc.contact_weights``.  Every inversion, speed,
-pressure and dTheta/dp comes from the per-call functions of
-``tests/gas_reference.py``, not from the problem's prepared
-``gas.Streamline``; each layer's ``gas.Streamline`` here only carries its
-constants to them.  The two must agree bit for bit.
+``moc.close_row`` and ``moc.contact_weights``, with the wall slopes of every
+sub-step evaluated on the one-element array [xi_next] rather than read from
+a table.  Every inversion, speed, pressure and dTheta/dp comes from the
+per-call functions of ``tests/gas_reference.py``, not from the problem's
+prepared ``gas.Streamline``; each layer's ``gas.Streamline`` here only
+carries its constants to them.  The two must agree bit for bit.
 """
 
 import math
@@ -104,8 +105,11 @@ def per_layer_march(prob):
             new_p_b = _upwind(cur_p_b, lam_m_b, dx / deta_b)
 
             xi_next = xi_left + dx
-            ang_p = math.atan(float(prob.geom.g_plus(xi_next, 1)))
-            ang_m = math.atan(float(prob.geom.g_minus(xi_next, 1)))
+            # numpy's scalar power rounds differently from its array power,
+            # so the slopes are taken on a one-element array.
+            x_next = np.array([xi_next])
+            ang_p = np.arctan(prob.geom.g_plus(x_next, 1))[0]
+            ang_m = np.arctan(prob.geom.g_minus(x_next, 1))[0]
             new_p_a[-1] = 2.0 * ang_p - new_m_a[-1]
             new_m_b[0] = 2.0 * ang_m - new_p_b[0]
 

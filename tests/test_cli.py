@@ -801,6 +801,19 @@ def _counted(monkeypatch, module, name):
     return calls
 
 
+def test_sweep_solves_a_repeated_eps_once(monkeypatch, capsys, tmp_path):
+    """A repeated eps is the same member: one solve, its row written twice."""
+    fixtures.write_fixture(tmp_path / "pert.cfg", eps=1e-3, nxi=140, neta=35)
+    calls = _counted(monkeypatch, cli, "run_solve")
+    code, _, s = main_in_process(capsys, "sweep", "--config", tmp_path / "pert.cfg",
+                                 "--grid", "61x16", "--eps", "1e-3,1e-3,2e-3",
+                                 "--out", tmp_path / "s", "--quiet")
+    assert (code, s["runs"], len(calls)) == (0, "3", 2)
+    lines = (tmp_path / "s" / "sweep.csv").read_text().splitlines()
+    assert len(lines) == 4 and lines[1] == lines[2] != lines[3]
+    assert s["slope"] != "undefined"
+
+
 def _rescaled_nozzle(tmp_path, s=2.0):
     """The eps = 1e-3 fixture at 140x35 with every length times ``s``: the
     same flow in a nozzle of half-width s and length 4 s, walls s g(x / s)

@@ -512,6 +512,53 @@ def test_prepared_inversion_matches_reference_on_rows():
     _assert_inversions_agree(t, -t, FAST)
 
 
+def _newton_sweeps(t, sd, s_start=None):
+    """Per node, the fewest Newton sweeps after which the reference's
+    inversion of the target ``t`` from ``s_start`` meets newton_tol."""
+    counts = []
+    for i in range(t.size):
+        one = gas.Streamline(sd.a0[i:i + 1], sd.b0[i:i + 1], sd.p_ref, sd.gamma)
+        start = None if s_start is None else s_start[i:i + 1]
+        for n in range(sd.max_newton_iters + 1):
+            try:
+                gas_reference.mach_from_invariants(t[i:i + 1], -t[i:i + 1], one,
+                                                   max_newton_iters=n, s_start=start)
+            except gas.GasError:
+                continue
+            counts.append(n)
+            break
+    return counts
+
+
+def test_masked_newton_matches_the_index_set_loop():
+    """The prepared inversion freezes converged nodes by mask; the reference
+    gathers and scatters the live index set.  On a row whose nodes converge
+    on different sweeps, from just past the sonic floor to low pressure,
+    both give the same bits from a cold and from a warm start, also where a
+    Newton step leaves the bracket and bisection takes over."""
+    a0, b0 = _random_streamlines(5, 4)
+    sd = gas.Streamline(np.repeat(a0, 7), np.repeat(b0, 7), 1.0, G)
+    t = np.concatenate([_targets(gas.Streamline(a, b, 1.0, G)) for a, b in zip(a0, b0)])
+    # the previous sub-step's s, as the oracle's warm start: a lower pressure
+    warm = gas_reference.mach_from_invariants(t - 1e-3, 1e-3 - t, sd)
+    # a start far above the sonic floor, where nu is flat
+    far = np.full(t.size, 10.0)
+    for start in (None, warm, far):
+        got = sd._invert(t, start)
+        _same_bits(got, gas_reference.mach_from_invariants(t, -t, sd, s_start=start))
+        assert len(set(_newton_sweeps(t, sd, start))) >= 3
+
+    # From the far start, the first Newton step toward the sonic floor
+    # lands below it, so the bisection fallback runs.
+    k = (G + 1.0) / (G - 1.0)
+    s_floor, nu_ref = sd._newton[2][0], sd._newton[4][0]
+    r = gas._nu(10.0, k) - (nu_ref - t[0])
+    assert 10.0 - r * (1.0 + 100.0 / k) * 101.0 / (100.0 * (1.0 - 1.0 / k)) < s_floor
+
+    with pytest.raises(gas.GasError, match="^no-convergence"):
+        _line(sd, max_newton_iters=1)._invert(t)
+
+
 def test_prepared_dtheta_matches_reference():
     a0, b0 = _random_streamlines(2, 3)
     cap = _sonic(gas.Streamline(a0, b0, 1.0, G)) * (1 - gas.SONIC_MARGIN)

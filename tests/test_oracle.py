@@ -164,6 +164,41 @@ def test_march_that_leaves_the_supersonic_regime_raises_out_of_range(monkeypatch
     assert len(inversions) > 14  # xi = 1 is step 15 of 59
 
 
+class _CountedWalls:
+    """The problem's walls, recording each call as (wall, order, shape of x)."""
+
+    def __init__(self, geom):
+        self.geom, self.calls = geom, []
+
+    def g_plus(self, x, order=0):
+        self.calls.append(("g_plus", order, np.shape(x)))
+        return self.geom.g_plus(x, order)
+
+    def g_minus(self, x, order=0):
+        self.calls.append(("g_minus", order, np.shape(x)))
+        return self.geom.g_minus(x, order)
+
+
+def test_wall_slopes_are_tabulated_once_per_march(monkeypatch):
+    """Where no step sub-steps, the march evaluates each wall's slope once,
+    on all its step ends, and gives the bits it gives with the plain walls."""
+    prob = assemble(1e-3, 101, 26)[3]
+    plain = oracle.upwind_march(prob)
+    walls = _CountedWalls(prob.geom)
+    inversions = []
+    invert = gas.Streamline._invert
+
+    def counted(line, t, s=None):
+        inversions.append(1)
+        return invert(line, t, s)
+
+    monkeypatch.setattr(gas.Streamline, "_invert", counted)
+    out = oracle.upwind_march(dataclasses.replace(prob, geom=walls))
+    assert len(inversions) == 100  # one sub-step per step
+    assert walls.calls == [("g_plus", 1, (100,)), ("g_minus", 1, (100,))]
+    assert np.array_equal(out.zm, plain.zm) and np.array_equal(out.zp, plain.zp)
+
+
 def test_substep_cap_raises_degenerate(monkeypatch):
     """A step that needs more CFL sub-steps than ``_MAX_SUBSTEPS`` stops the
     march with a ``degenerate`` SolverError naming the count."""
