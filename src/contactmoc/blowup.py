@@ -197,7 +197,6 @@ class BlowupReport:
     grad_zm_history: np.ndarray = None
     x_end: float = 0.0
     steps: int = 0
-    y_nodes: np.ndarray = None
 
 
 # Step cap of the blow-up march, in cells: |dx lambda| <= _STEP_CAP dy.  A
@@ -267,7 +266,8 @@ def cauchy_march(profile: PeriodicProfile, x_max=200.0, ny=800, dx_max=0.05,
     dx = min(dx_max, 1.5 dy / max|lambda|, 0.1 / max|d_y Z|), so every foot
     lies within 1.5 cells of its node and is read unwrapped from the
     periodically padded row.  The march stops at x_max or once both
-    detectors have fired.
+    detectors have fired; one that would need more than _MAX_STEPS steps
+    raises a ``step-limit`` BlowupError.
 
     Gradient detector: the trigger fires once sup|d_y Z| exceeds
     max(grad_factor x its initial value, grad_floor).
@@ -325,12 +325,12 @@ def cauchy_march(profile: PeriodicProfile, x_max=200.0, ny=800, dx_max=0.05,
     threshold = max(grad_factor * max(g0p, g0m), grad_floor)
 
     report = BlowupReport()
-    report.y_nodes = y
     x = 0.0
     x_stop = x_max
-    for _ in range(_MAX_STEPS):
-        if x >= x_stop or (report.gradient_x is not None and report.crossing_x is not None):
-            break
+    while not (x >= x_stop or (report.gradient_x is not None and report.crossing_x is not None)):
+        if len(xs) > _MAX_STEPS:
+            raise BlowupError(f"step-limit: {_MAX_STEPS} steps reached only x = {x:.6g} "
+                              f"before x_stop = {x_stop:.6g}")
         zp, zm = z
         lam = _mach_slopes(0.5 * (zp + zm), mach_angle.mu_of_theta(0.5 * (zp - zm)))
 

@@ -178,7 +178,7 @@ class InletProfile:
     layer_a: InletLayer
     layer_b: InletLayer
 
-    def validate(self, gamma, compat_tol=1e-8):
+    def validate(self, gamma, compat_tol):
         for tag, layer in (("a", self.layer_a), ("b", self.layer_b)):
             if not np.all(layer.p > 0) or not np.all(layer.rho > 0):
                 raise ConfigError(f"not supersonic: layer {tag} has nonpositive p or rho")
@@ -525,7 +525,7 @@ def write_config(cfg: RunConfig, geom: NozzleGeometry, profile: InletProfile, pa
 # Compatibility report and perturbation size
 
 
-def validate_compatibility(profile: InletProfile, geom: NozzleGeometry, tol=1e-8):
+def validate_compatibility(profile: InletProfile, geom: NozzleGeometry, tol):
     """Check the inlet corner-slip conditions at both walls; returns violation
     strings.  The contact conditions are ``InletProfile.validate``'s."""
     report = []

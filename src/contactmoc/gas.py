@@ -349,10 +349,6 @@ class Streamline:
         _check_positive(p, rho)
         return u, v, p, rho
 
-    def state(self, zm, zp):
-        """(u, v, p, rho) at the invariants (z_minus, z_plus)."""
-        return self.primitives(*self.mach(zm, zp))
-
     def lambdas(self, s, w):
         """Characteristic speeds (lambda_minus, lambda_plus) in
         stream-function coordinates at the Mach variable s = cot(mu) and the

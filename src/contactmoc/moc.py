@@ -173,9 +173,9 @@ class InvariantGrid:
     node row: ``zm`` and ``zp`` are (nxi, neta_a + neta_b) arrays, and
     ``zm_a`` ... ``zp_b`` are read-only attributes viewing one layer's columns.
 
-    Caches the implied primitive state and the Mach variable s the first
-    time either is needed, so each iterate pays for the pressure inversion
-    exactly once.
+    Caches the implied primitive state and the ``(s, w)`` of
+    ``gas.Streamline.mach`` the first time either is needed, so each iterate
+    pays for the pressure inversion exactly once.
     """
 
     zm_a, zp_a = _layer_view("zm", "a"), _layer_view("zp", "a")
@@ -185,7 +185,7 @@ class InvariantGrid:
         self.domain = domain
         self.zm = zm
         self.zp = zp
-        self._state = self._s = None
+        self._state = self._mach = None
 
     @classmethod
     def background(cls, prob: MocProblem, nxi=None):
@@ -197,14 +197,15 @@ class InvariantGrid:
 
 def grid_states(grid: InvariantGrid, prob: MocProblem) -> gas.PrimitiveState:
     """Primitive state of both layers implied by the grid, one inversion on
-    the stacked row (cached on the grid, with the Mach variable s that
-    ``frozen_lambdas`` reads)."""
+    the stacked row (cached on the grid, with the Mach variable s and the
+    flow-angle tangent w that ``frozen_lambdas`` and ``residual_check``
+    read)."""
     if grid._state is None:
         if not np.all(np.abs(grid.zm + grid.zp) < np.pi):
             raise SolverError("left-supersonic-regime: |z_minus + z_plus| reached pi")
-        s, w = prob.line.mach(grid.zm, grid.zp)
-        grid._state = gas.PrimitiveState(*prob.line.primitives(s, w))
-        grid._s = s
+        mach = prob.line.mach(grid.zm, grid.zp)
+        grid._state = gas.PrimitiveState(*prob.line.primitives(*mach))
+        grid._mach = mach
     return grid._state
 
 
@@ -252,11 +253,11 @@ class FrozenField:
 
 def frozen_lambdas(grid: InvariantGrid, prob: MocProblem) -> FrozenField:
     """Both characteristic speeds at every node of the grid, from the Mach
-    variable s of its one inversion (``grid_states``) and its flow-angle
-    tangent w = tan((z_minus + z_plus)/2)."""
+    variable s and the flow-angle tangent w = tan((z_minus + z_plus)/2) of
+    its one inversion (``grid_states``)."""
     try:
         grid_states(grid, prob)
-        lam_m, lam_p = prob.line.lambdas(grid._s, np.tan(0.5 * (grid.zm + grid.zp)))
+        lam_m, lam_p = prob.line.lambdas(*grid._mach)
     except gas.GasError as exc:
         raise SolverError(f"left-supersonic-regime: {exc}") from None
     return FrozenField(lam_m=lam_m, lam_p=lam_p)
@@ -384,8 +385,8 @@ def solve_linearized(prev: InvariantGrid, prob: MocProblem):
     march the linear transport problem from the inlet to xi = L, planning
     every step once and then advancing the march row one step at a time.
 
-    Returns (InvariantGrid, weights): the new iterate and the contact
-    weights of ``coupling_coefficients`` frozen on ``prev`` that produced it.
+    Returns the new iterate; the contact weights are those of
+    ``coupling_coefficients`` frozen on ``prev``.
     """
     frozen = frozen_lambdas(prev, prob)
     check_cfl(frozen, prob.domain)
@@ -396,7 +397,7 @@ def solve_linearized(prev: InvariantGrid, prob: MocProblem):
     for k in range(z.shape[0] - 1):
         z[k + 1] = step_linearized(prob, plan, weights, k, z[k])
     n = z.shape[1] // 2
-    return InvariantGrid(prob.domain, z[:, :n], z[:, n:]), weights
+    return InvariantGrid(prob.domain, z[:, :n], z[:, n:])
 
 
 # ---------------------------------------------------------------------------
@@ -405,14 +406,13 @@ def solve_linearized(prev: InvariantGrid, prob: MocProblem):
 
 @dataclass
 class IterationReport:
-    """Per-iteration convergence diagnostics of the outer fixed point."""
+    """Per-iteration convergence diagnostics of the outer fixed point; the
+    report of a returned solve ends in a C1 gap at or below fp_tol."""
 
     c0_gaps: list = field(default_factory=list)
     c1_gaps: list = field(default_factory=list)
     ratios: list = field(default_factory=list)
     iterations: int = 0
-    converged: bool = False
-    last_coupling: tuple = None  # the last iteration's coupling_coefficients
     residuals: object = None
 
 
@@ -443,20 +443,19 @@ def fixed_point(prob: MocProblem, fp_tol, max_fp_iters):
     check_supersonic_margin(grid, prob)
     for n in range(1, max_fp_iters + 1):
         try:
-            new, weights = solve_linearized(grid, prob)
+            new = solve_linearized(grid, prob)
             check_supersonic_margin(new, prob)
         except SolverError as exc:
             raise SolverError(str(exc), report=report) from None
         c0, c1 = _gaps(new, grid, prob.domain)
         report.c0_gaps.append(c0)
         report.c1_gaps.append(c1)
-        if len(report.c1_gaps) > 1 and report.c1_gaps[-2] > 0:
+        # A zero gap ends the loop (fp_tol > 0), so every earlier gap is positive.
+        if n > 1:
             report.ratios.append(report.c1_gaps[-1] / report.c1_gaps[-2])
         report.iterations = n
-        report.last_coupling = weights
         grid = new
         if c1 <= fp_tol:
-            report.converged = True
             break
     else:
         raise SolverError(
@@ -503,7 +502,7 @@ def residual_check(grid: InvariantGrid, prob: MocProblem) -> ResidualReport:
             res = np.abs(dz_xi + lam_in * dz_eta)
             interior[f"{tag}{fam}"] = res
             sup = max(sup, float(res.max()))
-    w = np.tan(0.5 * (grid.zm + grid.zp))
+    _, w = grid._mach
     na = dom.eta_a.size
     wall_slip = max(
         float(np.max(np.abs(w[:, na - 1] - np.tan(prob.wall_angle_plus)))),

@@ -115,18 +115,17 @@ def _wall_angles(geom, x):
     return np.arctan([geom.g_plus(x, 1), geom.g_minus(x, 1)])
 
 
-def compare_fields(a, b) -> dict:
-    """Sup lattice differences per family per layer, keyed by ``zm_a``,
-    ``zp_a``, ``zm_b`` and ``zp_b``; the overall sup is the ``max`` of the
-    values.
+def compare_fields(a, b) -> float:
+    """The sup lattice difference of two grids over both families and both
+    layers: of ``zm`` and ``zp``, each on the stacked row ``a | b``.
 
-    ``a`` and ``b`` may be any grid-like objects carrying zm_a/zp_a/zm_b/zp_b
-    on identical lattices.
+    ``a`` and ``b`` may be any grid-like objects carrying zm and zp on
+    identical lattices.
     """
-    sup = {}
-    for name in ("zm_a", "zp_a", "zm_b", "zp_b"):
+    sup = 0.0
+    for name in ("zm", "zp"):
         x, y = getattr(a, name), getattr(b, name)
         if x.shape != y.shape:
             raise ValueError(f"lattice mismatch for {name}: {x.shape} vs {y.shape}")
-        sup[name] = float(np.abs(x - y).max())
+        sup = max(sup, float(np.abs(x - y).max()))
     return sup

@@ -76,7 +76,6 @@ def reference_march(profile, x_max=200.0, ny=800, dx_max=0.05, grad_factor=1e3, 
     threshold = max(grad_factor * max(g0p, g0m), grad_floor)
 
     report = BlowupReport()
-    report.y_nodes = y
     x = 0.0
     x_stop = x_max
     for _ in range(blowup._MAX_STEPS):

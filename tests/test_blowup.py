@@ -44,6 +44,11 @@ def make_profile(v0_text, u0_text="2.0", rho_wall=1.0):
     return blowup.PeriodicProfile(u0_text, v0_text, G, rho_wall=rho_wall)
 
 
+def nodes(ny):
+    """The march's lattice: one period [-1, 1) in ny cells."""
+    return -1.0 + 2.0 * np.arange(ny) / ny
+
+
 def march_rows(monkeypatch, *args, **kwargs):
     """``cauchy_march`` with its rows: (report, rows), rows[k] the (2, ny)
     array (Z_plus, Z_minus) at ``report.x_history[k]``.
@@ -221,7 +226,7 @@ def test_march_starts_from_the_expressions(monkeypatch):
     u_text, v_text, rho_wall = "2.0 + 0.01 * cos(pi * y)", "0.03 * sin(pi * y)", 0.9
     rep, rows = march_rows(monkeypatch, make_profile(v_text, u_text, rho_wall), x_max=0.1,
                            ny=300)
-    t = np.mod(rep.y_nodes + 1.0, 2.0) - 1.0
+    t = np.mod(nodes(300) + 1.0, 2.0) - 1.0
     u0, v0 = SmoothExpression(u_text, var="y"), SmoothExpression(v_text, var="y")
     u = u0(np.abs(t))
     v = np.where(t < 0.0, -1.0, 1.0) * v0(np.abs(t))
@@ -289,7 +294,7 @@ def test_sine_profile_blows_up_and_scales_with_delta():
 def test_wall_condition_inherited_from_odd_extension(monkeypatch):
     prof = make_profile("0.05 * sin(pi * y)")
     rep, rows = march_rows(monkeypatch, prof, x_max=3.0, ny=200)
-    y = rep.y_nodes
+    y = nodes(200)
     j_wall = [int(np.argmin(np.abs(y - 0.0))), 0]  # y = 0 node and y = -1 node
     assert y[j_wall[0]] == 0.0 and y[j_wall[1]] == -1.0
     for zp, zm in rows[:: max(1, len(rows) // 10)]:
@@ -375,7 +380,7 @@ def test_march_is_bit_equal_to_plain_reference(v0_text, ny, x_max, factor):
     prof = make_profile(v0_text)
     rep = blowup.cauchy_march(prof, x_max=x_max, ny=ny, grad_factor=factor)
     ref = reference_march(prof, x_max=x_max, ny=ny, grad_factor=factor)
-    for name in ("x_history", "grad_zp_history", "grad_zm_history", "y_nodes"):
+    for name in ("x_history", "grad_zp_history", "grad_zm_history"):
         assert np.array_equal(getattr(rep, name), getattr(ref, name)), name
     for name in ("blowup_x", "gradient_x", "crossing_x", "x_end", "steps", "trigger"):
         assert getattr(rep, name) == getattr(ref, name), name
@@ -442,6 +447,19 @@ def test_step_cap_matches_half_cell_march(monkeypatch):
     for r in (rep, rep_half):
         assert r.gradient_x is not None and r.crossing_x is not None
         assert abs(r.gradient_x - r.crossing_x) / r.blowup_x <= 0.10
+
+
+def test_step_limit_stops_the_march(monkeypatch):
+    """A march that needs more than ``_MAX_STEPS`` steps raises
+    ``step-limit``; one that needs exactly that many completes."""
+    prof = make_profile("0.06 * sin(pi * y)")
+    steps = blowup.cauchy_march(prof, x_max=0.5, ny=100).steps
+    monkeypatch.setattr(blowup, "_MAX_STEPS", steps)
+    assert blowup.cauchy_march(prof, x_max=0.5, ny=100).steps == steps
+    monkeypatch.setattr(blowup, "_MAX_STEPS", steps - 1)
+    with pytest.raises(blowup.BlowupError, match=rf"^step-limit: {steps - 1} steps reached only "
+                                                 r"x = \S+ before x_stop = 0\.5$"):
+        blowup.cauchy_march(prof, x_max=0.5, ny=100)
 
 
 def test_speed_lookup_is_bit_equal_to_pchip_call(rng):
@@ -567,7 +585,7 @@ def test_invariant_constant_along_traced_characteristic(monkeypatch):
 
     def drift(ny):
         rep, rows = march_rows(monkeypatch, prof, x_max=2.0, ny=ny)
-        y = rep.y_nodes
+        y = nodes(ny)
         pos = float(y[ny // 4])
         vals = []
         for i in range(len(rows) - 1):

@@ -553,7 +553,8 @@ def test_reconstruction_gap_has_its_own_code(tmp_path):
     tight = dataclasses.replace(cfg, recon_top_tol=1e-9)
     with pytest.raises(moc.SolverError, match="^recon-gap: ") as info:
         cli.run_solve(tight, geom, profile, write_outputs=False)
-    assert info.value.report.converged and info.value.report.iterations == 3
+    report = info.value.report
+    assert report.c1_gaps[-1] <= tight.fp_tol and report.iterations == 3
     cfgp = tmp_path / "tight.cfg"
     config.write_config(tight, geom, profile, cfgp)
     r = run_cli("solve", "--config", str(cfgp), "--out", str(tmp_path / "o"), "--quiet")
@@ -584,6 +585,20 @@ def test_blowup_degenerate_march_is_a_convergence_error(tmp_path, capsys):
     assert code == 1
     assert (s["status"], s["error"], s["code"]) == ("error", "convergence", "degenerate")
     assert s["detail"] == "degenerate: u dropped below c during the march"
+    assert not (tmp_path / "o").exists()
+
+
+def test_blowup_step_limit_is_a_convergence_error(tmp_path, capsys, monkeypatch):
+    """A march that runs out of steps before x_max is no success: the run
+    ends ``error=convergence`` and writes nothing."""
+    cfgp = tmp_path / "blow.cfg"
+    fixtures.write_blowup_fixture(cfgp, delta=0.06, ny=100, x_max=50.0)
+    monkeypatch.setattr(blowup, "_MAX_STEPS", 5)
+    code, _, s = main_in_process(capsys, "blowup", "--config", cfgp, "--out", tmp_path / "o",
+                                 "--quiet")
+    assert code == 1
+    assert (s["status"], s["error"], s["code"]) == ("error", "convergence", "step-limit")
+    assert s["detail"].startswith("step-limit: 5 steps reached only x = 0.243")
     assert not (tmp_path / "o").exists()
 
 

@@ -14,7 +14,7 @@ def test_background_fixture_parses_with_zero_eps(tmp_path):
     fixtures.write_fixture(path, eps=0.0, nxi=50, neta=12)
     cfg, geom, profile = config.load_config(path)
     assert config.perturbation_size(profile, geom, cfg.background) == 0.0
-    assert config.validate_compatibility(profile, geom) == []
+    assert config.validate_compatibility(profile, geom, tol=cfg.compat_tol) == []
 
 
 def test_perturbed_fixture_normalizes_eps():
@@ -36,7 +36,7 @@ def test_subsonic_inlet_rejected(tmp_path):
     cfg, geom, profile = fixtures.perturbed_inputs(0.0, nxi=50, neta=12)
     profile.layer_a.u[:] = 0.5  # far below the sound speed
     with pytest.raises(ConfigError, match="not supersonic"):
-        profile.validate(cfg.gamma)
+        profile.validate(cfg.gamma, cfg.compat_tol)
 
 
 def test_roundtrip_write_load_identity(tmp_path):
@@ -117,7 +117,7 @@ def test_profile_positivity_checked_before_the_sound_speed():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no sqrt of a negative pressure
         with pytest.raises(ConfigError, match="layer a has nonpositive p or rho"):
-            profile.validate(cfg.gamma)
+            profile.validate(cfg.gamma, cfg.compat_tol)
 
 
 def test_compatibility_report_flags_pressure_jump():

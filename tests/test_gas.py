@@ -22,13 +22,18 @@ def _line(sd=SD_BG, **kw):
     return gas.Streamline(sd.a0, sd.b0, sd.p_ref, sd.gamma, **kw)
 
 
+def _state(line, zm, zp):
+    """(u, v, p, rho) at the invariants (z_minus, z_plus), as a run gets it."""
+    return line.primitives(*line.mach(zm, zp))
+
+
 def _sonic(sd):
     return gas.sonic_pressure(sd.a0, sd.b0, sd.gamma)
 
 
 def _pressure(t, sd=SD_BG, **kw):
     """The pressure at Theta = t, i.e. at the invariants (t, -t)."""
-    return _line(sd, **kw).state(*_arrays(t, -t))[2]
+    return _state(_line(sd, **kw), *_arrays(t, -t))[2]
 
 
 def _mach_of(state):
@@ -417,7 +422,7 @@ def test_mach_form_speeds_match_the_textbook_speeds(layer):
 
 def test_invariant_pair_angle_guard():
     with pytest.raises(gas.GasError, match="^flow-angle"):
-        _line().state(*_arrays(2.0, 2.0))
+        _state(_line(), *_arrays(2.0, 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +433,7 @@ def test_round_trip_many_states(rng):
     u, v, p, rho = random_supersonic_states(rng, 1500)
     state = gas.PrimitiveState(u=u, v=v, p=p, rho=rho)
     line = gas.Streamline(gas.entropy_function(state, G), gas.bernoulli(state, G), 1.0, G)
-    back = gas.PrimitiveState(*line.state(*line.invariants(u, v, p, rho)))
+    back = gas.PrimitiveState(*_state(line, *line.invariants(u, v, p, rho)))
     for name in ("u", "v", "p"):
         assert np.max(np.abs(getattr(back, name) - getattr(state, name))) < 1e-10
 
@@ -440,7 +445,7 @@ def test_round_trip_property(du, w, dp, drho):
     u = 2.2 * (1 + du)
     state = gas.PrimitiveState(u=u, v=w * u, p=1.0 + dp, rho=1.0 + drho)
     line = gas.Streamline(gas.entropy_function(state, G), gas.bernoulli(state, G), 1.0, G)
-    back = gas.PrimitiveState(*line.state(*line.invariants(*_arrays(u, w * u, 1.0 + dp, 1.0 + drho))))
+    back = gas.PrimitiveState(*_state(line, *line.invariants(*_arrays(u, w * u, 1.0 + dp, 1.0 + drho))))
     assert back.p == pytest.approx(state.p, abs=1e-10)
     assert back.u == pytest.approx(state.u, abs=1e-10)
     assert back.v == pytest.approx(state.v, abs=1e-10)
@@ -480,7 +485,7 @@ def _random_streamlines(n, seed):
 def _assert_inversions_agree(zm, zp, sd):
     """The prepared object returns the reference's state bits (as arrays)."""
     state = gas_reference.state_from_invariants(zm, zp, sd)
-    for a, b in zip(sd.state(*_arrays(zm, zp)), state):
+    for a, b in zip(_state(sd, *_arrays(zm, zp)), state):
         _same_bits(np.asarray(a), np.asarray(b))
 
 
@@ -600,7 +605,7 @@ def _error_cases():
                 lambda: gas_reference.pressure_from_invariants(t, -t, sd, **kw))
 
     return {
-        "flow-angle": ("flow-angle", (lambda: line.state(*_arrays(2.0, 2.0)),
+        "flow-angle": ("flow-angle", (lambda: _state(line, *_arrays(2.0, 2.0)),
                                       lambda: gas_reference.state_from_invariants(
                                           2.0, 2.0, SD_BG))),
         "past-cap": ("out-of-range", pair(SD_BG, t_cap)),
@@ -612,7 +617,7 @@ def _error_cases():
                                       lambda: gas_reference.velocity_from_bernoulli(0.0, 50.0,
                                                                                     SD_BG))),
         "nonpositive-rho": ("out-of-range", (
-            lambda: _line(heavy).state(*_arrays(t_heavy, -t_heavy)),
+            lambda: _state(_line(heavy), *_arrays(t_heavy, -t_heavy)),
             lambda: gas.PrimitiveState(*gas_reference.state_from_invariants(
                 t_heavy, -t_heavy, heavy)))),
         "theta-p": ("out-of-range", (lambda: line.invariants(*_arrays(2.2, 0.0, 0.0, 1.0)),

@@ -249,7 +249,7 @@ def test_cross_section_mass_flux_conserved():
     for _, _, cols in reversed(prob.domain.layers):  # layer b, then layer a
         f = ef.state.rho[:, cols] * ef.state.u[:, cols]
         total += np.sum(0.5 * (f[:, 1:] + f[:, :-1]) * np.diff(ef.y[:, cols], axis=1), axis=1)
-    expect = prob.domain.m_a + prob.domain.m_b
+    expect = prob.domain.eta_a[-1] - prob.domain.eta_b[0]
     assert np.max(np.abs(total - expect)) < 5e-5 * expect
 
 

@@ -1,10 +1,11 @@
 """The library keeps only what a run uses: every module-level function and
 class in ``src/contactmoc`` is referenced by code in ``src/`` or ``scripts/``,
-and every dataclass field is read somewhere in ``src/``, ``scripts/`` or
-``tests/``.
+every dataclass field is read there, and every method of a ``src/`` class
+is called there.
 
-A helper that only the tests call belongs in ``tests/``, reference
-implementations that tests compare the run path against included.
+A helper, a field or a method that only the tests reach belongs in
+``tests/``, reference implementations that tests compare the run path
+against included.
 
 ``src/`` also reaches numpy only through its public names: the private
 modules (``numpy._core``, ``numpy.core``, ``numpy.lib._*``) moved between
@@ -15,9 +16,11 @@ name, so the ones it traces must keep their names.
 """
 
 import ast
+import builtins
 import importlib.util
 import os
 import pathlib
+import pkgutil
 import re
 from collections import Counter
 
@@ -77,28 +80,175 @@ def _is_dataclass(node):
     return any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators)
 
 
-def test_every_dataclass_field_is_read():
-    """A result field that no code reads is work for nothing.  A read is an
-    attribute load or a string constant (the name handed to ``getattr``);
-    filling a field through its constructor keyword is not a read, and
-    neither is a method call that shares the field's name (``d.mean()``
-    does not read a field ``mean``)."""
+def _reads(trees):
+    """How often ``trees`` read each name: as an attribute load, or as a
+    string constant (the name handed to ``getattr``).  A call's callee is no
+    read: ``d.mean()`` does not read a field ``mean``."""
+    reads = Counter()
+    for tree in trees:
+        nodes = list(ast.walk(tree))
+        callees = {id(n.func) for n in nodes if isinstance(n, ast.Call)}
+        reads.update(n.attr for n in nodes if isinstance(n, ast.Attribute)
+                     and isinstance(n.ctx, ast.Load) and id(n) not in callees)
+        reads.update(n.value for n in nodes
+                     if isinstance(n, ast.Constant) and isinstance(n.value, str))
+    return reads
+
+
+def _classes(modules):
+    """``(module.Class, node, tree)`` of every class defined at module level."""
+    return [(f"{filename[:-3]}.{cls.name}", cls, tree) for filename, tree in modules.items()
+            for cls in tree.body if isinstance(cls, ast.ClassDef)]
+
+
+def _unread_fields(modules, program):
+    """``module.Class.field`` of every dataclass field in ``modules`` that no
+    tree of ``program`` reads.  Filling a field through its constructor
+    keyword is no read."""
+    reads = _reads(program)
+    return {f"{name}.{stmt.target.id}" for name, cls, _ in _classes(modules) if _is_dataclass(cls)
+            for stmt in cls.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            and not reads[stmt.target.id]}
+
+
+def _external_bases(cls, tree):
+    """The classes outside ``tree`` that ``cls`` derives from: builtins, and
+    names the module imports absolutely (``argparse.ArgumentParser``),
+    through any base class defined in ``tree`` itself."""
+    imports = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                head = alias.name.partition(".")[0]
+                imports[alias.asname or head] = alias.name if alias.asname else head
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imports.update({alias.asname or alias.name: f"{node.module}.{alias.name}"
+                            for alias in node.names})
+    local = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+    bases = []
+    for base in cls.bases:
+        chain = _dotted(base)
+        head, _, rest = (chain or "").partition(".")
+        if head in local:
+            bases += _external_bases(local[head], tree)
+        elif head in imports:
+            bases.append(pkgutil.resolve_name(".".join(filter(None, (imports[head], rest)))))
+        elif hasattr(builtins, head):
+            bases.append(getattr(builtins, head))
+    return bases
+
+
+def _calls(trees):
+    """How often ``trees`` call each name as a method: ``x.name(...)``."""
+    return Counter(n.func.attr for tree in trees for n in ast.walk(tree)
+                   if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute))
+
+
+def _is_property(node):
+    return any(_dotted(d) in ("property", "cached_property", "functools.cached_property")
+               for d in node.decorator_list)
+
+
+def _uncalled_methods(modules, program):
+    """``module.Class.method`` of every non-dunder method in ``modules`` that
+    no tree of ``program`` uses, a use inside the method's own body
+    (recursion) not counted.  A method is used where it is called
+    (``x.method(...)``; a field of the same name read elsewhere is no use),
+    a property where it is read.  A method that overrides one of an
+    external base class is used: the base calls it (``_Parser.error``)."""
+    uses = {_reads: _reads(program), _calls: _calls(program)}
+    uncalled = set()
+    for name, cls, tree in _classes(modules):
+        bases = _external_bases(cls, tree)
+        for stmt in cls.body:
+            if not isinstance(stmt, ast.FunctionDef):
+                continue
+            method = stmt.name
+            if method.startswith("__") and method.endswith("__"):
+                continue
+            if any(hasattr(base, method) for base in bases):
+                continue
+            count = _reads if _is_property(stmt) else _calls
+            if uses[count][method] <= count([stmt])[method]:
+                uncalled.add(f"{name}.{method}")
+    return uncalled
+
+
+# Names the library keeps although only the tests read them, each with the
+# reason.  An entry that is no longer test-only fails the layout tests.
+_TEST_ONLY = {
+    "moc.ResidualReport.interior_abs":
+        "test_residual_localizes_a_corrupted_node reads the per-node residual map "
+        "to show that the residual points at a corrupted node; the run reads only its sup",
+}
+
+
+def _program_and_tests():
     modules = _parse(PACKAGE)
-    trees = list(modules.values()) + list(_parse(SCRIPTS).values()) + list(_parse(TESTS).values())
-    called = {id(node.func) for tree in trees for node in ast.walk(tree)
-              if isinstance(node, ast.Call)}
-    reads = {node.attr for tree in trees for node in ast.walk(tree)
-             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-             and id(node) not in called}
-    reads |= {node.value for tree in trees for node in ast.walk(tree)
-              if isinstance(node, ast.Constant) and isinstance(node.value, str)}
-    unread = sorted(f"{filename[:-3]}.{cls.name}.{stmt.target.id}"
-                    for filename, tree in modules.items() for cls in tree.body
-                    if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
-                    for stmt in cls.body
-                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
-                    and stmt.target.id not in reads)
-    assert not unread, f"dataclass fields no code reads: {unread}"
+    program = list(modules.values()) + list(_parse(SCRIPTS).values())
+    return modules, program, list(_parse(TESTS).values())
+
+
+def _unused(modules, trees):
+    return _unread_fields(modules, trees) | _uncalled_methods(modules, trees)
+
+
+def test_every_dataclass_field_is_read():
+    """A result field that only the tests read is work for nothing in a run."""
+    modules, program, _ = _program_and_tests()
+    unread = _unread_fields(modules, program) - set(_TEST_ONLY)
+    assert not unread, f"dataclass fields no code in src/ or scripts/ reads: {sorted(unread)}"
+
+
+def test_every_method_is_called():
+    """A method that only the tests call belongs in ``tests/``."""
+    modules, program, _ = _program_and_tests()
+    uncalled = _uncalled_methods(modules, program) - set(_TEST_ONLY)
+    assert not uncalled, f"methods no code in src/ or scripts/ calls: {sorted(uncalled)}"
+
+
+def test_test_only_exemptions_are_test_only():
+    """Each exempt name is still in the library, unused by the program and
+    used by the tests; any other exemption is stale."""
+    modules, program, tests = _program_and_tests()
+    test_only = _unused(modules, program) - _unused(modules, program + tests)
+    assert set(_TEST_ONLY) <= test_only, sorted(set(_TEST_ONLY) - test_only)
+
+
+def test_test_only_names_are_caught():
+    library = (
+        "import argparse\n"
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class Report:\n"
+        "    used: float\n"
+        "    test_only: float\n"
+        "class Parser(argparse.ArgumentParser):\n"
+        "    def error(self, message):\n"
+        "        self.exit(2)\n"
+        "class Line:\n"
+        "    def __call__(self, x):\n"
+        "        return self.run(x)\n"
+        "    def run(self, x):\n"
+        "        return x\n"
+        "    def probe(self, x):\n"
+        "        return self.probe(x - 1) if x else 0\n"
+        "def main(report, line):\n"
+        "    return report.used + line.run(1) + report.probe\n"
+    )
+    test = "def test(report, line):\n    assert report.test_only == line.probe(2)\n"
+    modules = {"lib.py": ast.parse(library)}
+    program = list(modules.values())
+    assert _unread_fields(modules, program) == {"lib.Report.test_only"}
+    assert _uncalled_methods(modules, program) == {"lib.Line.probe"}
+    assert _unused(modules, program + [ast.parse(test)]) == set()
+    # A read through getattr's string, and a base class defined in the module.
+    program.append(ast.parse("getattr(report, 'test_only')\n"))
+    assert _unread_fields(modules, program) == set()
+    sub = ast.parse("import argparse\nclass P(argparse.ArgumentParser):\n    pass\n"
+                    "class Q(P):\n    def format_help(self):\n        return ''\n")
+    assert _uncalled_methods({"sub.py": sub}, [sub]) == set()
 
 
 _PRIVATE_NUMPY = re.compile(r"numpy\.((_core|core)(\.|$)|lib\._)")
