@@ -17,8 +17,8 @@ from contactmoc.csvout import write_csv
 def run(eps, nxi, neta):
     cfg, geom, profile = fixtures.perturbed_inputs(eps, nxi=nxi, neta=neta)
     prob, _ = cli.build_pipeline(cfg, geom, profile)
-    _, report = moc.fixed_point(prob, fp_tol=cfg.fp_tol, max_fp_iters=cfg.max_fp_iters)
-    return report
+    _, history = moc.fixed_point(prob, fp_tol=cfg.fp_tol, max_fp_iters=cfg.max_fp_iters)
+    return history
 
 
 def main():
@@ -32,9 +32,9 @@ def main():
     eps_list = [float(tok) for tok in args.eps.split(",")]
     rows = []
     for eps in eps_list:
-        report = run(eps, nxi, neta)
-        ratios = report.ratios or [float("nan")]
-        rows.append([report.iterations, report.c1_gaps[0], max(ratios), float(np.median(ratios))])
+        history = run(eps, nxi, neta)
+        gaps, ratios = history["c1_gap"], history["ratio"][1:] or [float("nan")]
+        rows.append([len(gaps), gaps[0], max(ratios), float(np.median(ratios))])
         print(f"eps={eps!r}", *rows[-1])
     write_csv(args.out, ("eps", "iterations", "gap1", "ratio_max", "ratio_median"),
               [eps_list, *zip(*rows)])

@@ -26,7 +26,7 @@ def main():
         ef = lagrangian.reconstruct(moc.grid_states(grid, prob), geom, prob.domain)
         w = lagrangian.weak_residual(ef, cfg.gamma)
         dev = lagrangian.streamline_conservation(ef, cfg.gamma)
-        rows.append([nxi, neta, diff, w.max_residual, w.mean_residual, dev])
+        rows.append([nxi, neta, diff, w["weak_max"], w["weak_mean"], dev])
         print(*rows[-1])
     write_csv(args.out, ("nxi", "neta", "oracle_sup_diff", "weak_max", "weak_mean", "stream_dev"),
               list(zip(*rows)))

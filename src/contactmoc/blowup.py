@@ -230,7 +230,6 @@ class _MachAngleTable:
         hi = qhat - 1e-3 * (qhat - c_hat)
         qs = np.linspace(lo, hi, 2001)
         th = theta_of_speed(qs, qhat, gamma, q_ref)
-        self.q_lo, self.q_hi = lo, hi
         self.th_lo, self.th_hi = float(th[0]), float(th[-1])
         self.table = interp.pchip(th, np.arcsin(_c_of_q2(qs * qs, qhat, gamma) / qs))
 

@@ -162,7 +162,8 @@ def build_pipeline(cfg, geom, profile):
 def run_solve(cfg, geom, profile, write_outputs=True):
     """Full pipeline: solve, reconstruct, weak residual, field output.
 
-    Returns (summary dict, artifacts dict).
+    Returns (summary, history): the entries of the ``solve`` summary line,
+    and the fixed point's history (``moc.fixed_point``).
     """
     from . import lagrangian, moc
 
@@ -176,54 +177,42 @@ def run_solve(cfg, geom, profile, write_outputs=True):
         _check_out_dir(cfg.out_dir)
 
     prob, _ = build_pipeline(cfg, geom, profile)
-    grid, report = moc.fixed_point(prob, fp_tol=cfg.fp_tol, max_fp_iters=cfg.max_fp_iters)
+    grid, history = moc.fixed_point(prob, fp_tol=cfg.fp_tol, max_fp_iters=cfg.max_fp_iters)
+    residuals = moc.residual_check(grid, prob)
     efield = lagrangian.reconstruct(moc.grid_states(grid, prob), geom, prob.domain)
     if efield.top_gap > cfg.recon_top_tol:
         raise moc.SolverError(
             f"recon-gap: upper-wall image misses g_plus by {efield.top_gap:.3e} "
             f"(recon_top_tol = {cfg.recon_top_tol:.1e}); refine the lattice or raise "
-            "recon_top_tol", report=report)
-    wres = lagrangian.weak_residual(efield, cfg.gamma)
+            "recon_top_tol")
+    weak = lagrangian.weak_residual(efield, cfg.gamma)
 
     sup_dev = max(float(np.max(np.abs(getattr(efield.state, name)[:, cols] - getattr(st, name))))
                   for st, (_, _, cols) in zip(cfg.background.states(), efield.domain.layers)
                   for name in ("u", "v", "p", "rho"))
 
-    paths = {}
     if write_outputs:
         os.makedirs(cfg.out_dir, exist_ok=True)
-        paths = {
-            "fields": os.path.join(cfg.out_dir, "fields.csv"),
-            "contact": os.path.join(cfg.out_dir, "contact.csv"),
-            "iterations": os.path.join(cfg.out_dir, "iterations.csv"),
-            "grid": os.path.join(cfg.out_dir, "grid.csv"),
-        }
-        lagrangian.write_field_csv(efield, paths["fields"])
-        lagrangian.write_contact_csv(efield, paths["contact"])
-        moc.write_iteration_csv(report, paths["iterations"])
-        moc.write_grid_csv(grid, paths["grid"])
+        out = cfg.out_dir
+        lagrangian.write_field_csv(efield, os.path.join(out, "fields.csv"))
+        lagrangian.write_contact_csv(efield, os.path.join(out, "contact.csv"))
+        moc.write_iteration_csv(history, os.path.join(out, "iterations.csv"))
+        moc.write_grid_csv(grid, os.path.join(out, "grid.csv"))
 
     summary = {
         "status": "ok",
         "eps": eps,
-        "iters": report.iterations,
-        "c0_gap": report.c0_gaps[-1],
-        "c1_gap": report.c1_gaps[-1],
-        "ratio_last": report.ratios[-1] if report.ratios else float("nan"),
+        "iters": len(history["c1_gap"]),
+        "c0_gap": history["c0_gap"][-1],
+        "c1_gap": history["c1_gap"][-1],
+        "ratio_last": history["ratio"][-1],
         "sup_dev": sup_dev,
-        "wall_slip": report.residuals.wall_slip_max,
-        "contact_w_jump": report.residuals.contact_w_jump,
-        "contact_p_jump": report.residuals.contact_p_jump,
-        "residual_sup": report.residuals.sup_interior,
-        "weak_max": wres.max_residual,
-        "weak_contact_p": wres.contact_pressure_jump,
-        "weak_contact_mdot": wres.contact_mass_flux,
+        **residuals,
+        **{key: weak[key] for key in ("weak_max", "weak_contact_p", "weak_contact_mdot")},
         "gcd_max": float(np.max(np.abs(efield.y[:, -1]))),
         "top_gap": efield.top_gap,
     }
-    artifacts = {"grid": grid, "report": report, "efield": efield, "weak": wres,
-                 "prob": prob, "paths": paths}
-    return summary, artifacts
+    return summary, history
 
 
 def _run_errors():
@@ -245,14 +234,13 @@ def cmd_solve(args):
     except config.ConfigError as exc:
         return _error_exit(_config_exit_category(exc), exc)
     try:
-        summary, artifacts = run_solve(cfg, geom, profile)
+        summary, history = run_solve(cfg, geom, profile)
     except _run_errors() as exc:
         return _error_exit(_run_category(exc), exc)
     except OSError as exc:  # --out or a file under it cannot be written
         return _error_exit("io", exc)
     if not args.quiet:
-        rep = artifacts["report"]
-        for i, (c0, c1) in enumerate(zip(rep.c0_gaps, rep.c1_gaps), start=1):
+        for i, (c0, c1) in enumerate(zip(history["c0_gap"], history["c1_gap"]), start=1):
             print(f"iter {i}: c0_gap={c0:.3e} c1_gap={c1:.3e}")
     summary["out"] = _out(cfg.out_dir)
     _summary(summary)

@@ -245,10 +245,7 @@ class SmoothExpression:
     compiled into a ``_Program`` on its first evaluation."""
 
     def __init__(self, text, var="x"):
-        self.text = text
-        self.var = var
-        tree = parse_expression(text, var)
-        self._trees = [tree]
+        self._trees = [parse_expression(text, var)]
         for _ in range(3):
             self._trees.append(differentiate(self._trees[-1]))
         self._programs = [None] * 4

@@ -228,15 +228,7 @@ def _flux_vectors(state: gas.PrimitiveState, gamma):
     return W, H
 
 
-@dataclass(frozen=True)
-class WeakResidualReport:
-    max_residual: float
-    mean_residual: float
-    contact_pressure_jump: float
-    contact_mass_flux: float  # sup |rho u (g'_cd - w)| over both sides
-
-
-def weak_residual(field: EulerianField, gamma) -> WeakResidualReport:
+def weak_residual(field: EulerianField, gamma):
     """Discrete control-volume flux divergence of the mapped mesh.
 
     The fluxes are evaluated on the node row, the cells per layer, so no
@@ -244,6 +236,11 @@ def weak_residual(field: EulerianField, gamma) -> WeakResidualReport:
     residual is the closed contour integral of (W dy - H dx) normalized by
     cell area.  Across the contact (row entries 0 and -1) only the jump
     conditions are checked: pressure continuity and the normal mass flux.
+
+    Returns ``weak_max`` and ``weak_mean``, the largest and the mean cell
+    residual, ``weak_contact_p``, the sup of the contact's pressure jump,
+    and ``weak_contact_mdot``, the sup of |rho u (g'_cd - w)| over both
+    sides of the contact.
     """
     W_row, H_row = _flux_vectors(field.state, gamma)
 
@@ -283,12 +280,12 @@ def weak_residual(field: EulerianField, gamma) -> WeakResidualReport:
     p_jump = float(np.max(np.abs(p[:, 0] - p[:, -1])))
     mdot_a = rho[:, 0] * u[:, 0] * (slope - w_a)
     mdot_b = rho[:, -1] * u[:, -1] * (slope - w_b)
-    return WeakResidualReport(
-        max_residual=float(flat.max()),
-        mean_residual=float(flat.mean()),
-        contact_pressure_jump=p_jump,
-        contact_mass_flux=float(max(np.max(np.abs(mdot_a)), np.max(np.abs(mdot_b)))),
-    )
+    return {
+        "weak_max": float(flat.max()),
+        "weak_mean": float(flat.mean()),
+        "weak_contact_p": p_jump,
+        "weak_contact_mdot": float(max(np.max(np.abs(mdot_a)), np.max(np.abs(mdot_b)))),
+    }
 
 
 def streamline_conservation(field: EulerianField, gamma):

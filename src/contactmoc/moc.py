@@ -44,7 +44,7 @@ first-order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,14 +73,7 @@ _GL_W = np.array([
 
 
 class SolverError(RuntimeError):
-    """Solver failure; message starts with a machine-readable code.
-
-    Carries the partial IterationReport in ``report`` when available.
-    """
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
+    """Solver failure; message starts with a machine-readable code."""
 
 
 @dataclass
@@ -404,18 +397,6 @@ def solve_linearized(prev: InvariantGrid, prob: MocProblem):
 # Fixed point
 
 
-@dataclass
-class IterationReport:
-    """Per-iteration convergence diagnostics of the outer fixed point; the
-    report of a returned solve ends in a C1 gap at or below fp_tol."""
-
-    c0_gaps: list = field(default_factory=list)
-    c1_gaps: list = field(default_factory=list)
-    ratios: list = field(default_factory=list)
-    iterations: int = 0
-    residuals: object = None
-
-
 def _gaps(new: InvariantGrid, old: InvariantGrid, dom: LagrangianDomain):
     c0 = 0.0
     grad = 0.0
@@ -432,63 +413,46 @@ def fixed_point(prob: MocProblem, fp_tol, max_fp_iters):
     """Iterate the linearized solve from the background until the discrete-C1
     gap between successive iterates drops below fp_tol.
 
-    Returns (InvariantGrid, IterationReport).  Raises SolverError
-    ("no-convergence") after max_fp_iters, and whatever SolverError an
-    iteration raises ("left-supersonic-regime", "cfl", "sonic-limit",
-    "degenerate"); each failure inside the loop carries the report of the
-    iterations completed before it.
+    Returns ``(grid, history)``: the converged InvariantGrid, and the
+    columns of ``iterations.csv`` as lists with one entry per iteration,
+    ``{"c0_gap", "c1_gap", "ratio"}``; a ratio is the C1 gap over the one
+    before it, nan for the first.  Raises SolverError ("no-convergence")
+    after max_fp_iters, and whatever SolverError an iteration raises
+    ("left-supersonic-regime", "cfl", "sonic-limit", "degenerate").
     """
-    report = IterationReport()
+    history = {"c0_gap": [], "c1_gap": [], "ratio": []}
+    gaps = history["c1_gap"]
     grid = InvariantGrid.background(prob)
     check_supersonic_margin(grid, prob)
-    for n in range(1, max_fp_iters + 1):
-        try:
-            new = solve_linearized(grid, prob)
-            check_supersonic_margin(new, prob)
-        except SolverError as exc:
-            raise SolverError(str(exc), report=report) from None
+    for _ in range(max_fp_iters):
+        new = solve_linearized(grid, prob)
+        check_supersonic_margin(new, prob)
         c0, c1 = _gaps(new, grid, prob.domain)
-        report.c0_gaps.append(c0)
-        report.c1_gaps.append(c1)
         # A zero gap ends the loop (fp_tol > 0), so every earlier gap is positive.
-        if n > 1:
-            report.ratios.append(report.c1_gaps[-1] / report.c1_gaps[-2])
-        report.iterations = n
+        history["ratio"].append(c1 / gaps[-1] if gaps else math.nan)
+        history["c0_gap"].append(c0)
+        gaps.append(c1)
         grid = new
         if c1 <= fp_tol:
-            break
-    else:
-        raise SolverError(
-            f"no-convergence: fixed point did not reach fp_tol={fp_tol:.1e} "
-            f"within {max_fp_iters} iterations (last C1 gap {report.c1_gaps[-1]:.3e})",
-            report=report,
-        )
-    report.residuals = residual_check(grid, prob)
-    return grid, report
+            return grid, history
+    raise SolverError(
+        f"no-convergence: fixed point did not reach fp_tol={fp_tol:.1e} "
+        f"within {max_fp_iters} iterations (last C1 gap {gaps[-1]:.3e})")
 
 
 # ---------------------------------------------------------------------------
 # Nonlinear residual
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    sup_interior: float
-    interior_abs: dict
-    wall_slip_max: float
-    contact_w_jump: float
-    contact_p_jump: float
-
-
-def residual_check(grid: InvariantGrid, prob: MocProblem) -> ResidualReport:
-    """Upwind finite-difference residual of the nonlinear transport operators
-    evaluated with the grid's own (self-consistent) speeds, plus pointwise
-    wall and contact condition checks."""
-    p = grid_states(grid, prob).p
+def interior_residuals(grid: InvariantGrid, prob: MocProblem):
+    """Upwind finite-difference residual |d_xi z + lambda d_eta z| of the
+    nonlinear transport operators at every interior node, evaluated with the
+    grid's own (self-consistent) speeds: one array per layer and family,
+    keyed "a-", "a+", "b-", "b+" (rows from xi_1, columns from the second
+    node of the layer)."""
     dom = prob.domain
     dxi = dom.dxi
     frozen = frozen_lambdas(grid, prob)
-    sup = 0.0
     interior = {}
     for tag, eta, cols in dom.layers:
         deta = eta[1] - eta[0]
@@ -499,32 +463,36 @@ def residual_check(grid: InvariantGrid, prob: MocProblem) -> ResidualReport:
             dz_xi = (z[1:, 1:-1] - z[:-1, 1:-1]) / dxi
             lam_in = lam[1:, 1:-1]
             dz_eta = (z[1:, hi] - z[1:, lo]) / deta
-            res = np.abs(dz_xi + lam_in * dz_eta)
-            interior[f"{tag}{fam}"] = res
-            sup = max(sup, float(res.max()))
+            interior[f"{tag}{fam}"] = np.abs(dz_xi + lam_in * dz_eta)
+    return interior
+
+
+def residual_check(grid: InvariantGrid, prob: MocProblem):
+    """Pointwise wall and contact condition checks of the grid, and the sup
+    of its ``interior_residuals``, keyed as the ``solve`` summary prints
+    them: ``wall_slip``, ``contact_w_jump``, ``contact_p_jump`` and
+    ``residual_sup``."""
+    p = grid_states(grid, prob).p
+    sup = max(float(res.max()) for res in interior_residuals(grid, prob).values())
     _, w = grid._mach
-    na = dom.eta_a.size
-    wall_slip = max(
-        float(np.max(np.abs(w[:, na - 1] - np.tan(prob.wall_angle_plus)))),
-        float(np.max(np.abs(w[:, na] - np.tan(prob.wall_angle_minus)))),
-    )
-    return ResidualReport(
-        sup_interior=sup,
-        interior_abs=interior,
-        wall_slip_max=wall_slip,
-        contact_w_jump=float(np.max(np.abs(w[:, 0] - w[:, -1]))),
-        contact_p_jump=float(np.max(np.abs(p[:, 0] - p[:, -1]))),
-    )
+    na = prob.domain.eta_a.size
+    return {
+        "wall_slip": max(float(np.max(np.abs(w[:, na - 1] - np.tan(prob.wall_angle_plus)))),
+                         float(np.max(np.abs(w[:, na] - np.tan(prob.wall_angle_minus))))),
+        "contact_w_jump": float(np.max(np.abs(w[:, 0] - w[:, -1]))),
+        "contact_p_jump": float(np.max(np.abs(p[:, 0] - p[:, -1]))),
+        "residual_sup": sup,
+    }
 
 
 # ---------------------------------------------------------------------------
 # CSV output
 
 
-def write_iteration_csv(report: IterationReport, path):
-    iters = range(1, report.iterations + 1)
-    write_csv(path, ("iter", "c0_gap", "c1_gap", "ratio"),
-              (iters, report.c0_gaps, report.c1_gaps, [float("nan")] + report.ratios))
+def write_iteration_csv(history, path):
+    """``fixed_point``'s history as it stands: iter,c0_gap,c1_gap,ratio."""
+    iters = range(1, len(history["c1_gap"]) + 1)
+    write_csv(path, ("iter", *history), (iters, *history.values()))
 
 
 def write_grid_csv(grid: InvariantGrid, path):

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from contactmoc import cli, fixtures, moc
+from contactmoc import cli, fixtures, lagrangian, moc
 
 
 def assemble(eps, nxi, neta, fp_tol=1e-10):
@@ -28,9 +28,19 @@ def solved(eps, nxi, neta, fp_tol=1e-10):
     key = (eps, nxi, neta, fp_tol)
     if key not in _SOLVE_CACHE:
         cfg, geom, profile, prob = assemble(eps, nxi, neta, fp_tol)
-        grid, report = moc.fixed_point(prob, fp_tol=cfg.fp_tol, max_fp_iters=cfg.max_fp_iters)
-        _SOLVE_CACHE[key] = (cfg, geom, profile, prob, grid, report)
+        grid, history = moc.fixed_point(prob, fp_tol=cfg.fp_tol, max_fp_iters=cfg.max_fp_iters)
+        _SOLVE_CACHE[key] = (cfg, geom, profile, prob, grid, history)
     return _SOLVE_CACHE[key]
+
+
+def solve_pipeline(cfg, geom, profile):
+    """The solve of ``cli.run_solve`` without its checks, summary and
+    outputs: ``(prob, grid, history, efield)``, the problem, the fixed
+    point's grid and history, and the reconstructed field."""
+    prob, _ = cli.build_pipeline(cfg, geom, profile)
+    grid, history = moc.fixed_point(prob, fp_tol=cfg.fp_tol, max_fp_iters=cfg.max_fp_iters)
+    efield = lagrangian.reconstruct(moc.grid_states(grid, prob), geom, prob.domain)
+    return prob, grid, history, efield
 
 
 @pytest.fixture(scope="session")

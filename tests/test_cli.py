@@ -16,6 +16,7 @@ import pytest
 from contactmoc import blowup, cli, config, fixtures, lagrangian, moc
 from contactmoc.expressions import SmoothExpression
 from tests import csv_reference, expression_reference
+from tests.conftest import solve_pipeline
 
 
 def run_cli(*args):
@@ -76,6 +77,25 @@ def test_solve_perturbed_metrics(workdir):
     assert float(s["wall_slip"]) <= 1e-8
     assert float(s["contact_p_jump"]) <= 1e-8
     assert float(s["eps"]) == pytest.approx(1e-3, rel=1e-6)
+
+
+# The solve summary's keys in the order the line prints them: the fixed
+# point's gaps, sup_dev, moc.residual_check's record, three entries of
+# lagrangian.weak_residual's and the reconstruction's contact figures.
+_SOLVE_KEYS = ("status eps iters c0_gap c1_gap ratio_last sup_dev wall_slip contact_w_jump "
+               "contact_p_jump residual_sup weak_max weak_contact_p weak_contact_mdot gcd_max "
+               "top_gap out").split()
+
+
+def test_solve_summary_keys_and_progress_lines(workdir, capsys):
+    code, out, s = main_in_process(capsys, "solve", "--config", workdir / "pert.cfg",
+                                   "--out", workdir / "out_keys")
+    assert code == 0
+    assert list(s) == _SOLVE_KEYS
+    progress = out.splitlines()[:-1]
+    assert len(progress) == int(s["iters"]) >= 2
+    last = f"iter {s['iters']}: c0_gap={float(s['c0_gap']):.3e} c1_gap={float(s['c1_gap']):.3e}"
+    assert progress[-1] == last
 
 
 def test_solve_emits_exactly_one_summary_line(workdir):
@@ -551,10 +571,12 @@ def test_reconstruction_gap_has_its_own_code(tmp_path):
     (by about 9e-9 on this lattice) by more than recon_top_tol."""
     cfg, geom, profile = fixtures.perturbed_inputs(1e-3, nxi=101, neta=26)
     tight = dataclasses.replace(cfg, recon_top_tol=1e-9)
-    with pytest.raises(moc.SolverError, match="^recon-gap: ") as info:
+    _, _, history, efield = solve_pipeline(tight, geom, profile)
+    gaps = history["c1_gap"]
+    assert gaps[-1] <= tight.fp_tol and len(gaps) == 3
+    assert efield.top_gap > tight.recon_top_tol
+    with pytest.raises(moc.SolverError, match="^recon-gap: "):
         cli.run_solve(tight, geom, profile, write_outputs=False)
-    report = info.value.report
-    assert report.c1_gaps[-1] <= tight.fp_tol and report.iterations == 3
     cfgp = tmp_path / "tight.cfg"
     config.write_config(tight, geom, profile, cfgp)
     r = run_cli("solve", "--config", str(cfgp), "--out", str(tmp_path / "o"), "--quiet")
@@ -776,9 +798,9 @@ def _solve_digests(tmp_path, name):
     fixtures.write_fixture(tmp_path / "s.cfg", eps=1e-3, nxi=140, neta=35)
     cfg, geom, profile = config.load_config(tmp_path / "s.cfg")
     cfg = dataclasses.replace(cfg, out_dir=str(tmp_path / name))
-    summary, artifacts = cli.run_solve(cfg, geom, profile)
-    digests = {key: hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
-               for key, path in artifacts["paths"].items()}
+    summary, _ = cli.run_solve(cfg, geom, profile)
+    digests = {key: hashlib.sha256((tmp_path / name / f"{key}.csv").read_bytes()).hexdigest()
+               for key in ("fields", "contact", "iterations", "grid")}
     digests["summary"] = hashlib.sha256(repr(sorted(summary.items())).encode()).hexdigest()
     return digests
 

@@ -156,7 +156,7 @@ def test_power_table_is_a_double_double():
 def test_nozzle_writers_match_per_value_formatting(tmp_path, neta):
     """fields.csv and grid.csv on a solved 140x35 lattice, and at unequal
     layers, hold the bytes of formatting every float of every row."""
-    cfg, geom, profile, prob, grid, report = solved(1e-3, 140, neta)
+    cfg, geom, profile, prob, grid, history = solved(1e-3, 140, neta)
     efield = lagrangian.reconstruct(moc.grid_states(grid, prob), geom, prob.domain)
 
     lagrangian.write_field_csv(efield, tmp_path / "fields.csv")
@@ -188,7 +188,7 @@ def test_field_writer_memory_stays_small(tmp_path):
     """The writer works block by block: writing fields.csv of the solved
     140x35 lattice, the kernel's tables included if this is their first
     use, peaks below 2 MB of Python-tracked memory."""
-    cfg, geom, profile, prob, grid, report = solved(1e-3, 140, 35)
+    cfg, geom, profile, prob, grid, history = solved(1e-3, 140, 35)
     efield = lagrangian.reconstruct(moc.grid_states(grid, prob), geom, prob.domain)
     tracemalloc.start()
     try:

@@ -1,7 +1,7 @@
 """The library keeps only what a run uses: every module-level function and
 class in ``src/contactmoc`` is referenced by code in ``src/`` or ``scripts/``,
-every dataclass field is read there, and every method of a ``src/`` class
-is called there.
+every dataclass field and every attribute a ``src/`` class sets on ``self``
+is read there, and every method of a ``src/`` class is called there.
 
 A helper, a field or a method that only the tests reach belongs in
 ``tests/``, reference implementations that tests compare the run path
@@ -175,13 +175,63 @@ def _uncalled_methods(modules, program):
     return uncalled
 
 
+def _attribute_reads(trees):
+    """How often ``trees`` read each attribute: as an attribute load (a
+    method call's callee included), or as the literal name handed to
+    ``getattr`` or ``hasattr``."""
+    reads = Counter()
+    for tree in trees:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                reads[n.attr] += 1
+            elif (isinstance(n, ast.Call) and getattr(n.func, "id", None) in ("getattr", "hasattr")
+                  and len(n.args) > 1 and isinstance(n.args[1], ast.Constant)):
+                reads[n.args[1].value] += 1
+    return reads
+
+
+def _self_attributes(cls):
+    """The names the methods of ``cls`` assign on their first argument
+    (``self.name = ...``)."""
+    names = set()
+    for stmt in cls.body:
+        if isinstance(stmt, ast.FunctionDef) and stmt.args.args:
+            me = stmt.args.args[0].arg
+            names.update(n.attr for n in ast.walk(stmt)
+                         if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                         and isinstance(n.value, ast.Name) and n.value.id == me)
+    return names
+
+
+def _carries(base, name):
+    """Whether instances of the external class ``base`` carry ``name``: as
+    a class attribute, or as one its argument-free constructor sets
+    (``argparse.ArgumentParser._negative_number_matcher``)."""
+    if hasattr(base, name):
+        return True
+    try:
+        return hasattr(base(), name)
+    except TypeError:
+        return False
+
+
+def _unread_attributes(modules, program):
+    """``module.Class.attribute`` of every attribute a class in ``modules``
+    sets on ``self`` that no tree of ``program`` reads.  An attribute that
+    instances of an external base class already carry is used: the base
+    reads it, as it calls an overridden method."""
+    reads = _attribute_reads(program)
+    unread = set()
+    for name, cls, tree in _classes(modules):
+        bases = _external_bases(cls, tree)
+        unread.update(f"{name}.{attr}" for attr in _self_attributes(cls)
+                      if not reads[attr] and not any(_carries(base, attr) for base in bases))
+    return unread
+
+
 # Names the library keeps although only the tests read them, each with the
 # reason.  An entry that is no longer test-only fails the layout tests.
-_TEST_ONLY = {
-    "moc.ResidualReport.interior_abs":
-        "test_residual_localizes_a_corrupted_node reads the per-node residual map "
-        "to show that the residual points at a corrupted node; the run reads only its sup",
-}
+_TEST_ONLY = {}
 
 
 def _program_and_tests():
@@ -191,7 +241,8 @@ def _program_and_tests():
 
 
 def _unused(modules, trees):
-    return _unread_fields(modules, trees) | _uncalled_methods(modules, trees)
+    return (_unread_fields(modules, trees) | _unread_attributes(modules, trees)
+            | _uncalled_methods(modules, trees))
 
 
 def test_every_dataclass_field_is_read():
@@ -199,6 +250,13 @@ def test_every_dataclass_field_is_read():
     modules, program, _ = _program_and_tests()
     unread = _unread_fields(modules, program) - set(_TEST_ONLY)
     assert not unread, f"dataclass fields no code in src/ or scripts/ reads: {sorted(unread)}"
+
+
+def test_every_self_attribute_is_read():
+    """An attribute that only the tests read is state a run carries for nothing."""
+    modules, program, _ = _program_and_tests()
+    unread = _unread_attributes(modules, program) - set(_TEST_ONLY)
+    assert not unread, f"attributes set on self that no code in src/ or scripts/ reads: {sorted(unread)}"
 
 
 def test_every_method_is_called():
@@ -225,6 +283,9 @@ def test_test_only_names_are_caught():
         "    used: float\n"
         "    test_only: float\n"
         "class Parser(argparse.ArgumentParser):\n"
+        "    def __init__(self):\n"
+        "        super().__init__()\n"
+        "        self._negative_number_matcher = None\n"
         "    def error(self, message):\n"
         "        self.exit(2)\n"
         "class Line:\n"
@@ -234,18 +295,29 @@ def test_test_only_names_are_caught():
         "        return x\n"
         "    def probe(self, x):\n"
         "        return self.probe(x - 1) if x else 0\n"
-        "def main(report, line):\n"
-        "    return report.used + line.run(1) + report.probe\n"
+        "class Table:\n"
+        "    def __init__(self, lo):\n"
+        "        self.lo, self.hi = lo, lo + 1\n"
+        "        self.size = self.flag = 0\n"
+        "    def span(self):\n"
+        "        return self.hi - self.lo\n"
+        "def main(report, line, table):\n"
+        "    return report.used + line.run(1) + report.probe + table.span() + hasattr(table, 'size')\n"
     )
-    test = "def test(report, line):\n    assert report.test_only == line.probe(2)\n"
+    test = ("def test(report, line, table):\n"
+            "    assert report.test_only == line.probe(2) == table.flag\n")
     modules = {"lib.py": ast.parse(library)}
     program = list(modules.values())
     assert _unread_fields(modules, program) == {"lib.Report.test_only"}
     assert _uncalled_methods(modules, program) == {"lib.Line.probe"}
+    # A tuple and a chained assignment; an attribute argparse's own
+    # instances carry is read by the base.
+    assert _unread_attributes(modules, program) == {"lib.Table.flag"}
     assert _unused(modules, program + [ast.parse(test)]) == set()
     # A read through getattr's string, and a base class defined in the module.
-    program.append(ast.parse("getattr(report, 'test_only')\n"))
+    program.append(ast.parse("getattr(report, 'test_only')\ngetattr(table, 'flag')\n"))
     assert _unread_fields(modules, program) == set()
+    assert _unread_attributes(modules, program) == set()
     sub = ast.parse("import argparse\nclass P(argparse.ArgumentParser):\n    pass\n"
                     "class Q(P):\n    def format_help(self):\n        return ''\n")
     assert _uncalled_methods({"sub.py": sub}, [sub]) == set()

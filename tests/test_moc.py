@@ -9,7 +9,7 @@ from contactmoc import cli, config, fixtures, gas, interp, moc, oracle
 from contactmoc.config import BackgroundState
 from tests import gas_reference, simple_wave
 from tests.characteristics import trace_characteristic
-from tests.conftest import assemble, solved
+from tests.conftest import assemble, solve_pipeline, solved
 from tests.cubic_reference import plain_cubic
 
 G = 1.4  # gamma
@@ -50,7 +50,7 @@ def test_frozen_lambdas_locality_of_perturbation():
 
 def test_frozen_lambdas_match_direct_recomputation(rng):
     cfg, geom, profile, prob = solved(1e-3, 101, 26)[3], None, None, None
-    cfg, geom, profile, prob, grid, report = solved(1e-3, 101, 26)
+    cfg, geom, profile, prob, grid, history = solved(1e-3, 101, 26)
     frozen = moc.frozen_lambdas(grid, prob)
     st = moc.grid_states(grid, prob)
     ks = rng.integers(0, grid.zm.shape[0], 100)
@@ -89,7 +89,7 @@ def test_gauss_table_is_leggauss_16_on_the_unit_interval():
 def test_coupling_bits_of_one_gauss_sum_per_contact_side(eps):
     # alpha and beta of a solved grid carry the bits of one (16, nxi) Gauss
     # sum along each side's own path, against the reference dTheta/dp.
-    cfg, geom, profile, prob, grid, report = solved(eps, 101, 26)
+    cfg, geom, profile, prob, grid, history = solved(eps, 101, 26)
     alpha, beta, _, _, _ = moc.coupling_coefficients(grid, prob)
     p = moc.grid_states(grid, prob).p
     for got, node, sd in zip((alpha, beta), (0, -1), contact_stream_data(prob)):
@@ -102,7 +102,7 @@ def test_first_contraction_ratio_is_linear_in_eps():
     # The outer iteration contracts at a rate proportional to the data size:
     # the first gap ratio is about 0.143 eps on 201x51, with log-log slope 1.
     eps = (1e-4, 3e-4, 1e-3, 3e-3, 1e-2)
-    first = np.array([solved(e, 201, 51)[5].ratios[0] for e in eps])
+    first = np.array([solved(e, 201, 51)[5]["ratio"][1] for e in eps])
     eps = np.array(eps)
     slope = np.polyfit(np.log(eps), np.log(first), 1)[0]
     assert 0.95 <= slope <= 1.05
@@ -115,7 +115,7 @@ def test_first_iterate_misses_the_solution_by_eps_squared():
     # the gap (3.97-3.99 per doubling on 201x51).
     gaps = []
     for eps in (1e-3, 2e-3, 4e-3, 8e-3):
-        cfg, geom, profile, prob, grid, report = solved(eps, 201, 51)
+        cfg, geom, profile, prob, grid, history = solved(eps, 201, 51)
         first = moc.solve_linearized(moc.InvariantGrid.background(prob), prob)
         gaps.append(max(np.max(np.abs(grid.zm - first.zm)), np.max(np.abs(grid.zp - first.zp))))
     ratios = np.array(gaps[1:]) / np.array(gaps[:-1])
@@ -123,7 +123,7 @@ def test_first_iterate_misses_the_solution_by_eps_squared():
 
 
 def test_coupling_gamma_algebra_exact():
-    cfg, geom, profile, prob, grid, report = solved(1e-3, 101, 26)
+    cfg, geom, profile, prob, grid, history = solved(1e-3, 101, 26)
     _, _, gamma1, gamma2, gamma3 = moc.coupling_coefficients(grid, prob)
     assert np.max(np.abs(gamma2 + gamma3 - 2.0)) < 1e-15
     assert np.max(np.abs(gamma2 - gamma3 - 2.0 * gamma1)) < 1e-15
@@ -172,7 +172,7 @@ def test_trace_straight_line_for_constant_field():
 def test_trace_wall_hits_of_converged_field():
     # the corner characteristics of the converged frozen field reach the
     # walls close to where the background's straight rays do
-    cfg, geom, profile, prob, grid, report = solved(1e-3, 101, 26)
+    cfg, geom, profile, prob, grid, history = solved(1e-3, 101, 26)
     frozen = moc.frozen_lambdas(grid, prob)
     hit_a = trace_characteristic(frozen, prob.domain, "a", "+", (0.0, 0.0))
     hit_b = trace_characteristic(frozen, prob.domain, "b", "-", (0.0, 0.0))
@@ -185,7 +185,7 @@ def test_trace_wall_hits_of_converged_field():
 
 
 def test_trace_back_and_forth_second_order():
-    cfg, geom, profile, prob, grid, report = solved(1e-3, 101, 26)
+    cfg, geom, profile, prob, grid, history = solved(1e-3, 101, 26)
     frozen = moc.frozen_lambdas(grid, prob)
 
     def round_trip_error(steps):
@@ -445,9 +445,8 @@ def test_solve_outputs_lipschitz_in_prev():
 
 def test_fixed_point_background_one_iteration():
     cfg, geom, profile, prob = assemble(0.0, 101, 26)
-    grid, report = moc.fixed_point(prob, fp_tol=cfg.fp_tol, max_fp_iters=cfg.max_fp_iters)
-    assert report.iterations == 1
-    assert report.c1_gaps == [0.0]
+    grid, history = moc.fixed_point(prob, fp_tol=cfg.fp_tol, max_fp_iters=cfg.max_fp_iters)
+    assert history["c1_gap"] == [0.0]
 
 
 def test_background_off_unit_pressure_is_exactly_zero():
@@ -457,20 +456,19 @@ def test_background_off_unit_pressure_is_exactly_zero():
     p = 1.29
     bg = BackgroundState(u_a=2.2 * np.sqrt(p), rho_a=1.0, u_b=1.9 * np.sqrt(p), rho_b=1.2, p=p)
     cfg, geom, profile = fixtures.perturbed_inputs(0.0, background=bg, nxi=140, neta=35)
-    summary, artifacts = cli.run_solve(cfg, geom, profile, write_outputs=False)
-    grid = artifacts["grid"]
+    prob, grid, history, _ = solve_pipeline(cfg, geom, profile)
     assert not grid.zm.any() and not grid.zp.any()
-    assert summary["c0_gap"] == summary["c1_gap"] == 0.0
-    out = oracle.upwind_march(artifacts["prob"])
+    assert history["c0_gap"][-1] == history["c1_gap"][-1] == 0.0
+    out = oracle.upwind_march(prob)
     assert not out.zm.any() and not out.zp.any()
 
 
 def test_fixed_point_gaps_decrease_and_converge():
-    cfg, geom, profile, prob, grid, report = solved(1e-3, 101, 26)
-    gaps = report.c1_gaps
+    cfg, geom, profile, prob, grid, history = solved(1e-3, 101, 26)
+    gaps = history["c1_gap"]
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] <= cfg.fp_tol
-    assert all(r <= 0.9 for r in report.ratios)
+    assert all(r <= 0.9 for r in history["ratio"][1:])
 
 
 def test_exact_simple_wave_refinement():
@@ -500,7 +498,7 @@ def test_exact_simple_wave_refinement():
 def test_converged_grid_inverts_from_cold_in_few_sweeps():
     # Starting at s(p_ref), Newton in s = sqrt(M^2-1) converges on every node
     # of an O(eps) grid in two sweeps; converged nodes take no further step.
-    cfg, geom, profile, prob, grid, report = solved(1e-3, 140, 35)
+    cfg, geom, profile, prob, grid, history = solved(1e-3, 140, 35)
     line = prob.line
     cold = gas.Streamline(line.a0, line.b0, line.p_ref, line.gamma, line.newton_tol,
                           max_newton_iters=3)
@@ -508,18 +506,16 @@ def test_converged_grid_inverts_from_cold_in_few_sweeps():
     assert np.array_equal(p, moc.grid_states(grid, prob).p)
 
 
-def test_fixed_point_no_convergence_carries_report():
+def test_fixed_point_no_convergence_has_its_code():
     cfg, geom, profile, prob = assemble(1e-3, 101, 26)
-    with pytest.raises(moc.SolverError, match="no-convergence") as err:
+    with pytest.raises(moc.SolverError, match="^no-convergence: .* within 2 iterations"):
         moc.fixed_point(prob, fp_tol=1e-30, max_fp_iters=2)
-    assert err.value.report is not None
-    assert err.value.report.iterations == 2
 
 
 @pytest.mark.parametrize("stage,code", [("check_cfl", "cfl"),
                                         ("coupling_coefficients", "sonic-limit"),
                                         ("frozen_lambdas", "degenerate")])
-def test_failure_inside_an_iteration_carries_report(monkeypatch, stage, code):
+def test_failure_inside_an_iteration_keeps_its_code(monkeypatch, stage, code):
     # the first iteration completes; the second fails inside solve_linearized
     cfg, geom, profile, prob = assemble(1e-3, 109, 40)
     real = getattr(moc, stage)
@@ -532,11 +528,9 @@ def test_failure_inside_an_iteration_carries_report(monkeypatch, stage, code):
         return real(*args)
 
     monkeypatch.setattr(moc, stage, fail_on_second)
-    with pytest.raises(moc.SolverError, match=f"^{code}: injected") as err:
+    with pytest.raises(moc.SolverError, match=f"^{code}: injected"):
         moc.fixed_point(prob, fp_tol=cfg.fp_tol, max_fp_iters=cfg.max_fp_iters)
-    assert err.value.report is not None
-    assert err.value.report.iterations == 1
-    assert len(err.value.report.c1_gaps) == 1
+    assert len(calls) == 2
 
 
 def test_nonpositive_coupling_weights_stop_both_marches(monkeypatch):
@@ -560,18 +554,18 @@ def test_supersonic_margin_guard():
 
 
 def test_wall_and_contact_identities_at_convergence():
-    _check_wall_and_contact_identities(*solved(1e-3, 101, 26)[3:])
+    _check_wall_and_contact_identities(*solved(1e-3, 101, 26)[3:5])
 
 
 def test_wall_and_contact_identities_at_unequal_layers():
     # The row a | b puts the walls at na-1 | na; unequal layers catch an
     # index taken from the wrong layer.
-    prob, grid, report = solved(1e-2, 161, (21, 34))[3:]
+    prob, grid = solved(1e-2, 161, (21, 34))[3:5]
     assert grid.zm_a.shape[1] == 21 and grid.zm_b.shape[1] == 34
-    _check_wall_and_contact_identities(prob, grid, report)
+    _check_wall_and_contact_identities(prob, grid)
 
 
-def _check_wall_and_contact_identities(prob, grid, report):
+def _check_wall_and_contact_identities(prob, grid):
     # imposed closures hold to machine precision
     wall = grid.zm_a[1:, -1] + grid.zp_a[1:, -1] - 2.0 * prob.wall_angle_plus[1:]
     assert np.max(np.abs(wall)) < 1e-14
@@ -588,9 +582,10 @@ def _check_wall_and_contact_identities(prob, grid, report):
     assert np.max(np.abs(r1)) < 1e-15
     assert np.max(np.abs(r2)) < 1e-15
     # derived interface conditions
-    assert report.residuals.wall_slip_max < 1e-12
-    assert report.residuals.contact_w_jump < 1e-12
-    assert report.residuals.contact_p_jump < 1e-8
+    res = moc.residual_check(grid, prob)
+    assert res["wall_slip"] < 1e-12
+    assert res["contact_w_jump"] < 1e-12
+    assert res["contact_p_jump"] < 1e-8
 
 
 def _mirrored(cfg, geom, profile):
@@ -622,18 +617,15 @@ def test_solution_respects_the_mirror_symmetry():
     index taken from the wrong layer shows too."""
     cfg, geom, profile = fixtures.perturbed_inputs(1e-3, nxi=140, neta=35)
     cfg = dataclasses.replace(cfg, grid_neta_b=42)
-    _, run = cli.run_solve(cfg, geom, profile, write_outputs=False)
-    _, mirror = cli.run_solve(*_mirrored(cfg, geom, profile), write_outputs=False)
-    grid, grid_m = run["grid"], mirror["grid"]
+    prob, grid, _, field = solve_pipeline(cfg, geom, profile)
+    prob_m, grid_m, _, field_m = solve_pipeline(*_mirrored(cfg, geom, profile))
     assert grid_m.zm_a.shape[1] == 42 and grid_m.zm_b.shape[1] == 35
     # The invariants to a few ulps (3 measured for either solver).
     ulps = 8 * np.spacing(1.0)
-    for a, b in ((grid, grid_m),
-                 (oracle.upwind_march(run["prob"]), oracle.upwind_march(mirror["prob"]))):
+    for a, b in ((grid, grid_m), (oracle.upwind_march(prob), oracle.upwind_march(prob_m))):
         assert np.max(np.abs(b.zm + a.zp[:, ::-1])) <= ulps
         assert np.max(np.abs(b.zp + a.zm[:, ::-1])) <= ulps
     # The states to the Newton tolerance (3.2e-15 measured).
-    field, field_m = run["efield"], mirror["efield"]
     for name, sign in (("u", 1.0), ("v", -1.0), ("p", 1.0), ("rho", 1.0)):
         got, want = getattr(field_m.state, name), sign * getattr(field.state, name)[:, ::-1]
         assert np.max(np.abs(got - want)) <= 10 * cfg.newton_tol
@@ -673,8 +665,8 @@ def _rescaled(cfg, geom, profile, vel=1.0, dens=1.0, length=1.0):
 def _similarity_base():
     """The 140x35 fixture's solve and oracle march, shared by the cases."""
     inputs = fixtures.perturbed_inputs(1e-3, nxi=140, neta=35)
-    _, run = cli.run_solve(*inputs, write_outputs=False)
-    return inputs, run, oracle.upwind_march(run["prob"])
+    run = solve_pipeline(*inputs)
+    return inputs, run, oracle.upwind_march(run[0])
 
 
 @pytest.mark.parametrize("kind", [{"vel": 1.7}, {"dens": 1.7}, {"length": 3.0}],
@@ -689,13 +681,13 @@ def test_solution_respects_the_similarity_of_the_euler_equations(kind):
     states to 3.8e-15 and y to 2.9e-15."""
     inputs, run, marched = _similarity_base()
     cfg = inputs[0]
-    _, scaled = cli.run_solve(*_rescaled(*inputs, **kind), write_outputs=False)
+    _, grid, _, field = run
+    prob_s, grid_s, _, field_s = solve_pipeline(*_rescaled(*inputs, **kind))
     ulps = 8 * np.spacing(1.0)
-    for a, b in ((run["grid"], scaled["grid"]), (marched, oracle.upwind_march(scaled["prob"]))):
+    for a, b in ((grid, grid_s), (marched, oracle.upwind_march(prob_s))):
         assert np.max(np.abs(b.zm - a.zm)) <= ulps
         assert np.max(np.abs(b.zp - a.zp)) <= ulps
     vel, dens, length = (kind.get(name, 1.0) for name in ("vel", "dens", "length"))
-    field, field_s = run["efield"], scaled["efield"]
     for name, scale in (("u", vel), ("v", vel), ("p", dens * vel * vel), ("rho", dens)):
         got, want = getattr(field_s.state, name) / scale, getattr(field.state, name)
         assert np.max(np.abs(got - want)) <= 10 * cfg.newton_tol
@@ -706,9 +698,9 @@ def test_residual_background_zero():
     cfg, geom, profile, prob = assemble(0.0, 60, 12)
     grid = moc.InvariantGrid.background(prob)
     rep = moc.residual_check(grid, prob)
-    assert rep.sup_interior == 0.0
-    assert rep.wall_slip_max == 0.0
-    assert rep.contact_w_jump == 0.0
+    assert rep["residual_sup"] == 0.0
+    assert rep["wall_slip"] == 0.0
+    assert rep["contact_w_jump"] == 0.0
 
 
 def test_residual_localizes_a_corrupted_node():
@@ -717,8 +709,7 @@ def test_residual_localizes_a_corrupted_node():
     grid = moc.InvariantGrid(prob.domain, base.zm.copy(), base.zp.copy())
     k0, j0 = 20, 6  # node 6 of layer a
     grid.zm[k0, j0] += 1e-5
-    rep = moc.residual_check(grid, prob)
-    res = rep.interior_abs["a-"]
+    res = moc.interior_residuals(grid, prob)["a-"]
     peak = np.unravel_index(np.argmax(res), res.shape)
     # residual rows start at k=1, columns at j=1
     assert abs(peak[0] + 1 - k0) <= 1 and abs(peak[1] + 1 - j0) <= 1
@@ -728,12 +719,12 @@ def test_residual_localizes_a_corrupted_node():
 
 
 def test_iteration_csv_format(tmp_path):
-    cfg, geom, profile, prob, grid, report = solved(1e-3, 101, 26)
+    cfg, geom, profile, prob, grid, history = solved(1e-3, 101, 26)
     path = tmp_path / "iters.csv"
-    moc.write_iteration_csv(report, path)
+    moc.write_iteration_csv(history, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "iter,c0_gap,c1_gap,ratio"
-    assert len(lines) == 1 + report.iterations
+    assert len(lines) == 1 + len(history["c1_gap"])
     gpath = tmp_path / "grid.csv"
     moc.write_grid_csv(grid, gpath)
     glines = gpath.read_text().splitlines()
@@ -744,7 +735,7 @@ def test_iteration_csv_format(tmp_path):
 
 def test_z_deviation_halves_with_eps():
     def zdev(eps):
-        cfg, geom, profile, prob, grid, report = solved(eps, 101, 26)
+        cfg, geom, profile, prob, grid, history = solved(eps, 101, 26)
         return max(np.max(np.abs(grid.zm)), np.max(np.abs(grid.zp)))
 
     ratio = zdev(1e-3) / zdev(5e-4)
@@ -754,8 +745,8 @@ def test_z_deviation_halves_with_eps():
 def test_residual_first_order_under_refinement():
     sups = []
     for nxi, neta in ((101, 26), (201, 51)):
-        cfg, geom, profile, prob, grid, report = solved(1e-3, nxi, neta)
-        sups.append(report.residuals.sup_interior)
+        cfg, geom, profile, prob, grid, history = solved(1e-3, nxi, neta)
+        sups.append(moc.residual_check(grid, prob)["residual_sup"])
     assert sups[1] < sups[0]
     assert sups[0] / sups[1] > 1.6  # ~2 for a first-order upwind residual
 
@@ -776,7 +767,7 @@ def test_self_convergence_sup_order_at_least_two():
 
 
 def test_z_nearly_constant_along_frozen_characteristic():
-    cfg, geom, profile, prob, grid, report = solved(1e-3, 201, 51)
+    cfg, geom, profile, prob, grid, history = solved(1e-3, 201, 51)
     frozen = moc.frozen_lambdas(grid, prob)
     dom = prob.domain
     path = trace_characteristic(frozen, dom, "a", "+", (0.0, 0.3 * dom.eta_a[-1]), max_steps=40)

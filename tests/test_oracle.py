@@ -209,7 +209,7 @@ def test_substep_cap_raises_degenerate(monkeypatch):
 
 
 def test_oracle_approaches_moc_solution():
-    cfg, geom, profile, prob, grid, report = solved(1e-3, 101, 26)
+    cfg, geom, profile, prob, grid, history = solved(1e-3, 101, 26)
     out = oracle.upwind_march(prob)
     sup = oracle.compare_fields(grid, out)
     dev_scale = max(np.max(np.abs(grid.zm_a)), np.max(np.abs(grid.zp_a)))
