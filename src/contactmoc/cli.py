@@ -159,54 +159,74 @@ def build_pipeline(cfg, geom, profile):
     return prob, (m_a, m_b)
 
 
-def run_solve(cfg, geom, profile, write_outputs=True):
-    """Full pipeline: solve, reconstruct, weak residual, field output.
-
-    Returns (summary, history): the entries of the ``solve`` summary line,
-    and the fixed point's history (``moc.fixed_point``).
-    """
-    from . import lagrangian, moc
-
+def _checked_eps(cfg, geom, profile):
+    """A run's profile checks, in the order it reports them; returns eps."""
     eps = config.perturbation_size(profile, geom, cfg.background)
     profile.validate(cfg.gamma, cfg.compat_tol)  # an --eps-scale or sweep profile is new
     config.check_inlet_ordinates(profile, geom)
     violations = config.validate_compatibility(profile, geom, tol=cfg.compat_tol)
     if violations:
         raise config.ConfigError("inlet compatibility violated: " + "; ".join(violations))
-    if write_outputs:
-        _check_out_dir(cfg.out_dir)
+    return eps
+
+
+def _solve(cfg, geom, profile):
+    """A run's fixed point and reconstruction, with its recon-gap check.
+    Returns (figures, (prob, grid, history, efield)): the ``solve`` summary
+    entries from ``iters`` to ``sup_dev``, and what they came from."""
+    from . import lagrangian, moc
 
     prob, _ = build_pipeline(cfg, geom, profile)
     grid, history = moc.fixed_point(prob, fp_tol=cfg.fp_tol, max_fp_iters=cfg.max_fp_iters)
-    residuals = moc.residual_check(grid, prob)
     efield = lagrangian.reconstruct(moc.grid_states(grid, prob), geom, prob.domain)
     if efield.top_gap > cfg.recon_top_tol:
         raise moc.SolverError(
             f"recon-gap: upper-wall image misses g_plus by {efield.top_gap:.3e} "
             f"(recon_top_tol = {cfg.recon_top_tol:.1e}); refine the lattice or raise "
             "recon_top_tol")
-    weak = lagrangian.weak_residual(efield, cfg.gamma)
-
     sup_dev = max(float(np.max(np.abs(getattr(efield.state, name)[:, cols] - getattr(st, name))))
                   for st, (_, _, cols) in zip(cfg.background.states(), efield.domain.layers)
                   for name in ("u", "v", "p", "rho"))
-
-    if write_outputs:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        out = cfg.out_dir
-        lagrangian.write_field_csv(efield, os.path.join(out, "fields.csv"))
-        lagrangian.write_contact_csv(efield, os.path.join(out, "contact.csv"))
-        moc.write_iteration_csv(history, os.path.join(out, "iterations.csv"))
-        moc.write_grid_csv(grid, os.path.join(out, "grid.csv"))
-
-    summary = {
-        "status": "ok",
-        "eps": eps,
+    figures = {
         "iters": len(history["c1_gap"]),
         "c0_gap": history["c0_gap"][-1],
         "c1_gap": history["c1_gap"][-1],
         "ratio_last": history["ratio"][-1],
         "sup_dev": sup_dev,
+    }
+    return figures, (prob, grid, history, efield)
+
+
+def run_member(cfg, geom, profile):
+    """One ``sweep`` member: a run's profile checks and ``_solve``, without
+    its residual checks and outputs; returns ``_solve``'s figures."""
+    _checked_eps(cfg, geom, profile)
+    return _solve(cfg, geom, profile)[0]
+
+
+def run_solve(cfg, geom, profile):
+    """Full pipeline: ``_solve``, residual checks, field output.  Returns
+    (summary, history): the entries of the ``solve`` summary line, and the
+    fixed point's history (``moc.fixed_point``)."""
+    from . import lagrangian, moc
+
+    eps = _checked_eps(cfg, geom, profile)
+    _check_out_dir(cfg.out_dir)
+    figures, (prob, grid, history, efield) = _solve(cfg, geom, profile)
+    residuals = moc.residual_check(grid, prob)
+    weak = lagrangian.weak_residual(efield, cfg.gamma)
+
+    out = cfg.out_dir
+    os.makedirs(out, exist_ok=True)
+    lagrangian.write_field_csv(efield, os.path.join(out, "fields.csv"))
+    lagrangian.write_contact_csv(efield, os.path.join(out, "contact.csv"))
+    moc.write_iteration_csv(history, os.path.join(out, "iterations.csv"))
+    moc.write_grid_csv(grid, os.path.join(out, "grid.csv"))
+
+    summary = {
+        "status": "ok",
+        "eps": eps,
+        **figures,
         **residuals,
         **{key: weak[key] for key in ("weak_max", "weak_contact_p", "weak_contact_mdot")},
         "gcd_max": float(np.max(np.abs(efield.y[:, -1]))),
@@ -371,8 +391,7 @@ def cmd_sweep(args):
             t = target / eps_base
             try:
                 prof_t = profile.scale_deviation(cfg.background, t)
-                summaries[target], _ = run_solve(cfg, geom.scale_deviation(t), prof_t,
-                                                 write_outputs=False)
+                summaries[target] = run_member(cfg, geom.scale_deviation(t), prof_t)
             except _run_errors() as exc:  # keep partial results
                 failure = (target, exc)
                 break

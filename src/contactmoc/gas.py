@@ -19,8 +19,10 @@ Theta is closed form: along a streamline dTheta/dp = sqrt(M^2-1)/(rho q^2)
 Supersonic Flow and Shock Waves, ch. IV).  The inversion is one Newton
 iteration on nu in the Mach variable s = sqrt(M^2-1) = cot(mu), whose
 derivative is rational in s.  Everything else is closed form in s: the
-pressure from M^2 = 1 + s^2, and, with the flow-angle tangent
-w = tan((z_minus + z_plus)/2), the characteristic speeds
+pressure from M^2 = 1 + s^2, the contact weights' mean of dTheta/dp from
+p_ref, which is the secant Theta(p) / (p - p_ref) since Theta(p_ref) = 0,
+and, with the flow-angle tangent w = tan((z_minus + z_plus)/2), the
+characteristic speeds
 
     lambda_pm = +-rho c / cos(theta +- mu) = +-rho q sqrt(1+w^2) / (s -+ w),
 
@@ -30,7 +32,7 @@ from each streamline's sonic density and sound speed.
 All quantities are nondimensional.  The pointwise functions (sound speed,
 Bernoulli and entropy constants, sonic pressure) accept scalars or numpy
 arrays and broadcast.  The invariants of a state, their inversion
-z -> (s, w) -> (u, v, p, rho), the characteristic speeds and dTheta/dp exist
+z -> (s, w) -> (u, v, p, rho), the characteristic speeds and the secant exist
 only as methods of ``Streamline``, which computes its streamlines' constants
 (sonic pressure and its cap, rho* c*, nu(M(p_ref)), the Newton start and
 floor, the powers of A0) once and takes arrays; ``moc.MocProblem.line`` is
@@ -146,18 +148,20 @@ class Streamline:
     reference pressure ``p_ref`` and the adiabatic exponent ``gamma``,
     prepared for repeated evaluations: the invariants of a state, the Mach
     variable s = sqrt(M^2-1) and the state at given invariants, the
-    characteristic speeds and dTheta/dp.  It is the one way to evaluate any
-    of them, and it exposes ``a0`` and ``b0`` as float arrays, ``p_ref`` and
-    ``gamma``.  A0, B0 and p_ref must be positive (``out-of-range``).
+    characteristic speeds and the contact weights' secant.  It is the one
+    way to evaluate any of them, and it exposes ``a0`` and ``b0`` as float
+    arrays, ``p_ref`` and ``gamma``.  A0, B0 and p_ref must be positive
+    (``out-of-range``).
 
     Everything that depends on the streamlines alone is computed once: here
-    the powers of A0 that dTheta/dp and the Bernoulli velocity use, and on
-    the first inversion or forward map the Newton constants, which are the
-    sonic pressure and its SONIC_MARGIN cap, the Newton floor
-    s_floor = s(cap) and nu(s_floor), nu_ref = nu(M(p_ref)), and the Newton
-    start s0 = max(s(p_ref), s_floor) and nu(s0).  The forward map and the
-    inversion read the same nu_ref and cap.  With them, on the first
-    evaluation of the speeds, comes rho* c*, the sonic mass flux.
+    the power of A0 that the Bernoulli velocity uses, and on the first
+    inversion or forward map the Newton constants, which are the sonic
+    pressure and its SONIC_MARGIN cap, the Newton floor s_floor = s(cap) and
+    nu(s_floor), nu_ref = nu(M(p_ref)), and the Newton start
+    s0 = max(s(p_ref), s_floor) and nu(s0); s0 is also the secant's s_ref.
+    The forward map and the inversion read the same nu_ref and cap.  With
+    them, on the first evaluation of the speeds, comes rho* c*, the sonic
+    mass flux.
 
     The methods take numpy arrays (not Python scalars), broadcast against
     the shape of the stream data and return arrays.  The sonic pressure
@@ -184,14 +188,9 @@ class Streamline:
         a0, b0 = (np.ravel(v) for v in arrays)
         self._nu_max = (np.sqrt(k) - 1.0) * np.pi / 2
 
-        # Factors of dTheta/dp and of the Bernoulli velocity, in the data's shape.
-        a_pow = a0 ** (1.0 / gam)
-        self._two_b0 = (2.0 * b0).reshape(shape)
-        self._sonic_a = (gam * (gam + 1.0) / (gam - 1.0) * a_pow).reshape(shape)
-        self._bern_a = (gam / (gam - 1.0) * a_pow).reshape(shape)
-        self._front = (2.0 * np.sqrt(gam) * a0 ** (-0.5 / gam)).reshape(shape)
+        # Factors of the Bernoulli velocity, in the data's shape.
         self._gm1_b0 = ((gam - 1.0) * b0).reshape(shape)
-        self._gam_a = (gam * a_pow).reshape(shape)
+        self._gam_a = (gam * a0 ** (1.0 / gam)).reshape(shape)
 
     @cached_property
     def _newton(self):
@@ -367,16 +366,21 @@ class Streamline:
         flux = self._flux_sonic * (k / (k + s2)) ** (0.5 * k) * np.sqrt((1.0 + s2) * (1.0 + w * w))
         return -flux / (s + w), flux / (s - w)
 
-    def dtheta_dp(self, p):
-        """Closed-form dTheta/dp = sqrt(M^2-1)/(rho q^2) at the pressures p;
-        strictly positive on the supersonic range."""
-        gam = self.gamma
-        rad = self._two_b0 - self._sonic_a * p ** ((gam - 1.0) / gam)
-        # One reduction for both guards; the failing one is found only on error.
-        if not ((p > 0.0) & (rad > 0.0)).all():
-            if not (p > 0.0).all():
-                raise GasError("out-of-range: pressure must be positive")
-            raise GasError("sonic-limit: dTheta/dp radicand is nonpositive")
-        den = (self._front * (self.b0 - self._bern_a * p ** (1.0 - 1.0 / gam))
-               * p ** ((gam + 1.0) / (2.0 * gam)))
-        return np.sqrt(rad) / den
+    def theta_secant(self, s):
+        """Theta / (p - p_ref) at the Mach variables s, p = p(s): the mean of
+        dTheta/dp from p_ref to p, positive.  Both factors are written on
+        d = s_ref - s (s_ref = s(p_ref), the Newton start), so neither cancels:
+
+        Theta = sqrt(K) arctan(d / (sqrt(K) (1 + s s_ref/K))) - arctan(d / (1 + s s_ref)),
+        p - p_ref = p_ref expm1(gamma/(gamma-1) log1p(d (s_ref + s) / (K + s^2))),
+
+        and where d == 0 it is the limit dTheta/dp(p_ref) = s / (gamma p_ref (1 + s^2)).
+        """
+        gam, k, p_ref = self.gamma, self._k, self.p_ref
+        s_ref = self._newton[5].reshape(self.shape)
+        d = s_ref - s
+        rk = np.sqrt(k)
+        theta = rk * np.arctan(d / (rk * (1.0 + s * s_ref / k))) - np.arctan(d / (1.0 + s * s_ref))
+        dp = p_ref * np.expm1(gam / (gam - 1.0) * np.log1p(d * (s_ref + s) / (k + s * s)))
+        at_ref = d == 0.0
+        return np.where(at_ref, s / (gam * p_ref * (1.0 + s * s)), theta / np.where(at_ref, 1.0, dp))

@@ -29,8 +29,10 @@ frozen field before it is marched (Courant, Friedrichs & Lewy, Math. Ann.
 averaged-derivative coefficients
 
     alpha = 1 / (2 int_0^1 dTheta/dp(p_bg + tau (p_prev - p_bg)) dtau)
+          = (p_prev - p_bg) / (2 Theta(p_prev))
 
-(and beta likewise below the contact); the mixing weights
+(and beta likewise below the contact), in closed form because
+Theta(p_bg) = 0 (``gas.Streamline.theta_secant``); the mixing weights
 gamma_1 = (alpha-beta)/(alpha+beta), gamma_2 = 2 alpha/(alpha+beta),
 gamma_3 = 2 beta/(alpha+beta) assign the two outgoing invariants from the
 two incoming ones.  The background's invariants are exactly (0, 0) in both
@@ -53,25 +55,6 @@ from .config import NozzleGeometry, RunConfig
 from .csvout import write_csv
 from .lagrangian import LagrangianDomain
 
-# 16-point Gauss-Legendre rule on [0, 1] for the averaged-derivative
-# coefficients (fixed order; the integrand is smooth): 0.5 (x + 1) and 0.5 w
-# of numpy.polynomial.legendre.leggauss(16), written out so that importing
-# the solver does not load numpy.polynomial.  repr round-trips a float, so
-# these are the same bits (tests/test_moc.py pins them).
-_GL_X = np.array([
-    0.005299532504175031, 0.0277124884633837, 0.06718439880608412, 0.1222977958224985,
-    0.19106187779867811, 0.2709916111713863, 0.35919822461037054, 0.4524937450811813,
-    0.5475062549188188, 0.6408017753896295, 0.7290083888286136, 0.8089381222013219,
-    0.8777022041775016, 0.9328156011939159, 0.9722875115366163, 0.994700467495825,
-])
-_GL_W = np.array([
-    0.013576229705877088, 0.031126761969323728, 0.0475792558412463, 0.062314485627767036,
-    0.07479799440828835, 0.08457825969750132, 0.09130170752246182, 0.09472530522753432,
-    0.09472530522753432, 0.09130170752246182, 0.08457825969750132, 0.07479799440828835,
-    0.062314485627767036, 0.0475792558412463, 0.031126761969323728, 0.013576229705877088,
-])
-
-
 class SolverError(RuntimeError):
     """Solver failure; message starts with a machine-readable code."""
 
@@ -86,8 +69,8 @@ class MocProblem:
     settings): every inversion and every evaluation of the speeds on the
     row goes through it.  ``contact`` is the contact
     streamline eta = 0 on either side, the row's first and last entry,
-    prepared once as one (2, 1, 1) ``gas.Streamline``: the contact weights
-    of the fixed point and of the oracle read dTheta/dp from it.
+    prepared once as one (2, 1) ``gas.Streamline``: the contact weights
+    of the fixed point and of the oracle read their secant from it.
     ``inlet_z`` holds the inlet invariants on the row, as one (2, n) array
     [z_minus, z_plus]; the background's are zero.
     """
@@ -115,8 +98,7 @@ def build_problem(cfg: RunConfig, geom: NozzleGeometry, domain: LagrangianDomain
         domain=domain,
         geom=geom,
         line=line,
-        contact=gas.Streamline(line.a0[ends, None, None], line.b0[ends, None, None], p_ref,
-                               cfg.gamma),
+        contact=gas.Streamline(line.a0[ends, None], line.b0[ends, None], p_ref, cfg.gamma),
         inlet_z=line.invariants(inlet.u, inlet.v, inlet.p, inlet.rho),
         wall_angle_plus=np.arctan(geom.g_plus(xi, 1)),
         wall_angle_minus=np.arctan(geom.g_minus(xi, 1)),
@@ -256,34 +238,28 @@ def frozen_lambdas(grid: InvariantGrid, prob: MocProblem) -> FrozenField:
     return FrozenField(lam_m=lam_m, lam_p=lam_p)
 
 
-def contact_weights(p, contact):
+def contact_weights(s, contact):
     """(alpha, beta, gamma1, gamma2, gamma3), each (m,), at the contact
-    pressures ``p``, (2, m): row 0 those of layer a, row 1 those of layer b.
-
-    Each side's int_0^1 dTheta/dp(p_bg + tau (p - p_bg)) dtau is a 16-point
-    Gauss sum on the prepared contact streamlines ``contact``
-    (``MocProblem.contact``), p_bg their Theta reference pressure.  Each row
-    is one (16, m) product along its own Gauss path, so the weights carry
-    the bits of one call per side.  Raises a ``degenerate`` SolverError
-    unless alpha and beta are positive.
+    entries' Mach variables ``s``, (2, m): row 0 those of layer a, row 1
+    those of layer b.  Each side's int_0^1 dTheta/dp(p_bg + tau (p - p_bg))
+    dtau is the secant Theta(p) / (p - p_bg) of the contact streamlines
+    ``contact`` (``MocProblem.contact``, ``gas.Streamline.theta_secant``).
+    Raises a ``degenerate`` SolverError unless alpha and beta are positive.
     """
-    path = contact.p_ref + _GL_X[:, None] * (p[:, None, :] - contact.p_ref)
-    alpha, beta = ab = 1.0 / (2.0 * (_GL_W @ contact.dtheta_dp(path)))
+    alpha, beta = ab = 1.0 / (2.0 * contact.theta_secant(s))
     if not (ab > 0).all():
         raise SolverError("degenerate: coupling coefficients must be positive")
-    s = alpha + beta
-    return alpha, beta, (alpha - beta) / s, 2.0 * alpha / s, 2.0 * beta / s
+    total = alpha + beta
+    return alpha, beta, (alpha - beta) / total, 2.0 * alpha / total, 2.0 * beta / total
 
 
 def coupling_coefficients(prev: InvariantGrid, prob: MocProblem):
     """Contact-closure weights (alpha, beta, gamma1, gamma2, gamma3), each
-    (nxi,), from the previous iterate's contact row: the first and the last
-    entry of the row a | b, one (2, nxi) ``contact_weights`` call."""
-    p = grid_states(prev, prob).p
-    try:
-        return contact_weights(p[:, [0, -1]].T, prob.contact)
-    except gas.GasError as exc:
-        raise SolverError(f"sonic-limit: contact coupling path: {exc}") from None
+    (nxi,), from the Mach variable of the previous iterate's contact row
+    (``grid_states``): the first and the last entry of the row a | b, one
+    (2, nxi) ``contact_weights`` call."""
+    grid_states(prev, prob)
+    return contact_weights(prev._mach[0][:, [0, -1]].T, prob.contact)
 
 
 def close_row(zm, zp, na, angle_plus, angle_minus, g1, g2, g3):

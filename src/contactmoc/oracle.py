@@ -18,8 +18,8 @@ works on the Mach variable s = sqrt(M^2-1) = cot(mu) and never forms the
 primitive state: one flow-angle guard and one Newton inversion for s
 (``gas.Streamline.mach``), started from the previous sub-step's s (the
 first from each streamline's own start), give both layers' speeds in closed
-form (``gas.Streamline.lambdas``), and the pressure is recovered at the two
-contact entries only, where one Gauss path gives both contact weights.
+form (``gas.Streamline.lambdas``), and the two contact entries' s give both
+contact weights in closed form (``gas.Streamline.theta_secant``).
 Newton runs independently per node and freezes converged nodes by mask, so
 the stacked calls return the bits of per-layer calls.  The wall angles
 arctan g'(x) are tabulated once per march on the step ends xi_k + dxi, where
@@ -96,8 +96,7 @@ def upwind_march(prob: MocProblem) -> InvariantGrid:
                 angles = step_angles[k]
             else:
                 angles = _wall_angles(prob.geom, np.array([xi_next]))[:, 0]
-            p = contact.pressure(s[[0, -1], None, None])
-            g1, g2, g3 = (float(v[0]) for v in contact_weights(p[:, 0], contact)[2:])
+            g1, g2, g3 = (float(v[0]) for v in contact_weights(s[[0, -1], None], contact)[2:])
             close_row(new_m, new_p, na, *angles, g1, g2, g3)
 
             cur_m, cur_p = new_m, new_p

@@ -1,21 +1,25 @@
-"""Test helper: Theta, the pressure inversion, the speeds and dTheta/dp
-written per call.
+"""Test helper: Theta, the pressure inversion, the speeds and the contact
+weights' secant written per call, and dTheta/dp with its Gauss average.
 
 ``gas.Streamline`` computes each streamline's constants once, and it is the
-package's only way to map states to invariants and back and to evaluate the
-speeds and dTheta/dp.  This reference keeps those evaluations as plain
-scalar-or-array functions, every constant recomputed on each call from the
-broadcast inputs: Theta, the Newton inversion for the Mach variable
-s = sqrt(M^2-1) (cold or warm-started) and the pressure it gives,
-dTheta/dp, the Bernoulli velocity and density that complete a state, and
-the Mach-form speeds.  They return floats for scalar inputs.  Both take
-nu(M(p_ref)) with p_ref as an array, and both must agree bit for bit.  The
-streamline ``line`` they take is a ``gas.Streamline``, of which they read
-only the values it was built from: ``a0``, ``b0``, ``p_ref`` and ``gamma``.
+package's only way to map states to invariants and back, to evaluate the
+speeds and to take the secant Theta / (p - p_ref) of the contact weights.
+This reference keeps those evaluations as plain scalar-or-array functions,
+every constant recomputed on each call from the broadcast inputs: Theta,
+the Newton inversion for the Mach variable s = sqrt(M^2-1) (cold or
+warm-started) and the pressure it gives, the secant, the Bernoulli velocity
+and density that complete a state, and the Mach-form speeds.  They return
+floats for scalar inputs.  Both take nu(M(p_ref)) with p_ref as an array,
+and both must agree bit for bit.  The streamline ``line`` they take is a
+``gas.Streamline``, of which they read only the values it was built from:
+``a0``, ``b0``, ``p_ref`` and ``gamma``.
 
 ``lambda_pm`` is the textbook form of the speeds in (u, v, p, rho), which
 the package no longer evaluates: it is the independent reference that the
-Mach-form speeds are tested against.
+Mach-form speeds are tested against.  ``dtheta_dp`` is the closed-form
+derivative sqrt(M^2-1)/(rho q^2) in p, and ``mean_dtheta_dp`` its 16-point
+Gauss-Legendre average from p_ref to p(s): the independent reference that
+the secant is tested against.
 """
 
 import numpy as np
@@ -73,6 +77,48 @@ def dtheta_dp(p, line: Streamline):
         * p ** ((gam + 1.0) / (2.0 * gam))
     )
     return _maybe_scalar(np.sqrt(rad) / den, *orig)
+
+
+def _s_ref(line: Streamline):
+    """s(p_ref) raised to the sonic floor, the Newton start, per streamline
+    of the raveled data: the bits of ``Streamline``'s."""
+    gam = line.gamma
+    a0, b0, p_sonic = (np.ravel(v) for v in np.broadcast_arrays(*_as_array(
+        line.a0, line.b0, sonic_pressure(line.a0, line.b0, gam))))
+    s_floor = np.sqrt(_mach2(p_sonic * (1.0 - SONIC_MARGIN), a0, b0, gam) - 1.0)
+    m2_ref = _mach2(np.full(a0.shape, line.p_ref), a0, b0, gam)
+    return np.maximum(np.sqrt(np.maximum(m2_ref - 1.0, 0.0)), s_floor)
+
+
+def theta_secant(s, line: Streamline):
+    """Theta(p(s)) / (p(s) - p_ref) in closed form on d = s_ref - s, and
+    its limit s / (gamma p_ref (1 + s^2)) where d == 0."""
+    gam, p_ref = line.gamma, line.p_ref
+    k = (gam + 1.0) / (gam - 1.0)
+    orig = (s, line.a0, line.b0)
+    s_ref = _s_ref(line).reshape(np.broadcast(line.a0, line.b0).shape)
+    s, s_ref = np.broadcast_arrays(np.asarray(s, dtype=float), s_ref)
+    d = s_ref - s
+    rk = np.sqrt(k)
+    theta_s = rk * np.arctan(d / (rk * (1.0 + s * s_ref / k))) - np.arctan(d / (1.0 + s * s_ref))
+    dp = p_ref * np.expm1(gam / (gam - 1.0) * np.log1p(d * (s_ref + s) / (k + s * s)))
+    at_ref = d == 0.0
+    out = np.where(at_ref, s / (gam * p_ref * (1.0 + s * s)), theta_s / np.where(at_ref, 1.0, dp))
+    return _maybe_scalar(out, *orig)
+
+
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(16)
+
+
+def mean_dtheta_dp(s, line: Streamline):
+    """int_0^1 dTheta/dp(p_ref + tau (p(s) - p_ref)) dtau by the 16-point
+    Gauss-Legendre rule: the quadrature that ``theta_secant`` replaces in
+    the contact weights."""
+    orig = (s, line.a0, line.b0)
+    p = np.asarray(pressure_from_mach(s, line))
+    tau = 0.5 * (_GAUSS_X + 1.0)
+    path = line.p_ref + tau.reshape((-1,) + (1,) * p.ndim) * (p - line.p_ref)
+    return _maybe_scalar(np.tensordot(0.5 * _GAUSS_W, dtheta_dp(path, line), 1), *orig)
 
 
 def mach_from_invariants(z_minus, z_plus, line: Streamline, newton_tol=1e-12,

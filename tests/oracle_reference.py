@@ -5,17 +5,17 @@ This reference keeps the per-layer form: it splits the problem's row into
 its two layers by their node counts, updates each layer with the
 sign-generic ``_upwind``, and each sub-step inverts and evaluates the
 speeds of layer a and layer b in separate calls and takes each contact
-weight from its own one-node Gauss path.  Like the oracle, it works on the
-Mach variable s: each layer's Newton starts from that layer's s of the
-previous sub-step (the first from the streamlines' own start), the speeds
-take the Mach form, and only the contact node's pressure is read.  It
-writes the wall and contact closures out itself rather than calling
-``moc.close_row`` and ``moc.contact_weights``, with the wall slopes of every
-sub-step evaluated on the one-element array [xi_next] rather than read from
-a table.  Every inversion, speed, pressure and dTheta/dp comes from the
-per-call functions of ``tests/gas_reference.py``, not from the problem's
-prepared ``gas.Streamline``; each layer's ``gas.Streamline`` here only
-carries its constants to them.  The two must agree bit for bit.
+weight from its own one-node secant.  Like the oracle, it works on the Mach
+variable s: each layer's Newton starts from that layer's s of the previous
+sub-step (the first from the streamlines' own start), the speeds take the
+Mach form, and no pressure is formed.  It writes the wall and contact
+closures out itself rather than calling ``moc.close_row`` and
+``moc.contact_weights``, with the wall slopes of every sub-step evaluated
+on the one-element array [xi_next] rather than read from a table.  Every
+inversion, speed and secant comes from the per-call functions of
+``tests/gas_reference.py``, not from the problem's prepared
+``gas.Streamline``; each layer's ``gas.Streamline`` here only carries its
+constants to them.  The two must agree bit for bit.
 """
 
 import math
@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from contactmoc import gas
-from contactmoc.moc import _GL_W, _GL_X, InvariantGrid, SolverError
+from contactmoc.moc import InvariantGrid, SolverError
 from contactmoc.oracle import _MAX_SUBSTEPS
 from tests import gas_reference
 
@@ -54,11 +54,11 @@ def _slab_speeds(zm, zp, stream, prob, s_start):
     return s, lam_m, lam_p
 
 
-def _contact_dtheta(p, stream, node):
-    """Gauss average of dTheta/dp from p_ref to the one pressure ``p[0]``."""
-    path = stream.p_ref + _GL_X[:, None] * (p[None, :] - stream.p_ref)
+def _contact_secant(s, stream, node):
+    """The secant Theta / (p - p_ref) of the streamline ``node`` at the one
+    Mach variable ``s[0]``."""
     line = gas.Streamline(stream.a0[node], stream.b0[node], stream.p_ref, stream.gamma)
-    return (_GL_W @ gas_reference.dtheta_dp(path, line))[0]
+    return gas_reference.theta_secant(s, line)[0]
 
 
 def per_layer_march(prob):
@@ -113,10 +113,8 @@ def per_layer_march(prob):
             new_p_a[-1] = 2.0 * ang_p - new_m_a[-1]
             new_m_b[0] = 2.0 * ang_m - new_p_b[0]
 
-            p_a = gas_reference.pressure_from_mach(s_a, stream_a)
-            p_b = gas_reference.pressure_from_mach(s_b, stream_b)
-            bar_a = _contact_dtheta(p_a[:1], stream_a, 0)
-            bar_b = _contact_dtheta(p_b[-1:], stream_b, -1)
+            bar_a = _contact_secant(s_a[:1], stream_a, 0)
+            bar_b = _contact_secant(s_b[-1:], stream_b, -1)
             alpha = 1.0 / (2.0 * bar_a)
             beta = 1.0 / (2.0 * bar_b)
             s = alpha + beta

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from contactmoc import blowup, config, fixtures, gas, lagrangian as lag, moc, oracle
-from contactmoc.cli import run_solve
+from contactmoc.cli import run_member
 from tests import gas_reference
 from tests.conftest import solved
 
@@ -58,10 +58,13 @@ def test_criterion_02_gas_round_trip(rng):
                 np.max(np.abs(back_p - p)))
     assert worst <= 1e-10
 
-    # Theta / dTheta finite-difference consistency at second order
+    # Theta / dTheta finite-difference consistency at second order; the
+    # exact dTheta/dp(p0) is the contact secant's limit at Theta = 0 on a
+    # streamline whose Theta reference pressure is p0.
     line0 = gas.Streamline(1.0, 0.5 * 2.2**2 + 3.5, 1.0, G)
     p0 = 1.07
-    exact = float(line0.dtheta_dp(np.asarray(p0)))
+    at_p0 = gas.Streamline(line0.a0, line0.b0, p0, G)
+    exact = float(at_p0.theta_secant(at_p0.mach(np.zeros(()), np.zeros(()))[0]))
 
     def fd(h):
         return (gas_reference.theta(p0 + h, line0) - gas_reference.theta(p0 - h, line0)) / (2 * h)
@@ -90,11 +93,10 @@ def test_criterion_04_linear_stability_scaling():
     devs = []
     for target in targets:
         t = target / eps_base
-        summary, _ = run_solve(
+        summary = run_member(
             dataclasses.replace(cfg0),
             geom0.scale_deviation(t),
             profile0.scale_deviation(cfg0.background, t),
-            write_outputs=False,
         )
         devs.append(summary["sup_dev"])
     slope = float(np.polyfit(np.log(targets), np.log(devs), 1)[0])

@@ -576,7 +576,7 @@ def test_reconstruction_gap_has_its_own_code(tmp_path):
     assert gaps[-1] <= tight.fp_tol and len(gaps) == 3
     assert efield.top_gap > tight.recon_top_tol
     with pytest.raises(moc.SolverError, match="^recon-gap: "):
-        cli.run_solve(tight, geom, profile, write_outputs=False)
+        cli.run_member(tight, geom, profile)
     cfgp = tmp_path / "tight.cfg"
     config.write_config(tight, geom, profile, cfgp)
     r = run_cli("solve", "--config", str(cfgp), "--out", str(tmp_path / "o"), "--quiet")
@@ -839,13 +839,17 @@ def _counted(monkeypatch, module, name):
 
 
 def test_sweep_solves_a_repeated_eps_once(monkeypatch, capsys, tmp_path):
-    """A repeated eps is the same member: one solve, its row written twice."""
+    """A repeated eps is the same member: one solve, its row written twice.
+    A member runs no check whose figures the sweep does not print."""
     fixtures.write_fixture(tmp_path / "pert.cfg", eps=1e-3, nxi=140, neta=35)
-    calls = _counted(monkeypatch, cli, "run_solve")
+    calls = _counted(monkeypatch, cli, "run_member")
+    unread = [_counted(monkeypatch, moc, "residual_check"),
+              _counted(monkeypatch, lagrangian, "weak_residual")]
     code, _, s = main_in_process(capsys, "sweep", "--config", tmp_path / "pert.cfg",
                                  "--grid", "61x16", "--eps", "1e-3,1e-3,2e-3",
                                  "--out", tmp_path / "s", "--quiet")
     assert (code, s["runs"], len(calls)) == (0, "3", 2)
+    assert unread == [[], []]
     lines = (tmp_path / "s" / "sweep.csv").read_text().splitlines()
     assert len(lines) == 4 and lines[1] == lines[2] != lines[3]
     assert s["slope"] != "undefined"

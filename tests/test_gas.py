@@ -143,7 +143,7 @@ def test_theta_additivity_against_independent_quadrature():
         near = (p_s * (1 - gas.SONIC_MARGIN), p_s * (1 - 1.5 * gas.SONIC_MARGIN))
         for p1, p2 in ((0.9, 1.25), (0.3, near[0]), (near[1], near[0]), (0.5 * p_s, near[1])):
             whole = theta(p2, sd) - theta(p1, sd)
-            seg, _ = quad(lambda p: float(sd.dtheta_dp(np.asarray(p))), p1, p2,
+            seg, _ = quad(lambda p: gas_reference.dtheta_dp(p, sd), p1, p2,
                           epsabs=1e-13, epsrel=1e-13)
             assert whole == pytest.approx(seg, abs=1e-11)
 
@@ -178,19 +178,29 @@ def test_theta_sonic_cap_is_the_same_for_scalars_and_arrays():
 
 
 def test_dtheta_positive_everywhere_sampled():
+    # dTheta/dp > 0, so its mean from p_ref, the secant, is positive from
+    # the sonic floor to high Mach, at s_ref itself included.
     ps = np.linspace(0.2, 0.98 * _sonic(SD_BG), 64)
-    assert np.all(_line().dtheta_dp(ps) > 0.0)
+    assert np.all(gas_reference.dtheta_dp(ps, SD_BG) > 0.0)
+    line = _line()
+    s_floor, s_ref = line._newton[2][0], line._newton[5][0]
+    s = np.append(np.linspace(s_floor, 10.0, 64), s_ref)
+    assert np.all(line.theta_secant(s) > 0.0)
 
 
 def test_dtheta_sonic_error():
     p_s = _sonic(SD_BG)
     with pytest.raises(gas.GasError, match="sonic-limit"):
-        _line().dtheta_dp(np.asarray(p_s * 1.000001))
+        gas_reference.dtheta_dp(p_s * 1.000001, SD_BG)
 
 
 def test_dtheta_matches_theta_fd_second_order():
+    # The exact derivative is the secant's limit at s_ref, on a streamline
+    # whose Theta reference pressure is p0, and it is dTheta/dp(p0).
     p0 = 1.07
-    exact = float(_line().dtheta_dp(np.asarray(p0)))
+    line = gas.Streamline(SD_BG.a0, SD_BG.b0, p0, G)
+    exact = float(line.theta_secant(line.mach(*_arrays(0.0, 0.0))[0]))
+    assert exact == pytest.approx(gas_reference.dtheta_dp(p0, SD_BG), rel=1e-15)
 
     def fd(h):
         return (theta(p0 + h, SD_BG) - theta(p0 - h, SD_BG)) / (2 * h)
@@ -278,7 +288,7 @@ def test_pressure_forward_invert_round_trip():
             p = _pressure(t, sd)
             assert p <= cap
             assert abs(theta(p, sd) - t) <= 1e-12
-            assert p == pytest.approx(p_true, abs=1e-12 / sd.dtheta_dp(np.asarray(cap)))
+            assert p == pytest.approx(p_true, abs=1e-12 / gas_reference.dtheta_dp(cap, sd))
 
 
 def _assert_inverts(p_true, sd):
@@ -289,7 +299,7 @@ def _assert_inverts(p_true, sd):
     p = _pressure(t, sd)
     assert np.all(p <= cap)
     assert np.max(np.abs(theta(p, sd) - t)) <= 1e-12
-    assert np.all(np.abs(p - p_true) <= 1e-12 / sd.dtheta_dp(np.asarray(cap)))
+    assert np.all(np.abs(p - p_true) <= 1e-12 / gas_reference.dtheta_dp(cap, sd))
 
 
 def test_pressure_inversion_is_batch_independent(rng):
@@ -565,23 +575,26 @@ def test_masked_newton_matches_the_index_set_loop():
 
 
 def test_prepared_dtheta_matches_reference():
+    """The secant Theta / (p - p_ref) carries the bits of the per-call
+    reference on every shape a caller passes, and it is the 16-point Gauss
+    average of dTheta/dp from p_ref to 4e-15 relative."""
     a0, b0 = _random_streamlines(2, 3)
-    cap = _sonic(gas.Streamline(a0, b0, 1.0, G)) * (1 - gas.SONIC_MARGIN)
-    p = np.array([0.999 * cap[0], 0.3])
-    tau = np.linspace(0.0, 1.0, 16)[:, None]
+    s_ref = gas.Streamline(a0, b0, 1.0, G)._newton[5]
+    s = s_ref[:, None] * (1.0 + np.array([0.0, 1e-9, -1e-3, 0.2]))
     cases = [
-        # the oracle's Gauss path: (2, 16, 1) over (2, 1, 1)
-        (1.0 + tau * (p[:, None, None] - 1.0), a0[:, None, None], b0[:, None, None]),
-        # the fixed point's: (16, m) over one streamline
-        (1.0 + tau * (p - 1.0), a0[0], b0[0]),
-        (p, a0, b0),
-        (float(p[1]), float(a0[1]), float(b0[1])),
+        # the fixed point's contact rows: (2, nxi) over (2, 1)
+        (s, a0[:, None], b0[:, None]),
+        # the oracle's contact entries: (2, 1) over (2, 1)
+        (s[:, :1], a0[:, None], b0[:, None]),
+        (s[0], a0[0], b0[0]),
+        (float(s[1, 2]), float(a0[1]), float(b0[1])),
     ]
-    for path, a, b in cases:
+    for x, a, b in cases:
         line = gas.Streamline(a, b, 1.0, G)
-        want = gas_reference.dtheta_dp(path, line)
-        got = line.dtheta_dp(np.asarray(path))
+        want = gas_reference.theta_secant(x, line)
+        got = line.theta_secant(np.asarray(x))
         _same_bits(np.asarray(got), np.asarray(want))
+        assert np.all(np.abs(got / gas_reference.mean_dtheta_dp(x, line) - 1.0) <= 4e-15)
 
 
 def _error_cases():
@@ -624,11 +637,12 @@ def _error_cases():
                                      lambda: theta(0.0, SD_BG))),
         "theta-sonic": ("sonic-limit", (lambda: line.invariants(*_arrays(10.0, 0.0, p_s, 1.0)),
                                         lambda: theta(p_s, SD_BG))),
-        "dtheta-p": ("out-of-range", (lambda: line.dtheta_dp(np.asarray(0.0)),
-                                      lambda: gas_reference.dtheta_dp(0.0, SD_BG))),
-        "dtheta-sonic": ("sonic-limit", (lambda: line.dtheta_dp(np.asarray(p_s * 1.000001)),
-                                         lambda: gas_reference.dtheta_dp(p_s * 1.000001,
-                                                                         SD_BG))),
+        # dTheta/dp in p is the reference's alone: the prepared object takes
+        # the contact weights' secant on the Mach variable, which has no
+        # inadmissible value.
+        "dtheta-p": ("out-of-range", (lambda: gas_reference.dtheta_dp(0.0, SD_BG),)),
+        "dtheta-sonic": ("sonic-limit", (lambda: gas_reference.dtheta_dp(p_s * 1.000001,
+                                                                         SD_BG),)),
         # s = 1 < |w| = 2 is u < c
         "degenerate": ("degenerate", (
             lambda: line.lambdas(*_arrays(1.0, 2.0)),
@@ -663,7 +677,7 @@ def test_paired_guards_raise_the_first_failing_check():
     with pytest.raises(gas.GasError, match="^degenerate"):  # a NaN w, and s < |w|
         line.lambdas(*_arrays([2.2, 1.0], [np.nan, 2.0]))
     with pytest.raises(gas.GasError, match="^out-of-range"):  # past sonic, and p = 0
-        line.dtheta_dp(np.array([p_s * 1.000001, 0.0]))
+        gas_reference.dtheta_dp(np.array([p_s * 1.000001, 0.0]), SD_BG)
     with pytest.raises(gas.GasError, match="^out-of-range: target exceeds the range of Theta"):
         line._invert(np.array([0.0, np.nan]))
 
