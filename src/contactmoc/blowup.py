@@ -210,13 +210,10 @@ _CROSSING_GAP_FRAC = 0.05  # see cauchy_march
 # Safety bound on the number of march steps.
 _MAX_STEPS = 2_000_000
 
-
-def _periodic_pad():
-    """Nodes copied onto each end of a row: an unwrapped foot within
-    _STEP_CAP cells of its node lies in a cell [1, n - 2) of the padded row,
-    so both of its Hermite slopes are interior, as ``interp.hermite_eval``
-    requires."""
-    return math.ceil(_STEP_CAP) + 2
+# Nodes copied onto each end of a row: an unwrapped foot within _STEP_CAP
+# cells of its node lies in a cell [1, n - 2) of the padded row, so both of
+# its Hermite slopes are interior, as ``interp.hermite_eval`` requires.
+_PAD = math.ceil(_STEP_CAP) + 2
 
 
 class _MachAngleTable:
@@ -289,15 +286,14 @@ def cauchy_march(profile: PeriodicProfile, x_max=200.0, ny=800, dx_max=0.05,
 
     mach_angle = _MachAngleTable(profile.qhat, gamma, profile.q_ref)
 
-    # Periodic padding: column j + pad of z.take(ext, axis=1) is node j, on
+    # Periodic padding: column j + _PAD of z.take(ext, axis=1) is node j, on
     # the lattice y0 + k h.  The step cap keeps every foot within _STEP_CAP
     # cells of its node and so inside the pad: feet are looked up as they
     # are, unwrapped.
-    pad = _periodic_pad()
-    ext = np.arange(-pad, ny + pad) % ny
+    ext = np.arange(-_PAD, ny + _PAD) % ny
     h = y[1] - y[0]
-    y0 = y[0] - pad * h
-    right, left = slice(pad + 1, pad + ny + 1), slice(pad - 1, pad + ny - 1)
+    y0 = y[0] - _PAD * h
+    right, left = slice(_PAD + 1, _PAD + ny + 1), slice(_PAD - 1, _PAD + ny - 1)
     two_dy = 2.0 * dy
 
     def abs_gradient(zx):

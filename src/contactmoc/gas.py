@@ -19,10 +19,11 @@ Theta is closed form: along a streamline dTheta/dp = sqrt(M^2-1)/(rho q^2)
 Supersonic Flow and Shock Waves, ch. IV).  The inversion is one Newton
 iteration on nu in the Mach variable s = sqrt(M^2-1) = cot(mu), whose
 derivative is rational in s.  Everything else is closed form in s: the
-pressure from M^2 = 1 + s^2, the contact weights' mean of dTheta/dp from
-p_ref, which is the secant Theta(p) / (p - p_ref) since Theta(p_ref) = 0,
-and, with the flow-angle tangent w = tan((z_minus + z_plus)/2), the
-characteristic speeds
+pressure from M^2 = 1 + s^2, the mean k of dTheta/dp from p_ref, which is
+the secant Theta(p) / (p - p_ref) since Theta(p_ref) = 0 and which sets the
+contact's reflection coefficient R = (k_b - k_a) / (k_a + k_b) between the
+layers a and b (``moc.contact_reflection``), and, with the flow-angle
+tangent w = tan((z_minus + z_plus)/2), the characteristic speeds
 
     lambda_pm = +-rho c / cos(theta +- mu) = +-rho q sqrt(1+w^2) / (s -+ w),
 
@@ -148,7 +149,7 @@ class Streamline:
     reference pressure ``p_ref`` and the adiabatic exponent ``gamma``,
     prepared for repeated evaluations: the invariants of a state, the Mach
     variable s = sqrt(M^2-1) and the state at given invariants, the
-    characteristic speeds and the contact weights' secant.  It is the one
+    characteristic speeds and the contact's secant.  It is the one
     way to evaluate any of them, and it exposes ``a0`` and ``b0`` as float
     arrays, ``p_ref`` and ``gamma``.  A0, B0 and p_ref must be positive
     (``out-of-range``).

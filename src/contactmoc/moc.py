@@ -25,17 +25,16 @@ outgoing family at every wall and at the contact (lambda_- < 0 < lambda_+,
 required by ``FrozenField``), and the march stays inside its domain of
 dependence because ``check_cfl`` enforces max|lambda| dxi <= deta on every
 frozen field before it is marched (Courant, Friedrichs & Lewy, Math. Ann.
-100, 1928).  The contact closure linearizes the pressure match with
-averaged-derivative coefficients
-
-    alpha = 1 / (2 int_0^1 dTheta/dp(p_bg + tau (p_prev - p_bg)) dtau)
-          = (p_prev - p_bg) / (2 Theta(p_prev))
-
-(and beta likewise below the contact), in closed form because
-Theta(p_bg) = 0 (``gas.Streamline.theta_secant``); the mixing weights
-gamma_1 = (alpha-beta)/(alpha+beta), gamma_2 = 2 alpha/(alpha+beta),
-gamma_3 = 2 beta/(alpha+beta) assign the two outgoing invariants from the
-two incoming ones.  The background's invariants are exactly (0, 0) in both
+100, 1928).  The contact closure matches flow angle and pressure to first
+order with each side's averaged derivative k = int_0^1 dTheta/dp(p_bg +
+tau (p_prev - p_bg)) dtau = Theta(p_prev) / (p_prev - p_bg), closed form
+because Theta(p_bg) = 0 (``gas.Streamline.theta_secant``).  This is the
+linear wave theory's reflection law (Courant & Friedrichs, Supersonic Flow
+and Shock Waves, ch. IV): each side sends out what the other brings in,
+plus R = (k_b - k_a) / (k_a + k_b) times the jump between them, so T = 1 + R
+by construction and the a <-> b mirror takes R to -R.  R = -1 is a solid
+wall for layer a (k_b -> 0) and R = +1 a constant-pressure boundary
+(k_b -> inf).  The background's invariants are exactly (0, 0) in both
 layers: Theta has one global reference pressure p_ref, and
 ``gas.Streamline`` gives Theta(p_ref) = 0.0 exactly, so the closure acts on
 the invariants themselves and is homogeneous by construction.  At the fixed
@@ -69,8 +68,8 @@ class MocProblem:
     settings): every inversion and every evaluation of the speeds on the
     row goes through it.  ``contact`` is the contact
     streamline eta = 0 on either side, the row's first and last entry,
-    prepared once as one (2, 1) ``gas.Streamline``: the contact weights
-    of the fixed point and of the oracle read their secant from it.
+    prepared once as one (2, 1) ``gas.Streamline``: the reflection
+    coefficient of the fixed point and of the oracle reads its secants from it.
     ``inlet_z`` holds the inlet invariants on the row, as one (2, n) array
     [z_minus, z_plus]; the background's are zero.
     """
@@ -238,39 +237,39 @@ def frozen_lambdas(grid: InvariantGrid, prob: MocProblem) -> FrozenField:
     return FrozenField(lam_m=lam_m, lam_p=lam_p)
 
 
-def contact_weights(s, contact):
-    """(alpha, beta, gamma1, gamma2, gamma3), each (m,), at the contact
-    entries' Mach variables ``s``, (2, m): row 0 those of layer a, row 1
-    those of layer b.  Each side's int_0^1 dTheta/dp(p_bg + tau (p - p_bg))
-    dtau is the secant Theta(p) / (p - p_bg) of the contact streamlines
-    ``contact`` (``MocProblem.contact``, ``gas.Streamline.theta_secant``).
-    Raises a ``degenerate`` SolverError unless alpha and beta are positive.
+def contact_reflection(s, contact):
+    """The contact's reflection coefficient R = (k_b - k_a) / (k_a + k_b),
+    (m,), at the contact entries' Mach variables ``s``, (2, m): row 0 those
+    of layer a, row 1 those of layer b.  Each side's k is the secant
+    Theta(p) / (p - p_bg) of the contact streamlines ``contact``
+    (``MocProblem.contact``, ``gas.Streamline.theta_secant``).  Raises a
+    ``degenerate`` SolverError unless both secants lie in (0, inf).
     """
-    alpha, beta = ab = 1.0 / (2.0 * contact.theta_secant(s))
-    if not (ab > 0).all():
+    ka, kb = k = contact.theta_secant(s)
+    if not ((k > 0) & (k < np.inf)).all():
         raise SolverError("degenerate: coupling coefficients must be positive")
-    total = alpha + beta
-    return alpha, beta, (alpha - beta) / total, 2.0 * alpha / total, 2.0 * beta / total
+    return (kb - ka) / (ka + kb)
 
 
 def coupling_coefficients(prev: InvariantGrid, prob: MocProblem):
-    """Contact-closure weights (alpha, beta, gamma1, gamma2, gamma3), each
-    (nxi,), from the Mach variable of the previous iterate's contact row
-    (``grid_states``): the first and the last entry of the row a | b, one
-    (2, nxi) ``contact_weights`` call."""
+    """The contact's reflection coefficient R, (nxi,), from the Mach
+    variable of the previous iterate's contact row (``grid_states``): the
+    first and the last entry of the row a | b, one (2, nxi)
+    ``contact_reflection`` call."""
     grid_states(prev, prob)
-    return contact_weights(prev._mach[0][:, [0, -1]].T, prob.contact)
+    return contact_reflection(prev._mach[0][:, [0, -1]].T, prob.contact)
 
 
-def close_row(zm, zp, na, angle_plus, angle_minus, g1, g2, g3):
+def close_row(zm, zp, na, angle_plus, angle_minus, r):
     """Assign in place the outgoing entries of the node row a | b of each
-    family: wall reflection at na-1 | na, then the gamma-weighted contact
-    coupling of the incoming z_plus from above and z_minus from below."""
+    family: wall reflection at na-1 | na, then the contact, where each side
+    sends out what the other brings in plus ``r`` (z_in_a - z_in_b)."""
     zp[na - 1] = 2.0 * angle_plus - zm[na - 1]
     zm[na] = 2.0 * angle_minus - zp[na]
     z_in_a, z_in_b = zp[0], zm[-1]
-    zm[0] = g1 * z_in_a + g3 * z_in_b
-    zp[-1] = g2 * z_in_a - g1 * z_in_b
+    jump = r * (z_in_a - z_in_b)
+    zm[0] = z_in_b + jump
+    zp[-1] = z_in_a + jump
 
 
 # ---------------------------------------------------------------------------
@@ -330,22 +329,21 @@ def plan_march(frozen: FrozenField, domain: LagrangianDomain):
     return index, s
 
 
-def step_linearized(prob: MocProblem, plan, weights, k, z):
+def step_linearized(prob: MocProblem, plan, r, k, z):
     """Advance the march row ``z = zm | zp`` from xi_k to xi_{k+1}.
 
     Every node takes the four-point cubic at its foot in ``plan``, the
     ``(index, s)`` of ``plan_march``: one gather of its stencil
     (``interp.cubic_eval``).  ``close_row`` then assigns the outgoing
-    boundary entries with the gammas of ``weights``, the tuple of
+    boundary entries with the reflection coefficients ``r`` of
     ``coupling_coefficients``: wall reflection at eta = +-m, the two-sided
     coupling at the contact.
     """
     index, s = plan
-    _, _, g1, g2, g3 = weights
     new = interp.cubic_eval(z, index[k], s[k])
     n = new.size // 2
     close_row(new[:n], new[n:], prob.domain.eta_a.size, prob.wall_angle_plus[k + 1],
-              prob.wall_angle_minus[k + 1], g1[k + 1], g2[k + 1], g3[k + 1])
+              prob.wall_angle_minus[k + 1], r[k + 1])
     return new
 
 
@@ -354,17 +352,17 @@ def solve_linearized(prev: InvariantGrid, prob: MocProblem):
     march the linear transport problem from the inlet to xi = L, planning
     every step once and then advancing the march row one step at a time.
 
-    Returns the new iterate; the contact weights are those of
+    Returns the new iterate; the contact's reflection coefficient is that of
     ``coupling_coefficients`` frozen on ``prev``.
     """
     frozen = frozen_lambdas(prev, prob)
     check_cfl(frozen, prob.domain)
-    weights = coupling_coefficients(prev, prob)
+    r = coupling_coefficients(prev, prob)
     plan = plan_march(frozen, prob.domain)
     z = np.empty((prob.domain.xi.size, prob.inlet_z.size))
     z[0] = prob.inlet_z.ravel()
     for k in range(z.shape[0] - 1):
-        z[k + 1] = step_linearized(prob, plan, weights, k, z[k])
+        z[k + 1] = step_linearized(prob, plan, r, k, z[k])
     n = z.shape[1] // 2
     return InvariantGrid(prob.domain, z[:, :n], z[:, n:])
 

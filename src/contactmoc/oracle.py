@@ -5,7 +5,7 @@ with a completely different truncation structure: explicit first-order
 upwind differencing, speeds evaluated from the current slab's own state (no
 freezing, no outer iteration), CFL sub-stepping in xi.  The boundary
 conditions are the problem's, not the discretization's: the fixed point's
-``moc.close_row`` and ``moc.contact_weights`` apply them, but from this
+``moc.close_row`` and ``moc.contact_reflection`` apply them, but from this
 marcher's own slabs and sub-step abscissae; nothing computed by the
 fixed-point solver is read.  Agreement between the two is therefore
 evidence, not shared bias.
@@ -18,8 +18,8 @@ works on the Mach variable s = sqrt(M^2-1) = cot(mu) and never forms the
 primitive state: one flow-angle guard and one Newton inversion for s
 (``gas.Streamline.mach``), started from the previous sub-step's s (the
 first from each streamline's own start), give both layers' speeds in closed
-form (``gas.Streamline.lambdas``), and the two contact entries' s give both
-contact weights in closed form (``gas.Streamline.theta_secant``).
+form (``gas.Streamline.lambdas``), and the two contact entries' s give the
+contact's reflection coefficient in closed form (``moc.contact_reflection``).
 Newton runs independently per node and freezes converged nodes by mask, so
 the stacked calls return the bits of per-layer calls.  The wall angles
 arctan g'(x) are tabulated once per march on the step ends xi_k + dxi, where
@@ -38,7 +38,7 @@ import math
 
 import numpy as np
 
-from .moc import InvariantGrid, MocProblem, SolverError, close_row, contact_weights
+from .moc import InvariantGrid, MocProblem, SolverError, close_row, contact_reflection
 
 _MAX_SUBSTEPS = 1000
 
@@ -96,8 +96,8 @@ def upwind_march(prob: MocProblem) -> InvariantGrid:
                 angles = step_angles[k]
             else:
                 angles = _wall_angles(prob.geom, np.array([xi_next]))[:, 0]
-            g1, g2, g3 = (float(v[0]) for v in contact_weights(s[[0, -1], None], contact)[2:])
-            close_row(new_m, new_p, na, *angles, g1, g2, g3)
+            r = float(contact_reflection(s[[0, -1], None], contact)[0])
+            close_row(new_m, new_p, na, *angles, r)
 
             cur_m, cur_p = new_m, new_p
             xi_left = xi_next

@@ -54,7 +54,7 @@ def reference_march(profile, x_max=200.0, ny=800, dx_max=0.05, grad_factor=1e3, 
     z = blowup.irrot_invariants(u, v, rho, gamma, q_ref=profile.q_ref, qhat=profile.qhat)
     mach_angle = blowup._MachAngleTable(profile.qhat, gamma, profile.q_ref)
 
-    pad = blowup._periodic_pad()
+    pad = blowup._PAD
     ext = np.arange(-pad, ny + pad) % ny
     h = y[1] - y[0]
     y0 = y[0] - pad * h

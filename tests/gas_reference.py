@@ -1,10 +1,11 @@
-"""Test helper: Theta, the pressure inversion, the speeds and the contact
-weights' secant written per call, and dTheta/dp with its Gauss average.
+"""Test helper: Theta, the pressure inversion, the speeds and the secant of
+the contact's reflection coefficient written per call, and dTheta/dp with
+its Gauss average.
 
 ``gas.Streamline`` computes each streamline's constants once, and it is the
 package's only way to map states to invariants and back, to evaluate the
-speeds and to take the secant Theta / (p - p_ref) of the contact weights.
-This reference keeps those evaluations as plain scalar-or-array functions,
+speeds and to take the secant Theta / (p - p_ref) of the reflection
+coefficient.  This reference keeps those evaluations as plain scalar-or-array functions,
 every constant recomputed on each call from the broadcast inputs: Theta,
 the Newton inversion for the Mach variable s = sqrt(M^2-1) (cold or
 warm-started) and the pressure it gives, the secant, the Bernoulli velocity
@@ -113,7 +114,7 @@ _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(16)
 def mean_dtheta_dp(s, line: Streamline):
     """int_0^1 dTheta/dp(p_ref + tau (p(s) - p_ref)) dtau by the 16-point
     Gauss-Legendre rule: the quadrature that ``theta_secant`` replaces in
-    the contact weights."""
+    the reflection coefficient."""
     orig = (s, line.a0, line.b0)
     p = np.asarray(pressure_from_mach(s, line))
     tau = 0.5 * (_GAUSS_X + 1.0)

@@ -4,15 +4,15 @@
 This reference keeps the per-layer form: it splits the problem's row into
 its two layers by their node counts, updates each layer with the
 sign-generic ``_upwind``, and each sub-step inverts and evaluates the
-speeds of layer a and layer b in separate calls and takes each contact
-weight from its own one-node secant.  Like the oracle, it works on the Mach
-variable s: each layer's Newton starts from that layer's s of the previous
-sub-step (the first from the streamlines' own start), the speeds take the
-Mach form, and no pressure is formed.  It writes the wall and contact
-closures out itself rather than calling ``moc.close_row`` and
-``moc.contact_weights``, with the wall slopes of every sub-step evaluated
-on the one-element array [xi_next] rather than read from a table.  Every
-inversion, speed and secant comes from the per-call functions of
+speeds of layer a and layer b in separate calls and takes the contact's
+reflection coefficient from two one-node secants.  Like the oracle, it works
+on the Mach variable s: each layer's Newton starts from that layer's s of
+the previous sub-step (the first from the streamlines' own start), the
+speeds take the Mach form, and no pressure is formed.  It writes the wall
+and contact closures out itself rather than calling ``moc.close_row`` and
+``moc.contact_reflection``, with the wall slopes of every sub-step
+evaluated on the one-element array [xi_next] rather than read from a table.
+Every inversion, speed and secant comes from the per-call functions of
 ``tests/gas_reference.py``, not from the problem's prepared
 ``gas.Streamline``; each layer's ``gas.Streamline`` here only carries its
 constants to them.  The two must agree bit for bit.
@@ -115,16 +115,12 @@ def per_layer_march(prob):
 
             bar_a = _contact_secant(s_a[:1], stream_a, 0)
             bar_b = _contact_secant(s_b[-1:], stream_b, -1)
-            alpha = 1.0 / (2.0 * bar_a)
-            beta = 1.0 / (2.0 * bar_b)
-            s = alpha + beta
-            g1 = (alpha - beta) / s
-            g2 = 2.0 * alpha / s
-            g3 = 2.0 * beta / s
+            r = (bar_b - bar_a) / (bar_a + bar_b)
             # The background invariants are zero: the closure acts on z itself.
             z_in_a, z_in_b = new_p_a[0], new_m_b[-1]
-            new_m_a[0] = g1 * z_in_a + g3 * z_in_b
-            new_p_b[-1] = g2 * z_in_a - g1 * z_in_b
+            jump = r * (z_in_a - z_in_b)
+            new_m_a[0] = z_in_b + jump
+            new_p_b[-1] = z_in_a + jump
 
             cur_m_a, cur_p_a = new_m_a, new_p_a
             cur_m_b, cur_p_b = new_m_b, new_p_b

@@ -58,7 +58,7 @@ def march_rows(monkeypatch, *args, **kwargs):
     row.  Every row is copied, so that no reuse of a buffer aliases them."""
     rows = []
     monotone_interp = interp.monotone_interp
-    pad = blowup._periodic_pad()
+    pad = blowup._PAD
 
     def recording(y0, h, v, yq):
         if not rows:
@@ -312,7 +312,7 @@ def periodic_monotone(y, values, yq, pad=None):
     each side (by default the march's own pad): the march's update, for
     queries anywhere on the line."""
     if pad is None:
-        pad = blowup._periodic_pad()
+        pad = blowup._PAD
     ny = y.size
     h = y[1] - y[0]
     ext = np.arange(-pad, ny + pad) % ny

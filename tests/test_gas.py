@@ -638,7 +638,7 @@ def _error_cases():
         "theta-sonic": ("sonic-limit", (lambda: line.invariants(*_arrays(10.0, 0.0, p_s, 1.0)),
                                         lambda: theta(p_s, SD_BG))),
         # dTheta/dp in p is the reference's alone: the prepared object takes
-        # the contact weights' secant on the Mach variable, which has no
+        # the reflection coefficient's secant on the Mach variable, which has no
         # inadmissible value.
         "dtheta-p": ("out-of-range", (lambda: gas_reference.dtheta_dp(0.0, SD_BG),)),
         "dtheta-sonic": ("sonic-limit", (lambda: gas_reference.dtheta_dp(p_s * 1.000001,

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -70,12 +71,10 @@ def test_frozen_lambdas_match_direct_recomputation(rng):
 def test_coupling_background_values():
     cfg, geom, profile, prob = assemble(0.0, 60, 12)
     grid = moc.InvariantGrid.background(prob)
-    alpha, beta, _, _, _ = moc.coupling_coefficients(grid, prob)
-    sd_a, sd_b = contact_stream_data(prob)
-    expect_a = 1.0 / (2.0 * gas_reference.dtheta_dp(1.0, sd_a))
-    expect_b = 1.0 / (2.0 * gas_reference.dtheta_dp(1.0, sd_b))
-    assert np.max(np.abs(alpha - expect_a)) < 1e-13
-    assert np.max(np.abs(beta - expect_b)) < 1e-13
+    r = moc.coupling_coefficients(grid, prob)
+    k_a, k_b = (gas_reference.dtheta_dp(1.0, sd) for sd in contact_stream_data(prob))
+    assert r.shape == (prob.domain.xi.size,)
+    assert np.max(np.abs(r - (k_b - k_a) / (k_a + k_b))) < 1e-13
 
 
 @pytest.mark.parametrize("eps", [1e-4, 1e-3, 1e-2, 1e-1, 0.3])
@@ -97,10 +96,10 @@ def test_contact_secant_matches_the_gauss_rule(eps):
             want = gas_reference.mean_dtheta_dp(s_node, sd)
             assert np.max(np.abs(got / want - 1.0)) <= 4e-15
         assert np.any(s[:, node] == s_ref)
-    # The weights are 1 / (2 secant) of each side, in one (2, nxi) call.
-    alpha, beta, _, _, _ = moc.coupling_coefficients(grid, prob)
-    assert np.array_equal(alpha, 1.0 / (2.0 * prob.contact.theta_secant(s[:, 0])[0]))
-    assert np.array_equal(beta, 1.0 / (2.0 * prob.contact.theta_secant(s[:, -1])[1]))
+    # R takes each side's secant, in one (2, nxi) call.
+    k_a = prob.contact.theta_secant(s[:, 0])[0]
+    k_b = prob.contact.theta_secant(s[:, -1])[1]
+    assert np.array_equal(moc.coupling_coefficients(grid, prob), (k_b - k_a) / (k_a + k_b))
 
 
 def test_first_contraction_ratio_is_linear_in_eps():
@@ -136,25 +135,35 @@ def test_first_iterate_misses_the_solution_by_eps_squared():
     assert np.all((ratios >= 3.5) & (ratios <= 4.5)), ratios
 
 
-def test_coupling_gamma_algebra_exact():
+def test_paper_weights_match_the_reflection_form(rng):
+    """The paper's closure, alpha = 1/(2 k_a), beta = 1/(2 k_b) and the
+    mixing weights gamma_1 = (alpha - beta)/(alpha + beta), gamma_2 =
+    2 alpha/(alpha + beta), gamma_3 = 2 beta/(alpha + beta), assigns the
+    contact entries that ``close_row`` assigns from R = gamma_1 alone, to
+    16 ulps of the incoming invariants (8 measured on 1e5 draws)."""
+    n = 100_000
+    k_a, k_b = rng.uniform(0.05, 5.0, (2, n))
+    zm, zp = rng.normal(size=(2, 7, n))
+    z_in_a, z_in_b = zp[0].copy(), zm[-1].copy()
+    moc.close_row(zm, zp, 4, 0.01, -0.02, (k_b - k_a) / (k_a + k_b))
+    alpha, beta = 1.0 / (2.0 * k_a), 1.0 / (2.0 * k_b)
+    total = alpha + beta
+    g1, g2, g3 = (alpha - beta) / total, 2.0 * alpha / total, 2.0 * beta / total
+    tol = 16 * np.spacing(np.maximum(np.abs(z_in_a), np.abs(z_in_b)))
+    assert np.all(np.abs(zm[0] - (g1 * z_in_a + g3 * z_in_b)) <= tol)
+    assert np.all(np.abs(zp[-1] - (g2 * z_in_a - g1 * z_in_b)) <= tol)
+    # On a converged grid, the contact neither reflects nor transmits fully.
     cfg, geom, profile, prob, grid, history = solved(1e-3, 101, 26)
-    _, _, gamma1, gamma2, gamma3 = moc.coupling_coefficients(grid, prob)
-    assert np.max(np.abs(gamma2 + gamma3 - 2.0)) < 1e-15
-    assert np.max(np.abs(gamma2 - gamma3 - 2.0 * gamma1)) < 1e-15
-    assert np.all((gamma2 > 0) & (gamma2 < 2))
-    assert np.all(np.abs(gamma1) < 1.0)
+    assert np.all(np.abs(moc.coupling_coefficients(grid, prob)) < 1.0)
 
 
 def test_coupling_equal_layers_give_symmetric_weights():
-    # identical layers force alpha = beta, hence gamma1 = 0, gamma2 = gamma3 = 1
+    # identical layers give k_a = k_b bit for bit, hence R = 0 exactly
     bg = BackgroundState(u_a=2.2, rho_a=1.0, u_b=2.2, rho_b=1.0, p=1.0)
     cfg, geom, profile = fixtures.perturbed_inputs(0.0, background=bg, nxi=40, neta=10)
     prob, _ = cli.build_pipeline(cfg, geom, profile)
-    _, _, gamma1, gamma2, gamma3 = moc.coupling_coefficients(moc.InvariantGrid.background(prob),
-                                                             prob)
-    assert np.max(np.abs(gamma1)) < 1e-14
-    assert np.max(np.abs(gamma2 - 1.0)) < 1e-14
-    assert np.max(np.abs(gamma3 - 1.0)) < 1e-14
+    r = moc.coupling_coefficients(moc.InvariantGrid.background(prob), prob)
+    assert np.all(r == 0.0)
 
 
 @pytest.mark.parametrize("eps", [1e-3, 1e-2])
@@ -237,19 +246,32 @@ def test_one_march_imposes_wall_closure_exactly():
     assert np.max(np.abs(wall_b)) < 1e-12
 
 
-def test_contact_closure_specialization_gamma1_zero(rng):
-    """With gamma1 = 0, ``close_row`` reduces the contact coupling to a swap
-    of the incoming invariants scaled by gamma3 / gamma2, exactly, and
-    reflects both walls."""
+def test_contact_closure_physical_limits(rng):
+    """``close_row`` at the three values of R whose contact is a classical
+    boundary, exactly, and both wall reflections at each:
+
+    - R = 0, equal layers: the incoming invariants swap sides;
+    - R = -1 (k_b -> 0, layer b does not yield): a solid wall for layer a,
+      zm[0] = 2 z_in_b - z_in_a, and layer b keeps its Theta,
+      zp[-1] = z_in_b;
+    - R = +1 (k_b -> inf): a constant-pressure boundary for layer a,
+      zm[0] = z_in_a, and a solid wall for layer b, zp[-1] = 2 z_in_a - z_in_b
+      (the mirror of R = -1).
+
+    The inputs are multiples of 1/8, so every sum is exact.
+    """
     na, nb = 4, 3
-    zm, zp = rng.normal(size=(2, na + nb))
-    z_in_a, z_in_b = zp[0], zm[-1]
-    angle_plus, angle_minus, g2, g3 = 0.01, -0.02, 0.9, 1.1
-    moc.close_row(zm, zp, na, angle_plus, angle_minus, 0.0, g2, g3)
-    assert zm[0] == g3 * z_in_b
-    assert zp[-1] == g2 * z_in_a
-    assert zp[na - 1] == 2.0 * angle_plus - zm[na - 1]
-    assert zm[na] == 2.0 * angle_minus - zp[na]
+    angle_plus, angle_minus = 0.01, -0.02
+    for r, want_a, want_b in ((0.0, lambda a, b: b, lambda a, b: a),
+                              (-1.0, lambda a, b: 2.0 * b - a, lambda a, b: b),
+                              (1.0, lambda a, b: a, lambda a, b: 2.0 * a - b)):
+        zm, zp = rng.integers(-64, 64, size=(2, na + nb)) / 8.0
+        z_in_a, z_in_b = zp[0], zm[-1]
+        moc.close_row(zm, zp, na, angle_plus, angle_minus, r)
+        assert zm[0] == want_a(z_in_a, z_in_b), r
+        assert zp[-1] == want_b(z_in_a, z_in_b), r
+        assert zp[na - 1] == 2.0 * angle_plus - zm[na - 1]
+        assert zm[na] == 2.0 * angle_minus - zp[na]
 
 
 def test_step_against_dense_characteristic_fan():
@@ -297,7 +319,7 @@ def test_step_against_dense_characteristic_fan():
     assert e_coarse / e_fine > 3.0  # ~4 expected for an O(deta^2) step
 
 
-def _per_slab_march(prob, frozen, weights, hits):
+def _per_slab_march(prob, frozen, r, hits):
     """The march one slab at a time, tracing every foot inside the step and
     evaluating the written-out cubic there: the reference the planned,
     stacked march must reproduce bit for bit.  Counts interior midpoints
@@ -310,7 +332,6 @@ def _per_slab_march(prob, frozen, weights, hits):
     a, b = slice(0, na), slice(na, None)
     lam_m_a, lam_p_a = frozen.lam_m[:, a], frozen.lam_p[:, a]
     lam_m_b, lam_p_b = frozen.lam_m[:, b], frozen.lam_p[:, b]
-    _, _, gamma1, gamma2, gamma3 = weights
 
     def advect(eta, z_old, lam_old, lam_new):
         mid = np.clip(eta - 0.5 * dxi * lam_new, eta[0], eta[-1])
@@ -332,9 +353,9 @@ def _per_slab_march(prob, frozen, weights, hits):
         zp_b = advect(eb, rows[3][-1], lam_m_b[k], lam_m_b[k + 1])
         zp_a[-1] = 2.0 * prob.wall_angle_plus[k + 1] - zm_a[-1]
         zm_b[0] = 2.0 * prob.wall_angle_minus[k + 1] - zp_b[0]
-        g1, g2, g3 = gamma1[k + 1], gamma2[k + 1], gamma3[k + 1]
-        zm_a[0] = g1 * zp_a[0] + g3 * zm_b[-1]
-        zp_b[-1] = g2 * zp_a[0] - g1 * zm_b[-1]
+        jump = r[k + 1] * (zp_a[0] - zm_b[-1])
+        zm_a[0] = zm_b[-1] + jump
+        zp_b[-1] = zp_a[0] + jump
         for row, z in zip(rows, (zm_a, zp_a, zm_b, zp_b)):
             row.append(z)
     return [np.array(row) for row in rows]
@@ -366,19 +387,18 @@ def test_stacked_march_bit_equal_to_per_slab_march(monkeypatch, speeds, neta_a, 
     frozen = moc.FrozenField(lam_m=np.hstack([lam_m_a, lam_m_b]),
                              lam_p=np.hstack([lam_p_a, lam_p_b]))
     moc.check_cfl(frozen, dom)
-    alpha, beta = rng.uniform(0.5, 2.0, nxi), rng.uniform(0.5, 2.0, nxi)
-    weights = (alpha, beta, (alpha - beta) / (alpha + beta), 2.0 * alpha / (alpha + beta),
-               2.0 * beta / (alpha + beta))
+    k_a, k_b = rng.uniform(0.5, 2.0, nxi), rng.uniform(0.5, 2.0, nxi)
+    r = (k_b - k_a) / (k_a + k_b)
     inlet_a = [1e-3 * rng.normal(size=neta_a) for _ in range(2)]
     inlet_b = [1e-3 * rng.normal(size=neta_b) for _ in range(2)]
     prob = dataclasses.replace(prob, inlet_z=np.array(
         [np.concatenate(pair) for pair in zip(inlet_a, inlet_b)]))
 
     hits = {"mid": 0, "feet": 0, "clipped": 0}
-    ref = _per_slab_march(prob, frozen, weights, hits)
-    # solve_linearized marches the speeds and weights it freezes on prev
+    ref = _per_slab_march(prob, frozen, r, hits)
+    # solve_linearized marches the speeds and the R it freezes on prev
     monkeypatch.setattr(moc, "frozen_lambdas", lambda *_: frozen)
-    monkeypatch.setattr(moc, "coupling_coefficients", lambda *_: weights)
+    monkeypatch.setattr(moc, "coupling_coefficients", lambda *_: r)
     ours = moc.solve_linearized(moc.InvariantGrid.background(prob), prob)
     for name, r in zip(("zm_a", "zp_a", "zm_b", "zp_b"), ref):
         o = getattr(ours, name)
@@ -589,17 +609,21 @@ def test_failure_inside_an_iteration_keeps_its_code(monkeypatch, stage, code):
     assert len(calls) == 2
 
 
-def test_nonpositive_coupling_weights_stop_both_marches(monkeypatch):
-    """A contact secant Theta / (p - p_ref) of inf gives alpha = beta = 0:
-    the fixed point and the oracle, whose weights both come from
-    ``contact_weights``, stop with the same degenerate error."""
+@pytest.mark.parametrize("secant", [0.0, np.nan, -1.0, np.inf])
+def test_nonpositive_coupling_weights_stop_both_marches(monkeypatch, secant):
+    """A contact secant Theta / (p - p_ref) outside (0, inf) has no
+    reflection coefficient: the fixed point and the oracle, whose R both
+    comes from ``contact_reflection``, stop with the same degenerate error
+    before any division, so no numpy warning is raised."""
     _, _, _, prob = assemble(1e-3, 60, 12)
-    monkeypatch.setattr(prob.contact, "theta_secant", lambda s: np.full(s.shape, np.inf))
+    monkeypatch.setattr(prob.contact, "theta_secant", lambda s: np.full(s.shape, secant))
     message = "^degenerate: coupling coefficients must be positive$"
-    with pytest.raises(moc.SolverError, match=message):
-        moc.fixed_point(prob, fp_tol=1e-10, max_fp_iters=5)
-    with pytest.raises(moc.SolverError, match=message):
-        oracle.upwind_march(prob)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(moc.SolverError, match=message):
+            moc.fixed_point(prob, fp_tol=1e-10, max_fp_iters=5)
+        with pytest.raises(moc.SolverError, match=message):
+            oracle.upwind_march(prob)
 
 
 def test_supersonic_margin_guard():
@@ -628,13 +652,13 @@ def _check_wall_and_contact_identities(prob, grid):
     wall_b = grid.zm_b[1:, 0] + grid.zp_b[1:, 0] - 2.0 * prob.wall_angle_minus[1:]
     assert np.max(np.abs(wall_b)) < 1e-14
     # one more march from the solution: its contact entries are the
-    # gamma-weighted coupling with the weights frozen on the solution
-    _, _, gamma1, gamma2, gamma3 = moc.coupling_coefficients(grid, prob)
+    # reflection law with the R frozen on the solution
+    r = moc.coupling_coefficients(grid, prob)[1:]
     out = moc.solve_linearized(grid, prob)
     zm_a, zp_a = out.zm_a[1:, 0], out.zp_a[1:, 0]
     zm_b, zp_b = out.zm_b[1:, -1], out.zp_b[1:, -1]
-    r1 = zm_a - (gamma1[1:] * zp_a + gamma3[1:] * zm_b)
-    r2 = zp_b - (gamma2[1:] * zp_a - gamma1[1:] * zm_b)
+    r1 = zm_a - (zm_b + r * (zp_a - zm_b))
+    r2 = zp_b - (zp_a + r * (zp_a - zm_b))
     assert np.max(np.abs(r1)) < 1e-15
     assert np.max(np.abs(r2)) < 1e-15
     # derived interface conditions
@@ -667,7 +691,7 @@ def test_solution_respects_the_mirror_symmetry():
     """The steady Euler equations are invariant under y -> -y with v -> -v,
     so the mirrored input has the mirrored solution: the row a | b reversed,
     z_minus taking the place of -z_plus.  The two solvers of acceptance #7
-    share ``close_row`` and ``contact_weights``; a sign slip in either
+    share ``close_row`` and ``contact_reflection``; a sign slip in either
     breaks this symmetry but not their agreement, so both the fixed point
     and the upwind oracle are checked.  The layers differ in size, so an
     index taken from the wrong layer shows too."""

@@ -223,5 +223,5 @@ def test_oracle_imports_only_public_solver_names():
     tree = ast.parse(inspect.getsource(oracle))
     names = [alias.name for node in ast.walk(tree)
              if isinstance(node, ast.ImportFrom) and node.module == "moc" for alias in node.names]
-    assert {"close_row", "contact_weights"} <= set(names)
+    assert {"close_row", "contact_reflection"} <= set(names)
     assert not [name for name in names if name.startswith("_")]
