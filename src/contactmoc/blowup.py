@@ -14,8 +14,8 @@ tan(theta -+ mu) with the Mach angle mu (sin mu = c/q), a function of Theta
 alone.  The wall-bounded problem on y in [0, 1] is extended to one full
 period y in [-1, 1) by even reflection of (u, rho) and odd reflection of v,
 so the march is a pure periodic Cauchy problem.  It starts from the
-configured closed forms: u0(y) and v0(y) are evaluated at the nodes and the
-density follows pointwise from the Bernoulli law.
+configured closed forms: its first row is ``PeriodicProfile.invariants`` of
+u0(y) and v0(y) at the nodes.
 
 Two independent blow-up detectors run side by side: a gradient-explosion
 trigger on sup|d_y Z| and a same-family characteristic-crossing trigger
@@ -41,10 +41,6 @@ class BlowupError(ValueError):
     """Inadmissible state or data in the demonstrator."""
 
 
-def sound_speed_of_density(rho, gamma):
-    return np.asarray(rho, dtype=float) ** (0.5 * (gamma - 1.0))
-
-
 def critical_speed(qhat, gamma):
     """Speed at which q = c(q); admissible supersonic range is (c_hat, qhat)."""
     return qhat * math.sqrt((gamma - 1.0) / (gamma + 1.0))
@@ -67,27 +63,6 @@ def theta_of_speed(q, qhat, gamma, q_ref):
         raise BlowupError("sonic-limit: speed outside the admissible (c_hat, qhat) range")
     nu_ref = prandtl_meyer(_mach2_of_speed(q_ref, qhat, gamma), gamma)
     return prandtl_meyer(_mach2_of_speed(q, qhat, gamma), gamma) - nu_ref
-
-
-def irrot_invariants(u, v, rho, gamma, q_ref, qhat):
-    """Z_pm = theta +- Theta(q) for irrotational states, given as arrays,
-    stacked as [Z_plus, Z_minus] along a new leading axis (the march's row
-    order).
-
-    (u, v, rho) data whose pointwise limit speed
-    qhat = sqrt(q^2 + 2 c^2 / (gamma - 1)) departs from ``qhat`` by more than
-    1e-8 (relative) is rejected.
-    """
-    q = np.hypot(u, v)
-    c = sound_speed_of_density(rho, gamma)
-    if np.any(q <= c):
-        raise BlowupError("sonic-limit: state is not supersonic (q <= c)")
-    qhat_point = np.sqrt(q * q + 2.0 * c * c / (gamma - 1.0))
-    if np.any(np.abs(qhat_point - qhat) > 1e-8 * qhat):
-        raise BlowupError("bernoulli-mismatch: (u, v, rho) violate the qhat normalization")
-    theta = np.arctan2(v, u)
-    th = theta_of_speed(q, qhat, gamma, q_ref)
-    return np.array([theta + th, theta - th])
 
 
 _MINUS_PLUS = np.array([-1.0, 1.0])
@@ -130,13 +105,17 @@ class PeriodicProfile:
         self.u_expr = SmoothExpression(u0_text, var="y")
         self.v_expr = SmoothExpression(v0_text, var="y")
         c0 = rho_wall ** (0.5 * (gamma - 1.0))
-        self.q_ref = math.hypot(float(self.u_expr(0.0)), float(self.v_expr(0.0)))
-        self._qhat2 = self.q_ref * self.q_ref + 2.0 * c0 * c0 / (gamma - 1.0)
-        self.qhat = math.sqrt(self._qhat2)
-        # Reject a profile that reaches the limit speed or turns subsonic
-        # anywhere on a 2001-node lattice of [0, 1], before any march.
-        u, v, rho = self._base(np.linspace(0.0, 1.0, 2001))
-        if np.any(np.hypot(u, v) <= sound_speed_of_density(rho, gamma)):
+        # Reject a profile that is not finite, reaches the limit speed or
+        # turns subsonic anywhere on a 2001-node lattice of [0, 1], before
+        # any march.
+        with np.errstate(all="ignore"):  # a non-finite value is this error, not a warning
+            self.q_ref = math.hypot(float(self.u_expr(0.0)), float(self.v_expr(0.0)))
+            self._qhat2 = self.q_ref * self.q_ref + 2.0 * c0 * c0 / (gamma - 1.0)
+            self.qhat = math.sqrt(self._qhat2)
+            u, v, rho = self._base(np.linspace(0.0, 1.0, 2001))
+        if not all(np.isfinite(x).all() for x in (u, v, rho)):
+            raise BlowupError("out-of-range: base profile has a non-finite u0, v0 or rho0 sample")
+        if np.any(np.hypot(u, v) <= rho ** (0.5 * (gamma - 1.0))):
             raise BlowupError("sonic-limit: base profile has a non-supersonic sample")
 
     def _base(self, y):
@@ -153,6 +132,15 @@ class PeriodicProfile:
         t = np.mod(np.asarray(y, dtype=float) + 1.0, 2.0) - 1.0
         u, v, rho = self._base(np.abs(t))
         return u, np.where(t < 0.0, -1.0, 1.0) * v, rho
+
+    def invariants(self, y):
+        """[Z_plus, Z_minus] = theta +- Theta(q) of the periodic extension at
+        ``y``, stacked along a new leading axis (the march's row order), with
+        the profile's own qhat, gamma and q_ref."""
+        u, v, _ = self.eval(y)
+        theta = np.arctan2(v, u)
+        th = theta_of_speed(np.hypot(u, v), self.qhat, self.gamma, self.q_ref)
+        return np.array([theta + th, theta - th])
 
 
 _COMPAT_TOL = 1e-8
@@ -253,8 +241,7 @@ def cauchy_march(profile: PeriodicProfile, x_max=200.0, ny=800, dx_max=0.05,
                  grad_factor=1e3, grad_floor=1e-6) -> BlowupReport:
     """March the diagonal system on one period with adaptive steps.
 
-    The first row is ``irrot_invariants`` of ``profile.eval`` at the nodes,
-    with the adiabatic exponent ``profile.gamma``.
+    The first row is ``profile.invariants`` at the nodes.
     Each step takes both slopes as tan(theta -+ mu) (``_mach_slopes``), with
     mu(Theta) read from a table built once (``_MachAngleTable``).
     Semi-Lagrangian update (monotone cubic, periodic): Z_plus is pulled back
@@ -278,13 +265,11 @@ def cauchy_march(profile: PeriodicProfile, x_max=200.0, ny=800, dx_max=0.05,
     Both families share every array: row 0 holds Z_plus, lambda_minus and
     the family-minus fan, row 1 Z_minus, lambda_plus and the family-plus fan.
     """
-    gamma = profile.gamma
     y = -1.0 + 2.0 * np.arange(ny) / ny  # one period, no duplicate endpoint
     dy = 2.0 / ny
-    u, v, rho = profile.eval(y)
-    z = irrot_invariants(u, v, rho, gamma, q_ref=profile.q_ref, qhat=profile.qhat)
+    z = profile.invariants(y)
 
-    mach_angle = _MachAngleTable(profile.qhat, gamma, profile.q_ref)
+    mach_angle = _MachAngleTable(profile.qhat, profile.gamma, profile.q_ref)
 
     # Periodic padding: column j + _PAD of z.take(ext, axis=1) is node j, on
     # the lattice y0 + k h.  The step cap keeps every foot within _STEP_CAP

@@ -25,7 +25,7 @@ import numpy as np
 # are imported inside the commands that run them, so each command loads only
 # its own code; config.WallCurve keeps scipy off the import path the same way.
 from . import config, gas
-from .csvout import write_csv
+from .csvout import format_value, write_csv
 from .expressions import ExpressionError, parse_expression
 
 EXIT_OK = 0
@@ -33,14 +33,8 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 _CODE_TOKEN = re.compile(r"([a-z]+(?:-[a-z]+)*): ")
 
-def _fmt(x):
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
-
-
 def _summary(entries):
-    print(" ".join(f"{k}={_fmt(v)}" for k, v in entries.items()))
+    print(" ".join(f"{k}={format_value(v)}" for k, v in entries.items()))
 
 
 def _error_exit(category, exc, prefix="", **extra):
@@ -159,15 +153,13 @@ def build_pipeline(cfg, geom, profile):
     return prob, (m_a, m_b)
 
 
-def _checked_eps(cfg, geom, profile):
-    """A run's profile checks, in the order it reports them; returns eps."""
-    eps = config.perturbation_size(profile, geom, cfg.background)
+def _check_profile(cfg, geom, profile):
+    """A run's profile checks, in the order it reports them."""
     profile.validate(cfg.gamma, cfg.compat_tol)  # an --eps-scale or sweep profile is new
     config.check_inlet_ordinates(profile, geom)
     violations = config.validate_compatibility(profile, geom, tol=cfg.compat_tol)
     if violations:
         raise config.ConfigError("inlet compatibility violated: " + "; ".join(violations))
-    return eps
 
 
 def _solve(cfg, geom, profile):
@@ -200,7 +192,7 @@ def _solve(cfg, geom, profile):
 def run_member(cfg, geom, profile):
     """One ``sweep`` member: a run's profile checks and ``_solve``, without
     its residual checks and outputs; returns ``_solve``'s figures."""
-    _checked_eps(cfg, geom, profile)
+    _check_profile(cfg, geom, profile)
     return _solve(cfg, geom, profile)[0]
 
 
@@ -210,7 +202,8 @@ def run_solve(cfg, geom, profile):
     fixed point's history (``moc.fixed_point``)."""
     from . import lagrangian, moc
 
-    eps = _checked_eps(cfg, geom, profile)
+    eps = config.perturbation_size(profile, geom, cfg.background)
+    _check_profile(cfg, geom, profile)
     _check_out_dir(cfg.out_dir)
     figures, (prob, grid, history, efield) = _solve(cfg, geom, profile)
     residuals = moc.residual_check(grid, prob)

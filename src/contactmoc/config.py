@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gas
+from .csvout import format_value
 from .expressions import ExpressionError, SmoothExpression
 from .interp import pchip
 
@@ -32,10 +33,6 @@ class ConfigError(ValueError):
 
 class ConfigParseError(ConfigError):
     """Malformed config text: grammar, missing keys, unreadable values/files."""
-
-
-def _fmt(x):
-    return format(float(x), ".17g")
 
 
 # ---------------------------------------------------------------------------
@@ -56,6 +53,9 @@ class WallCurve:
             y = np.asarray(y, dtype=float)
             if x.size < 4 or not np.all(np.diff(x) > 0):
                 raise ConfigError("sampled wall needs >= 4 strictly increasing x samples")
+            for name, col in (("x", x), ("y", y)):
+                if not np.all(np.isfinite(col)):
+                    raise ConfigError(f"sampled wall has a non-finite {name} sample")
             self._x = x
             self._y = y
             # The only scipy use at run time: keep it off the import path of
@@ -150,6 +150,9 @@ class InletLayer:
         for name in ("u", "v", "p", "rho"):
             if getattr(self, name).shape != self.y.shape:
                 raise ConfigError(f"inlet column {name} length mismatch")
+        for name in ("y", "u", "v", "p", "rho"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ConfigError(f"inlet column {name} has a non-finite sample")
 
     def interp(self, name):
         if name not in self._interp:
@@ -478,14 +481,14 @@ def write_config(cfg: RunConfig, geom: NozzleGeometry, profile: InletProfile, pa
     """Serialize back to the text format (inverse of load_config)."""
     out = []
     out.append("[gas]")
-    out.append(f"gamma = {_fmt(cfg.gamma)}")
+    out.append(f"gamma = {format_value(cfg.gamma)}")
     out.append("")
     out.append("[background]")
     for key in ("u_a", "rho_a", "u_b", "rho_b", "p"):
-        out.append(f"{key} = {_fmt(getattr(cfg.background, key))}")
+        out.append(f"{key} = {format_value(getattr(cfg.background, key))}")
     out.append("")
     out.append("[geometry]")
-    out.append(f"L = {_fmt(geom.L)}")
+    out.append(f"L = {format_value(geom.L)}")
     for name, wall in (("g_minus", geom.g_minus), ("g_plus", geom.g_plus)):
         kind, *payload = wall.serialization()
         if kind == "expr":
@@ -495,7 +498,7 @@ def write_config(cfg: RunConfig, geom: NozzleGeometry, profile: InletProfile, pa
             out.append(f"{name} = <<<")
             out.append("x,y")
             for xi, yi in zip(x, y):
-                out.append(f"{_fmt(xi)},{_fmt(yi)}")
+                out.append(f"{format_value(xi)},{format_value(yi)}")
             out.append(">>>")
     out.append("")
     out.append("[inlet]")
@@ -503,7 +506,7 @@ def write_config(cfg: RunConfig, geom: NozzleGeometry, profile: InletProfile, pa
         out.append(f"{name} = <<<")
         out.append("y,u,v,p,rho")
         for row in zip(layer.y, layer.u, layer.v, layer.p, layer.rho):
-            out.append(",".join(_fmt(v) for v in row))
+            out.append(",".join(format_value(v) for v in row))
         out.append(">>>")
     out.append("")
     out.append("[grid]")
@@ -514,8 +517,7 @@ def write_config(cfg: RunConfig, geom: NozzleGeometry, profile: InletProfile, pa
     for section in _OPTIONAL_SECTIONS:
         out.append(f"[{section}]")
         for key in _GRAMMAR[section]:
-            value = getattr(cfg, key)
-            out.append(f"{key} = {_fmt(value) if isinstance(value, float) else value}")
+            out.append(f"{key} = {format_value(getattr(cfg, key))}")
         out.append("")
     with open(path, "w") as fh:
         fh.write("\n".join(out))

@@ -206,6 +206,13 @@ def _line_cells(cols, floats):
     return line
 
 
+def format_value(x):
+    """``x`` as text: a float with 17 significant digits, the bytes of
+    ``format(x, '.17g')`` as a CSV cell holds them, anything else as
+    ``str``."""
+    return format(x, ".17g") if isinstance(x, float) else str(x)
+
+
 def write_csv(path, header, columns):
     """Write equal-length ``columns`` under the column names in ``header``.
 

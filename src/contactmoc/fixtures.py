@@ -16,6 +16,7 @@ from .config import BackgroundState, InletLayer, InletProfile, NozzleGeometry, R
 # Background used across tests and example runs.
 DEFAULT_BACKGROUND = BackgroundState(u_a=2.2, rho_a=1.0, u_b=1.9, rho_b=1.2, p=1.0)
 DEFAULT_L = 4.0
+_INLET_SAMPLES = 161  # per layer
 
 
 def background_geometry(L=DEFAULT_L):
@@ -37,15 +38,15 @@ def _layer_samples(y, ubar, rhobar, pbar, amp, shapes):
     )
 
 
-def perturbed_inputs(eps, background=DEFAULT_BACKGROUND, L=DEFAULT_L, n_samples=161,
+def perturbed_inputs(eps, background=DEFAULT_BACKGROUND, L=DEFAULT_L,
                      nxi=400, neta=100, fp_tol=1e-10):
     """Build (RunConfig, NozzleGeometry, InletProfile) with perturbation_size == eps.
 
     eps == 0 gives the exact constant background with flat walls.
     """
     bg = background
-    ya = np.linspace(0.0, 1.0, n_samples)
-    yb = np.linspace(-1.0, 0.0, n_samples)
+    ya = np.linspace(0.0, 1.0, _INLET_SAMPLES)
+    yb = np.linspace(-1.0, 0.0, _INLET_SAMPLES)
 
     # Flow-angle shape shared by both layers (w continuous at y=0, zero at
     # the wall ordinates +-1 so the flat-inlet corner slip holds); pressure

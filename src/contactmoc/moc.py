@@ -71,7 +71,9 @@ class MocProblem:
     prepared once as one (2, 1) ``gas.Streamline``: the reflection
     coefficient of the fixed point and of the oracle reads its secants from it.
     ``inlet_z`` holds the inlet invariants on the row, as one (2, n) array
-    [z_minus, z_plus]; the background's are zero.
+    [z_minus, z_plus]; the background's are zero.  ``wall_angle`` holds
+    ``wall_angles`` on the lattice xi, the upper wall in row 0 and the lower
+    wall in row 1.
     """
 
     domain: LagrangianDomain
@@ -79,8 +81,7 @@ class MocProblem:
     line: gas.Streamline
     contact: gas.Streamline
     inlet_z: np.ndarray
-    wall_angle_plus: np.ndarray
-    wall_angle_minus: np.ndarray
+    wall_angle: np.ndarray
     min_supersonic_margin: float
 
 
@@ -92,19 +93,24 @@ def build_problem(cfg: RunConfig, geom: NozzleGeometry, domain: LagrangianDomain
     p_ref = cfg.background.p
     line = gas.Streamline(a0, b0, p_ref, cfg.gamma, cfg.newton_tol, cfg.max_newton_iters)
     ends = [0, -1]
-    xi = domain.xi
     prob = MocProblem(
         domain=domain,
         geom=geom,
         line=line,
         contact=gas.Streamline(line.a0[ends, None], line.b0[ends, None], p_ref, cfg.gamma),
         inlet_z=line.invariants(inlet.u, inlet.v, inlet.p, inlet.rho),
-        wall_angle_plus=np.arctan(geom.g_plus(xi, 1)),
-        wall_angle_minus=np.arctan(geom.g_minus(xi, 1)),
+        wall_angle=wall_angles(geom, domain.xi),
         min_supersonic_margin=cfg.min_supersonic_margin,
     )
     check_cfl(frozen_lambdas(InvariantGrid.background(prob, nxi=1), prob), domain)
     return prob
+
+
+def wall_angles(geom: NozzleGeometry, x):
+    """(2, x.size): the angles arctan g'(x) of the upper wall, then of the
+    lower wall, at the abscissae ``x``.  Every call passes an array, so a
+    one-element call gives the bits of the same entry of a longer one."""
+    return np.arctan([geom.g_plus(x, 1), geom.g_minus(x, 1)])
 
 
 def check_cfl(frozen: FrozenField, domain: LagrangianDomain):
@@ -342,8 +348,8 @@ def step_linearized(prob: MocProblem, plan, r, k, z):
     index, s = plan
     new = interp.cubic_eval(z, index[k], s[k])
     n = new.size // 2
-    close_row(new[:n], new[n:], prob.domain.eta_a.size, prob.wall_angle_plus[k + 1],
-              prob.wall_angle_minus[k + 1], r[k + 1])
+    close_row(new[:n], new[n:], prob.domain.eta_a.size, prob.wall_angle[0, k + 1],
+              prob.wall_angle[1, k + 1], r[k + 1])
     return new
 
 
@@ -451,8 +457,7 @@ def residual_check(grid: InvariantGrid, prob: MocProblem):
     _, w = grid._mach
     na = prob.domain.eta_a.size
     return {
-        "wall_slip": max(float(np.max(np.abs(w[:, na - 1] - np.tan(prob.wall_angle_plus)))),
-                         float(np.max(np.abs(w[:, na] - np.tan(prob.wall_angle_minus))))),
+        "wall_slip": float(np.max(np.abs(w[:, na - 1:na + 1].T - np.tan(prob.wall_angle)))),
         "contact_w_jump": float(np.max(np.abs(w[:, 0] - w[:, -1]))),
         "contact_p_jump": float(np.max(np.abs(p[:, 0] - p[:, -1]))),
         "residual_sup": sup,

@@ -22,10 +22,10 @@ form (``gas.Streamline.lambdas``), and the two contact entries' s give the
 contact's reflection coefficient in closed form (``moc.contact_reflection``).
 Newton runs independently per node and freezes converged nodes by mask, so
 the stacked calls return the bits of per-layer calls.  The wall angles
-arctan g'(x) are tabulated once per march on the step ends xi_k + dxi, where
-a step with a single sub-step lands exactly; any other sub-step evaluates
-the same vector helper on its one abscissa, which gives the bits a table
-entry would.  The streamlines are the problem's own, prepared once when the
+arctan g'(x) (``moc.wall_angles``, not the fixed point's table) are
+tabulated once per march on the step ends xi_k + dxi, where a step with a
+single sub-step lands exactly; any other sub-step evaluates the same helper
+on its one abscissa, which gives the bits a table entry would.  The streamlines are the problem's own, prepared once when the
 problem is built: the row's (``MocProblem.line``) and the two contact
 streamlines (``MocProblem.contact``).  These hold constants of the inlet
 data alone, so a sub-step recomputes no streamline constant and reads
@@ -38,7 +38,7 @@ import math
 
 import numpy as np
 
-from .moc import InvariantGrid, MocProblem, SolverError, close_row, contact_reflection
+from .moc import InvariantGrid, MocProblem, SolverError, close_row, contact_reflection, wall_angles
 
 _MAX_SUBSTEPS = 1000
 
@@ -61,7 +61,7 @@ def upwind_march(prob: MocProblem) -> InvariantGrid:
 
     rows, contact = prob.line, prob.contact
     # A step's first sub-step with dx == dxi lands on xi_k + dxi exactly.
-    step_angles = _wall_angles(prob.geom, xi[:-1] + dxi).T.tolist()
+    step_angles = wall_angles(prob.geom, xi[:-1] + dxi).T.tolist()
     zm, zp = np.empty((2, nxi, deta.size))
     zm[0], zp[0] = prob.inlet_z
     cur_m, cur_p = zm[0], zp[0]
@@ -95,7 +95,7 @@ def upwind_march(prob: MocProblem) -> InvariantGrid:
             if dx == dxi:
                 angles = step_angles[k]
             else:
-                angles = _wall_angles(prob.geom, np.array([xi_next]))[:, 0]
+                angles = wall_angles(prob.geom, np.array([xi_next]))[:, 0]
             r = float(contact_reflection(s[[0, -1], None], contact)[0])
             close_row(new_m, new_p, na, *angles, r)
 
@@ -105,13 +105,6 @@ def upwind_march(prob: MocProblem) -> InvariantGrid:
         zm[k + 1], zp[k + 1] = cur_m, cur_p
 
     return InvariantGrid(dom, zm, zp)
-
-
-def _wall_angles(geom, x):
-    """(2, x.size): the angles arctan g'(x) of the upper wall, then of the
-    lower wall, at the abscissae ``x``.  Every call passes an array, so a
-    one-element call gives the bits of the same entry of a longer one."""
-    return np.arctan([geom.g_plus(x, 1), geom.g_minus(x, 1)])
 
 
 def compare_fields(a, b) -> float:

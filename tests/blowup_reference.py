@@ -47,12 +47,10 @@ def plain_hermite_rows(y0, h, v, d, yq):
 def reference_march(profile, x_max=200.0, ny=800, dx_max=0.05, grad_factor=1e3, grad_floor=1e-6):
     """``blowup.cauchy_march`` with the step written out plainly; returns a
     ``BlowupReport``."""
-    gamma = profile.gamma
     y = -1.0 + 2.0 * np.arange(ny) / ny
     dy = 2.0 / ny
-    u, v, rho = profile.eval(y)
-    z = blowup.irrot_invariants(u, v, rho, gamma, q_ref=profile.q_ref, qhat=profile.qhat)
-    mach_angle = blowup._MachAngleTable(profile.qhat, gamma, profile.q_ref)
+    z = profile.invariants(y)
+    mach_angle = blowup._MachAngleTable(profile.qhat, profile.gamma, profile.q_ref)
 
     pad = blowup._PAD
     ext = np.arange(-pad, ny + pad) % ny

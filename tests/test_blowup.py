@@ -32,7 +32,7 @@ def irrot_lambdas(u, v, rho, g):
     it.  Needs u > c, so the denominator is positive; then
     q^2 - c^2 >= u^2 - c^2 > 0 keeps the radicand positive without a clamp."""
     u, v, rho = (np.asarray(x, dtype=float) for x in (u, v, rho))
-    c = blowup.sound_speed_of_density(rho, g)
+    c = rho ** (0.5 * (g - 1.0))
     if np.any(u * u - c * c <= 0.0):
         raise blowup.BlowupError("degenerate: characteristic slopes need u > c")
     cd = c * np.sqrt((u * u + v * v) - c * c)
@@ -75,10 +75,12 @@ def march_rows(monkeypatch, *args, **kwargs):
 
 
 def _irrot(u, v, rho):
-    """``irrot_invariants`` of one state, with its own limit speed qhat and
-    q_ref = 2."""
+    """(Z_plus, Z_minus) = theta +- Theta(q) of one state, with its own limit
+    speed qhat and q_ref = 2."""
     qhat = math.sqrt(u * u + v * v + 2.0 * rho ** (G - 1.0) / (G - 1.0))
-    return blowup.irrot_invariants(*(np.array([x]) for x in (u, v, rho)), G, q_ref=2.0, qhat=qhat)
+    theta = math.atan2(v, u)
+    th = blowup.theta_of_speed(np.array([math.hypot(u, v)]), qhat, G, 2.0)
+    return theta + th, theta - th
 
 
 def _theta(q, qhat):
@@ -87,8 +89,10 @@ def _theta(q, qhat):
 
 
 def test_invariants_vanish_at_reference():
-    z_plus, z_minus = _irrot(2.0, 0.0, 1.0)
-    assert z_minus.tolist() == [0.0] and z_plus.tolist() == [0.0]
+    """At the wall y = 0 the state is the reference state q = q_ref with
+    v = 0, so both invariants are exactly zero."""
+    prof = make_profile("0.03 * sin(pi * y)", "2.0 + 0.01 * cos(pi * y)", rho_wall=0.9)
+    assert prof.invariants(0.0).tolist() == [0.0, 0.0]
 
 
 def test_invariants_v_flip_swap_law():
@@ -156,7 +160,7 @@ def test_march_stops_where_u_drops_below_c(monkeypatch):
     prof = make_profile("0.8 * sin(pi * y) ** 3", "2.0 - 0.9 * sin(pi * y) ** 2")
     assert blowup.check_compatibility(prof) == []
     u, v, rho = prof.eval(np.linspace(-1.0, 1.0, 401))
-    c = blowup.sound_speed_of_density(rho, G)
+    c = rho ** (0.5 * (G - 1.0))
     assert np.all(np.hypot(u, v) > c) and np.any(u < c)
     updates = []
     monkeypatch.setattr(interp, "monotone_interp", lambda *args: updates.append(args))
@@ -219,10 +223,10 @@ def test_compatibility_flags_half_sine():
 
 
 def test_march_starts_from_the_expressions(monkeypatch):
-    """Row 0 of the march is ``irrot_invariants`` of the closed-form data at
-    the nodes, bit for bit: u0 and v0 at the folded |t| with v odd, the
-    density from the Bernoulli radicand anchored at rho_wall, and qhat and
-    q_ref from the wall values."""
+    """Row 0 of the march is theta +- Theta(q) of the closed-form data at the
+    nodes, bit for bit: u0 and v0 at the folded |t| with v odd, and qhat
+    from the Bernoulli law anchored at rho_wall and q_ref from the wall
+    values."""
     u_text, v_text, rho_wall = "2.0 + 0.01 * cos(pi * y)", "0.03 * sin(pi * y)", 0.9
     rep, rows = march_rows(monkeypatch, make_profile(v_text, u_text, rho_wall), x_max=0.1,
                            ny=300)
@@ -234,8 +238,9 @@ def test_march_starts_from_the_expressions(monkeypatch):
     q_ref = math.hypot(float(u0(0.0)), float(v0(0.0)))
     c_wall = rho_wall ** (0.5 * gm1)
     qhat2 = q_ref * q_ref + 2.0 * c_wall * c_wall / gm1
-    rho = (0.5 * gm1 * (qhat2 - (u * u + v * v))) ** (1.0 / gm1)
-    z_plus, z_minus = blowup.irrot_invariants(u, v, rho, G, q_ref=q_ref, qhat=math.sqrt(qhat2))
+    theta = np.arctan2(v, u)
+    th = blowup.theta_of_speed(np.hypot(u, v), math.sqrt(qhat2), G, q_ref)
+    z_plus, z_minus = theta + th, theta - th
     zp, zm = rows[0]
     assert rep.x_history[0] == 0.0
     assert np.array_equal(zp, z_plus) and np.array_equal(zm, z_minus)

@@ -155,6 +155,50 @@ def _with_inlet_value(workdir, tmp_path, column, value):
     return bad
 
 
+def _assert_validation_error(capsys, command, cfgp, out, detail):
+    """``command`` on ``cfgp``, in process with warnings as errors, exits 1
+    with nothing on stderr: ``validate`` lists ``detail`` as its one
+    violation, any other command prints one summary line, error=validation
+    with ``detail``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main([command, "--config", str(cfgp), "--out", str(out), "--quiet"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (1, "")
+    lines = captured.out.splitlines()
+    if command == "validate":
+        assert lines == [f"violation: {detail}", "status=invalid violations=1"]
+    else:
+        s = parse_summary(captured.out)
+        assert (len(lines), s["error"], s["detail"]) == (1, "validation", detail)
+
+
+@pytest.mark.parametrize("column, name", [(1, "u"), (2, "v")])
+@pytest.mark.parametrize("command", ["solve", "validate"])
+def test_non_finite_inlet_sample_is_a_validation_error(workdir, tmp_path, capsys, command,
+                                                       column, name):
+    bad = _with_inlet_value(workdir, tmp_path, column, "nan")
+    _assert_validation_error(capsys, command, bad, tmp_path / "o",
+                             f"inlet column {name} has a non-finite sample")
+
+
+@pytest.mark.parametrize("command", ["solve", "validate"])
+def test_non_finite_wall_sample_is_a_validation_error(workdir, tmp_path, capsys, command):
+    cfgp = _with_wall_table(workdir, tmp_path, "inline-nan-y")
+    _assert_validation_error(capsys, command, cfgp, tmp_path / "o",
+                             "sampled wall has a non-finite y sample")
+
+
+@pytest.mark.parametrize("u0", ["1e308 * 10", "2.0 / y"])
+@pytest.mark.parametrize("command", ["blowup", "validate"])
+def test_non_finite_blowup_profile_is_a_validation_error(tmp_path, capsys, command, u0):
+    cfgp = tmp_path / "blowup.cfg"
+    cfgp.write_text(f"[gas]\ngamma = 1.4\n\n[blowup]\nu0 = {u0}\nv0 = 0.0\nny = 100\n")
+    _assert_validation_error(capsys, command, cfgp, tmp_path / "o",
+                             "out-of-range: base profile has a non-finite u0, v0 or rho0 sample")
+    assert not (tmp_path / "o").exists()
+
+
 def test_nonpositive_inlet_pressure_is_validation_error_without_warning(workdir, tmp_path):
     bad = _with_inlet_value(workdir, tmp_path, 3, "-1.0")
     r = run_cli("solve", "--config", str(bad), "--out", str(tmp_path / "o"), "--quiet")
@@ -723,6 +767,8 @@ def _with_wall_table(workdir, tmp_path, case):
             header = "t,z" if case == "sidecar-bad-header" else "x,y"
             if case.endswith("no-rows"):
                 rows = []
+            elif case == "inline-nan-y":
+                rows[5] = f"{xs[5]:.17g},nan"
             elif case != "sidecar-bad-header":
                 rows[5] = "foo,1"
             if case.startswith("inline"):
@@ -853,6 +899,17 @@ def test_sweep_solves_a_repeated_eps_once(monkeypatch, capsys, tmp_path):
     lines = (tmp_path / "s" / "sweep.csv").read_text().splitlines()
     assert len(lines) == 4 and lines[1] == lines[2] != lines[3]
     assert s["slope"] != "undefined"
+
+
+def test_sweep_measures_only_the_base_eps(monkeypatch, capsys, tmp_path):
+    """A member's size is its target: the sweep measures the base config's
+    eps once and no member measures its own."""
+    fixtures.write_fixture(tmp_path / "pert.cfg", eps=1e-3, nxi=140, neta=35)
+    calls = _counted(monkeypatch, config, "perturbation_size")
+    code, _, s = main_in_process(capsys, "sweep", "--config", tmp_path / "pert.cfg",
+                                 "--grid", "61x16", "--eps", "1e-3,2e-3,4e-3",
+                                 "--out", tmp_path / "s", "--quiet")
+    assert (code, s["runs"], len(calls)) == (0, "3", 1)
 
 
 def _rescaled_nozzle(tmp_path, s=2.0):

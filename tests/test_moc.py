@@ -240,9 +240,9 @@ def test_step_background_is_fixed_point():
 def test_one_march_imposes_wall_closure_exactly():
     cfg, geom, profile, prob = assemble(1e-3, 101, 26)
     out = moc.solve_linearized(moc.InvariantGrid.background(prob), prob)
-    wall = out.zm_a[1:, -1] + out.zp_a[1:, -1] - 2.0 * prob.wall_angle_plus[1:]
+    wall = out.zm_a[1:, -1] + out.zp_a[1:, -1] - 2.0 * prob.wall_angle[0, 1:]
     assert np.max(np.abs(wall)) < 1e-12
-    wall_b = out.zm_b[1:, 0] + out.zp_b[1:, 0] - 2.0 * prob.wall_angle_minus[1:]
+    wall_b = out.zm_b[1:, 0] + out.zp_b[1:, 0] - 2.0 * prob.wall_angle[1, 1:]
     assert np.max(np.abs(wall_b)) < 1e-12
 
 
@@ -351,8 +351,8 @@ def _per_slab_march(prob, frozen, r, hits):
         zp_a = advect(ea, rows[1][-1], lam_m_a[k], lam_m_a[k + 1])
         zm_b = advect(eb, rows[2][-1], lam_p_b[k], lam_p_b[k + 1])
         zp_b = advect(eb, rows[3][-1], lam_m_b[k], lam_m_b[k + 1])
-        zp_a[-1] = 2.0 * prob.wall_angle_plus[k + 1] - zm_a[-1]
-        zm_b[0] = 2.0 * prob.wall_angle_minus[k + 1] - zp_b[0]
+        zp_a[-1] = 2.0 * prob.wall_angle[0, k + 1] - zm_a[-1]
+        zm_b[0] = 2.0 * prob.wall_angle[1, k + 1] - zp_b[0]
         jump = r[k + 1] * (zp_a[0] - zm_b[-1])
         zm_a[0] = zm_b[-1] + jump
         zp_b[-1] = zp_a[0] + jump
@@ -647,9 +647,9 @@ def test_wall_and_contact_identities_at_unequal_layers():
 
 def _check_wall_and_contact_identities(prob, grid):
     # imposed closures hold to machine precision
-    wall = grid.zm_a[1:, -1] + grid.zp_a[1:, -1] - 2.0 * prob.wall_angle_plus[1:]
+    wall = grid.zm_a[1:, -1] + grid.zp_a[1:, -1] - 2.0 * prob.wall_angle[0, 1:]
     assert np.max(np.abs(wall)) < 1e-14
-    wall_b = grid.zm_b[1:, 0] + grid.zp_b[1:, 0] - 2.0 * prob.wall_angle_minus[1:]
+    wall_b = grid.zm_b[1:, 0] + grid.zp_b[1:, 0] - 2.0 * prob.wall_angle[1, 1:]
     assert np.max(np.abs(wall_b)) < 1e-14
     # one more march from the solution: its contact entries are the
     # reflection law with the R frozen on the solution

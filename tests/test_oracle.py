@@ -88,6 +88,7 @@ def test_oracle_reads_no_solver_caches():
     # inverts its own slabs; the problem's precomputed values stay unread.
     assert "wall_angle_plus" not in src
     assert "wall_angle_minus" not in src
+    assert "prob.wall_angle" not in src
     assert "grid_states" not in src
     # Nor does it share the fixed point's march.
     assert "plan_march" not in src

@@ -1,6 +1,8 @@
-"""Smoke tests: each study script runs end to end on a tiny input."""
+"""Smoke tests: each study script runs end to end on a tiny input, and the
+output digest prints one sha256."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -12,12 +14,17 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(contactmoc.__file__)))
 
 
+def _run(script, *args):
+    """Run a script by subprocess, with the package on its path."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, os.path.join(ROOT, "scripts", script), *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 def run_script(tmp_path, script, args):
     """Run a study script by subprocess; the lines of the CSV it wrote."""
     out = tmp_path / "study.csv"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    r = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", script), *args, "--out", str(out)],
-                       capture_output=True, text=True, env=env, timeout=120)
+    r = _run(script, *args, "--out", str(out))
     assert r.returncode == 0, r.stderr
     return out.read_text().splitlines()
 
@@ -44,3 +51,9 @@ def test_blowup_study_writes_17_digits_and_none(tmp_path):
     assert quiet[0] == "0.001"
     assert quiet[1:5] == ["none"] * 4  # no detector fired before x = 40
     assert quiet[6] == "none"
+
+
+def test_output_digest_prints_one_sha256():
+    r = _run("output_digest.py")
+    assert (r.returncode, r.stderr) == (0, "")
+    assert re.fullmatch(r"[0-9a-f]{64}\n", r.stdout)
